@@ -295,7 +295,7 @@ func runCoreSuite(run func(name string, fn func(b *testing.B))) {
 	run("ServeWarmSelect", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := svc.Select("bench", nil, 10, 5, nil); err != nil {
+			if _, err := svc.Select("bench", subtab.ExploreSpec{K: 10, L: 5}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -351,7 +351,7 @@ func runLargeSuite(run func(name string, fn func(b *testing.B))) {
 	run("Fig9SelectLarge/100k", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := m100k.SelectWith(nil, 10, 10, nil, scale); err != nil {
+			if _, err := m100k.SelectExplore(subtab.ExploreSpec{K: 10, L: 10, Scale: scale}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -362,7 +362,7 @@ func runLargeSuite(run func(name string, fn func(b *testing.B))) {
 	run("Fig9SelectLarge/1M", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := m1m.SelectWith(nil, 10, 10, nil, scale); err != nil {
+			if _, err := m1m.SelectExplore(subtab.ExploreSpec{K: 10, L: 10, Scale: scale}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -403,7 +403,7 @@ func runOOCoreSuite(run func(name string, fn func(b *testing.B))) {
 	run("OOCoreSelect/1M", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := m.SelectWith(nil, 10, 10, nil, scale); err != nil {
+			if _, err := m.SelectExplore(subtab.ExploreSpec{K: 10, L: 10, Scale: scale}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -412,7 +412,7 @@ func runOOCoreSuite(run func(name string, fn func(b *testing.B))) {
 	run("OOCoreSelectSpill/1M", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := m.SelectWith(nil, 10, 10, nil, spill); err != nil {
+			if _, err := m.SelectExplore(subtab.ExploreSpec{K: 10, L: 10, Scale: spill}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -457,7 +457,7 @@ func runShardSuite(run func(name string, fn func(b *testing.B))) {
 	run("ShardSelect/1M-4", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := m.SelectWith(nil, 10, 10, nil, scale); err != nil {
+			if _, err := m.SelectExplore(subtab.ExploreSpec{K: 10, L: 10, Scale: scale}); err != nil {
 				b.Fatal(err)
 			}
 		}

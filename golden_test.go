@@ -108,11 +108,11 @@ func goldenSelections(t *testing.T, model *subtab.Model, name string, scale *sub
 	if err != nil {
 		t.Fatal(err)
 	}
-	whole, err := model.SelectWith(nil, 8, 6, nil, scale)
+	whole, err := model.SelectExplore(subtab.ExploreSpec{K: 8, L: 6, Scale: scale})
 	if err != nil {
 		t.Fatal(err)
 	}
-	targeted, err := model.SelectWith(nil, 6, 4, ds.Targets[:1], scale)
+	targeted, err := model.SelectExplore(subtab.ExploreSpec{K: 6, L: 4, Targets: ds.Targets[:1], Scale: scale})
 	if err != nil {
 		t.Fatal(err)
 	}

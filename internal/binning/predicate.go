@@ -70,17 +70,24 @@ func (f *Filter) NumPredicates() int { return len(f.preds) }
 // match nothing, wrong-kind comparisons match nothing — mirroring
 // query.Predicate.Matches exactly.
 func (b *Binned) CompileFilter(preds []query.Predicate) *Filter {
+	return CompileFilter(b.Cols, preds)
+}
+
+// CompileFilter compiles against a binning schema alone: the verdict tables
+// depend on bin boundaries, never on codes, so a planner can classify a
+// conjunction (Exact) without touching the table.
+func CompileFilter(cols []ColumnBins, preds []query.Predicate) *Filter {
 	f := &Filter{preds: make([]predProgram, 0, len(preds)), exact: true}
 	for _, p := range preds {
 		pp := predProgram{pred: p, col: -1}
-		for c := range b.Cols {
-			if b.Cols[c].Col == p.Col {
+		for c := range cols {
+			if cols[c].Col == p.Col {
 				pp.col = c
 				break
 			}
 		}
 		if pp.col >= 0 {
-			cb := &b.Cols[pp.col]
+			cb := &cols[pp.col]
 			pp.kind = cb.Kind
 			pp.class = classifyBins(cb, p)
 			for _, cl := range pp.class {

@@ -134,7 +134,7 @@ func TestPatternGroupsNeedExceedsCandidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	cand := []int{0, 1, 2}
-	got := m.patternGroupColumns(cand, []int{0, 1, 2, 3, 4}, 10)
+	got := m.patternGroupColumns(cand, 10)
 	if len(got) != 3 {
 		t.Fatalf("should return all candidates when budget exceeds them: %v", got)
 	}

@@ -18,17 +18,12 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"subtab/internal/binning"
-	"subtab/internal/bitset"
-	"subtab/internal/cluster"
 	"subtab/internal/corpus"
 	"subtab/internal/f32"
-	"subtab/internal/metrics"
-	"subtab/internal/query"
 	"subtab/internal/rules"
 	"subtab/internal/table"
 	"subtab/internal/word2vec"
@@ -376,707 +371,12 @@ func (m *Model) rowVectorInto(v []float32, r int, cols []int, idx []int32) {
 // rows: the average of its cell vectors (Alg. 2 line 14).
 func (m *Model) ColVector(c int, rows []int) []float32 {
 	v := make([]float32, m.Emb.Dim())
-	m.colVectorInto(v, c, rows, make([]int32, len(rows)))
-	return v
-}
-
-// colVectorInto writes column c's mean vector into v, using idx (len(rows))
-// as gather scratch.
-func (m *Model) colVectorInto(v []float32, c int, rows []int, idx []int32) {
+	idx := make([]int32, len(rows))
 	for i, r := range rows {
 		idx[i] = m.itemRow[m.B.Item(c, r)]
 	}
 	f32.MeanPoolInto(v, m.items, idx)
-}
-
-// SubTable is a selected k×l sub-table.
-type SubTable struct {
-	// SourceRows are the selected rows as indices into the original table.
-	SourceRows []int
-	// Cols are the selected column names, in original table order.
-	Cols []string
-	// ColIdx are the selected columns as indices into the original table.
-	ColIdx []int
-	// View is the rendered k×l table.
-	View *table.Table
-}
-
-// AsMetricSubTable adapts the selection for the metrics package.
-func (s *SubTable) AsMetricSubTable() metrics.SubTable {
-	return metrics.SubTable{Rows: s.SourceRows, Cols: s.ColIdx}
-}
-
-// Select runs the selection phase on the whole table (Q = NULL in Alg. 2).
-func (m *Model) Select(k, l int, targets []string) (*SubTable, error) {
-	return m.SelectWith(nil, k, l, targets, nil)
-}
-
-// SelectQuery runs the selection phase on the result of q. Selection and
-// projection reuse the pre-computed cell vectors; for group-by queries, each
-// result row is represented by its group's first source row (aggregate cells
-// do not exist in T and therefore have no embedding).
-func (m *Model) SelectQuery(q *query.Query, k, l int, targets []string) (*SubTable, error) {
-	return m.SelectWith(q, k, l, targets, nil)
-}
-
-// SelectWith is Select/SelectQuery with a per-call override of the
-// large-table mode: scale nil uses the model's configured Options.Scale,
-// anything else replaces it for this call only (serving layers expose it as
-// a request knob). q nil selects over the whole table.
-//
-// Where/Select/Limit queries run on the streaming path: the conjunction is
-// compiled against the binning (binning.CompileFilter) and evaluated over
-// code blocks with per-block residual cell checks, so paged and sharded
-// tables filter without materializing a resident copy. Queries the
-// evaluator cannot compile (group-by/aggregates, an effective order-by)
-// fall back to the resident-cell path — and are refused on paged tables
-// instead of silently re-inflating RSS.
-func (m *Model) SelectWith(q *query.Query, k, l int, targets []string, scale *ScaleOptions) (*SubTable, error) {
-	sc := m.Opt.Scale
-	if scale != nil {
-		sc = *scale
-	}
-	if q == nil {
-		rows := make([]int, m.T.NumRows())
-		for i := range rows {
-			rows[i] = i
-		}
-		cols := make([]int, m.T.NumCols())
-		for i := range cols {
-			cols[i] = i
-		}
-		return m.selectFrom(rows, cols, k, l, targets, sc)
-	}
-	if m.streamableQuery(q) {
-		cols, err := m.queryCols(q)
-		if err != nil {
-			return nil, err
-		}
-		return m.selectFiltered(q.Where, q.Limit, nil, cols, k, l, targets, sc, exploreOpts{})
-	}
-	return m.selectWithMaterialized(q, k, l, targets, sc)
-}
-
-// selectWithMaterialized is the resident-cell query path: full relational
-// evaluation (group-by, aggregates, sorting) via query.Apply. It requires
-// the raw cells in memory, so paged tables refuse it — re-materializing a
-// resident copy would silently re-inflate exactly the footprint paging
-// shed. Streamable queries never come here (see SelectWith).
-func (m *Model) selectWithMaterialized(q *query.Query, k, l int, targets []string, sc ScaleOptions) (*SubTable, error) {
-	if !m.T.CellsResident() {
-		return nil, fmt.Errorf("core: query %q needs group-by/aggregate/order-by evaluation over raw cells, which this paged table does not hold; enable streaming predicates by restricting the query to where/select/limit (%w)", q.String(), query.ErrCellsPaged)
-	}
-	res, srcRows, err := q.Apply(m.T)
-	if err != nil {
-		return nil, fmt.Errorf("core: applying query: %w", err)
-	}
-	// Working columns: the result's columns that exist in T (aggregate
-	// columns do not; they are excluded from embedding-based selection).
-	var cols []int
-	for _, name := range res.ColumnNames() {
-		if ci := m.T.ColumnIndex(name); ci >= 0 {
-			cols = append(cols, ci)
-		}
-	}
-	if len(cols) == 0 {
-		// Pure aggregate result: fall back to all original columns.
-		cols = make([]int, m.T.NumCols())
-		for i := range cols {
-			cols[i] = i
-		}
-	}
-	return m.selectFrom(srcRows, cols, k, l, targets, sc)
-}
-
-// selectFrom clusters the candidate rows and columns and picks centroids.
-func (m *Model) selectFrom(rows, cols []int, k, l int, targets []string, scale ScaleOptions) (*SubTable, error) {
-	return m.selectFromOpts(rows, cols, k, l, targets, scale, exploreOpts{})
-}
-
-// exploreOpts carries the exploration-session extensions of a selection.
-// The zero value leaves the historical selection path untouched — every
-// branch it gates is skipped, which is what keeps the never-recording
-// goldens valid.
-type exploreOpts struct {
-	// preds, on a coordinator with remote shards, is the conjunction pushed
-	// into the per-shard scans (the rows argument is then nil: the matching
-	// row set exists only as shard-local masks).
-	preds []query.Predicate
-	// covered marks (column, bin) strata — global item ids — the session has
-	// already shown; the stratified reservoir serves uncovered strata first.
-	covered *bitset.Set
-	// colBias multiplies per-source-column selection scores (DataPilot-style
-	// null-rate / view-count weighting); nil means unbiased.
-	colBias []float64
-}
-
-func (m *Model) selectFromOpts(rows, cols []int, k, l int, targets []string, scale ScaleOptions, opt exploreOpts) (*SubTable, error) {
-	if k <= 0 || l <= 0 {
-		return nil, fmt.Errorf("core: sub-table dimensions must be positive, got %dx%d", k, l)
-	}
-	remote := false
-	if src := m.ShardSource(); src != nil && !src.Complete() {
-		remote = true
-	}
-	pushdown := remote && len(opt.preds) > 0
-	if !pushdown && len(rows) == 0 {
-		return nil, fmt.Errorf("core: no rows to select from")
-	}
-	targetIdx := make(map[int]bool, len(targets))
-	for _, name := range targets {
-		ci := m.T.ColumnIndex(name)
-		if ci < 0 {
-			return nil, fmt.Errorf("core: unknown target column %q", name)
-		}
-		targetIdx[ci] = true
-	}
-	if len(targetIdx) > l {
-		return nil, fmt.Errorf("core: %d target columns exceed l=%d", len(targetIdx), l)
-	}
-
-	// A model with remote shards cannot read arbitrary cells; the only
-	// selections it can serve are the scaled paths whose reads all resolve
-	// through the scatter/gather sampler's overlay: the full-table scan, or
-	// a predicate pushdown (each peer filters its own rows before scanning).
-	if remote {
-		if m.shardSampler == nil {
-			return nil, fmt.Errorf("core: table has remote shards and no shard sampler installed; selections need a coordinator with shard peers")
-		}
-		if opt.covered != nil || opt.colBias != nil {
-			return nil, fmt.Errorf("core: session-biased selections need the table's shards local")
-		}
-		if !pushdown {
-			if !scale.Active(len(rows)) {
-				return nil, fmt.Errorf("core: a table with remote shards serves scaled selections only (set ScaleOptions.Threshold)")
-			}
-			if len(rows) != m.T.NumRows() || !identityRows(rows) || !identityCols(cols, m.T.NumCols()) {
-				return nil, fmt.Errorf("core: a table with remote shards serves full-table selections only (queries need the rows local)")
-			}
-		} else if scale.Threshold <= 0 {
-			return nil, fmt.Errorf("core: a table with remote shards serves scaled selections only (set ScaleOptions.Threshold)")
-		}
-	}
-
-	// Row selection (Alg. 2 lines 8-12): cluster the tuple-vectors, then
-	// pick one representative per cluster. Among each cluster's most-central
-	// members we take the row least similar (binned Jaccard, the measure of
-	// Def. 3.7) to the rows already chosen: centrality keeps representatives
-	// typical of their pattern, the Jaccard tie-break keeps the displayed
-	// set diverse.
-	//
-	// All tuple-vectors go into one contiguous matrix. Full-column
-	// selections read the cached full-table matrix (a tuple-vector depends
-	// only on the column set); anything else fills a pooled slab in
-	// parallel — every row writes only its own matrix row, so the fill is
-	// deterministic at any worker count.
-	//
-	// Above the scale threshold the candidate set is first cut to a
-	// deterministic stratified sample and clustered with seeded mini-batch
-	// k-means; everything downstream (diversity re-rank, column selection)
-	// runs over the sampled candidates only, then maps representatives back
-	// to real row ids.
-	dim := m.Emb.Dim()
-	candRows := rows
-	// csrc, when non-nil, is the sampled-rows overlay of a coordinator
-	// model: every downstream code read of this selection goes through it
-	// instead of the (partly remote) shard source.
-	var csrc binning.CodeSource
-	var rowSlab *f32.Slab
-	var rowRes *cluster.Result
-	if pushdown || scale.Active(len(rows)) {
-		scale = scale.withDefaults()
-		if pushdown {
-			fs, ok := m.shardSampler.(FilteredShardSampler)
-			if !ok {
-				return nil, fmt.Errorf("core: installed shard sampler cannot push predicates down to peers")
-			}
-			sampled, overlay, matched, err := fs.SampleFiltered(cols, scale.SampleBudget, opt.preds)
-			if err != nil {
-				return nil, fmt.Errorf("core: scatter/gather sampling: %w", err)
-			}
-			if matched == 0 {
-				return nil, fmt.Errorf("core: no rows to select from")
-			}
-			if !scale.Active(matched) {
-				return nil, fmt.Errorf("core: a table with remote shards serves scaled selections only (%d matching rows under threshold %d)", matched, scale.Threshold)
-			}
-			candRows, csrc = sampled, overlay
-		} else if remote {
-			sampled, overlay, err := m.shardSampler.Sample(cols, scale.SampleBudget)
-			if err != nil {
-				return nil, fmt.Errorf("core: scatter/gather sampling: %w", err)
-			}
-			candRows, csrc = sampled, overlay
-		} else if opt.covered != nil {
-			// Session-biased samples depend on mutable session state, so
-			// they bypass the per-budget sample cache.
-			seed := m.Opt.ClusterSeed ^ scaleSampleSeed
-			candRows = stratifiedReservoirBiased(m.B, rows, cols, scale.SampleBudget, seed, opt.covered.Contains)
-		} else {
-			candRows = m.sampleCandidates(rows, cols, scale.SampleBudget)
-		}
-		slab, done, err := m.sampledRowSlab(candRows, cols, scale, csrc)
-		if err != nil {
-			return nil, fmt.Errorf("core: building sampled tuple-vector slab: %w", err)
-		}
-		defer done()
-		rowSlab = slab
-		rowRes = m.scaledRowClustering(rowSlab, k, scale)
-	} else if identityCols(cols, m.T.NumCols()) && !m.OutOfCore() {
-		// Store-backed models skip this branch: warming the n×dim full-table
-		// vector cache would resurrect the very footprint the code store
-		// exists to shed, so they gather per-request below instead (the
-		// gather computes bit-identical vectors; see gatherTupleVectors).
-		full := m.fullRowVectors()
-		if len(rows) == m.T.NumRows() && identityRows(rows) {
-			rowSlab = f32.WrapSlab(full)
-		} else {
-			buf := getVecBuf(len(rows) * dim)
-			defer putVecBuf(buf)
-			rowVecs := f32.Wrap(len(rows), dim, *buf)
-			f32.GatherRows(rowVecs, full, rows)
-			rowSlab = f32.WrapSlab(rowVecs)
-		}
-	} else {
-		buf := getVecBuf(len(rows) * dim)
-		defer putVecBuf(buf)
-		rowVecs := f32.Wrap(len(rows), dim, *buf)
-		m.gatherTupleVectors(rowVecs, rows, cols, nil)
-		rowSlab = f32.WrapSlab(rowVecs)
-	}
-	if rowRes == nil {
-		mat, _ := rowSlab.Matrix() // exact-path slabs are always resident
-		rowRes = cluster.KMeansMatrix(mat, k, cluster.Options{Seed: m.Opt.ClusterSeed})
-	}
-	repIdx := m.diverseRepresentatives(rowRes, rowSlab, candRows, cols, 16, csrc)
-	selRows := make([]int, 0, len(repIdx))
-	for _, i := range repIdx {
-		selRows = append(selRows, candRows[i])
-	}
-
-	// Column selection: targets are forced; the rest of the budget is spent
-	// by the configured strategy.
-	var candCols []int
-	for _, c := range cols {
-		if !targetIdx[c] {
-			candCols = append(candCols, c)
-		}
-	}
-	need := l - len(targetIdx)
-	selColSet := make(map[int]bool, l)
-	for c := range targetIdx {
-		selColSet[c] = true
-	}
-	if need > 0 && len(candCols) > 0 {
-		// Column vectors average over candidate rows: on the scaled path
-		// that is the stratified sample, which keeps the column step
-		// O(SampleBudget) per column too.
-		var picked []int
-		if opt.colBias != nil {
-			picked = m.biasedColumns(candCols, need, opt.colBias)
-		} else if m.Opt.Columns == Centroids {
-			picked = m.centroidColumns(candCols, candRows, need, csrc)
-		} else {
-			picked = m.patternGroupColumns(candCols, candRows, need)
-		}
-		for _, c := range picked {
-			selColSet[c] = true
-		}
-	}
-
-	// Assemble the view with columns in original order.
-	st := &SubTable{SourceRows: selRows}
-	for c := 0; c < m.T.NumCols(); c++ {
-		if selColSet[c] {
-			st.ColIdx = append(st.ColIdx, c)
-			st.Cols = append(st.Cols, m.T.ColumnAt(c).Name)
-		}
-	}
-	var view *table.Table
-	var err error
-	if m.cellSrc != nil {
-		// Paged cells: gather exactly the k×l selected cells out of the
-		// column store (or over the wire) instead of indexing the table.
-		view, err = table.GatherView(m.cellSrc, m.T.Name, selRows, st.ColIdx)
-	} else {
-		view, err = m.T.SubTableView(selRows, st.Cols)
-	}
-	if err != nil {
-		return nil, err
-	}
-	st.View = view
-	return st, nil
-}
-
-// diverseRepresentatives picks one row per cluster: among the q members
-// nearest each cluster's centroid, the one with the lowest average binned
-// Jaccard similarity to the rows already picked. Clusters are visited in
-// descending size order; the first (dominant) cluster contributes its most
-// central member. The per-point centroid distances and the per-candidate
-// Jaccard scans run across workers; each slot is written by exactly one
-// index and the final argmin scan is serial with first-wins ties, so the
-// result is bit-identical to the serial path. The vectors arrive as a slab:
-// resident slabs are scanned in place, spilled slabs chunk by chunk, with
-// identical distances either way. src, when non-nil, overrides where the
-// Jaccard comparisons read their codes (the coordinator overlay).
-func (m *Model) diverseRepresentatives(res *cluster.Result, vecs *f32.Slab, rows, cols []int, q int, src binning.CodeSource) []int {
-	if res.K == 0 {
-		return nil
-	}
-	n := vecs.Len()
-	ds := make([]float64, n)
-	if mat, resident := vecs.Matrix(); resident {
-		f32.ParallelRange(n, f32.Workers(n), func(start, end int) {
-			for i := start; i < end; i++ {
-				ds[i] = f32.SqDist(mat.Row(i), res.Centers[res.Assign[i]])
-			}
-		})
-	} else {
-		chunkRows := min(vecs.ChunkRows(), n)
-		buf := f32.New(chunkRows, vecs.Dim())
-		for start := 0; start < n; start += chunkRows {
-			cn := min(chunkRows, n-start)
-			chunk := f32.Wrap(cn, vecs.Dim(), buf.Data[:cn*vecs.Dim()])
-			vecs.ReadChunk(start, chunk)
-			f32.ParallelRange(cn, f32.Workers(cn), func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					ds[start+i] = f32.SqDist(chunk.Row(i), res.Centers[res.Assign[start+i]])
-				}
-			})
-		}
-	}
-	type cand struct {
-		idx int
-		d   float64
-	}
-	cands := make([][]cand, res.K)
-	for i := 0; i < n; i++ {
-		c := res.Assign[i]
-		cands[c] = append(cands[c], cand{i, ds[i]})
-	}
-	for c := range cands {
-		sort.Slice(cands[c], func(x, y int) bool { return cands[c][x].d < cands[c][y].d })
-		if len(cands[c]) > q {
-			cands[c] = cands[c][:q]
-		}
-	}
-	order := make([]int, res.K)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(x, y int) bool {
-		if res.Sizes[order[x]] != res.Sizes[order[y]] {
-			return res.Sizes[order[x]] > res.Sizes[order[y]]
-		}
-		return order[x] < order[y]
-	})
-	code := m.B.Code
-	if src != nil {
-		code = src.Code
-	}
-	jaccard := func(r1, r2 int) float64 {
-		if len(cols) == 0 {
-			return 0
-		}
-		same := 0
-		for _, c := range cols {
-			if code(c, r1) == code(c, r2) {
-				same++
-			}
-		}
-		return float64(same) / float64(len(cols))
-	}
-	sims := make([]float64, q)
-	var out []int
-	for _, c := range order {
-		if len(cands[c]) == 0 {
-			continue
-		}
-		if len(out) == 0 {
-			out = append(out, cands[c][0].idx)
-			continue
-		}
-		cs := cands[c]
-		f32.ParallelIndex(len(cs), f32.Workers(len(cs)), func(x int) {
-			sim := 0.0
-			for _, sel := range out {
-				sim += jaccard(rows[cs[x].idx], rows[sel])
-			}
-			sims[x] = sim / float64(len(out))
-		})
-		best, bestSim := -1, math.Inf(1)
-		for x := range cs {
-			if sims[x] < bestSim {
-				best, bestSim = cs[x].idx, sims[x]
-			}
-		}
-		out = append(out, best)
-	}
-	return out
-}
-
-// centroidColumns is the literal Algorithm 2 column step: k-means over the
-// column-mean vectors, one representative per cluster. src, when non-nil,
-// overrides where the column vectors read their codes (the coordinator
-// overlay); the gather arithmetic is identical either way.
-func (m *Model) centroidColumns(candCols, rows []int, need int, src binning.CodeSource) []int {
-	colVecs := f32.New(len(candCols), m.Emb.Dim())
-	f32.ParallelRange(len(candCols), f32.Workers(len(candCols)), func(start, end int) {
-		idx := make([]int32, len(rows))
-		for i := start; i < end; i++ {
-			c := candCols[i]
-			if src == nil {
-				m.colVectorInto(colVecs.Row(i), c, rows, idx)
-				continue
-			}
-			for j, r := range rows {
-				idx[j] = m.itemRow[m.B.ItemOf(c, int(src.Code(c, r)))]
-			}
-			f32.MeanPoolInto(colVecs.Row(i), m.items, idx)
-		}
-	})
-	colRes := cluster.KMeansMatrix(colVecs, need, cluster.Options{Seed: m.Opt.ClusterSeed + 1})
-	out := make([]int, 0, need)
-	for _, i := range colRes.RepresentativesMatrix(colVecs) {
-		out = append(out, candCols[i])
-	}
-	return out
-}
-
-// fullRowVectors lazily builds the tuple-vector matrix of every row over
-// the full column set, filled in parallel with disjoint per-row writes. The
-// arithmetic per row is exactly rowVectorInto's, so cached vectors are
-// bit-identical to freshly computed ones. The build runs under fullVecsMu
-// (single-flight: concurrent first selections block instead of building
-// twice), and the returned matrix header stays valid even if
-// ReleaseVectorCache evicts the cache mid-selection — callers hold their
-// own reference to the immutable backing array.
-func (m *Model) fullRowVectors() f32.Matrix {
-	if mat, ok := m.cachedFullVecs(); ok {
-		return mat
-	}
-	m.fullVecsMu.Lock()
-	if m.fullVecsReady.Load() {
-		mat := m.fullVecs
-		m.fullVecsMu.Unlock()
-		return mat
-	}
-	n := m.T.NumRows()
-	cols := make([]int, m.T.NumCols())
-	for i := range cols {
-		cols[i] = i
-	}
-	mat := f32.New(n, m.Emb.Dim())
-	f32.ParallelRange(n, f32.Workers(n), func(start, end int) {
-		idx := make([]int32, len(cols))
-		for r := start; r < end; r++ {
-			m.rowVectorInto(mat.Row(r), r, cols, idx)
-		}
-	})
-	m.fullVecs = mat
-	m.fullVecsReady.Store(true)
-	m.fullVecsGen++
-	gen := m.fullVecsGen
-	m.fullVecsMu.Unlock()
-	// Settle outside the mutex: the grow may trigger store eviction, whose
-	// callback takes model mutexes. A release racing this settle wins by
-	// generation (its higher gen discards this one).
-	m.vecAccount().Settle(gen, int64(len(mat.Data))*4)
-	return mat
-}
-
-// cachedFullVecs returns a header copy of the warm full-table vector cache,
-// or ok=false when it is cold. The copy remains valid after a concurrent
-// ReleaseVectorCache (the backing array is immutable once published).
-func (m *Model) cachedFullVecs() (f32.Matrix, bool) {
-	if !m.fullVecsReady.Load() {
-		return f32.Matrix{}, false
-	}
-	m.fullVecsMu.Lock()
-	mat, ok := m.fullVecs, m.fullVecsReady.Load()
-	m.fullVecsMu.Unlock()
-	return mat, ok
-}
-
-// seedFullVecs installs a pre-built full-table tuple-vector matrix (the
-// append path extends the previous model's warm cache). No-op if a cache is
-// already published.
-func (m *Model) seedFullVecs(mat f32.Matrix) {
-	m.fullVecsMu.Lock()
-	if m.fullVecsReady.Load() {
-		m.fullVecsMu.Unlock()
-		return
-	}
-	m.fullVecs = mat
-	m.fullVecsReady.Store(true)
-	m.fullVecsGen++
-	gen := m.fullVecsGen
-	m.fullVecsMu.Unlock()
-	m.vecAccount().Settle(gen, int64(len(mat.Data))*4)
-}
-
-// identityCols reports whether cols is exactly 0..mc-1.
-func identityCols(cols []int, mc int) bool {
-	if len(cols) != mc {
-		return false
-	}
-	for i, c := range cols {
-		if c != i {
-			return false
-		}
-	}
-	return true
-}
-
-// identityRows reports whether rows is 0..len(rows)-1.
-func identityRows(rows []int) bool {
-	for i, r := range rows {
-		if r != i {
-			return false
-		}
-	}
-	return true
-}
-
-// vecBufPool recycles the flat tuple-vector slab across Selects: warm
-// serving issues many selections over the same model, and the slab (rows ×
-// dim floats) is by far the largest per-request allocation.
-var vecBufPool = sync.Pool{New: func() any { return new([]float32) }}
-
-func getVecBuf(n int) *[]float32 {
-	buf := vecBufPool.Get().(*[]float32)
-	if cap(*buf) < n {
-		*buf = make([]float32, n)
-	}
-	*buf = (*buf)[:n]
-	return buf
-}
-
-func putVecBuf(buf *[]float32) { vecBufPool.Put(buf) }
-
-// patternGroupColumns groups candidate columns by pairwise association
-// affinity (precomputed globally at pre-processing time) and spends the
-// budget on whole groups (largest mass first), padding any remaining budget
-// with the columns of highest salience.
-func (m *Model) patternGroupColumns(candCols, rows []int, need int) []int {
-	mcols := len(candCols)
-	if need >= mcols {
-		return append([]int(nil), candCols...)
-	}
-
-	// Pairwise affinities from the precomputed global matrix.
-	aff := make([][]float64, mcols)
-	for i := range aff {
-		aff[i] = make([]float64, mcols)
-	}
-	var vals []float64
-	for i := 0; i < mcols; i++ {
-		for j := i + 1; j < mcols; j++ {
-			a := m.ColumnAffinity(candCols[i], candCols[j])
-			aff[i][j], aff[j][i] = a, a
-			vals = append(vals, a)
-		}
-	}
-	if len(vals) == 0 {
-		return candCols[:need]
-	}
-	mean, std := meanStd(vals)
-	threshold := mean + 0.75*std
-
-	// Union-find over strong edges.
-	parent := make([]int, mcols)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for i := 0; i < mcols; i++ {
-		for j := i + 1; j < mcols; j++ {
-			if aff[i][j] >= threshold {
-				parent[find(i)] = find(j)
-			}
-		}
-	}
-	groups := map[int][]int{}
-	for i := range parent {
-		groups[find(i)] = append(groups[find(i)], i)
-	}
-	// Salience of a column: its strongest affinity to any other column.
-	salience := make([]float64, mcols)
-	for i := 0; i < mcols; i++ {
-		best := math.Inf(-1)
-		for j := 0; j < mcols; j++ {
-			if j != i && aff[i][j] > best {
-				best = aff[i][j]
-			}
-		}
-		salience[i] = best
-	}
-	type group struct {
-		members []int
-		mass    float64
-	}
-	var ranked []group
-	for _, g := range groups {
-		if len(g) < 2 {
-			continue // singletons join the salience pool
-		}
-		mass := 0.0
-		for _, i := range g {
-			for _, j := range g {
-				if i < j {
-					mass += aff[i][j] - mean // positive part above background
-				}
-			}
-		}
-		// Order members as a greedy affinity core — start from the group's
-		// strongest pair, then repeatedly append the member with the highest
-		// total affinity to the members already kept — so that truncation
-		// preserves tightly associated column sets (the rule-bearing cores)
-		// rather than weakly connected hubs.
-		ranked = append(ranked, group{members: greedyCore(aff, g), mass: mass})
-	}
-	sort.Slice(ranked, func(x, y int) bool {
-		if len(ranked[x].members) != len(ranked[y].members) {
-			return len(ranked[x].members) > len(ranked[y].members)
-		}
-		return ranked[x].mass > ranked[y].mass
-	})
-
-	picked := make([]int, 0, need)
-	taken := make([]bool, mcols)
-	for _, g := range ranked {
-		for _, i := range g.members {
-			if len(picked) >= need {
-				break
-			}
-			picked = append(picked, candCols[i])
-			taken[i] = true
-		}
-	}
-	// Pad with the most salient leftover columns.
-	if len(picked) < need {
-		rest := make([]int, 0, mcols)
-		for i := 0; i < mcols; i++ {
-			if !taken[i] {
-				rest = append(rest, i)
-			}
-		}
-		sort.Slice(rest, func(x, y int) bool { return salience[rest[x]] > salience[rest[y]] })
-		for _, i := range rest {
-			if len(picked) >= need {
-				break
-			}
-			picked = append(picked, candCols[i])
-		}
-	}
-	return picked
+	return v
 }
 
 // directedAffinity measures how strongly column u's bins associate with
@@ -1105,64 +405,6 @@ func (m *Model) directedAffinity(u, w int, uFreq []float64) float64 {
 		return 0
 	}
 	return s / tot
-}
-
-// greedyCore orders a group's members by greedy max-affinity growth: the
-// strongest pair first, then whichever member is most affine to the kept
-// set.
-func greedyCore(aff [][]float64, group []int) []int {
-	if len(group) <= 2 {
-		return group
-	}
-	bi, bj, best := group[0], group[1], math.Inf(-1)
-	for x := 0; x < len(group); x++ {
-		for y := x + 1; y < len(group); y++ {
-			if a := aff[group[x]][group[y]]; a > best {
-				bi, bj, best = group[x], group[y], a
-			}
-		}
-	}
-	kept := []int{bi, bj}
-	inKept := map[int]bool{bi: true, bj: true}
-	for len(kept) < len(group) {
-		bestM, bestA := -1, math.Inf(-1)
-		for _, m := range group {
-			if inKept[m] {
-				continue
-			}
-			a := 0.0
-			for _, kmem := range kept {
-				a += aff[m][kmem]
-			}
-			if a > bestA {
-				bestM, bestA = m, a
-			}
-		}
-		kept = append(kept, bestM)
-		inKept[bestM] = true
-	}
-	return kept
-}
-
-func meanStd(xs []float64) (float64, float64) {
-	m := 0.0
-	for _, x := range xs {
-		m += x
-	}
-	m /= float64(len(xs))
-	v := 0.0
-	for _, x := range xs {
-		d := x - m
-		v += d * d
-	}
-	return m, math.Sqrt(v / float64(len(xs)))
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Highlight computes, for each sub-table row, one covered association rule

@@ -68,7 +68,7 @@ func TestPredicateScopedSmoke(t *testing.T) {
 	runtime.ReadMemStats(&before)
 
 	start := time.Now()
-	sub, err := m.SelectWith(q, 10, 8, nil, scale)
+	sub, err := m.SelectExplore(core.ExploreSpec{Query: q, K: 10, L: 8, Scale: scale})
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +93,7 @@ func TestPredicateScopedSmoke(t *testing.T) {
 	}
 
 	// Deterministic repeat, byte for byte.
-	again, err := m.SelectWith(q, 10, 8, nil, scale)
+	again, err := m.SelectExplore(core.ExploreSpec{Query: q, K: 10, L: 8, Scale: scale})
 	if err != nil {
 		t.Fatal(err)
 	}

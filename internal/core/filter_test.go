@@ -1,7 +1,7 @@
 // Property sweep for the streaming predicate path: for any streamable
-// query (conjunction + projection + limit), SelectWith's code-level
-// streaming evaluation must be byte-identical to the historical
-// materialize-then-filter path — over resident, paged and sharded stores,
+// query (conjunction + projection + limit), the planner's code-level
+// streaming row sources must be byte-identical to the materialize row
+// source (query.Apply, then select) — over resident, paged and sharded stores,
 // exact and scaled — and the exploration operators (coverage-biased
 // sampling, drill-down scopes) must be deterministic.
 package core
@@ -129,16 +129,23 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 		"scaled": {Threshold: 1, SampleBudget: 300, BatchSize: 128, MaxIter: 50},
 	}
 	for i, q := range streamableCorpus(m) {
-		if !m.streamableQuery(q) {
-			t.Fatalf("query %d (%s) unexpectedly not streamable", i, q)
-		}
 		for name, sc := range scales {
-			want, err := m.selectWithMaterialized(q, 8, 6, nil, sc)
+			spec := ExploreSpec{Query: q, K: 8, L: 6, Scale: &sc}
+			p, err := m.plan(spec)
+			if err != nil {
+				t.Fatalf("query %d (%s) %s plan: %v", i, q, name, err)
+			}
+			if p.rows == rowsMaterialize {
+				t.Fatalf("query %d (%s) unexpectedly not streamable", i, q)
+			}
+			// The reference: the same plan with its row source swapped for
+			// materialize-then-filter, the path group-by queries run.
+			p.rows = rowsMaterialize
+			want, err := m.execute(p, spec)
 			if err != nil {
 				t.Fatalf("query %d (%s) %s materialized: %v", i, q, name, err)
 			}
-			scc := sc
-			got, err := m.SelectWith(q, 8, 6, nil, &scc)
+			got, err := m.SelectExplore(spec)
 			if err != nil {
 				t.Fatalf("query %d (%s) %s streaming: %v", i, q, name, err)
 			}
@@ -150,31 +157,102 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 }
 
 // TestStreamingAcrossStores pins cross-store identity: paged and sharded
-// twins must reproduce the resident model's streaming selections byte for
-// byte (residual predicate checks included — the bounds are deliberately
-// not cut-aligned).
+// twins must reproduce the resident model's selections byte for byte —
+// streaming filters (residual predicate checks included: the bounds are
+// deliberately not cut-aligned) and the session shapes, where "every row"
+// and "this scope" are plan facts rather than scanned row lists.
 func TestStreamingAcrossStores(t *testing.T) {
 	resident := filterTestModel(t)
 	paged := filterTestModel(t)
 	pageOut(t, paged)
 	sharded := filterTestModel(t)
 	shardOut(t, sharded)
+	twins := map[string]*Model{"paged": paged, "sharded": sharded}
 	sc := &ScaleOptions{Threshold: 1, SampleBudget: 300, BatchSize: 128, MaxIter: 50}
+
+	specs := map[string]ExploreSpec{}
 	for i, q := range streamableCorpus(resident) {
-		want, err := resident.SelectWith(q, 8, 6, nil, sc)
+		specs[fmt.Sprintf("query %d (%s)", i, q)] = ExploreSpec{Query: q, Scale: sc}
+	}
+	first, err := resident.SelectExplore(ExploreSpec{K: 8, L: 6, Scale: sc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scope, err := resident.Neighborhood(first.SourceRows[1], first.ColIdx[0], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	where := []query.Predicate{{Col: "DISTANCE", Op: query.Lt, Num: 1234.5}}
+	covered := bitset.FromIndices(resident.B.NumItems(), resident.ViewItems(first))
+	bias := resident.ColumnNullRates()
+	for c := range bias {
+		bias[c] = 1 / (1 + 2*bias[c] + float64(c%3))
+	}
+	specs["scope"] = ExploreSpec{Scope: scope, Scale: sc}
+	specs["scope exact"] = ExploreSpec{Scope: scope, Scale: &ScaleOptions{}}
+	specs["where∩scope"] = ExploreSpec{Where: where, Scope: scope, Scale: sc}
+	specs["covered"] = ExploreSpec{Covered: covered, Scale: sc}
+	specs["covered where"] = ExploreSpec{Where: where, Covered: covered, Scale: sc}
+	specs["col-bias"] = ExploreSpec{ColBias: bias, Scale: sc}
+	specs["session"] = ExploreSpec{Scope: scope, Covered: covered, ColBias: bias, Scale: sc}
+
+	for name, spec := range specs {
+		spec.K, spec.L = 8, 6
+		want, err := resident.SelectExplore(spec)
 		if err != nil {
-			t.Fatalf("query %d (%s) resident: %v", i, q, err)
+			t.Fatalf("%s resident: %v", name, err)
 		}
-		for name, twin := range map[string]*Model{"paged": paged, "sharded": sharded} {
-			got, err := twin.SelectWith(q, 8, 6, nil, sc)
+		for store, twin := range twins {
+			got, err := twin.SelectExplore(spec)
 			if err != nil {
-				t.Fatalf("query %d (%s) %s: %v", i, q, name, err)
+				t.Fatalf("%s %s: %v", name, store, err)
 			}
 			if fpr(got) != fpr(want) {
-				t.Fatalf("query %d (%s) over %s store diverged:\n got %s\nwant %s", i, q, name, fpr(got), fpr(want))
+				t.Fatalf("%s over %s store diverged:\n got %s\nwant %s", name, store, fpr(got), fpr(want))
 			}
 		}
 	}
+
+	// The plain spec is Select: rows=all reaches the same bytes whether it
+	// is spelled as the paper's signature, an empty spec, an empty
+	// conjunction or an empty query, exact and scaled, on every layout.
+	twins["resident"] = resident
+	for store, m := range twins {
+		want, err := m.Select(8, 6, nil)
+		if err != nil {
+			t.Fatalf("%s Select: %v", store, err)
+		}
+		for name, spec := range map[string]ExploreSpec{
+			"empty spec":  {},
+			"empty where": {Where: []query.Predicate{}},
+			"empty query": {Query: &query.Query{}},
+		} {
+			spec.K, spec.L = 8, 6
+			got, err := m.SelectExplore(spec)
+			if err != nil {
+				t.Fatalf("%s %s: %v", store, name, err)
+			}
+			if fpr(got) != fpr(want) {
+				t.Fatalf("%s %s diverged from Select:\n got %s\nwant %s", store, name, fpr(got), fpr(want))
+			}
+		}
+		if fpr(want) != fpr(mustSelect(t, resident, ExploreSpec{K: 8, L: 6})) {
+			t.Fatalf("%s Select diverged from the resident model's", store)
+		}
+		scaled := mustSelect(t, m, ExploreSpec{K: 8, L: 6, Scale: sc})
+		if fpr(scaled) != fpr(first) {
+			t.Fatalf("%s scaled plain select diverged:\n got %s\nwant %s", store, fpr(scaled), fpr(first))
+		}
+	}
+}
+
+func mustSelect(t *testing.T, m *Model, spec ExploreSpec) *SubTable {
+	t.Helper()
+	st, err := m.SelectExplore(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 // TestPagedNonStreamableRefused pins satellite behaviour: a query needing
@@ -188,7 +266,7 @@ func TestPagedNonStreamableRefused(t *testing.T) {
 		{GroupBy: []string{"AIRLINE"}, Aggs: []query.Aggregate{{Func: query.Count}}},
 		{Select: []string{"AIRLINE", "DISTANCE"}, OrderBy: "DISTANCE", Limit: 20},
 	} {
-		_, err := m.SelectWith(q, 5, 5, nil, nil)
+		_, err := m.SelectExplore(ExploreSpec{Query: q, K: 5, L: 5})
 		if err == nil {
 			t.Fatalf("query %s on paged table did not error", q)
 		}

@@ -27,7 +27,7 @@ func TestSelectRacesReleaseVectorCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	scale := &ScaleOptions{Threshold: 1, SampleBudget: 120}
-	baseScaled, err := m.SelectWith(nil, 5, 3, nil, scale)
+	baseScaled, err := m.SelectExplore(ExploreSpec{K: 5, L: 3, Scale: scale})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestSelectRacesReleaseVectorCache(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				st, err := m.SelectWith(nil, 5, 3, nil, scale)
+				st, err := m.SelectExplore(ExploreSpec{K: 5, L: 3, Scale: scale})
 				if err != nil {
 					t.Errorf("scaled select: %v", err)
 					return
@@ -104,7 +104,7 @@ func TestGovernorCacheAccounting(t *testing.T) {
 	}
 
 	scale := &ScaleOptions{Threshold: 1, SampleBudget: 120}
-	if _, err := m.SelectWith(nil, 5, 3, nil, scale); err != nil {
+	if _, err := m.SelectExplore(ExploreSpec{K: 5, L: 3, Scale: scale}); err != nil {
 		t.Fatal(err)
 	}
 	if got := g.ClassBytes(memgov.ClassSampleCache); got <= 0 {
@@ -130,7 +130,7 @@ func TestGovernorCacheAccounting(t *testing.T) {
 					t.Errorf("select: %v", err)
 					return
 				}
-				if _, err := m.SelectWith(nil, 5, 3, nil, scale); err != nil {
+				if _, err := m.SelectExplore(ExploreSpec{K: 5, L: 3, Scale: scale}); err != nil {
 					t.Errorf("scaled select: %v", err)
 					return
 				}

@@ -24,31 +24,31 @@ func forceScale() *core.ScaleOptions {
 	return &core.ScaleOptions{Threshold: 1, SampleBudget: 300, BatchSize: 128, MaxIter: 50}
 }
 
-// TestSelectWithBelowThresholdIsExact pins the gate: with the scaled mode
-// configured but the table below its threshold, SelectWith must be
+// TestScaledBelowThresholdIsExact pins the gate: with the scaled mode
+// configured but the table below its threshold, the selection must be
 // bit-for-bit the exact path (the facade-level golden tests pin the same
 // guarantee against checked-in fingerprints).
-func TestSelectWithBelowThresholdIsExact(t *testing.T) {
+func TestScaledBelowThresholdIsExact(t *testing.T) {
 	m := deterministicModel(t)
 	exact, err := m.Select(8, 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gated, err := m.SelectWith(nil, 8, 7, nil, &core.ScaleOptions{
+	gated, err := m.SelectExplore(core.ExploreSpec{K: 8, L: 7, Scale: &core.ScaleOptions{
 		Threshold: 1_000_000, SampleBudget: 64, BatchSize: 32, MaxIter: 5,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fingerprint(exact) != fingerprint(gated) {
-		t.Fatalf("below-threshold SelectWith diverged from the exact path:\n got %s\nwant %s",
+		t.Fatalf("below-threshold selection diverged from the exact path:\n got %s\nwant %s",
 			fingerprint(gated), fingerprint(exact))
 	}
 }
 
-func TestSelectWithScaledDeterministic(t *testing.T) {
+func TestScaledSelectDeterministic(t *testing.T) {
 	m := deterministicModel(t)
-	first, err := m.SelectWith(nil, 8, 7, nil, forceScale())
+	first, err := m.SelectExplore(core.ExploreSpec{K: 8, L: 7, Scale: forceScale()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestSelectWithScaledDeterministic(t *testing.T) {
 		t.Fatalf("scaled Select returned %d rows, want 8", len(first.SourceRows))
 	}
 	for i := 0; i < 3; i++ {
-		st, err := m.SelectWith(nil, 8, 7, nil, forceScale())
+		st, err := m.SelectExplore(core.ExploreSpec{K: 8, L: 7, Scale: forceScale()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,13 +66,13 @@ func TestSelectWithScaledDeterministic(t *testing.T) {
 	}
 }
 
-// TestSelectWithScaledQuerySubset drives the scaled path through a query:
+// TestScaledSelectQuerySubset drives the scaled path through a query:
 // representatives must come from the query result, and repeat calls must
 // agree.
-func TestSelectWithScaledQuerySubset(t *testing.T) {
+func TestScaledSelectQuerySubset(t *testing.T) {
 	m := deterministicModel(t)
 	q := &query.Query{Limit: 500}
-	first, err := m.SelectWith(q, 6, 5, nil, forceScale())
+	first, err := m.SelectExplore(core.ExploreSpec{Query: q, K: 6, L: 5, Scale: forceScale()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestSelectWithScaledQuerySubset(t *testing.T) {
 			t.Fatalf("scaled query select picked row %d outside the 500-row query result", r)
 		}
 	}
-	again, err := m.SelectWith(q, 6, 5, nil, forceScale())
+	again, err := m.SelectExplore(core.ExploreSpec{Query: q, K: 6, L: 5, Scale: forceScale()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestLargeSelectSmoke(t *testing.T) {
 	}
 	scale := &core.ScaleOptions{Threshold: 50_000}
 	start := time.Now()
-	st, err := m.SelectWith(nil, 10, 8, nil, scale)
+	st, err := m.SelectExplore(core.ExploreSpec{K: 10, L: 8, Scale: scale})
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatal(err)

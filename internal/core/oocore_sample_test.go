@@ -64,12 +64,18 @@ func TestStratifiedReservoirStreamsFromStore(t *testing.T) {
 		out = out[:n]
 		return out
 	}
-	cases := [][]int{allRows, subset(700), subset(333), allRows[100:800]}
+	// nil is every row as the executor passes it (whole-block store scans);
+	// the explicit identity list takes the block-cursor path to the same sample.
+	cases := [][]int{nil, allRows, subset(700), subset(333), allRows[100:800]}
 	for ci, rows := range cases {
-		for _, budget := range []int{50, 200, len(rows), len(rows) + 10} {
+		n := len(rows)
+		if rows == nil {
+			n = mem.NumRows()
+		}
+		for _, budget := range []int{50, 200, n, n + 10} {
 			for _, seed := range []int64{1, 42, -7} {
-				want := stratifiedReservoir(mem, rows, cols, budget, seed)
-				got := stratifiedReservoir(ooc, rows, cols, budget, seed)
+				want := reservoir(mem, rows, cols, budget, seed)
+				got := reservoir(ooc, rows, cols, budget, seed)
 				if len(want) != len(got) {
 					t.Fatalf("case %d budget %d seed %d: %d sampled via store, %d in memory", ci, budget, seed, len(got), len(want))
 				}

@@ -82,7 +82,7 @@ func TestOutOfCoreSmoke(t *testing.T) {
 	// so the spill path runs under the memory cap too.
 	scale := &core.ScaleOptions{Threshold: 50_000, SlabBudgetBytes: 256 << 10}
 	start := time.Now()
-	st, err := m.SelectWith(nil, 10, 8, nil, scale)
+	st, err := m.SelectExplore(core.ExploreSpec{K: 10, L: 8, Scale: scale})
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +97,7 @@ func TestOutOfCoreSmoke(t *testing.T) {
 
 	// A warm repeat must agree byte for byte (the sample cache and the
 	// spill path compose deterministically).
-	again, err := m.SelectWith(nil, 10, 8, nil, scale)
+	again, err := m.SelectExplore(core.ExploreSpec{K: 10, L: 8, Scale: scale})
 	if err != nil {
 		t.Fatal(err)
 	}

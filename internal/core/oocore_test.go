@@ -41,11 +41,11 @@ func outOfCoreTwin(t *testing.T) *core.Model {
 func TestOutOfCoreScaledSelectMatchesInMemory(t *testing.T) {
 	mem := deterministicModel(t)
 	ooc := outOfCoreTwin(t)
-	want, err := mem.SelectWith(nil, 8, 7, nil, forceScale())
+	want, err := mem.SelectExplore(core.ExploreSpec{K: 8, L: 7, Scale: forceScale()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ooc.SelectWith(nil, 8, 7, nil, forceScale())
+	got, err := ooc.SelectExplore(core.ExploreSpec{K: 8, L: 7, Scale: forceScale()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,13 +61,13 @@ func TestOutOfCoreSpilledSlabMatches(t *testing.T) {
 	mem := deterministicModel(t)
 	ooc := outOfCoreTwin(t)
 	plain := forceScale()
-	want, err := mem.SelectWith(nil, 8, 7, nil, plain)
+	want, err := mem.SelectExplore(core.ExploreSpec{K: 8, L: 7, Scale: plain})
 	if err != nil {
 		t.Fatal(err)
 	}
 	spill := forceScale()
 	spill.SlabBudgetBytes = 1 // 300 sampled rows x 16 dims x 4B >> 1B
-	got, err := ooc.SelectWith(nil, 8, 7, nil, spill)
+	got, err := ooc.SelectExplore(core.ExploreSpec{K: 8, L: 7, Scale: spill})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestOutOfCoreSpilledSlabMatches(t *testing.T) {
 		t.Fatalf("spilled-slab select diverged:\n got %s\nwant %s", fingerprint(got), fingerprint(want))
 	}
 	// The in-memory model must spill identically too.
-	memSpill, err := mem.SelectWith(nil, 8, 7, nil, spill)
+	memSpill, err := mem.SelectExplore(core.ExploreSpec{K: 8, L: 7, Scale: spill})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +103,11 @@ func TestOutOfCoreQueryAndExactSelects(t *testing.T) {
 	}
 
 	q := &query.Query{Limit: 500}
-	wantQ, err := mem.SelectWith(q, 6, 5, nil, forceScale())
+	wantQ, err := mem.SelectExplore(core.ExploreSpec{Query: q, K: 6, L: 5, Scale: forceScale()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotQ, err := ooc.SelectWith(q, 6, 5, nil, forceScale())
+	gotQ, err := ooc.SelectExplore(core.ExploreSpec{Query: q, K: 6, L: 5, Scale: forceScale()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestOutOfCoreRulesAndAppend(t *testing.T) {
 	if next.OutOfCore() {
 		t.Fatal("append result should own inline codes")
 	}
-	if _, err := next.SelectWith(nil, 6, 5, nil, forceScale()); err != nil {
+	if _, err := next.SelectExplore(core.ExploreSpec{K: 6, L: 5, Scale: forceScale()}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -175,7 +175,7 @@ func TestOutOfCoreModelRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cs.Close()
-	want, err := m.SelectWith(nil, 8, 7, nil, forceScale())
+	want, err := m.SelectExplore(core.ExploreSpec{K: 8, L: 7, Scale: forceScale()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestOutOfCoreModelRoundTrip(t *testing.T) {
 	if !loaded.OutOfCore() {
 		t.Fatal("loaded model is not store-backed")
 	}
-	got, err := loaded.SelectWith(nil, 8, 7, nil, forceScale())
+	got, err := loaded.SelectExplore(core.ExploreSpec{K: 8, L: 7, Scale: forceScale()})
 	if err != nil {
 		t.Fatal(err)
 	}

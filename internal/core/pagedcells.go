@@ -118,7 +118,7 @@ func (m *Model) residentTable() (*table.Table, error) {
 	}
 	mat, ok := m.cellSrc.(cellMaterializer)
 	if !ok {
-		return nil, fmt.Errorf("core: table cells are paged and the cell source cannot materialize them (remote shards?)")
+		return nil, fmt.Errorf("core: table cells are paged and the cell source cannot materialize them (a coordinator's over-the-wire source?)")
 	}
 	return mat.MaterializeTable(m.T.Name)
 }

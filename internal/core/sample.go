@@ -28,36 +28,37 @@ import (
 // budget, seed) — no iteration-order or scheduling dependence — and any
 // candidate subset of a table samples consistently. The result is sorted
 // ascending and duplicate-free; a candidate set no larger than the budget
-// is returned whole (sorted).
-func stratifiedReservoir(b *binning.Binned, rows, cols []int, budget int, seed int64) []int {
-	return stratifiedReservoirBiased(b, rows, cols, budget, seed, nil)
-}
-
-// stratifiedReservoirBiased is the session-aware form: covered, when
-// non-nil, marks (column, bin) item ids an exploration session has already
-// shown, and phase 1 serves the uncovered strata first (each pass in
-// ascending item order) — a drill-down's coverage budget goes to strata the
-// user has not seen, while phase 2's uniform fill is untouched. covered ==
-// nil is bit-identical to the historical sampler.
-func stratifiedReservoirBiased(b *binning.Binned, rows, cols []int, budget int, seed int64, covered func(item int) bool) []int {
-	if budget <= 0 || len(rows) <= budget {
-		out := make([]int, len(rows))
-		copy(out, rows)
+// is returned whole (sorted) — and "every row" stays the fact it arrived as.
+//
+// covered, when non-nil, marks (column, bin) item ids an exploration
+// session has already shown, and phase 1 serves the uncovered strata first
+// (each pass in ascending item order) — a drill-down's coverage budget goes
+// to strata the user has not seen, while phase 2's uniform fill is
+// untouched. covered == nil is bit-identical to the historical sampler.
+func stratifiedReservoir(b *binning.Binned, rows rowSet, cols []int, budget int, seed int64, covered func(item int) bool) rowSet {
+	if budget <= 0 || rows.n <= budget {
+		if rows.ids == nil {
+			return rows
+		}
+		out := make([]int, rows.n)
+		copy(out, rows.ids)
 		sort.Ints(out)
-		return out
+		return listRows(out)
 	}
 
 	// Shard-backed full-table scans scatter: one goroutine per shard, merged
 	// associatively (package shard) — same sample, one shard-scan's worth of
 	// wall clock. Query subsets fall through to the generic block cursor.
-	if src, ok := b.Source().(*shard.Source); ok && src.Complete() &&
-		len(rows) == src.NumRows() && identityRows(rows) {
-		return shardedReservoir(b, src, cols, budget, seed, covered)
+	whole := rows.ids == nil // a row set without ids is the whole table here
+	if src, ok := b.Source().(*shard.Source); ok && src.Complete() && whole {
+		return listRows(shardedReservoir(b, src, cols, budget, seed, covered))
 	}
 
-	rowH := make([]uint64, len(rows))
-	for i, r := range rows {
-		rowH[i] = sampleHash(seed, r)
+	// The hash lives in package shard so per-shard scans — local or on a
+	// peer — rank rows identically to this whole-table scan.
+	rowH := make([]uint64, rows.n)
+	for i := range rowH {
+		rowH[i] = shard.RowHash(seed, int64(rows.at(i)))
 	}
 
 	// Phase 1: per-stratum min-hash representative. The stratum space is the
@@ -85,27 +86,32 @@ func stratifiedReservoirBiased(b *binning.Binned, rows, cols []int, budget int, 
 	for _, c := range cols {
 		base := b.ItemOf(c, 0)
 		switch {
-		case b.HasInlineCodes():
-			// Resident codes: the historical single-pass loop, one uint16
-			// read and a compare per cell (kept branch-free of the closure —
-			// this is the dominant scan of every in-memory scaled select).
-			codes := b.Codes[c]
-			for i, r := range rows {
-				s := base + int32(codes[r])
-				h := rowH[i]
-				if bestRow[s] < 0 || h < bestHash[s] || (h == bestHash[s] && r < bestRow[s]) {
-					bestRow[s], bestHash[s] = r, h
-				}
-			}
-		case len(rows) == src.NumRows() && identityRows(rows):
-			// Store-backed full-table scan: stream whole blocks in order.
+		case whole:
+			// Full-table scan: stream whole blocks in order (inline codes
+			// are one block per column). One uint16 read and a compare per
+			// cell, kept free of the closure: this is the dominant scan of
+			// every scaled select over the whole table.
 			br := src.BlockRows()
 			for blk := 0; blk < src.NumBlocks(); blk++ {
 				codes := src.ColumnBlock(c, blk, scratch)
 				scratch = codes
 				off := blk * br
+				hs := rowH[off : off+len(codes)]
 				for i, code := range codes {
-					update(base+int32(code), off+i, rowH[off+i])
+					s, r, h := base+int32(code), off+i, hs[i]
+					if bestRow[s] < 0 || h < bestHash[s] || (h == bestHash[s] && r < bestRow[s]) {
+						bestRow[s], bestHash[s] = r, h
+					}
+				}
+			}
+		case b.HasInlineCodes():
+			// Resident codes, candidate subset: the same loop over the ids.
+			codes := b.Codes[c]
+			for i, r := range rows.ids {
+				s := base + int32(codes[r])
+				h := rowH[i]
+				if bestRow[s] < 0 || h < bestHash[s] || (h == bestHash[s] && r < bestRow[s]) {
+					bestRow[s], bestHash[s] = r, h
 				}
 			}
 		default:
@@ -115,7 +121,7 @@ func stratifiedReservoirBiased(b *binning.Binned, rows, cols []int, budget int, 
 			br := src.BlockRows()
 			blk := -1
 			var codes []uint16
-			for i, r := range rows {
+			for i, r := range rows.ids {
 				if nb := r / br; nb != blk {
 					blk = nb
 					codes = src.ColumnBlock(c, blk, scratch)
@@ -180,11 +186,11 @@ func stratifiedReservoirBiased(b *binning.Binned, rows, cols []int, budget int, 
 				i = big
 			}
 		}
-		for i, r := range rows {
+		for i, h := range rowH {
+			r := rows.at(i)
 			if picked[r] {
 				continue
 			}
-			h := rowH[i]
 			if len(heapH) < rem {
 				heapH = append(heapH, h)
 				heapR = append(heapR, r)
@@ -208,12 +214,5 @@ func stratifiedReservoirBiased(b *binning.Binned, rows, cols []int, budget int, 
 		sample = append(sample, heapR...)
 	}
 	sort.Ints(sample)
-	return sample
-}
-
-// sampleHash maps (seed, row) to a uniform 64-bit value. The hash lives
-// in package shard (shard.RowHash) so per-shard scans — local or on a
-// peer — rank rows identically to this whole-table scan.
-func sampleHash(seed int64, row int) uint64 {
-	return shard.RowHash(seed, int64(row))
+	return listRows(sample)
 }

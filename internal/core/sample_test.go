@@ -35,6 +35,22 @@ func identity(n int) []int {
 	return rows
 }
 
+// reservoir runs the unbiased sampler and returns the sample as a list.
+// rows nil means every row of the table — the fact the executor passes — so
+// the full-table paths (sharded scatter, whole-block scans) are what run; an
+// explicit list, identity included, takes the candidate-subset paths.
+func reservoir(b *binning.Binned, rows, cols []int, budget int, seed int64) []int {
+	set := listRows(rows)
+	if rows == nil {
+		set = allRows(b.NumRows())
+	}
+	out := stratifiedReservoir(b, set, cols, budget, seed, nil)
+	if out.ids == nil {
+		return identity(out.n)
+	}
+	return out.ids
+}
+
 func allCols(b *binning.Binned) []int {
 	cols := make([]int, b.NumCols())
 	for i := range cols {
@@ -57,7 +73,7 @@ func TestStratifiedReservoirSmallTableReturnsAllRows(t *testing.T) {
 	b := sampleTestBinned(t, 200, 1)
 	rows, cols := identity(200), allCols(b)
 	for _, budget := range []int{200, 500, 10_000} {
-		got := stratifiedReservoir(b, rows, cols, budget, 7)
+		got := reservoir(b, rows, cols, budget, 7)
 		if len(got) != 200 {
 			t.Fatalf("budget %d: want all 200 rows, got %d", budget, len(got))
 		}
@@ -75,8 +91,8 @@ func TestStratifiedReservoirDeterministicPerSeed(t *testing.T) {
 	rows, cols := identity(3000), allCols(b)
 	distinct := 0
 	for _, seed := range []int64{0, 1, 41, -9} {
-		a := stratifiedReservoir(b, rows, cols, 300, seed)
-		bb := stratifiedReservoir(b, rows, cols, 300, seed)
+		a := reservoir(b, rows, cols, 300, seed)
+		bb := reservoir(b, rows, cols, 300, seed)
 		if len(a) != len(bb) {
 			t.Fatalf("seed %d: lengths differ: %d vs %d", seed, len(a), len(bb))
 		}
@@ -85,7 +101,7 @@ func TestStratifiedReservoirDeterministicPerSeed(t *testing.T) {
 				t.Fatalf("seed %d: sample differs at %d: %d vs %d", seed, i, a[i], bb[i])
 			}
 		}
-		base := stratifiedReservoir(b, rows, cols, 300, 12345)
+		base := reservoir(b, rows, cols, 300, 12345)
 		for i := range a {
 			if a[i] != base[i] {
 				distinct++
@@ -112,7 +128,7 @@ func TestStratifiedReservoirSortedUniqueWithinBudget(t *testing.T) {
 			}
 		}
 		budget := 50 + rng.Intn(2000)
-		sample := stratifiedReservoir(b, rows, cols, budget, int64(trial))
+		sample := reservoir(b, rows, cols, budget, int64(trial))
 		if len(rows) > budget && len(sample) != budget {
 			t.Fatalf("trial %d: want exactly budget %d rows, got %d", trial, budget, len(sample))
 		}
@@ -147,7 +163,7 @@ func TestStratifiedReservoirCoversEveryNonEmptyBin(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, seed := range []int64{1, 2, 77} {
-				sample := stratifiedReservoir(b, tc.rows, cols, 400, seed)
+				sample := reservoir(b, tc.rows, cols, 400, seed)
 				// Strata present among candidates vs strata present in sample.
 				want := make(map[int32]bool)
 				for _, c := range cols {
@@ -197,7 +213,7 @@ func TestStratifiedReservoirRareStratumSurvives(t *testing.T) {
 	cols := allCols(b)
 	flagCol := tbl.ColumnIndex("flag")
 	for seed := int64(0); seed < 30; seed++ {
-		sample := stratifiedReservoir(b, identity(n), cols, 100, seed)
+		sample := reservoir(b, nil, cols, 100, seed)
 		found := false
 		for _, r := range sample {
 			if tbl.ColumnAt(flagCol).CellString(r) == "rare" {

@@ -2,7 +2,7 @@ package core
 
 import (
 	"subtab/internal/binning"
-	"subtab/internal/cluster"
+	"subtab/internal/bitset"
 	"subtab/internal/f32"
 )
 
@@ -63,23 +63,29 @@ func (s ScaleOptions) withDefaults() ScaleOptions {
 // seeding rng, which also derives from ClusterSeed.
 const scaleSampleSeed = 0x5ca1ab1e5eed
 
-// sampleCandidates picks the scaled path's candidate rows: a deterministic
+// sample cuts the candidates to the plan's sample budget: a deterministic
 // stratified reservoir over the (column, bin) items of the candidate set.
 // Full-table samples are memoized per budget (the cache returns exactly
 // what a fresh scan would, so warm and cold selections stay byte-identical);
 // the lock doubles as a single-flight so concurrent first selections do not
-// scan the table twice. Callers must not mutate the returned slice.
-func (m *Model) sampleCandidates(rows, cols []int, budget int) []int {
-	seed := m.Opt.ClusterSeed ^ scaleSampleSeed
-	if len(rows) != m.T.NumRows() || !identityRows(rows) || !identityCols(cols, m.T.NumCols()) {
-		return stratifiedReservoir(m.B, rows, cols, budget, seed)
+// scan the table twice. Callers must not mutate the returned rows.
+func (m *Model) sample(p *plan, rows rowSet, covered *bitset.Set) rowSet {
+	seed, budget := m.SampleSeed(), p.scale.SampleBudget
+	if p.sample != sampleCached || rows.n <= budget {
+		// A budget covering the whole table samples nothing — "every row"
+		// passes through as the fact it is, so there is nothing to memoize.
+		var cov func(item int) bool
+		if p.sample == sampleCovered {
+			cov = covered.Contains
+		}
+		return stratifiedReservoir(m.B, rows, p.cols, budget, seed, cov)
 	}
 	m.sampleMu.Lock()
 	if s, ok := m.sampleCache[budget]; ok {
 		m.sampleMu.Unlock()
-		return s
+		return listRows(s)
 	}
-	s := stratifiedReservoir(m.B, rows, cols, budget, seed)
+	s := stratifiedReservoir(m.B, rows, p.cols, budget, seed, nil)
 	if m.sampleCache == nil {
 		m.sampleCache = make(map[int][]int, 1)
 	} else if len(m.sampleCache) >= 8 {
@@ -87,7 +93,7 @@ func (m *Model) sampleCandidates(rows, cols []int, budget int) []int {
 		// must not grow the model unboundedly.
 		clear(m.sampleCache)
 	}
-	m.sampleCache[budget] = s
+	m.sampleCache[budget] = s.ids
 	bytes := sampleCacheBytes(m.sampleCache)
 	m.sampleGen++
 	gen := m.sampleGen
@@ -98,47 +104,61 @@ func (m *Model) sampleCandidates(rows, cols []int, budget int) []int {
 	return s
 }
 
-// sampledRowSlab builds the tuple-vector slab for a sampled candidate set.
-// Under the slab budget (or with no budget) the vectors live in a pooled
-// in-memory matrix; over it they are computed chunk by chunk into a spill
-// file, so the resident cost of a scaled select is the chunk, not the
-// sample. A warm full-table cache turns the in-memory build into a row
-// gather; otherwise only the sampled rows are computed — the scaled path
-// never materializes vectors for rows the sample dropped, which is the
-// point of sampling before embedding lookup on million-row tables.
-// The returned cleanup releases the pooled buffer or the spill file.
-// src, when non-nil, is a code overlay (the coordinator's gathered shard
-// codes) that replaces the model's own code source for the gather.
-func (m *Model) sampledRowSlab(rows, cols []int, scale ScaleOptions, src binning.CodeSource) (*f32.Slab, func(), error) {
+// rowVectors is the vector-build stage: the candidates' tuple-vectors as one
+// slab, plus its release. Full-column plans can read the model's full-table
+// matrix (a tuple-vector depends only on the column set): the exact path
+// builds it on first use — inline codes only, the plan's full-cache variant
+// — while the scaled path borrows it only when already warm, because it
+// never materializes vectors for rows the sample dropped (the point of
+// sampling before embedding lookup on million-row tables). Everything else
+// is computed per request into a pooled matrix, every row writing only its
+// own matrix row, so the fill is deterministic at any worker count — or,
+// when a scaled sample's vectors exceed SlabBudgetBytes, chunk by chunk
+// into a spill file, so the resident cost is the chunk, not the sample.
+// All routes produce bit-identical vectors. src, when non-nil, is a code
+// overlay (the coordinator's gathered shard codes) that replaces the
+// model's own code source for the gather.
+func (m *Model) rowVectors(rows rowSet, p *plan, scaled bool, src binning.CodeSource) (*f32.Slab, func(), error) {
 	dim := m.Emb.Dim()
-	need := int64(len(rows)) * int64(dim) * 4
-	if scale.SlabBudgetBytes <= 0 || need <= scale.SlabBudgetBytes {
-		buf := getVecBuf(len(rows) * dim)
-		mat := f32.Wrap(len(rows), dim, *buf)
-		if fv, ok := m.cachedFullVecs(); ok && src == nil && identityCols(cols, m.T.NumCols()) {
-			f32.GatherRows(mat, fv, rows)
-		} else {
-			m.gatherTupleVectors(mat, rows, cols, src)
-		}
-		return f32.WrapSlab(mat), func() { putVecBuf(buf) }, nil
+	var full f32.Matrix
+	haveFull := false
+	switch {
+	case !p.allCols || src != nil:
+	case scaled:
+		full, haveFull = m.cachedFullVecs()
+	case p.vectors == vectorsFullCache:
+		full, haveFull = m.fullRowVectors(), true
 	}
-	slab, err := f32.NewSpillSlab(len(rows), dim, "")
-	if err != nil {
-		return nil, nil, err
+	if haveFull && rows.ids == nil && rows.n == full.R {
+		return f32.WrapSlab(full), func() {}, nil // the candidates are the table
 	}
-	chunkRows := min(slab.ChunkRows(), len(rows))
-	buf := getVecBuf(chunkRows * dim)
-	defer putVecBuf(buf)
-	for start := 0; start < len(rows); start += chunkRows {
-		end := min(start+chunkRows, len(rows))
-		chunk := f32.Wrap(end-start, dim, (*buf)[:(end-start)*dim])
-		m.gatherTupleVectors(chunk, rows[start:end], cols, src)
-		if err := slab.WriteChunk(start, chunk); err != nil {
-			slab.Close()
+	if need := int64(rows.n) * int64(dim) * 4; scaled && p.scale.SlabBudgetBytes > 0 && need > p.scale.SlabBudgetBytes {
+		slab, err := f32.NewSpillSlab(rows.n, dim, "")
+		if err != nil {
 			return nil, nil, err
 		}
+		chunkRows := min(slab.ChunkRows(), rows.n)
+		buf := getVecBuf(chunkRows * dim)
+		defer putVecBuf(buf)
+		for start := 0; start < rows.n; start += chunkRows {
+			end := min(start+chunkRows, rows.n)
+			chunk := f32.Wrap(end-start, dim, (*buf)[:(end-start)*dim])
+			m.gatherTupleVectors(chunk, rows.slice(start, end), p.cols, src)
+			if err := slab.WriteChunk(start, chunk); err != nil {
+				slab.Close()
+				return nil, nil, err
+			}
+		}
+		return slab, func() { slab.Close() }, nil
 	}
-	return slab, func() { slab.Close() }, nil
+	buf := getVecBuf(rows.n * dim)
+	mat := f32.Wrap(rows.n, dim, *buf)
+	if haveFull {
+		f32.GatherRows(mat, full, rows.ids)
+	} else {
+		m.gatherTupleVectors(mat, rows, p.cols, src)
+	}
+	return f32.WrapSlab(mat), func() { putVecBuf(buf) }, nil
 }
 
 // gatherTupleVectors fills dst with the tuple-vectors of the given rows
@@ -150,13 +170,13 @@ func (m *Model) sampledRowSlab(rows, cols []int, scale ScaleOptions, src binning
 // identical vectors (same per-row index values, same pooling arithmetic).
 // A non-nil src overrides where the codes are read (the coordinator
 // overlay); otherwise the model's own inline codes or attached store.
-func (m *Model) gatherTupleVectors(dst f32.Matrix, rows, cols []int, src binning.CodeSource) {
+func (m *Model) gatherTupleVectors(dst f32.Matrix, rows rowSet, cols []int, src binning.CodeSource) {
 	if src == nil {
 		if m.B.HasInlineCodes() {
-			f32.ParallelRange(len(rows), f32.Workers(len(rows)), func(start, end int) {
+			f32.ParallelRange(rows.n, f32.Workers(rows.n), func(start, end int) {
 				idx := make([]int32, len(cols))
 				for i := start; i < end; i++ {
-					m.rowVectorInto(dst.Row(i), rows[i], cols, idx)
+					m.rowVectorInto(dst.Row(i), rows.at(i), cols, idx)
 				}
 			})
 			return
@@ -164,15 +184,19 @@ func (m *Model) gatherTupleVectors(dst f32.Matrix, rows, cols []int, src binning
 		src = m.B.Source()
 	}
 	k := len(cols)
-	idx := make([]int32, len(rows)*k)
+	idx := make([]int32, rows.n*k)
 	br := src.BlockRows()
-	if len(rows)*8 < src.NumRows() {
+	ids, lo := rows.ids, rows.lo // hoisted: these loops run once per sampled cell
+	if rows.n*8 < src.NumRows() {
 		// Sparse gather: the sampled rows touch a small fraction of every
 		// block, so per-cell random access (a two-byte mmap load) beats
 		// decoding whole blocks to use a sliver of each.
-		f32.ParallelRange(len(rows), f32.Workers(len(rows)), func(start, end int) {
+		f32.ParallelRange(rows.n, f32.Workers(rows.n), func(start, end int) {
 			for i := start; i < end; i++ {
-				r := rows[i]
+				r := lo + i
+				if ids != nil {
+					r = ids[i]
+				}
 				for j, c := range cols {
 					idx[i*k+j] = m.itemRow[m.B.ItemOf(c, int(src.Code(c, r)))]
 				}
@@ -184,7 +208,11 @@ func (m *Model) gatherTupleVectors(dst f32.Matrix, rows, cols []int, src binning
 			base := m.B.ItemOf(c, 0)
 			blk := -1
 			var codes []uint16
-			for i, r := range rows {
+			for i := 0; i < rows.n; i++ {
+				r := lo + i
+				if ids != nil {
+					r = ids[i]
+				}
 				if nb := r / br; nb != blk {
 					blk = nb
 					codes = src.ColumnBlock(c, blk, scratch)
@@ -195,17 +223,4 @@ func (m *Model) gatherTupleVectors(dst f32.Matrix, rows, cols []int, src binning
 		}
 	}
 	f32.MeanPoolRows(dst, m.items, idx, k)
-}
-
-// scaledRowClustering is the row step of the scaled path: cluster the
-// sampled tuple-vector slab with seeded mini-batch k-means (resident slabs
-// take the matrix fast path; spilled slabs are clustered through chunked
-// reads with bit-identical results). The caller maps representative
-// indices back through the sample to real row ids.
-func (m *Model) scaledRowClustering(vecs *f32.Slab, k int, scale ScaleOptions) *cluster.Result {
-	return cluster.MiniBatchKMeansSource(vecs, k, cluster.MiniBatchOptions{
-		BatchSize: scale.BatchSize,
-		MaxIter:   scale.MaxIter,
-		Seed:      m.Opt.ClusterSeed,
-	})
 }

@@ -7,6 +7,7 @@ import (
 
 	"subtab/internal/binning"
 	"subtab/internal/colstore"
+	"subtab/internal/query"
 	"subtab/internal/shard"
 )
 
@@ -22,13 +23,15 @@ import (
 
 // ShardSampler produces the scaled path's candidate sample for a model
 // whose shards are partly remote: rows is exactly what the single-store
-// stratified reservoir would return for a full-table scan at this budget,
-// and codes covers (at least) those rows so every downstream read of the
-// selection resolves locally. Implementations live in the serving layer
-// (scatter over peers, gather and merge); they must be safe for
-// concurrent use.
+// stratified reservoir would return at this budget over the rows matching
+// preds (each peer evaluates the conjunction shard-locally; empty preds
+// scan the whole table), codes covers (at least) those rows so every
+// downstream read of the selection resolves locally, and matched is the
+// total matching row count across shards. Implementations live in the
+// serving layer (scatter over peers, gather and merge); they must be safe
+// for concurrent use.
 type ShardSampler interface {
-	Sample(cols []int, budget int) (rows []int, codes binning.CodeSource, err error)
+	Sample(cols []int, budget int, preds []query.Predicate) (rows []int, codes binning.CodeSource, matched int, err error)
 }
 
 // CacheReleaser is the optional extension a ShardSampler implements when it
@@ -60,11 +63,49 @@ func (m *Model) ShardSource() *shard.Source {
 func (m *Model) SampleSeed() int64 { return m.Opt.ClusterSeed ^ scaleSampleSeed }
 
 // SampleShard scans one locally held shard for a scatter/gather sample:
-// the worker half of the shard-exec protocol. cols, budget and seed come
-// from the coordinator's request; the summary's rows are global ids.
-func (m *Model) SampleShard(idx int, cols []int, budget int, seed int64) (shard.Summary, error) {
-	sum, _, err := m.SampleShardFiltered(idx, cols, budget, seed, nil)
-	return sum, err
+// the worker half of the shard-exec protocol. cols, budget, seed and preds
+// come from the coordinator's request; the summary's rows are global ids.
+// The worker evaluates preds over the shard's codes (with shard-local
+// residual cell checks), scans only the matching rows, and reports how
+// many matched. Empty preds scan the whole shard, matched = its row count.
+func (m *Model) SampleShard(idx int, cols []int, budget int, seed int64, preds []query.Predicate) (shard.Summary, int, error) {
+	src := m.ShardSource()
+	if src == nil {
+		return shard.Summary{}, 0, fmt.Errorf("core: table is not shard-backed")
+	}
+	if idx < 0 || idx >= src.NumShards() {
+		return shard.Summary{}, 0, fmt.Errorf("core: shard %d out of range [0, %d)", idx, src.NumShards())
+	}
+	if !src.ShardAvailable(idx) {
+		return shard.Summary{}, 0, fmt.Errorf("core: shard %d is not held locally", idx)
+	}
+	if budget <= 0 {
+		return shard.Summary{}, 0, fmt.Errorf("core: sample budget must be positive, got %d", budget)
+	}
+	for _, c := range cols {
+		if c < 0 || c >= m.T.NumCols() {
+			return shard.Summary{}, 0, fmt.Errorf("core: column %d out of range [0, %d)", c, m.T.NumCols())
+		}
+	}
+	cs := src.ShardSource(idx)
+	start := src.ShardStart(idx)
+	if len(preds) == 0 {
+		n := 0
+		if cs != nil {
+			n = cs.NumRows()
+		}
+		return shard.Scan(m.B, cs, start, cols, budget, seed), n, nil
+	}
+	f := m.B.CompileFilter(preds)
+	residual, err := residualFor(m.caps(), f)
+	if err != nil {
+		return shard.Summary{}, 0, err
+	}
+	keep, matched, err := f.MatchMask(cs, start, m.residualCells(residual))
+	if err != nil {
+		return shard.Summary{}, 0, err
+	}
+	return shard.ScanFiltered(m.B, cs, start, cols, budget, seed, keep), matched, nil
 }
 
 // UseShardedStores exports the model's codes into len(paths) shard files

@@ -92,7 +92,7 @@ func TestShardMergeMatchesSingleScan(t *testing.T) {
 		srcs, counts := shardSplit(b, cuts, rng)
 		for _, budget := range []int{40, 171, 500} {
 			for _, seed := range []int64{3, -11, 1 << 33} {
-				want := stratifiedReservoir(b, rows, cols, budget, seed)
+				want := reservoir(b, rows, cols, budget, seed)
 
 				// The explicit protocol, as a coordinator runs it: one Scan
 				// per shard (shuffled merge order — the merge is
@@ -119,7 +119,7 @@ func TestShardMergeMatchesSingleScan(t *testing.T) {
 				if err := twin.DropInlineCodes(); err != nil {
 					t.Fatal(err)
 				}
-				got2 := stratifiedReservoir(twin, rows, cols, budget, seed)
+				got2 := reservoir(twin, nil, cols, budget, seed)
 				assertSameSample(t, "fan-out", trial, budget, seed, cuts, got2, want)
 			}
 		}
@@ -165,7 +165,7 @@ func TestShardMergeFullBudget(t *testing.T) {
 	}
 	strata, cands := shard.MergeSummaries(sums, b.NumItems())
 	got := shard.FinishSample(strata, cands, n+50)
-	want := stratifiedReservoir(b, rows, cols, n+50, 17)
+	want := reservoir(b, rows, cols, n+50, 17)
 	assertSameSample(t, "full-budget", 0, n+50, 17, cuts, got, want)
 }
 
@@ -182,7 +182,7 @@ func TestShardMergeSingleShard(t *testing.T) {
 		sum := shard.Scan(b, cs, 0, cols, budget, 23)
 		strata, cands := shard.MergeSummaries([]shard.Summary{sum}, b.NumItems())
 		got := shard.FinishSample(strata, cands, budget)
-		want := stratifiedReservoir(b, identity(n), cols, budget, 23)
+		want := reservoir(b, nil, cols, budget, 23)
 		assertSameSample(t, "one-shard", 0, budget, 23, []int{0, n}, got, want)
 	}
 }

@@ -70,7 +70,7 @@ func BenchmarkWarmSelect(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := svc.Select("bench", nil, 10, 3, nil); err != nil {
+		if _, err := svc.Select("bench", core.ExploreSpec{K: 10, L: 3}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -84,7 +84,7 @@ func BenchmarkWarmSelectParallel(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := svc.Select("bench", nil, 10, 3, nil); err != nil {
+			if _, err := svc.Select("bench", core.ExploreSpec{K: 10, L: 3}); err != nil {
 				b.Fatal(err)
 			}
 		}

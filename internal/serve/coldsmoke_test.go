@@ -36,7 +36,7 @@ func TestColdUploadSmoke(t *testing.T) {
 	if _, err := svc.AddTable("fl", ds.T, nil, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Select("fl", nil, 10, 5, nil); err != nil {
+	if _, err := svc.Select("fl", core.ExploreSpec{K: 10, L: 5}); err != nil {
 		t.Fatal(err)
 	}
 	elapsed := time.Since(start)

@@ -520,6 +520,9 @@ type scaleDTO struct {
 }
 
 func (d *scaleDTO) toOptions() (*core.ScaleOptions, error) {
+	if d == nil {
+		return nil, nil // no override: the model's configured mode
+	}
 	if d.Threshold < 0 || d.SampleBudget < 0 || d.BatchSize < 0 || d.MaxIter < 0 || d.SlabBudget < 0 {
 		return nil, fmt.Errorf("scale: all knobs must be non-negative")
 	}
@@ -557,22 +560,7 @@ func (h *api) doSelect(w http.ResponseWriter, r *http.Request, withQuery bool) {
 		writeBadRequest(w, "%v", err)
 		return
 	}
-	if req.K == 0 {
-		req.K = 10
-	}
-	if req.L == 0 {
-		req.L = 10
-	}
-	if req.K < 0 || req.L < 0 {
-		writeBadRequest(w, "k and l must be non-negative, got k=%d l=%d", req.K, req.L)
-		return
-	}
-	// Bound the response before any work happens: each of the k×l cells is
-	// materialized three times on the way out (view table, rendered view,
-	// JSON cells), so the budget is what keeps one request from holding
-	// the response path's memory hostage.
-	if req.K > maxSelectCells || req.L > maxSelectCells || req.K*req.L > maxSelectCells {
-		writeBadRequest(w, "k×l = %d×%d exceeds the response budget of %d cells", req.K, req.L, maxSelectCells)
+	if !checkShape(w, &req.K, &req.L) {
 		return
 	}
 	var q *query.Query
@@ -587,16 +575,13 @@ func (h *api) doSelect(w http.ResponseWriter, r *http.Request, withQuery bool) {
 			return
 		}
 	}
-	var scale *core.ScaleOptions
-	if req.Scale != nil {
-		var err error
-		if scale, err = req.Scale.toOptions(); err != nil {
-			writeBadRequest(w, "%v", err)
-			return
-		}
+	scale, err := req.Scale.toOptions()
+	if err != nil {
+		writeBadRequest(w, "%v", err)
+		return
 	}
 	start := time.Now()
-	st, err := h.svc.SelectScaled(name, q, req.K, req.L, req.Targets, scale)
+	st, err := h.svc.Select(name, core.ExploreSpec{Query: q, K: req.K, L: req.L, Targets: req.Targets, Scale: scale})
 	if err != nil {
 		writeError(w, err)
 		return
@@ -675,12 +660,9 @@ func (d *queryDTO) toQuery() (*query.Query, error) {
 		Asc:     d.Asc,
 		Limit:   d.Limit,
 	}
-	for _, p := range d.Where {
-		op, err := parseOp(p.Op)
-		if err != nil {
-			return nil, err
-		}
-		q.Where = append(q.Where, query.Predicate{Col: p.Col, Op: op, Num: p.Num, Str: p.Str})
+	var err error
+	if q.Where, err = toPredicates(d.Where); err != nil {
+		return nil, err
 	}
 	for _, a := range d.Aggs {
 		fn, err := parseAggFunc(a.Func)
@@ -690,6 +672,18 @@ func (d *queryDTO) toQuery() (*query.Query, error) {
 		q.Aggs = append(q.Aggs, query.Aggregate{Func: fn, Col: a.Col})
 	}
 	return q, nil
+}
+
+func toPredicates(where []predicateDTO) ([]query.Predicate, error) {
+	preds := make([]query.Predicate, 0, len(where))
+	for _, p := range where {
+		op, err := parseOp(p.Op)
+		if err != nil {
+			return nil, err
+		}
+		preds = append(preds, query.Predicate{Col: p.Col, Op: op, Num: p.Num, Str: p.Str})
+	}
+	return preds, nil
 }
 
 func parseOp(s string) (query.Op, error) {

@@ -154,7 +154,7 @@ func TestGovernedStoreBudgetEviction(t *testing.T) {
 }
 
 // TestServiceAdmission drives the two load-shedding refusals through
-// Service.SelectScaled: a working set beyond the budget is refused with
+// Service.Select: a working set beyond the budget is refused with
 // ErrOverloaded wrapping *memgov.ErrOverBudget (the Retry-After source),
 // and the per-table concurrency limit sheds with ErrOverloaded alone.
 func TestServiceAdmission(t *testing.T) {
@@ -164,7 +164,7 @@ func TestServiceAdmission(t *testing.T) {
 	if _, err := svc.AddTable("t", testTable("t", 300, 5), nil, false); err != nil {
 		t.Fatal(err)
 	}
-	_, err := svc.Select("t", nil, 5, 3, nil)
+	_, err := svc.Select("t", core.ExploreSpec{K: 5, L: 3})
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("err = %v, want ErrOverloaded", err)
 	}
@@ -183,7 +183,7 @@ func TestServiceAdmission(t *testing.T) {
 	// reservation on the way out.
 	g2 := memgov.New(1 << 30)
 	svc.SetAdmission(g2, 1)
-	if _, err := svc.Select("t", nil, 5, 3, nil); err != nil {
+	if _, err := svc.Select("t", core.ExploreSpec{K: 5, L: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if got := g2.ClassBytes(memgov.ClassRequests); got != 0 {
@@ -195,7 +195,7 @@ func TestServiceAdmission(t *testing.T) {
 	if !ok {
 		t.Fatal("first acquire on an idle table failed")
 	}
-	_, err = svc.Select("t", nil, 5, 3, nil)
+	_, err = svc.Select("t", core.ExploreSpec{K: 5, L: 3})
 	release()
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("err = %v at the concurrency limit, want ErrOverloaded", err)
@@ -203,7 +203,7 @@ func TestServiceAdmission(t *testing.T) {
 	if got := svc.LimiterRejections(); got != 1 {
 		t.Fatalf("limiter rejections = %d, want 1", got)
 	}
-	if _, err := svc.Select("t", nil, 5, 3, nil); err != nil {
+	if _, err := svc.Select("t", core.ExploreSpec{K: 5, L: 3}); err != nil {
 		t.Fatalf("select after the slot freed: %v", err)
 	}
 }
@@ -249,7 +249,7 @@ func TestCoordCacheGovernorAccounting(t *testing.T) {
 	})
 	coord := NewService(store, testOptions())
 
-	want, err := coord.SelectScaled(name, nil, 6, 3, nil, scaleForce())
+	want, err := coord.Select(name, core.ExploreSpec{K: 6, L: 3, Scale: scaleForce()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestCoordCacheGovernorAccounting(t *testing.T) {
 	}
 
 	// Cache hit: same selection, no additional coord bytes.
-	if _, err := coord.SelectScaled(name, nil, 6, 3, nil, scaleForce()); err != nil {
+	if _, err := coord.Select(name, core.ExploreSpec{K: 6, L: 3, Scale: scaleForce()}); err != nil {
 		t.Fatal(err)
 	}
 	if got := g.ClassBytes(memgov.ClassCoordCache); got != filled {
@@ -270,7 +270,7 @@ func TestCoordCacheGovernorAccounting(t *testing.T) {
 	// the stale entry, un-accounts it, and re-fills under the new tag —
 	// ending with the same byte weight, never the sum of both.
 	gen++
-	again, err := coord.SelectScaled(name, nil, 6, 3, nil, scaleForce())
+	again, err := coord.Select(name, core.ExploreSpec{K: 6, L: 3, Scale: scaleForce()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,11 +41,11 @@ func TestAddTableOutOfCoreServesIdentically(t *testing.T) {
 	}
 
 	for _, scale := range []*core.ScaleOptions{nil, scaleForce()} {
-		want, err := svcMem.SelectScaled("t", nil, 6, 3, nil, scale)
+		want, err := svcMem.Select("t", core.ExploreSpec{K: 6, L: 3, Scale: scale})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := svcOOC.SelectScaled("t", nil, 6, 3, nil, scale)
+		got, err := svcOOC.Select("t", core.ExploreSpec{K: 6, L: 3, Scale: scale})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,11 +66,11 @@ func TestAddTableOutOfCoreServesIdentically(t *testing.T) {
 	if !m.OutOfCore() {
 		t.Fatal("disk reload lost the code store backing")
 	}
-	want, err := svcMem.SelectScaled("t", nil, 6, 3, nil, scaleForce())
+	want, err := svcMem.Select("t", core.ExploreSpec{K: 6, L: 3, Scale: scaleForce()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := svcReload.SelectScaled("t", nil, 6, 3, nil, scaleForce())
+	got, err := svcReload.Select("t", core.ExploreSpec{K: 6, L: 3, Scale: scaleForce()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestAppendKeepsTableOutOfCore(t *testing.T) {
 	if !next.OutOfCore() {
 		t.Fatal("append regressed the table to inline codes")
 	}
-	if _, err := next.SelectWith(nil, 6, 3, nil, scaleForce()); err != nil {
+	if _, err := next.SelectExplore(core.ExploreSpec{K: 6, L: 3, Scale: scaleForce()}); err != nil {
 		t.Fatal(err)
 	}
 	// A fresh service over the cache dir sees the appended, still

@@ -30,7 +30,7 @@ func TestEvictionReleasesVectorCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	// An exact full-column select warms the rows×dim float32 matrix.
-	if _, err := m.SelectWith(nil, 6, 3, nil, nil); err != nil {
+	if _, err := m.SelectExplore(core.ExploreSpec{K: 6, L: 3}); err != nil {
 		t.Fatal(err)
 	}
 	matrix := int64(rows) * int64(m.Emb.Dim()) * 4
@@ -100,7 +100,7 @@ func TestShardSampleCacheInvalidatedOnReplace(t *testing.T) {
 	})
 	coord := NewService(coordStore, testOptions())
 
-	want, err := coord.SelectScaled(name, nil, 6, 3, nil, scaleForce())
+	want, err := coord.Select(name, core.ExploreSpec{K: 6, L: 3, Scale: scaleForce()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestShardSampleCacheInvalidatedOnReplace(t *testing.T) {
 	}
 
 	// A repeat select is served from the coordinator's sample cache.
-	if _, err := coord.SelectScaled(name, nil, 6, 3, nil, scaleForce()); err != nil {
+	if _, err := coord.Select(name, core.ExploreSpec{K: 6, L: 3, Scale: scaleForce()}); err != nil {
 		t.Fatal(err)
 	}
 	if got := sampleHits.Load(); got != scatters {
@@ -127,7 +127,7 @@ func TestShardSampleCacheInvalidatedOnReplace(t *testing.T) {
 	if err := coordStore.Put(name, m); err != nil {
 		t.Fatal(err)
 	}
-	got, err := coord.SelectScaled(name, nil, 6, 3, nil, scaleForce())
+	got, err := coord.Select(name, core.ExploreSpec{K: 6, L: 3, Scale: scaleForce()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func TestServeScaledSelectRepeatDeterminism(t *testing.T) {
 	if _, err := svc.AddTable("scaled", testTable("scaled", 2500, 7), nil, false); err != nil {
 		t.Fatal(err)
 	}
-	first, err := svc.SelectScaled("scaled", nil, 6, 3, nil, scaleForce())
+	first, err := svc.Select("scaled", core.ExploreSpec{K: 6, L: 3, Scale: scaleForce()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestServeScaledSelectRepeatDeterminism(t *testing.T) {
 		t.Fatalf("scaled select returned %d rows, want 6", len(first.SourceRows))
 	}
 	for i := 0; i < 4; i++ {
-		st, err := svc.SelectScaled("scaled", nil, 6, 3, nil, scaleForce())
+		st, err := svc.Select("scaled", core.ExploreSpec{K: 6, L: 3, Scale: scaleForce()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,11 +50,11 @@ func TestServeScaledSelectRepeatDeterminism(t *testing.T) {
 	}
 	// The explicit zero override forces the exact path; it must agree with
 	// the plain Select entry point.
-	exact, err := svc.Select("scaled", nil, 6, 3, nil)
+	exact, err := svc.Select("scaled", core.ExploreSpec{K: 6, L: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	zeroed, err := svc.SelectScaled("scaled", nil, 6, 3, nil, &core.ScaleOptions{})
+	zeroed, err := svc.Select("scaled", core.ExploreSpec{K: 6, L: 3, Scale: &core.ScaleOptions{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,15 +74,15 @@ func TestServeScaledSelectConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := &query.Query{Where: []query.Predicate{{Col: "cat", Op: query.Neq, Str: "c2"}}}
-	wantWhole, err := svc.SelectScaled("conc-scaled", nil, 5, 3, nil, scaleForce())
+	wantWhole, err := svc.Select("conc-scaled", core.ExploreSpec{K: 5, L: 3, Scale: scaleForce()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantQuery, err := svc.SelectScaled("conc-scaled", q, 4, 2, []string{"cat"}, scaleForce())
+	wantQuery, err := svc.Select("conc-scaled", core.ExploreSpec{Query: q, K: 4, L: 2, Targets: []string{"cat"}, Scale: scaleForce()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantExact, err := svc.Select("conc-scaled", nil, 5, 3, nil)
+	wantExact, err := svc.Select("conc-scaled", core.ExploreSpec{K: 5, L: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,19 +96,19 @@ func TestServeScaledSelectConcurrent(t *testing.T) {
 			for i := 0; i < 3; i++ {
 				switch g % 3 {
 				case 0:
-					st, err := svc.SelectScaled("conc-scaled", nil, 5, 3, nil, scaleForce())
+					st, err := svc.Select("conc-scaled", core.ExploreSpec{K: 5, L: 3, Scale: scaleForce()})
 					if err == nil && subTableFingerprint(st) != subTableFingerprint(wantWhole) {
 						err = fmt.Errorf("concurrent scaled select diverged")
 					}
 					errs[g] = err
 				case 1:
-					st, err := svc.SelectScaled("conc-scaled", q, 4, 2, []string{"cat"}, scaleForce())
+					st, err := svc.Select("conc-scaled", core.ExploreSpec{Query: q, K: 4, L: 2, Targets: []string{"cat"}, Scale: scaleForce()})
 					if err == nil && subTableFingerprint(st) != subTableFingerprint(wantQuery) {
 						err = fmt.Errorf("concurrent scaled query select diverged")
 					}
 					errs[g] = err
 				default:
-					st, err := svc.Select("conc-scaled", nil, 5, 3, nil)
+					st, err := svc.Select("conc-scaled", core.ExploreSpec{K: 5, L: 3})
 					if err == nil && subTableFingerprint(st) != subTableFingerprint(wantExact) {
 						err = fmt.Errorf("concurrent exact select diverged while scaled selects ran")
 					}

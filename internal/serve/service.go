@@ -9,7 +9,6 @@ import (
 
 	"subtab/internal/core"
 	"subtab/internal/memgov"
-	"subtab/internal/query"
 	"subtab/internal/rules"
 	"subtab/internal/session"
 	"subtab/internal/shard"
@@ -21,10 +20,9 @@ import (
 var ErrExists = errors.New("serve: table already exists")
 
 // ErrBadRequest wraps failures caused by the request itself — unknown
-// columns, impossible dimensions, bad mining knobs — as opposed to faults
-// of the service. Selection and mining are deterministic functions of
-// (request, healthy model), so once the model resolved, their errors are
-// the caller's to fix; the HTTP layer maps this to 400.
+// columns, impossible dimensions, bad mining knobs, a request the table's
+// layout cannot serve (core.Refusal) — as opposed to faults of the
+// service; the HTTP layer maps this to 400.
 var ErrBadRequest = errors.New("serve: bad request")
 
 // ErrOverloaded wraps load-shedding refusals: a select whose estimated
@@ -302,10 +300,10 @@ func (s *Service) AppendRows(name string, rows *table.Table, opt core.AppendOpti
 	var stats core.AppendStats
 	changed := false
 	m, err := s.store.Update(name, func(cur *core.Model) (*core.Model, error) {
-		if src := cur.ShardSource(); src != nil && !src.Complete() {
-			// A coordinator does not hold the rows; appends belong on the
-			// instances that own the shards.
-			return nil, fmt.Errorf("%w: table %q has remote shards; append on the shard owners", ErrBadRequest, name)
+		// A coordinator does not hold the rows; appends belong on the
+		// instances that own the shards.
+		if err := cur.RequireLocal(core.ReasonRemoteAppend); err != nil {
+			return nil, fmt.Errorf("%w: table %q: %w", ErrBadRequest, name, err)
 		}
 		next, st, err := cur.Append(rows, opt)
 		if err != nil {
@@ -438,71 +436,79 @@ func (s *Service) info(name string) TableInfo {
 	return info
 }
 
-// Select picks a k×l sub-table of the named table, optionally restricted to
-// a query result (q nil selects over the whole table).
-func (s *Service) Select(name string, q *query.Query, k, l int, targets []string) (*core.SubTable, error) {
-	return s.SelectScaled(name, q, k, l, targets, nil)
+// Select picks a k×l sub-table of the named table as spec describes: the
+// whole table, a predicate conjunction, or a query result, with spec.Scale
+// overriding the model's large-table mode for this request only. Selections
+// are safe at any level of concurrency — every path samples and clusters
+// into request-local state. With admission control installed (SetAdmission),
+// the request's working set is reserved under the memory budget for the
+// duration of the select and the per-table concurrency limit applies;
+// refusals return ErrOverloaded.
+func (s *Service) Select(name string, spec core.ExploreSpec) (*core.SubTable, error) {
+	return s.explore(name, nil, nil, spec)
 }
 
-// SelectScaled is Select with a per-request override of the large-table
-// selection mode: scale nil uses the model's configured core.Options.Scale,
-// anything else replaces it for this request only. Selections stay safe for
-// any level of concurrency — the scaled path samples and clusters into
-// request-local state, exactly like the exact path. With admission control
-// installed (SetAdmission), the request's estimated working set is reserved
-// under the memory budget for the duration of the select and the per-table
-// concurrency limit applies; refusals return ErrOverloaded.
-func (s *Service) SelectScaled(name string, q *query.Query, k, l int, targets []string, scale *core.ScaleOptions) (*core.SubTable, error) {
+// explore is the one admit → select → record path behind Select,
+// SessionSelect and SessionDrillDown. With a session, its state is folded
+// into the spec (coverage bias, column weights) and the returned view is
+// folded back into the session.
+func (s *Service) explore(name string, sess *session.Session, wt *SessionWeights, spec core.ExploreSpec) (*core.SubTable, error) {
 	release, ok := s.limiter.Acquire(name)
 	if !ok {
 		return nil, fmt.Errorf("%w: table %q is at its concurrency limit", ErrOverloaded, name)
 	}
 	defer release()
-	m, err := s.store.Get(name)
+	var m *core.Model
+	var err error
+	if sess != nil {
+		m, err = s.sessionModel(sess)
+	} else {
+		m, err = s.store.Get(name)
+	}
 	if err != nil {
 		return nil, err
 	}
-	done, err := s.gov.Admit(memgov.ClassRequests, estimateSelectBytes(m, scale))
+	if sess != nil {
+		spec.ColBias = sessionBias(m, sess, wt)
+		// The coverage bias engages only once the session has shown
+		// something: a fresh session's first select is byte-identical to
+		// the sessionless path (and keeps its sample-cache hits).
+		if sess.Views() > 0 {
+			spec.Covered = sess.Covered()
+		}
+	}
+	need, err := m.ReserveBytes(spec)
+	if err != nil {
+		return nil, selectError(err)
+	}
+	done, err := s.gov.Admit(memgov.ClassRequests, need)
 	if err != nil {
 		// Keep the *memgov.ErrOverBudget in the chain: the HTTP layer reads
 		// its Retry-After hint off the wrapped error.
 		return nil, fmt.Errorf("%w: select on %q: %w", ErrOverloaded, name, err)
 	}
 	defer done()
-	st, err := m.SelectWith(q, k, l, targets, scale)
+	st, err := m.SelectExplore(spec)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+		return nil, selectError(err)
+	}
+	if sess != nil {
+		sess.RecordView(m.ViewItems(st), st.SourceRows, st.ColIdx)
 	}
 	return st, nil
 }
 
-// estimateSelectBytes is the transient working set a select reserves under
-// memgov.ClassRequests: the tuple-vector slab it materializes (the dominant
-// allocation) plus the candidate index. Scaled selects size by the sample
-// budget (capped by the slab spill budget when one is set — the spill path
-// keeps only one chunk resident); exact selects size by the full row count.
-// The estimate is deliberately on the reserve side of truth: pooled buffers
-// and k-means state ride inside it.
-func estimateSelectBytes(m *core.Model, scale *core.ScaleOptions) int64 {
-	sc := m.Opt.Scale
-	if scale != nil {
-		sc = *scale
+// selectError sorts a selection error by whose it is. A refusal (the spec
+// is malformed, or the table's layout cannot serve it) and an empty match
+// are the request's: ErrBadRequest. Anything else is the executor failing —
+// a dead shard peer, spill-file I/O, a column-store checksum mismatch — and
+// keeps its chain for the HTTP layer's 500.
+func selectError(err error) error {
+	var refusal *core.Refusal
+	if errors.As(err, &refusal) || errors.Is(err, core.ErrNoRows) {
+		return fmt.Errorf("%w: %w", ErrBadRequest, err)
 	}
-	rows := int64(m.T.NumRows())
-	dim := int64(m.Emb.Dim())
-	if sc.Active(int(rows)) {
-		budget := int64(sc.SampleBudget)
-		if budget <= 0 {
-			budget = 20000 // ScaleOptions default
-		}
-		n := min(budget, rows)
-		slab := n * dim * 4
-		if sc.SlabBudgetBytes > 0 && slab > sc.SlabBudgetBytes {
-			slab = sc.SlabBudgetBytes
-		}
-		return slab + n*8
-	}
-	return rows * dim * 4
+	return err
 }
 
 // Rules mines association rules over the named table's binned
@@ -526,10 +532,10 @@ func (s *Service) Rules(name string, opt rules.Options) ([]rules.Rule, *core.Mod
 	if err != nil {
 		return nil, nil, err
 	}
-	if src := m.ShardSource(); src != nil && !src.Complete() {
-		// Mining walks every code block; a coordinator holding only some
-		// shards cannot do that locally.
-		return nil, nil, fmt.Errorf("%w: table %q has remote shards; mine rules on the shard owners", ErrBadRequest, name)
+	// Mining walks every code block; a coordinator holding only some shards
+	// cannot do that locally.
+	if err := m.RequireLocal(core.ReasonRemoteRules); err != nil {
+		return nil, nil, fmt.Errorf("%w: table %q: %w", ErrBadRequest, name, err)
 	}
 	rs, err := rules.Mine(m.B, opt)
 	if err != nil {

@@ -13,7 +13,6 @@ import (
 	"fmt"
 
 	"subtab/internal/core"
-	"subtab/internal/memgov"
 	"subtab/internal/query"
 	"subtab/internal/session"
 )
@@ -48,8 +47,8 @@ func (s *Service) CreateSession(name string) (SessionInfo, error) {
 	if err != nil {
 		return SessionInfo{}, err
 	}
-	if src := m.ShardSource(); src != nil && !src.Complete() {
-		return SessionInfo{}, fmt.Errorf("%w: table %q has remote shards; open sessions on an instance holding every shard", ErrBadRequest, name)
+	if err := m.RequireLocal(core.ReasonRemoteSession); err != nil {
+		return SessionInfo{}, fmt.Errorf("%w: table %q: %w", ErrBadRequest, name, err)
 	}
 	sess, err := s.sessions.Create(name, gen, m.B.NumItems(), m.T.NumCols())
 	if err != nil {
@@ -117,14 +116,13 @@ func sessionBias(m *core.Model, sess *session.Session, wt *SessionWeights) []flo
 // conjunction streams over the code source (never materializing a resident
 // table), strata previous views covered are deprioritized in the sampler,
 // and the view is folded back into the session before returning. Admission
-// control and the per-table concurrency limit apply exactly as for
-// SelectScaled.
+// control and the per-table concurrency limit apply exactly as for Select.
 func (s *Service) SessionSelect(id string, preds []query.Predicate, k, l int, targets []string, scale *core.ScaleOptions, wt *SessionWeights) (*core.SubTable, error) {
 	sess, ok := s.sessions.Get(id)
 	if !ok {
 		return nil, fmt.Errorf("%w: session %q", ErrNotFound, id)
 	}
-	return s.sessionExplore(sess, preds, nil, k, l, targets, scale, wt)
+	return s.explore(sess.Table, sess, wt, core.ExploreSpec{Where: preds, K: k, L: l, Targets: targets, Scale: scale})
 }
 
 // SessionDrillDown expands an anchor from the session's last view into its
@@ -150,51 +148,11 @@ func (s *Service) SessionDrillDown(id string, row int, col string, k, l int, tar
 	}
 	scope, err := sess.DrillDown(m, row, ci)
 	if err != nil {
-		return nil, 0, fmt.Errorf("%w: %v", ErrBadRequest, err)
+		return nil, 0, fmt.Errorf("%w: %w", ErrBadRequest, err)
 	}
-	st, err := s.sessionExplore(sess, nil, scope, k, l, targets, scale, wt)
+	st, err := s.explore(sess.Table, sess, wt, core.ExploreSpec{Scope: scope, K: k, L: l, Targets: targets, Scale: scale})
 	if err != nil {
 		return nil, 0, err
 	}
 	return st, len(scope), nil
-}
-
-// sessionExplore is the shared admission + select + record step behind
-// SessionSelect and SessionDrillDown.
-func (s *Service) sessionExplore(sess *session.Session, preds []query.Predicate, scope []int, k, l int, targets []string, scale *core.ScaleOptions, wt *SessionWeights) (*core.SubTable, error) {
-	release, ok := s.limiter.Acquire(sess.Table)
-	if !ok {
-		return nil, fmt.Errorf("%w: table %q is at its concurrency limit", ErrOverloaded, sess.Table)
-	}
-	defer release()
-	m, err := s.sessionModel(sess)
-	if err != nil {
-		return nil, err
-	}
-	done, err := s.gov.Admit(memgov.ClassRequests, estimateSelectBytes(m, scale))
-	if err != nil {
-		return nil, fmt.Errorf("%w: select on %q: %w", ErrOverloaded, sess.Table, err)
-	}
-	defer done()
-	spec := core.ExploreSpec{
-		Where:   preds,
-		Scope:   scope,
-		K:       k,
-		L:       l,
-		Targets: targets,
-		Scale:   scale,
-		ColBias: sessionBias(m, sess, wt),
-	}
-	// The coverage bias engages only once the session has shown something:
-	// a fresh session's first select is byte-identical to the sessionless
-	// path (and keeps its sample-cache hits).
-	if sess.Views() > 0 {
-		spec.Covered = sess.Covered()
-	}
-	st, err := m.SelectExplore(spec)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	sess.RecordView(m.ViewItems(st), st.SourceRows, st.ColIdx)
-	return st, nil
 }

@@ -93,7 +93,7 @@ func TestShardedSmoke(t *testing.T) {
 	// per shard.
 	scale := &core.ScaleOptions{Threshold: 50_000}
 	start = time.Now()
-	inproc, err := build.SelectScaled("smoke", nil, 10, 8, nil, scale)
+	inproc, err := build.Select("smoke", core.ExploreSpec{K: 10, L: 8, Scale: scale})
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +102,7 @@ func TestShardedSmoke(t *testing.T) {
 		t.Fatalf("in-process sharded Select took %s, over the %s smoke bound", elapsed, shardSmokeSelectBound)
 	}
 	t.Logf("in-process scatter/gather Select: %s", elapsed)
-	again, err := build.SelectScaled("smoke", nil, 10, 8, nil, scale)
+	again, err := build.Select("smoke", core.ExploreSpec{K: 10, L: 8, Scale: scale})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestShardedSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	start = time.Now()
-	overHTTP, err := coord.SelectScaled("smoke", nil, 10, 8, nil, scale)
+	overHTTP, err := coord.Select("smoke", core.ExploreSpec{K: 10, L: 8, Scale: scale})
 	elapsed = time.Since(start)
 	if err != nil {
 		t.Fatal(err)

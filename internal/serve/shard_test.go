@@ -52,11 +52,11 @@ func TestAddTableShardedServesIdentically(t *testing.T) {
 
 	// Exact and scaled selects both match the in-memory twin.
 	for _, scale := range []*core.ScaleOptions{nil, scaleForce()} {
-		want, err := svcMem.SelectScaled("t", nil, 6, 3, nil, scale)
+		want, err := svcMem.Select("t", core.ExploreSpec{K: 6, L: 3, Scale: scale})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := svcSh.SelectScaled("t", nil, 6, 3, nil, scale)
+		got, err := svcSh.Select("t", core.ExploreSpec{K: 6, L: 3, Scale: scale})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,11 +75,11 @@ func TestAddTableShardedServesIdentically(t *testing.T) {
 	if src := m2.ShardSource(); src == nil || !src.Complete() {
 		t.Fatal("disk reload lost the shard backing")
 	}
-	want, err := svcMem.SelectScaled("t", nil, 6, 3, nil, scaleForce())
+	want, err := svcMem.Select("t", core.ExploreSpec{K: 6, L: 3, Scale: scaleForce()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := svcReload.SelectScaled("t", nil, 6, 3, nil, scaleForce())
+	got, err := svcReload.Select("t", core.ExploreSpec{K: 6, L: 3, Scale: scaleForce()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestShardedAppendKeepsSharded(t *testing.T) {
 	if src == nil || src.NumShards() != 3 || src.NumRows() != 1212 {
 		t.Fatalf("append changed the sharding: %+v", src)
 	}
-	if _, err := next.SelectWith(nil, 6, 3, nil, scaleForce()); err != nil {
+	if _, err := next.SelectExplore(core.ExploreSpec{K: 6, L: 3, Scale: scaleForce()}); err != nil {
 		t.Fatal(err)
 	}
 	svc2 := NewService(NewStore(StoreOptions{Dir: dir}), testOptions())
@@ -204,11 +204,11 @@ func TestShardedCoordinatorHTTP(t *testing.T) {
 	if _, err := svcMem.AddTable(name, testTable(name, 2500, 7), nil, false); err != nil {
 		t.Fatal(err)
 	}
-	want, err := svcMem.SelectScaled(name, nil, 6, 3, nil, scaleForce())
+	want, err := svcMem.Select(name, core.ExploreSpec{K: 6, L: 3, Scale: scaleForce()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := coord.SelectScaled(name, nil, 6, 3, nil, scaleForce())
+	got, err := coord.Select(name, core.ExploreSpec{K: 6, L: 3, Scale: scaleForce()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestShardedCoordinatorHTTP(t *testing.T) {
 	}
 
 	// Repeat select (cache hit on the coordinator) stays identical.
-	again, err := coord.SelectScaled(name, nil, 6, 3, nil, scaleForce())
+	again, err := coord.Select(name, core.ExploreSpec{K: 6, L: 3, Scale: scaleForce()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestShardedCoordinatorHTTP(t *testing.T) {
 
 	// Partial models refuse what needs all rows locally: exact selection,
 	// rule mining, appends.
-	if _, err := coord.SelectScaled(name, nil, 6, 3, nil, nil); err == nil {
+	if _, err := coord.Select(name, core.ExploreSpec{K: 6, L: 3}); err == nil {
 		t.Fatal("exact select succeeded on a partial model")
 	}
 	if _, _, err := coord.Rules(name, rulesOptionsForTest()); err == nil {

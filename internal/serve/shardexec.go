@@ -69,15 +69,26 @@ func (s *Service) SampleShard(name string, idx int, req *shard.SampleRequest) (*
 		return nil, fmt.Errorf("%w: shard %d of %q: request expects checksum %08x, this store has %08x",
 			ErrBadRequest, idx, name, got, want)
 	}
-	sum, matched, err := m.SampleShardFiltered(idx, req.Cols, req.Budget, req.Seed, req.Preds)
+	resp, err := sampleLocalShard(m, idx, req)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	return resp, nil
+}
+
+// sampleLocalShard scans one locally held shard and assembles the protocol
+// response — what a worker answers a peer with and what a coordinator
+// merges for the shards it holds itself.
+func sampleLocalShard(m *core.Model, idx int, req *shard.SampleRequest) (*shard.SampleResponse, error) {
+	sum, matched, err := m.SampleShard(idx, req.Cols, req.Budget, req.Seed, req.Preds)
+	if err != nil {
+		return nil, err
 	}
 	rows := sum.CandidateRows()
 	return &shard.SampleResponse{
 		Summary: sum,
 		Rows:    rows,
-		Codes:   gatherShardCodes(src, m.T.NumCols(), rows),
+		Codes:   gatherShardCodes(m.ShardSource(), m.T.NumCols(), rows),
 		Matched: matched,
 	}, nil
 }
@@ -188,7 +199,7 @@ func NewShardSampler(name string, m *core.Model, opt ShardPeersOptions) (core.Sh
 		return nil, fmt.Errorf("serve: table %q is not shard-backed", name)
 	}
 	if !src.Complete() && len(opt.Peers) == 0 {
-		return nil, fmt.Errorf("serve: table %q has remote shards but no peers were given", name)
+		return nil, fmt.Errorf("serve: table %q has shards held by peers but no peers were given", name)
 	}
 	if opt.Timeout <= 0 {
 		opt.Timeout = 30 * time.Second
@@ -239,24 +250,16 @@ type sampleResult struct {
 	bytes   int64  // estimated residency: rows + overlay rows + overlay codes
 }
 
-// Sample runs one full scatter/gather round: scan or fetch every
-// non-empty shard, merge the summaries, finish the pick order, and
-// overlay the gathered codes. rows is byte-identical to what the
-// single-store stratified reservoir would return.
-func (s *shardSampler) Sample(cols []int, budget int) ([]int, binning.CodeSource, error) {
-	rows, codes, _, err := s.SampleFiltered(cols, budget, nil)
-	return rows, codes, err
-}
-
-// SampleFiltered is Sample with a predicate conjunction pushed into the
-// per-shard scans (core.FilteredShardSampler): each request carries the
-// predicates, each worker evaluates them shard-locally inside its scan and
-// reports how many of its rows matched, and the merged sample is exactly
-// what a single-store filtered reservoir over the whole table would
-// return. matched is the total matching row count across shards — the
-// figure the scaled-path threshold gates on, since the coordinator never
+// Sample runs one full scatter/gather round: scan or fetch every non-empty
+// shard, merge the summaries, finish the pick order, and overlay the
+// gathered codes. Each request carries preds, each worker evaluates them
+// shard-locally inside its scan and reports how many of its rows matched,
+// and the merged sample is byte-identical to what the single-store
+// stratified reservoir over the matching rows would return (empty preds:
+// the whole table). matched is the total matching row count across shards —
+// the figure the scaled-path threshold gates on, since the coordinator never
 // materializes the matching row set.
-func (s *shardSampler) SampleFiltered(cols []int, budget int, preds []query.Predicate) ([]int, binning.CodeSource, int, error) {
+func (s *shardSampler) Sample(cols []int, budget int, preds []query.Predicate) ([]int, binning.CodeSource, int, error) {
 	if budget <= 0 {
 		return nil, nil, 0, fmt.Errorf("serve: sample budget must be positive, got %d", budget)
 	}
@@ -303,31 +306,16 @@ func (s *shardSampler) SampleFiltered(cols []int, budget int, preds []query.Pred
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			req := &shard.SampleRequest{Checksum: s.src.Desc(i).Checksum, Seed: seed, Budget: budget, Cols: cols, Preds: preds}
 			if s.src.ShardAvailable(i) {
-				sum, matched, err := s.m.SampleShardFiltered(i, cols, budget, seed, preds)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				rows := sum.CandidateRows()
-				resps[i] = &shard.SampleResponse{Summary: sum, Rows: rows, Codes: gatherShardCodes(s.src, nCols, rows), Matched: matched}
+				resps[i], errs[i] = sampleLocalShard(s.m, i, req)
 				return
 			}
-			resp, err := s.fetch(i, &shard.SampleRequest{
-				Checksum: s.src.Desc(i).Checksum,
-				Seed:     seed,
-				Budget:   budget,
-				Cols:     cols,
-				Preds:    preds,
-			})
+			resp, err := s.fetch(i, req)
 			if err == nil {
 				err = validateShardResponse(resp, s.src, i, nCols, s.m.B.NumItems())
 			}
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			resps[i] = resp
+			resps[i], errs[i] = resp, err
 		}(i)
 	}
 	wg.Wait()

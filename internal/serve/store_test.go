@@ -235,11 +235,11 @@ func TestServiceConcurrentAccess(t *testing.T) {
 			for i := 0; i < 8; i++ {
 				switch (g + i) % 4 {
 				case 0:
-					if _, err := svc.Select("conc", nil, 5, 2, nil); err != nil {
+					if _, err := svc.Select("conc", core.ExploreSpec{K: 5, L: 2}); err != nil {
 						t.Error(err)
 					}
 				case 1:
-					if _, err := svc.Select("conc", q, 4, 2, []string{"cat"}); err != nil {
+					if _, err := svc.Select("conc", core.ExploreSpec{Query: q, K: 4, L: 2, Targets: []string{"cat"}}); err != nil {
 						t.Error(err)
 					}
 				case 2:
@@ -256,11 +256,11 @@ func TestServiceConcurrentAccess(t *testing.T) {
 	}
 	wg.Wait()
 	// Selections against a warm cache must be deterministic across the run.
-	a, err := svc.Select("conc", nil, 5, 2, nil)
+	a, err := svc.Select("conc", core.ExploreSpec{K: 5, L: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := svc.Select("conc", nil, 5, 2, nil)
+	b, err := svc.Select("conc", core.ExploreSpec{K: 5, L: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

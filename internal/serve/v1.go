@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"subtab/internal/core"
-	"subtab/internal/query"
 )
 
 // createSessionRequest is the body of POST /v1/sessions.
@@ -20,12 +19,10 @@ type createSessionRequest struct {
 	Table string `json:"table"`
 }
 
-// v1SelectRequest is the consolidated body of POST
-// /v1/sessions/{id}/select: the predicate conjunction, the sub-table
+// v1Shape is the block every /v1 select-shaped body shares: the sub-table
 // shape, the per-request scale override, and the session weighting knobs.
 // K and L default to 10 when omitted.
-type v1SelectRequest struct {
-	Where   []predicateDTO  `json:"where"`
+type v1Shape struct {
 	K       int             `json:"k"`
 	L       int             `json:"l"`
 	Targets []string        `json:"targets"`
@@ -33,18 +30,20 @@ type v1SelectRequest struct {
 	Weights *SessionWeights `json:"weights"`
 }
 
+// v1SelectRequest is the consolidated body of POST
+// /v1/sessions/{id}/select: the predicate conjunction plus the shape block.
+type v1SelectRequest struct {
+	Where []predicateDTO `json:"where"`
+	v1Shape
+}
+
 // v1DrillDownRequest is the body of POST /v1/sessions/{id}/drilldown: the
 // anchor (a source row of the last view, plus optionally one of its
-// column names for a cell anchor) and the same shape/scale/weights block
-// as select.
+// column names for a cell anchor) plus the shape block.
 type v1DrillDownRequest struct {
-	Row     int             `json:"row"`
-	Col     string          `json:"col"`
-	K       int             `json:"k"`
-	L       int             `json:"l"`
-	Targets []string        `json:"targets"`
-	Scale   *scaleDTO       `json:"scale"`
-	Weights *SessionWeights `json:"weights"`
+	Row int    `json:"row"`
+	Col string `json:"col"`
+	v1Shape
 }
 
 // v1SubTableResponse is subTableResponse plus the session context: the
@@ -107,6 +106,10 @@ func checkShape(w http.ResponseWriter, k, l *int) bool {
 		writeBadRequest(w, "k and l must be non-negative, got k=%d l=%d", *k, *l)
 		return false
 	}
+	// Bound the response before any work happens: each of the k×l cells is
+	// materialized three times on the way out (view table, rendered view,
+	// JSON cells), so the budget is what keeps one request from holding
+	// the response path's memory hostage.
 	if *k > maxSelectCells || *l > maxSelectCells || *k**l > maxSelectCells {
 		writeBadRequest(w, "k×l = %d×%d exceeds the response budget of %d cells", *k, *l, maxSelectCells)
 		return false
@@ -124,22 +127,15 @@ func (h *api) sessionSelect(w http.ResponseWriter, r *http.Request) {
 	if !checkShape(w, &req.K, &req.L) {
 		return
 	}
-	preds := make([]query.Predicate, 0, len(req.Where))
-	for _, p := range req.Where {
-		op, err := parseOp(p.Op)
-		if err != nil {
-			writeBadRequest(w, "%v", err)
-			return
-		}
-		preds = append(preds, query.Predicate{Col: p.Col, Op: op, Num: p.Num, Str: p.Str})
+	preds, err := toPredicates(req.Where)
+	if err != nil {
+		writeBadRequest(w, "%v", err)
+		return
 	}
-	var scale *core.ScaleOptions
-	if req.Scale != nil {
-		var err error
-		if scale, err = req.Scale.toOptions(); err != nil {
-			writeBadRequest(w, "%v", err)
-			return
-		}
+	scale, err := req.Scale.toOptions()
+	if err != nil {
+		writeBadRequest(w, "%v", err)
+		return
 	}
 	start := time.Now()
 	st, err := h.svc.SessionSelect(id, preds, req.K, req.L, req.Targets, scale, req.Weights)
@@ -160,13 +156,10 @@ func (h *api) sessionDrillDown(w http.ResponseWriter, r *http.Request) {
 	if !checkShape(w, &req.K, &req.L) {
 		return
 	}
-	var scale *core.ScaleOptions
-	if req.Scale != nil {
-		var err error
-		if scale, err = req.Scale.toOptions(); err != nil {
-			writeBadRequest(w, "%v", err)
-			return
-		}
+	scale, err := req.Scale.toOptions()
+	if err != nil {
+		writeBadRequest(w, "%v", err)
+		return
 	}
 	start := time.Now()
 	st, scopeRows, err := h.svc.SessionDrillDown(id, req.Row, req.Col, req.K, req.L, req.Targets, scale, req.Weights)

@@ -42,7 +42,7 @@
 // pre-processing runs, and spills to disk using this same format.
 //
 // Million-row tables stay interactive through the large-table selection
-// mode (Options.Scale, or per call via Model.SelectWith): above a row
+// mode (Options.Scale, or per call via SelectExplore(ExploreSpec{Scale: …})): above a row
 // threshold, Select clusters a deterministic stratified sample of the
 // candidate rows with seeded mini-batch k-means instead of exact k-means
 // over every tuple-vector. Below the threshold the pipeline is bit-for-bit
@@ -159,8 +159,15 @@ type Options = core.Options
 // k-means over every tuple-vector, keeping million-row tables interactive.
 // Below the threshold (or with the zero value) selections are bit-for-bit
 // the exact path. Set it model-wide via Options.Scale or per call via
-// Model.SelectWith.
+// Model.SelectExplore(ExploreSpec{Scale: …}).
 type ScaleOptions = core.ScaleOptions
+
+// ExploreSpec is a selection request — the rows (whole table, predicate
+// conjunction, drill-down scope or query), the k×l shape and targets, a
+// per-call ScaleOptions override and an exploration session's coverage and
+// column weights. Model.SelectExplore is the one selection entry point;
+// Select and SelectQuery build the spec of Alg. 2's two signatures.
+type ExploreSpec = core.ExploreSpec
 
 // BinningOptions configures how columns are split into bins.
 type BinningOptions = binning.Options
