@@ -5,13 +5,25 @@
 //
 // Two properties matter to callers:
 //
-//   - Every kernel computes ONE fixed arithmetic function of its inputs:
-//     accumulation types, operand order and (for the unrolled reductions)
-//     lane-to-accumulator assignment are documented contracts, never tuned
-//     per platform. Element-wise kernels (Axpy, Add, Scale) unroll without
+//   - Every kernel computes ONE fixed arithmetic function of its inputs PER
+//     BUILD TARGET: accumulation types, operand order and (for the unrolled
+//     reductions) lane-to-accumulator assignment are documented contracts, so
+//     on one GOARCH the output is the same on every machine and at every
+//     worker count. Element-wise kernels (Axpy, Add, Scale) unroll without
 //     changing a single bit; reductions that unroll with multiple
-//     accumulators (Dot32) fix the lane order once, so their output is the
-//     same on every machine and at every worker count.
+//     accumulators (Dot32) fix the lane order once. What the contract does
+//     NOT fix is whether a*b+c rounds once or twice: the Go compiler keeps
+//     the two roundings on amd64 (at any GOAMD64 level) and fuses them into
+//     FMADD on arm64, ppc64le, s390x and riscv64. The pinned bits — every
+//     golden in this repository — are those of unfused amd64. On amd64 the
+//     two hottest kernels (SGSlotDistinct, MeanPoolInto) run SSE2 assembly
+//     bodies (kernels_amd64.s) that are unfused and bit-identical to the Go
+//     bodies in this file, which a differential test and two fuzz targets
+//     hold them to; every other target runs the Go bodies as its compiler
+//     lowers them. The one thing left open inside a target is the payload of
+//     a NaN: which operand's payload survives an add of two NaNs depends on
+//     the operand order the compiler picked, so a NaN output is a NaN in
+//     every body, with unspecified bits.
 //   - The parallel helpers only hand out disjoint index ranges; combined with
 //     MapReduceOrdered's chunk-order reduction, every parallel computation in
 //     this codebase is order-deterministic — same inputs, same bytes out,
@@ -94,7 +106,8 @@ func Dot(a, b []float32) float64 {
 // as ((s0+s1)+(s2+s3))+tail; that lane order is FIXED and part of the
 // contract — it breaks the add-latency dependency chain without introducing
 // any scheduling- or width-dependent variation, so the result is one
-// deterministic function of the inputs on every machine.
+// deterministic function of the inputs on every machine of a build target
+// (the package comment has the fused-multiply-add caveat across targets).
 func Dot32(a, b []float32) float32 {
 	// Pinning cap to len lets the prover discharge the chunk-slice bounds
 	// checks below (slicing checks cap, not len).
@@ -436,13 +449,13 @@ func Cosine(a, b []float32) float64 {
 	return dot / (math.Sqrt(na) * math.Sqrt(nb))
 }
 
-// MeanPoolInto sets dst to the component-wise mean of the selected rows of
-// src, skipping negative indices (the "unseen item" sentinel), and returns
-// how many rows were pooled. dst is zeroed first; when nothing is pooled it
-// stays zero. The accumulation is float32 sums in index order followed by a
-// single multiply by 1/n — bit-identical to the scalar mean loops it
-// replaced.
-func MeanPoolInto(dst []float32, src Matrix, rows []int32) int {
+// meanPoolIntoGo is the Go body of MeanPoolInto — the arithmetic contract
+// (see MeanPoolInto), the body of every target but amd64, on amd64 the body
+// for shapes the SSE2 one does not take, and the oracle of the differential
+// test. dst is zeroed, the selected rows are added in index order (negative
+// indices skipped) as float32 sums starting from +0, and the sums are
+// multiplied once by 1/float32(n); nothing pooled leaves dst zero.
+func meanPoolIntoGo(dst []float32, src Matrix, rows []int32) int {
 	Zero(dst)
 	n := 0
 	for _, r := range rows {
@@ -638,15 +651,12 @@ func SGSlot(lr float32, cv, grad []float32, tvs [][]float32) {
 	sgSlotSeq(lr, cv, grad, tvs)
 }
 
-// SGSlotDistinct is SGSlot's all-distinct-rows path: dots for every target
-// first, then the sigmoid gradients, then the updates in target order. It is
-// exported for callers that already know every target row is distinct — e.g.
-// the trainer, which sees the sampled row ids as integers and can compare
-// them for free — skipping SGSlot's per-call pointer scan. The caller's
-// guarantees are the contract: 1 <= len(tvs) <= SGSlotMaxBatch, len(cv) > 0,
-// and pairwise non-aliased target rows (aliased rows passed here would read
-// stale values where SGSlot's sequential order shows earlier updates).
-func SGSlotDistinct(lr float32, cv, grad []float32, tvs [][]float32) {
+// sgSlotDistinctGo is the Go body of SGSlotDistinct — the arithmetic
+// contract (see SGSlotDistinct), the body of every target but amd64, on
+// amd64 the body for shapes the SSE2 one does not take, and the oracle of
+// the differential test: dots for every target first, then the sigmoid
+// gradients, then the updates in target order.
+func sgSlotDistinctGo(lr float32, cv, grad []float32, tvs [][]float32) {
 	cv = cv[:len(cv):len(cv)]
 	grad = grad[:len(cv):len(cv)]
 	var gs [SGSlotMaxBatch]float32
@@ -686,10 +696,10 @@ func SGSlotDistinct(lr float32, cv, grad []float32, tvs [][]float32) {
 		gs[ki] = (label - Sigmoid32(gs[ki])) * lr
 		label = 0
 	}
-	// grad is initialized by the first unsaturated target (g*tv equals
-	// 0 + g*tv bit for bit) instead of a separate zeroing pass; if every
-	// target saturates, grad is zeroed to honor the contract and the center
-	// add is skipped (cv + 0 is the identity).
+	// The first unsaturated target INITIALIZES grad with g*tv; there is no
+	// zeroing pass and no 0 + g*tv (which would turn a -0 product into +0).
+	// Later targets accumulate. If every target saturates, grad is zeroed to
+	// honor the contract and the center add is skipped.
 	ginit := false
 	for k, tv := range tvs {
 		g := gs[k&(SGSlotMaxBatch-1)]
