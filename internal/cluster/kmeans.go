@@ -6,17 +6,16 @@
 //
 // The native input is a contiguous f32.Matrix (KMeansMatrix); the
 // slice-of-slices KMeans entry point packs and delegates. The assignment
-// step — the O(n·k·dim) bulk of every Lloyd iteration — runs across workers
-// and prunes distance computations that provably cannot win, while the
-// centroid-update step stays serial: its float accumulation order is part of
-// the determinism contract, so results are bit-identical to the serial
-// implementation at any worker count.
+// step — the O(n·k·dim) bulk of every Lloyd iteration — runs across workers,
+// each point's scan one f32.Centers.Nearest call (every center's distance in
+// one pass over the point), while the centroid-update step stays serial: its
+// float accumulation order is part of the determinism contract, so results
+// are bit-identical to the serial implementation at any worker count.
 package cluster
 
 import (
 	"math"
 	"math/rand"
-	"sort"
 
 	"subtab/internal/f32"
 )
@@ -89,33 +88,25 @@ func KMeansMatrix(pts f32.Matrix, k int, opt Options) *Result {
 	sizes := make([]int, k)
 	next := f32.New(k, dim)
 	counts := make([]int, k)
+	var nearest f32.Centers
 
 	iter := 0
 	for ; iter < opt.MaxIter; iter++ {
 		// Assignment step: every point's nearest center is independent, so
-		// the row range fans out across workers. Each scan is seeded with
-		// the point's previous center (points rarely migrate, so that bound
-		// is usually the final one and every other center aborts within a
-		// few components). Equivalence to the plain index-order scan: a
-		// center achieving the true minimum has all prefix sums <= the
-		// incumbent bound, so SqDistBounded returns its exact distance, and
-		// the explicit lowest-index tie-break reproduces the serial scan's
-		// first-wins behaviour even on exact float ties (duplicate rows).
+		// the row range fans out across workers against the centers as
+		// frozen here. Each scan starts from the point's previous center and
+		// visits the others in index order with an explicit lowest-index
+		// tie-break, which reproduces the plain index-order scan's first-wins
+		// behaviour even on exact float ties (duplicate rows). On amd64
+		// Nearest computes every center's distance in full, side by side in
+		// one pass over the point; elsewhere it cuts a center's sum short
+		// once it exceeds the incumbent's. Both pick the same center — a sum
+		// cut short has already lost and only grows (see f32.Centers.Nearest).
+		nearest.Load(centers)
 		f32.ParallelRange(n, workers, func(start, end int) {
+			scratch := nearest.Scratch()
 			for i := start; i < end; i++ {
-				p := pts.Row(i)
-				best := assign[i]
-				bestD := f32.SqDist(p, centers.Row(best))
-				for c := 0; c < k; c++ {
-					if c == best {
-						continue
-					}
-					d := f32.SqDistBounded(p, centers.Row(c), bestD)
-					if d < bestD || (d == bestD && c < best) {
-						best, bestD = c, d
-					}
-				}
-				assign[i] = best
+				assign[i], _ = nearest.Nearest(pts.Row(i), assign[i], scratch)
 			}
 		})
 		for c := range sizes {
@@ -258,86 +249,6 @@ func (r *Result) RepresentativesMatrix(pts f32.Matrix) []int {
 	return out
 }
 
-// RepresentativesDispersed selects one representative per cluster like
-// Representatives, but among each cluster's q most-central members it picks
-// the one farthest from the representatives already chosen (greedy max-min
-// dispersion). Centrality keeps representatives typical of their pattern;
-// the dispersion tie-break keeps the selected set visibly diverse — the two
-// goals of the paper's centroid-based selection.
-//
-// Deprecated: use RepresentativesDispersedMatrix, which takes the pipeline's
-// native flat matrix and avoids the slice-of-slices packing copy.
-func (r *Result) RepresentativesDispersed(points [][]float32, q int) []int {
-	return r.RepresentativesDispersedMatrix(f32.FromRows(points), q)
-}
-
-// RepresentativesDispersedMatrix is RepresentativesDispersed over a flat
-// matrix (no packing). The greedy dispersion scan is serial in cluster-size
-// order with index-order tie-breaks, so the selection is one fixed function
-// of (clustering, pts, q).
-func (r *Result) RepresentativesDispersedMatrix(pts f32.Matrix, q int) []int {
-	if r.K == 0 {
-		return nil
-	}
-	if q <= 1 {
-		return r.RepresentativesMatrix(pts)
-	}
-	// Per cluster: the q members nearest the centroid.
-	type cand struct {
-		idx int
-		d   float64
-	}
-	cands := make([][]cand, r.K)
-	for i := 0; i < pts.R; i++ {
-		c := r.Assign[i]
-		cands[c] = append(cands[c], cand{i, f32.SqDist(pts.Row(i), r.Centers[c])})
-	}
-	for c := range cands {
-		sort.Slice(cands[c], func(x, y int) bool { return cands[c][x].d < cands[c][y].d })
-		if len(cands[c]) > q {
-			cands[c] = cands[c][:q]
-		}
-	}
-	order := make([]int, r.K)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(x, y int) bool {
-		if r.Sizes[order[x]] != r.Sizes[order[y]] {
-			return r.Sizes[order[x]] > r.Sizes[order[y]]
-		}
-		return order[x] < order[y]
-	})
-	var out []int
-	for _, c := range order {
-		if len(cands[c]) == 0 {
-			continue
-		}
-		best, bestScore := -1, -1.0
-		for _, cd := range cands[c] {
-			minD := math.Inf(1)
-			for _, sel := range out {
-				if d := f32.SqDist(pts.Row(cd.idx), pts.Row(sel)); d < minD {
-					minD = d
-				}
-			}
-			if len(out) == 0 {
-				minD = 0
-			}
-			// Prefer far-from-selected; break ties toward centrality.
-			score := minD - 1e-9*cd.d
-			if best < 0 || score > bestScore {
-				best, bestScore = cd.idx, score
-			}
-		}
-		if len(out) == 0 {
-			best = cands[c][0].idx // first cluster: the most central member
-		}
-		out = append(out, best)
-	}
-	return out
-}
-
 // seedPlusPlus picks k initial centers with the k-means++ D² weighting. The
 // rng draws and the D² accumulation stay serial (their order is part of the
 // determinism contract); the per-point distance refreshes fan out across
@@ -385,10 +296,6 @@ func seedPlusPlus(pts f32.Matrix, k int, rng *rand.Rand, workers int) f32.Matrix
 	}
 	return centers
 }
-
-// sqDist returns the squared Euclidean distance (kept for in-package
-// callers; the implementation lives in the f32 kernel set).
-func sqDist(a, b []float32) float64 { return f32.SqDist(a, b) }
 
 // Inertia returns the total within-cluster squared distance — the k-means
 // objective, useful for tests and ablations.

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"subtab/internal/f32"
 )
 
 // blobs generates k well-separated Gaussian blobs.
@@ -83,9 +85,9 @@ func TestAssignmentsAreNearest(t *testing.T) {
 	pts, _ := blobs(30, 3, 3, 5)
 	res := KMeans(pts, 3, Options{Seed: 5})
 	for i, p := range pts {
-		assigned := sqDist(p, res.Centers[res.Assign[i]])
+		assigned := f32.SqDist(p, res.Centers[res.Assign[i]])
 		for c := range res.Centers {
-			if d := sqDist(p, res.Centers[c]); d < assigned-1e-9 {
+			if d := f32.SqDist(p, res.Centers[c]); d < assigned-1e-9 {
 				t.Fatalf("point %d assigned to %d (d=%v) but %d is closer (d=%v)", i, res.Assign[i], assigned, c, d)
 			}
 		}
@@ -146,9 +148,9 @@ func TestRepresentativeIsNearestToCenter(t *testing.T) {
 	reps := res.Representatives(pts)
 	for _, rep := range reps {
 		c := res.Assign[rep]
-		repD := sqDist(pts[rep], res.Centers[c])
+		repD := f32.SqDist(pts[rep], res.Centers[c])
 		for i, p := range pts {
-			if res.Assign[i] == c && sqDist(p, res.Centers[c]) < repD-1e-9 {
+			if res.Assign[i] == c && f32.SqDist(p, res.Centers[c]) < repD-1e-9 {
 				t.Fatalf("rep %d not nearest to center %d (point %d closer)", rep, c, i)
 			}
 		}

@@ -54,9 +54,8 @@ func (o MiniBatchOptions) withDefaults(n int) MiniBatchOptions {
 // the selection pipeline cluster candidate samples of million-row tables
 // interactively. After converging it runs one full assignment pass (plus the
 // shared empty-cluster repair) over every point, so Result.Assign/Sizes
-// describe the whole input and the representative selectors
-// (RepresentativesMatrix, RepresentativesDispersedMatrix) work exactly as
-// they do on the exact path. When k >= pts.R every point becomes its own
+// describe the whole input and RepresentativesMatrix works exactly as it
+// does on the exact path. When k >= pts.R every point becomes its own
 // cluster, as in KMeansMatrix.
 //
 // Determinism contract (same as KMeansMatrix): the rng draws, the center
@@ -110,6 +109,7 @@ func MiniBatchKMeans(pts f32.Matrix, k int, opt MiniBatchOptions) *Result {
 	counts := make([]int, k) // per-center lifetime assignment counts
 	batch := make([]int, opt.BatchSize)
 	bAssign := make([]int, opt.BatchSize)
+	var nearest f32.Centers // centers as frozen at the start of each assignment pass
 
 	// Convergence reference: Tolerance is relative to the seeded centers'
 	// summed norms, so the stopping rule is invariant to embedding scale.
@@ -129,20 +129,13 @@ func MiniBatchKMeans(pts f32.Matrix, k int, opt MiniBatchOptions) *Result {
 			batch[j] = rng.Intn(n)
 		}
 		// Assign the whole batch against a frozen center snapshot; each batch
-		// slot is written by exactly one index, and the bounded scan plus
-		// lowest-index tie-break reproduce the serial scan (see KMeansMatrix).
+		// slot is written by exactly one index, and Nearest's lowest-index
+		// tie-break reproduces the serial scan (see KMeansMatrix).
+		nearest.Load(centers)
 		f32.ParallelRange(len(batch), min(workers, f32.Workers(len(batch))), func(start, end int) {
+			scratch := nearest.Scratch()
 			for j := start; j < end; j++ {
-				p := pts.Row(batch[j])
-				best := 0
-				bestD := f32.SqDist(p, centers.Row(0))
-				for c := 1; c < k; c++ {
-					d := f32.SqDistBounded(p, centers.Row(c), bestD)
-					if d < bestD || (d == bestD && c < best) {
-						best, bestD = c, d
-					}
-				}
-				bAssign[j] = best
+				bAssign[j], _ = nearest.Nearest(pts.Row(batch[j]), 0, scratch)
 			}
 		})
 		copy(prev.Data, centers.Data)
@@ -172,18 +165,11 @@ func MiniBatchKMeans(pts f32.Matrix, k int, opt MiniBatchOptions) *Result {
 
 	// Final full-assignment pass: every point, against the converged centers.
 	assign := make([]int, n)
+	nearest.Load(centers)
 	f32.ParallelRange(n, workers, func(start, end int) {
+		scratch := nearest.Scratch()
 		for i := start; i < end; i++ {
-			p := pts.Row(i)
-			best := 0
-			bestD := f32.SqDist(p, centers.Row(0))
-			for c := 1; c < k; c++ {
-				d := f32.SqDistBounded(p, centers.Row(c), bestD)
-				if d < bestD || (d == bestD && c < best) {
-					best, bestD = c, d
-				}
-			}
-			assign[i] = best
+			assign[i], _ = nearest.Nearest(pts.Row(i), 0, scratch)
 		}
 	})
 	sizes := make([]int, k)

@@ -112,20 +112,3 @@ func TestMiniBatchKMeansNoEmptyClusters(t *testing.T) {
 		}
 	}
 }
-
-// TestRepresentativesDispersedMatrixMatchesSlices pins the matrix-native
-// variant to the deprecated slice-of-slices entry point.
-func TestRepresentativesDispersedMatrixMatchesSlices(t *testing.T) {
-	pts, _ := matBlobs(200, 3, 5, 4)
-	res := KMeansMatrix(pts, 3, Options{Seed: 2})
-	want := res.RepresentativesDispersed(pts.Rows(), 8)
-	got := res.RepresentativesDispersedMatrix(pts, 8)
-	if len(want) != len(got) {
-		t.Fatalf("lengths differ: %d vs %d", len(want), len(got))
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("representative %d differs: %d vs %d", i, want[i], got[i])
-		}
-	}
-}

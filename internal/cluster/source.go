@@ -100,6 +100,7 @@ func MiniBatchKMeansSource(src PointSource, k int, opt MiniBatchOptions) *Result
 	batch := make([]int, opt.BatchSize)
 	bAssign := make([]int, opt.BatchSize)
 	batchPts := f32.New(opt.BatchSize, dim)
+	var nearest f32.Centers
 
 	movedRef := 0.0
 	for c := 0; c < k; c++ {
@@ -115,18 +116,11 @@ func MiniBatchKMeansSource(src PointSource, k int, opt MiniBatchOptions) *Result
 			batch[j] = rng.Intn(n)
 		}
 		src.Gather(batchPts, batch)
+		nearest.Load(centers)
 		f32.ParallelRange(len(batch), min(workers, f32.Workers(len(batch))), func(start, end int) {
+			scratch := nearest.Scratch()
 			for j := start; j < end; j++ {
-				p := batchPts.Row(j)
-				best := 0
-				bestD := f32.SqDist(p, centers.Row(0))
-				for c := 1; c < k; c++ {
-					d := f32.SqDistBounded(p, centers.Row(c), bestD)
-					if d < bestD || (d == bestD && c < best) {
-						best, bestD = c, d
-					}
-				}
-				bAssign[j] = best
+				bAssign[j], _ = nearest.Nearest(batchPts.Row(j), 0, scratch)
 			}
 		})
 		copy(prev.Data, centers.Data)
@@ -156,22 +150,15 @@ func MiniBatchKMeansSource(src PointSource, k int, opt MiniBatchOptions) *Result
 	assign := make([]int, n)
 	chunkRows := chunkRowsOf(src)
 	buf := f32.New(min(chunkRows, n), dim)
+	nearest.Load(centers)
 	for start := 0; start < n; start += chunkRows {
 		cn := min(chunkRows, n-start)
 		chunk := f32.Wrap(cn, dim, buf.Data[:cn*dim])
 		src.ReadChunk(start, chunk)
 		f32.ParallelRange(cn, min(workers, f32.Workers(cn)), func(lo, hi int) {
+			scratch := nearest.Scratch()
 			for i := lo; i < hi; i++ {
-				p := chunk.Row(i)
-				best := 0
-				bestD := f32.SqDist(p, centers.Row(0))
-				for c := 1; c < k; c++ {
-					d := f32.SqDistBounded(p, centers.Row(c), bestD)
-					if d < bestD || (d == bestD && c < best) {
-						best, bestD = c, d
-					}
-				}
-				assign[start+i] = best
+				assign[start+i], _ = nearest.Nearest(chunk.Row(i), 0, scratch)
 			}
 		})
 	}

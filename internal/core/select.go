@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -260,6 +261,30 @@ func (m *Model) execute(p *plan, spec ExploreSpec) (*SubTable, error) {
 	return st, nil
 }
 
+// cand is a cluster member up for representative: its index among the
+// clustered vectors and its squared distance to its cluster's centroid.
+type cand struct {
+	idx int
+	d   float64
+}
+
+// byDistance orders candidates by centroid distance alone. Equal distances
+// compare equal — never broken by idx: which of two duplicate rows comes
+// first is then whatever the sort leaves, and the goldens were recorded with
+// what sort.Slice leaves. slices.SortFunc, which swaps without reflection,
+// leaves the same: the two are instances of one pdqsort template and take
+// the same compare and swap sequence for a consistent order.
+// TestCandidateSortMatchesSortSlice holds a toolchain to that.
+func (a cand) byDistance(b cand) int {
+	switch {
+	case a.d < b.d:
+		return -1
+	case b.d < a.d:
+		return 1
+	}
+	return 0
+}
+
 // diverseRepresentatives picks one row per cluster: among the q members
 // nearest each cluster's centroid, the one with the lowest average binned
 // Jaccard similarity (the measure of Def. 3.7) to the rows already picked —
@@ -299,17 +324,13 @@ func (m *Model) diverseRepresentatives(res *cluster.Result, vecs *f32.Slab, rows
 			})
 		}
 	}
-	type cand struct {
-		idx int
-		d   float64
-	}
 	cands := make([][]cand, res.K)
 	for i := 0; i < n; i++ {
 		c := res.Assign[i]
 		cands[c] = append(cands[c], cand{i, ds[i]})
 	}
 	for c := range cands {
-		sort.Slice(cands[c], func(x, y int) bool { return cands[c][x].d < cands[c][y].d })
+		slices.SortFunc(cands[c], cand.byDistance)
 		if len(cands[c]) > q {
 			cands[c] = cands[c][:q]
 		}

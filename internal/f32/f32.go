@@ -16,11 +16,16 @@
 //     the two roundings on amd64 (at any GOAMD64 level) and fuses them into
 //     FMADD on arm64, ppc64le, s390x and riscv64. The pinned bits — every
 //     golden in this repository — are those of unfused amd64. On amd64 the
-//     two hottest kernels (SGSlotDistinct, MeanPoolInto) run SSE2 assembly
-//     bodies (kernels_amd64.s) that are unfused and bit-identical to the Go
-//     bodies in this file, which a differential test and two fuzz targets
-//     hold them to; every other target runs the Go bodies as its compiler
-//     lowers them. The one thing left open inside a target is the payload of
+//     three hottest kernels (SGSlotDistinct, MeanPoolInto, Centers.Nearest)
+//     run SSE2 assembly bodies (kernels_amd64.s) that are unfused and
+//     bit-identical to the Go bodies in this file, which differential tests
+//     and three fuzz targets hold them to; every other target runs the Go
+//     bodies as its compiler lowers them. The first two keep the 4-lane
+//     accumulator contract, a register's lanes being four components. In
+//     Nearest the lanes are centres: each lane runs SqDist's own serial sum
+//     for its centre, so every distance has SqDist's bits, no lane order
+//     exists to fix, and the nearest centre is the one the Go body's bounded
+//     scan returns. The one thing left open inside a target is the payload of
 //     a NaN: which operand's payload survives an add of two NaNs depends on
 //     the operand order the compiler picked, so a NaN output is a NaN in
 //     every body, with unspecified bits.
@@ -433,6 +438,55 @@ func SqDistBounded(a, b []float32, bound float64) float64 {
 		s += d * d
 	}
 	return s
+}
+
+// centersGo is the Go body of Centers: the centres kept as rows and scanned
+// one after another, each sum but the first's cut short by SqDistBounded once
+// it exceeds the incumbent's. It is Centers itself on every target but amd64,
+// and on amd64 the oracle the SSE2 body is tested against — hence the same
+// methods, the same panics and a scratch it has no use for.
+type centersGo struct{ m Matrix }
+
+// Load copies the centres (the rows of m) in; later writes to m are not seen.
+// The copy's storage is reused from one Load to the next.
+func (c *centersGo) Load(m Matrix) {
+	if len(m.Data) != m.R*m.C {
+		panic("f32: Centers.Load: data length does not match dimensions")
+	}
+	c.m = Matrix{R: m.R, C: m.C, Data: append(c.m.Data[:0], m.Data...)}
+}
+
+// Scratch allocates what Nearest needs as scratch for the centres loaded:
+// one float64 per centre, rounded up to even. One per goroutine.
+func (c *centersGo) Scratch() []float64 { return make([]float64, (c.m.R+1)&^1) }
+
+// Nearest returns the centre nearest to p[:dim] and its squared distance, as
+// SqDist computes it. The scan starts from centre first and visits the
+// others in index order, taking a strictly smaller distance or an equal one
+// at a lower index — so without NaNs the answer is the lowest-indexed centre
+// at the minimum whatever first is, and a NaN distance never wins but from
+// first. It panics on a p shorter than dim, a scratch shorter than Scratch
+// returns, and a first that is not a centre.
+func (c *centersGo) Nearest(p []float32, first int, scratch []float64) (int, float64) {
+	if len(p) < c.m.C || len(scratch) < (c.m.R+1)&^1 {
+		panic("f32: Centers.Nearest: p or scratch too short")
+	}
+	p = p[:c.m.C]
+	if first < 0 || first >= c.m.R {
+		panic("f32: Centers.Nearest: first is not a centre")
+	}
+	best := first
+	bestD := SqDist(p, c.m.Row(best))
+	for i := 0; i < c.m.R; i++ {
+		if i == best {
+			continue
+		}
+		d := SqDistBounded(p, c.m.Row(i), bestD)
+		if d < bestD || (d == bestD && i < best) {
+			best, bestD = i, d
+		}
+	}
+	return best, bestD
 }
 
 // Cosine returns the cosine similarity of two vectors (0 for zero vectors).

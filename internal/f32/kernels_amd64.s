@@ -2,13 +2,14 @@
 
 #include "textflag.h"
 
-// SSE2 bodies of SGSlotDistinct and MeanPoolInto. They compute the arithmetic
-// of sgSlotDistinctGo and meanPoolIntoGo (f32.go) bit for bit: one XMM
-// register is the four accumulators of the lane contract, every a*b+c is
-// MULPS then ADDPS (two roundings, as the Go compiler emits on amd64), MXCSR
-// is left alone. Loads and stores are MOVUPS throughout: rows are 4-byte
-// aligned, not 16. There are no bounds checks here; kernels_amd64.go makes
-// them before it calls in.
+// SSE2 bodies of SGSlotDistinct, MeanPoolInto and Centers.Nearest. The first
+// two compute the arithmetic of sgSlotDistinctGo and meanPoolIntoGo (f32.go)
+// bit for bit: one XMM register is the four accumulators of the lane
+// contract, every a*b+c is MULPS then ADDPS (two roundings, as the Go
+// compiler emits on amd64), MXCSR is left alone. Loads and stores are MOVUPS
+// throughout: rows are 4-byte aligned, not 16. The third, sqDistPairsSSE2 at
+// the end of the file, is SqDist for two centres per register. There are no
+// bounds checks here; kernels_amd64.go makes them before it calls in.
 
 // Sigmoid32's constants as float32 bits. TestSSE2SigmoidConstants holds them
 // to sigMax, sigScale and sigTableSize.
@@ -337,4 +338,134 @@ skip4:
 	JMP    block4
 
 pooled:
+	RET
+
+// SQSTEP loads the next component of p (SI), widens it to float64 — exact —
+// and broadcasts it to both lanes of X6.
+#define SQSTEP \
+	MOVSS    (SI), X6 \
+	CVTSS2SD X6, X6   \
+	UNPCKLPD X6, X6
+
+// SQPAIR advances the sums of the two centres OFF bytes into the current row
+// of t (DX) by one component: x = p - c in that order, x*x, then the add, as
+// SqDist's float64(a[i]) - float64(b[i]); s += d*d. MOVUPD: a []float64 is
+// 8-byte aligned, not 16.
+#define SQPAIR(OFF, S) \
+	MOVAPS X6, X7      \
+	MOVUPD OFF(DX), X8 \
+	SUBPD  X8, X7      \
+	MULPD  X7, X7      \
+	ADDPD  X7, S
+
+// SQNEXT moves to the next component: 4 bytes of p, one row (BX bytes) of t.
+// Loops are entered at the test, so len(p) == 0 stores the +0 sums.
+#define SQNEXT(LOOP, TEST) \
+	ADDQ $4, SI \
+	ADDQ BX, DX \
+TEST:           \
+	SUBQ $1, CX \
+	JGE  LOOP
+
+// func sqDistPairsSSE2(p []float32, t []float64, stride int, dist []float64, off, pairs int)
+//
+// Lanes are centres: X0..X5 hold the running sums of up to six centre pairs,
+// every sum starts at +0 and takes its centre's terms in component order, so
+// each lane is SqDist of p and that centre, and the pairs' add chains, which
+// one SqDist call after another would run back to back, run side by side.
+// One loop per pair count, so the loop holds no branch but its own.
+TEXT ·sqDistPairsSSE2(SB), NOSPLIT, $0-96
+	MOVQ  p_base+0(FP), SI
+	MOVQ  p_len+8(FP), CX
+	MOVQ  t_base+24(FP), DX
+	MOVQ  stride+48(FP), BX
+	MOVQ  dist_base+56(FP), DI
+	MOVQ  off+80(FP), AX
+	SHLQ  $3, BX
+	LEAQ  (DX)(AX*8), DX
+	LEAQ  (DI)(AX*8), DI
+	MOVQ  pairs+88(FP), AX
+	XORPS X0, X0
+	XORPS X1, X1
+	XORPS X2, X2
+	XORPS X3, X3
+	XORPS X4, X4
+	XORPS X5, X5
+	CMPQ  AX, $5
+	JEQ   test5
+	CMPQ  AX, $6
+	JEQ   test6
+	CMPQ  AX, $4
+	JEQ   test4
+	CMPQ  AX, $3
+	JEQ   test3
+	CMPQ  AX, $2
+	JEQ   test2
+	JMP   test1
+
+loop6:
+	SQSTEP
+	SQPAIR(0, X0)
+	SQPAIR(16, X1)
+	SQPAIR(32, X2)
+	SQPAIR(48, X3)
+	SQPAIR(64, X4)
+	SQPAIR(80, X5)
+	SQNEXT(loop6, test6)
+	MOVUPD X5, 80(DI)
+	JMP    store5
+
+loop5:
+	SQSTEP
+	SQPAIR(0, X0)
+	SQPAIR(16, X1)
+	SQPAIR(32, X2)
+	SQPAIR(48, X3)
+	SQPAIR(64, X4)
+	SQNEXT(loop5, test5)
+
+store5:
+	MOVUPD X4, 64(DI)
+	JMP    store4
+
+loop4:
+	SQSTEP
+	SQPAIR(0, X0)
+	SQPAIR(16, X1)
+	SQPAIR(32, X2)
+	SQPAIR(48, X3)
+	SQNEXT(loop4, test4)
+
+store4:
+	MOVUPD X3, 48(DI)
+	JMP    store3
+
+loop3:
+	SQSTEP
+	SQPAIR(0, X0)
+	SQPAIR(16, X1)
+	SQPAIR(32, X2)
+	SQNEXT(loop3, test3)
+
+store3:
+	MOVUPD X2, 32(DI)
+	JMP    store2
+
+loop2:
+	SQSTEP
+	SQPAIR(0, X0)
+	SQPAIR(16, X1)
+	SQNEXT(loop2, test2)
+
+store2:
+	MOVUPD X1, 16(DI)
+	JMP    store1
+
+loop1:
+	SQSTEP
+	SQPAIR(0, X0)
+	SQNEXT(loop1, test1)
+
+store1:
+	MOVUPD X0, 0(DI)
 	RET

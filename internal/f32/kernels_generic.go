@@ -15,3 +15,7 @@ func SGSlotDistinct(lr float32, cv, grad []float32, tvs [][]float32) {
 func MeanPoolInto(dst []float32, src Matrix, rows []int32) int {
 	return meanPoolIntoGo(dst, src, rows)
 }
+
+// Centers holds k centres for nearest-centre scans. On this target it is the
+// Go body; kernels_amd64.go documents the contract.
+type Centers = centersGo

@@ -498,3 +498,235 @@ func BenchmarkMeanPoolInto(b *testing.B) {
 		})
 	}
 }
+
+// Differential tests of Centers against centersGo, its Go body. What is
+// compared is the answer, index and distance bits, at every starting centre,
+// and — where the body computes them — every centre's own distance against
+// SqDist, NaNs folded as above.
+
+func sameBits64(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+// checkNearest loads the centres into both bodies and asks both for p's
+// nearest centre starting from each centre in turn, with p at float32 offset
+// pOff and the scratch at float64 offset sOff of their arrays.
+func checkNearest(t *testing.T, m Matrix, p []float32, pOff, sOff int) {
+	t.Helper()
+	var got Centers
+	var want centersGo
+	got.Load(m)
+	want.Load(m)
+	q := carve(len(p), pOff)
+	copy(q, p)
+	// The scratch sits between canaries: the assembly writes it unchecked.
+	const canary = -12345.5
+	ga := make([]float64, sOff+len(got.Scratch())+2)
+	for i := range ga {
+		ga[i] = canary
+	}
+	gs := ga[sOff : len(ga)-2]
+	ws := want.Scratch()
+	for first := 0; first < m.R; first++ {
+		gi, gd := got.Nearest(q, first, gs)
+		wi, wd := want.Nearest(p, first, ws)
+		if (sOff == 1 && ga[0] != canary) || ga[len(ga)-2] != canary || ga[len(ga)-1] != canary {
+			t.Fatalf("dim %d, %d centres, first %d, offsets %d/%d: Nearest wrote outside its scratch", m.C, m.R, first, pOff, sOff)
+		}
+		if gi != wi || !sameBits64(gd, wd) {
+			t.Fatalf("dim %d, %d centres, first %d, offsets %d/%d: nearest (%d, %x), Go body (%d, %x)",
+				m.C, m.R, first, pOff, sOff, gi, math.Float64bits(gd), wi, math.Float64bits(wd))
+		}
+		for c, d := range laneDists(&got, gs) {
+			if sd := SqDist(p[:m.C], m.Row(c)); !sameBits64(d, sd) {
+				t.Fatalf("dim %d, %d centres, first %d, offsets %d/%d: distance to centre %d is %x, SqDist %x",
+					m.C, m.R, first, pOff, sOff, c, math.Float64bits(d), math.Float64bits(sd))
+			}
+		}
+	}
+}
+
+var (
+	nearestDims = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 31, 32, 33, 64, 100}
+	// One to six centre pairs in one pass, then the splits 4+3, 5+5, 5+5+4.
+	nearestKs = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 20, 27}
+)
+
+// TestNearestMatchesGoBody sweeps dims × centre counts × alignments over
+// plain values, over values laced with the specials (±0, denormals, ±Inf,
+// NaN, overflowing magnitudes), and over centres with exact duplicates —
+// ties below and above the starting centre, since every centre starts a scan
+// — with the point random, equal to a duplicated centre (two distances of
+// +0) and at a special value.
+func TestNearestMatchesGoBody(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, dim := range nearestDims {
+		for _, k := range nearestKs {
+			off := rng.Intn(4)
+			plain := &floatSource{data: []byte{byte(rng.Intn(256)), byte(rng.Intn(0xa0))}}
+			m := Wrap(k, dim, carve(k*dim, off))
+			plain.fill(m.Data)
+			p := make([]float32, dim)
+			plain.fill(p)
+			checkNearest(t, m, p, off, off&1)
+
+			// Duplicates: a third of the centres become copies of others.
+			for n := 0; n < 1+k/3; n++ {
+				copy(m.Row(rng.Intn(k)), m.Row(rng.Intn(k)))
+			}
+			checkNearest(t, m, p, (off+1)&3, 1)
+			checkNearest(t, m, m.Row(rng.Intn(k)), (off+2)&3, 0)
+
+			wild := &floatSource{data: randomBytes(rng, 64+rng.Intn(256))}
+			wild.fill(m.Data)
+			copy(m.Row(rng.Intn(k)), m.Row(rng.Intn(k)))
+			wild.fill(p)
+			checkNearest(t, m, p, (off+3)&3, 1)
+			checkNearest(t, m, m.Row(rng.Intn(k)), off, 0)
+			for i := range p {
+				p[i] = specials[(i+k)%len(specials)]
+			}
+			checkNearest(t, m, p, off, 1)
+		}
+	}
+}
+
+// TestNearestReload: one Centers loaded again and again — another shape, an
+// odd count after an even one, the same shape with other values — answers
+// as a fresh one does; nothing of an earlier load shows through, the pad
+// lane of an odd count included.
+func TestNearestReload(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	var got Centers
+	for _, shape := range [][2]int{{10, 32}, {10, 32}, {3, 32}, {13, 7}, {13, 7}, {12, 7}, {1, 1}, {27, 10}, {0, 5}, {5, 0}, {4, 5}} {
+		m := randMatrix(rng, shape[0], shape[1])
+		got.Load(m)
+		var want centersGo
+		want.Load(m)
+		p := randMatrix(rng, 1, shape[1]).Data
+		for first := 0; first < m.R; first++ {
+			gi, gd := got.Nearest(p, first, got.Scratch())
+			wi, wd := want.Nearest(p, first, want.Scratch())
+			if gi != wi || !sameBits64(gd, wd) {
+				t.Fatalf("%d×%d reloaded, first %d: nearest (%d, %v), fresh Go body (%d, %v)", m.R, m.C, first, gi, gd, wi, wd)
+			}
+		}
+		if m.R == 0 && !panics(func() { got.Nearest(p, 0, make([]float64, 64)) }) {
+			t.Fatalf("no centres after a reload: Nearest must panic")
+		}
+		// Load copies: the caller's matrix is its own again.
+		if m.R > 0 {
+			wi, wd := want.Nearest(p, 0, want.Scratch())
+			Zero(m.Data)
+			if gi, gd := got.Nearest(p, 0, got.Scratch()); gi != wi || !sameBits64(gd, wd) {
+				t.Fatalf("%d×%d: a write to the loaded matrix reached the centres", m.R, m.C)
+			}
+		}
+	}
+}
+
+// nearestBody is what Centers and centersGo share.
+type nearestBody interface {
+	Load(Matrix)
+	Scratch() []float64
+	Nearest(p []float32, first int, scratch []float64) (int, float64)
+}
+
+// TestNearestPanicParity: the assembly has no bounds checks, so a short
+// point, a short scratch, a first that is no centre — the pad lane of an odd
+// count included — and a matrix whose data does not match its shape must be
+// refused before it runs; the Go body, which would tolerate some of them,
+// refuses the same. A longer p is read up to dim by both.
+func TestNearestPanicParity(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for name, body := range map[string]nearestBody{"exported": &Centers{}, "Go body": &centersGo{}} {
+		if !panics(func() { body.Nearest(nil, 0, nil) }) {
+			t.Errorf("%s: Nearest with no centre loaded must panic", name)
+		}
+		for _, k := range []int{1, 4, 7, 13} {
+			const dim = 32
+			m := randMatrix(rng, k, dim)
+			body.Load(m)
+			p := randMatrix(rng, 1, dim+3).Data
+			s := body.Scratch()
+			if len(s) != (k+1)&^1 {
+				t.Fatalf("%s: %d centres: Scratch is %d long", name, k, len(s))
+			}
+			wi, wd := body.Nearest(p[:dim], 0, s)
+			if gi, gd := body.Nearest(p, 0, make([]float64, len(s)+5)); gi != wi || gd != wd {
+				t.Errorf("%s: %d centres: a longer p or scratch changed the answer", name, k)
+			}
+			for what, fn := range map[string]func(){
+				"p one short":       func() { body.Nearest(p[:dim-1], 0, s) },
+				"empty p":           func() { body.Nearest(nil, 0, s) },
+				"scratch one short": func() { body.Nearest(p, 0, s[:len(s)-1]) },
+				"nil scratch":       func() { body.Nearest(p, 0, nil) },
+				"first == k":        func() { body.Nearest(p, k, s) },
+				"first == -1":       func() { body.Nearest(p, -1, s) },
+				"Load, data short":  func() { body.Load(Matrix{R: k, C: dim, Data: m.Data[:k*dim-1]}) },
+				"Load, data long":   func() { body.Load(Matrix{R: k, C: dim - 1, Data: m.Data}) },
+			} {
+				if !panics(fn) {
+					t.Errorf("%s: %d centres: %s must panic", name, k, what)
+				}
+			}
+			// A refused Load leaves the centres as they were.
+			if gi, gd := body.Nearest(p, 0, s); gi != wi || gd != wd {
+				t.Errorf("%s: %d centres: a refused call changed the answer", name, k)
+			}
+		}
+	}
+}
+
+// FuzzNearest drives the differential check from fuzz bytes: values from
+// data (see floatSource), dim 1..100, 1..28 centres, any alignment; dup
+// copies one centre over another (an exact tie) and, when its top bit is
+// set, makes the point a copy of a centre as well (a distance of +0).
+func FuzzNearest(f *testing.F) {
+	f.Add([]byte{0x12, 0x34, 0x56, 0x78, 0x9a, 0xbc}, uint8(31), uint8(9), uint8(0), uint8(0x93))
+	f.Add([]byte{0xff, 0xbf, 0x00, 0xa0, 0x07, 0xa0}, uint8(32), uint8(26), uint8(1), uint8(0x05))
+	f.Add([]byte{0x00, 0xc0, 0xff, 0xdf}, uint8(2), uint8(0), uint8(2), uint8(0))
+	f.Add([]byte{}, uint8(99), uint8(12), uint8(3), uint8(0xff))
+	f.Fuzz(func(t *testing.T, data []byte, dim, k, off, dup uint8) {
+		src := &floatSource{data: data}
+		m := New(1+int(k)%28, 1+int(dim)%100)
+		src.fill(m.Data)
+		p := make([]float32, m.C)
+		src.fill(p)
+		copy(m.Row(int(dup&7)%m.R), m.Row(int(dup>>3&15)%m.R))
+		if dup&0x80 != 0 {
+			copy(p, m.Row(int(dup>>3&15)%m.R))
+		}
+		checkNearest(t, m, p, int(off)&3, int(off>>2)&1)
+	})
+}
+
+// BenchmarkNearest is the clustering's inner loop at the selection's shape:
+// 10 centres of width 32, random-normal points.
+func BenchmarkNearest(b *testing.B) {
+	for _, body := range []struct {
+		name string
+		c    nearestBody
+	}{{"go", &centersGo{}}, {"asm", &Centers{}}} {
+		b.Run(body.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			pts, centres := New(1024, 32), New(10, 32)
+			for _, data := range [][]float32{pts.Data, centres.Data} {
+				for i := range data {
+					data[i] = float32(rng.NormFloat64())
+				}
+			}
+			body.c.Load(centres)
+			scratch := body.c.Scratch()
+			sink := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				best, _ := body.c.Nearest(pts.Row(i&1023), 0, scratch)
+				sink += best
+			}
+			nearestSink = sink
+		})
+	}
+}
+
+var nearestSink int
