@@ -1,6 +1,6 @@
 //go:build unix
 
-package colstore
+package blockfile
 
 import (
 	"os"

@@ -1,7 +1,9 @@
-// Property tests for the on-disk code store, with deliberate focus on the
-// chunk boundaries (rows exactly at / one past the block size), the empty
-// store, and crash/corruption detection (truncated tails, per-block
-// checksums).
+// Property tests for what is typed about the on-disk code store: u16 codes
+// round-tripping through every accessor at the chunk boundaries (rows
+// exactly at / one past the block size, the empty store), streamed chunks,
+// and the error identities this package re-exports. The framing itself —
+// every truncation length, every flipped byte, the atomic writer, both
+// access paths — is tested once, for both formats, in internal/blockfile.
 package codestore
 
 import (
@@ -139,56 +141,32 @@ func TestStreamedChunksMatchOneShot(t *testing.T) {
 	}
 }
 
-// TestReopenAfterCrashTruncatedTail simulates a crashed writer: any
-// truncation of a complete store must be rejected at Open (the index and
-// footer are written last, so a partial file can never look complete).
+// TestReopenAfterCrashTruncatedTail pins the error identity callers match
+// on: a crashed AppendColumns writer's leftover (no Close) fails Open with
+// this package's ErrTruncated. Every truncation length of a finished store
+// is blockfile's TestReopenAfterCrash.
 func TestReopenAfterCrashTruncatedTail(t *testing.T) {
-	const blockRows, n = 16, 100
-	rng := rand.New(rand.NewSource(3))
-	codes := randCodes(rng, 2, n, 20)
-	path := filepath.Join(t.TempDir(), "s.codes")
-	if err := WriteFile(path, codes, blockRows); err != nil {
-		t.Fatal(err)
-	}
-	full, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cut := range []int{len(full) - 1, len(full) - 8, len(full) - 12, len(full) / 2, headerSize + 1, 3} {
-		trunc := filepath.Join(t.TempDir(), "t.codes")
-		if err := os.WriteFile(trunc, full[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Open(trunc); err == nil {
-			t.Fatalf("Open accepted a store truncated to %d of %d bytes", cut, len(full))
-		} else if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("truncation to %d bytes: got %v, want ErrTruncated/ErrCorrupt", cut, err)
-		}
-	}
-	// An abandoned writer (no Close) must likewise be rejected.
 	abandoned := filepath.Join(t.TempDir(), "a.codes")
-	w, err := Create(abandoned, 2, blockRows)
+	w, err := Create(abandoned, 2, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AppendColumns(codes); err != nil {
+	if err := w.AppendColumns(randCodes(rand.New(rand.NewSource(3)), 2, 100, 20)); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate the crash: the writer never reaches Close.
-	if _, err := Open(abandoned); err == nil {
-		t.Fatal("Open accepted an unfinalized store")
+	if _, err := Open(abandoned); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("Open on an unfinalized store: got %v, want ErrTruncated", err)
 	}
 	w.Abort()
 }
 
-// TestPerBlockChecksum pins silent-corruption detection: a bit flip inside
-// a data block passes Open (geometry and footer are intact) but fails
-// Verify against the per-block checksum; a flip in the index fails Open
-// outright via the footer checksum.
+// TestPerBlockChecksum pins that silent corruption surfaces under this
+// package's ErrCorrupt: a flipped code passes Open, reads back as the wrong
+// value, and fails Verify. Every byte position is blockfile's
+// TestPerPageChecksum.
 func TestPerBlockChecksum(t *testing.T) {
 	const blockRows, n = 16, 100
-	rng := rand.New(rand.NewSource(4))
-	codes := randCodes(rng, 2, n, 20)
+	codes := randCodes(rand.New(rand.NewSource(4)), 2, n, 20)
 	path := filepath.Join(t.TempDir(), "s.codes")
 	if err := WriteFile(path, codes, blockRows); err != nil {
 		t.Fatal(err)
@@ -197,37 +175,29 @@ func TestPerBlockChecksum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Flip a bit in the middle of the data section.
-	data := append([]byte(nil), full...)
-	data[headerSize+37] ^= 0x04
-	flipped := filepath.Join(t.TempDir(), "f.codes")
-	if err := os.WriteFile(flipped, data, 0o644); err != nil {
+	// The last data byte — the high byte of the last column's last code —
+	// sits just before the page index (one u32 per page) and the footer.
+	pages := (n + blockRows - 1) / blockRows * len(codes)
+	full[len(full)-12-4*pages-1] ^= 0x04
+	if err := os.WriteFile(path, full, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(flipped)
+	s, err := Open(path)
 	if err != nil {
 		t.Fatalf("Open should defer data-block validation to Verify, got %v", err)
+	}
+	defer s.Close()
+	if got, want := s.Code(1, n-1), codes[1][n-1]^0x0400; got != want {
+		t.Fatalf("flipped code reads %d, want %d", got, want)
 	}
 	if err := s.Verify(); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Verify on a bit-flipped block: got %v, want ErrCorrupt", err)
 	}
-	s.Close()
-
-	// Flip a bit in the block index: the footer checksum covers it.
-	idx := append([]byte(nil), full...)
-	idx[len(idx)-16] ^= 0x01
-	badIdx := filepath.Join(t.TempDir(), "i.codes")
-	if err := os.WriteFile(badIdx, idx, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(badIdx); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Open on a flipped index: got %v, want ErrCorrupt", err)
-	}
 }
 
-// TestWriteFileAtomic pins that WriteFile leaves no temp droppings and
-// that a failed write does not clobber an existing store.
+// TestWriteFileAtomic pins that WriteFile leaves no temp droppings — on
+// success, and when the final rename fails (onto a non-empty directory),
+// where it used to leave path.tmp behind.
 func TestWriteFileAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "s.codes")
@@ -235,11 +205,17 @@ func TestWriteFileAtomic(t *testing.T) {
 	if err := WriteFile(path, codes, 16); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Fatalf("store dir has %d entries after WriteFile, want 1", len(entries))
+	}
+	taken := filepath.Join(dir, "taken")
+	if err := os.MkdirAll(filepath.Join(taken, "occupied"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 1 {
-		t.Fatalf("store dir has %d entries after WriteFile, want 1", len(entries))
+	if err := WriteFile(taken, codes, 16); err == nil {
+		t.Fatal("WriteFile onto a non-empty directory succeeded")
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 2 {
+		t.Fatalf("store dir has %d entries after a failed rename, want 2 (no .tmp)", len(entries))
 	}
 }

@@ -1,45 +1,28 @@
 // Package colstore persists a table's raw displayed columns in a paged
 // on-disk format, so a serving instance can render k×l sub-tables without
 // keeping the whole raw table resident. It is the display-side sibling of
-// internal/codestore (which pages the bin codes): same block discipline,
-// same checksum discipline, same mmap-with-ReadAt-fallback reader.
+// internal/codestore (which pages the bin codes).
 //
-// Layout (little-endian):
+// The file framing — header, block-major pages, per-page CRC index, footer,
+// crash and corruption detection, the mmap-or-ReadAt reader — is
+// internal/blockfile's; see its package comment for the layout. This package
+// owns only what is typed: the "SUBTABPC"/"SUBTABPE" magics and
 //
-//	header:  "SUBTABPC" magic · u16 version · u32 cols · u64 rows ·
-//	         u32 blockRows
-//	meta:    u32 metaLen, then per column: u16 nameLen · name · u8 kind ·
-//	         for categorical columns a dictionary page (u32 count, per
-//	         string u32 len + bytes) holding the interned strings in code
-//	         order
-//	data:    block-major: for each block b, for each column c, the cells of
-//	         rows [b*blockRows, min((b+1)*blockRows, rows)) in the fixed-
-//	         width page encoding (numeric: float64 bits as u64; categorical:
-//	         dictionary code as u32, missing -1 as 0xFFFFFFFF)
-//	index:   one u32 CRC-32C per (block, column) page, in data order
-//	footer:  u32 CRC-32C over header+meta+index · "SUBTABPE" end magic
-//
-// Every data offset is computable from the header and the column widths, so
-// Open reads only header, meta and tail: it validates the magic, the
-// geometry, the exact file length, the footer checksum and the end magic. A
-// crashed writer leaves a file whose length cannot match its header (index
-// and footer are written last), reported as ErrTruncated; silent bit rot
-// inside a page is caught by Verify against the per-page checksums.
-//
-// Readers are safe for concurrent use: both the mmap and the ReadAt access
-// paths are stateless apart from caller-owned scratch.
+//	meta:    the schema — per column: u16 nameLen · name · u8 kind · for
+//	         categorical columns a dictionary page (u32 count, per string
+//	         u32 len + bytes) holding the interned strings in code order.
+//	         The footer checksum covers it, dictionaries included.
+//	pages:   fixed-width cells (table.PageCellWidth) — numeric: float64
+//	         bits as u64; categorical: dictionary code as u32, missing -1
+//	         as 0xFFFFFFFF
 package colstore
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"math"
-	"os"
-	"runtime"
 
+	"subtab/internal/blockfile"
 	"subtab/internal/table"
 )
 
@@ -51,40 +34,29 @@ const Version uint16 = 1
 // enough that gathering one row touches a bounded byte range.
 const DefaultBlockRows = 1 << 16
 
+var format = blockfile.Format{
+	Magic:    [8]byte{'S', 'U', 'B', 'T', 'A', 'B', 'P', 'C'},
+	EndMagic: [8]byte{'S', 'U', 'B', 'T', 'A', 'B', 'P', 'E'},
+	Version:  Version,
+	Meta:     true,
+}
+
+// ErrTruncated (a crashed or interrupted writer's leftover) and ErrCorrupt
+// (any other structural damage, an out-of-range dictionary code included)
+// are blockfile's sentinels, re-exported so errors.Is against this package's
+// names keeps working.
 var (
-	magic    = [8]byte{'S', 'U', 'B', 'T', 'A', 'B', 'P', 'C'}
-	endMagic = [8]byte{'S', 'U', 'B', 'T', 'A', 'B', 'P', 'E'}
+	ErrTruncated = blockfile.ErrTruncated
+	ErrCorrupt   = blockfile.ErrCorrupt
 )
-
-// Sentinel errors.
-var (
-	// ErrTruncated marks a store whose file length does not match its
-	// header — the signature of a crashed or interrupted writer.
-	ErrTruncated = errors.New("colstore: truncated store file")
-	// ErrCorrupt marks structural damage other than truncation (bad magic,
-	// checksum mismatch, impossible geometry, out-of-range dictionary code).
-	ErrCorrupt = errors.New("colstore: corrupt store file")
-)
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-const headerSize = 8 + 2 + 4 + 8 + 4 // magic + version + cols + rows + blockRows
 
 // Writer streams a table's rows into a store file. The schema (names,
 // kinds, dictionaries) is fixed at Create; rows are appended in chunks and
 // flushed block by block; Close finalizes the index and footer. A writer
 // that never reaches Close leaves a file Open rejects.
 type Writer struct {
-	f         *os.File
-	src       []*table.Column // schema (and dictionary) source
-	widths    []int
-	blockRows int
-	rows      uint64
-	meta      []byte   // encoded meta section (metaLen prefix included)
-	buf       [][]byte // per-column pending page bytes (< blockRows rows)
-	bufRows   int
-	crcs      []uint32
-	err       error
+	*blockfile.Writer
+	src []*table.Column // schema (and dictionary) source
 }
 
 // Create starts a store file at path over the table's schema (<= 0
@@ -103,7 +75,7 @@ func Create(path string, t *table.Table, blockRows int) (*Writer, error) {
 	if blockRows <= 0 {
 		blockRows = DefaultBlockRows
 	}
-	meta := binary.LittleEndian.AppendUint32(nil, 0) // length patched below
+	var meta []byte
 	for _, c := range cols {
 		if len(c.Name) > math.MaxUint16 {
 			return nil, fmt.Errorf("colstore: create: column name %d bytes long", len(c.Name))
@@ -115,148 +87,18 @@ func Create(path string, t *table.Table, blockRows int) (*Writer, error) {
 			meta = table.AppendDictPage(meta, c.Dict.Strings())
 		}
 	}
-	binary.LittleEndian.PutUint32(meta, uint32(len(meta)-4))
-	f, err := os.Create(path)
+	w, err := blockfile.Create(path, format, len(cols), blockRows, meta)
 	if err != nil {
 		return nil, err
 	}
-	w := &Writer{
-		f: f, src: cols, blockRows: blockRows, meta: meta,
-		widths: make([]int, len(cols)), buf: make([][]byte, len(cols)),
-	}
-	for i, c := range cols {
-		w.widths[i] = table.PageCellWidth(c.Kind)
-	}
-	// The header is rewritten with the final row count on Close; writing a
-	// placeholder (plus the fixed meta section) now keeps the data section
-	// at a fixed offset.
-	if err := w.writeHeader(); err != nil {
-		f.Close()
-		os.Remove(path)
-		return nil, err
-	}
-	if _, err := f.WriteAt(meta, headerSize); err != nil {
-		f.Close()
-		os.Remove(path)
-		return nil, err
-	}
-	if _, err := f.Seek(headerSize+int64(len(meta)), io.SeekStart); err != nil {
-		f.Close()
-		os.Remove(path)
-		return nil, err
-	}
-	return w, nil
-}
-
-func (w *Writer) header() []byte {
-	hdr := make([]byte, 0, headerSize)
-	hdr = append(hdr, magic[:]...)
-	hdr = binary.LittleEndian.AppendUint16(hdr, Version)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(w.src)))
-	hdr = binary.LittleEndian.AppendUint64(hdr, w.rows)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(w.blockRows))
-	return hdr
-}
-
-func (w *Writer) writeHeader() error {
-	_, err := w.f.WriteAt(w.header(), 0)
-	return err
+	return &Writer{Writer: w, src: cols}, nil
 }
 
 // AppendRows appends the source table's rows [start, start+n).
 func (w *Writer) AppendRows(start, n int) error {
-	if w.err != nil {
-		return w.err
-	}
-	off := 0
-	for off < n {
-		take := min(w.blockRows-w.bufRows, n-off)
-		for c, col := range w.src {
-			w.buf[c] = col.AppendPage(w.buf[c], start+off, take)
-		}
-		w.bufRows += take
-		off += take
-		if w.bufRows == w.blockRows {
-			if err := w.flushBlock(); err != nil {
-				return err
-			}
-		}
-	}
-	w.rows += uint64(n)
-	return nil
-}
-
-// flushBlock writes the buffered rows of every column as one block.
-func (w *Writer) flushBlock() error {
-	for c := range w.buf {
-		w.crcs = append(w.crcs, crc32.Checksum(w.buf[c], crcTable))
-		if _, err := w.f.Write(w.buf[c]); err != nil {
-			return w.fail(err)
-		}
-		w.buf[c] = w.buf[c][:0]
-	}
-	w.bufRows = 0
-	return nil
-}
-
-func (w *Writer) fail(err error) error {
-	if w.err == nil {
-		w.err = err
-	}
-	return w.err
-}
-
-// Close flushes the final (possibly short) block, writes the page index,
-// the footer checksum and the end magic, rewrites the header with the final
-// row count, and syncs the file.
-func (w *Writer) Close() error {
-	if w.err != nil {
-		w.f.Close()
-		return w.err
-	}
-	if w.bufRows > 0 {
-		if err := w.flushBlock(); err != nil {
-			w.f.Close()
-			return err
-		}
-	}
-	tail := make([]byte, 0, 4*len(w.crcs))
-	for _, crc := range w.crcs {
-		tail = binary.LittleEndian.AppendUint32(tail, crc)
-	}
-	if _, err := w.f.Write(tail); err != nil {
-		w.f.Close()
-		return err
-	}
-	if err := w.writeHeader(); err != nil {
-		w.f.Close()
-		return err
-	}
-	// The footer checksum covers header + meta + index, so a store whose
-	// geometry, schema or index was damaged after the fact fails Open even
-	// at the right size.
-	h := crc32.New(crcTable)
-	h.Write(w.header())
-	h.Write(w.meta)
-	h.Write(tail)
-	foot := binary.LittleEndian.AppendUint32(nil, h.Sum32())
-	foot = append(foot, endMagic[:]...)
-	if _, err := w.f.Write(foot); err != nil {
-		w.f.Close()
-		return err
-	}
-	if err := w.f.Sync(); err != nil {
-		w.f.Close()
-		return err
-	}
-	return w.f.Close()
-}
-
-// Abort discards the writer and removes the partial file.
-func (w *Writer) Abort() {
-	path := w.f.Name()
-	w.f.Close()
-	os.Remove(path)
+	return w.Append(n, func(c int, dst []byte, off, take int) []byte {
+		return w.src[c].AppendPage(dst, start+off, take)
+	})
 }
 
 // WriteTable writes a complete store holding all of t's rows. The file is
@@ -273,77 +115,32 @@ func WriteTableRows(path string, t *table.Table, start, end, blockRows int) erro
 	if start < 0 || end < start || end > t.NumRows() {
 		return fmt.Errorf("colstore: rows [%d, %d) out of range for a %d-row table", start, end, t.NumRows())
 	}
-	tmp := path + ".tmp"
-	w, err := Create(tmp, t, blockRows)
-	if err != nil {
-		return err
-	}
-	if err := w.AppendRows(start, end-start); err != nil {
-		w.Abort()
-		return err
-	}
-	if err := w.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+	return blockfile.WriteAtomic(path, func(tmp string) error {
+		w, err := Create(tmp, t, blockRows)
+		if err != nil {
+			return err
+		}
+		if err := w.AppendRows(start, end-start); err != nil {
+			w.Abort()
+			return err
+		}
+		return w.Close()
+	})
 }
 
-// Store is an open, read-only paged column store. All methods are safe for
-// concurrent use. Close releases the mapping/file handle; stores that are
-// garbage-collected without Close release their resources via a runtime
-// cleanup, so an evicted model cannot leak a mapping forever.
+// Store is an open, read-only paged column store: a blockfile.File
+// (geometry, Path, Checksum, Mapped, Verify, Close and the GC cleanup) plus
+// the schema and the typed accessors below. All methods are safe for
+// concurrent use.
 //
 // Store implements table.CellSource: GatherCells renders the requested
 // cells byte-identically to Column.CellString on the resident table.
 type Store struct {
-	path      string
-	rows      int
-	cols      int
-	blockRows int
-	nBlocks   int
-	names     []string
-	kinds     []table.Kind
-	dicts     [][]string
-	widths    []int
-	prefix    []int64 // prefix[c] = sum of widths[0..c)
-	rowWidth  int64
-	dataStart int64
-	crcs      []uint32
-	checksum  uint32 // footer CRC: the store's identity for external refs
-	reg       *region
-	cleanup   runtime.Cleanup
-}
-
-// region owns the OS resources (mapping and/or file handle) so the runtime
-// cleanup can release them without referencing the Store itself.
-type region struct {
-	data []byte   // non-nil when memory-mapped
-	f    *os.File // non-nil when reading through the file
-}
-
-func (r *region) release() {
-	if r.data != nil {
-		munmap(r.data)
-		r.data = nil
-	}
-	if r.f != nil {
-		r.f.Close()
-		r.f = nil
-	}
-}
-
-// readAt reads into p at off from the mapping or the file.
-func (r *region) readAt(p []byte, off int64) error {
-	if r.data != nil {
-		if off < 0 || off+int64(len(p)) > int64(len(r.data)) {
-			return io.ErrUnexpectedEOF
-		}
-		copy(p, r.data[off:])
-		return nil
-	}
-	_, err := r.f.ReadAt(p, off)
-	return err
+	*blockfile.File
+	names  []string
+	kinds  []table.Kind
+	dicts  [][]string
+	widths []int
 }
 
 // Open opens the store at path, memory-mapping it when the platform
@@ -352,62 +149,27 @@ func (r *region) readAt(p []byte, off int64) error {
 // checksum and the end magic; a crashed writer's leftover fails with
 // ErrTruncated.
 func Open(path string) (*Store, error) {
-	f, err := os.Open(path)
+	s := &Store{}
+	f, err := blockfile.Open(path, format, s.parseSchema)
 	if err != nil {
 		return nil, err
 	}
-	st, err := openFile(f, path)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return st, nil
+	s.File = f
+	return s, nil
 }
 
-func openFile(f *os.File, path string) (*Store, error) {
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, err
+// parseSchema decodes the meta section into the store's schema and returns
+// the per-column cell widths (the blockfile.Layout of this format).
+func (s *Store) parseSchema(cols int, meta []byte) ([]int, error) {
+	// Every column takes at least a name length and a kind byte, so a column
+	// count the section cannot hold is damage, not an allocation request.
+	if cols > len(meta)/3 {
+		return nil, fmt.Errorf("%w: schema of %d bytes cannot describe %d columns", ErrCorrupt, len(meta), cols)
 	}
-	size := fi.Size()
-	if size < headerSize+4 {
-		return nil, fmt.Errorf("%w: %d bytes, header needs %d", ErrTruncated, size, headerSize+4)
-	}
-	hdr := make([]byte, headerSize+4)
-	if _, err := f.ReadAt(hdr, 0); err != nil {
-		return nil, err
-	}
-	if [8]byte(hdr[:8]) != magic {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	if v := binary.LittleEndian.Uint16(hdr[8:]); v != Version {
-		return nil, fmt.Errorf("%w: store version %d, this build reads version %d", ErrCorrupt, v, Version)
-	}
-	cols := int(binary.LittleEndian.Uint32(hdr[10:]))
-	rows64 := binary.LittleEndian.Uint64(hdr[14:])
-	blockRows := int(binary.LittleEndian.Uint32(hdr[22:]))
-	metaLen := int64(binary.LittleEndian.Uint32(hdr[headerSize:]))
-	// Geometry caps double as overflow guards: with cols <= 2^24 and rows
-	// <= 2^40 every size computation below stays inside int64, so a crafted
-	// header cannot wrap the expected size around to match a small file.
-	if cols <= 0 || cols > 1<<24 || blockRows <= 0 || rows64 > 1<<40 ||
-		(rows64 > 0 && uint64(cols) > (1<<59)/rows64) {
-		return nil, fmt.Errorf("%w: impossible geometry (%d cols, %d rows, %d rows/block)", ErrCorrupt, cols, rows64, blockRows)
-	}
-	if metaLen > size-int64(headerSize)-4 {
-		return nil, fmt.Errorf("%w: schema section claims %d bytes past the file end", ErrTruncated, metaLen)
-	}
-	rows := int(rows64)
-	meta := make([]byte, metaLen)
-	if _, err := f.ReadAt(meta, headerSize+4); err != nil {
-		return nil, err
-	}
-	names := make([]string, cols)
-	kinds := make([]table.Kind, cols)
-	dicts := make([][]string, cols)
-	widths := make([]int, cols)
-	prefix := make([]int64, cols)
-	var rowWidth int64
+	s.names = make([]string, cols)
+	s.kinds = make([]table.Kind, cols)
+	s.dicts = make([][]string, cols)
+	s.widths = make([]int, cols)
 	off := 0
 	for c := 0; c < cols; c++ {
 		if len(meta)-off < 2 {
@@ -418,108 +180,29 @@ func openFile(f *os.File, path string) (*Store, error) {
 		if nameLen > len(meta)-off-1 {
 			return nil, fmt.Errorf("%w: schema truncated inside column %d's name", ErrCorrupt, c)
 		}
-		names[c] = string(meta[off : off+nameLen])
+		s.names[c] = string(meta[off : off+nameLen])
 		off += nameLen
 		kind := table.Kind(meta[off])
 		off++
 		if kind != table.Numeric && kind != table.Categorical {
-			return nil, fmt.Errorf("%w: column %q has kind %d", ErrCorrupt, names[c], int(kind))
+			return nil, fmt.Errorf("%w: column %q has kind %d", ErrCorrupt, s.names[c], int(kind))
 		}
-		kinds[c] = kind
+		s.kinds[c] = kind
 		if kind == table.Categorical {
 			strs, n, err := table.DecodeDictPage(meta[off:])
 			if err != nil {
-				return nil, fmt.Errorf("%w: column %q dictionary page: %v", ErrCorrupt, names[c], err)
+				return nil, fmt.Errorf("%w: column %q dictionary page: %v", ErrCorrupt, s.names[c], err)
 			}
-			dicts[c] = strs
+			s.dicts[c] = strs
 			off += n
 		}
-		widths[c] = table.PageCellWidth(kind)
-		prefix[c] = rowWidth
-		rowWidth += int64(widths[c])
+		s.widths[c] = table.PageCellWidth(kind)
 	}
 	if off != len(meta) {
 		return nil, fmt.Errorf("%w: schema section has %d trailing bytes", ErrCorrupt, len(meta)-off)
 	}
-	nBlocks := 0
-	if rows > 0 {
-		nBlocks = (rows + blockRows - 1) / blockRows
-	}
-	dataStart := int64(headerSize) + 4 + metaLen
-	dataSize := int64(rows) * rowWidth
-	indexSize := int64(nBlocks) * int64(cols) * 4
-	want := dataStart + dataSize + indexSize + 4 + 8
-	if size != want {
-		return nil, fmt.Errorf("%w: %d bytes on disk, a %dx%d store needs %d (crashed writer?)", ErrTruncated, size, rows, cols, want)
-	}
-	tail := make([]byte, indexSize+4+8)
-	if _, err := f.ReadAt(tail, dataStart+dataSize); err != nil {
-		return nil, err
-	}
-	if [8]byte(tail[len(tail)-8:]) != endMagic {
-		return nil, fmt.Errorf("%w: missing end magic (crashed writer?)", ErrTruncated)
-	}
-	h := crc32.New(crcTable)
-	h.Write(hdr[:headerSize])
-	h.Write(hdr[headerSize:]) // metaLen prefix
-	h.Write(meta)
-	h.Write(tail[:indexSize])
-	footCRC := binary.LittleEndian.Uint32(tail[indexSize:])
-	if h.Sum32() != footCRC {
-		return nil, fmt.Errorf("%w: footer checksum mismatch", ErrCorrupt)
-	}
-	crcs := make([]uint32, nBlocks*cols)
-	for i := range crcs {
-		crcs[i] = binary.LittleEndian.Uint32(tail[i*4:])
-	}
-	reg := &region{}
-	if data, err := mmapFile(f, size); err == nil {
-		reg.data = data
-		f.Close()
-	} else {
-		reg.f = f
-	}
-	st := &Store{
-		path: path, rows: rows, cols: cols, blockRows: blockRows,
-		nBlocks: nBlocks, names: names, kinds: kinds, dicts: dicts,
-		widths: widths, prefix: prefix, rowWidth: rowWidth,
-		dataStart: dataStart, crcs: crcs, checksum: footCRC, reg: reg,
-	}
-	st.cleanup = runtime.AddCleanup(st, func(r *region) { r.release() }, reg)
-	return st, nil
+	return s.widths, nil
 }
-
-// Close releases the mapping/file handle. Further reads fail or panic;
-// Close is not safe to race with in-flight reads.
-func (s *Store) Close() error {
-	s.cleanup.Stop()
-	s.reg.release()
-	return nil
-}
-
-// Path returns the file the store was opened from.
-func (s *Store) Path() string { return s.path }
-
-// Checksum returns the store's footer CRC — a cheap identity covering the
-// geometry, the schema (dictionaries included) and the per-page checksums,
-// used by external references (modelio) to detect a swapped store.
-func (s *Store) Checksum() uint32 { return s.checksum }
-
-// Mapped reports whether the store is memory-mapped (false = ReadAt
-// fallback).
-func (s *Store) Mapped() bool { return s.reg.data != nil }
-
-// NumRows returns the row count.
-func (s *Store) NumRows() int { return s.rows }
-
-// NumCols returns the column count.
-func (s *Store) NumCols() int { return s.cols }
-
-// BlockRows returns the rows-per-block granularity.
-func (s *Store) BlockRows() int { return s.blockRows }
-
-// NumBlocks returns the number of row blocks.
-func (s *Store) NumBlocks() int { return s.nBlocks }
 
 // ColumnName returns the name of column c.
 func (s *Store) ColumnName(c int) string { return s.names[c] }
@@ -527,41 +210,18 @@ func (s *Store) ColumnName(c int) string { return s.names[c] }
 // ColumnKind returns the kind of column c.
 func (s *Store) ColumnKind(c int) table.Kind { return s.kinds[c] }
 
-// blockLen returns the row count of block blk (the last may be short).
-func (s *Store) blockLen(blk int) int {
-	if blk == s.nBlocks-1 {
-		if r := s.rows - blk*s.blockRows; r < s.blockRows {
-			return r
-		}
-	}
-	return s.blockRows
-}
-
-// blockOff returns the file offset of column c's page of block blk. Blocks
-// before blk are all full; within a block, column pages are contiguous in
-// schema order.
-func (s *Store) blockOff(c, blk int) int64 {
-	off := s.dataStart + int64(blk)*int64(s.blockRows)*s.rowWidth
-	return off + int64(s.blockLen(blk))*s.prefix[c]
-}
-
-// cellBytes reads the w raw bytes of cell (c, r) into b.
-func (s *Store) cellBytes(b []byte, c, r int) error {
-	blk := r / s.blockRows
-	off := s.blockOff(c, blk) + int64(r-blk*s.blockRows)*int64(s.widths[c])
-	return s.reg.readAt(b, off)
-}
-
 // Cell renders one cell — the exact bytes Column.CellString produces on the
 // resident column. It errors on out-of-range coordinates or a dictionary
 // code the schema's dictionary page does not cover (bit rot; see Verify).
 func (s *Store) Cell(c, r int) (string, error) {
-	if c < 0 || c >= s.cols || r < 0 || r >= s.rows {
-		return "", fmt.Errorf("colstore: cell (%d,%d) out of range for a %dx%d store", c, r, s.rows, s.cols)
+	if c < 0 || c >= s.NumCols() || r < 0 || r >= s.NumRows() {
+		return "", fmt.Errorf("colstore: cell (%d,%d) out of range for a %dx%d store", c, r, s.NumRows(), s.NumCols())
 	}
 	var b [8]byte
-	if err := s.cellBytes(b[:s.widths[c]], c, r); err != nil {
-		return "", fmt.Errorf("colstore: reading cell (%d,%d) of %s: %w", c, r, s.path, err)
+	blk := r / s.BlockRows()
+	off := s.Off(c, blk) + int64(r-blk*s.BlockRows())*int64(s.widths[c])
+	if err := s.ReadAt(b[:s.widths[c]], off); err != nil {
+		return "", fmt.Errorf("colstore: reading cell (%d,%d) of %s: %w", c, r, s.Path(), err)
 	}
 	if s.kinds[c] == table.Numeric {
 		v := math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
@@ -594,20 +254,6 @@ func (s *Store) GatherCells(c int, rows []int) ([]string, error) {
 	return out, nil
 }
 
-// columnPage reads column c's raw page of block blk into scratch (grown as
-// needed).
-func (s *Store) columnPage(c, blk int, scratch []byte) ([]byte, error) {
-	n := s.blockLen(blk) * s.widths[c]
-	if cap(scratch) < n {
-		scratch = make([]byte, n)
-	}
-	scratch = scratch[:n]
-	if err := s.reg.readAt(scratch, s.blockOff(c, blk)); err != nil {
-		return nil, fmt.Errorf("colstore: reading page (col %d, block %d) of %s: %w", c, blk, s.path, err)
-	}
-	return scratch, nil
-}
-
 // MaterializeTable rebuilds the full typed table — a private copy for
 // whole-table scans (query evaluation, append re-binning), the raw-cell
 // analogue of binning.MaterializedCodes. The result shares nothing with the
@@ -615,16 +261,16 @@ func (s *Store) columnPage(c, blk int, scratch []byte) ([]byte, error) {
 func (s *Store) MaterializeTable(name string) (*table.Table, error) {
 	out := table.New(name)
 	var scratch []byte
-	for c := 0; c < s.cols; c++ {
+	for c := 0; c < s.NumCols(); c++ {
 		col := &table.Column{Name: s.names[c], Kind: s.kinds[c]}
 		if s.kinds[c] == table.Numeric {
-			col.Nums = make([]float64, 0, s.rows)
+			col.Nums = make([]float64, 0, s.NumRows())
 		} else {
-			col.Cats = make([]int32, 0, s.rows)
+			col.Cats = make([]int32, 0, s.NumRows())
 			col.Dict = table.DictFromStrings(s.dicts[c])
 		}
-		for blk := 0; blk < s.nBlocks; blk++ {
-			page, err := s.columnPage(c, blk, scratch)
+		for blk := 0; blk < s.NumBlocks(); blk++ {
+			page, err := s.Page(c, blk, scratch)
 			if err != nil {
 				return nil, err
 			}
@@ -649,25 +295,4 @@ func (s *Store) MaterializeTable(name string) (*table.Table, error) {
 		}
 	}
 	return out, nil
-}
-
-// Verify re-reads every page and checks it against the per-page checksums
-// recorded at write time, returning the first damaged page. It is a full
-// sequential read of the file — an explicit integrity pass, not something
-// the render path pays per access.
-func (s *Store) Verify() error {
-	var buf []byte
-	for blk := 0; blk < s.nBlocks; blk++ {
-		for c := 0; c < s.cols; c++ {
-			page, err := s.columnPage(c, blk, buf)
-			if err != nil {
-				return fmt.Errorf("%w: %v", ErrCorrupt, err)
-			}
-			buf = page
-			if got, want := crc32.Checksum(page, crcTable), s.crcs[blk*s.cols+c]; got != want {
-				return fmt.Errorf("%w: page (col %d, block %d) checksum %08x, recorded %08x", ErrCorrupt, c, blk, got, want)
-			}
-		}
-	}
-	return nil
 }

@@ -1,8 +1,10 @@
-// Property tests for the paged raw-column store, mirroring the codestore
-// suite: chunk boundaries (rows exactly at / one past the block size), the
-// empty store, crash/corruption detection (truncated tails, per-page
-// checksums), and — the property the golden fingerprints depend on — cells
-// rendered through the store being byte-identical to the resident table.
+// Property tests for what is typed about the paged raw-column store: cells
+// rendered through the store being byte-identical to the resident table (the
+// property the golden fingerprints depend on) at the chunk boundaries, over
+// shard row ranges and through gathered views, plus the error identities
+// this package re-exports. The framing itself — every truncation length,
+// every flipped byte, the atomic writer, both access paths — is tested once,
+// for both formats, in internal/blockfile.
 package colstore
 
 import (
@@ -232,98 +234,76 @@ func TestPagedViewMatchesInlineView(t *testing.T) {
 	}
 }
 
-// TestReopenAfterCrashTruncatedTail simulates a crashed writer: any
-// truncation of a complete store must be rejected at Open (the index and
-// footer are written last, so a partial file can never look complete).
+// TestReopenAfterCrashTruncatedTail pins the error identity callers match
+// on: a crashed AppendRows writer's leftover (no Close) fails Open with this
+// package's ErrTruncated. Every truncation length of a finished store is
+// blockfile's TestReopenAfterCrash.
 func TestReopenAfterCrashTruncatedTail(t *testing.T) {
-	const blockRows, n = 16, 100
-	rng := rand.New(rand.NewSource(4))
-	src := randTable(rng, "t", n)
-	path := filepath.Join(t.TempDir(), "s.cols")
-	if err := WriteTable(path, src, blockRows); err != nil {
-		t.Fatal(err)
-	}
-	full, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cut := range []int{len(full) - 1, len(full) - 8, len(full) - 12, len(full) / 2, headerSize + 1, 3} {
-		trunc := filepath.Join(t.TempDir(), "t.cols")
-		if err := os.WriteFile(trunc, full[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Open(trunc); err == nil {
-			t.Fatalf("Open accepted a store truncated to %d of %d bytes", cut, len(full))
-		} else if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("truncation to %d bytes: got %v, want ErrTruncated/ErrCorrupt", cut, err)
-		}
-	}
-	// An abandoned writer (no Close) must likewise be rejected.
+	const n = 100
+	src := randTable(rand.New(rand.NewSource(4)), "t", n)
 	abandoned := filepath.Join(t.TempDir(), "a.cols")
-	w, err := Create(abandoned, src, blockRows)
+	w, err := Create(abandoned, src, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := w.AppendRows(0, n); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate the crash: the writer never reaches Close.
-	if _, err := Open(abandoned); err == nil {
-		t.Fatal("Open accepted an unfinalized store")
+	if _, err := Open(abandoned); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("Open on an unfinalized store: got %v, want ErrTruncated", err)
 	}
 	w.Abort()
 }
 
-// TestPerPageChecksum pins silent-corruption detection: a bit flip inside a
-// data page passes Open (geometry and footer are intact) but fails Verify
-// against the per-page checksum; a flip in the page index fails Open
-// outright via the footer checksum.
+// TestPerPageChecksum pins that silent corruption surfaces under this
+// package's ErrCorrupt, from Verify and — when the flip lands a categorical
+// code outside its dictionary — from the typed accessors too. Every byte
+// position is blockfile's TestPerPageChecksum.
 func TestPerPageChecksum(t *testing.T) {
 	const blockRows, n = 16, 100
-	rng := rand.New(rand.NewSource(5))
-	src := randTable(rng, "t", n)
+	src := randTable(rand.New(rand.NewSource(5)), "t", n)
 	path := filepath.Join(t.TempDir(), "s.cols")
 	if err := WriteTable(path, src, blockRows); err != nil {
 		t.Fatal(err)
 	}
+	s, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Byte 2 of the first non-missing "cat" cell: setting a high bit of its
+	// u32 code pushes it far past the 12-string dictionary.
+	row := 0
+	for src.ColumnAt(1).Cats[row] < 0 {
+		row++
+	}
+	catCell := s.Off(1, 0) + int64(row)*4 + 2
+	s.Close()
 	full, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The data section starts after header + metaLen prefix + meta.
-	metaLen := int(uint32(full[headerSize]) | uint32(full[headerSize+1])<<8 |
-		uint32(full[headerSize+2])<<16 | uint32(full[headerSize+3])<<24)
-	dataStart := headerSize + 4 + metaLen
-
-	// Flip a bit in the middle of the data section.
-	data := append([]byte(nil), full...)
-	data[dataStart+37] ^= 0x04
-	flipped := filepath.Join(t.TempDir(), "f.cols")
-	if err := os.WriteFile(flipped, data, 0o644); err != nil {
+	full[catCell] ^= 0x40
+	if err := os.WriteFile(path, full, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(flipped)
-	if err != nil {
+	if s, err = Open(path); err != nil {
 		t.Fatalf("Open should defer data-page validation to Verify, got %v", err)
 	}
+	defer s.Close()
 	if err := s.Verify(); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Verify on a bit-flipped page: got %v, want ErrCorrupt", err)
 	}
-	s.Close()
-
-	// Flip a bit in the page index: the footer checksum covers it.
-	idx := append([]byte(nil), full...)
-	idx[len(idx)-16] ^= 0x01
-	badIdx := filepath.Join(t.TempDir(), "i.cols")
-	if err := os.WriteFile(badIdx, idx, 0o644); err != nil {
-		t.Fatal(err)
+	if _, err := s.Cell(1, row); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Cell on an out-of-dictionary code: got %v, want ErrCorrupt", err)
 	}
-	if _, err := Open(badIdx); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Open on a flipped index: got %v, want ErrCorrupt", err)
+	if _, err := s.MaterializeTable("t"); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("MaterializeTable on an out-of-dictionary code: got %v, want ErrCorrupt", err)
 	}
 }
 
-// TestWriteTableAtomic pins that WriteTable leaves no temp droppings.
+// TestWriteTableAtomic pins that WriteTable leaves no temp droppings — on
+// success, and when the final rename fails (onto a non-empty directory),
+// where it used to leave path.tmp behind.
 func TestWriteTableAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "s.cols")
@@ -331,11 +311,17 @@ func TestWriteTableAtomic(t *testing.T) {
 	if err := WriteTable(path, src, 16); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Fatalf("store dir has %d entries after WriteTable, want 1", len(entries))
+	}
+	taken := filepath.Join(dir, "taken")
+	if err := os.MkdirAll(filepath.Join(taken, "occupied"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 1 {
-		t.Fatalf("store dir has %d entries after WriteTable, want 1", len(entries))
+	if err := WriteTable(taken, src, 16); err == nil {
+		t.Fatal("WriteTable onto a non-empty directory succeeded")
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 2 {
+		t.Fatalf("store dir has %d entries after a failed rename, want 2 (no .tmp)", len(entries))
 	}
 }

@@ -2,9 +2,9 @@ package core
 
 import (
 	"fmt"
-	"os"
 
 	"subtab/internal/binning"
+	"subtab/internal/blockfile"
 	"subtab/internal/codestore"
 )
 
@@ -25,22 +25,19 @@ import (
 // written to a temp file and renamed into place, so a crash cannot leave a
 // plausible partial store behind.
 func (m *Model) ExportCodeStore(path string, blockRows int) error {
-	tmp := path + ".tmp"
-	w, err := codestore.Create(tmp, m.T.NumCols(), blockRows)
+	err := blockfile.WriteAtomic(path, func(tmp string) error {
+		w, err := codestore.Create(tmp, m.T.NumCols(), blockRows)
+		if err != nil {
+			return err
+		}
+		if err := m.B.ExportCodes(w, 0); err != nil {
+			w.Abort()
+			return err
+		}
+		return w.Close()
+	})
 	if err != nil {
 		return fmt.Errorf("core: exporting code store: %w", err)
-	}
-	if err := m.B.ExportCodes(w, 0); err != nil {
-		w.Abort()
-		return fmt.Errorf("core: exporting code store: %w", err)
-	}
-	if err := w.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("core: exporting code store: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
 	}
 	return nil
 }

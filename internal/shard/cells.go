@@ -1,10 +1,7 @@
 package shard
 
 import (
-	"errors"
 	"fmt"
-	"io/fs"
-	"path/filepath"
 	"sort"
 
 	"subtab/internal/colstore"
@@ -42,51 +39,24 @@ func OpenCells(dir string, descs []Desc, names []string, allowMissing bool) (*Ce
 	if len(descs) == 0 {
 		return nil, fmt.Errorf("shard: cell source needs at least one shard")
 	}
+	stores, err := openShards(dir, descs, len(names), allowMissing, "column shard", colstore.Open)
+	if err != nil {
+		return nil, err
+	}
 	c := &Cells{
 		descs:  append([]Desc(nil), descs...),
 		starts: make([]int, len(descs)+1),
-		stores: make([]*colstore.Store, len(descs)),
+		stores: stores,
 		names:  append([]string(nil), names...),
 	}
 	for i, d := range descs {
 		c.starts[i+1] = c.starts[i] + d.Rows
-	}
-	for i, d := range descs {
-		st, err := colstore.Open(filepath.Join(dir, d.File))
-		if err != nil {
-			if allowMissing && errors.Is(err, fs.ErrNotExist) {
-				continue
-			}
-			c.Close()
-			return nil, fmt.Errorf("shard: opening column shard %d (%s): %w", i, d.File, err)
-		}
-		if st.NumRows() != d.Rows || st.BlockRows() != d.BlockRows {
-			st.Close()
-			c.Close()
-			return nil, fmt.Errorf("shard: column shard %d (%s) is %d rows × %d rows/block, map says %d × %d",
-				i, d.File, st.NumRows(), st.BlockRows(), d.Rows, d.BlockRows)
-		}
-		if st.Checksum() != d.Checksum {
-			st.Close()
-			c.Close()
-			return nil, fmt.Errorf("shard: column shard %d (%s) has checksum %08x, map says %08x",
-				i, d.File, st.Checksum(), d.Checksum)
-		}
-		if st.NumCols() != len(names) {
-			st.Close()
-			c.Close()
-			return nil, fmt.Errorf("shard: column shard %d (%s) has %d columns, table has %d",
-				i, d.File, st.NumCols(), len(names))
-		}
 		for j, name := range names {
-			if got := st.ColumnName(j); got != name {
-				st.Close()
+			if st := stores[i]; st != nil && st.ColumnName(j) != name {
 				c.Close()
-				return nil, fmt.Errorf("shard: column shard %d (%s) column %d is %q, table has %q",
-					i, d.File, j, got, name)
+				return nil, fmt.Errorf("shard: column shard %d (%s) column %d is %q, table has %q", i, d.File, j, st.ColumnName(j), name)
 			}
 		}
-		c.stores[i] = st
 	}
 	return c, nil
 }

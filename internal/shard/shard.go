@@ -23,8 +23,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
+
+	"subtab/internal/blockfile"
 )
 
 // MapVersion is the current shard-map file format version.
@@ -103,15 +106,7 @@ func WriteFile(path string, m *Map) error {
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable))
 	buf = append(buf, mapEndMagic[:]...)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	return blockfile.WriteAtomic(path, func(tmp string) error { return os.WriteFile(tmp, buf, 0o644) })
 }
 
 // ReadFile reads and verifies a shard map written by WriteFile.
@@ -171,4 +166,53 @@ func decodeMap(raw []byte) (*Map, error) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(body)-off)
 	}
 	return m, nil
+}
+
+// shardStore is what a shard's store file answers to be checked against its
+// descriptor (codestore.Store and colstore.Store both do).
+type shardStore interface {
+	comparable
+	NumRows() int
+	NumCols() int
+	BlockRows() int
+	Checksum() uint32
+	Close() error
+}
+
+// openShards opens one cols-wide store per descriptor (file names resolved
+// against dir), validating each one's geometry and identity checksum against
+// its descriptor. With allowMissing, shards whose files do not exist stay
+// the zero S (nil); any other failure closes what was opened. kind names the
+// store in errors.
+func openShards[S shardStore](dir string, descs []Desc, cols int, allowMissing bool, kind string, open func(string) (S, error)) (_ []S, err error) {
+	var none S
+	stores := make([]S, len(descs))
+	defer func() {
+		if err == nil {
+			return
+		}
+		for _, st := range stores {
+			if st != none {
+				st.Close()
+			}
+		}
+	}()
+	for i, d := range descs {
+		st, err := open(filepath.Join(dir, d.File))
+		if err != nil {
+			if allowMissing && errors.Is(err, fs.ErrNotExist) {
+				continue
+			}
+			return nil, fmt.Errorf("shard: opening %s %d (%s): %w", kind, i, d.File, err)
+		}
+		stores[i] = st
+		if st.Checksum() != d.Checksum {
+			return nil, fmt.Errorf("shard: %s %d (%s) has checksum %08x, map expects %08x", kind, i, d.File, st.Checksum(), d.Checksum)
+		}
+		if st.NumRows() != d.Rows || st.NumCols() != cols || st.BlockRows() != d.BlockRows {
+			return nil, fmt.Errorf("shard: %s %d (%s) is %dx%d at %d rows/block, map expects %dx%d at %d",
+				kind, i, d.File, st.NumRows(), st.NumCols(), st.BlockRows(), d.Rows, cols, d.BlockRows)
+		}
+	}
+	return stores, nil
 }

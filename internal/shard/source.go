@@ -1,11 +1,8 @@
 package shard
 
 import (
-	"errors"
 	"fmt"
 	"io"
-	"io/fs"
-	"path/filepath"
 	"sort"
 
 	"subtab/internal/binning"
@@ -47,28 +44,15 @@ func Open(dir string, m *Map, cols int, allowMissing bool) (*Source, error) {
 		cols:   cols,
 		srcs:   make([]binning.CodeSource, len(m.Shards)),
 	}
-	for i, d := range m.Shards {
-		st, err := codestore.Open(filepath.Join(dir, d.File))
-		if err != nil {
-			if allowMissing && errors.Is(err, fs.ErrNotExist) {
-				continue
-			}
-			s.Close()
-			return nil, fmt.Errorf("shard: opening shard %d (%s): %w", i, d.File, err)
+	stores, err := openShards(dir, m.Shards, cols, allowMissing, "shard", codestore.Open)
+	if err != nil {
+		return nil, err
+	}
+	for i, st := range stores {
+		if st != nil {
+			s.srcs[i] = st
+			s.closers = append(s.closers, st)
 		}
-		if st.Checksum() != d.Checksum {
-			st.Close()
-			s.Close()
-			return nil, fmt.Errorf("shard: shard %d (%s) has checksum %08x, map expects %08x", i, d.File, st.Checksum(), d.Checksum)
-		}
-		if st.NumRows() != d.Rows || st.NumCols() != cols || st.BlockRows() != d.BlockRows {
-			st.Close()
-			s.Close()
-			return nil, fmt.Errorf("shard: shard %d (%s) is %dx%d at %d rows/block, map expects %dx%d at %d",
-				i, d.File, st.NumRows(), st.NumCols(), st.BlockRows(), d.Rows, cols, d.BlockRows)
-		}
-		s.srcs[i] = st
-		s.closers = append(s.closers, st)
 	}
 	s.initBlockRows()
 	return s, nil
