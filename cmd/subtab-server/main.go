@@ -35,18 +35,8 @@
 // scaled selections by scattering per-shard sample requests to its peers
 // and merging — byte-identical to one instance holding every shard.
 //
-// API (see internal/serve and README.md for details):
-//
-//	GET    /healthz
-//	GET    /tables
-//	POST   /tables?name=N            (CSV body; store=1 = out-of-core)
-//	GET    /tables/{name}
-//	DELETE /tables/{name}
-//	POST   /tables/{name}/append     (CSV body; incremental row ingestion)
-//	POST   /tables/{name}/select     {"k":10,"l":10,"targets":[...]}
-//	POST   /tables/{name}/query      {"query":{...},"k":10,"l":10}
-//	GET    /tables/{name}/rules
-//	POST   /shards/{name}/{idx}/sample  (shard-exec, instance-to-instance)
+// The route list is serve.NewHandler's doc comment; README.md has request
+// and response examples.
 package main
 
 import (

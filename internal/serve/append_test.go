@@ -56,7 +56,7 @@ func TestHTTPAppend(t *testing.T) {
 
 	// The appended table keeps serving selects and queries.
 	var sel subTableResponse
-	doJSON(t, "POST", srv.URL+"/tables/pay/select", map[string]any{"k": 5, "l": 2}, http.StatusOK, &sel)
+	doJSON(t, "POST", srv.URL+"/v1/tables/pay/select", map[string]any{"k": 5, "l": 2}, http.StatusOK, &sel)
 	for _, r := range sel.SourceRows {
 		if r < 0 || r >= 330 {
 			t.Fatalf("selected row %d out of range after append", r)
@@ -148,12 +148,26 @@ func TestHTTPAppendErrors(t *testing.T) {
 	}
 }
 
+// TestHTTPOversizedBody: every body kind past its bound answers 413 with
+// the too_large envelope — CSV uploads and appends, and the JSON routes.
 func TestHTTPOversizedBody(t *testing.T) {
-	prev := maxCSVBody
-	maxCSVBody = 256
-	defer func() { maxCSVBody = prev }()
+	prevCSV, prevBody := maxCSVBody, maxBody
+	maxCSVBody, maxBody = 256, 64
+	defer func() { maxCSVBody, maxBody = prevCSV, prevBody }()
 	srv := newTestServer(t)
 	uploadCSV(t, srv, "pay", testCSV(4), http.StatusCreated)
+	var info SessionInfo
+	doJSON(t, "POST", srv.URL+"/v1/sessions", map[string]any{"table": "pay"}, http.StatusCreated, &info)
+
+	huge := map[string]any{"targets": []string{strings.Repeat("x", 128)}}
+	for _, path := range []string{
+		"/v1/sessions",
+		"/v1/sessions/" + info.Session + "/select",
+		"/v1/sessions/" + info.Session + "/drilldown",
+		"/v1/tables/pay/select",
+	} {
+		wantEnvelope(t, "POST", srv.URL+path, huge, http.StatusRequestEntityTooLarge, "too_large")
+	}
 
 	big := testCSV(64) // well past 256 bytes
 	resp, err := http.Post(srv.URL+"/tables?name=huge", "text/csv", strings.NewReader(big))
@@ -203,7 +217,7 @@ func TestHTTPAppendRacingSelect(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
 				var sel subTableResponse
-				doJSON(t, "POST", srv.URL+"/tables/pay/select", map[string]any{"k": 4, "l": 2}, http.StatusOK, &sel)
+				doJSON(t, "POST", srv.URL+"/v1/tables/pay/select", map[string]any{"k": 4, "l": 2}, http.StatusOK, &sel)
 				for _, r := range sel.SourceRows {
 					if r < 0 || r >= 200+appends*10 {
 						errs <- fmt.Errorf("selected row %d out of any generation's bounds", r)

@@ -28,7 +28,7 @@ func (f failingCells) GatherCells(int, []int) ([]string, error) { return nil, er
 // malformed spec and an empty match are the request's: 400 bad_request, as
 // before. The executor failing — a dead shard peer, a column store that
 // cannot gather — is the service's: 500 internal with the cause kept in the
-// chain, on the sessionless route and on a session alike.
+// chain, on the table select and on a session alike.
 func TestSelectErrorClasses(t *testing.T) {
 	// A model whose view gathers through a broken cell source.
 	m := buildModel(t, "cells", 300)
@@ -49,7 +49,7 @@ func TestSelectErrorClasses(t *testing.T) {
 	}
 	srv := httptest.NewServer(NewHandler(svc, nil))
 	t.Cleanup(srv.Close)
-	env, _ := wantEnvelope(t, "POST", srv.URL+"/tables/cells/select", map[string]any{"k": 4, "l": 2}, http.StatusInternalServerError, "internal")
+	env, _ := wantEnvelope(t, "POST", srv.URL+"/v1/tables/cells/select", map[string]any{"k": 4, "l": 2}, http.StatusInternalServerError, "internal")
 	if !strings.Contains(env.Message, errBadPage.Error()) {
 		t.Fatalf("500 envelope %q lost the cause", env.Message)
 	}
@@ -68,11 +68,7 @@ func TestSelectErrorClasses(t *testing.T) {
 		"empty match":    {"k": 4, "l": 2, "query": map[string]any{"where": []map[string]any{{"col": "num", "op": "missing"}}}},
 		"group-by paged": {"k": 4, "l": 2, "query": map[string]any{"group_by": []string{"cat"}, "aggs": []map[string]any{{"func": "count"}}}},
 	} {
-		route := "/tables/cells/select"
-		if body["query"] != nil {
-			route = "/tables/cells/query"
-		}
-		if env, _ := wantEnvelope(t, "POST", srv.URL+route, body, http.StatusBadRequest, "bad_request"); env.Message == "" {
+		if env, _ := wantEnvelope(t, "POST", srv.URL+"/v1/tables/cells/select", body, http.StatusBadRequest, "bad_request"); env.Message == "" {
 			t.Fatalf("%s: empty 400 message", name)
 		}
 	}
@@ -101,11 +97,11 @@ func TestSelectErrorClasses(t *testing.T) {
 	csrv := httptest.NewServer(NewHandler(coord, nil))
 	t.Cleanup(csrv.Close)
 	body := map[string]any{"k": 4, "l": 2, "scale": map[string]any{"threshold": 1, "sample_budget": 400}}
-	env, _ = wantEnvelope(t, "POST", csrv.URL+"/tables/"+name+"/select", body, http.StatusInternalServerError, "internal")
+	env, _ = wantEnvelope(t, "POST", csrv.URL+"/v1/tables/"+name+"/select", body, http.StatusInternalServerError, "internal")
 	if !strings.Contains(env.Message, fmt.Sprintf("sampling shard 1 of %q", name)) {
 		t.Fatalf("500 envelope %q does not name the failed shard fetch", env.Message)
 	}
 	// What the coordinator cannot serve at all is still a refusal.
-	wantEnvelope(t, "POST", csrv.URL+"/tables/"+name+"/select", map[string]any{"k": 4, "l": 2}, http.StatusBadRequest, "bad_request")
+	wantEnvelope(t, "POST", csrv.URL+"/v1/tables/"+name+"/select", map[string]any{"k": 4, "l": 2}, http.StatusBadRequest, "bad_request")
 	wantEnvelope(t, "POST", csrv.URL+"/v1/sessions", map[string]any{"table": name}, http.StatusBadRequest, "bad_request")
 }

@@ -21,9 +21,13 @@ import (
 )
 
 // maxCSVBody bounds uploaded CSV bodies (tables beyond this belong in a
-// bulk-ingest path, not an HTTP upload). A variable so tests can exercise
+// bulk-ingest path, not an HTTP upload), maxBody every other request body
+// (JSON requests and shard-exec frames). Variables so tests can exercise
 // the oversized-body path without allocating a gigabyte.
-var maxCSVBody int64 = 1 << 30
+var (
+	maxCSVBody int64 = 1 << 30
+	maxBody    int64 = 1 << 20
+)
 
 // maxSelectCells bounds a select response's k×l cell count. The check runs
 // before the selection so a request asking for millions of cells is
@@ -40,26 +44,23 @@ var maxSelectCells = 1 << 16
 //	GET    /tables/{name}           one table's info
 //	DELETE /tables/{name}           drop a table
 //	POST   /tables/{name}/append    append CSV rows (incremental ingestion)
-//	POST   /tables/{name}/select    k×l sub-table of the whole table (deprecated: /v1 sessions)
-//	POST   /tables/{name}/query     k×l sub-table of a query result (deprecated: /v1 sessions)
 //	GET    /tables/{name}/rules     mined association rules
 //	POST   /shards/{name}/{idx}/sample  shard-exec scan (binary codec)
 //	POST   /shards/{name}/{idx}/cells   shard-exec cell gather (binary codec)
 //
 // plus the versioned exploration surface:
 //
+//	POST   /v1/tables/{name}/select        k×l sub-table of the table or of a query result
 //	POST   /v1/sessions                    open an exploration session
 //	GET    /v1/sessions/{id}               session state
 //	DELETE /v1/sessions/{id}               close a session
 //	POST   /v1/sessions/{id}/select        predicate-scoped, coverage-biased select
 //	POST   /v1/sessions/{id}/drilldown     expand a row/cell anchor and select inside it
 //
-// Every response is JSON; errors are one structured envelope
-// {"code": "...", "message": "...", "retry_after": n?} with a matching
-// status code (retry_after appears only on 429s, mirroring the
-// Retry-After header). The unversioned select/query routes answer with a
-// Deprecation header pointing at /v1. A nil logger disables request
-// logging.
+// Every response is JSON; errors, including an unmatched route, are one
+// structured envelope {"code": "...", "message": "...", "retry_after": n?}
+// with a matching status code (retry_after appears only on 429s, mirroring
+// the Retry-After header). A nil logger disables request logging.
 func NewHandler(svc *Service, logger *log.Logger) http.Handler {
 	h := &api{svc: svc}
 	mux := http.NewServeMux()
@@ -69,31 +70,22 @@ func NewHandler(svc *Service, logger *log.Logger) http.Handler {
 	mux.HandleFunc("GET /tables/{name}", h.tableInfo)
 	mux.HandleFunc("DELETE /tables/{name}", h.deleteTable)
 	mux.HandleFunc("POST /tables/{name}/append", h.appendRows)
-	mux.HandleFunc("POST /tables/{name}/select", deprecated(h.selectWhole))
-	mux.HandleFunc("POST /tables/{name}/query", deprecated(h.selectQuery))
 	mux.HandleFunc("GET /tables/{name}/rules", h.rules)
 	mux.HandleFunc("POST /shards/{name}/{idx}/sample", h.shardSample)
 	mux.HandleFunc("POST /shards/{name}/{idx}/cells", h.shardCells)
+	mux.HandleFunc("POST /v1/tables/{name}/select", h.tableSelect)
 	mux.HandleFunc("POST /v1/sessions", h.createSession)
 	mux.HandleFunc("GET /v1/sessions/{id}", h.sessionStatus)
 	mux.HandleFunc("DELETE /v1/sessions/{id}", h.deleteSession)
 	mux.HandleFunc("POST /v1/sessions/{id}/select", h.sessionSelect)
 	mux.HandleFunc("POST /v1/sessions/{id}/drilldown", h.sessionDrillDown)
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		writeErrorCode(w, http.StatusNotFound, "not_found", "no route for %s %s", r.Method, r.URL.Path)
+	})
 	if logger == nil {
 		return mux
 	}
 	return logRequests(logger, mux)
-}
-
-// deprecated marks a legacy unversioned route: it still works as a thin
-// adapter over the same service, but answers with a Deprecation header
-// (RFC 9745) steering clients to the /v1 exploration surface.
-func deprecated(next http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "@1786060800") // 2026-08-07: superseded by /v1/sessions
-		w.Header().Set("Link", "</v1/sessions>; rel=\"successor-version\"")
-		next(w, r)
-	}
 }
 
 // logRequests wraps next with per-request logging (method, path, status,
@@ -244,7 +236,7 @@ func (h *api) createTable(w http.ResponseWriter, r *http.Request) {
 	}
 	t, err := table.ReadCSV(name, http.MaxBytesReader(w, r.Body, maxCSVBody))
 	if err != nil {
-		writeCSVError(w, err)
+		writeBodyError(w, fmt.Errorf("parsing CSV: %w", err))
 		return
 	}
 	start := time.Now()
@@ -324,7 +316,7 @@ func (h *api) appendRows(w http.ResponseWriter, r *http.Request) {
 	}
 	rows, err := table.ReadCSVLike(name, http.MaxBytesReader(w, r.Body, maxCSVBody), cur.T)
 	if err != nil {
-		writeCSVError(w, err)
+		writeBodyError(w, fmt.Errorf("parsing CSV: %w", err))
 		return
 	}
 	start := time.Now()
@@ -353,15 +345,9 @@ func (h *api) shardSample(w http.ResponseWriter, r *http.Request) {
 		writeBadRequest(w, "shard index: want a non-negative integer, got %q", r.PathValue("idx"))
 		return
 	}
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
 	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeErrorCode(w, http.StatusRequestEntityTooLarge, "too_large",
-				"request body exceeds %d bytes", tooLarge.Limit)
-			return
-		}
-		writeBadRequest(w, "reading request body: %v", err)
+		writeBodyError(w, fmt.Errorf("reading request body: %w", err))
 		return
 	}
 	req, err := shard.UnmarshalSampleRequest(raw)
@@ -388,15 +374,9 @@ func (h *api) shardCells(w http.ResponseWriter, r *http.Request) {
 		writeBadRequest(w, "shard index: want a non-negative integer, got %q", r.PathValue("idx"))
 		return
 	}
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
 	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeErrorCode(w, http.StatusRequestEntityTooLarge, "too_large",
-				"request body exceeds %d bytes", tooLarge.Limit)
-			return
-		}
-		writeBadRequest(w, "reading request body: %v", err)
+		writeBodyError(w, fmt.Errorf("reading request body: %w", err))
 		return
 	}
 	req, err := shard.UnmarshalCellsRequest(raw)
@@ -413,16 +393,17 @@ func (h *api) shardCells(w http.ResponseWriter, r *http.Request) {
 	w.Write(resp.Marshal())
 }
 
-// writeCSVError maps a CSV ingestion failure to a status: an oversized body
-// is 413, anything else the client's malformed CSV (400).
-func writeCSVError(w http.ResponseWriter, err error) {
+// writeBodyError answers a request whose body could not be read or
+// parsed: an oversized body is 413 too_large, anything else the client's
+// malformed input (400).
+func writeBodyError(w http.ResponseWriter, err error) {
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
 		writeErrorCode(w, http.StatusRequestEntityTooLarge, "too_large",
 			"request body exceeds %d bytes", tooLarge.Limit)
 		return
 	}
-	writeBadRequest(w, "parsing CSV: %v", err)
+	writeBadRequest(w, "%v", err)
 }
 
 // pipelineOptions overlays query-parameter knobs on the service defaults.
@@ -494,10 +475,11 @@ func pipelineOptions(base core.Options, qp map[string][]string) (*core.Options, 
 	return &opt, nil
 }
 
-// selectRequest is the body of /select and /query. K and L default to 10
-// when omitted; Query is required for /query and ignored for /select.
-// Scale, when present, overrides the served model's large-table selection
-// mode for this request only (see core.ScaleOptions).
+// selectRequest is the body of POST /v1/tables/{name}/select. K and L
+// default to 10 when omitted; Query, when present, selects from the
+// query's result instead of the whole table. Scale, when present,
+// overrides the served model's large-table selection mode for this
+// request only (see core.ScaleOptions).
 type selectRequest struct {
 	K         int       `json:"k"`
 	L         int       `json:"l"`
@@ -545,30 +527,18 @@ type subTableResponse struct {
 	TookMS     float64    `json:"took_ms"`
 }
 
-func (h *api) selectWhole(w http.ResponseWriter, r *http.Request) {
-	h.doSelect(w, r, false)
-}
-
-func (h *api) selectQuery(w http.ResponseWriter, r *http.Request) {
-	h.doSelect(w, r, true)
-}
-
-func (h *api) doSelect(w http.ResponseWriter, r *http.Request, withQuery bool) {
+func (h *api) tableSelect(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var req selectRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeBadRequest(w, "%v", err)
+	if err := decodeBody(w, r, &req); err != nil {
+		writeBodyError(w, err)
 		return
 	}
 	if !checkShape(w, &req.K, &req.L) {
 		return
 	}
 	var q *query.Query
-	if withQuery {
-		if req.Query == nil {
-			writeBadRequest(w, "missing required field: query")
-			return
-		}
+	if req.Query != nil {
 		var err error
 		if q, err = req.Query.toQuery(); err != nil {
 			writeBadRequest(w, "%v", err)
@@ -617,8 +587,10 @@ func viewCells(v *table.Table) [][]string {
 	return cells
 }
 
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<20))
+// decodeBody decodes a JSON request body into v, bounded by maxBody; an
+// oversized body's error wraps *http.MaxBytesError (see writeBodyError).
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		if errors.Is(err, io.EOF) {

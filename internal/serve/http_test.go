@@ -123,7 +123,7 @@ func TestHTTPLifecycle(t *testing.T) {
 
 	// Whole-table select.
 	var sel subTableResponse
-	doJSON(t, "POST", srv.URL+"/tables/pay/select",
+	doJSON(t, "POST", srv.URL+"/v1/tables/pay/select",
 		map[string]any{"k": 5, "l": 2, "targets": []string{"status"}}, http.StatusOK, &sel)
 	if len(sel.SourceRows) == 0 || len(sel.SourceRows) > 5 {
 		t.Fatalf("select returned %d rows, want 1..5", len(sel.SourceRows))
@@ -137,7 +137,7 @@ func TestHTTPLifecycle(t *testing.T) {
 
 	// Query select.
 	var qsel subTableResponse
-	doJSON(t, "POST", srv.URL+"/tables/pay/query", map[string]any{
+	doJSON(t, "POST", srv.URL+"/v1/tables/pay/select", map[string]any{
 		"k": 4, "l": 2,
 		"query": map[string]any{
 			"where": []map[string]any{{"col": "status", "op": "=", "str": "failed"}},
@@ -154,7 +154,7 @@ func TestHTTPLifecycle(t *testing.T) {
 
 	// Highlighted select.
 	var hsel subTableResponse
-	doJSON(t, "POST", srv.URL+"/tables/pay/select",
+	doJSON(t, "POST", srv.URL+"/v1/tables/pay/select",
 		map[string]any{"k": 6, "l": 3, "highlight": true}, http.StatusOK, &hsel)
 	if len(hsel.RuleLabels) != len(hsel.SourceRows) {
 		t.Fatalf("rule labels: %d for %d rows", len(hsel.RuleLabels), len(hsel.SourceRows))
@@ -182,7 +182,7 @@ func TestHTTPErrors(t *testing.T) {
 	srv := newTestServer(t)
 
 	// Unknown table.
-	doJSON(t, "POST", srv.URL+"/tables/ghost/select", map[string]any{"k": 3, "l": 2}, http.StatusNotFound, nil)
+	doJSON(t, "POST", srv.URL+"/v1/tables/ghost/select", map[string]any{"k": 3, "l": 2}, http.StatusNotFound, nil)
 	doJSON(t, "GET", srv.URL+"/tables/ghost/rules", nil, http.StatusNotFound, nil)
 	doJSON(t, "DELETE", srv.URL+"/tables/ghost", nil, http.StatusNotFound, nil)
 
@@ -208,29 +208,29 @@ func TestHTTPErrors(t *testing.T) {
 
 	uploadCSV(t, srv, "err", testCSV(120), http.StatusCreated)
 
-	// Query endpoint without a query.
-	doJSON(t, "POST", srv.URL+"/tables/err/query", map[string]any{"k": 3, "l": 2}, http.StatusBadRequest, nil)
+	// A query that is not a query object.
+	doJSON(t, "POST", srv.URL+"/v1/tables/err/select", map[string]any{"k": 3, "l": 2, "query": "status=failed"}, http.StatusBadRequest, nil)
 
 	// Unknown predicate op and unknown aggregate.
-	doJSON(t, "POST", srv.URL+"/tables/err/query", map[string]any{
+	doJSON(t, "POST", srv.URL+"/v1/tables/err/select", map[string]any{
 		"query": map[string]any{"where": []map[string]any{{"col": "amount", "op": "~", "num": 1}}},
 	}, http.StatusBadRequest, nil)
-	doJSON(t, "POST", srv.URL+"/tables/err/query", map[string]any{
+	doJSON(t, "POST", srv.URL+"/v1/tables/err/select", map[string]any{
 		"query": map[string]any{"group_by": []string{"status"}, "aggs": []map[string]any{{"func": "median"}}},
 	}, http.StatusBadRequest, nil)
 
 	// Unknown JSON field is rejected (catches client typos).
-	doJSON(t, "POST", srv.URL+"/tables/err/select", map[string]any{"rows": 3}, http.StatusBadRequest, nil)
+	doJSON(t, "POST", srv.URL+"/v1/tables/err/select", map[string]any{"rows": 3}, http.StatusBadRequest, nil)
 
 	// Malformed rules knob.
 	doJSON(t, "GET", srv.URL+"/tables/err/rules?min_support=2", nil, http.StatusBadRequest, nil)
 
 	// Unknown target column is the client's mistake: 400, not 500.
-	doJSON(t, "POST", srv.URL+"/tables/err/select",
+	doJSON(t, "POST", srv.URL+"/v1/tables/err/select",
 		map[string]any{"k": 3, "l": 2, "targets": []string{"nope"}}, http.StatusBadRequest, nil)
 
 	// Impossible dimensions likewise.
-	doJSON(t, "POST", srv.URL+"/tables/err/select",
+	doJSON(t, "POST", srv.URL+"/v1/tables/err/select",
 		map[string]any{"k": -1, "l": 2}, http.StatusBadRequest, nil)
 
 	// Unknown mining target column: 400 from the rules endpoint.

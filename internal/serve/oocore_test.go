@@ -167,14 +167,14 @@ func TestHTTPOutOfCoreUpload(t *testing.T) {
 		"k": 5, "l": 3,
 		"scale": map[string]any{"threshold": 1, "sample_budget": 300, "batch_size": 64, "max_iter": 20, "slab_budget": 1},
 	}
-	doJSON(t, "POST", srv.URL+"/tables/ooc/select", body, http.StatusOK, &sel)
+	doJSON(t, "POST", srv.URL+"/v1/tables/ooc/select", body, http.StatusOK, &sel)
 	if len(sel.SourceRows) != 5 {
 		t.Fatalf("select returned %d rows, want 5", len(sel.SourceRows))
 	}
 
 	// Negative slab budget is the caller's bug.
 	bad := map[string]any{"k": 5, "l": 3, "scale": map[string]any{"slab_budget": -1}}
-	doJSON(t, "POST", srv.URL+"/tables/ooc/select", bad, http.StatusBadRequest, nil)
+	doJSON(t, "POST", srv.URL+"/v1/tables/ooc/select", bad, http.StatusBadRequest, nil)
 
 	// store=1 without a cache dir is a 400, not a crash.
 	memSrv := httptest.NewServer(NewHandler(NewService(NewStore(StoreOptions{}), testOptions()), nil))

@@ -148,14 +148,14 @@ func TestHTTPSelectScale(t *testing.T) {
 	var first, second struct {
 		SourceRows []int `json:"source_rows"`
 	}
-	doJSON(t, "POST", srv.URL+"/tables/big/select", req, http.StatusOK, &first)
+	doJSON(t, "POST", srv.URL+"/v1/tables/big/select", req, http.StatusOK, &first)
 	if len(first.SourceRows) != 5 {
 		t.Fatalf("scaled HTTP select returned %d rows, want 5", len(first.SourceRows))
 	}
-	doJSON(t, "POST", srv.URL+"/tables/big/select", req, http.StatusOK, &second)
+	doJSON(t, "POST", srv.URL+"/v1/tables/big/select", req, http.StatusOK, &second)
 	if fmt.Sprint(first.SourceRows) != fmt.Sprint(second.SourceRows) {
 		t.Fatalf("scaled HTTP select not deterministic: %v vs %v", first.SourceRows, second.SourceRows)
 	}
 	bad := map[string]any{"k": 5, "l": 2, "scale": map[string]any{"threshold": -1}}
-	doJSON(t, "POST", srv.URL+"/tables/big/select", bad, http.StatusBadRequest, nil)
+	doJSON(t, "POST", srv.URL+"/v1/tables/big/select", bad, http.StatusBadRequest, nil)
 }

@@ -1,10 +1,11 @@
 package serve
 
 // The /v1 exploration surface: versioned HTTP handlers for server-side
-// exploration sessions. One consolidated select body (where + shape +
-// scale + weights) replaces the unversioned select/query split, and every
-// error — including the 429 admission path — returns the same structured
-// envelope {code, message, retry_after?}.
+// exploration sessions (the sessionless table select lives in http.go).
+// One consolidated select body (where + shape + scale + weights) carries
+// a session's filter and weighting, and every error — including the 429
+// admission path — returns the same structured envelope
+// {code, message, retry_after?}.
 
 import (
 	"net/http"
@@ -58,8 +59,8 @@ type v1SubTableResponse struct {
 
 func (h *api) createSession(w http.ResponseWriter, r *http.Request) {
 	var req createSessionRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeBadRequest(w, "%v", err)
+	if err := decodeBody(w, r, &req); err != nil {
+		writeBodyError(w, err)
 		return
 	}
 	if strings.TrimSpace(req.Table) == "" {
@@ -120,8 +121,8 @@ func checkShape(w http.ResponseWriter, k, l *int) bool {
 func (h *api) sessionSelect(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var req v1SelectRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeBadRequest(w, "%v", err)
+	if err := decodeBody(w, r, &req); err != nil {
+		writeBodyError(w, err)
 		return
 	}
 	if !checkShape(w, &req.K, &req.L) {
@@ -149,8 +150,8 @@ func (h *api) sessionSelect(w http.ResponseWriter, r *http.Request) {
 func (h *api) sessionDrillDown(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var req v1DrillDownRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeBadRequest(w, "%v", err)
+	if err := decodeBody(w, r, &req); err != nil {
+		writeBodyError(w, err)
 		return
 	}
 	if !checkShape(w, &req.K, &req.L) {

@@ -202,39 +202,31 @@ func TestV1OverloadedEnvelope(t *testing.T) {
 	}
 }
 
+// TestLegacyRoutesDeprecated pins the removal of the unversioned
+// select/query routes: they answer 404 with the error envelope like any
+// unmatched path, and no response carries a deprecation marker.
 func TestLegacyRoutesDeprecated(t *testing.T) {
 	srv := newTestServer(t)
 	uploadCSV(t, srv, "pay", testCSV(150), http.StatusCreated)
 
-	for _, rt := range []struct {
-		path string
-		body map[string]any
-	}{
-		{"/tables/pay/select", map[string]any{"k": 3, "l": 2}},
-		{"/tables/pay/query", map[string]any{
-			"k": 3, "l": 2,
-			"query": map[string]any{"where": []map[string]any{{"col": "status", "op": "=", "str": "ok"}}},
-		}},
-	} {
-		code, hdr, raw := doRaw(t, "POST", srv.URL+rt.path, rt.body)
-		if code != http.StatusOK {
-			t.Fatalf("POST %s = %d; body %s", rt.path, code, raw)
-		}
-		if dep := hdr.Get("Deprecation"); !strings.HasPrefix(dep, "@") {
-			t.Fatalf("POST %s Deprecation header = %q, want @unix-time", rt.path, dep)
-		}
-		if link := hdr.Get("Link"); !strings.Contains(link, "/v1/sessions") || !strings.Contains(link, "successor-version") {
-			t.Fatalf("POST %s Link header = %q", rt.path, link)
+	// Header lookups canonicalize the key.
+	noMarker := func(what string, hdr http.Header) {
+		t.Helper()
+		for _, key := range []string{"deprecation", "link"} {
+			if v := hdr.Get(key); v != "" {
+				t.Fatalf("%s carries %s: %q", what, key, v)
+			}
 		}
 	}
-
-	// The versioned surface carries no deprecation marker.
-	var info SessionInfo
-	doJSON(t, "POST", srv.URL+"/v1/sessions", map[string]any{"table": "pay"}, http.StatusCreated, &info)
-	_, hdr, _ := doRaw(t, "GET", srv.URL+"/v1/sessions/"+info.Session, nil)
-	if hdr.Get("Deprecation") != "" {
-		t.Fatal("/v1 route carries a Deprecation header")
+	for _, path := range []string{"/tables/pay/select", "/tables/pay/query"} {
+		_, hdr := wantEnvelope(t, "POST", srv.URL+path, map[string]any{"k": 3, "l": 2}, http.StatusNotFound, "not_found")
+		noMarker("POST "+path, hdr)
 	}
+	code, hdr, raw := doRaw(t, "POST", srv.URL+"/v1/tables/pay/select", map[string]any{"k": 3, "l": 2})
+	if code != http.StatusOK {
+		t.Fatalf("POST /v1/tables/pay/select = %d; body %s", code, raw)
+	}
+	noMarker("POST /v1/tables/pay/select", hdr)
 }
 
 // TestV1DrillDownDeterminism replays the same dialogue against two
