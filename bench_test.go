@@ -229,13 +229,14 @@ func BenchmarkKMeansRows(b *testing.B) {
 	}
 }
 
-// BenchmarkKMeansRowsSliceAPI measures the same clustering through the
-// slice-of-slices compatibility wrapper (the packing cost is the delta).
+// BenchmarkKMeansRowsSliceAPI measures the same clustering from
+// slice-of-slices rows, packed by f32.FromRows (the packing cost is the
+// delta).
 func BenchmarkKMeansRowsSliceAPI(b *testing.B) {
 	rows := benchRowMatrix(b, 3000).Rows()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cluster.KMeans(rows, 10, cluster.Options{Seed: 1})
+		cluster.KMeansMatrix(f32.FromRows(rows), 10, cluster.Options{Seed: 1})
 	}
 }
 

@@ -242,10 +242,9 @@ func NaiveClustering(e *metrics.Evaluator, opt NCOptions) (*Result, error) {
 		}
 		rowVecs[i] = v
 	}
-	rowMat := f32.FromRows(rowVecs)
-	rowRes := cluster.KMeansMatrix(rowMat, opt.K, cluster.Options{Seed: opt.Seed})
+	rowRes := cluster.KMeansMatrix(f32.FromRows(rowVecs), opt.K, cluster.Options{Seed: opt.Seed})
 	rows := make([]int, 0, opt.K)
-	for _, i := range rowRes.RepresentativesMatrix(rowMat) {
+	for _, i := range rowRes.Representatives() {
 		rows = append(rows, rowPool[i])
 	}
 	sort.Ints(rows)
@@ -274,9 +273,8 @@ func NaiveClustering(e *metrics.Evaluator, opt NCOptions) (*Result, error) {
 			}
 			colVecs[i] = v
 		}
-		colMat := f32.FromRows(colVecs)
-		colRes := cluster.KMeansMatrix(colMat, need, cluster.Options{Seed: opt.Seed + 1})
-		for _, i := range colRes.RepresentativesMatrix(colMat) {
+		colRes := cluster.KMeansMatrix(f32.FromRows(colVecs), need, cluster.Options{Seed: opt.Seed + 1})
+		for _, i := range colRes.Representatives() {
 			cols = append(cols, candCols[i])
 		}
 	}
@@ -691,9 +689,8 @@ func EmbDI(e *metrics.Evaluator, opt EmbDIOptions) (*Result, error) {
 		}
 		rowVecs[r] = v
 	}
-	rowMat := f32.FromRows(rowVecs)
-	rowRes := cluster.KMeansMatrix(rowMat, opt.K, cluster.Options{Seed: opt.Seed})
-	rows := rowRes.RepresentativesMatrix(rowMat)
+	rowRes := cluster.KMeansMatrix(f32.FromRows(rowVecs), opt.K, cluster.Options{Seed: opt.Seed})
+	rows := rowRes.Representatives()
 
 	inTarget := make(map[int]bool, len(tIdx))
 	for _, c := range tIdx {
@@ -715,9 +712,8 @@ func EmbDI(e *metrics.Evaluator, opt EmbDIOptions) (*Result, error) {
 			}
 			colVecs[i] = v
 		}
-		colMat := f32.FromRows(colVecs)
-		colRes := cluster.KMeansMatrix(colMat, need, cluster.Options{Seed: opt.Seed + 1})
-		for _, i := range colRes.RepresentativesMatrix(colMat) {
+		colRes := cluster.KMeansMatrix(f32.FromRows(colVecs), need, cluster.Options{Seed: opt.Seed + 1})
+		for _, i := range colRes.Representatives() {
 			cols = append(cols, candCols[i])
 		}
 	}

@@ -4,18 +4,22 @@
 // are clustered and the points nearest each centroid become the sub-table's
 // rows and columns (the paper uses sklearn's KMeans for this).
 //
-// The native input is a contiguous f32.Matrix (KMeansMatrix); the
-// slice-of-slices KMeans entry point packs and delegates. The assignment
-// step — the O(n·k·dim) bulk of every Lloyd iteration — runs across workers,
-// each point's scan one f32.Centers.Nearest call (every center's distance in
-// one pass over the point), while the centroid-update step stays serial: its
-// float accumulation order is part of the determinism contract, so results
-// are bit-identical to the serial implementation at any worker count.
+// The input is a contiguous f32.Matrix (KMeansMatrix, MiniBatchKMeans) or a
+// PointSource that may be spilled to disk (MiniBatchKMeansSource). The
+// assignment step — the O(n·k·dim) bulk of every Lloyd iteration — runs
+// across workers, each point's scan one f32.Centers.Nearest call (every
+// center's distance in one pass over the point), while the centroid-update
+// step stays serial: its float accumulation order is part of the determinism
+// contract, so results are bit-identical to the serial implementation at any
+// worker count. Every Result carries each point's distance to its centre
+// (Dist), so Closest and Representatives rank members without touching a
+// point again.
 package cluster
 
 import (
 	"math"
 	"math/rand"
+	"sort"
 
 	"subtab/internal/f32"
 )
@@ -47,15 +51,23 @@ func (o Options) withDefaults() Options {
 type Result struct {
 	K          int
 	Assign     []int       // point index -> cluster
+	Dist       []float64   // point index -> squared distance to its centre, with f32.SqDist's bits
 	Centers    [][]float32 // k centroids (views into one contiguous slab)
 	Sizes      []int       // points per cluster
 	Iterations int
 }
 
-// KMeans clusters slice-of-slices points by packing them into a flat matrix
-// and delegating to KMeansMatrix. Points must share one dimension.
-func KMeans(points [][]float32, k int, opt Options) *Result {
-	return KMeansMatrix(f32.FromRows(points), k, opt)
+// singletons is the clustering of k >= n points: every point its own
+// cluster, centred on itself.
+func singletons(centers f32.Matrix) *Result {
+	n := centers.R
+	res := &Result{K: n, Assign: make([]int, n), Dist: make([]float64, n), Centers: centers.Rows(), Sizes: make([]int, n)}
+	for i := 0; i < n; i++ {
+		res.Assign[i] = i
+		res.Dist[i] = f32.SqDist(centers.Row(i), centers.Row(i))
+		res.Sizes[i] = 1
+	}
+	return res
 }
 
 // KMeansMatrix clusters the rows of pts into k clusters. When
@@ -69,12 +81,7 @@ func KMeansMatrix(pts f32.Matrix, k int, opt Options) *Result {
 	if k >= n {
 		centers := f32.New(n, pts.C)
 		copy(centers.Data, pts.Data)
-		res := &Result{K: n, Assign: make([]int, n), Centers: centers.Rows(), Sizes: make([]int, n)}
-		for i := 0; i < n; i++ {
-			res.Assign[i] = i
-			res.Sizes[i] = 1
-		}
-		return res
+		return singletons(centers)
 	}
 	dim := pts.C
 	rng := rand.New(rand.NewSource(opt.Seed))
@@ -85,6 +92,7 @@ func KMeansMatrix(pts f32.Matrix, k int, opt Options) *Result {
 
 	centers := seedPlusPlus(pts, k, rng, workers)
 	assign := make([]int, n)
+	dist := make([]float64, n)
 	sizes := make([]int, k)
 	next := f32.New(k, dim)
 	counts := make([]int, k)
@@ -102,11 +110,12 @@ func KMeansMatrix(pts f32.Matrix, k int, opt Options) *Result {
 		// one pass over the point; elsewhere it cuts a center's sum short
 		// once it exceeds the incumbent's. Both pick the same center — a sum
 		// cut short has already lost and only grows (see f32.Centers.Nearest).
+		// The winner's distance, SqDist's bits, feeds the repair.
 		nearest.Load(centers)
 		f32.ParallelRange(n, workers, func(start, end int) {
 			scratch := nearest.Scratch()
 			for i := start; i < end; i++ {
-				assign[i], _ = nearest.Nearest(pts.Row(i), assign[i], scratch)
+				assign[i], dist[i] = nearest.Nearest(pts.Row(i), assign[i], scratch)
 			}
 		})
 		for c := range sizes {
@@ -115,7 +124,7 @@ func KMeansMatrix(pts f32.Matrix, k int, opt Options) *Result {
 		for _, c := range assign {
 			sizes[c]++
 		}
-		repairEmptyClusters(pts, centers, assign, sizes)
+		repairEmptyClusters(centers, assign, dist, sizes, pts.Row)
 		// Update step, serial: summing points in index order is part of the
 		// bit-determinism contract (float addition is not associative).
 		f32.Zero(next.Data)
@@ -147,26 +156,31 @@ func KMeansMatrix(pts f32.Matrix, k int, opt Options) *Result {
 	for _, c := range assign {
 		sizes[c]++
 	}
-	return &Result{K: k, Assign: assign, Centers: centers.Rows(), Sizes: sizes, Iterations: iter}
+	// The last update moved the centers after the last assignment, so every
+	// distance is taken once more against the centers returned.
+	f32.ParallelRange(n, workers, func(start, end int) {
+		for i := start; i < end; i++ {
+			dist[i] = f32.SqDist(pts.Row(i), centers.Row(assign[i]))
+		}
+	})
+	return &Result{K: k, Assign: assign, Dist: dist, Centers: centers.Rows(), Sizes: sizes, Iterations: iter}
 }
 
 // repairEmptyClusters reassigns, for every empty cluster, the point farthest
-// from its current center (never stealing a singleton). The scan is serial
-// in index order — first-found farthest wins on exact ties — so the repair
-// is deterministic and shared bit-for-bit by the exact and mini-batch paths.
-func repairEmptyClusters(pts, centers f32.Matrix, assign, sizes []int) {
-	n := pts.R
+// from its current center (never stealing a singleton), reading the
+// distances from dist. The scan is serial in index order — first-found
+// farthest wins on exact ties — so the repair is deterministic and shared
+// bit-for-bit by the exact, mini-batch and spilled-source paths. A moved
+// point becomes a singleton, which no later scan reads, and its dist is
+// retaken from row(i) against its new center.
+func repairEmptyClusters(centers f32.Matrix, assign []int, dist []float64, sizes []int, row func(i int) []float32) {
 	for c := range sizes {
 		if sizes[c] > 0 {
 			continue
 		}
 		far, farD := -1, -1.0
-		for i := 0; i < n; i++ {
-			if sizes[assign[i]] <= 1 {
-				continue
-			}
-			d := f32.SqDist(pts.Row(i), centers.Row(assign[i]))
-			if d > farD {
+		for i, d := range dist {
+			if sizes[assign[i]] > 1 && d > farD {
 				far, farD = i, d
 			}
 		}
@@ -174,76 +188,60 @@ func repairEmptyClusters(pts, centers f32.Matrix, assign, sizes []int) {
 			sizes[assign[far]]--
 			assign[far] = c
 			sizes[c] = 1
+			dist[far] = f32.SqDist(row(far), centers.Row(c))
 		}
 	}
 }
 
-// Representatives returns, for each cluster, the index of the point nearest
-// its centroid — the "centroid selection" of Algorithm 2. Clusters are
-// ordered by descending size so that callers taking a prefix favour the
-// dominant patterns; empty clusters are skipped.
-//
-// Deprecated: use RepresentativesMatrix, which takes the pipeline's native
-// flat matrix and avoids the slice-of-slices packing copy.
-func (r *Result) Representatives(points [][]float32) []int {
-	return r.RepresentativesMatrix(f32.FromRows(points))
+// Closest returns, for each cluster, the indices of its q members nearest
+// the center, nearest first, ties going to the lower point index — the
+// first q of the cluster's members sorted by (Dist, index). One serial pass
+// keeps each cluster's list sorted: a point enters by insertion when the
+// list is short or it beats the list's last, so the cost is O(n) plus
+// O(q) per entry instead of a sort of every member.
+func (r *Result) Closest(q int) [][]int {
+	out := make([][]int, r.K)
+	if q <= 0 {
+		return out
+	}
+	for c := range out {
+		out[c] = make([]int, 0, min(q, r.Sizes[c]))
+	}
+	for i, c := range r.Assign {
+		l, d := out[c], r.Dist[i]
+		if len(l) == q {
+			// Indices only grow, so an equal distance keeps the incumbent.
+			if !(d < r.Dist[l[q-1]]) {
+				continue
+			}
+		} else {
+			l = append(l, 0)
+		}
+		j := len(l) - 1
+		for ; j > 0 && r.Dist[l[j-1]] > d; j-- {
+			l[j] = l[j-1]
+		}
+		l[j] = i
+		out[c] = l
+	}
+	return out
 }
 
-// RepresentativesMatrix is Representatives over a flat matrix (no packing).
-// The per-cluster nearest-point scan fans out in chunks whose partial argmins
-// merge in chunk order (MapReduceOrdered): within a chunk the ascending scan
-// keeps the first achiever of each minimum, and the ordered strict-less merge
-// keeps the earliest chunk's — so the winner is the lowest-indexed
-// min-achiever, exactly as in a serial scan, at any worker count.
-func (r *Result) RepresentativesMatrix(pts f32.Matrix) []int {
-	if r.K == 0 {
-		return nil
-	}
-	type partial struct {
-		best  []int
-		bestD []float64
-	}
-	best := make([]int, r.K)
-	bestD := make([]float64, r.K)
-	for c := range best {
-		best[c] = -1
-		bestD[c] = math.Inf(1)
-	}
-	f32.MapReduceOrdered(pts.R, f32.Workers(pts.R), func(start, end int) partial {
-		p := partial{best: make([]int, r.K), bestD: make([]float64, r.K)}
-		for c := range p.best {
-			p.best[c] = -1
-			p.bestD[c] = math.Inf(1)
-		}
-		for i := start; i < end; i++ {
-			c := r.Assign[i]
-			d := f32.SqDistBounded(pts.Row(i), r.Centers[c], p.bestD[c])
-			if d < p.bestD[c] {
-				p.best[c], p.bestD[c] = i, d
-			}
-		}
-		return p
-	}, func(p partial) {
-		for c := range best {
-			if p.best[c] >= 0 && p.bestD[c] < bestD[c] {
-				best[c], bestD[c] = p.best[c], p.bestD[c]
-			}
-		}
-	})
-	// Order clusters by size (desc), stable by cluster id.
+// Representatives returns, for each non-empty cluster, the point nearest its
+// centroid (the lowest-indexed one on a tie) — the "centroid selection" of
+// Algorithm 2. Clusters are ordered by descending size, then cluster id, so
+// that callers taking a prefix favour the dominant patterns.
+func (r *Result) Representatives() []int {
+	closest := r.Closest(1)
 	order := make([]int, r.K)
 	for i := range order {
 		order[i] = i
 	}
-	for i := 1; i < len(order); i++ { // insertion sort; k is small
-		for j := i; j > 0 && r.Sizes[order[j]] > r.Sizes[order[j-1]]; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-	out := make([]int, 0, r.K)
+	sort.SliceStable(order, func(x, y int) bool { return r.Sizes[order[x]] > r.Sizes[order[y]] })
+	var out []int
 	for _, c := range order {
-		if best[c] >= 0 {
-			out = append(out, best[c])
+		if len(closest[c]) > 0 {
+			out = append(out, closest[c][0])
 		}
 	}
 	return out
@@ -299,13 +297,10 @@ func seedPlusPlus(pts f32.Matrix, k int, rng *rand.Rand, workers int) f32.Matrix
 
 // Inertia returns the total within-cluster squared distance — the k-means
 // objective, useful for tests and ablations.
-func (r *Result) Inertia(points [][]float32) float64 {
-	if r.K == 0 {
-		return 0
-	}
+func (r *Result) Inertia() float64 {
 	s := 0.0
-	for i, p := range points {
-		s += f32.SqDist(p, r.Centers[r.Assign[i]])
+	for _, d := range r.Dist {
+		s += d
 	}
 	return s
 }

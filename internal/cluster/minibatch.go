@@ -53,10 +53,10 @@ func (o MiniBatchOptions) withDefaults(n int) MiniBatchOptions {
 // per iteration is O(batch·k·dim) instead of O(n·k·dim), which is what lets
 // the selection pipeline cluster candidate samples of million-row tables
 // interactively. After converging it runs one full assignment pass (plus the
-// shared empty-cluster repair) over every point, so Result.Assign/Sizes
-// describe the whole input and RepresentativesMatrix works exactly as it
-// does on the exact path. When k >= pts.R every point becomes its own
-// cluster, as in KMeansMatrix.
+// shared empty-cluster repair) over every point, so Result.Assign, Dist and
+// Sizes describe the whole input and Closest and Representatives work
+// exactly as they do on the exact path. When k >= pts.R every point becomes
+// its own cluster, as in KMeansMatrix.
 //
 // Determinism contract (same as KMeansMatrix): the rng draws, the center
 // updates and the learning-rate counters are serial in batch order; the
@@ -71,12 +71,7 @@ func MiniBatchKMeans(pts f32.Matrix, k int, opt MiniBatchOptions) *Result {
 	if k >= n {
 		centers := f32.New(n, pts.C)
 		copy(centers.Data, pts.Data)
-		res := &Result{K: n, Assign: make([]int, n), Centers: centers.Rows(), Sizes: make([]int, n)}
-		for i := 0; i < n; i++ {
-			res.Assign[i] = i
-			res.Sizes[i] = 1
-		}
-		return res
+		return singletons(centers)
 	}
 	opt = opt.withDefaults(n)
 	dim := pts.C
@@ -165,17 +160,18 @@ func MiniBatchKMeans(pts f32.Matrix, k int, opt MiniBatchOptions) *Result {
 
 	// Final full-assignment pass: every point, against the converged centers.
 	assign := make([]int, n)
+	dist := make([]float64, n)
 	nearest.Load(centers)
 	f32.ParallelRange(n, workers, func(start, end int) {
 		scratch := nearest.Scratch()
 		for i := start; i < end; i++ {
-			assign[i], _ = nearest.Nearest(pts.Row(i), 0, scratch)
+			assign[i], dist[i] = nearest.Nearest(pts.Row(i), 0, scratch)
 		}
 	})
 	sizes := make([]int, k)
 	for _, c := range assign {
 		sizes[c]++
 	}
-	repairEmptyClusters(pts, centers, assign, sizes)
-	return &Result{K: k, Assign: assign, Centers: centers.Rows(), Sizes: sizes, Iterations: iter}
+	repairEmptyClusters(centers, assign, dist, sizes, pts.Row)
+	return &Result{K: k, Assign: assign, Dist: dist, Centers: centers.Rows(), Sizes: sizes, Iterations: iter}
 }

@@ -62,12 +62,7 @@ func MiniBatchKMeansSource(src PointSource, k int, opt MiniBatchOptions) *Result
 	if k >= n {
 		centers := f32.New(n, dim)
 		src.ReadChunk(0, centers)
-		res := &Result{K: n, Assign: make([]int, n), Centers: centers.Rows(), Sizes: make([]int, n)}
-		for i := 0; i < n; i++ {
-			res.Assign[i] = i
-			res.Sizes[i] = 1
-		}
-		return res
+		return singletons(centers)
 	}
 	opt = opt.withDefaults(n)
 	rng := rand.New(rand.NewSource(opt.Seed))
@@ -146,8 +141,10 @@ func MiniBatchKMeansSource(src PointSource, k int, opt MiniBatchOptions) *Result
 
 	// Final full-assignment pass, chunked: every chunk's rows are read into
 	// a private buffer and assigned in parallel; assignment slots are
-	// disjoint, so the pass is deterministic at any worker count.
+	// disjoint, so the pass is deterministic at any worker count. The
+	// distances it keeps let the repair run without reading the slab again.
 	assign := make([]int, n)
+	dist := make([]float64, n)
 	chunkRows := chunkRowsOf(src)
 	buf := f32.New(min(chunkRows, n), dim)
 	nearest.Load(centers)
@@ -158,7 +155,7 @@ func MiniBatchKMeansSource(src PointSource, k int, opt MiniBatchOptions) *Result
 		f32.ParallelRange(cn, min(workers, f32.Workers(cn)), func(lo, hi int) {
 			scratch := nearest.Scratch()
 			for i := lo; i < hi; i++ {
-				assign[start+i], _ = nearest.Nearest(chunk.Row(i), 0, scratch)
+				assign[start+i], dist[start+i] = nearest.Nearest(chunk.Row(i), 0, scratch)
 			}
 		})
 	}
@@ -166,43 +163,10 @@ func MiniBatchKMeansSource(src PointSource, k int, opt MiniBatchOptions) *Result
 	for _, c := range assign {
 		sizes[c]++
 	}
-	repairEmptyClustersSource(src, centers, assign, sizes)
-	return &Result{K: k, Assign: assign, Centers: centers.Rows(), Sizes: sizes, Iterations: iter}
-}
-
-// repairEmptyClustersSource is repairEmptyClusters over a PointSource: the
-// same serial index-order scan (first-found farthest wins on exact ties),
-// read chunk by chunk.
-func repairEmptyClustersSource(src PointSource, centers f32.Matrix, assign, sizes []int) {
-	n := src.Len()
-	chunkRows := chunkRowsOf(src)
-	var buf f32.Matrix
-	for c := range sizes {
-		if sizes[c] > 0 {
-			continue
-		}
-		if buf.Data == nil {
-			buf = f32.New(min(chunkRows, n), src.Dim())
-		}
-		far, farD := -1, -1.0
-		for start := 0; start < n; start += chunkRows {
-			cn := min(chunkRows, n-start)
-			chunk := f32.Wrap(cn, src.Dim(), buf.Data[:cn*src.Dim()])
-			src.ReadChunk(start, chunk)
-			for i := 0; i < cn; i++ {
-				if sizes[assign[start+i]] <= 1 {
-					continue
-				}
-				d := f32.SqDist(chunk.Row(i), centers.Row(assign[start+i]))
-				if d > farD {
-					far, farD = start+i, d
-				}
-			}
-		}
-		if far >= 0 {
-			sizes[assign[far]]--
-			assign[far] = c
-			sizes[c] = 1
-		}
-	}
+	one := f32.New(1, dim)
+	repairEmptyClusters(centers, assign, dist, sizes, func(i int) []float32 {
+		src.Gather(one, []int{i})
+		return one.Row(0)
+	})
+	return &Result{K: k, Assign: assign, Dist: dist, Centers: centers.Rows(), Sizes: sizes, Iterations: iter}
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -39,7 +40,7 @@ func clusterTestPoints(seed int64, n, dim, modes int) f32.Matrix {
 
 // TestMiniBatchSourceMatchesMatrix pins the out-of-core clustering
 // guarantee: mini-batch k-means over a spilled slab must be bit-identical
-// — assignments, centers, sizes, iteration count — to the matrix path over
+// — assignments, distances, centers, sizes, iteration count — to the matrix path over
 // the same points, across sizes that cross the seeding-subsample and
 // batch-size boundaries.
 func TestMiniBatchSourceMatchesMatrix(t *testing.T) {
@@ -63,6 +64,9 @@ func TestMiniBatchSourceMatchesMatrix(t *testing.T) {
 			if got.Assign[i] != want.Assign[i] {
 				t.Fatalf("n=%d k=%d: assign[%d] = %d, want %d", tc.n, tc.k, i, got.Assign[i], want.Assign[i])
 			}
+			if math.Float64bits(got.Dist[i]) != math.Float64bits(want.Dist[i]) {
+				t.Fatalf("n=%d k=%d: dist[%d] = %v, want %v", tc.n, tc.k, i, got.Dist[i], want.Dist[i])
+			}
 		}
 		for c := range want.Centers {
 			if want.Sizes[c] != got.Sizes[c] {
@@ -79,8 +83,9 @@ func TestMiniBatchSourceMatchesMatrix(t *testing.T) {
 }
 
 // TestMiniBatchSourceEmptyRepair forces empty clusters (many duplicate
-// points, k close to the distinct count) so the chunked repair scan runs,
-// and pins it against the matrix repair.
+// points, k close to the distinct count) so the repair runs, and pins it —
+// the moved points' distances, retaken from one gathered row, included —
+// against the matrix repair.
 func TestMiniBatchSourceEmptyRepair(t *testing.T) {
 	const n, dim, k = 300, 5, 12
 	rng := rand.New(rand.NewSource(5))
@@ -97,6 +102,9 @@ func TestMiniBatchSourceEmptyRepair(t *testing.T) {
 	for i := range want.Assign {
 		if got.Assign[i] != want.Assign[i] {
 			t.Fatalf("assign[%d] = %d, want %d", i, got.Assign[i], want.Assign[i])
+		}
+		if math.Float64bits(got.Dist[i]) != math.Float64bits(want.Dist[i]) {
+			t.Fatalf("dist[%d] = %v, want %v", i, got.Dist[i], want.Dist[i])
 		}
 	}
 }

@@ -29,7 +29,7 @@ func (m *Model) centroidColumns(candCols []int, rows rowSet, need int, code func
 	})
 	colRes := cluster.KMeansMatrix(colVecs, need, cluster.Options{Seed: m.Opt.ClusterSeed + 1})
 	out := make([]int, 0, need)
-	for _, i := range colRes.RepresentativesMatrix(colVecs) {
+	for _, i := range colRes.Representatives() {
 		out = append(out, candCols[i])
 	}
 	return out

@@ -395,3 +395,54 @@ func TestRowColVectors(t *testing.T) {
 		t.Fatalf("same-pattern sim %v <= cross-pattern sim %v", same, diff)
 	}
 }
+
+// TestRepresentativeTiesPickLowestRow: identical rows have identical
+// vectors, so their centroid distances tie exactly, and the display must
+// show the lowest source row of every duplicate group — on the exact path,
+// the scaled path and the scaled path over a spilled slab (a sample budget
+// above the row count keeps every row a candidate there).
+func TestRepresentativeTiesPickLowestRow(t *testing.T) {
+	const n, patterns = 400, 8
+	rng := rand.New(rand.NewSource(23))
+	pat := make([]int, n)
+	first := make(map[int]int, patterns)
+	a, b := make([]float64, n), make([]float64, n)
+	e := make([]string, n)
+	for i := range pat {
+		p := rng.Intn(patterns)
+		if _, ok := first[p]; !ok {
+			first[p] = i
+		}
+		pat[i], a[i], b[i], e[i] = p, float64(p%4)*10, float64(p/4)*7, []string{"x", "y", "z"}[p%3]
+	}
+	tab := table.New("dups")
+	for _, col := range []*table.Column{table.NewNumeric("a", a), table.NewNumeric("b", b), table.NewCategorical("e", e)} {
+		if err := tab.AddColumn(col); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, err := Preprocess(tab, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	scaled := &ScaleOptions{Threshold: 1, SampleBudget: 2 * n, BatchSize: 64, MaxIter: 30}
+	spilled := *scaled
+	spilled.SlabBudgetBytes = 1
+	for _, tc := range []struct {
+		name  string
+		scale *ScaleOptions
+	}{{"exact", nil}, {"scaled", scaled}, {"spilled", &spilled}} {
+		st, err := m.SelectExplore(ExploreSpec{K: 6, L: 3, Scale: tc.scale})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(st.SourceRows) == 0 {
+			t.Fatalf("%s: no rows displayed", tc.name)
+		}
+		for _, r := range st.SourceRows {
+			if low := first[pat[r]]; r != low {
+				t.Fatalf("%s: displayed row %d, but row %d is its duplicate and lower (rows %v)", tc.name, r, low, st.SourceRows)
+			}
+		}
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"sync"
 
@@ -211,7 +210,7 @@ func (m *Model) execute(p *plan, spec ExploreSpec) (*SubTable, error) {
 		code = csrc.Code
 	}
 	st := &SubTable{}
-	for _, i := range m.diverseRepresentatives(res, slab, rows, p.cols, 16, code) {
+	for _, i := range m.diverseRepresentatives(res, rows, p.cols, 16, code) {
 		st.SourceRows = append(st.SourceRows, rows.at(i))
 	}
 
@@ -261,80 +260,25 @@ func (m *Model) execute(p *plan, spec ExploreSpec) (*SubTable, error) {
 	return st, nil
 }
 
-// cand is a cluster member up for representative: its index among the
-// clustered vectors and its squared distance to its cluster's centroid.
-type cand struct {
-	idx int
-	d   float64
-}
-
-// byDistance orders candidates by centroid distance alone. Equal distances
-// compare equal — never broken by idx: which of two duplicate rows comes
-// first is then whatever the sort leaves, and the goldens were recorded with
-// what sort.Slice leaves. slices.SortFunc, which swaps without reflection,
-// leaves the same: the two are instances of one pdqsort template and take
-// the same compare and swap sequence for a consistent order.
-// TestCandidateSortMatchesSortSlice holds a toolchain to that.
-func (a cand) byDistance(b cand) int {
-	switch {
-	case a.d < b.d:
-		return -1
-	case b.d < a.d:
-		return 1
-	}
-	return 0
-}
-
 // diverseRepresentatives picks one row per cluster: among the q members
 // nearest each cluster's centroid, the one with the lowest average binned
 // Jaccard similarity (the measure of Def. 3.7) to the rows already picked —
 // centrality keeps representatives typical of their pattern, the Jaccard
 // tie-break keeps the displayed set diverse. Clusters are visited in
 // descending size order; the first (dominant) cluster contributes its most
-// central member. The per-point centroid distances and the per-candidate
-// Jaccard scans run across workers; each slot is written by exactly one
-// index and the final argmin scan is serial with first-wins ties, so the
-// result is bit-identical to the serial path. The vectors arrive as a slab:
-// resident slabs are scanned in place, spilled slabs chunk by chunk, with
-// identical distances either way. code is where the Jaccard comparisons
-// read their codes.
-func (m *Model) diverseRepresentatives(res *cluster.Result, vecs *f32.Slab, rows rowSet, cols []int, q int, code func(c, r int) uint16) []int {
+// central member. The q members come from res.Closest, ordered by centroid
+// distance with ties to the lowest candidate index, and the Jaccard argmin
+// keeps the first of equal scores; so of two identical rows the one at the
+// lower candidate index is displayed. That is the lower source row, except
+// under an order-by query, whose candidates come in the query's order. The
+// per-candidate Jaccard scans run across workers, each slot written by
+// exactly one index, so the result is bit-identical to the serial path.
+// code is where the Jaccard comparisons read their codes.
+func (m *Model) diverseRepresentatives(res *cluster.Result, rows rowSet, cols []int, q int, code func(c, r int) uint16) []int {
 	if res.K == 0 {
 		return nil
 	}
-	n := vecs.Len()
-	ds := make([]float64, n)
-	if mat, resident := vecs.Matrix(); resident {
-		f32.ParallelRange(n, f32.Workers(n), func(start, end int) {
-			for i := start; i < end; i++ {
-				ds[i] = f32.SqDist(mat.Row(i), res.Centers[res.Assign[i]])
-			}
-		})
-	} else {
-		chunkRows := min(vecs.ChunkRows(), n)
-		buf := f32.New(chunkRows, vecs.Dim())
-		for start := 0; start < n; start += chunkRows {
-			cn := min(chunkRows, n-start)
-			chunk := f32.Wrap(cn, vecs.Dim(), buf.Data[:cn*vecs.Dim()])
-			vecs.ReadChunk(start, chunk)
-			f32.ParallelRange(cn, f32.Workers(cn), func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					ds[start+i] = f32.SqDist(chunk.Row(i), res.Centers[res.Assign[start+i]])
-				}
-			})
-		}
-	}
-	cands := make([][]cand, res.K)
-	for i := 0; i < n; i++ {
-		c := res.Assign[i]
-		cands[c] = append(cands[c], cand{i, ds[i]})
-	}
-	for c := range cands {
-		slices.SortFunc(cands[c], cand.byDistance)
-		if len(cands[c]) > q {
-			cands[c] = cands[c][:q]
-		}
-	}
+	cands := res.Closest(q)
 	order := make([]int, res.K)
 	for i := range order {
 		order[i] = i
@@ -364,21 +308,21 @@ func (m *Model) diverseRepresentatives(res *cluster.Result, vecs *f32.Slab, rows
 			continue
 		}
 		if len(out) == 0 {
-			out = append(out, cands[c][0].idx)
+			out = append(out, cands[c][0])
 			continue
 		}
 		cs := cands[c]
 		f32.ParallelIndex(len(cs), f32.Workers(len(cs)), func(x int) {
 			sim := 0.0
 			for _, sel := range out {
-				sim += jaccard(rows.at(cs[x].idx), rows.at(sel))
+				sim += jaccard(rows.at(cs[x]), rows.at(sel))
 			}
 			sims[x] = sim / float64(len(out))
 		})
 		best, bestSim := -1, math.Inf(1)
 		for x := range cs {
 			if sims[x] < bestSim {
-				best, bestSim = cs[x].idx, sims[x]
+				best, bestSim = cs[x], sims[x]
 			}
 		}
 		out = append(out, best)

@@ -29,10 +29,10 @@
 //     a NaN: which operand's payload survives an add of two NaNs depends on
 //     the operand order the compiler picked, so a NaN output is a NaN in
 //     every body, with unspecified bits.
-//   - The parallel helpers only hand out disjoint index ranges; combined with
-//     MapReduceOrdered's chunk-order reduction, every parallel computation in
-//     this codebase is order-deterministic — same inputs, same bytes out,
-//     regardless of GOMAXPROCS or scheduling.
+//   - The parallel helpers only hand out disjoint index ranges, and every
+//     order-sensitive reduction over their output runs serially after them,
+//     so every parallel computation in this codebase is order-deterministic —
+//     same inputs, same bytes out, regardless of GOMAXPROCS or scheduling.
 package f32
 
 import (
@@ -630,36 +630,6 @@ func ParallelIndex(n, workers int, fn func(i int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// MapReduceOrdered is a parallel row-map with a deterministic ordered
-// reduction: [0,n) is split into contiguous chunks, mapFn runs on the chunks
-// concurrently, and reduce is called exactly once per chunk in ascending
-// chunk order (chunk 0 first), regardless of which goroutine finishes when.
-// Reductions whose operator is order-sensitive (float sums, argmin with
-// first-wins tie-breaks) therefore produce one fixed result per input.
-func MapReduceOrdered[T any](n, workers int, mapFn func(start, end int) T, reduce func(v T)) {
-	if n <= 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		reduce(mapFn(0, n))
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	nChunks := (n + chunk - 1) / chunk
-	results := make([]T, nChunks)
-	ParallelRange(n, workers, func(start, end int) {
-		// ParallelRange uses the same chunk arithmetic, so start/chunk
-		// recovers this chunk's index.
-		results[start/chunk] = mapFn(start, end)
-	})
-	for i := 0; i < nChunks; i++ {
-		reduce(results[i])
-	}
 }
 
 // SGSlotMaxBatch bounds the batched fast path of SGSlot: slots with more

@@ -318,35 +318,6 @@ func TestParallelIndexCoversDisjointly(t *testing.T) {
 	}
 }
 
-// TestMapReduceOrdered verifies the reduction runs in chunk order — the
-// property that makes order-sensitive reductions (float sums, first-wins
-// argmin) deterministic under parallelism.
-func TestMapReduceOrdered(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 8} {
-		n := 50
-		var got []int
-		MapReduceOrdered(n, workers, func(start, end int) int { return start }, func(v int) {
-			got = append(got, v)
-		})
-		for i := 1; i < len(got); i++ {
-			if got[i] <= got[i-1] {
-				t.Fatalf("workers=%d: chunks reduced out of order: %v", workers, got)
-			}
-		}
-		sum := 0
-		MapReduceOrdered(n, workers, func(start, end int) int {
-			s := 0
-			for i := start; i < end; i++ {
-				s += i
-			}
-			return s
-		}, func(v int) { sum += v })
-		if want := n * (n - 1) / 2; sum != want {
-			t.Fatalf("workers=%d: sum = %d, want %d", workers, sum, want)
-		}
-	}
-}
-
 func TestWorkers(t *testing.T) {
 	if w := Workers(0); w != 1 {
 		t.Fatalf("Workers(0) = %d", w)
