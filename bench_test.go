@@ -275,7 +275,7 @@ func BenchmarkGreedyRowSelection(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Ablations called out in DESIGN.md §8.
+// Ablations of the two design choices that depart from the paper.
 // ---------------------------------------------------------------------------
 
 // BenchmarkAblationColumnStrategy compares the pattern-group column
@@ -327,8 +327,9 @@ func BenchmarkAblationColumnStrategy(b *testing.B) {
 }
 
 // BenchmarkAblationCorpus compares tuple-only against tuple+column
-// sentence corpora (the paper's corpus includes column-sentences; see
-// DESIGN.md for why the default here is tuple-only).
+// sentence corpora (the paper's corpus includes column-sentences; the
+// default here is tuple-only because they dilute the cross-column
+// association signal).
 func BenchmarkAblationCorpus(b *testing.B) {
 	ds, err := datagen.ByName("FL", 3000, 1)
 	if err != nil {

@@ -1,6 +1,7 @@
 // Command subtab-datagen writes one of the paper's synthetic evaluation
 // datasets as CSV (schema-faithful stand-ins for the Kaggle/honeynet
-// datasets, with planted association rules — see DESIGN.md §4).
+// datasets, with planted association rules of paper-typical support and
+// confidence).
 //
 // Usage:
 //

@@ -251,7 +251,7 @@ func NaiveClustering(e *metrics.Evaluator, opt NCOptions) (*Result, error) {
 
 	// Column vectors: the column's bin codes normalized by its bin count —
 	// the "analogous" column treatment at the same resolution as the one-hot
-	// rows (see DESIGN.md).
+	// rows.
 	inTarget := make(map[int]bool, len(tIdx))
 	for _, c := range tIdx {
 		inTarget[c] = true

@@ -198,9 +198,9 @@ func (m *Model) Append(rows *table.Table, opt AppendOptions) (*Model, AppendStat
 	emb := m.Emb.FineTune(corpus.BuildRows(b, m.Opt.Corpus, newIdx), ftOpt)
 	stats.NewTokens = emb.VocabSize() - m.Emb.VocabSize()
 
-	nm := &Model{T: newT, B: b, Emb: emb, Opt: m.Opt, appendedSinceRebin: m.appendedSinceRebin + addN}
+	nm := newModel(newT, b, emb, m.Opt)
+	nm.appendedSinceRebin = m.appendedSinceRebin + addN
 	stats.AppendedSinceRebin = nm.appendedSinceRebin
-	nm.indexItems()
 
 	// Bin counts and affinities: cumulative counts grow by the delta counts
 	// binning already tallied; the affinity fill re-weights the (unchanged
@@ -222,7 +222,7 @@ func (m *Model) Append(rows *table.Table, opt AppendOptions) (*Model, AppendStat
 	// item vectors are frozen), new rows computed fresh. Rows that contain a
 	// newly trained item are recomputed so the cache stays bit-identical to
 	// what nm would build lazily.
-	if fv, ok := m.cachedFullVecs(); ok {
+	if fv, ok := m.vecs.Get(struct{}{}); ok {
 		stats.RecomputedVectors = m.extendFullVecsInto(nm, oldN, fv)
 	}
 	return nm, stats, nil
@@ -240,8 +240,8 @@ func (m *Model) rebin(newT *table.Table, stats *AppendStats, reason string) (*Mo
 }
 
 // extendFullVecsInto builds nm's full-table tuple-vector matrix from fv —
-// m's warm cache, captured by the caller via cachedFullVecs so a concurrent
-// eviction cannot pull it away mid-copy: pre-existing rows are copied
+// m's warm cache, captured by the caller so a concurrent eviction cannot
+// pull it away mid-copy: pre-existing rows are copied
 // (frozen item vectors make the copy bit-identical to recomputation),
 // except rows containing an item that only now received a trained vector —
 // those pooled over fewer cells in m and must be recomputed. Appended rows
@@ -311,6 +311,6 @@ func (m *Model) extendFullVecsInto(nm *Model, oldN int, fv f32.Matrix) int {
 			nm.rowVectorInto(mat.Row(r), r, cols, idx)
 		}
 	})
-	nm.seedFullVecs(mat)
+	nm.vecs.Put(struct{}{}, mat)
 	return recomputed
 }

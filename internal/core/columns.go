@@ -127,7 +127,10 @@ func (m *Model) patternGroupColumns(candCols []int, need int) []int {
 		if len(ranked[x].members) != len(ranked[y].members) {
 			return len(ranked[x].members) > len(ranked[y].members)
 		}
-		return ranked[x].mass > ranked[y].mass
+		if ranked[x].mass != ranked[y].mass {
+			return ranked[x].mass > ranked[y].mass
+		}
+		return ranked[x].members[0] < ranked[y].members[0] // groups are disjoint
 	})
 
 	picked := make([]int, 0, need)
@@ -149,7 +152,12 @@ func (m *Model) patternGroupColumns(candCols []int, need int) []int {
 				rest = append(rest, i)
 			}
 		}
-		sort.Slice(rest, func(x, y int) bool { return salience[rest[x]] > salience[rest[y]] })
+		sort.Slice(rest, func(x, y int) bool {
+			if salience[rest[x]] != salience[rest[y]] {
+				return salience[rest[x]] > salience[rest[y]]
+			}
+			return rest[x] < rest[y]
+		})
 		for _, i := range rest {
 			if len(picked) >= need {
 				break

@@ -19,11 +19,11 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"subtab/internal/binning"
 	"subtab/internal/corpus"
 	"subtab/internal/f32"
+	"subtab/internal/memgov"
 	"subtab/internal/rules"
 	"subtab/internal/table"
 	"subtab/internal/word2vec"
@@ -40,7 +40,7 @@ const (
 	// co-selecting an associated group is what makes multi-column rules
 	// coverable. This is an implementation refinement over Algorithm 2's
 	// centroid step, which is under-determined on wide tables (column-mean
-	// vectors wash out bin-level structure); see DESIGN.md.
+	// vectors wash out bin-level structure).
 	PatternGroups ColumnStrategy = iota
 	// Centroids is the literal Algorithm 2 column step: k-means the
 	// column-mean vectors into l−|U*| clusters and take the centroids.
@@ -66,8 +66,8 @@ type Options struct {
 }
 
 // Default returns the default settings: the paper's binning and corpus cap,
-// tuple-sentences only (see DESIGN.md — column-sentences dilute the
-// cross-column association signal), and pattern-group column selection.
+// tuple-sentences only (column-sentences dilute the cross-column
+// association signal), and pattern-group column selection.
 func Default() Options {
 	return Options{
 		Bins:   binning.Options{MaxBins: 5, Strategy: binning.KDEValleys},
@@ -113,18 +113,6 @@ type Model struct {
 	// stays O(1) per appended row).
 	appendedSinceRebin int
 
-	// sampleCache memoizes the scaled path's full-table candidate samples
-	// by budget: the stratified reservoir is a pure function of (binning,
-	// budget, seed), and warm serving issues many scaled selections over
-	// the same model, so the one scan that dominates a scaled select's cost
-	// runs once per (model, budget) instead of once per display.
-	// Query-restricted selections always sample per call. sampleGen counts
-	// cache mutations (under sampleMu) and orders the byte settles with the
-	// governor (see governor.go).
-	sampleMu    sync.Mutex
-	sampleCache map[int][]int
-	sampleGen   uint64
-
 	// shardSampler, when set, produces scaled-path candidate samples for a
 	// model whose shards are partly remote (the coordinator role; see
 	// SetShardSampler). Nil on every locally complete model.
@@ -135,38 +123,37 @@ type Model struct {
 	// coordinator's over-the-wire shard gatherer. See AttachColumnStore.
 	cellSrc table.CellSource
 
-	// fullVecs caches the tuple-vectors of every row over all columns
-	// (built lazily on the first selection that needs them). Full-table
-	// displays — the warm serving steady state — reuse the matrix directly,
-	// and row-subset selections over the full column set copy rows out of
-	// it, because a tuple-vector depends only on the column set.
-	//
-	// All three fields are guarded by fullVecsMu; fullVecsReady is
-	// additionally an atomic so readers can skip the mutex when the cache is
-	// cold. The matrix's backing array is immutable once published, so
-	// readers take a header copy under the mutex (cachedFullVecs) and may
-	// keep using it after ReleaseVectorCache drops the model's reference —
-	// eviction racing an in-flight selection is safe by construction (the
-	// resettable sync.Once this replaces could tear mid-Do). fullVecsGen
-	// counts publications/releases and orders the governor byte settles.
-	fullVecsMu    sync.Mutex
-	fullVecs      f32.Matrix
-	fullVecsGen   uint64
-	fullVecsReady atomic.Bool
-
-	// gov, when set (SetGovernor), holds the memgov accounts the two caches
-	// above settle their resident bytes with. See governor.go.
-	gov atomic.Pointer[modelGov]
+	// vecs caches the tuple-vectors of every row over all columns under
+	// its one key (built on the first selection that needs them).
+	// Full-table displays — the warm serving steady state — reuse the
+	// matrix directly, and row-subset selections over the full column set
+	// copy rows out of it, because a tuple-vector depends only on the
+	// column set. The matrix's backing array is immutable once published,
+	// so a selection holding it keeps a valid header after
+	// ReleaseVectorCache drops the cache's reference.
+	vecs *memgov.Cache[struct{}, f32.Matrix]
+	// samples memoizes the scaled path's full-table candidate samples by
+	// budget: the stratified reservoir is a pure function of (binning,
+	// budget, seed), so the one scan that dominates a scaled select's cost
+	// runs once per (model, budget) instead of once per display.
+	// Query-restricted selections always sample per call.
+	samples *memgov.Cache[int, []int]
+	// mined memoizes association rules per mining option set (see Rules).
+	mined *memgov.Cache[string, []rules.Rule]
 }
 
-// indexItems builds the item-id → embedding-row index over the zero-copy
-// vector matrix.
-func (m *Model) indexItems() {
-	m.items = m.Emb.VectorMatrix()
-	m.itemRow = make([]int32, m.B.NumItems())
+// newModel assembles a model from its pre-processed parts: it builds the
+// item-id → embedding-row index over the zero-copy vector matrix and the
+// model's empty, ungoverned caches (see SetGovernor).
+func newModel(t *table.Table, b *binning.Binned, emb *word2vec.Model, opt Options) *Model {
+	m := &Model{T: t, B: b, Emb: emb, Opt: opt, items: emb.VectorMatrix(), itemRow: make([]int32, b.NumItems())}
 	for item := range m.itemRow {
-		m.itemRow[item] = m.Emb.Index(int32(item))
+		m.itemRow[item] = emb.Index(int32(item))
 	}
+	m.vecs = memgov.NewCache[struct{}](nil, memgov.ClassVectorCache, func(v f32.Matrix) int64 { return int64(len(v.Data)) * 4 })
+	m.samples = memgov.NewCache[int](nil, memgov.ClassSampleCache, func(ids []int) int64 { return int64(len(ids)) * 8 })
+	m.mined = memgov.NewCache[string](nil, memgov.ClassRulesCache, rulesBytes)
+	return m
 }
 
 // Preprocess runs the pre-processing phase of Algorithm 2 on table t.
@@ -177,8 +164,7 @@ func Preprocess(t *table.Table, opt Options) (*Model, error) {
 	}
 	sents := corpus.Build(b, opt.Corpus)
 	emb := word2vec.Train(sents, opt.Embedding)
-	m := &Model{T: t, B: b, Emb: emb, Opt: opt}
-	m.indexItems()
+	m := newModel(t, b, emb, opt)
 	m.computeColumnAffinities()
 	return m, nil
 }
@@ -191,8 +177,7 @@ func Restore(t *table.Table, b *binning.Binned, emb *word2vec.Model, opt Options
 	if b.T != t {
 		return nil, fmt.Errorf("core: restore: binned representation does not wrap the given table")
 	}
-	m := &Model{T: t, B: b, Emb: emb, Opt: opt}
-	m.indexItems()
+	m := newModel(t, b, emb, opt)
 	if colAffinity == nil {
 		m.computeColumnAffinities()
 		return m, nil
@@ -405,6 +390,33 @@ func (m *Model) directedAffinity(u, w int, uFreq []float64) float64 {
 		return 0
 	}
 	return s / tot
+}
+
+// Rules mines association rules over the model's binned table. Mining
+// depends only on the immutable model and the options, so results are
+// memoized per option set in a governed cache that a replaced model takes
+// with it. Callers must not mutate the returned rules.
+func (m *Model) Rules(opt rules.Options) ([]rules.Rule, error) {
+	return m.mined.Fill(rulesKey(opt), func() ([]rules.Rule, error) { return rules.Mine(m.B, opt) })
+}
+
+// rulesKey encodes every mining option unambiguously (%q quotes the target
+// columns, so ["a","b"] and ["a b"] cannot collide).
+func rulesKey(opt rules.Options) string {
+	return fmt.Sprintf("%g|%g|%d|%d|%q|%t|%d|%t|%g",
+		opt.MinSupport, opt.MinConfidence, opt.MinRuleSize, opt.MaxItemsetSize,
+		opt.TargetCols, opt.AllSplits, opt.MaxRules, opt.IncludeMissing, opt.MaxItemShare)
+}
+
+// rulesBytes estimates mined rules' residency: each rule's tuple bitset
+// plus its item and column lists (slice headers ignored).
+func rulesBytes(rs []rules.Rule) int64 {
+	var b int64
+	for i := range rs {
+		r := &rs[i]
+		b += int64(r.Tuples.Len()+63)/64*8 + int64(len(r.LHS)+len(r.RHS)+len(r.Items))*4 + int64(len(r.Cols))*8
+	}
+	return b
 }
 
 // Highlight computes, for each sub-table row, one covered association rule

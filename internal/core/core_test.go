@@ -446,3 +446,14 @@ func TestRepresentativeTiesPickLowestRow(t *testing.T) {
 		}
 	}
 }
+
+func TestRulesKeyUnambiguous(t *testing.T) {
+	a := rulesKey(rules.Options{TargetCols: []string{"a", "b"}})
+	b := rulesKey(rules.Options{TargetCols: []string{"a b"}})
+	if a == b {
+		t.Fatalf("distinct target sets share cache key %q", a)
+	}
+	if rulesKey(rules.Options{MaxItemShare: 0.5}) == rulesKey(rules.Options{}) {
+		t.Fatal("MaxItemShare is missing from the cache key")
+	}
+}

@@ -4,106 +4,32 @@ import (
 	"subtab/internal/memgov"
 )
 
-// Governor integration: a model's two growable caches — the full-table
-// tuple-vector cache and the memoized candidate samples — settle their
-// resident bytes with the process-wide ledger (internal/memgov) so one
-// -memory-budget covers every tenant. The settles use memgov.Account's
-// generation reconciliation: the cache mutates under its own mutex, bumps
-// its generation, unlocks, and settles — so a release racing an in-flight
-// build nets to the truth regardless of which settle lands first, and no
-// governor call ever runs under a model mutex (the governor's eviction
-// callbacks take model mutexes; see the memgov locking contract).
-
-// modelGov pairs the per-model settlement accounts. Stored behind an
-// atomic.Pointer so selections on an ungoverned model pay one nil-check.
-type modelGov struct {
-	vec    *memgov.Account
-	sample *memgov.Account
-}
-
-// SetGovernor registers the model's caches with g and settles any bytes
-// already resident (an append-extended model arrives with a warm vector
-// cache). Idempotent — repeat calls (a store re-inserting the same model)
-// keep the first registration's accounts, because replacing them would
-// strand their settled balances. Passing nil is a no-op. Must not be
-// called while holding a lock g's evictors acquire.
+// SetGovernor settles the model's caches — full-table tuple-vectors,
+// memoized candidate samples, mined rules — with the process-wide ledger
+// (internal/memgov) under their own classes, including bytes already
+// resident (an append-extended model arrives with a warm vector cache), so
+// one -memory-budget covers every tenant. Idempotent: only the first
+// governor takes. Passing nil is a no-op. Must not be called while holding
+// a lock g's evictors acquire.
 func (m *Model) SetGovernor(g *memgov.Governor) {
-	if g == nil {
-		return
-	}
-	mg := &modelGov{
-		vec:    g.Account(memgov.ClassVectorCache),
-		sample: g.Account(memgov.ClassSampleCache),
-	}
-	if !m.gov.CompareAndSwap(nil, mg) {
-		return // already governed; keep the accounts holding the balances
-	}
-
-	m.fullVecsMu.Lock()
-	var vb int64
-	if m.fullVecsReady.Load() {
-		vb = int64(len(m.fullVecs.Data)) * 4
-	}
-	vgen := m.fullVecsGen
-	m.fullVecsMu.Unlock()
-	mg.vec.Settle(vgen, vb)
-
-	m.sampleMu.Lock()
-	sb := sampleCacheBytes(m.sampleCache)
-	sgen := m.sampleGen
-	m.sampleMu.Unlock()
-	mg.sample.Settle(sgen, sb)
-}
-
-// vecAccount returns the vector-cache settlement account (nil when
-// ungoverned; Settle on nil is a no-op).
-func (m *Model) vecAccount() *memgov.Account {
-	if mg := m.gov.Load(); mg != nil {
-		return mg.vec
-	}
-	return nil
-}
-
-// sampleAccount returns the sample-cache settlement account.
-func (m *Model) sampleAccount() *memgov.Account {
-	if mg := m.gov.Load(); mg != nil {
-		return mg.sample
-	}
-	return nil
-}
-
-// sampleCacheBytes estimates the resident bytes of the memoized candidate
-// samples (slice headers ignored; the int payloads dominate).
-func sampleCacheBytes(c map[int][]int) int64 {
-	var b int64
-	for _, s := range c {
-		b += int64(len(s)) * 8
-	}
-	return b
+	m.vecs.Govern(g)
+	m.samples.Govern(g)
+	m.mined.Govern(g)
 }
 
 // CacheBytes reports the bytes the model's governed caches currently hold
-// (vector cache + sample cache) — observability for tests and stats.
+// — observability for tests and stats, and what an eviction frees.
 func (m *Model) CacheBytes() int64 {
-	m.fullVecsMu.Lock()
-	var b int64
-	if m.fullVecsReady.Load() {
-		b = int64(len(m.fullVecs.Data)) * 4
-	}
-	m.fullVecsMu.Unlock()
-	m.sampleMu.Lock()
-	b += sampleCacheBytes(m.sampleCache)
-	m.sampleMu.Unlock()
-	return b
+	return m.vecs.Bytes() + m.samples.Bytes() + m.mined.Bytes()
 }
 
 // ResidentBytes estimates the model's always-resident footprint: table
 // cells (when not paged out), bin codes (when inline), embedding matrices,
 // the item index, bin counts, and the affinity diagonal. It deliberately
-// EXCLUDES the two governed caches (vector cache, sample cache) — those are
-// accounted live under their own classes — and anything mmap'd (code/column
-// stores), which the OS pages in and out on its own. The estimate reads
-// only immutable post-build state, so it is safe to call under any lock
+// EXCLUDES the governed caches (see CacheBytes) — those are accounted live
+// under their own classes — and anything mmap'd (code/column stores),
+// which the OS pages in and out on its own. The estimate reads only
+// immutable post-build state, so it is safe to call under any lock
 // (the serving store calls it under its mutex to weight the LRU).
 func (m *Model) ResidentBytes() int64 {
 	var b int64

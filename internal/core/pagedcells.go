@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"subtab/internal/colstore"
-	"subtab/internal/f32"
 	"subtab/internal/table"
 )
 
@@ -123,33 +122,21 @@ func (m *Model) residentTable() (*table.Table, error) {
 	return mat.MaterializeTable(m.T.Name)
 }
 
-// ReleaseVectorCache frees the model's full-table tuple-vector cache and the
-// memoized candidate samples — the two per-model caches that grow with the
-// table — and settles both to zero bytes with the governor. Serving layers
-// call it when a model leaves the warm set (store eviction), so an evicted
-// tenant's O(rows×dim) cache does not outlive its residency even while
-// other references to the model exist. Safe to race in-flight selections:
-// a selection that already took a header copy of the matrix keeps its
-// (immutable) backing array; a build racing this release re-publishes and
-// re-accounts under a later generation. Safe to call under the serving
-// store's mutex — the settles here only ever shrink, and Shrink never runs
-// eviction callbacks.
+// ReleaseVectorCache clears the model's caches — the full-table
+// tuple-vectors, the memoized candidate samples and the mined rules — and
+// settles them to zero bytes with the governor, along with a coordinator's
+// shard-sample cache (CacheReleaser). Serving layers call it when a model
+// leaves the warm set (store eviction), so an evicted tenant's O(rows×dim)
+// caches do not outlive its residency even while other references to the
+// model exist. Safe to race in-flight selections: a selection that already
+// holds a cached value keeps it, and a build this release overtakes is
+// returned to its caller but not cached. Safe to call under the serving
+// store's mutex — clearing only ever shrinks the ledger, and Shrink never
+// runs eviction callbacks.
 func (m *Model) ReleaseVectorCache() {
-	m.fullVecsMu.Lock()
-	m.fullVecsReady.Store(false)
-	m.fullVecs = f32.Matrix{}
-	m.fullVecsGen++
-	vgen := m.fullVecsGen
-	m.fullVecsMu.Unlock()
-	m.vecAccount().Settle(vgen, 0)
-
-	m.sampleMu.Lock()
-	m.sampleCache = nil
-	m.sampleGen++
-	sgen := m.sampleGen
-	m.sampleMu.Unlock()
-	m.sampleAccount().Settle(sgen, 0)
-
+	m.vecs.Clear()
+	m.samples.Clear()
+	m.mined.Clear()
 	if r, ok := m.shardSampler.(CacheReleaser); ok {
 		r.ReleaseCache()
 	}

@@ -67,8 +67,8 @@ const scaleSampleSeed = 0x5ca1ab1e5eed
 // stratified reservoir over the (column, bin) items of the candidate set.
 // Full-table samples are memoized per budget (the cache returns exactly
 // what a fresh scan would, so warm and cold selections stay byte-identical);
-// the lock doubles as a single-flight so concurrent first selections do not
-// scan the table twice. Callers must not mutate the returned rows.
+// the cache's single-flight keeps concurrent first selections from scanning
+// the table twice. Callers must not mutate the returned rows.
 func (m *Model) sample(p *plan, rows rowSet, covered *bitset.Set) rowSet {
 	seed, budget := m.SampleSeed(), p.scale.SampleBudget
 	if p.sample != sampleCached || rows.n <= budget {
@@ -80,28 +80,10 @@ func (m *Model) sample(p *plan, rows rowSet, covered *bitset.Set) rowSet {
 		}
 		return stratifiedReservoir(m.B, rows, p.cols, budget, seed, cov)
 	}
-	m.sampleMu.Lock()
-	if s, ok := m.sampleCache[budget]; ok {
-		m.sampleMu.Unlock()
-		return listRows(s)
-	}
-	s := stratifiedReservoir(m.B, rows, p.cols, budget, seed, nil)
-	if m.sampleCache == nil {
-		m.sampleCache = make(map[int][]int, 1)
-	} else if len(m.sampleCache) >= 8 {
-		// Warm serving uses one or two budgets; an adversarial budget sweep
-		// must not grow the model unboundedly.
-		clear(m.sampleCache)
-	}
-	m.sampleCache[budget] = s.ids
-	bytes := sampleCacheBytes(m.sampleCache)
-	m.sampleGen++
-	gen := m.sampleGen
-	m.sampleMu.Unlock()
-	// Settle outside sampleMu: the grow may run the store's evictor, which
-	// takes this very mutex via ReleaseVectorCache.
-	m.sampleAccount().Settle(gen, bytes)
-	return s
+	ids, _ := m.samples.Fill(budget, func() ([]int, error) {
+		return stratifiedReservoir(m.B, rows, p.cols, budget, seed, nil).ids, nil
+	})
+	return listRows(ids)
 }
 
 // rowVectors is the vector-build stage: the candidates' tuple-vectors as one
@@ -125,7 +107,7 @@ func (m *Model) rowVectors(rows rowSet, p *plan, scaled bool, src binning.CodeSo
 	switch {
 	case !p.allCols || src != nil:
 	case scaled:
-		full, haveFull = m.cachedFullVecs()
+		full, haveFull = m.vecs.Get(struct{}{})
 	case p.vectors == vectorsFullCache:
 		full, haveFull = m.fullRowVectors(), true
 	}

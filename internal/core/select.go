@@ -333,73 +333,28 @@ func (m *Model) diverseRepresentatives(res *cluster.Result, rows rowSet, cols []
 // fullRowVectors lazily builds the tuple-vector matrix of every row over
 // the full column set, filled in parallel with disjoint per-row writes. The
 // arithmetic per row is exactly rowVectorInto's, so cached vectors are
-// bit-identical to freshly computed ones. The build runs under fullVecsMu
-// (single-flight: concurrent first selections block instead of building
-// twice), and the returned matrix header stays valid even if
-// ReleaseVectorCache evicts the cache mid-selection — callers hold their
-// own reference to the immutable backing array.
+// bit-identical to freshly computed ones. The build is single-flight
+// (concurrent first selections wait instead of building twice), and the
+// returned matrix header stays valid even if ReleaseVectorCache evicts the
+// cache mid-selection — callers hold their own reference to the immutable
+// backing array.
 func (m *Model) fullRowVectors() f32.Matrix {
-	if mat, ok := m.cachedFullVecs(); ok {
-		return mat
-	}
-	m.fullVecsMu.Lock()
-	if m.fullVecsReady.Load() {
-		mat := m.fullVecs
-		m.fullVecsMu.Unlock()
-		return mat
-	}
-	n := m.T.NumRows()
-	cols := make([]int, m.T.NumCols())
-	for i := range cols {
-		cols[i] = i
-	}
-	mat := f32.New(n, m.Emb.Dim())
-	f32.ParallelRange(n, f32.Workers(n), func(start, end int) {
-		idx := make([]int32, len(cols))
-		for r := start; r < end; r++ {
-			m.rowVectorInto(mat.Row(r), r, cols, idx)
+	mat, _ := m.vecs.Fill(struct{}{}, func() (f32.Matrix, error) {
+		n := m.T.NumRows()
+		cols := make([]int, m.T.NumCols())
+		for i := range cols {
+			cols[i] = i
 		}
+		mat := f32.New(n, m.Emb.Dim())
+		f32.ParallelRange(n, f32.Workers(n), func(start, end int) {
+			idx := make([]int32, len(cols))
+			for r := start; r < end; r++ {
+				m.rowVectorInto(mat.Row(r), r, cols, idx)
+			}
+		})
+		return mat, nil
 	})
-	m.fullVecs = mat
-	m.fullVecsReady.Store(true)
-	m.fullVecsGen++
-	gen := m.fullVecsGen
-	m.fullVecsMu.Unlock()
-	// Settle outside the mutex: the grow may trigger store eviction, whose
-	// callback takes model mutexes. A release racing this settle wins by
-	// generation (its higher gen discards this one).
-	m.vecAccount().Settle(gen, int64(len(mat.Data))*4)
 	return mat
-}
-
-// cachedFullVecs returns a header copy of the warm full-table vector cache,
-// or ok=false when it is cold. The copy remains valid after a concurrent
-// ReleaseVectorCache (the backing array is immutable once published).
-func (m *Model) cachedFullVecs() (f32.Matrix, bool) {
-	if !m.fullVecsReady.Load() {
-		return f32.Matrix{}, false
-	}
-	m.fullVecsMu.Lock()
-	mat, ok := m.fullVecs, m.fullVecsReady.Load()
-	m.fullVecsMu.Unlock()
-	return mat, ok
-}
-
-// seedFullVecs installs a pre-built full-table tuple-vector matrix (the
-// append path extends the previous model's warm cache). No-op if a cache is
-// already published.
-func (m *Model) seedFullVecs(mat f32.Matrix) {
-	m.fullVecsMu.Lock()
-	if m.fullVecsReady.Load() {
-		m.fullVecsMu.Unlock()
-		return
-	}
-	m.fullVecs = mat
-	m.fullVecsReady.Store(true)
-	m.fullVecsGen++
-	gen := m.fullVecsGen
-	m.fullVecsMu.Unlock()
-	m.vecAccount().Settle(gen, int64(len(mat.Data))*4)
 }
 
 // vecBufPool recycles the flat tuple-vector slab across Selects: warm

@@ -6,7 +6,7 @@
 // association rules of paper-typical support and confidence, plus noise
 // columns. All of the paper's evaluation claims are relative claims about
 // algorithms run on rule-rich tables, which these generators exercise by
-// construction (see DESIGN.md §4).
+// construction.
 //
 // Every generator also reports its planted patterns as ground truth for the
 // simulated user study (package study) and the EDA-session simulation

@@ -49,8 +49,7 @@ type Lab struct {
 	CorpusCap int
 	// ColumnSentences adds column-sentences to the embedding corpus (the
 	// paper's corpus includes them; our ablation shows they dilute the
-	// cross-column association signal, so the default is tuple-only —
-	// see DESIGN.md).
+	// cross-column association signal, so the default is tuple-only).
 	ColumnSentences bool
 
 	// Baseline budgets.
@@ -82,8 +81,8 @@ func NewLab(seed int64) *Lab {
 	}
 }
 
-// NewPaperLab returns a lab at the paper-faithful (scaled) dataset sizes of
-// DESIGN.md §4. Runs take minutes.
+// NewPaperLab returns a lab at the paper-faithful (scaled) dataset sizes.
+// Runs take minutes.
 func NewPaperLab(seed int64) *Lab {
 	l := NewLab(seed)
 	l.Rows = map[string]int{}

@@ -2,12 +2,12 @@
 //
 // A serving process holds several kinds of resident bytes that all grow
 // with tenant count and table size: the model store's cached models, each
-// model's full-table tuple-vector cache, the memoized candidate samples,
-// the coordinator's scatter/gather overlay cache, and every in-flight
-// request's working set (sampled-vector slabs, response cells). Before this
-// package they were governed by three uncoordinated knobs (an entry-counted
-// LRU, the slab spill budget, and nothing at all for the vector caches);
-// the governor replaces that with one ledger:
+// model's full-table tuple-vector cache, memoized candidate samples and
+// mined rules, the coordinator's scatter/gather overlay cache, and every
+// in-flight request's working set (sampled-vector slabs, response cells).
+// Before this package they were governed by three uncoordinated knobs (an
+// entry-counted LRU, the slab spill budget, and nothing at all for the
+// vector caches); the governor replaces that with one ledger:
 //
 //   - Resident consumers report growth and shrinkage under a named class
 //     (Grow/Shrink). Growth past the budget triggers the registered
@@ -22,6 +22,9 @@
 //     load sheds at the door instead of OOMing in the middle of a select.
 //   - Limiter bounds per-key (per-table) request concurrency, so one hot
 //     tenant cannot monopolize the process.
+//   - Cache is the one byte-weighted, single-flight cache every per-model
+//     and per-coordinator cache is built on; it settles its bytes under
+//     its class as entries come and go.
 //
 // All Governor and Limiter methods are safe for concurrent use and are
 // no-ops on a nil receiver, so call sites need no "is a governor
@@ -58,6 +61,9 @@ const (
 	// ClassCoordCache is a coordinator's per-(budget,cols) scatter/gather
 	// sample cache (candidate rows + code overlay).
 	ClassCoordCache = "coord-cache"
+	// ClassRulesCache is the per-model memoized association rules, one
+	// entry per mining option set (each rule carries an n-bit tuple set).
+	ClassRulesCache = "rules-cache"
 	// ClassRequests is in-flight requests' admitted working sets
 	// (sampled-vector slabs, response assembly).
 	ClassRequests = "requests"
@@ -241,7 +247,7 @@ func (g *Governor) Grow(class string, n int64) {
 }
 
 // Shrink records n bytes under class as no longer resident. The subtraction
-// is exact, not clamped: a revocation racing its own grant (see Account)
+// is exact, not clamped: a revocation racing its own grant (see account)
 // may transiently drive a class negative, and clamping would turn that
 // transient into a permanent phantom balance. Never runs evictors; safe
 // under any caller lock. Nil-safe.
@@ -333,40 +339,39 @@ func (g *Governor) ClassNames() []string {
 	return names
 }
 
-// Account reconciles one cache's resident bytes with the governor when the
-// cache cannot call Grow under its own lock (because the governor's
-// evictors take that lock — see the package locking contract). The cache
-// mutates under its own mutex, bumps a generation counter, records the new
-// resident total, unlocks, and then calls Settle(gen, total). Settles can
-// arrive out of order when a release races a build; the generation makes
-// the reconciliation idempotent: a stale settle (lower gen than the last
+// account reconciles one Cache's resident bytes with the governor. A cache
+// cannot call Grow under its own lock (the governor's evictors may take
+// that lock — see the package locking contract), so it mutates under its
+// own mutex, bumps a generation counter, records the new resident total,
+// unlocks, and then calls settle(gen, total). Settles can arrive out of
+// order when a release races a build; the generation makes the
+// reconciliation idempotent: a stale settle (lower gen than the last
 // applied) is discarded, so a release that lands after an in-flight grant
 // still revokes it. Shrink being exact (unclamped) is what lets the
 // out-of-order Grow/Shrink pairs net to the true total.
-type Account struct {
+type account struct {
 	g     *Governor
 	class string
 
-	mu   sync.Mutex
-	gen  uint64
-	held int64
+	mu      sync.Mutex
+	gen     uint64
+	settled int64
 }
 
-// Account returns a per-consumer reconciliation handle for class. Nil-safe
-// (a nil governor yields a nil account, whose methods are no-ops).
-func (g *Governor) Account(class string) *Account {
+// account returns a reconciliation handle for class. Nil-safe (a nil
+// governor yields a nil account, whose methods are no-ops).
+func (g *Governor) account(class string) *account {
 	if g == nil {
 		return nil
 	}
-	return &Account{g: g, class: class}
+	return &account{g: g, class: class}
 }
 
-// Settle reconciles the account to target resident bytes as of generation
+// settle reconciles the account to target resident bytes as of generation
 // gen, calling Grow/Shrink for the delta. Stale settles (gen lower than one
 // already applied) are discarded. Must not be called while holding a lock
-// the owning consumer's evictor acquires (Grow may run evictors) — callers
-// settle after unlocking. Nil-safe.
-func (a *Account) Settle(gen uint64, target int64) {
+// the owning consumer's evictor acquires (Grow may run evictors). Nil-safe.
+func (a *account) settle(gen uint64, target int64) {
 	if a == nil {
 		return
 	}
@@ -376,24 +381,14 @@ func (a *Account) Settle(gen uint64, target int64) {
 		return
 	}
 	a.gen = gen
-	delta := target - a.held
-	a.held = target
+	delta := target - a.settled
+	a.settled = target
 	a.mu.Unlock()
 	if delta > 0 {
 		a.g.Grow(a.class, delta)
 	} else if delta < 0 {
 		a.g.Shrink(a.class, -delta)
 	}
-}
-
-// Held returns the bytes this account last settled to. Nil-safe.
-func (a *Account) Held() int64 {
-	if a == nil {
-		return 0
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.held
 }
 
 // Limiter bounds concurrent holders per key — the per-table request

@@ -22,7 +22,7 @@ func TestGrowShrinkLedger(t *testing.T) {
 		t.Fatalf("used = %d, want %d", got, want)
 	}
 	// Shrink is exact, not clamped: an over-shrink goes negative so that a
-	// revocation racing its own grant (Account.Settle ordering) nets to the
+	// revocation racing its own grant (account.settle ordering) nets to the
 	// true total once the grant lands.
 	g.Shrink("b", 500)
 	if got := g.ClassBytes("b"); got != -300 {
@@ -39,28 +39,25 @@ func TestGrowShrinkLedger(t *testing.T) {
 
 func TestAccountSettle(t *testing.T) {
 	g := New(0)
-	a := g.Account("cache")
-	a.Settle(1, 100)
+	a := g.account("cache")
+	a.settle(1, 100)
 	if got := g.ClassBytes("cache"); got != 100 {
 		t.Fatalf("class = %d after first settle, want 100", got)
 	}
-	a.Settle(2, 250)
-	if got, held := g.ClassBytes("cache"), a.Held(); got != 250 || held != 250 {
+	a.settle(2, 250)
+	if got, held := g.ClassBytes("cache"), a.settled; got != 250 || held != 250 {
 		t.Fatalf("class/held = %d/%d, want 250/250", got, held)
 	}
 	// A release (gen 4) that lands before a stale build (gen 3) wins: the
 	// stale settle is discarded, so the revocation sticks.
-	a.Settle(4, 0)
-	a.Settle(3, 999)
+	a.settle(4, 0)
+	a.settle(3, 999)
 	if got := g.ClassBytes("cache"); got != 0 {
 		t.Fatalf("class = %d after release-then-stale-build, want 0", got)
 	}
-	var nilAcct *Account
-	nilAcct.Settle(1, 100)
-	if nilAcct.Held() != 0 {
-		t.Fatal("nil account must be inert")
-	}
-	if (*Governor)(nil).Account("x") != nil {
+	var nilAcct *account
+	nilAcct.settle(1, 100) // must be inert, not panic
+	if (*Governor)(nil).account("x") != nil {
 		t.Fatal("nil governor must yield a nil account")
 	}
 }

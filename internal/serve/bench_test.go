@@ -11,8 +11,6 @@ import (
 
 func rulesOptionsForTest() rules.Options { return rules.Options{} }
 
-func rulesOptions(targets []string) rules.Options { return rules.Options{TargetCols: targets} }
-
 func truncateFile(path string, n int64) error {
 	return os.Truncate(path, n)
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"sync"
 
 	"subtab/internal/core"
 	"subtab/internal/memgov"
@@ -50,29 +49,15 @@ type Service struct {
 
 	// sessions holds the live exploration sessions of the /v1 API.
 	sessions *session.Manager
-
-	rulesMu    sync.Mutex
-	rulesGen   map[string]uint64 // bumped on replace/remove; guards cache inserts
-	rulesCache map[string]rulesEntry
-}
-
-// rulesEntry pairs mined rules with the model they were mined against, so
-// rule item ids are always labeled against the matching binning even when
-// the table is concurrently replaced.
-type rulesEntry struct {
-	rs []rules.Rule
-	m  *core.Model
 }
 
 // NewService returns a service over the given store; defaults are the
 // pipeline options used when AddTable is called without explicit options.
 func NewService(store *Store, defaults core.Options) *Service {
 	return &Service{
-		store:      store,
-		defaults:   defaults,
-		sessions:   session.NewManager(0),
-		rulesGen:   make(map[string]uint64),
-		rulesCache: make(map[string]rulesEntry),
+		store:    store,
+		defaults: defaults,
+		sessions: session.NewManager(0),
 	}
 }
 
@@ -122,8 +107,8 @@ type TableInfo struct {
 // AddTable pre-processes t and registers it under name. Concurrent AddTable
 // and Select calls for the same name share a single Preprocess run. With
 // replace false, a name that is already served returns ErrExists; with
-// replace true, the new model overwrites the old one and cached rules for
-// the name are invalidated.
+// replace true, the new model overwrites the old one (and its caches,
+// mined rules included, leave with it).
 func (s *Service) AddTable(name string, t *table.Table, opt *core.Options, replace bool) (*core.Model, error) {
 	if strings.TrimSpace(name) == "" {
 		return nil, errors.New("serve: table name must not be empty")
@@ -146,7 +131,6 @@ func (s *Service) AddTable(name string, t *table.Table, opt *core.Options, repla
 	if err := s.store.Put(name, m); err != nil {
 		return nil, err
 	}
-	s.invalidateRules(name)
 	return m, nil
 }
 
@@ -205,7 +189,6 @@ func (s *Service) AddTableOutOfCore(name string, t *table.Table, opt *core.Optio
 		os.Remove(colsPath)
 		return nil, err
 	}
-	s.invalidateRules(name)
 	return m, nil
 }
 
@@ -277,7 +260,6 @@ func (s *Service) AddTableSharded(name string, t *table.Table, opt *core.Options
 		cleanup()
 		return nil, err
 	}
-	s.invalidateRules(name)
 	return m, nil
 }
 
@@ -286,8 +268,8 @@ func (s *Service) AddTableSharded(name string, t *table.Table, opt *core.Options
 // and caches reused incrementally; full re-preprocess only on drift) and
 // swapped in under the store's per-name lock with a generation bump, so
 // selections in flight finish against the model they started with and
-// concurrent appends compose instead of losing rows. Cached rules for the
-// name are invalidated — they were mined over the old rows.
+// concurrent appends compose instead of losing rows. Rules mined over the
+// old rows stay cached on the old model only.
 //
 // Out-of-core tables stay out-of-core: Append materializes inline codes
 // to build the successor, so the successor's codes are re-exported over
@@ -298,7 +280,6 @@ func (s *Service) AddTableSharded(name string, t *table.Table, opt *core.Options
 // replaced stores through their open mappings.
 func (s *Service) AppendRows(name string, rows *table.Table, opt core.AppendOptions) (*core.Model, core.AppendStats, error) {
 	var stats core.AppendStats
-	changed := false
 	m, err := s.store.Update(name, func(cur *core.Model) (*core.Model, error) {
 		// A coordinator does not hold the rows; appends belong on the
 		// instances that own the shards.
@@ -312,7 +293,7 @@ func (s *Service) AppendRows(name string, rows *table.Table, opt core.AppendOpti
 			return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 		}
 		stats = st
-		changed = next != cur
+		changed := next != cur
 		switch {
 		case changed && cur.ShardSource() != nil && next.ShardSource() == nil:
 			// Sharded tables stay sharded: re-export the successor's codes
@@ -368,10 +349,6 @@ func (s *Service) AppendRows(name string, rows *table.Table, opt core.AppendOpti
 	if err != nil {
 		return nil, stats, err
 	}
-	// A zero-row append returns the model unchanged; mined rules stay valid.
-	if changed {
-		s.invalidateRules(name)
-	}
 	return m, stats, nil
 }
 
@@ -379,7 +356,6 @@ func (s *Service) AppendRows(name string, rows *table.Table, opt core.AppendOpti
 // exploration sessions opened on it (their state describes removed data).
 func (s *Service) RemoveTable(name string) {
 	s.store.Remove(name)
-	s.invalidateRules(name)
 	s.sessions.DeleteTable(name)
 }
 
@@ -514,20 +490,10 @@ func selectError(err error) error {
 // Rules mines association rules over the named table's binned
 // representation, returning them together with the model they were mined
 // against (label rule items against that model, never a freshly fetched
-// one — the table may have been replaced in between). Mining depends only
-// on the immutable model and the options, so results are cached per
-// (table, options); a replace or remove racing a long mining run
-// invalidates the in-flight result instead of letting it repopulate the
-// cache.
+// one — the table may have been replaced in between). Results are cached
+// on the model (core.Model.Rules), so a replaced or evicted table's rules
+// leave with its model.
 func (s *Service) Rules(name string, opt rules.Options) ([]rules.Rule, *core.Model, error) {
-	key := rulesKey(name, opt)
-	s.rulesMu.Lock()
-	startGen := s.rulesGen[name]
-	e, ok := s.rulesCache[key]
-	s.rulesMu.Unlock()
-	if ok {
-		return e.rs, e.m, nil
-	}
 	m, err := s.store.Get(name)
 	if err != nil {
 		return nil, nil, err
@@ -537,27 +503,12 @@ func (s *Service) Rules(name string, opt rules.Options) ([]rules.Rule, *core.Mod
 	if err := m.RequireLocal(core.ReasonRemoteRules); err != nil {
 		return nil, nil, fmt.Errorf("%w: table %q: %w", ErrBadRequest, name, err)
 	}
-	rs, err := rules.Mine(m.B, opt)
+	rs, err := m.Rules(opt)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	s.rulesMu.Lock()
-	if s.rulesGen[name] == startGen {
-		if len(s.rulesCache) >= maxRulesCacheEntries {
-			// Coarse bound: mining is tens of milliseconds, so dropping the
-			// whole cache is cheaper than bookkeeping an LRU here, and it
-			// releases the model references old entries pin.
-			clear(s.rulesCache)
-		}
-		s.rulesCache[key] = rulesEntry{rs: rs, m: m}
-	}
-	s.rulesMu.Unlock()
 	return rs, m, nil
 }
-
-// maxRulesCacheEntries bounds the rules cache; each entry pins the model it
-// was mined against, so the cache must not grow with distinct option sets.
-const maxRulesCacheEntries = 128
 
 // Highlight renders st with the association-rule patterns it exemplifies
 // marked in the view (the paper's Figure 1 UI), returning the rendered view
@@ -576,24 +527,4 @@ func (s *Service) Highlight(name string, opt rules.Options, st *core.SubTable) (
 		}
 	}
 	return st.View.Render(hl), labels, nil
-}
-
-// rulesKey encodes every mining option unambiguously (%q quotes the target
-// columns, so [\"a\",\"b\"] and [\"a b\"] cannot collide).
-func rulesKey(name string, opt rules.Options) string {
-	return fmt.Sprintf("%s\x00%g|%g|%d|%d|%q|%t|%d|%t",
-		name, opt.MinSupport, opt.MinConfidence, opt.MinRuleSize, opt.MaxItemsetSize,
-		opt.TargetCols, opt.AllSplits, opt.MaxRules, opt.IncludeMissing)
-}
-
-func (s *Service) invalidateRules(name string) {
-	prefix := name + "\x00"
-	s.rulesMu.Lock()
-	s.rulesGen[name]++
-	for k := range s.rulesCache {
-		if strings.HasPrefix(k, prefix) {
-			delete(s.rulesCache, k)
-		}
-	}
-	s.rulesMu.Unlock()
 }

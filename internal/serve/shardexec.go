@@ -30,6 +30,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"subtab/internal/binning"
@@ -217,8 +218,7 @@ func NewShardSampler(name string, m *core.Model, opt ShardPeersOptions) (core.Sh
 		m:     m,
 		src:   src,
 		opt:   opt,
-		cache: make(map[string]sampleResult),
-		acct:  opt.Governor.Account(memgov.ClassCoordCache),
+		cache: memgov.NewCache[string](opt.Governor, memgov.ClassCoordCache, func(r sampleResult) int64 { return r.bytes }),
 	}
 	if sc := m.ShardCells(); sc != nil && !sc.Complete() {
 		if len(opt.Peers) == 0 {
@@ -234,20 +234,20 @@ type shardSampler struct {
 	m    *core.Model
 	src  *shard.Source
 	opt  ShardPeersOptions
-	acct *memgov.Account // coord-cache settlement (nil when ungoverned)
 
-	mu         sync.Mutex
-	cache      map[string]sampleResult // per (budget, cols): scatter round trips are the expensive half of a scaled select
-	cacheBytes int64                   // Σ entry bytes, settled with acct after every mutation
-	cacheGen   uint64                  // bumped under mu on every mutation; orders the settles
+	// cache holds scatter results per (generation, budget, cols, preds):
+	// scatter round trips are the expensive half of a scaled select. gen is
+	// the ShardPeersOptions.Generation it was last used at; a change means
+	// the table was replaced and every entry is stale.
+	cache *memgov.Cache[string, sampleResult]
+	gen   atomic.Uint64
 }
 
 type sampleResult struct {
 	rows    []int
 	overlay *shard.SparseSource
-	matched int    // total rows matching the request's predicates, across shards
-	gen     uint64 // ShardPeersOptions.Generation at fill time
-	bytes   int64  // estimated residency: rows + overlay rows + overlay codes
+	matched int   // total rows matching the request's predicates, across shards
+	bytes   int64 // estimated residency: rows + overlay rows + overlay codes
 }
 
 // Sample runs one full scatter/gather round: scan or fetch every non-empty
@@ -270,30 +270,26 @@ func (s *shardSampler) Sample(cols []int, budget int, preds []query.Predicate) (
 	for _, p := range preds {
 		fmt.Fprintf(&pk, "%q|%d|%x|%q;", p.Col, p.Op, p.Num, p.Str)
 	}
-	key := fmt.Sprintf("%d|%v|%s", budget, cols, pk.String())
-	// The generation is read before the scatter: if the table is replaced
-	// while this round is in flight, the result is stored under the old tag
-	// and the next lookup discards it instead of serving pre-replace rows.
+	// The generation is read before the scatter and spelled into the key:
+	// if the table is replaced while this round is in flight, its result is
+	// stored under the old tag, which no later lookup asks for.
 	var gen uint64
 	if s.opt.Generation != nil {
 		gen = s.opt.Generation()
 	}
-	s.mu.Lock()
-	if r, ok := s.cache[key]; ok {
-		if s.opt.Generation == nil || r.gen == gen {
-			s.mu.Unlock()
-			return append([]int(nil), r.rows...), r.overlay, r.matched, nil
-		}
-		delete(s.cache, key)
-		s.cacheBytes -= r.bytes
-		s.cacheGen++
-		cg, cb := s.cacheGen, s.cacheBytes
-		s.mu.Unlock()
-		s.acct.Settle(cg, cb)
-	} else {
-		s.mu.Unlock()
+	if s.gen.Swap(gen) != gen {
+		s.cache.Clear()
 	}
+	key := fmt.Sprintf("%d|%d|%v|%s", gen, budget, cols, pk.String())
+	r, err := s.cache.Fill(key, func() (sampleResult, error) { return s.scatter(cols, budget, preds) })
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	return append([]int(nil), r.rows...), r.overlay, r.matched, nil
+}
 
+// scatter runs the uncached scatter/gather round behind Sample.
+func (s *shardSampler) scatter(cols []int, budget int, preds []query.Predicate) (sampleResult, error) {
 	seed := s.m.SampleSeed()
 	nCols := s.m.T.NumCols()
 	resps := make([]*shard.SampleResponse, s.src.NumShards())
@@ -321,7 +317,7 @@ func (s *shardSampler) Sample(cols []int, budget int, preds []query.Predicate) (
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, nil, 0, err
+			return sampleResult{}, err
 		}
 	}
 
@@ -356,40 +352,19 @@ func (s *shardSampler) Sample(cols []int, budget int, preds []query.Predicate) (
 	}
 	overlay, err := shard.NewSparseSource(s.m.T.NumRows(), nCols, allRows, allCodes)
 	if err != nil {
-		return nil, nil, 0, fmt.Errorf("serve: assembling sampled overlay for %q: %w", s.name, err)
+		return sampleResult{}, fmt.Errorf("serve: assembling sampled overlay for %q: %w", s.name, err)
 	}
 
 	// Entry weight: the cached pick order plus the overlay's row ids and its
 	// per-column uint16 codes (slice headers ignored; the payloads dominate).
 	rb := int64(len(rows))*8 + int64(len(allRows))*(8+2*int64(nCols))
-	s.mu.Lock()
-	if len(s.cache) >= 8 {
-		clear(s.cache)
-		s.cacheBytes = 0
-	}
-	s.cache[key] = sampleResult{rows: rows, overlay: overlay, matched: matched, gen: gen, bytes: rb}
-	s.cacheBytes += rb
-	s.cacheGen++
-	cg, cb := s.cacheGen, s.cacheBytes
-	s.mu.Unlock()
-	s.acct.Settle(cg, cb)
-	return append([]int(nil), rows...), overlay, matched, nil
+	return sampleResult{rows: rows, overlay: overlay, matched: matched, bytes: rb}, nil
 }
 
-// ReleaseCache drops the coordinator's cross-request sample cache and
-// settles its governed bytes to zero — the core.CacheReleaser hook
-// core.Model.ReleaseVectorCache forwards to, so a store eviction reclaims
-// the coordinator bytes keyed to the model. Settling to zero only ever
-// shrinks, so this is safe under the serving store's mutex.
-func (s *shardSampler) ReleaseCache() {
-	s.mu.Lock()
-	clear(s.cache)
-	s.cacheBytes = 0
-	s.cacheGen++
-	cg := s.cacheGen
-	s.mu.Unlock()
-	s.acct.Settle(cg, 0)
-}
+// ReleaseCache clears the coordinator's cross-request sample cache — the
+// core.CacheReleaser hook core.Model.ReleaseVectorCache forwards to, so a
+// store eviction reclaims the coordinator bytes keyed to the model.
+func (s *shardSampler) ReleaseCache() { s.cache.Clear() }
 
 // fetch posts the sample request for shard idx, rotating through peers
 // across attempts.

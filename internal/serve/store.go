@@ -65,8 +65,8 @@ type StoreOptions struct {
 	// entry-counted into byte-weighted: any consumer growing past the
 	// process budget sheds this store's cold models first. MaxModels stays
 	// as a count backstop. Models inserted into a governed store also get
-	// core.Model.SetGovernor, so their vector/sample caches settle under
-	// their own classes.
+	// core.Model.SetGovernor, so their vector, sample and rules caches
+	// settle under their own classes.
 	Governor *memgov.Governor
 }
 

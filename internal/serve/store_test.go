@@ -4,10 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 
 	"subtab/internal/core"
 	"subtab/internal/query"
@@ -370,14 +372,6 @@ func TestPutWinsOverInflightBuild(t *testing.T) {
 	}
 }
 
-func TestRulesKeyUnambiguous(t *testing.T) {
-	a := rulesKey("t", rulesOptions([]string{"a", "b"}))
-	b := rulesKey("t", rulesOptions([]string{"a b"}))
-	if a == b {
-		t.Fatalf("distinct target sets share cache key %q", a)
-	}
-}
-
 // TestRulesModelConsistency: rules are always labeled against the model
 // they were mined from, even when the table is replaced concurrently.
 func TestRulesModelConsistency(t *testing.T) {
@@ -405,6 +399,40 @@ func TestRulesModelConsistency(t *testing.T) {
 	}
 	_ = rs
 	_ = rs2
+}
+
+// TestRulesDoNotPinEvictedModels: mined rules are cached on the model they
+// were mined from, so a model the store evicted becomes garbage once no
+// request holds it — a service-wide rules cache used to keep every such
+// model on the heap after the ledger had released its bytes.
+func TestRulesDoNotPinEvictedModels(t *testing.T) {
+	svc := NewService(NewStore(StoreOptions{Dir: t.TempDir(), MaxModels: 2}), testOptions())
+	models := make([]weak.Pointer[core.Model], 10)
+	for i := range models {
+		name := fmt.Sprintf("t%d", i)
+		if _, err := svc.AddTable(name, testTable(name, 120, int64(i)), nil, false); err != nil {
+			t.Fatal(err)
+		}
+		rs, m, err := svc.Rules(name, rulesOptionsForTest())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rs) == 0 {
+			t.Fatalf("no rules mined on %s", name)
+		}
+		models[i] = weak.Make(m)
+	}
+	if ev := svc.Store().Stats().Evictions; ev != 8 {
+		t.Fatalf("store evicted %d models, want 8", ev)
+	}
+	runtime.GC()
+	runtime.GC()
+	for i, p := range models[:8] {
+		if p.Value() != nil {
+			t.Errorf("evicted model t%d is still reachable after GC", i)
+		}
+	}
+	runtime.KeepAlive(svc) // the service's own caches must not be what pins
 }
 
 func TestServiceAddExistsAndReplace(t *testing.T) {

@@ -347,7 +347,7 @@ type Dataset = datagen.Dataset
 // GenerateDataset builds one of the paper's evaluation datasets by
 // abbreviation (FL, CY, SP, CC, USF, BL); n <= 0 uses the default scaled
 // row count. The generators are schema-faithful synthetic stand-ins with
-// planted association rules (see DESIGN.md §4).
+// planted association rules.
 func GenerateDataset(name string, n int, seed int64) (*Dataset, error) {
 	return datagen.ByName(name, n, seed)
 }
