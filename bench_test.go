@@ -1,7 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
 // (§6), one testing.B benchmark per artifact, plus micro-benchmarks of the
 // pipeline stages. Shapes, not absolute times, are the reproduction target;
-// see EXPERIMENTS.md for the paper-vs-measured record.
+// `go run ./cmd/subtab-experiments` prints the measured tables and figures.
 package subtab_test
 
 import (

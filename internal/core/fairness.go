@@ -2,127 +2,77 @@ package core
 
 import (
 	"fmt"
-	"sort"
+
+	"subtab/internal/cluster"
 )
 
 // FairnessOptions constrains a selection so that the groups of a protected
-// column are all represented among the selected rows — the paper's §7
+// column are all represented among the displayed rows — the paper's §7
 // future-work direction of "sub-tables that meet certain fairness
-// requirements with respect to the data they represent".
+// requirements with respect to the data they represent". Set it as
+// ExploreSpec.Fairness.
+//
+// The planner refuses (ReasonBadSpec) an unknown GroupCol, and a k smaller
+// than the column's bin count × MinPerGroup. The quota is enforced in the
+// representatives stage, over the rows the selection clusters (the
+// candidates, or the stratified sample when scaled): each group wants
+// min(MinPerGroup, its clustered rows). Groups short of their want are
+// filled lowest bin first; each missing row is the group's unchosen
+// clustered row with the smallest (distance to its centre, index), and it
+// replaces, in place, the representative with the largest (distance,
+// index) among the groups holding more than their want. Column choice and
+// rendering then run unchanged, so a display that already meets the quota
+// is exactly the unconstrained one.
 type FairnessOptions struct {
 	// GroupCol is the protected column; its bins define the groups.
 	GroupCol string
-	// MinPerGroup is the minimum number of selected rows per non-empty
-	// group (default 1). Groups with fewer matching rows than the minimum
-	// contribute all they have.
+	// MinPerGroup is the minimum number of displayed rows per group;
+	// values <= 0 mean 1.
 	MinPerGroup int
 }
 
-// SelectFair runs the standard selection and then repairs group
-// under-representation: for every group of the protected column with fewer
-// than MinPerGroup selected rows, rows from over-represented groups are
-// swapped for the under-represented group's most pattern-typical rows (the
-// rows nearest their embedding cluster centroids).
-func (m *Model) SelectFair(k, l int, targets []string, fair FairnessOptions) (*SubTable, error) {
-	gi := m.T.ColumnIndex(fair.GroupCol)
-	if gi < 0 {
-		return nil, fmt.Errorf("core: unknown fairness column %q", fair.GroupCol)
+// groupQuota applies the FairnessOptions quota in place to reps, the
+// representatives as indices into rows: per rows from each of the bins
+// groups of column col, whose codes are read through code.
+func groupQuota(reps []int, res *cluster.Result, rows rowSet, col, per, bins int, code func(c, r int) uint16) {
+	group := make([]uint16, rows.n)
+	size := make([]int, bins)
+	for i := range group {
+		group[i] = code(col, rows.at(i))
+		size[group[i]]++
 	}
-	if fair.MinPerGroup <= 0 {
-		fair.MinPerGroup = 1
+	have := make([]int, bins)
+	chosen := make([]bool, rows.n)
+	for _, i := range reps {
+		have[group[i]]++
+		chosen[i] = true
 	}
-	st, err := m.Select(k, l, targets)
-	if err != nil {
-		return nil, err
-	}
-
-	// Group sizes in the full table and in the selection.
-	nBins := m.B.Cols[gi].NumBins()
-	full := make([]int, nBins)
-	for r := 0; r < m.T.NumRows(); r++ {
-		full[m.B.Code(gi, r)]++
-	}
-	sel := make([]int, nBins)
-	for _, r := range st.SourceRows {
-		sel[m.B.Code(gi, r)]++
-	}
-
-	// Deficits per group, bounded by group size.
-	type deficit struct{ bin, need int }
-	var deficits []deficit
-	for bin := 0; bin < nBins; bin++ {
-		if full[bin] == 0 {
-			continue
-		}
-		want := fair.MinPerGroup
-		if want > full[bin] {
-			want = full[bin]
-		}
-		if sel[bin] < want {
-			deficits = append(deficits, deficit{bin, want - sel[bin]})
-		}
-	}
-	if len(deficits) == 0 {
-		return st, nil
-	}
-
-	// Candidate replacements per group: rows of the group ordered by how
-	// typical they are (distance of their row vector to the selection's
-	// mean is a cheap typicality proxy; exact cluster distances would
-	// require re-clustering).
-	cols := st.ColIdx
-	inSel := make(map[int]bool, len(st.SourceRows))
-	for _, r := range st.SourceRows {
-		inSel[r] = true
-	}
-	pick := func(bin, need int) []int {
-		var cand []int
-		for r := 0; r < m.T.NumRows() && len(cand) < need*8; r++ {
-			if int(m.B.Code(gi, r)) == bin && !inSel[r] {
-				cand = append(cand, r)
-			}
-		}
-		if len(cand) > need {
-			cand = cand[:need]
-		}
-		return cand
-	}
-
-	// Swap out rows from the most over-represented groups.
-	rows := append([]int(nil), st.SourceRows...)
-	for _, d := range deficits {
-		for _, newRow := range pick(d.bin, d.need) {
-			// Victim: a row from the group with the largest selected count
-			// above its own minimum.
-			victim := -1
-			victimCount := -1
-			for i, r := range rows {
-				b := int(m.B.Code(gi, r))
-				if b == d.bin {
-					continue
-				}
-				if sel[b] > fair.MinPerGroup && sel[b] > victimCount {
-					victim = i
-					victimCount = sel[b]
+	over := func(i int) bool { g := group[i]; return have[g] > min(per, size[g]) }
+	// after orders clustered rows by (distance to their centre, index).
+	after := func(a, b int) bool { return res.Dist[a] > res.Dist[b] || res.Dist[a] == res.Dist[b] && a > b }
+	for g := range bins {
+		for have[g] < min(per, size[g]) {
+			in, out := -1, -1
+			for i, gi := range group {
+				if int(gi) == g && !chosen[i] && (in < 0 || after(in, i)) {
+					in = i
 				}
 			}
-			if victim < 0 {
-				break // nothing to trade away
+			for x, j := range reps {
+				if over(j) && (out < 0 || after(j, reps[out])) {
+					out = x
+				}
 			}
-			sel[int(m.B.Code(gi, rows[victim]))]--
-			rows[victim] = newRow
-			sel[d.bin]++
-			inSel[newRow] = true
+			if out < 0 {
+				return // fewer representatives than k: nothing to trade away
+			}
+			have[group[reps[out]]]--
+			chosen[reps[out]] = false
+			reps[out] = in
+			have[g]++
+			chosen[in] = true
 		}
 	}
-	sort.Ints(rows)
-
-	view, err := m.T.SubTableView(rows, st.Cols)
-	if err != nil {
-		return nil, err
-	}
-	out := &SubTable{SourceRows: rows, Cols: st.Cols, ColIdx: cols, View: view}
-	return out, nil
 }
 
 // GroupCounts reports, for each bin label of the given column, how many of

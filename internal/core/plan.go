@@ -196,6 +196,9 @@ type plan struct {
 	columns  columnKind
 	render   renderKind
 
+	quotaCol int // the Fairness group column
+	quotaMin int // the Fairness minimum per group; 0 runs no quota
+
 	scale   ScaleOptions // defaults applied
 	remote  bool
 	reserve int64
@@ -300,6 +303,15 @@ func planSelect(spec ExploreSpec, c caps) (*plan, error) {
 	}
 	if len(p.targets) > spec.L {
 		return nil, refuse(ReasonTooManyTargets, "%d target columns exceed l=%d", len(p.targets), spec.L)
+	}
+	if f := spec.Fairness; f != nil {
+		if p.quotaCol = c.col(f.GroupCol); p.quotaCol < 0 {
+			return nil, refuse(ReasonBadSpec, "unknown fairness column %q", f.GroupCol)
+		}
+		p.quotaMin = max(f.MinPerGroup, 1)
+		if bins := c.bins[p.quotaCol].NumBins(); spec.K < bins*p.quotaMin {
+			return nil, refuse(ReasonBadSpec, "k=%d cannot hold %d rows from each of the %d groups of %q", spec.K, p.quotaMin, bins, f.GroupCol)
+		}
 	}
 	for i, r := range spec.Scope {
 		if r < 0 || r >= c.rows || i > 0 && r <= spec.Scope[i-1] {

@@ -62,6 +62,7 @@ var matrixShapes = []struct {
 	{"group-by", ExploreSpec{Query: &query.Query{GroupBy: []string{"g"}, Aggs: []query.Aggregate{{Func: query.Count}}}}, 100},
 	{"order-by-in-projection", ExploreSpec{Query: &query.Query{Select: []string{"x", "g"}, OrderBy: "x"}}, matrixRows},
 	{"order-by-outside-projection", ExploreSpec{Query: &query.Query{Select: []string{"x", "g"}, OrderBy: "y"}}, matrixRows},
+	{"group-quota", ExploreSpec{Fairness: &FairnessOptions{GroupCol: "g", MinPerGroup: 2}}, matrixRows},
 }
 
 // matrixScales: off, active for every shape, and a threshold the filtered
@@ -98,6 +99,10 @@ func cell(p *plan, n int) (string, error) {
 		case StageKMeans:
 			if v = "exact"; scaled {
 				v = "mini-batch"
+			}
+		case StageRepresentatives:
+			if p.quotaMin > 0 {
+				v = "group-quota"
 			}
 		case StageColumnChoice:
 			v = string(p.columns)
@@ -170,6 +175,9 @@ func TestPlanMatrix(t *testing.T) {
 		{ExploreSpec{K: 5, L: 2, Query: &query.Query{Select: []string{"nope"}}}, ReasonBadSpec},
 		{ExploreSpec{K: 5, L: 2, Query: &query.Query{Select: []string{"x", "x"}}}, ReasonBadSpec},
 		{ExploreSpec{K: 5, L: 2, Query: &query.Query{}, Scope: []int{1}}, ReasonBadSpec},
+		{ExploreSpec{K: 5, L: 2, Fairness: &FairnessOptions{GroupCol: "nope"}}, ReasonBadSpec},
+		{ExploreSpec{K: 5, L: 2, Fairness: &FairnessOptions{GroupCol: "x", MinPerGroup: 2}}, ReasonBadSpec},
+		{ExploreSpec{K: 3, L: 2, Fairness: &FairnessOptions{GroupCol: "x"}}, ReasonBadSpec},
 	} {
 		tc.spec.Scale = &ScaleOptions{}
 		if got := outcome(tc.spec, c, 1); got != "REFUSED "+string(tc.want) {
@@ -310,11 +318,9 @@ func (s peerSampler) Sample(cols []int, budget int, preds []query.Predicate) ([]
 	return rows, overlay, matched, err
 }
 
-// TestPlanMatchesExecution runs every matrix shape on a real model of each
-// layout: where the planner refuses, the executor must return that refusal;
-// where it plans, the select must succeed with exactly k×l (every fixture
-// has at least k candidates and l columns).
-func TestPlanMatchesExecution(t *testing.T) {
+// executionSweep builds one small real model per matrix layout, and the
+// request shapes and scale settings to run on them.
+func executionSweep(t *testing.T) (map[string]*Model, map[string]ExploreSpec, map[string]ScaleOptions) {
 	codesOut := filterTestModel(t)
 	cs, err := codesOut.UseCodeStoreFile(filepath.Join(t.TempDir(), "codes"), 64)
 	if err != nil {
@@ -352,6 +358,15 @@ func TestPlanMatchesExecution(t *testing.T) {
 		"active":            {Threshold: 1, SampleBudget: 200, BatchSize: 64, MaxIter: 20},
 		"threshold>matched": {Threshold: 700, SampleBudget: 200, BatchSize: 64, MaxIter: 20},
 	}
+	return layouts, shapes, scales
+}
+
+// TestPlanMatchesExecution runs every matrix shape on a real model of each
+// layout: where the planner refuses, the executor must return that refusal;
+// where it plans, the select must succeed with exactly k×l (every fixture
+// has at least k candidates and l columns).
+func TestPlanMatchesExecution(t *testing.T) {
+	layouts, shapes, scales := executionSweep(t)
 	const k, l = 4, 3
 	for layout, m := range layouts {
 		for shape, spec := range shapes {

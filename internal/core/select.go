@@ -67,6 +67,9 @@ type ExploreSpec struct {
 	// represented by its first source row (aggregate cells have no
 	// embedding).
 	Query *query.Query
+	// Fairness, when set, makes every group of a protected column appear
+	// in the display; FairnessOptions states the quota rule.
+	Fairness *FairnessOptions
 }
 
 // Select runs the selection phase on the whole table (Q = NULL in Alg. 2).
@@ -150,45 +153,51 @@ func (m *Model) SelectExplore(spec ExploreSpec) (*SubTable, error) {
 	return m.execute(p, spec)
 }
 
-// execute runs p's stages in order.
-func (m *Model) execute(p *plan, spec ExploreSpec) (*SubTable, error) {
-	// Row stage: bound the candidates. csrc, when non-nil, is the
-	// sampled-rows overlay of a coordinator model: every downstream code
-	// read of this selection goes through it instead of the (partly remote)
-	// shard source.
-	var rows rowSet
-	var csrc binning.CodeSource
-	var err error
+// clusterRows runs the row stage and, when the scaled path engages, the
+// sample. It returns the rows the selection clusters, the sampled-rows
+// overlay of a coordinator model (nil otherwise: every downstream code read
+// of the selection goes through it instead of the partly remote shard
+// source), and whether the path is scaled.
+func (m *Model) clusterRows(p *plan, spec ExploreSpec) (rows rowSet, csrc binning.CodeSource, scaled bool, err error) {
 	n := 0
 	if p.remote {
 		sampled, overlay, matched, err := m.shardSampler.Sample(p.cols, p.scale.SampleBudget, p.preds)
 		if err != nil {
-			return nil, fmt.Errorf("core: scatter/gather sampling: %w", err)
+			return rowSet{}, nil, false, fmt.Errorf("core: scatter/gather sampling: %w", err)
 		}
 		rows, csrc, n = listRows(sampled), overlay, matched
 	} else {
 		if rows, err = m.candidateRows(p, spec); err != nil {
-			return nil, err
+			return rowSet{}, nil, false, err
 		}
 		n = rows.n
 	}
 	if n == 0 {
-		return nil, ErrNoRows
+		return rowSet{}, nil, false, ErrNoRows
 	}
-
-	// Row selection (Alg. 2 lines 8-12): cluster the tuple-vectors, then
-	// pick one representative per cluster. Above the scale threshold the
-	// candidate set is first cut to a deterministic stratified sample and
-	// clustered with seeded mini-batch k-means; everything downstream
-	// (diversity re-rank, column selection) runs over the sampled
-	// candidates only, then maps representatives back to real row ids.
-	scaled, err := p.scaled(n)
-	if err != nil {
-		return nil, err
+	// Above the scale threshold the candidate set is cut to a deterministic
+	// stratified sample and clustered with seeded mini-batch k-means;
+	// everything downstream (diversity re-rank, column selection) runs over
+	// the sampled candidates only, then maps representatives back to real
+	// row ids.
+	if scaled, err = p.scaled(n); err != nil {
+		return rowSet{}, nil, false, err
 	}
 	if scaled && !p.remote {
 		rows = m.sample(p, rows, spec.Covered)
 	}
+	return rows, csrc, scaled, nil
+}
+
+// execute runs p's stages in order.
+func (m *Model) execute(p *plan, spec ExploreSpec) (*SubTable, error) {
+	rows, csrc, scaled, err := m.clusterRows(p, spec)
+	if err != nil {
+		return nil, err
+	}
+
+	// Row selection (Alg. 2 lines 8-12): cluster the tuple-vectors, then
+	// pick one representative per cluster.
 	slab, done, err := m.rowVectors(rows, p, scaled, csrc)
 	if err != nil {
 		return nil, fmt.Errorf("core: building tuple-vector slab: %w", err)
@@ -209,8 +218,12 @@ func (m *Model) execute(p *plan, spec ExploreSpec) (*SubTable, error) {
 	if csrc != nil {
 		code = csrc.Code
 	}
+	reps := m.diverseRepresentatives(res, rows, p.cols, 16, code)
+	if p.quotaMin > 0 {
+		groupQuota(reps, res, rows, p.quotaCol, p.quotaMin, m.B.Cols[p.quotaCol].NumBins(), code)
+	}
 	st := &SubTable{}
-	for _, i := range m.diverseRepresentatives(res, rows, p.cols, 16, code) {
+	for _, i := range reps {
 		st.SourceRows = append(st.SourceRows, rows.at(i))
 	}
 

@@ -3,7 +3,7 @@
 // (EDA-session replay), Figure 7 (slow baselines), Figure 8 (quality
 // metrics), Figure 9 (runtime split), and Figure 10 (parameter tuning).
 // Each runner returns a result struct whose String() prints the same rows
-// or series the paper reports; EXPERIMENTS.md records paper-vs-measured.
+// or series the paper reports; cmd/subtab-experiments prints them.
 package experiments
 
 import (

@@ -99,8 +99,8 @@ func TestUserStudyShape(t *testing.T) {
 	// The intrinsic combined score on the displayed query views stays
 	// competitive. (Our RAN optimizes this very score directly per display
 	// and NC's one-hot row clustering maximizes bin-diversity on small query
-	// slices, where diversity dominates the combined score — see
-	// EXPERIMENTS.md — so SubTab-vs-baseline separation is asserted on user
+	// slices, where diversity dominates the combined score; so
+	// SubTab-vs-baseline separation is asserted on user
 	// outcomes above and on the full-table views of Fig. 8, not here.)
 	if st.AvgCombined < nc.AvgCombined-0.08 {
 		t.Fatalf("SubTab combined (%.2f) far below NC (%.2f)", st.AvgCombined, nc.AvgCombined)
@@ -206,7 +206,7 @@ func TestFig7Shape(t *testing.T) {
 // dominates both baselines on every dataset, its combined score beats NC
 // everywhere and RAN on average (our best-of-N RAN optimizes the reported
 // metric directly and is stronger than the paper's one-minute budget at
-// full scale; see EXPERIMENTS.md).
+// full scale; the assertions below state what is claimed).
 func TestFig8Shape(t *testing.T) {
 	skipIfShort(t)
 	l := testLab()

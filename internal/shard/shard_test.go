@@ -1,11 +1,14 @@
 package shard
 
 import (
+	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"subtab/internal/binning"
@@ -431,6 +434,47 @@ func TestWireCorruption(t *testing.T) {
 		buf := mutate(append([]byte(nil), rraw...))
 		if _, err := UnmarshalSampleResponse(buf); err == nil {
 			t.Errorf("%s: response decode accepted corrupt frame", name)
+		}
+	}
+}
+
+// TestCraftedCountsCostNothing is the regression test for decoders that
+// sized their slices from a frame's declared counts before checking that
+// the frame held the elements: a 34-byte sample request declaring 2^24
+// columns allocated 128 MiB, a 38-byte one declaring 2^16 predicates 3 MiB,
+// and a 34-byte zero-row sample response declaring 2^24 columns allocated
+// 384 MiB and decoded without error. Each crafted frame (valid magic,
+// version and checksum) must now fail and allocate under 32 MiB.
+func TestCraftedCountsCostNothing(t *testing.T) {
+	u32 := binary.LittleEndian.AppendUint32
+	frame := func(magic [4]byte, fields ...[]byte) []byte {
+		buf := binary.LittleEndian.AppendUint16(append([]byte(nil), magic[:]...), wireVersion)
+		for _, f := range fields {
+			buf = append(buf, f...)
+		}
+		return appendCRC(buf)
+	}
+	head := make([]byte, 4+8+8) // checksum, seed, budget
+	for _, tc := range []struct {
+		name   string
+		raw    []byte
+		decode func([]byte) error
+	}{
+		{"request columns", frame(reqMagic, head, u32(nil, 1<<24)), func(b []byte) error { _, err := UnmarshalSampleRequest(b); return err }},
+		{"request predicates", frame(reqMagic, head, u32(nil, 0), u32(nil, 1<<16)), func(b []byte) error { _, err := UnmarshalSampleRequest(b); return err }},
+		{"zero-row response columns", frame(respMagic, u32(nil, 0), u32(nil, 0), u32(nil, 0), u32(nil, 1<<24), make([]byte, 8)), func(b []byte) error { _, err := UnmarshalSampleResponse(b); return err }},
+		{"cells request columns", frame(cellsReqMagic, u32(nil, 0), u32(nil, 1<<24)), func(b []byte) error { _, err := UnmarshalCellsRequest(b); return err }},
+		{"cells response columns", frame(cellsRespMagic, u32(nil, 1<<24)), func(b []byte) error { _, err := UnmarshalCellsResponse(b); return err }},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := tc.decode(tc.raw)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s (%d bytes): decoded with %v, want ErrCorrupt", tc.name, len(tc.raw), err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 32<<20 {
+			t.Errorf("%s (%d bytes): allocated %d MiB", tc.name, len(tc.raw), n>>20)
 		}
 	}
 }

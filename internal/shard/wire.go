@@ -28,6 +28,15 @@ var (
 	respMagic = [4]byte{'S', 'B', 'S', 'R'}
 )
 
+// Decoders check that a frame holds every element it declares before
+// allocating for it: predMinBytes is a predicate's smallest encoding (two
+// empty strings, the op and the operand), and maxCols bounds the one count
+// no payload bytes back, a zero-row response's columns.
+const (
+	predMinBytes = 4 + 2 + 8 + 4
+	maxCols      = 1 << 20
+)
+
 // SampleRequest asks a peer to Scan one shard it owns. Checksum is the
 // shard store's identity from the coordinator's map — a peer whose file
 // disagrees rejects the request rather than contributing skewed minima.
@@ -90,7 +99,7 @@ func UnmarshalSampleRequest(raw []byte) (*SampleRequest, error) {
 		Budget:   int(int64(d.u64())),
 	}
 	nCols := int(d.u32())
-	if nCols < 0 || nCols > 1<<24 {
+	if nCols < 0 || nCols > 1<<24 || !d.has(4*nCols) {
 		return nil, fmt.Errorf("%w: sample request with %d columns", ErrCorrupt, nCols)
 	}
 	r.Cols = make([]int, nCols)
@@ -98,7 +107,7 @@ func UnmarshalSampleRequest(raw []byte) (*SampleRequest, error) {
 		r.Cols[i] = int(int32(d.u32()))
 	}
 	nPreds := int(d.u32())
-	if nPreds < 0 || nPreds > 1<<16 {
+	if nPreds < 0 || nPreds > 1<<16 || !d.has(predMinBytes*nPreds) {
 		return nil, fmt.Errorf("%w: sample request with %d predicates", ErrCorrupt, nPreds)
 	}
 	if nPreds > 0 {
@@ -183,8 +192,10 @@ func UnmarshalSampleResponse(raw []byte) (*SampleResponse, error) {
 	for i := range r.Rows {
 		r.Rows[i] = int64(d.u64())
 	}
+	// A zero-row response carries no code bytes to bound its column
+	// count, so it takes the column limit modelio enforces.
 	nCols := int(d.u32())
-	if nCols < 0 || nCols > 1<<24 || !d.has(2*nCols*nRows) {
+	if nCols < 0 || nCols > 1<<24 || nRows == 0 && nCols > maxCols || !d.has(2*nCols*nRows) {
 		return nil, fmt.Errorf("%w: sample response codes", ErrCorrupt)
 	}
 	r.Codes = make([][]uint16, nCols)

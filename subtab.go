@@ -328,7 +328,7 @@ func EmbDIBaseline(e *Evaluator, opt EmbDIBaselineOptions) (*BaselineResult, err
 }
 
 // FairnessOptions constrains selections so every group of a protected
-// column is represented (paper §7 future work); see Model.SelectFair.
+// column is represented (paper §7 future work); see ExploreSpec.Fairness.
 type FairnessOptions = core.FairnessOptions
 
 // JoinResult is an equi-join output with row provenance.
