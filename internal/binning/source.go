@@ -13,7 +13,7 @@ import (
 // identically whether the codes live in memory (a Binned's inline Codes)
 // or in an on-disk store (package codestore, which implements this
 // interface structurally). Implementations must be safe for concurrent
-// use given distinct scratch slices.
+// use given distinct scratch and dst slices.
 type CodeSource interface {
 	NumRows() int
 	NumCols() int
@@ -26,6 +26,11 @@ type CodeSource interface {
 	ColumnBlock(c, blk int, scratch []uint16) []uint16
 	// Code returns one cell's code (random access).
 	Code(c, r int) uint16
+	// GatherCodes sets dst[i] to Code(c, rows[i]) for every i; len(dst)
+	// must equal len(rows). Rows may come in any order and may repeat;
+	// ascending rows read each block's bytes in order. Like ColumnBlock it
+	// panics on a page it cannot read.
+	GatherCodes(c int, rows []int, dst []uint16)
 }
 
 // PartialCodeSource is a CodeSource that may be missing row ranges: a
@@ -65,6 +70,12 @@ func (s inlineSource) NumBlocks() int {
 }
 func (s inlineSource) ColumnBlock(c, blk int, scratch []uint16) []uint16 { return s.b.Codes[c] }
 func (s inlineSource) Code(c, r int) uint16                              { return s.b.Codes[c][r] }
+func (s inlineSource) GatherCodes(c int, rows []int, dst []uint16) {
+	codes := s.b.Codes[c]
+	for i, r := range rows {
+		dst[i] = codes[r]
+	}
+}
 
 // Source returns the CodeSource for this binned table: the inline codes
 // when they are resident, otherwise the attached store.

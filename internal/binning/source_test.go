@@ -23,7 +23,7 @@ func testBinned(t *testing.T) *binning.Binned {
 
 // storeFor exports b's codes to a fresh code store with small blocks (so
 // block logic is actually exercised) and opens it.
-func storeFor(t *testing.T, b *binning.Binned, blockRows int) *codestore.Store {
+func storeFor(t testing.TB, b *binning.Binned, blockRows int) *codestore.Store {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "codes")
 	w, err := codestore.Create(path, b.NumCols(), blockRows)

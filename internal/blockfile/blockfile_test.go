@@ -497,3 +497,48 @@ func TestWriteAtomic(t *testing.T) {
 		t.Fatal("write under a regular file succeeded")
 	}
 }
+
+// TestCodestoreGatherCodes checks codestore's GatherCodes against Code on
+// both access paths — the in-place page loads of the mmap path and the
+// per-page reads of the ReadAt fallback — over sorted, unsorted, repeated,
+// block-straddling and empty row lists.
+func TestCodestoreGatherCodes(t *testing.T) {
+	const rows, blockRows = 300, 16
+	codes := make([][]uint16, 3)
+	for c := range codes {
+		codes[c] = make([]uint16, rows)
+		for r := range codes[c] {
+			codes[c][r] = uint16((r*7919 + c*104729) % 65521)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "g.codes")
+	if err := codestore.WriteFile(path, codes, blockRows); err != nil {
+		t.Fatal(err)
+	}
+	lists := [][]int{
+		{},
+		{0, 1, 2, 15, 16, 17, 31, 32, 299},       // sorted, straddling block edges
+		{299, 0, 150, 16, 15, 288, 287, 1},       // unsorted, across blocks
+		{5, 5, 5, 200, 5, 200, 299, 299, 0, 0},   // repeats
+		{14, 15, 16, 17, 30, 31, 32, 33, 46, 47}, // runs across edges
+	}
+	bothPaths(t, func(t *testing.T) {
+		st, err := codestore.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		for _, rs := range lists {
+			for c := range codes {
+				dst := make([]uint16, len(rs))
+				st.GatherCodes(c, rs, dst)
+				for i, r := range rs {
+					if dst[i] != st.Code(c, r) || dst[i] != codes[c][r] {
+						t.Fatalf("mapped=%v col %d rows %v: dst[%d] = %d, Code = %d, want %d",
+							st.Mapped(), c, rs, i, dst[i], st.Code(c, r), codes[c][r])
+					}
+				}
+			}
+		}
+	})
+}

@@ -141,6 +141,31 @@ func (s *Store) ColumnBlock(c, blk int, scratch []uint16) []uint16 {
 	return scratch
 }
 
+// GatherCodes sets dst[i] to the code of cell (c, rows[i]) without
+// decoding any block whole: on the mmap path each code is a two-byte load
+// from its block's page in place, and on the fallback path each page a run
+// of rows lands in is read once into scratch, so ascending rows read every
+// page at most once. Any order and repeats are allowed; a page that cannot
+// be read panics, as in ColumnBlock.
+func (s *Store) GatherCodes(c int, rows []int, dst []uint16) {
+	dst = dst[:len(rows)]
+	br := s.BlockRows()
+	var page []byte
+	lo, hi := 0, 0 // the global rows [lo, hi) that page holds
+	for i, r := range rows {
+		if r < lo || r >= hi {
+			blk := r / br
+			p, err := s.Page(c, blk, page)
+			if err != nil {
+				panic(fmt.Sprintf("codestore: %v", err))
+			}
+			page, lo = p, blk*br
+			hi = lo + len(p)/2
+		}
+		dst[i] = binary.LittleEndian.Uint16(page[(r-lo)*2:])
+	}
+}
+
 // Code returns the code of one cell (random access). On the mmap path this
 // is a two-byte load; on the fallback path a two-byte pread.
 func (s *Store) Code(c, r int) uint16 {

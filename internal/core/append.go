@@ -305,12 +305,7 @@ func (m *Model) extendFullVecsInto(nm *Model, oldN int, fv f32.Matrix) int {
 		})
 	}
 
-	f32.ParallelRange(n-oldN, f32.Workers(n-oldN), func(start, end int) {
-		idx := make([]int32, mc)
-		for r := oldN + start; r < oldN+end; r++ {
-			nm.rowVectorInto(mat.Row(r), r, cols, idx)
-		}
-	})
+	nm.gatherTupleVectors(f32.Wrap(n-oldN, mat.C, mat.Data[oldN*mat.C:]), rowSet{lo: oldN, n: n - oldN}, cols, nil)
 	nm.vecs.Put(struct{}{}, mat)
 	return recomputed
 }

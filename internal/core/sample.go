@@ -76,61 +76,45 @@ func stratifiedReservoir(b *binning.Binned, rows rowSet, cols []int, budget int,
 	for s := range bestRow {
 		bestRow[s] = -1
 	}
-	update := func(s int32, r int, h uint64) {
-		if bestRow[s] < 0 || h < bestHash[s] || (h == bestHash[s] && r < bestRow[s]) {
-			bestRow[s], bestHash[s] = r, h
-		}
-	}
 	src := b.Source()
 	var scratch []uint16
+	if !whole {
+		scratch = make([]uint16, rows.n)
+	}
 	for _, c := range cols {
 		base := b.ItemOf(c, 0)
-		switch {
-		case whole:
-			// Full-table scan: stream whole blocks in order (inline codes
-			// are one block per column). One uint16 read and a compare per
-			// cell, kept free of the closure: this is the dominant scan of
-			// every scaled select over the whole table.
-			br := src.BlockRows()
-			for blk := 0; blk < src.NumBlocks(); blk++ {
-				codes := src.ColumnBlock(c, blk, scratch)
-				scratch = codes
-				off := blk * br
-				hs := rowH[off : off+len(codes)]
-				for i, code := range codes {
-					s, r, h := base+int32(code), off+i, hs[i]
-					if bestRow[s] < 0 || h < bestHash[s] || (h == bestHash[s] && r < bestRow[s]) {
-						bestRow[s], bestHash[s] = r, h
-					}
-				}
-			}
-		case b.HasInlineCodes():
-			// Resident codes, candidate subset: the same loop over the ids.
-			codes := b.Codes[c]
+		if !whole {
+			// Candidate subset (a query result or a scope): the rows' codes
+			// read in place from whatever layout holds them, then the same
+			// uint16-read-and-compare loop as the full scan below.
+			src.GatherCodes(c, rows.ids, scratch)
 			for i, r := range rows.ids {
-				s := base + int32(codes[r])
-				h := rowH[i]
+				s, h := base+int32(scratch[i]), rowH[i]
 				if bestRow[s] < 0 || h < bestHash[s] || (h == bestHash[s] && r < bestRow[s]) {
 					bestRow[s], bestHash[s] = r, h
 				}
 			}
-		default:
-			// Store-backed candidate subset (a query result): walk the rows
-			// with a per-column block cursor — sequential block loads for the
-			// (sorted) common case, still correct for any order.
-			br := src.BlockRows()
-			blk := -1
-			var codes []uint16
-			for i, r := range rows.ids {
-				if nb := r / br; nb != blk {
-					blk = nb
-					codes = src.ColumnBlock(c, blk, scratch)
-					scratch = codes
+			continue
+		}
+		// Full-table scan: stream whole blocks in order (inline codes are
+		// one block per column). One uint16 read and a compare per cell,
+		// kept free of any closure: this is the dominant scan of every
+		// scaled select over the whole table.
+		br := src.BlockRows()
+		for blk := 0; blk < src.NumBlocks(); blk++ {
+			codes := src.ColumnBlock(c, blk, scratch)
+			scratch = codes
+			off := blk * br
+			hs := rowH[off : off+len(codes)]
+			for i, code := range codes {
+				s, r, h := base+int32(code), off+i, hs[i]
+				if bestRow[s] < 0 || h < bestHash[s] || (h == bestHash[s] && r < bestRow[s]) {
+					bestRow[s], bestHash[s] = r, h
 				}
-				update(base+int32(codes[r-blk*br]), r, rowH[i])
 			}
 		}
 	}
+
 	picked := make(map[int]bool, budget)
 	sample := make([]int, 0, budget)
 	for _, wantCovered := range [2]bool{false, true} {

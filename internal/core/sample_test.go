@@ -6,6 +6,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"subtab/internal/binning"
@@ -99,6 +100,16 @@ func TestStratifiedReservoirDeterministicPerSeed(t *testing.T) {
 		for i := range a {
 			if a[i] != bb[i] {
 				t.Fatalf("seed %d: sample differs at %d: %d vs %d", seed, i, a[i], bb[i])
+			}
+		}
+		// The explicit identity list runs the candidate-subset gather, nil
+		// the whole-table block scan: same candidates, same sample — also
+		// under a budget smaller than the stratum count, where phase 1's
+		// per-stratum picks are the whole sample.
+		for _, budget := range []int{300, 12} {
+			sub, whole := reservoir(b, rows, cols, budget, seed), reservoir(b, nil, cols, budget, seed)
+			if !slices.Equal(sub, whole) {
+				t.Fatalf("seed %d budget %d: subset path sampled %v, whole-table path %v", seed, budget, sub, whole)
 			}
 		}
 		base := reservoir(b, rows, cols, 300, 12345)

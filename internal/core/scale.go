@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync"
+
 	"subtab/internal/binning"
 	"subtab/internal/bitset"
 	"subtab/internal/f32"
@@ -93,13 +95,13 @@ func (m *Model) sample(p *plan, rows rowSet, covered *bitset.Set) rowSet {
 // — while the scaled path borrows it only when already warm, because it
 // never materializes vectors for rows the sample dropped (the point of
 // sampling before embedding lookup on million-row tables). Everything else
-// is computed per request into a pooled matrix, every row writing only its
-// own matrix row, so the fill is deterministic at any worker count — or,
-// when a scaled sample's vectors exceed SlabBudgetBytes, chunk by chunk
-// into a spill file, so the resident cost is the chunk, not the sample.
-// All routes produce bit-identical vectors. src, when non-nil, is a code
-// overlay (the coordinator's gathered shard codes) that replaces the
-// model's own code source for the gather.
+// is computed per request by gatherTupleVectors — the same gather on every
+// layout, the full-table build included — into a pooled matrix or, when a
+// scaled sample's vectors exceed SlabBudgetBytes, chunk by chunk into a
+// spill file, so the resident cost is the chunk, not the sample. All routes
+// produce bit-identical vectors. src, when non-nil, is a code overlay (the
+// coordinator's gathered shard codes) that replaces the model's own code
+// source for the gather.
 func (m *Model) rowVectors(rows rowSet, p *plan, scaled bool, src binning.CodeSource) (*f32.Slab, func(), error) {
 	dim := m.Emb.Dim()
 	var full f32.Matrix
@@ -143,66 +145,65 @@ func (m *Model) rowVectors(rows rowSet, p *plan, scaled bool, src binning.CodeSo
 	return f32.WrapSlab(mat), func() { putVecBuf(buf) }, nil
 }
 
+// gatherChunkRows is how many rows a worker gathers codes for at a time:
+// its code buffer (2 B × rows × columns) stays cache-sized however many
+// rows the worker owns.
+const gatherChunkRows = 1024
+
+// codeBufPool recycles those per-worker code buffers across selects.
+var codeBufPool = sync.Pool{New: func() any { return new([]uint16) }}
+
 // gatherTupleVectors fills dst with the tuple-vectors of the given rows
-// over cols. With resident codes it is the historical per-row parallel
-// fill; for a store-backed binning it builds the gather-index slab in
-// column-major block order — one sequential pass per column through the
-// code store, the access pattern the store's layout is built for — and
-// pools whole rows with the f32.MeanPoolRows kernel. Both paths compute
-// identical vectors (same per-row index values, same pooling arithmetic).
-// A non-nil src overrides where the codes are read (the coordinator
-// overlay); otherwise the model's own inline codes or attached store.
+// over cols, one loop for every layout: each worker takes a contiguous
+// range of rows, gathers every column's codes for a chunk of it with one
+// GatherCodes call per column (the store reads the rows' code bytes in
+// place, never decoding a block whole) and pools each row with
+// f32.MeanPoolInto. Row i writes only dst row i, so the result is the same
+// at any worker count and bit-identical to Model.RowVector. A non-nil src
+// overrides where the codes are read (the coordinator overlay); otherwise
+// the model's own inline codes or attached store.
 func (m *Model) gatherTupleVectors(dst f32.Matrix, rows rowSet, cols []int, src binning.CodeSource) {
 	if src == nil {
-		if m.B.HasInlineCodes() {
-			f32.ParallelRange(rows.n, f32.Workers(rows.n), func(start, end int) {
-				idx := make([]int32, len(cols))
-				for i := start; i < end; i++ {
-					m.rowVectorInto(dst.Row(i), rows.at(i), cols, idx)
-				}
-			})
-			return
-		}
 		src = m.B.Source()
 	}
 	k := len(cols)
-	idx := make([]int32, rows.n*k)
-	br := src.BlockRows()
-	ids, lo := rows.ids, rows.lo // hoisted: these loops run once per sampled cell
-	if rows.n*8 < src.NumRows() {
-		// Sparse gather: the sampled rows touch a small fraction of every
-		// block, so per-cell random access (a two-byte mmap load) beats
-		// decoding whole blocks to use a sliver of each.
-		f32.ParallelRange(rows.n, f32.Workers(rows.n), func(start, end int) {
-			for i := start; i < end; i++ {
-				r := lo + i
-				if ids != nil {
-					r = ids[i]
-				}
-				for j, c := range cols {
-					idx[i*k+j] = m.itemRow[m.B.ItemOf(c, int(src.Code(c, r)))]
+	base := make([]int32, k)
+	for j, c := range cols {
+		base[j] = m.B.ItemOf(c, 0)
+	}
+	f32.ParallelRange(rows.n, f32.Workers(rows.n), func(start, end int) {
+		chunk := min(end-start, gatherChunkRows)
+		buf := codeBufPool.Get().(*[]uint16)
+		defer codeBufPool.Put(buf)
+		if cap(*buf) < chunk*k {
+			*buf = make([]uint16, chunk*k)
+		}
+		codes := (*buf)[:chunk*k]
+		idx := make([]int32, k)
+		var span []int // the chunk's row ids when rows is a range
+		if rows.ids == nil {
+			span = make([]int, chunk)
+		}
+		for a := start; a < end; a += chunk {
+			n := min(chunk, end-a)
+			var ids []int
+			if rows.ids != nil {
+				ids = rows.ids[a : a+n]
+			} else {
+				ids = span[:n]
+				for i := range ids {
+					ids[i] = rows.lo + a + i
 				}
 			}
-		})
-	} else {
-		var scratch []uint16
-		for j, c := range cols {
-			base := m.B.ItemOf(c, 0)
-			blk := -1
-			var codes []uint16
-			for i := 0; i < rows.n; i++ {
-				r := lo + i
-				if ids != nil {
-					r = ids[i]
+			for j, c := range cols {
+				src.GatherCodes(c, ids, codes[j*n:(j+1)*n])
+			}
+			for i := 0; i < n; i++ {
+				for j := range idx {
+					idx[j] = m.itemRow[base[j]+int32(codes[j*n+i])]
 				}
-				if nb := r / br; nb != blk {
-					blk = nb
-					codes = src.ColumnBlock(c, blk, scratch)
-					scratch = codes
-				}
-				idx[i*k+j] = m.itemRow[base+int32(codes[r-blk*br])]
+				f32.MeanPoolInto(dst.Row(a+i), m.items, idx)
 			}
 		}
-	}
-	f32.MeanPoolRows(dst, m.items, idx, k)
+	})
 }

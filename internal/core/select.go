@@ -344,8 +344,7 @@ func (m *Model) diverseRepresentatives(res *cluster.Result, rows rowSet, cols []
 }
 
 // fullRowVectors lazily builds the tuple-vector matrix of every row over
-// the full column set, filled in parallel with disjoint per-row writes. The
-// arithmetic per row is exactly rowVectorInto's, so cached vectors are
+// the full column set with gatherTupleVectors, so cached vectors are
 // bit-identical to freshly computed ones. The build is single-flight
 // (concurrent first selections wait instead of building twice), and the
 // returned matrix header stays valid even if ReleaseVectorCache evicts the
@@ -359,12 +358,7 @@ func (m *Model) fullRowVectors() f32.Matrix {
 			cols[i] = i
 		}
 		mat := f32.New(n, m.Emb.Dim())
-		f32.ParallelRange(n, f32.Workers(n), func(start, end int) {
-			idx := make([]int32, len(cols))
-			for r := start; r < end; r++ {
-				m.rowVectorInto(mat.Row(r), r, cols, idx)
-			}
-		})
+		m.gatherTupleVectors(mat, allRows(n), cols, nil)
 		return mat, nil
 	})
 	return mat

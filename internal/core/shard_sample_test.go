@@ -41,6 +41,11 @@ func (s *shardMemSource) ColumnBlock(c, blk int, scratch []uint16) []uint16 {
 	return s.codes[c][lo:hi]
 }
 func (s *shardMemSource) Code(c, r int) uint16 { return s.codes[c][r] }
+func (s *shardMemSource) GatherCodes(c int, rows []int, dst []uint16) {
+	for i, r := range rows {
+		dst[i] = s.codes[c][r]
+	}
+}
 
 // randomCuts returns sorted shard boundaries 0 = c0 <= ... <= ck = n,
 // biased to produce empty shards and unaligned splits.

@@ -12,10 +12,10 @@ import (
 // (the "unseen item" sentinel). Per row it performs exactly MeanPoolInto's
 // arithmetic — float32 sums in index order, one multiply by 1/n — so a
 // batch built through this kernel is bit-identical to per-row pooling.
-// This is the gather kernel of the out-of-core selection path: the caller
-// streams bin codes out of a code store in column-major block order,
-// transposes them into the per-row index slab idx, and pools whole chunks
-// of sampled rows at once.
+// It is off the selection path: the tuple-vector gather in package core
+// pools each row with MeanPoolInto straight from its gathered codes, with
+// no index slab. It is kept because the layer benchmark (bench/layers.go)
+// times it.
 func MeanPoolRows(dst Matrix, src Matrix, idx []int32, k int) {
 	if len(idx) != dst.R*k {
 		panic("f32: MeanPoolRows: index slab does not match dst rows")

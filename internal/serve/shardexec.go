@@ -145,13 +145,14 @@ func (s *Service) ShardCells(name string, idx int, req *shard.CellsRequest) (*sh
 // gatherShardCodes reads the codes of the given global rows for every
 // table column (col-major, parallel to rows).
 func gatherShardCodes(src *shard.Source, cols int, rows []int64) [][]uint16 {
+	ids := make([]int, len(rows))
+	for k, r := range rows {
+		ids[k] = int(r)
+	}
 	codes := make([][]uint16, cols)
 	for c := range codes {
-		col := make([]uint16, len(rows))
-		for k, r := range rows {
-			col[k] = src.Code(c, int(r))
-		}
-		codes[c] = col
+		codes[c] = make([]uint16, len(rows))
+		src.GatherCodes(c, ids, codes[c])
 	}
 	return codes
 }

@@ -39,6 +39,11 @@ func (s *memSource) ColumnBlock(c, blk int, scratch []uint16) []uint16 {
 	return s.codes[c][lo:hi]
 }
 func (s *memSource) Code(c, r int) uint16 { return s.codes[c][r] }
+func (s *memSource) GatherCodes(c int, rows []int, dst []uint16) {
+	for i, r := range rows {
+		dst[i] = s.codes[c][r]
+	}
+}
 
 func randCodes(rng *rand.Rand, cols, rows, bins int) [][]uint16 {
 	codes := make([][]uint16, cols)

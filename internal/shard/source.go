@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 
 	"subtab/internal/binning"
 	"subtab/internal/codestore"
@@ -239,6 +240,39 @@ func (s *Source) Code(c, r int) uint16 {
 	return sh.Code(c, r-s.starts[i])
 }
 
+// localRows recycles GatherCodes' shard-local row id buffers: a select
+// gathers every column of every row chunk, so a fresh buffer per call
+// would be most of the layout's garbage.
+var localRows = sync.Pool{New: func() any { return new([1024]int) }}
+
+// GatherCodes hands each run of rows that one shard owns to that shard's
+// GatherCodes, translated to shard-local row ids, so every layout reads
+// codes in place just as a single store does.
+func (s *Source) GatherCodes(c int, rows []int, dst []uint16) {
+	dst = dst[:len(rows)]
+	buf := localRows.Get().(*[1024]int)
+	defer localRows.Put(buf)
+	local := buf[:]
+	for i := 0; i < len(rows); {
+		sh := s.shardAt(rows[i])
+		src := s.srcs[sh]
+		if src == nil {
+			panic(fmt.Sprintf("shard: row %d lives in shard %d (%s), which is not local", rows[i], sh, s.descs[sh].File))
+		}
+		lo, hi := s.starts[sh], s.starts[sh+1]
+		n := 0
+		for ; i+n < len(rows) && n < len(local); n++ {
+			r := rows[i+n]
+			if r < lo || r >= hi {
+				break
+			}
+			local[n] = r - lo
+		}
+		src.GatherCodes(c, local[:n], dst[i:i+n])
+		i += n
+	}
+}
+
 // SparseSource is a binning.CodeSource holding codes for an explicit row
 // subset of a larger table: the coordinator-side overlay carrying the
 // candidate rows a scatter/gather sample returned, so every downstream
@@ -302,6 +336,14 @@ func (s *SparseSource) ColumnBlock(c, blk int, scratch []uint16) []uint16 {
 	scratch = scratch[:1]
 	scratch[0] = s.Code(c, blk)
 	return scratch
+}
+
+// GatherCodes sets dst[i] to the code of covered row rows[i] (panics on a
+// row the overlay does not cover).
+func (s *SparseSource) GatherCodes(c int, rows []int, dst []uint16) {
+	for i, r := range rows {
+		dst[i] = s.Code(c, r)
+	}
 }
 
 // Code returns one covered cell's code.

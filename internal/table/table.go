@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -171,11 +172,17 @@ func (c *Column) CellString(r int) string {
 // FormatNum renders a non-missing numeric cell — the exact bytes CellString
 // and Value.String produce. It is exported so out-of-table cell renderers
 // (the paged column store) stay byte-identical to in-memory rendering.
+// The bytes are those of fmt's "%.0f" for integral |v| < 1e15 and "%g"
+// otherwise, produced by strconv directly: an integral value is an exact
+// int64, and "%g" is strconv's shortest 'g' form.
 func FormatNum(v float64) string {
 	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
-		return fmt.Sprintf("%.0f", v)
+		if v == 0 && math.Signbit(v) {
+			return "-0" // "%.0f" keeps the sign of negative zero
+		}
+		return strconv.FormatInt(int64(v), 10)
 	}
-	return fmt.Sprintf("%g", v)
+	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
 // Distinct returns the number of distinct non-missing values.
