@@ -102,7 +102,7 @@ func exportShards(ds *subtab.Dataset, csvPath string, n int, seed int64) error {
 	for i := range cuts {
 		cuts[i] = i * rows / n
 	}
-	sink, err := shard.NewSplitSink(paths, cuts, ds.T.NumCols(), 0)
+	sink, err := shard.NewSplitSink(paths, cuts, b.NumBins(), 0)
 	if err != nil {
 		return err
 	}

@@ -257,6 +257,16 @@ func (b *Binned) NumRows() int { return b.T.NumRows() }
 // NumCols returns the number of columns.
 func (b *Binned) NumCols() int { return len(b.Cols) }
 
+// NumBins returns every column's bin count, in column order: what a code
+// store sizes each column's cells by.
+func (b *Binned) NumBins() []int {
+	out := make([]int, len(b.Cols))
+	for c := range b.Cols {
+		out[c] = b.Cols[c].NumBins()
+	}
+	return out
+}
+
 // Item returns the global item id of the cell (row r, column c).
 func (b *Binned) Item(c, r int) int32 {
 	if b.Codes != nil {

@@ -9,8 +9,8 @@ import (
 
 // Code-level predicate evaluation: a conjunction of query.Predicates is
 // compiled against the binning layout into a per-(predicate, bin) tri-state
-// table, so filters run over CodeSource blocks — two-byte reads — instead of
-// raw cells. Most bins decide a predicate outright:
+// table, so filters run over CodeSource blocks — one- or two-byte codes —
+// instead of raw cells. Most bins decide a predicate outright:
 //
 //   - numeric bins are intervals (Cuts[i-1], Cuts[i]] with open extremes, so
 //     a comparison against a threshold is exact for every bin the threshold

@@ -1,28 +1,37 @@
 // Package blockfile is the one on-disk framing under SubTab's paged stores:
 // internal/codestore (bin codes) and internal/colstore (raw displayed cells)
-// differ only in their magic, their optional meta section and how a cell is
-// encoded. Everything else — the layout, the streaming writer, the validating
-// reader, the checksums and the mmap-or-ReadAt access path — lives here once.
+// differ only in their magic, their meta section and how a cell is encoded.
+// Everything else — the layout, the streaming writer, the validating reader,
+// the checksums and the mmap-or-ReadAt access path — lives here once.
 //
 // Layout (little-endian):
 //
 //	header:  8-byte magic · u16 version · u32 cols · u64 rows · u32 blockRows
-//	meta:    (formats with a meta section) u32 metaLen, then metaLen bytes
-//	         the store package owns — colstore keeps its schema there
+//	meta:    (versions from the format's MetaSince on) u32 metaLen, then
+//	         metaLen bytes the store package owns — the per-column cell
+//	         widths and encodings, and colstore's schema
 //	data:    block-major: for each block b, for each column c, one page: the
 //	         cells of rows [b*blockRows, min((b+1)*blockRows, rows)) at the
-//	         column's fixed cell width — block-major so a writer can stream
-//	         row chunks without knowing the final row count up front
+//	         column's cell width (1, 2, 4 or 8 bytes) — block-major so a
+//	         writer can stream row chunks without knowing the final row
+//	         count up front
 //	index:   one u32 CRC-32C per (block, column) page, in data order
 //	footer:  u32 CRC-32C over header+meta+index · 8-byte end magic
 //
+// Versions: Create writes a format's Version; Open reads every version from
+// MinVersion up to it and hands the one it found to the store's Layout,
+// which derives the cell widths. Version 1 of both stores has fixed widths
+// (codestore: no meta, u16 cells; colstore: 8-byte numeric and 4-byte
+// categorical cells); version 2 records each column's narrowest exact width
+// in the meta section.
+//
 // Every offset is computable from the header and the cell widths, so Open is
 // O(1) in the data size: it reads header, meta and tail and validates the
-// magic, the geometry, the exact file length, the footer checksum (which
-// covers the page index) and the end magic. A crash mid-write leaves a file
-// whose length cannot match its header (index and footer are written last),
-// which Open reports as ErrTruncated; silent bit rot inside a page is caught
-// by Verify against the per-page checksums.
+// magic, the version, the geometry, the exact file length, the footer
+// checksum (which covers the page index) and the end magic. A crash
+// mid-write leaves a file whose length cannot match its header (index and
+// footer are written last), which Open reports as ErrTruncated; silent bit
+// rot inside a page is caught by Verify against the per-page checksums.
 //
 // Readers are safe for concurrent use: the file is memory-mapped where the
 // platform supports it and read with pread-style ReadAt elsewhere, and both
@@ -43,15 +52,16 @@ import (
 // package-level Format; it is not something a caller configures.
 type Format struct {
 	Magic, EndMagic [8]byte
-	Version         uint16
-	// Meta reports whether a length-prefixed meta section follows the header.
-	Meta bool
-	// CellWidth is the byte width of every column's cells. Zero means the
-	// widths differ per column and are derived from the meta section by the
-	// Layout passed to Open. A uniform format keeps no per-column tables, so
-	// a header claiming 2^24 columns costs Open no allocation.
-	CellWidth int
+	// Version is the version Create writes; Open accepts every version from
+	// MinVersion through Version.
+	Version, MinVersion uint16
+	// MetaSince is the first version whose header is followed by a
+	// length-prefixed meta section; older versions have none.
+	MetaSince uint16
 }
+
+// hasMeta reports whether version v of the format carries a meta section.
+func (ft Format) hasMeta(v uint16) bool { return v >= ft.MetaSince }
 
 // Sentinel errors. The store packages re-export these same values.
 var (
@@ -89,8 +99,9 @@ type Writer struct {
 	err       error
 }
 
-// Create starts a store file of cols columns at path; meta is the meta
-// section's payload (ignored by formats without one). The file is truncated.
+// Create starts a store file of cols columns at path in the format's current
+// Version; meta is the meta section's payload (ignored when that version has
+// none). The file is truncated.
 func Create(path string, ft Format, cols, blockRows int, meta []byte) (*Writer, error) {
 	if cols <= 0 || blockRows <= 0 {
 		return nil, fmt.Errorf("blockfile: create: impossible geometry (%d cols, %d rows/block)", cols, blockRows)
@@ -101,7 +112,7 @@ func Create(path string, ft Format, cols, blockRows int, meta []byte) (*Writer, 
 	head = binary.LittleEndian.AppendUint32(head, uint32(cols))
 	head = binary.LittleEndian.AppendUint64(head, 0) // row count, patched on Close
 	head = binary.LittleEndian.AppendUint32(head, uint32(blockRows))
-	if ft.Meta {
+	if ft.hasMeta(ft.Version) {
 		head = binary.LittleEndian.AppendUint32(head, uint32(len(meta)))
 		head = append(head, meta...)
 	}
@@ -121,7 +132,9 @@ func Create(path string, ft Format, cols, blockRows int, meta []byte) (*Writer, 
 
 // Append adds n rows. For each run of rows that fits the current block it
 // calls encode once per column: encode(c, dst, off, take) appends column c's
-// cells for rows [off, off+take) of the chunk to dst and returns it.
+// cells for rows [off, off+take) of the chunk to dst and returns it. An
+// encode that meets a cell its column's width cannot hold calls Fail, and
+// Append returns that error.
 func (w *Writer) Append(n int, encode func(c int, dst []byte, off, take int) []byte) error {
 	if w.err != nil {
 		return w.err
@@ -130,6 +143,9 @@ func (w *Writer) Append(n int, encode func(c int, dst []byte, off, take int) []b
 		take := min(w.blockRows-w.bufRows, n-off)
 		for c := range w.buf {
 			w.buf[c] = encode(c, w.buf[c], off, take)
+		}
+		if w.err != nil {
+			return w.err
 		}
 		w.bufRows += take
 		off += take
@@ -227,11 +243,13 @@ func WriteAtomic(path string, write func(tmp string) error) error {
 	return err
 }
 
-// Layout derives the per-column cell widths of a Format without a uniform
-// CellWidth from the column count and the meta section. It runs before the
-// file length is validated, so it must bound its own allocations by
-// len(meta), not by cols.
-type Layout func(cols int, meta []byte) (widths []int, err error)
+// Layout derives the per-column cell widths of a store from its version,
+// its column count and its meta section (nil for versions without one). It
+// runs before the file length is validated, so it must bound its own
+// allocations by len(meta), not by cols. A single width applies to every
+// column: a fixed-width version keeps no per-column table, so a header
+// claiming 2^24 columns costs Open no allocation.
+type Layout func(version uint16, cols int, meta []byte) (widths []int, err error)
 
 // File is an open, read-only store file. All methods are safe for
 // concurrent use. Close releases the mapping/file handle; files that are
@@ -247,6 +265,7 @@ type File struct {
 	cols      int
 	blockRows int
 	nBlocks   int
+	version   uint16
 	width     int64   // uniform cell width; 0 = per column
 	starts    []int64 // starts[c] = summed widths of columns [0, c), cols+1 entries (nil when uniform)
 	blockSize int64   // bytes of one full block: blockRows × the summed widths
@@ -279,8 +298,8 @@ func (r region) release() {
 var mapFile = mmapFile
 
 // Open opens the store file at path, memory-mapping it when the platform
-// supports it and falling back to plain file reads otherwise. layout is
-// required by (and only used for) formats without a uniform CellWidth.
+// supports it and falling back to plain file reads otherwise. layout derives
+// the cell widths of the version found.
 func Open(path string, ft Format, layout Layout) (_ *File, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -296,22 +315,19 @@ func Open(path string, ft Format, layout Layout) (_ *File, err error) {
 		return nil, err
 	}
 	size := fi.Size()
-	headLen := int64(headerSize)
-	if ft.Meta {
-		headLen += 4
+	if size < headerSize {
+		return nil, fmt.Errorf("%w: %d bytes, header needs %d", ErrTruncated, size, headerSize)
 	}
-	if size < headLen {
-		return nil, fmt.Errorf("%w: %d bytes, header needs %d", ErrTruncated, size, headLen)
-	}
-	head := make([]byte, headLen)
+	head := make([]byte, headerSize, headerSize+4)
 	if _, err := f.ReadAt(head, 0); err != nil {
 		return nil, err
 	}
 	if [8]byte(head[:8]) != ft.Magic {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	if v := binary.LittleEndian.Uint16(head[8:]); v != ft.Version {
-		return nil, fmt.Errorf("%w: store version %d, this build reads version %d", ErrCorrupt, v, ft.Version)
+	version := binary.LittleEndian.Uint16(head[8:])
+	if version < ft.MinVersion || version > ft.Version {
+		return nil, fmt.Errorf("%w: store version %d, this build reads versions %d to %d", ErrCorrupt, version, ft.MinVersion, ft.Version)
 	}
 	cols := int(binary.LittleEndian.Uint32(head[10:]))
 	rows64 := binary.LittleEndian.Uint64(head[rowsOff:])
@@ -324,34 +340,47 @@ func Open(path string, ft Format, layout Layout) (_ *File, err error) {
 		(rows64 > 0 && uint64(cols) > (1<<59)/rows64) {
 		return nil, fmt.Errorf("%w: impossible geometry (%d cols, %d rows, %d rows/block)", ErrCorrupt, cols, rows64, blockRows)
 	}
-	if ft.Meta {
+	var meta []byte
+	if ft.hasMeta(version) {
+		if size < headerSize+4 {
+			return nil, fmt.Errorf("%w: %d bytes, header needs %d", ErrTruncated, size, headerSize+4)
+		}
+		head = head[:headerSize+4]
+		if _, err := f.ReadAt(head[headerSize:], headerSize); err != nil {
+			return nil, err
+		}
 		metaLen := int64(binary.LittleEndian.Uint32(head[headerSize:]))
-		if metaLen > size-headLen {
+		if metaLen > size-int64(len(head)) {
 			return nil, fmt.Errorf("%w: meta section claims %d bytes past the file end", ErrTruncated, metaLen)
 		}
-		head = append(head, make([]byte, metaLen)...)
-		if _, err := f.ReadAt(head[headLen:], headLen); err != nil {
+		meta = make([]byte, metaLen)
+		if _, err := f.ReadAt(meta, int64(len(head))); err != nil {
 			return nil, err
 		}
 	}
 	file := &File{
-		path: path, rows: int(rows64), cols: cols, blockRows: blockRows,
-		width: int64(ft.CellWidth), dataStart: int64(len(head)),
+		path: path, version: version, rows: int(rows64), cols: cols, blockRows: blockRows,
+		dataStart: int64(len(head) + len(meta)),
 	}
-	rowWidth := int64(cols) * file.width
-	if ft.CellWidth == 0 {
-		widths, err := layout(cols, head[headLen:])
-		if err != nil {
-			return nil, err
+	widths, err := layout(version, cols, meta)
+	if err != nil {
+		return nil, err
+	}
+	if len(widths) != 1 && len(widths) != cols {
+		return nil, fmt.Errorf("%w: meta section describes %d columns, header says %d", ErrCorrupt, len(widths), cols)
+	}
+	for c, w := range widths {
+		if w <= 0 || w > maxCellWidth {
+			return nil, fmt.Errorf("%w: column %d has cell width %d", ErrCorrupt, c, w)
 		}
-		if len(widths) != cols {
-			return nil, fmt.Errorf("%w: meta section describes %d columns, header says %d", ErrCorrupt, len(widths), cols)
-		}
+	}
+	var rowWidth int64
+	if len(widths) == 1 {
+		file.width = int64(widths[0])
+		rowWidth = int64(cols) * file.width
+	} else {
 		file.starts = make([]int64, cols+1)
 		for c, w := range widths {
-			if w <= 0 || w > maxCellWidth {
-				return nil, fmt.Errorf("%w: column %d has cell width %d", ErrCorrupt, c, w)
-			}
 			file.starts[c+1] = file.starts[c] + int64(w)
 		}
 		rowWidth = file.starts[cols]
@@ -375,6 +404,7 @@ func Open(path string, ft Format, layout Layout) (_ *File, err error) {
 	}
 	h := crc32.New(crcTable)
 	h.Write(head)
+	h.Write(meta)
 	h.Write(tail[:indexSize])
 	file.checksum = binary.LittleEndian.Uint32(tail[indexSize:])
 	if h.Sum32() != file.checksum {
@@ -446,12 +476,62 @@ func (f *File) Off(c, blk int) int64 {
 	return f.dataStart + int64(blk)*f.blockSize + int64(f.BlockLen(blk))*start
 }
 
-// cellWidth returns the byte width of column c's cells.
-func (f *File) cellWidth(c int) int64 {
+// Version returns the format version the file was written in.
+func (f *File) Version() uint16 { return f.version }
+
+// CellWidth returns the byte width of column c's cells.
+func (f *File) CellWidth(c int) int {
 	if f.starts != nil {
-		return f.starts[c+1] - f.starts[c]
+		return int(f.starts[c+1] - f.starts[c])
 	}
-	return f.width
+	return int(f.width)
+}
+
+// CellOff returns the file offset of cell (c, r).
+func (f *File) CellOff(c, r int) int64 {
+	blk := r / f.blockRows
+	return f.Off(c, blk) + int64(r-blk*f.blockRows)*int64(f.CellWidth(c))
+}
+
+// Uint decodes one little-endian cell of width w (1, 2, 4 or 8 bytes) from
+// the front of b.
+func Uint(b []byte, w int) uint64 {
+	switch w {
+	case 1:
+		return uint64(b[0])
+	case 2:
+		return uint64(binary.LittleEndian.Uint16(b))
+	case 4:
+		return uint64(binary.LittleEndian.Uint32(b))
+	}
+	return binary.LittleEndian.Uint64(b)
+}
+
+// AppendUint appends v as one little-endian cell of width w to dst.
+func AppendUint(dst []byte, v uint64, w int) []byte {
+	switch w {
+	case 1:
+		return append(dst, byte(v))
+	case 2:
+		return binary.LittleEndian.AppendUint16(dst, uint16(v))
+	case 4:
+		return binary.LittleEndian.AppendUint32(dst, uint32(v))
+	}
+	return binary.LittleEndian.AppendUint64(dst, v)
+}
+
+// Load returns the value of cell (c, r) at its column's width: an in-place
+// load on the mapping, else one ReadAt of the cell's bytes.
+func (f *File) Load(c, r int) (uint64, error) {
+	off, w := f.CellOff(c, r), f.CellWidth(c)
+	if f.Data != nil {
+		return Uint(f.Data[off:off+int64(w)], w), nil
+	}
+	var b [maxCellWidth]byte
+	if _, err := f.src.ReadAt(b[:w], off); err != nil {
+		return 0, fmt.Errorf("blockfile: reading cell (%d,%d) of %s: %w", c, r, f.path, err)
+	}
+	return Uint(b[:], w), nil
 }
 
 // ReadAt fills p from file offset off, from the mapping or the file.
@@ -472,7 +552,7 @@ func (f *File) ReadAt(p []byte, off int64) error {
 // scratch, grown as needed and filled from the file. Concurrent callers
 // must pass distinct scratch.
 func (f *File) Page(c, blk int, scratch []byte) ([]byte, error) {
-	off, n := f.Off(c, blk), int64(f.BlockLen(blk))*f.cellWidth(c)
+	off, n := f.Off(c, blk), int64(f.BlockLen(blk))*int64(f.CellWidth(c))
 	if f.Data != nil {
 		return f.Data[off : off+n : off+n], nil
 	}

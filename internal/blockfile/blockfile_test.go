@@ -25,8 +25,10 @@ import (
 // storeKind is one Format, reached through its store package.
 type storeKind struct {
 	name string
-	stem string // golden files are testdata/stores/<stem>_<rows>.<name's ext>
-	meta bool   // a length-prefixed meta section follows the header
+	stem string // golden files are testdata/stores/<stem>_[v2_]<rows>.<ext>
+	// metaSince is the first version with a length-prefixed meta section
+	// after the header.
+	metaSince uint16
 	// write writes a complete rows-row store (temp file + rename).
 	write func(path string, rows, blockRows int) error
 	// abandon appends rows to a fresh writer and returns without Close — a
@@ -41,17 +43,18 @@ type storeKind struct {
 
 var storeKinds = []storeKind{
 	{
-		name: "codestore",
-		stem: "codes",
+		name:      "codestore",
+		stem:      "codes",
+		metaSince: 2,
 		write: func(path string, rows, blockRows int) error {
-			return codestore.WriteFile(path, goldenCodes(rows), blockRows)
+			return codestore.WriteFile(path, goldenNarrowCodes(rows), blockRows)
 		},
 		abandon: func(path string, rows, blockRows int) (func(), error) {
-			w, err := codestore.Create(path, 3, blockRows)
+			w, err := codestore.Create(path, goldenBins, blockRows)
 			if err != nil {
 				return nil, err
 			}
-			return w.Abort, w.AppendColumns(goldenCodes(rows))
+			return w.Abort, w.AppendColumns(goldenNarrowCodes(rows))
 		},
 		open: func(path string) (*blockfile.File, error) {
 			s, err := codestore.Open(path)
@@ -87,14 +90,14 @@ var storeKinds = []storeKind{
 		},
 	},
 	{
-		name: "colstore",
-		stem: "cells",
-		meta: true,
+		name:      "colstore",
+		stem:      "cells",
+		metaSince: 1,
 		write: func(path string, rows, blockRows int) error {
-			return colstore.WriteTable(path, goldenTable(rows), blockRows)
+			return colstore.WriteTable(path, goldenWideTable(rows), blockRows)
 		},
 		abandon: func(path string, rows, blockRows int) (func(), error) {
-			w, err := colstore.Create(path, goldenTable(rows), blockRows)
+			w, err := colstore.Create(path, goldenWideTable(rows), 0, rows, blockRows)
 			if err != nil {
 				return nil, err
 			}
@@ -134,6 +137,12 @@ var storeKinds = []storeKind{
 			return err
 		},
 	},
+}
+
+// hasMeta reports whether raw, a store file of kind k, carries a meta
+// section — by the version in its header.
+func (k storeKind) hasMeta(raw []byte) bool {
+	return len(raw) >= 10 && binary.LittleEndian.Uint16(raw[8:]) >= k.metaSince
 }
 
 // eachKind runs fn as one subtest per Format.
@@ -178,7 +187,7 @@ func sections(t *testing.T, k storeKind, path string, raw []byte) (dataStart, in
 	}
 	defer f.Close()
 	dataStart = blockfile.HeaderSize
-	if k.meta {
+	if k.hasMeta(raw) {
 		dataStart += 4 + int(binary.LittleEndian.Uint32(raw[blockfile.HeaderSize:]))
 	}
 	return dataStart, len(raw) - 12 - 4*f.NumBlocks()*f.NumCols()
@@ -386,52 +395,64 @@ func allocatedBy(fn func()) uint64 {
 // zero rows (codestore.Verify used to size its scratch from blockRows and
 // allocate 4GiB for this 38-byte file) and 2^24 columns over zero rows.
 // Open rejects neither for its geometry, and neither may cost more than
-// the file is worth.
+// the file is worth. Both are crafted from a fresh empty store and from
+// the checked-in version-1 one: a version with a meta section rejects 2^24
+// columns its meta cannot describe, and a fixed-width version without one
+// opens them with no per-column table.
 func TestCraftedGeometryCostsNothing(t *testing.T) {
 	eachKind(t, func(t *testing.T, k storeKind) {
 		bothPaths(t, func(t *testing.T) {
-			_, empty := writeStore(t, k, 0, 16)
+			_, fresh := writeStore(t, k, 0, 16)
+			v1s, err := filepath.Glob(filepath.Join("testdata", "stores", k.stem+"_00.*"))
+			if err != nil || len(v1s) != 1 {
+				t.Fatalf("checked-in empty %s store: %v, %v", k.name, v1s, err)
+			}
+			v1, err := os.ReadFile(v1s[0])
+			if err != nil {
+				t.Fatal(err)
+			}
 			crafted := filepath.Join(t.TempDir(), "c.store")
+			for _, empty := range [][]byte{fresh, v1} {
+				huge := bytes.Clone(empty)
+				binary.LittleEndian.PutUint32(huge[22:], 0x7FFFFFFF) // blockRows
+				if err := os.WriteFile(crafted, reseal(huge), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if n := allocatedBy(func() {
+					f, err := k.open(crafted)
+					if err != nil {
+						t.Fatalf("Open rejected blockRows = 2^31-1 over zero rows: %v", err)
+					}
+					defer f.Close()
+					if err := f.Verify(); err != nil {
+						t.Fatalf("Verify: %v", err)
+					}
+				}); n > 1<<20 {
+					t.Fatalf("opening and verifying a %d-byte file allocated %d bytes", len(huge), n)
+				}
 
-			huge := bytes.Clone(empty)
-			binary.LittleEndian.PutUint32(huge[22:], 0x7FFFFFFF) // blockRows
-			if err := os.WriteFile(crafted, reseal(huge), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if n := allocatedBy(func() {
-				f, err := k.open(crafted)
-				if err != nil {
-					t.Fatalf("Open rejected blockRows = 2^31-1 over zero rows: %v", err)
+				wide := bytes.Clone(empty)
+				binary.LittleEndian.PutUint32(wide[10:], 1<<24) // cols
+				if err := os.WriteFile(crafted, reseal(wide), 0o644); err != nil {
+					t.Fatal(err)
 				}
-				defer f.Close()
-				if err := f.Verify(); err != nil {
-					t.Fatalf("Verify: %v", err)
+				if n := allocatedBy(func() {
+					f, err := k.open(crafted)
+					if k.hasMeta(empty) {
+						// The meta section cannot describe 2^24 columns: damage.
+						wantStoreError(t, "2^24 columns over a small meta section", err, blockfile.ErrCorrupt)
+						return
+					}
+					if err != nil {
+						t.Fatalf("Open rejected 2^24 columns over zero rows: %v", err)
+					}
+					defer f.Close()
+					if err := f.Verify(); err != nil || f.NumCols() != 1<<24 {
+						t.Fatalf("Verify: %v; %d columns", err, f.NumCols())
+					}
+				}); n > 1<<20 {
+					t.Fatalf("opening a %d-byte file allocated %d bytes", len(wide), n)
 				}
-			}); n > 1<<20 {
-				t.Fatalf("opening and verifying a %d-byte file allocated %d bytes", len(huge), n)
-			}
-
-			wide := bytes.Clone(empty)
-			binary.LittleEndian.PutUint32(wide[10:], 1<<24) // cols
-			if err := os.WriteFile(crafted, reseal(wide), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if n := allocatedBy(func() {
-				f, err := k.open(crafted)
-				if k.meta {
-					// The schema cannot describe 2^24 columns: damage.
-					wantStoreError(t, "2^24 columns over a 3-column schema", err, blockfile.ErrCorrupt)
-					return
-				}
-				if err != nil {
-					t.Fatalf("Open rejected 2^24 columns over zero rows: %v", err)
-				}
-				defer f.Close()
-				if err := f.Verify(); err != nil || f.NumCols() != 1<<24 {
-					t.Fatalf("Verify: %v; %d columns", err, f.NumCols())
-				}
-			}); n > 1<<20 {
-				t.Fatalf("opening a %d-byte file allocated %d bytes", len(wide), n)
 			}
 		})
 	})

@@ -17,7 +17,7 @@ import (
 // and footer boundaries, and single-byte flips inside each section.
 func fuzzSeeds(k storeKind, raw []byte) [][]byte {
 	dataStart := blockfile.HeaderSize
-	if k.meta {
+	if k.hasMeta(raw) {
 		dataStart += 4
 	}
 	cuts := []int{0, 8, blockfile.HeaderSize - 1, blockfile.HeaderSize, dataStart, (dataStart + len(raw)) / 2, len(raw) - 13, len(raw) - 12, len(raw) - 8, len(raw) - 1}
@@ -95,8 +95,9 @@ func FuzzOpen(f *testing.F) {
 }
 
 // TestUpdateFuzzCorpus re-records testdata/fuzz/FuzzOpen under -update: for
-// each format the 17-row golden store (one block + 1 row) whole, truncated
-// and flipped, plus the two crafted zero-row headers.
+// each format and version the 17-row golden store (one block + 1 row) whole,
+// truncated and flipped — the version-2 stores hold every encoding — plus
+// the two crafted zero-row headers of each version-1 store.
 func TestUpdateFuzzCorpus(t *testing.T) {
 	if !*update {
 		t.Skip("run with -update to re-record the FuzzOpen corpus")
@@ -114,8 +115,8 @@ func TestUpdateFuzzCorpus(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	golden := func(k storeKind, rows int) []byte {
-		matches, err := filepath.Glob(filepath.Join("testdata", "stores", fmt.Sprintf("%s_%02d.*", k.stem, rows)))
+	golden := func(k storeKind, infix string, rows int) []byte {
+		matches, err := filepath.Glob(filepath.Join("testdata", "stores", fmt.Sprintf("%s_%s%02d.*", k.stem, infix, rows)))
 		if err != nil || len(matches) != 1 {
 			t.Fatalf("golden %d-row %s store: %v, %v", rows, k.name, matches, err)
 		}
@@ -126,12 +127,14 @@ func TestUpdateFuzzCorpus(t *testing.T) {
 		return raw
 	}
 	for i, k := range storeKinds {
-		raw := golden(k, 17)
-		for j, seed := range fuzzSeeds(k, raw) {
-			// Alternate the access path so the corpus replays both.
-			put(fmt.Sprintf("seed-%s-%02d", k.name, j), i|(j%2)<<1, seed)
+		for _, infix := range []string{"", "v2_"} {
+			raw := golden(k, infix, 17)
+			for j, seed := range fuzzSeeds(k, raw) {
+				// Alternate the access path so the corpus replays both.
+				put(fmt.Sprintf("seed-%s-%s%02d", k.name, infix, j), i|(j%2)<<1, seed)
+			}
 		}
-		empty := golden(k, 0)
+		empty := golden(k, "", 0)
 		huge := bytes.Clone(empty)
 		copy(huge[22:], []byte{0xFF, 0xFF, 0xFF, 0x7F}) // blockRows = 2^31-1
 		put("seed-"+k.name+"-huge-blockrows", i, reseal(huge))

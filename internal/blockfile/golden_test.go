@@ -1,10 +1,10 @@
 // Format golden: the bytes both stores write are pinned by SHA-256 and by a
-// checked-in copy of every file, recorded on the tree *before* the stores
-// moved onto this package. The test re-writes each store and compares it
-// byte for byte, then opens the checked-in (parent-written) copy and reads
-// every typed value back — the proof that no byte on disk moved and that
-// spill files written by an older build still open. This file imports only
-// the two store packages, so it runs unchanged on a clone of that older tree.
+// checked-in copy of every file. Version-2 files are re-written and compared
+// byte for byte; version-1 files, recorded before the stores moved onto this
+// package and no longer written by this build, are only read. Every
+// checked-in copy is opened and every typed value read back — the proof that
+// no byte on disk moved and that spill files written by an older build
+// still open.
 package blockfile_test
 
 import (
@@ -52,9 +52,25 @@ func goldenCodes(n int) [][]uint16 {
 	return codes
 }
 
-// goldenTable has every cell shape the page encoding distinguishes: numeric
-// values with NaN and integral cells, a categorical column with missing
-// cells, and an all-missing categorical column (empty dictionary page).
+// goldenNarrowCodes is goldenCodes plus two columns whose codes fit one
+// byte, so a version-2 store holds both code widths.
+func goldenNarrowCodes(n int) [][]uint16 {
+	codes := goldenCodes(n)
+	narrow := [2][]uint16{make([]uint16, n), make([]uint16, n)}
+	for r := 0; r < n; r++ {
+		narrow[0][r] = codes[0][r] & 0xFF
+		narrow[1][r] = uint16(r % 7)
+	}
+	return append(codes, narrow[0], narrow[1])
+}
+
+// goldenBins bounds goldenNarrowCodes' columns: two-byte, then one-byte.
+var goldenBins = []int{1 << 16, 1 << 16, 1 << 16, 1 << 8, 7}
+
+// goldenTable has every cell shape the version-1 page encoding
+// distinguishes: numeric values with NaN and integral cells, a categorical
+// column with missing cells, and an all-missing categorical column (empty
+// dictionary page).
 func goldenTable(n int) *table.Table {
 	nums := make([]float64, n)
 	cats := make([]int32, n)
@@ -87,9 +103,39 @@ func goldenTable(n int) *table.Table {
 	return t
 }
 
-// goldenCase is one pinned store file: write produces it, check opens a
-// copy (fresh or checked in) and reads every typed value back, returning
-// the store's identity checksum.
+// goldenWideTable is goldenTable plus a column of every other version-2
+// encoding: offset integers at each width (one with a negative base) and
+// float64 fractions; goldenTable's own columns are Float32 and 1-byte
+// DictCode.
+func goldenWideTable(n int) *table.Table {
+	t := goldenTable(n)
+	small, mid, wide, frac := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+	for r := 0; r < n; r++ {
+		small[r] = float64(r%9 - 4)
+		mid[r] = float64(r * 1009)
+		wide[r] = float64(r*104729 - 1<<21)
+		frac[r] = float64(r) / 7
+	}
+	if n > 0 {
+		small[n/2] = math.NaN()
+	}
+	for _, col := range []*table.Column{
+		{Name: "small", Kind: table.Numeric, Nums: small},
+		{Name: "mid", Kind: table.Numeric, Nums: mid},
+		{Name: "wide", Kind: table.Numeric, Nums: wide},
+		{Name: "frac", Kind: table.Numeric, Nums: frac},
+	} {
+		if err := t.AddColumn(col); err != nil {
+			panic(err)
+		}
+	}
+	return t
+}
+
+// goldenCase is one pinned store file: write produces it (nil for a
+// version-1 file, which this build only reads), check opens a copy (fresh
+// or checked in) and reads every typed value back, returning the store's
+// identity checksum.
 type goldenCase struct {
 	name  string
 	write func(path string) error
@@ -102,14 +148,12 @@ func goldenCases() []goldenCase {
 		codes := goldenCodes(n)
 		cases = append(cases, goldenCase{
 			name:  fmt.Sprintf("codes_%02d.codes", n),
-			write: func(path string) error { return codestore.WriteFile(path, codes, goldenBlockRows) },
-			check: func(t *testing.T, path string) uint32 { return checkGoldenCodes(t, path, codes) },
+			check: func(t *testing.T, path string) uint32 { return checkGoldenCodes(t, path, 1, codes) },
 		})
 		src := goldenTable(n)
 		cases = append(cases, goldenCase{
 			name:  fmt.Sprintf("cells_%02d.cols", n),
-			write: func(path string) error { return colstore.WriteTable(path, src, goldenBlockRows) },
-			check: func(t *testing.T, path string) uint32 { return checkGoldenCells(t, path, src, 0, n) },
+			check: func(t *testing.T, path string) uint32 { return checkGoldenCells(t, path, 1, src, 0, n) },
 		})
 	}
 	// A shard's slice: rows [9, 31) of the 40-row table, cut off the block
@@ -117,13 +161,32 @@ func goldenCases() []goldenCase {
 	src := goldenTable(40)
 	cases = append(cases, goldenCase{
 		name:  "cells_40_rows_09_31.cols",
-		write: func(path string) error { return colstore.WriteTableRows(path, src, 9, 31, goldenBlockRows) },
-		check: func(t *testing.T, path string) uint32 { return checkGoldenCells(t, path, src, 9, 31) },
+		check: func(t *testing.T, path string) uint32 { return checkGoldenCells(t, path, 1, src, 9, 31) },
+	})
+	for _, n := range goldenRows {
+		codes := goldenNarrowCodes(n)
+		cases = append(cases, goldenCase{
+			name:  fmt.Sprintf("codes_v2_%02d.codes", n),
+			write: func(path string) error { return codestore.WriteFile(path, codes, goldenBlockRows) },
+			check: func(t *testing.T, path string) uint32 { return checkGoldenCodes(t, path, 2, codes) },
+		})
+		src := goldenWideTable(n)
+		cases = append(cases, goldenCase{
+			name:  fmt.Sprintf("cells_v2_%02d.cols", n),
+			write: func(path string) error { return colstore.WriteTable(path, src, goldenBlockRows) },
+			check: func(t *testing.T, path string) uint32 { return checkGoldenCells(t, path, 2, src, 0, n) },
+		})
+	}
+	wide := goldenWideTable(40)
+	cases = append(cases, goldenCase{
+		name:  "cells_v2_40_rows_09_31.cols",
+		write: func(path string) error { return colstore.WriteTableRows(path, wide, 9, 31, goldenBlockRows) },
+		check: func(t *testing.T, path string) uint32 { return checkGoldenCells(t, path, 2, wide, 9, 31) },
 	})
 	return cases
 }
 
-func checkGoldenCodes(t *testing.T, path string, codes [][]uint16) uint32 {
+func checkGoldenCodes(t *testing.T, path string, version uint16, codes [][]uint16) uint32 {
 	t.Helper()
 	s, err := codestore.Open(path)
 	if err != nil {
@@ -131,8 +194,8 @@ func checkGoldenCodes(t *testing.T, path string, codes [][]uint16) uint32 {
 	}
 	defer s.Close()
 	n := len(codes[0])
-	if s.NumRows() != n || s.NumCols() != len(codes) || s.BlockRows() != goldenBlockRows {
-		t.Fatalf("%s is %dx%d at %d rows/block, want %dx%d at %d", path, s.NumRows(), s.NumCols(), s.BlockRows(), n, len(codes), goldenBlockRows)
+	if s.NumRows() != n || s.NumCols() != len(codes) || s.BlockRows() != goldenBlockRows || s.Version() != version {
+		t.Fatalf("%s is v%d %dx%d at %d rows/block, want v%d %dx%d at %d", path, s.Version(), s.NumRows(), s.NumCols(), s.BlockRows(), version, n, len(codes), goldenBlockRows)
 	}
 	for c := range codes {
 		for r := 0; r < n; r++ {
@@ -154,15 +217,15 @@ func checkGoldenCodes(t *testing.T, path string, codes [][]uint16) uint32 {
 	return s.Checksum()
 }
 
-func checkGoldenCells(t *testing.T, path string, src *table.Table, start, end int) uint32 {
+func checkGoldenCells(t *testing.T, path string, version uint16, src *table.Table, start, end int) uint32 {
 	t.Helper()
 	s, err := colstore.Open(path)
 	if err != nil {
 		t.Fatalf("open %s: %v", path, err)
 	}
 	defer s.Close()
-	if s.NumRows() != end-start || s.NumCols() != src.NumCols() || s.BlockRows() != goldenBlockRows {
-		t.Fatalf("%s is %dx%d at %d rows/block, want %dx%d at %d", path, s.NumRows(), s.NumCols(), s.BlockRows(), end-start, src.NumCols(), goldenBlockRows)
+	if s.NumRows() != end-start || s.NumCols() != src.NumCols() || s.BlockRows() != goldenBlockRows || s.Version() != version {
+		t.Fatalf("%s is v%d %dx%d at %d rows/block, want v%d %dx%d at %d", path, s.Version(), s.NumRows(), s.NumCols(), s.BlockRows(), version, end-start, src.NumCols(), goldenBlockRows)
 	}
 	mat, err := s.MaterializeTable("golden")
 	if err != nil {
@@ -189,7 +252,8 @@ func checkGoldenCells(t *testing.T, path string, src *table.Table, start, end in
 	return s.Checksum()
 }
 
-// TestFormatGolden pins every byte both stores write.
+// TestFormatGolden pins every byte both stores write, and reads back every
+// version-1 file the previous format wrote.
 func TestFormatGolden(t *testing.T) {
 	const jsonPath = "testdata/format_golden.json"
 	storeDir := filepath.Join("testdata", "stores")
@@ -205,10 +269,26 @@ func TestFormatGolden(t *testing.T) {
 	}
 	cases := goldenCases()
 	if !*update && len(want) != len(cases) {
-		t.Fatalf("golden records %d stores, the test writes %d", len(want), len(cases))
+		t.Fatalf("golden records %d stores, the test has %d", len(want), len(cases))
 	}
 	var got []goldenEntry
 	for i, gc := range cases {
+		checkedIn := filepath.Join(storeDir, gc.name)
+		if gc.write == nil {
+			// Version 1: the checked-in bytes are the record; they must still
+			// match it, open, verify and read back typed.
+			raw, err := os.ReadFile(checkedIn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(raw)
+			e := goldenEntry{Name: gc.name, Size: len(raw), SHA256: hex.EncodeToString(sum[:]), Checksum: gc.check(t, checkedIn)}
+			got = append(got, e)
+			if !*update && e != want[i] {
+				t.Errorf("%s: checked-in file is %+v, golden is %+v", gc.name, e, want[i])
+			}
+			continue
+		}
 		fresh := filepath.Join(t.TempDir(), gc.name)
 		if err := gc.write(fresh); err != nil {
 			t.Fatalf("%s: write: %v", gc.name, err)
@@ -220,7 +300,6 @@ func TestFormatGolden(t *testing.T) {
 		sum := sha256.Sum256(raw)
 		e := goldenEntry{Name: gc.name, Size: len(raw), SHA256: hex.EncodeToString(sum[:]), Checksum: gc.check(t, fresh)}
 		got = append(got, e)
-		checkedIn := filepath.Join(storeDir, gc.name)
 		if *update {
 			if err := os.MkdirAll(storeDir, 0o755); err != nil {
 				t.Fatal(err)
@@ -240,8 +319,6 @@ func TestFormatGolden(t *testing.T) {
 		if !bytes.Equal(raw, old) {
 			t.Errorf("%s: freshly written bytes differ from the checked-in file", gc.name)
 		}
-		// The checked-in copy was written by the tree before this package
-		// existed: it must still open, verify and read back typed.
 		if sum := gc.check(t, checkedIn); sum != want[i].Checksum {
 			t.Errorf("%s: checked-in file has checksum %08x, golden is %08x", gc.name, sum, want[i].Checksum)
 		}

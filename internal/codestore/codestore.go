@@ -8,31 +8,69 @@
 // The file framing — header, block-major pages, per-page CRC index, footer,
 // crash and corruption detection, the mmap-or-ReadAt reader — is
 // internal/blockfile's; see its package comment for the layout. This package
-// owns only what is typed: the "SUBTABCS"/"SUBTABCE" magics, no meta
-// section, and the page encoding — every cell is its bin code as a
-// little-endian u16.
+// owns only what is typed: the "SUBTABCS"/"SUBTABCE" magics and
+//
+//	meta:    (version 2) one byte per column: its cell width, 1 when the
+//	         column has at most 256 bins, else 2
+//	pages:   each cell is its bin code as a little-endian unsigned integer
+//	         of its column's width
+//
+// Version 1 files (no meta section, every cell a u16) still open and read.
 package codestore
 
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"subtab/internal/blockfile"
 )
 
-// Version is the current store format version.
-const Version uint16 = 1
+// Version is the store format version Create writes. Open also reads
+// version 1, which is version 2 with every column at 2-byte cells.
+const Version uint16 = 2
 
 // DefaultBlockRows is the default rows-per-block granularity: 64Ki rows
-// keep a per-column block at 128KiB — big enough to amortize I/O, small
-// enough that a full column scan needs only one block of scratch.
+// keep a per-column block at 64KiB of 1-byte codes — big enough to
+// amortize I/O, small enough that a full column scan needs only one block
+// of scratch.
 const DefaultBlockRows = 1 << 16
 
 var format = blockfile.Format{
-	Magic:     [8]byte{'S', 'U', 'B', 'T', 'A', 'B', 'C', 'S'},
-	EndMagic:  [8]byte{'S', 'U', 'B', 'T', 'A', 'B', 'C', 'E'},
-	Version:   Version,
-	CellWidth: 2,
+	Magic:      [8]byte{'S', 'U', 'B', 'T', 'A', 'B', 'C', 'S'},
+	EndMagic:   [8]byte{'S', 'U', 'B', 'T', 'A', 'B', 'C', 'E'},
+	Version:    Version,
+	MinVersion: 1,
+	MetaSince:  2,
+}
+
+// codeWidth returns the cell width of a column with the given bin count:
+// one byte when every code fits in it (at most 256 bins), else two.
+func codeWidth(bins int) int {
+	if bins <= 1<<8 {
+		return 1
+	}
+	return 2
+}
+
+// layout is the blockfile.Layout of this format: version 1 stores every
+// code in two bytes; version 2's meta section holds one width byte per
+// column.
+func layout(version uint16, cols int, meta []byte) ([]int, error) {
+	if version == 1 {
+		return []int{2}, nil
+	}
+	if len(meta) != cols {
+		return nil, fmt.Errorf("%w: meta section of %d bytes for %d columns", ErrCorrupt, len(meta), cols)
+	}
+	widths := make([]int, cols)
+	for c, w := range meta {
+		if w != 1 && w != 2 {
+			return nil, fmt.Errorf("%w: column %d has code width %d", ErrCorrupt, c, w)
+		}
+		widths[c] = int(w)
+	}
+	return widths, nil
 }
 
 // ErrTruncated (a crashed or interrupted writer's leftover) and ErrCorrupt
@@ -49,49 +87,76 @@ var (
 // rejects, so a crashed export cannot be mistaken for a complete store.
 type Writer struct {
 	*blockfile.Writer
-	cols int
+	widths []int
 }
 
-// Create starts a store file at path with the given column count and
+// Create starts a store file at path with one column per entry of bins
+// (each column's bin count, which sets its code width) and the given
 // rows-per-block (<= 0 uses DefaultBlockRows). The file is truncated.
-func Create(path string, cols, blockRows int) (*Writer, error) {
+func Create(path string, bins []int, blockRows int) (*Writer, error) {
 	if blockRows <= 0 {
 		blockRows = DefaultBlockRows
 	}
-	w, err := blockfile.Create(path, format, cols, blockRows, nil)
+	meta := make([]byte, len(bins))
+	widths := make([]int, len(bins))
+	for c, nb := range bins {
+		widths[c] = codeWidth(nb)
+		meta[c] = byte(widths[c])
+	}
+	w, err := blockfile.Create(path, format, len(bins), blockRows, meta)
 	if err != nil {
 		return nil, err
 	}
-	return &Writer{Writer: w, cols: cols}, nil
+	return &Writer{Writer: w, widths: widths}, nil
 }
 
 // AppendColumns appends one chunk of rows: chunk[c] holds the new codes of
-// column c, and every column must contribute the same number of rows.
+// column c, and every column must contribute the same number of rows. A
+// code wider than its column's cells fails the writer.
 func (w *Writer) AppendColumns(chunk [][]uint16) error {
-	if len(chunk) != w.cols {
-		return w.Fail(fmt.Errorf("codestore: chunk has %d columns, store has %d", len(chunk), w.cols))
+	if len(chunk) != len(w.widths) {
+		return w.Fail(fmt.Errorf("codestore: chunk has %d columns, store has %d", len(chunk), len(w.widths)))
 	}
 	n := len(chunk[0])
-	for c := 1; c < w.cols; c++ {
+	for c := 1; c < len(chunk); c++ {
 		if len(chunk[c]) != n {
 			return w.Fail(fmt.Errorf("codestore: ragged chunk: column 0 has %d rows, column %d has %d", n, c, len(chunk[c])))
 		}
 	}
 	return w.Append(n, func(c int, dst []byte, off, take int) []byte {
-		for _, v := range chunk[c][off : off+take] {
-			dst = binary.LittleEndian.AppendUint16(dst, v)
+		codes := chunk[c][off : off+take]
+		if w.widths[c] == 2 {
+			for _, v := range codes {
+				dst = binary.LittleEndian.AppendUint16(dst, v)
+			}
+			return dst
+		}
+		var seen uint16
+		for _, v := range codes {
+			dst = append(dst, byte(v))
+			seen |= v
+		}
+		if seen > 0xFF {
+			w.Fail(fmt.Errorf("codestore: column %d holds a code above 255 in 1-byte cells", c))
 		}
 		return dst
 	})
 }
 
 // WriteFile writes a complete store from in-memory column codes in one
-// call (all columns must share one length). blockRows <= 0 uses
-// DefaultBlockRows. The file is written to a temp name and renamed into
-// place, so a crash never leaves a plausible-looking partial store at path.
+// call (all columns must share one length), each column at the width its
+// largest code needs. blockRows <= 0 uses DefaultBlockRows. The file is
+// written to a temp name and renamed into place, so a crash never leaves a
+// plausible-looking partial store at path.
 func WriteFile(path string, codes [][]uint16, blockRows int) error {
+	bins := make([]int, len(codes))
+	for c, col := range codes {
+		if len(col) > 0 {
+			bins[c] = int(slices.Max(col)) + 1
+		}
+	}
 	return blockfile.WriteAtomic(path, func(tmp string) error {
-		w, err := Create(tmp, len(codes), blockRows)
+		w, err := Create(tmp, bins, blockRows)
 		if err != nil {
 			return err
 		}
@@ -112,10 +177,11 @@ type Store struct {
 
 // Open opens the store at path, memory-mapping it when the platform
 // supports it and falling back to plain file reads otherwise. It validates
-// the header, the exact file length, the footer checksum and the end
-// magic; a crashed writer's leftover fails here with ErrTruncated.
+// the header, the per-column widths, the exact file length, the footer
+// checksum and the end magic; a crashed writer's leftover fails here with
+// ErrTruncated.
 func Open(path string) (*Store, error) {
-	f, err := blockfile.Open(path, format, nil)
+	f, err := blockfile.Open(path, format, layout)
 	if err != nil {
 		return nil, err
 	}
@@ -130,11 +196,17 @@ func (s *Store) ColumnBlock(c, blk int, scratch []uint16) []uint16 {
 	if err != nil {
 		panic(fmt.Sprintf("codestore: %v", err))
 	}
-	n := len(raw) / 2
+	n := s.BlockLen(blk)
 	if cap(scratch) < n {
 		scratch = make([]uint16, n)
 	}
 	scratch = scratch[:n]
+	if s.CellWidth(c) == 1 {
+		for i, b := range raw {
+			scratch[i] = uint16(b)
+		}
+		return scratch
+	}
 	for i := range scratch {
 		scratch[i] = binary.LittleEndian.Uint16(raw[i*2:])
 	}
@@ -142,14 +214,14 @@ func (s *Store) ColumnBlock(c, blk int, scratch []uint16) []uint16 {
 }
 
 // GatherCodes sets dst[i] to the code of cell (c, rows[i]) without
-// decoding any block whole: on the mmap path each code is a two-byte load
-// from its block's page in place, and on the fallback path each page a run
-// of rows lands in is read once into scratch, so ascending rows read every
-// page at most once. Any order and repeats are allowed; a page that cannot
-// be read panics, as in ColumnBlock.
+// decoding any block whole: on the mmap path each code is a one- or
+// two-byte load from its block's page in place, and on the fallback path
+// each page a run of rows lands in is read once into scratch, so ascending
+// rows read every page at most once. Any order and repeats are allowed; a
+// page that cannot be read panics, as in ColumnBlock.
 func (s *Store) GatherCodes(c int, rows []int, dst []uint16) {
 	dst = dst[:len(rows)]
-	br := s.BlockRows()
+	br, w := s.BlockRows(), s.CellWidth(c)
 	var page []byte
 	lo, hi := 0, 0 // the global rows [lo, hi) that page holds
 	for i, r := range rows {
@@ -160,23 +232,22 @@ func (s *Store) GatherCodes(c int, rows []int, dst []uint16) {
 				panic(fmt.Sprintf("codestore: %v", err))
 			}
 			page, lo = p, blk*br
-			hi = lo + len(p)/2
+			hi = lo + len(p)/w
 		}
-		dst[i] = binary.LittleEndian.Uint16(page[(r-lo)*2:])
+		if w == 1 {
+			dst[i] = uint16(page[r-lo])
+		} else {
+			dst[i] = binary.LittleEndian.Uint16(page[(r-lo)*2:])
+		}
 	}
 }
 
 // Code returns the code of one cell (random access). On the mmap path this
-// is a two-byte load; on the fallback path a two-byte pread.
+// is a one- or two-byte load; on the fallback path a pread of as many.
 func (s *Store) Code(c, r int) uint16 {
-	blk := r / s.BlockRows()
-	off := s.Off(c, blk) + int64(r-blk*s.BlockRows())*2
-	if s.Data != nil {
-		return binary.LittleEndian.Uint16(s.Data[off:])
+	v, err := s.Load(c, r)
+	if err != nil {
+		panic(fmt.Sprintf("codestore: %v", err))
 	}
-	var b [2]byte
-	if err := s.ReadAt(b[:], off); err != nil {
-		panic(fmt.Sprintf("codestore: reading cell (%d,%d) of %s: %v", c, r, s.Path(), err))
-	}
-	return binary.LittleEndian.Uint16(b[:])
+	return uint16(v)
 }

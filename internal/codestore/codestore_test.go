@@ -109,7 +109,7 @@ func TestStreamedChunksMatchOneShot(t *testing.T) {
 		t.Fatal(err)
 	}
 	streamed := filepath.Join(dir, "stream.codes")
-	w, err := Create(streamed, cols, blockRows)
+	w, err := Create(streamed, []int{30, 30, 30, 30}, blockRows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestStreamedChunksMatchOneShot(t *testing.T) {
 // is blockfile's TestReopenAfterCrash.
 func TestReopenAfterCrashTruncatedTail(t *testing.T) {
 	abandoned := filepath.Join(t.TempDir(), "a.codes")
-	w, err := Create(abandoned, 2, 16)
+	w, err := Create(abandoned, []int{20, 20}, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,8 +175,9 @@ func TestPerBlockChecksum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The last data byte — the high byte of the last column's last code —
-	// sits just before the page index (one u32 per page) and the footer.
+	// The last data byte — the last column's last code, one byte wide for
+	// a column of 20 bins — sits just before the page index (one u32 per
+	// page) and the footer.
 	pages := (n + blockRows - 1) / blockRows * len(codes)
 	full[len(full)-12-4*pages-1] ^= 0x04
 	if err := os.WriteFile(path, full, 0o644); err != nil {
@@ -187,7 +188,10 @@ func TestPerBlockChecksum(t *testing.T) {
 		t.Fatalf("Open should defer data-block validation to Verify, got %v", err)
 	}
 	defer s.Close()
-	if got, want := s.Code(1, n-1), codes[1][n-1]^0x0400; got != want {
+	if s.CellWidth(1) != 1 {
+		t.Fatalf("a 20-bin column is stored in %d-byte cells, want 1", s.CellWidth(1))
+	}
+	if got, want := s.Code(1, n-1), codes[1][n-1]^0x04; got != want {
 		t.Fatalf("flipped code reads %d, want %d", got, want)
 	}
 	if err := s.Verify(); !errors.Is(err, ErrCorrupt) {

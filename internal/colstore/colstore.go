@@ -10,11 +10,18 @@
 //
 //	meta:    the schema — per column: u16 nameLen · name · u8 kind · for
 //	         categorical columns a dictionary page (u32 count, per string
-//	         u32 len + bytes) holding the interned strings in code order.
-//	         The footer checksum covers it, dictionaries included.
-//	pages:   fixed-width cells (table.PageCellWidth) — numeric: float64
-//	         bits as u64; categorical: dictionary code as u32, missing -1
-//	         as 0xFFFFFFFF
+//	         u32 len + bytes) holding the interned strings in code order ·
+//	         (version 2) u8 encoding · u8 cell width · for Offset columns an
+//	         i64 base. The footer checksum covers it, dictionaries included.
+//	pages:   each cell a little-endian unsigned integer of its column's
+//	         width, per its Encoding: Float64 (8 B) or Float32 (4 B) bits,
+//	         an Offset from the base (1, 2 or 4 B), or a DictCode (1, 2 or
+//	         4 B). The all-ones cell of the width marks a missing cell.
+//
+// The writer picks each column's narrowest exact encoding from the rows it
+// writes. Version 1 files, whose columns are all Float64 (numeric) or
+// 4-byte DictCode (categorical) with no encoding bytes in the schema, still
+// open and read.
 package colstore
 
 import (
@@ -26,19 +33,21 @@ import (
 	"subtab/internal/table"
 )
 
-// Version is the current store format version.
-const Version uint16 = 1
+// Version is the store format version Create writes. Open also reads
+// version 1.
+const Version uint16 = 2
 
 // DefaultBlockRows is the default rows-per-block granularity: 64Ki rows put
-// a numeric column page at 512KiB — big enough to amortize I/O, small
+// a numeric column page at up to 512KiB — big enough to amortize I/O, small
 // enough that gathering one row touches a bounded byte range.
 const DefaultBlockRows = 1 << 16
 
 var format = blockfile.Format{
-	Magic:    [8]byte{'S', 'U', 'B', 'T', 'A', 'B', 'P', 'C'},
-	EndMagic: [8]byte{'S', 'U', 'B', 'T', 'A', 'B', 'P', 'E'},
-	Version:  Version,
-	Meta:     true,
+	Magic:      [8]byte{'S', 'U', 'B', 'T', 'A', 'B', 'P', 'C'},
+	EndMagic:   [8]byte{'S', 'U', 'B', 'T', 'A', 'B', 'P', 'E'},
+	Version:    Version,
+	MinVersion: 1,
+	MetaSince:  1,
 }
 
 // ErrTruncated (a crashed or interrupted writer's leftover) and ErrCorrupt
@@ -51,20 +60,23 @@ var (
 )
 
 // Writer streams a table's rows into a store file. The schema (names,
-// kinds, dictionaries) is fixed at Create; rows are appended in chunks and
-// flushed block by block; Close finalizes the index and footer. A writer
-// that never reaches Close leaves a file Open rejects.
+// kinds, dictionaries, encodings) is fixed at Create; rows are appended in
+// chunks and flushed block by block; Close finalizes the index and footer.
+// A writer that never reaches Close leaves a file Open rejects.
 type Writer struct {
 	*blockfile.Writer
-	src []*table.Column // schema (and dictionary) source
+	src    []*table.Column // schema (and dictionary) source
+	encs   []encoding
+	lo, hi int // the source rows the encodings were chosen over
 }
 
 // Create starts a store file at path over the table's schema (<= 0
 // blockRows uses DefaultBlockRows). The table supplies column names, kinds
-// and categorical dictionaries; its cells are appended separately with
-// AppendRows, so a shard export can write any row range. The file is
-// truncated.
-func Create(path string, t *table.Table, blockRows int) (*Writer, error) {
+// and categorical dictionaries, and each column's encoding is the narrowest
+// exact one for its rows [start, end); the cells are appended separately
+// with AppendRows, within that range, so a shard export can write its own
+// slice. The file is truncated.
+func Create(path string, t *table.Table, start, end, blockRows int) (*Writer, error) {
 	cols := t.Columns()
 	if len(cols) == 0 {
 		return nil, fmt.Errorf("colstore: create: table %s has no columns", t.Name)
@@ -72,11 +84,15 @@ func Create(path string, t *table.Table, blockRows int) (*Writer, error) {
 	if !t.CellsResident() {
 		return nil, fmt.Errorf("colstore: create: table %s is already paged", t.Name)
 	}
+	if start < 0 || end < start || end > t.NumRows() {
+		return nil, fmt.Errorf("colstore: rows [%d, %d) out of range for a %d-row table", start, end, t.NumRows())
+	}
 	if blockRows <= 0 {
 		blockRows = DefaultBlockRows
 	}
 	var meta []byte
-	for _, c := range cols {
+	encs := make([]encoding, len(cols))
+	for i, c := range cols {
 		if len(c.Name) > math.MaxUint16 {
 			return nil, fmt.Errorf("colstore: create: column name %d bytes long", len(c.Name))
 		}
@@ -84,20 +100,26 @@ func Create(path string, t *table.Table, blockRows int) (*Writer, error) {
 		meta = append(meta, c.Name...)
 		meta = append(meta, byte(c.Kind))
 		if c.Kind == table.Categorical {
-			meta = table.AppendDictPage(meta, c.Dict.Strings())
+			meta = appendDictPage(meta, c.Dict.Strings())
 		}
+		encs[i] = chooseEncoding(c, start, end)
+		meta = encs[i].appendMeta(meta)
 	}
 	w, err := blockfile.Create(path, format, len(cols), blockRows, meta)
 	if err != nil {
 		return nil, err
 	}
-	return &Writer{Writer: w, src: cols}, nil
+	return &Writer{Writer: w, src: cols, encs: encs, lo: start, hi: end}, nil
 }
 
-// AppendRows appends the source table's rows [start, start+n).
+// AppendRows appends the source table's rows [start, start+n), which must
+// lie inside the range Create chose the encodings over.
 func (w *Writer) AppendRows(start, n int) error {
+	if start < w.lo || n < 0 || start+n > w.hi {
+		return w.Fail(fmt.Errorf("colstore: rows [%d, %d) outside the encoded range [%d, %d)", start, start+n, w.lo, w.hi))
+	}
 	return w.Append(n, func(c int, dst []byte, off, take int) []byte {
-		return w.src[c].AppendPage(dst, start+off, take)
+		return w.encs[c].appendCells(dst, w.src[c], start+off, take)
 	})
 }
 
@@ -112,11 +134,8 @@ func WriteTable(path string, t *table.Table, blockRows int) error {
 // The file is written to a temp name and renamed into place, so a crash
 // never leaves a plausible-looking partial store at path.
 func WriteTableRows(path string, t *table.Table, start, end, blockRows int) error {
-	if start < 0 || end < start || end > t.NumRows() {
-		return fmt.Errorf("colstore: rows [%d, %d) out of range for a %d-row table", start, end, t.NumRows())
-	}
 	return blockfile.WriteAtomic(path, func(tmp string) error {
-		w, err := Create(tmp, t, blockRows)
+		w, err := Create(tmp, t, start, end, blockRows)
 		if err != nil {
 			return err
 		}
@@ -137,17 +156,17 @@ func WriteTableRows(path string, t *table.Table, start, end, blockRows int) erro
 // cells byte-identically to Column.CellString on the resident table.
 type Store struct {
 	*blockfile.File
-	names  []string
-	kinds  []table.Kind
-	dicts  [][]string
-	widths []int
+	names []string
+	kinds []table.Kind
+	dicts [][]string
+	encs  []encoding
 }
 
 // Open opens the store at path, memory-mapping it when the platform
 // supports it and falling back to plain file reads otherwise. It validates
-// the header, the schema section, the exact file length, the footer
-// checksum and the end magic; a crashed writer's leftover fails with
-// ErrTruncated.
+// the header, the schema section (encodings included), the exact file
+// length, the footer checksum and the end magic; a crashed writer's
+// leftover fails with ErrTruncated.
 func Open(path string) (*Store, error) {
 	s := &Store{}
 	f, err := blockfile.Open(path, format, s.parseSchema)
@@ -160,7 +179,7 @@ func Open(path string) (*Store, error) {
 
 // parseSchema decodes the meta section into the store's schema and returns
 // the per-column cell widths (the blockfile.Layout of this format).
-func (s *Store) parseSchema(cols int, meta []byte) ([]int, error) {
+func (s *Store) parseSchema(version uint16, cols int, meta []byte) ([]int, error) {
 	// Every column takes at least a name length and a kind byte, so a column
 	// count the section cannot hold is damage, not an allocation request.
 	if cols > len(meta)/3 {
@@ -169,7 +188,8 @@ func (s *Store) parseSchema(cols int, meta []byte) ([]int, error) {
 	s.names = make([]string, cols)
 	s.kinds = make([]table.Kind, cols)
 	s.dicts = make([][]string, cols)
-	s.widths = make([]int, cols)
+	s.encs = make([]encoding, cols)
+	widths := make([]int, cols)
 	off := 0
 	for c := 0; c < cols; c++ {
 		if len(meta)-off < 2 {
@@ -189,19 +209,28 @@ func (s *Store) parseSchema(cols int, meta []byte) ([]int, error) {
 		}
 		s.kinds[c] = kind
 		if kind == table.Categorical {
-			strs, n, err := table.DecodeDictPage(meta[off:])
+			strs, n, err := decodeDictPage(meta[off:])
 			if err != nil {
-				return nil, fmt.Errorf("%w: column %q dictionary page: %v", ErrCorrupt, s.names[c], err)
+				return nil, fmt.Errorf("%w: column %q: %v", ErrCorrupt, s.names[c], err)
 			}
 			s.dicts[c] = strs
 			off += n
 		}
-		s.widths[c] = table.PageCellWidth(kind)
+		s.encs[c] = v1Encoding(kind)
+		if version >= 2 {
+			e, n, err := parseEncoding(meta[off:], kind)
+			if err != nil {
+				return nil, fmt.Errorf("column %q: %w", s.names[c], err)
+			}
+			s.encs[c] = e
+			off += n
+		}
+		widths[c] = s.encs[c].width
 	}
 	if off != len(meta) {
 		return nil, fmt.Errorf("%w: schema section has %d trailing bytes", ErrCorrupt, len(meta)-off)
 	}
-	return s.widths, nil
+	return widths, nil
 }
 
 // ColumnName returns the name of column c.
@@ -210,6 +239,10 @@ func (s *Store) ColumnName(c int) string { return s.names[c] }
 // ColumnKind returns the kind of column c.
 func (s *Store) ColumnKind(c int) table.Kind { return s.kinds[c] }
 
+// ColumnEncoding returns how column c's cells are stored; CellWidth gives
+// their byte width.
+func (s *Store) ColumnEncoding(c int) Encoding { return s.encs[c].enc }
+
 // Cell renders one cell — the exact bytes Column.CellString produces on the
 // resident column. It errors on out-of-range coordinates or a dictionary
 // code the schema's dictionary page does not cover (bit rot; see Verify).
@@ -217,25 +250,23 @@ func (s *Store) Cell(c, r int) (string, error) {
 	if c < 0 || c >= s.NumCols() || r < 0 || r >= s.NumRows() {
 		return "", fmt.Errorf("colstore: cell (%d,%d) out of range for a %dx%d store", c, r, s.NumRows(), s.NumCols())
 	}
-	var b [8]byte
-	blk := r / s.BlockRows()
-	off := s.Off(c, blk) + int64(r-blk*s.BlockRows())*int64(s.widths[c])
-	if err := s.ReadAt(b[:s.widths[c]], off); err != nil {
-		return "", fmt.Errorf("colstore: reading cell (%d,%d) of %s: %w", c, r, s.Path(), err)
+	u, err := s.Load(c, r)
+	if err != nil {
+		return "", fmt.Errorf("colstore: %w", err)
 	}
 	if s.kinds[c] == table.Numeric {
-		v := math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
+		v := s.encs[c].num(u)
 		if math.IsNaN(v) {
 			return "NaN", nil
 		}
 		return table.FormatNum(v), nil
 	}
-	code := int32(binary.LittleEndian.Uint32(b[:4]))
+	code, err := s.encs[c].code(u, len(s.dicts[c]))
+	if err != nil {
+		return "", fmt.Errorf("colstore: cell (%d,%d): %w", c, r, err)
+	}
 	if code < 0 {
 		return "NaN", nil
-	}
-	if int(code) >= len(s.dicts[c]) {
-		return "", fmt.Errorf("%w: cell (%d,%d) has dictionary code %d, dictionary holds %d", ErrCorrupt, c, r, code, len(s.dicts[c]))
 	}
 	return s.dicts[c][code], nil
 }
@@ -269,25 +300,24 @@ func (s *Store) MaterializeTable(name string) (*table.Table, error) {
 			col.Cats = make([]int32, 0, s.NumRows())
 			col.Dict = table.DictFromStrings(s.dicts[c])
 		}
+		e := s.encs[c]
 		for blk := 0; blk < s.NumBlocks(); blk++ {
 			page, err := s.Page(c, blk, scratch)
 			if err != nil {
 				return nil, err
 			}
 			scratch = page
-			if s.kinds[c] == table.Numeric {
-				for i := 0; i < len(page); i += 8 {
-					col.Nums = append(col.Nums, math.Float64frombits(binary.LittleEndian.Uint64(page[i:])))
+			for i := 0; i < len(page); i += e.width {
+				u := blockfile.Uint(page[i:], e.width)
+				if s.kinds[c] == table.Numeric {
+					col.Nums = append(col.Nums, e.num(u))
+					continue
 				}
-			} else {
-				dictLen := int32(len(s.dicts[c]))
-				for i := 0; i < len(page); i += 4 {
-					code := int32(binary.LittleEndian.Uint32(page[i:]))
-					if code >= dictLen {
-						return nil, fmt.Errorf("%w: column %q holds dictionary code %d, dictionary holds %d", ErrCorrupt, s.names[c], code, dictLen)
-					}
-					col.Cats = append(col.Cats, code)
+				code, err := e.code(u, len(s.dicts[c]))
+				if err != nil {
+					return nil, fmt.Errorf("colstore: column %q: %w", s.names[c], err)
 				}
+				col.Cats = append(col.Cats, code)
 			}
 		}
 		if err := out.AddColumn(col); err != nil {

@@ -242,7 +242,7 @@ func TestReopenAfterCrashTruncatedTail(t *testing.T) {
 	const n = 100
 	src := randTable(rand.New(rand.NewSource(4)), "t", n)
 	abandoned := filepath.Join(t.TempDir(), "a.cols")
-	w, err := Create(abandoned, src, 16)
+	w, err := Create(abandoned, src, 0, n, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,13 +270,13 @@ func TestPerPageChecksum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Byte 2 of the first non-missing "cat" cell: setting a high bit of its
-	// u32 code pushes it far past the 12-string dictionary.
+	// The high byte of the first non-missing "cat" cell: setting its 0x40
+	// bit pushes the code far past the 12-string dictionary.
 	row := 0
 	for src.ColumnAt(1).Cats[row] < 0 {
 		row++
 	}
-	catCell := s.Off(1, 0) + int64(row)*4 + 2
+	catCell := s.CellOff(1, row) + int64(s.CellWidth(1)) - 1
 	s.Close()
 	full, err := os.ReadFile(path)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 
+	"subtab/internal/binning"
 	"subtab/internal/cluster"
 	"subtab/internal/f32"
 )
@@ -12,17 +13,21 @@ import (
 // over the candidate columns left after the targets are forced in.
 
 // centroidColumns is the literal Algorithm 2 column step: k-means over the
-// column-mean vectors, one representative per cluster. code is where the
-// column vectors read their codes (the model's own, or a coordinator's
-// overlay); the gather arithmetic is identical either way.
-func (m *Model) centroidColumns(candCols []int, rows rowSet, need int, code func(c, r int) uint16) []int {
+// column-mean vectors, one representative per cluster. src is where the
+// column vectors gather their codes, one call per column (the model's own
+// source, or a coordinator's overlay); the arithmetic is identical either
+// way.
+func (m *Model) centroidColumns(candCols []int, rows rowSet, need int, src binning.CodeSource) []int {
 	colVecs := f32.New(len(candCols), m.Emb.Dim())
+	ids := rows.list()
 	f32.ParallelRange(len(candCols), f32.Workers(len(candCols)), func(start, end int) {
 		idx := make([]int32, rows.n)
+		codes := make([]uint16, rows.n)
 		for i := start; i < end; i++ {
 			c := candCols[i]
-			for j := range idx {
-				idx[j] = m.itemRow[m.B.ItemOf(c, int(code(c, rows.at(j))))]
+			src.GatherCodes(c, ids, codes)
+			for j, code := range codes {
+				idx[j] = m.itemRow[m.B.ItemOf(c, int(code))]
 			}
 			f32.MeanPoolInto(colVecs.Row(i), m.items, idx)
 		}

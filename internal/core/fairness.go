@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"subtab/internal/binning"
 	"subtab/internal/cluster"
 )
 
@@ -33,13 +34,13 @@ type FairnessOptions struct {
 
 // groupQuota applies the FairnessOptions quota in place to reps, the
 // representatives as indices into rows: per rows from each of the bins
-// groups of column col, whose codes are read through code.
-func groupQuota(reps []int, res *cluster.Result, rows rowSet, col, per, bins int, code func(c, r int) uint16) {
+// groups of column col, whose codes are gathered from src in one call.
+func groupQuota(reps []int, res *cluster.Result, rows rowSet, col, per, bins int, src binning.CodeSource) {
 	group := make([]uint16, rows.n)
+	src.GatherCodes(col, rows.list(), group)
 	size := make([]int, bins)
-	for i := range group {
-		group[i] = code(col, rows.at(i))
-		size[group[i]]++
+	for _, g := range group {
+		size[g]++
 	}
 	have := make([]int, bins)
 	chosen := make([]bool, rows.n)

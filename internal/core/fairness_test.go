@@ -286,7 +286,7 @@ func TestGroupQuotaProperties(t *testing.T) {
 func TestGroupQuotaRule(t *testing.T) {
 	group := []uint16{0, 0, 0, 0, 0, 1, 1, 2}
 	res := &cluster.Result{Dist: []float64{.1, .5, .9, .5, .3, .7, .2, .4}}
-	code := func(c, r int) uint16 { return group[r] }
+	src := &shardMemSource{codes: [][]uint16{group}, blockRows: len(group)}
 	for _, tc := range []struct {
 		reps, want []int
 	}{
@@ -298,7 +298,7 @@ func TestGroupQuotaRule(t *testing.T) {
 		{[]int{4}, []int{4}},
 	} {
 		reps := append([]int(nil), tc.reps...)
-		groupQuota(reps, res, allRows(len(group)), 0, 1, 3, code)
+		groupQuota(reps, res, allRows(len(group)), 0, 1, 3, src)
 		if !slices.Equal(reps, tc.want) {
 			t.Errorf("quota over %v = %v, want %v", tc.reps, reps, tc.want)
 		}

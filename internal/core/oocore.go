@@ -26,7 +26,7 @@ import (
 // plausible partial store behind.
 func (m *Model) ExportCodeStore(path string, blockRows int) error {
 	err := blockfile.WriteAtomic(path, func(tmp string) error {
-		w, err := codestore.Create(tmp, m.T.NumCols(), blockRows)
+		w, err := codestore.Create(tmp, m.B.NumBins(), blockRows)
 		if err != nil {
 			return err
 		}

@@ -4,7 +4,9 @@
 // the table is pre-processed, its bin codes are moved to an mmap'd code
 // store (inline codes dropped), and a scaled Select with a spill-forcing
 // slab budget must finish inside the wall-clock bound with the process
-// peak RSS under the asserted ceiling. Without the env var the test skips,
+// peak RSS under the asserted ceiling. It also pins the exported code
+// store at one byte per cell plus framing, and logs the bytes per CSV byte
+// of the table's column store. Without the env var the test skips,
 // so routine `go test ./...` runs never pay for the 1M-row setup.
 package core_test
 
@@ -20,6 +22,7 @@ import (
 	"time"
 
 	"subtab/internal/binning"
+	"subtab/internal/colstore"
 	"subtab/internal/core"
 	"subtab/internal/corpus"
 	"subtab/internal/table"
@@ -71,12 +74,29 @@ func TestOutOfCoreSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := m.UseCodeStoreFile(filepath.Join(t.TempDir(), "smoke.codes"), 0)
+	dir := t.TempDir()
+	codesPath := filepath.Join(dir, "smoke.codes")
+	cs, err := m.UseCodeStoreFile(codesPath, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cs.Close()
 	t.Logf("code store: %d blocks of %d rows, mmap=%v", cs.NumBlocks(), cs.BlockRows(), cs.Mapped())
+
+	// Every column has at most 5 bins, so the code store holds one byte per
+	// cell; the rest is framing: the 26-byte header, the u32 meta length and
+	// one width byte per column, a u32 CRC per page and the 12-byte footer.
+	rows, cols := tbl.NumRows(), tbl.NumCols()
+	framing := 26 + 4 + cols + 4*cs.NumBlocks()*cols + 12
+	if size := fileSize(t, codesPath); size != int64(rows*cols+framing) {
+		t.Fatalf("code store holds %d bytes for %dx%d cells, want %d (1 byte per cell + %d of framing)", size, rows, cols, rows*cols+framing, framing)
+	}
+	cellsPath := filepath.Join(dir, "smoke.cols")
+	if err := colstore.WriteTable(cellsPath, tbl, 0); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("column store: %.3f bytes per CSV byte", float64(fileSize(t, cellsPath))/float64(fileSize(t, csvPath)))
+	os.Remove(cellsPath)
 
 	// Slab budget below the sampled vectors' size (20000 x 8 x 4B = 640KiB)
 	// so the spill path runs under the memory cap too.
@@ -123,6 +143,16 @@ func TestOutOfCoreSmoke(t *testing.T) {
 	// The steady-state figure must describe a live served model, not one
 	// the collector already reclaimed.
 	runtime.KeepAlive(m)
+}
+
+// fileSize returns the size of the file at path.
+func fileSize(t *testing.T, path string) int64 {
+	t.Helper()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
 }
 
 // rssBytes reads one RSS figure (VmRSS: current, VmHWM: high-water) from

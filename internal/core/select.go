@@ -136,6 +136,18 @@ func (s rowSet) at(i int) int {
 	return s.ids[i]
 }
 
+// list returns the row ids, materializing a range.
+func (s rowSet) list() []int {
+	if s.ids != nil {
+		return s.ids
+	}
+	ids := make([]int, s.n)
+	for i := range ids {
+		ids[i] = s.lo + i
+	}
+	return ids
+}
+
 func (s rowSet) slice(start, end int) rowSet {
 	if s.ids == nil {
 		return rowSet{lo: s.lo + start, n: end - start}
@@ -214,13 +226,13 @@ func (m *Model) execute(p *plan, spec ExploreSpec) (*SubTable, error) {
 		mat, _ := slab.Matrix() // exact-path slabs are always resident
 		res = cluster.KMeansMatrix(mat, p.k, cluster.Options{Seed: m.Opt.ClusterSeed})
 	}
-	code := m.B.Code
-	if csrc != nil {
-		code = csrc.Code
+	src := csrc
+	if src == nil {
+		src = m.B.Source()
 	}
-	reps := m.diverseRepresentatives(res, rows, p.cols, 16, code)
+	reps := m.diverseRepresentatives(res, rows, p.cols, 16, src)
 	if p.quotaMin > 0 {
-		groupQuota(reps, res, rows, p.quotaCol, p.quotaMin, m.B.Cols[p.quotaCol].NumBins(), code)
+		groupQuota(reps, res, rows, p.quotaCol, p.quotaMin, m.B.Cols[p.quotaCol].NumBins(), src)
 	}
 	st := &SubTable{}
 	for _, i := range reps {
@@ -244,7 +256,7 @@ func (m *Model) execute(p *plan, spec ExploreSpec) (*SubTable, error) {
 		case columnsBiased:
 			more = m.biasedColumns(candCols, need, spec.ColBias)
 		case columnsCentroid:
-			more = m.centroidColumns(candCols, rows, need, code)
+			more = m.centroidColumns(candCols, rows, need, src)
 		default:
 			more = m.patternGroupColumns(candCols, need)
 		}
@@ -284,10 +296,11 @@ func (m *Model) execute(p *plan, spec ExploreSpec) (*SubTable, error) {
 // keeps the first of equal scores; so of two identical rows the one at the
 // lower candidate index is displayed. That is the lower source row, except
 // under an order-by query, whose candidates come in the query's order. The
-// per-candidate Jaccard scans run across workers, each slot written by
-// exactly one index, so the result is bit-identical to the serial path.
-// code is where the Jaccard comparisons read their codes.
-func (m *Model) diverseRepresentatives(res *cluster.Result, rows rowSet, cols []int, q int, code func(c, r int) uint16) []int {
+// Jaccard comparisons read the members' codes from src, gathered once per
+// column before any comparison. The per-candidate Jaccard scans run across
+// workers, each slot written by exactly one index, so the result is
+// bit-identical to the serial path.
+func (m *Model) diverseRepresentatives(res *cluster.Result, rows rowSet, cols []int, q int, src binning.CodeSource) []int {
 	if res.K == 0 {
 		return nil
 	}
@@ -302,43 +315,63 @@ func (m *Model) diverseRepresentatives(res *cluster.Result, rows rowSet, cols []
 		}
 		return order[x] < order[y]
 	})
-	jaccard := func(r1, r2 int) float64 {
-		if len(cols) == 0 {
+	// The members of every cluster, laid out cluster by cluster: cluster c's
+	// x-th member is member first[c]+x. codes holds member i's codes over
+	// cols at [i*k, (i+1)*k).
+	first := make([]int, len(cands))
+	var ids []int
+	for c, cs := range cands {
+		first[c] = len(ids)
+		for _, x := range cs {
+			ids = append(ids, rows.at(x))
+		}
+	}
+	k := len(cols)
+	codes := make([]uint16, len(ids)*k)
+	col := make([]uint16, len(ids))
+	for j, c := range cols {
+		src.GatherCodes(c, ids, col)
+		for i, code := range col {
+			codes[i*k+j] = code
+		}
+	}
+	jaccard := func(a, b int) float64 {
+		if k == 0 {
 			return 0
 		}
 		same := 0
-		for _, c := range cols {
-			if code(c, r1) == code(c, r2) {
+		for j, code := range codes[a*k : (a+1)*k] {
+			if code == codes[b*k+j] {
 				same++
 			}
 		}
-		return float64(same) / float64(len(cols))
+		return float64(same) / float64(k)
 	}
 	sims := make([]float64, q)
-	var out []int
+	var out, picked []int // picked[i] is out[i]'s member index
 	for _, c := range order {
-		if len(cands[c]) == 0 {
+		cs := cands[c]
+		if len(cs) == 0 {
 			continue
 		}
 		if len(out) == 0 {
-			out = append(out, cands[c][0])
+			out, picked = append(out, cs[0]), append(picked, first[c])
 			continue
 		}
-		cs := cands[c]
 		f32.ParallelIndex(len(cs), f32.Workers(len(cs)), func(x int) {
 			sim := 0.0
-			for _, sel := range out {
-				sim += jaccard(rows.at(cs[x]), rows.at(sel))
+			for _, sel := range picked {
+				sim += jaccard(first[c]+x, sel)
 			}
 			sims[x] = sim / float64(len(out))
 		})
 		best, bestSim := -1, math.Inf(1)
 		for x := range cs {
 			if sims[x] < bestSim {
-				best, bestSim = cs[x], sims[x]
+				best, bestSim = x, sims[x]
 			}
 		}
-		out = append(out, best)
+		out, picked = append(out, cs[best]), append(picked, first[c]+best)
 	}
 	return out
 }

@@ -130,7 +130,7 @@ func (m *Model) UseShardedStores(paths []string, blockRows int) (*shard.Source, 
 	for i := range cuts {
 		cuts[i] = i * rows / len(paths)
 	}
-	sink, err := shard.NewSplitSink(paths, cuts, m.T.NumCols(), blockRows)
+	sink, err := shard.NewSplitSink(paths, cuts, m.B.NumBins(), blockRows)
 	if err != nil {
 		return nil, fmt.Errorf("core: exporting sharded code stores: %w", err)
 	}

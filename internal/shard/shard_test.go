@@ -164,7 +164,7 @@ func TestSplitSinkGeometry(t *testing.T) {
 		paths[i] = filepath.Join(dir, "t.codes.00"+string(rune('0'+i)))
 	}
 	cuts := []int{0, 33, 33, 90, rows}
-	sink, err := NewSplitSink(paths, cuts, cols, 16)
+	sink, err := NewSplitSink(paths, cuts, []int{40, 40, 40}, 16)
 	if err != nil {
 		t.Fatalf("NewSplitSink: %v", err)
 	}
@@ -251,7 +251,7 @@ func TestSplitSinkGeometry(t *testing.T) {
 func TestSplitSinkZeroRows(t *testing.T) {
 	dir := t.TempDir()
 	paths := []string{filepath.Join(dir, "z.codes.000"), filepath.Join(dir, "z.codes.001")}
-	sink, err := NewSplitSink(paths, []int{0, 0, 0}, 2, 8)
+	sink, err := NewSplitSink(paths, []int{0, 0, 0}, []int{1, 1}, 8)
 	if err != nil {
 		t.Fatalf("NewSplitSink: %v", err)
 	}
@@ -275,7 +275,7 @@ func TestSplitSinkZeroRows(t *testing.T) {
 func TestOpenValidation(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "v.codes.000")
-	sink, err := NewSplitSink([]string{path}, []int{0, 10}, 2, 4)
+	sink, err := NewSplitSink([]string{path}, []int{0, 10}, []int{1, 1}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -568,7 +568,7 @@ func TestSparseSource(t *testing.T) {
 func TestSinkDefaultBlockRows(t *testing.T) {
 	dir := t.TempDir()
 	p := filepath.Join(dir, "d.codes.000")
-	sink, err := NewSplitSink([]string{p}, []int{0, 3}, 1, 0)
+	sink, err := NewSplitSink([]string{p}, []int{0, 3}, []int{4}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,12 +25,13 @@ type SplitSink struct {
 	cur       int // shard owning row pos
 }
 
-// NewSplitSink starts a sink writing cols-wide shards to the given paths.
+// NewSplitSink starts a sink writing shards to the given paths, one column
+// per entry of bins (each column's bin count, which sets its code width).
 // cuts holds the row boundaries: shard i owns global rows
 // [cuts[i], cuts[i+1]); it must have len(paths)+1 non-decreasing entries
 // starting at 0 (empty shards are allowed). blockRows <= 0 uses
 // codestore.DefaultBlockRows.
-func NewSplitSink(paths []string, cuts []int, cols, blockRows int) (*SplitSink, error) {
+func NewSplitSink(paths []string, cuts []int, bins []int, blockRows int) (*SplitSink, error) {
 	if len(paths) == 0 {
 		return nil, fmt.Errorf("shard: split sink needs at least one shard")
 	}
@@ -45,9 +46,9 @@ func NewSplitSink(paths []string, cuts []int, cols, blockRows int) (*SplitSink, 
 	if blockRows <= 0 {
 		blockRows = codestore.DefaultBlockRows
 	}
-	s := &SplitSink{paths: paths, cuts: cuts, blockRows: blockRows, cols: cols}
+	s := &SplitSink{paths: paths, cuts: cuts, blockRows: blockRows, cols: len(bins)}
 	for _, p := range paths {
-		w, err := codestore.Create(p+".tmp", cols, blockRows)
+		w, err := codestore.Create(p+".tmp", bins, blockRows)
 		if err != nil {
 			s.Abort()
 			return nil, err
