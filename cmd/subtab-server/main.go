@@ -234,7 +234,7 @@ func run(addr, cacheDir string, maxModels int, seed int64, lim limitsConfig, tim
 		if err != nil {
 			return fmt.Errorf("preload %s: %w", name, err)
 		}
-		m, err := svc.AddTable(name, t, nil, false)
+		m, err := svc.AddTable(name, t, nil, serve.Resident, false)
 		if err != nil {
 			return fmt.Errorf("preload %s: %w", name, err)
 		}

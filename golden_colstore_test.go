@@ -13,26 +13,23 @@ import (
 )
 
 // TestGoldenFingerprintsPagedColumns pins the paged raw-column path against
-// the *existing* golden files: a model whose displayed columns were exported
-// to an mmap'd column store (inline cells dropped, views gathered block by
-// block) must reproduce the exact-path fingerprints byte for byte, and —
-// with the bin codes paged out too, the full out-of-core shape — the
-// large-mode fingerprints. This test never records: it reuses the files the
-// in-memory golden tests own, so a divergence in the paged render path
-// cannot hide behind a re-recording.
+// the *existing* golden files: a model whose codes and displayed columns
+// were paged out to mmap'd stores (inline copies dropped, views gathered
+// block by block) must reproduce the exact-path fingerprints and the
+// large-mode fingerprints byte for byte. This test never records: it
+// reuses the files the in-memory golden tests own, so a divergence in the
+// paged render path cannot hide behind a re-recording.
 func TestGoldenFingerprintsPagedColumns(t *testing.T) {
 	scale := &subtab.ScaleOptions{Threshold: 1, SampleBudget: 256, BatchSize: 128, MaxIter: 50}
 	for _, name := range []string{"FL", "SP", "CY"} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 
-			// Paged columns alone, exact selection path.
+			// Exact selection path.
 			model := goldenModel(t, name, goldenConfig())
-			cols, err := model.UseColumnStoreFile(filepath.Join(dir, name+".cols"), 96)
-			if err != nil {
+			if err := model.PageOut([]string{filepath.Join(dir, name+".codes")}, []string{filepath.Join(dir, name+".cols")}, false, 96); err != nil {
 				t.Fatal(err)
 			}
-			defer cols.Close()
 			if !model.CellsPaged() {
 				t.Fatal("inline cells were not dropped")
 			}
@@ -45,19 +42,11 @@ func TestGoldenFingerprintsPagedColumns(t *testing.T) {
 					"Views gathered from the column store must be byte-identical to SubTableView.\n got:\n%s\nwant:\n%s", name, got, want)
 			}
 
-			// Codes and columns both paged (the serving layer's out-of-core
-			// shape), scaled selection path.
+			// Scaled selection path.
 			ooc := goldenModel(t, name, goldenConfig())
-			cs, err := ooc.UseCodeStoreFile(filepath.Join(dir, name+".codes"), 96)
-			if err != nil {
+			if err := ooc.PageOut([]string{filepath.Join(dir, name+".ooc.codes")}, []string{filepath.Join(dir, name+".ooc.cols")}, false, 96); err != nil {
 				t.Fatal(err)
 			}
-			defer cs.Close()
-			ocols, err := ooc.UseColumnStoreFile(filepath.Join(dir, name+".ooc.cols"), 96)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ocols.Close()
 			wantLarge, err := os.ReadFile(filepath.Join("testdata", "golden", name+".large.fingerprint"))
 			if err != nil {
 				t.Fatalf("missing golden file (run `go test -run Golden -update`): %v", err)
@@ -85,16 +74,9 @@ func TestGoldenLargeModeFingerprintsShardedColumns(t *testing.T) {
 				paths[i] = filepath.Join(dir, fmt.Sprintf("%s.codes.%03d", name, i))
 				colPaths[i] = filepath.Join(dir, fmt.Sprintf("%s.cols.%03d", name, i))
 			}
-			src, err := model.UseShardedStores(paths, 96)
-			if err != nil {
+			if err := model.PageOut(paths, colPaths, true, 96); err != nil {
 				t.Fatal(err)
 			}
-			defer src.Close()
-			cells, err := model.UseShardedColumnStores(colPaths, 96)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cells.Close()
 			if !model.CellsPaged() {
 				t.Fatal("inline cells were not dropped")
 			}
@@ -117,16 +99,9 @@ func TestGoldenPagedModelRoundTrip(t *testing.T) {
 	scale := &subtab.ScaleOptions{Threshold: 1, SampleBudget: 256, BatchSize: 128, MaxIter: 50}
 	dir := t.TempDir()
 	model := goldenModel(t, "FL", goldenConfig())
-	cs, err := model.UseCodeStoreFile(filepath.Join(dir, "fl.codes"), 96)
-	if err != nil {
+	if err := model.PageOut([]string{filepath.Join(dir, "fl.codes")}, []string{filepath.Join(dir, "fl.cols")}, false, 96); err != nil {
 		t.Fatal(err)
 	}
-	defer cs.Close()
-	cols, err := model.UseColumnStoreFile(filepath.Join(dir, "fl.cols"), 96)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cols.Close()
 	if err := subtab.SaveModelFile(filepath.Join(dir, "fl.subtab"), model); err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +137,8 @@ func TestGoldenShardedColumnsHTTPCoordinator(t *testing.T) {
 	opts := goldenConfig()
 
 	build := serve.NewService(serve.NewStore(serve.StoreOptions{Dir: coordDir}), opts)
-	if _, err := build.AddTableSharded(name, ds.T, nil, 3, false); err != nil {
+	built, err := build.AddTable(name, ds.T, nil, serve.Shards(3), false)
+	if err != nil {
 		t.Fatal(err)
 	}
 	// Hand shards 1 and 2 — code files AND column files — plus a copy of the
@@ -178,17 +154,9 @@ func TestGoldenShardedColumnsHTTPCoordinator(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(workerDir, filepath.Base(models[0])), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	paths, err := build.Store().ShardPaths(name, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	colPaths, err := build.Store().ColumnShardPaths(name, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, i := range []int{1, 2} {
-		for _, p := range []string{paths[i], colPaths[i]} {
-			if err := os.Rename(p, filepath.Join(workerDir, filepath.Base(p))); err != nil {
+		for _, f := range []string{built.ShardSource().Desc(i).File, built.ShardCells().Desc(i).File} {
+			if err := os.Rename(filepath.Join(coordDir, f), filepath.Join(workerDir, f)); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -6,7 +6,60 @@ import (
 	"testing"
 
 	"subtab"
+	"subtab/internal/binning"
+	"subtab/internal/codestore"
+	"subtab/internal/shard"
 )
+
+// pageOutCodes switches model's bin codes onto code stores at paths — one
+// path: a plain code store; more: row-range shards — at 96 rows per block,
+// and drops the inline codes while the cells stay resident: the layouts
+// modelio version 5 and 6 files load into. Model.PageOut pages the cells
+// too.
+func pageOutCodes(t *testing.T, model *subtab.Model, paths ...string) {
+	t.Helper()
+	var src binning.CodeSource
+	if len(paths) == 1 {
+		if err := model.ExportCodeStore(paths[0], 96); err != nil {
+			t.Fatal(err)
+		}
+		cs, err := codestore.Open(paths[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cs.Close() })
+		src = cs
+	} else {
+		rows := model.T.NumRows()
+		cuts := make([]int, len(paths)+1)
+		for i := range cuts {
+			cuts[i] = i * rows / len(paths)
+		}
+		sink, err := shard.NewSplitSink(paths, cuts, model.B.NumBins(), 96)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := model.B.ExportCodes(sink, 0); err != nil {
+			t.Fatal(err)
+		}
+		sm, err := sink.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ss, err := shard.Open(filepath.Dir(paths[0]), sm, model.T.NumCols(), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ss.Close() })
+		src = ss
+	}
+	if err := model.B.AttachStore(src); err != nil {
+		t.Fatal(err)
+	}
+	if err := model.B.DropInlineCodes(); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // TestGoldenLargeModeFingerprintsOutOfCore pins the out-of-core selection
 // path against the *existing* large-mode golden files: a model whose bin
@@ -23,11 +76,7 @@ func TestGoldenLargeModeFingerprintsOutOfCore(t *testing.T) {
 	for _, name := range []string{"FL", "SP", "CY"} {
 		t.Run(name, func(t *testing.T) {
 			model := goldenModel(t, name, goldenConfig())
-			cs, err := model.UseCodeStoreFile(filepath.Join(t.TempDir(), name+".codes"), 96)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cs.Close()
+			pageOutCodes(t, model, filepath.Join(t.TempDir(), name+".codes"))
 			path := filepath.Join("testdata", "golden", name+".large.fingerprint")
 			want, err := os.ReadFile(path)
 			if err != nil {
@@ -50,11 +99,7 @@ func TestGoldenLargeModeFingerprintsOutOfCore(t *testing.T) {
 // regression here used to panic on the nil inline-code matrix).
 func TestOutOfCoreEvaluationStack(t *testing.T) {
 	model := goldenModel(t, "FL", goldenConfig())
-	cs, err := model.UseCodeStoreFile(filepath.Join(t.TempDir(), "eval.codes"), 96)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cs.Close()
+	pageOutCodes(t, model, filepath.Join(t.TempDir(), "eval.codes"))
 	st, err := model.Select(6, 5, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -81,11 +126,7 @@ func TestGoldenOutOfCoreModelRoundTrip(t *testing.T) {
 	scale := &subtab.ScaleOptions{Threshold: 1, SampleBudget: 256, BatchSize: 128, MaxIter: 50}
 	dir := t.TempDir()
 	model := goldenModel(t, "FL", goldenConfig())
-	cs, err := model.UseCodeStoreFile(filepath.Join(dir, "fl.codes"), 96)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cs.Close()
+	pageOutCodes(t, model, filepath.Join(dir, "fl.codes"))
 	if err := subtab.SaveModelFile(filepath.Join(dir, "fl.subtab"), model); err != nil {
 		t.Fatal(err)
 	}

@@ -31,11 +31,7 @@ func TestGoldenLargeModeFingerprintsSharded(t *testing.T) {
 			for i := range paths {
 				paths[i] = filepath.Join(dir, fmt.Sprintf("%s.codes.%03d", name, i))
 			}
-			src, err := model.UseShardedStores(paths, 96)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer src.Close()
+			pageOutCodes(t, model, paths...)
 			want, err := os.ReadFile(filepath.Join("testdata", "golden", name+".large.fingerprint"))
 			if err != nil {
 				t.Fatalf("missing golden file (run `go test -run Golden -update`): %v", err)
@@ -64,7 +60,8 @@ func TestGoldenShardedHTTPCoordinator(t *testing.T) {
 	opts := goldenConfig()
 
 	build := serve.NewService(serve.NewStore(serve.StoreOptions{Dir: coordDir}), opts)
-	if _, err := build.AddTableSharded(name, ds.T, nil, 3, false); err != nil {
+	built, err := build.AddTable(name, ds.T, nil, serve.Shards(3), false)
+	if err != nil {
 		t.Fatal(err)
 	}
 	// Hand shards 1 and 2 (and a copy of the model file) to the worker's
@@ -80,12 +77,9 @@ func TestGoldenShardedHTTPCoordinator(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(workerDir, filepath.Base(models[0])), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	paths, err := build.Store().ShardPaths(name, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, i := range []int{1, 2} {
-		if err := os.Rename(paths[i], filepath.Join(workerDir, filepath.Base(paths[i]))); err != nil {
+		f := built.ShardSource().Desc(i).File
+		if err := os.Rename(filepath.Join(coordDir, f), filepath.Join(workerDir, f)); err != nil {
 			t.Fatal(err)
 		}
 	}

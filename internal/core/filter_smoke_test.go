@@ -41,16 +41,9 @@ func TestPredicateScopedSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	cs, err := m.UseCodeStoreFile(filepath.Join(dir, "smoke.codes"), 0)
-	if err != nil {
+	if err := m.PageOut([]string{filepath.Join(dir, "smoke.codes")}, []string{filepath.Join(dir, "smoke.cols")}, false, 0); err != nil {
 		t.Fatal(err)
 	}
-	defer cs.Close()
-	st, err := m.UseColumnStoreFile(filepath.Join(dir, "smoke.cols"), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
 	if !m.OutOfCore() || !m.CellsPaged() {
 		t.Fatal("smoke model not fully paged")
 	}

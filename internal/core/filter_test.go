@@ -15,6 +15,7 @@ import (
 
 	"subtab/internal/binning"
 	"subtab/internal/bitset"
+	"subtab/internal/codestore"
 	"subtab/internal/corpus"
 	"subtab/internal/datagen"
 	"subtab/internal/query"
@@ -47,16 +48,9 @@ func filterTestModel(t *testing.T) *Model {
 func pageOut(t *testing.T, m *Model) {
 	t.Helper()
 	dir := t.TempDir()
-	cs, err := m.UseCodeStoreFile(filepath.Join(dir, "codes"), 64)
-	if err != nil {
+	if err := m.PageOut([]string{filepath.Join(dir, "codes")}, []string{filepath.Join(dir, "cols")}, false, 64); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { cs.Close() })
-	st, err := m.UseColumnStoreFile(filepath.Join(dir, "cols"), 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { st.Close() })
 	if !m.OutOfCore() || !m.CellsPaged() {
 		t.Fatal("model still resident after paging out")
 	}
@@ -66,23 +60,40 @@ func pageOut(t *testing.T, m *Model) {
 // shard files each.
 func shardOut(t *testing.T, m *Model) {
 	t.Helper()
-	dir := t.TempDir()
-	paths := make([]string, 3)
-	colPaths := make([]string, 3)
-	for i := range paths {
-		paths[i] = filepath.Join(dir, fmt.Sprintf("codes.%d", i))
-		colPaths[i] = filepath.Join(dir, fmt.Sprintf("cols.%d", i))
+	codes, cells := shardPaths(t.TempDir(), 3)
+	if err := m.PageOut(codes, cells, true, 64); err != nil {
+		t.Fatal(err)
 	}
-	src, err := m.UseShardedStores(paths, 64)
+}
+
+// shardPaths names n code and n column shard files in dir.
+func shardPaths(dir string, n int) (codes, cells []string) {
+	for i := 0; i < n; i++ {
+		codes = append(codes, filepath.Join(dir, fmt.Sprintf("codes.%d", i)))
+		cells = append(cells, filepath.Join(dir, fmt.Sprintf("cols.%d", i)))
+	}
+	return codes, cells
+}
+
+// codesOut switches m's codes onto a code store at path and drops them,
+// keeping the cells resident: the layout a modelio v5 file loads into.
+func codesOut(t testing.TB, m *Model, path string, blockRows int) *codestore.Store {
+	t.Helper()
+	if err := m.ExportCodeStore(path, blockRows); err != nil {
+		t.Fatal(err)
+	}
+	cs, err := codestore.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { src.Close() })
-	cells, err := m.UseShardedColumnStores(colPaths, 64)
-	if err != nil {
+	t.Cleanup(func() { cs.Close() })
+	if err := m.B.AttachStore(cs); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { cells.Close() })
+	if err := m.B.DropInlineCodes(); err != nil {
+		t.Fatal(err)
+	}
+	return cs
 }
 
 func fpr(st *SubTable) string {

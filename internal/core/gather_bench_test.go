@@ -62,23 +62,18 @@ func BenchmarkGatherTupleVectors(b *testing.B) {
 			})
 		}
 	}
-	// Each layout moves the same model's codes out of the last one.
+	// The code store takes the inline model's codes; the shards page out
+	// a second build of the same table.
 	run("inline")
 	dir := b.TempDir()
-	cs, err := m.UseCodeStoreFile(filepath.Join(dir, "codes"), 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cs.Close()
+	codesOut(b, m, filepath.Join(dir, "codes"), 0)
 	run("codestore")
-	paths := make([]string, 4)
-	for i := range paths {
-		paths[i] = filepath.Join(dir, fmt.Sprintf("codes.%d", i))
-	}
-	src, err := m.UseShardedStores(paths, 0)
-	if err != nil {
+	codes, cells := shardPaths(dir, 4)
+	if m, err = Preprocess(ds.T, opt); err != nil {
 		b.Fatal(err)
 	}
-	defer src.Close()
+	if err := m.PageOut(codes, cells, true, 0); err != nil {
+		b.Fatal(err)
+	}
 	run("shard")
 }

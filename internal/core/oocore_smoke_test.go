@@ -76,11 +76,7 @@ func TestOutOfCoreSmoke(t *testing.T) {
 	}
 	dir := t.TempDir()
 	codesPath := filepath.Join(dir, "smoke.codes")
-	cs, err := m.UseCodeStoreFile(codesPath, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cs.Close()
+	cs := core.CodesOut(t, m, codesPath, 0)
 	t.Logf("code store: %d blocks of %d rows, mmap=%v", cs.NumBlocks(), cs.BlockRows(), cs.Mapped())
 
 	// Every column has at most 5 bins, so the code store holds one byte per

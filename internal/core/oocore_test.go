@@ -24,13 +24,9 @@ import (
 func outOfCoreTwin(t *testing.T) *core.Model {
 	t.Helper()
 	m := deterministicModel(t)
-	cs, err := m.UseCodeStoreFile(filepath.Join(t.TempDir(), "twin.codes"), 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cs.Close() })
+	core.CodesOut(t, m, filepath.Join(t.TempDir(), "twin.codes"), 64)
 	if !m.OutOfCore() {
-		t.Fatal("model still in-core after UseCodeStoreFile")
+		t.Fatal("model still in-core after paging its codes out")
 	}
 	return m
 }
@@ -170,11 +166,7 @@ func TestOutOfCoreRulesAndAppend(t *testing.T) {
 func TestOutOfCoreModelRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	m := deterministicModel(t)
-	cs, err := m.UseCodeStoreFile(filepath.Join(dir, "model.codes"), 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cs.Close()
+	core.CodesOut(t, m, filepath.Join(dir, "model.codes"), 64)
 	want, err := m.SelectExplore(core.ExploreSpec{K: 8, L: 7, Scale: forceScale()})
 	if err != nil {
 		t.Fatal(err)

@@ -3,20 +3,14 @@ package core
 import (
 	"fmt"
 
-	"subtab/internal/colstore"
 	"subtab/internal/table"
 )
 
-// Paged raw columns: a model's displayed cells — the per-cell state only the
-// final k×l view assembly reads — can live in an on-disk column store
-// (internal/colstore) instead of memory, completing the out-of-core story
-// the code store began. ExportColumnStore writes them, AttachColumnStore
-// switches view assembly to gather through the store, and DropInlineCells
-// releases the in-memory columns; from then on a selection renders by
-// fetching only the selected rows' blocks. Rendered views are byte-identical
-// to the in-memory path. Operations that need the raw table back — query
-// evaluation, incremental append — transparently materialize a private
-// resident copy (the analogue of binning.MaterializedCodes).
+// Paged displayed cells: after PageOut (oocore.go) a model's raw columns
+// live in a column store, or in column shards cut at the code shards' rows,
+// and view assembly gathers only the selected rows' blocks through the
+// attached table.CellSource. The table keeps its schema as a husk (names,
+// kinds and row count).
 
 // cellMaterializer is the optional CellSource extension a local column store
 // provides; over-the-wire coordinator sources cannot (and the operations
@@ -25,25 +19,11 @@ type cellMaterializer interface {
 	MaterializeTable(name string) (*table.Table, error)
 }
 
-// ExportColumnStore writes the model's raw displayed columns to a paged
-// column store file at path (blockRows <= 0 uses colstore.DefaultBlockRows).
-// The store is written to a temp file and renamed into place, so a crash
-// cannot leave a plausible partial store behind.
-func (m *Model) ExportColumnStore(path string, blockRows int) error {
-	if !m.T.CellsResident() {
-		return fmt.Errorf("core: exporting column store: table cells are already paged")
-	}
-	if err := colstore.WriteTable(path, m.T, blockRows); err != nil {
-		return fmt.Errorf("core: exporting column store: %w", err)
-	}
-	return nil
-}
-
-// AttachColumnStore attaches an external cell source (typically an opened
-// colstore.Store for a file ExportColumnStore wrote, or a coordinator's
-// over-the-wire shard gatherer) after validating its geometry against the
-// table schema. Attach before the model starts serving; it must not race
-// in-flight selections.
+// AttachColumnStore attaches an external cell source (an opened column
+// store or column shards, as PageOut and modelio's load path attach them,
+// or a coordinator's over-the-wire shard gatherer) after validating its
+// geometry against the table schema. Attach before the model starts
+// serving; it must not race in-flight selections.
 func (m *Model) AttachColumnStore(src table.CellSource) error {
 	if src.NumRows() != m.T.NumRows() {
 		return fmt.Errorf("core: cell source has %d rows, table has %d", src.NumRows(), m.T.NumRows())
@@ -58,45 +38,6 @@ func (m *Model) AttachColumnStore(src table.CellSource) error {
 	}
 	m.cellSrc = src
 	return nil
-}
-
-// DropInlineCells releases the in-memory raw columns of a model with an
-// attached cell source, leaving the table as a schema husk (names, kinds and
-// row count only). The bin counts are computed first so no later stage needs
-// the cells back for counting. Like AttachColumnStore, not safe to race
-// in-flight selections.
-func (m *Model) DropInlineCells() error {
-	if m.cellSrc == nil {
-		return fmt.Errorf("core: dropping inline cells without an attached cell source")
-	}
-	m.cachedBinCounts()
-	m.T.DropCells()
-	return nil
-}
-
-// UseColumnStoreFile is the one-call form of the export→open→attach→drop
-// sequence: it writes the model's raw columns to path, opens the store,
-// switches view assembly onto it and releases the inline columns. The
-// returned store is owned by the model for reading but may be Closed by the
-// caller when the model is discarded (unclosed stores release their mapping
-// when garbage collected).
-func (m *Model) UseColumnStoreFile(path string, blockRows int) (*colstore.Store, error) {
-	if err := m.ExportColumnStore(path, blockRows); err != nil {
-		return nil, err
-	}
-	cs, err := colstore.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("core: reopening exported column store: %w", err)
-	}
-	if err := m.AttachColumnStore(cs); err != nil {
-		cs.Close()
-		return nil, err
-	}
-	if err := m.DropInlineCells(); err != nil {
-		cs.Close()
-		return nil, err
-	}
-	return cs, nil
 }
 
 // CellsPaged reports whether the model's raw columns are store-backed

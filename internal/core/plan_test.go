@@ -8,7 +8,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -251,31 +250,25 @@ func TestPlanReserveBytes(t *testing.T) {
 func remoteTwin(t *testing.T, withSampler bool) *Model {
 	t.Helper()
 	whole := filterTestModel(t)
-	dir := t.TempDir()
-	paths := make([]string, 3)
-	for i := range paths {
-		paths[i] = filepath.Join(dir, fmt.Sprintf("codes.%d", i))
-	}
-	src, err := whole.UseShardedStores(paths, 64)
-	if err != nil {
+	paths, cells := shardPaths(t.TempDir(), 3)
+	if err := whole.PageOut(paths, cells, true, 64); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { src.Close() })
 
 	partialDir := t.TempDir()
 	for _, i := range []int{0, 2} {
 		copyFile(t, paths[i], filepath.Join(partialDir, filepath.Base(paths[i])))
 	}
-	partial, err := shard.Open(partialDir, src.Map(), whole.T.NumCols(), true)
+	partial, err := shard.Open(partialDir, whole.ShardSource().Map(), whole.T.NumCols(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { partial.Close() })
 	m := filterTestModel(t)
-	if err := m.AttachCodeStore(partial); err != nil {
+	if err := m.B.AttachStore(partial); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.DropInlineCodes(); err != nil {
+	if err := m.B.DropInlineCodes(); err != nil {
 		t.Fatal(err)
 	}
 	if m.ShardSource().Complete() {
@@ -321,19 +314,15 @@ func (s peerSampler) Sample(cols []int, budget int, preds []query.Predicate) ([]
 // executionSweep builds one small real model per matrix layout, and the
 // request shapes and scale settings to run on them.
 func executionSweep(t *testing.T) (map[string]*Model, map[string]ExploreSpec, map[string]ScaleOptions) {
-	codesOut := filterTestModel(t)
-	cs, err := codesOut.UseCodeStoreFile(filepath.Join(t.TempDir(), "codes"), 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cs.Close() })
+	codesPaged := filterTestModel(t)
+	codesOut(t, codesPaged, filepath.Join(t.TempDir(), "codes"), 64)
 	paged := filterTestModel(t)
 	pageOut(t, paged)
 	sharded := filterTestModel(t)
 	shardOut(t, sharded)
 	layouts := map[string]*Model{
 		"resident":          filterTestModel(t),
-		"codes-out-of-core": codesOut,
+		"codes-out-of-core": codesPaged,
 		"cells-paged":       paged,
 		"sharded-local":     sharded,
 		"remote+sampler":    remoteTwin(t, true),

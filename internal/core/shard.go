@@ -2,24 +2,22 @@ package core
 
 import (
 	"fmt"
-	"path/filepath"
 	"sync"
 
 	"subtab/internal/binning"
-	"subtab/internal/colstore"
 	"subtab/internal/query"
 	"subtab/internal/shard"
 )
 
-// Sharded selection: a model's code store may be split into N row-range
-// shards (package shard). Locally complete sharded models fan the scaled
-// sampler out with one goroutine per shard and merge the per-shard
-// summaries associatively — bit-identical to the single-store scan.
-// Models with remote shards (a coordinator in a multi-server deployment)
-// route sampling through an installed ShardSampler, which gathers the
-// same summaries from peers over HTTP plus the candidate rows' codes, so
-// the rest of the selection runs locally on an overlay without touching
-// the missing shards.
+// Sharded selection: PageOut may split a model's code store, and its column
+// store at the same rows, into N row-range shards (package shard). Locally
+// complete sharded models fan the scaled sampler out with one goroutine per
+// shard and merge the per-shard summaries associatively — bit-identical to
+// the single-store scan. Models with remote shards (a coordinator in a
+// multi-server deployment) route sampling through an installed
+// ShardSampler, which gathers the same summaries from peers over HTTP plus
+// the candidate rows' codes, so the rest of the selection runs locally on
+// an overlay without touching the missing shards.
 
 // ShardSampler produces the scaled path's candidate sample for a model
 // whose shards are partly remote: rows is exactly what the single-store
@@ -108,55 +106,6 @@ func (m *Model) SampleShard(idx int, cols []int, budget int, seed int64, preds [
 	return shard.ScanFiltered(m.B, cs, start, cols, budget, seed, keep), matched, nil
 }
 
-// UseShardedStores exports the model's codes into len(paths) shard files
-// (rows split evenly: shard i owns rows [i*n/N, (i+1)*n/N)), opens them
-// as one sharded source, switches the model onto it and releases the
-// inline codes — the sharded analogue of UseCodeStoreFile. All paths must
-// share one directory (the shard map names files relative to it). The
-// returned source is owned by the model for reading; Close it when the
-// model is discarded.
-func (m *Model) UseShardedStores(paths []string, blockRows int) (*shard.Source, error) {
-	if len(paths) == 0 {
-		return nil, fmt.Errorf("core: sharded export needs at least one shard path")
-	}
-	dir := filepath.Dir(paths[0])
-	for _, p := range paths[1:] {
-		if filepath.Dir(p) != dir {
-			return nil, fmt.Errorf("core: shard files must share one directory, got %q and %q", dir, filepath.Dir(p))
-		}
-	}
-	rows := m.T.NumRows()
-	cuts := make([]int, len(paths)+1)
-	for i := range cuts {
-		cuts[i] = i * rows / len(paths)
-	}
-	sink, err := shard.NewSplitSink(paths, cuts, m.B.NumBins(), blockRows)
-	if err != nil {
-		return nil, fmt.Errorf("core: exporting sharded code stores: %w", err)
-	}
-	if err := m.B.ExportCodes(sink, 0); err != nil {
-		sink.Abort()
-		return nil, fmt.Errorf("core: exporting sharded code stores: %w", err)
-	}
-	sm, err := sink.Close()
-	if err != nil {
-		return nil, fmt.Errorf("core: exporting sharded code stores: %w", err)
-	}
-	src, err := shard.Open(dir, sm, m.T.NumCols(), false)
-	if err != nil {
-		return nil, fmt.Errorf("core: reopening sharded code stores: %w", err)
-	}
-	if err := m.AttachCodeStore(src); err != nil {
-		src.Close()
-		return nil, err
-	}
-	if err := m.DropInlineCodes(); err != nil {
-		src.Close()
-		return nil, err
-	}
-	return src, nil
-}
-
 // shardedReservoir is the local scatter/gather form of the stratified
 // reservoir: one goroutine scans each shard, the per-stratum minima and
 // phase-2 heaps merge associatively, and the pick order replays exactly —
@@ -179,59 +128,6 @@ func shardedReservoir(b *binning.Binned, src *shard.Source, cols []int, budget i
 	wg.Wait()
 	strata, cands := shard.MergeSummaries(sums, b.NumItems())
 	return shard.FinishSampleBiased(strata, cands, budget, covered)
-}
-
-// UseShardedColumnStores exports the model's raw columns into len(paths)
-// column-store shard files, cut at exactly the same row ranges as
-// UseShardedStores (shard i owns rows [i*n/N, (i+1)*n/N)), opens them as
-// one sharded cell source, switches view assembly onto it and releases the
-// inline columns — the sharded analogue of UseColumnStoreFile. All paths
-// must share one directory. The returned source is owned by the model for
-// reading; Close it when the model is discarded.
-func (m *Model) UseShardedColumnStores(paths []string, blockRows int) (*shard.Cells, error) {
-	if len(paths) == 0 {
-		return nil, fmt.Errorf("core: sharded column export needs at least one shard path")
-	}
-	if !m.T.CellsResident() {
-		return nil, fmt.Errorf("core: exporting sharded column stores: table cells are already paged")
-	}
-	dir := filepath.Dir(paths[0])
-	for _, p := range paths[1:] {
-		if filepath.Dir(p) != dir {
-			return nil, fmt.Errorf("core: column shard files must share one directory, got %q and %q", dir, filepath.Dir(p))
-		}
-	}
-	rows := m.T.NumRows()
-	descs := make([]shard.Desc, len(paths))
-	for i, p := range paths {
-		start, end := i*rows/len(paths), (i+1)*rows/len(paths)
-		if err := colstore.WriteTableRows(p, m.T, start, end, blockRows); err != nil {
-			return nil, fmt.Errorf("core: exporting column shard %d: %w", i, err)
-		}
-		st, err := colstore.Open(p)
-		if err != nil {
-			return nil, fmt.Errorf("core: reopening column shard %d: %w", i, err)
-		}
-		descs[i] = shard.Desc{File: filepath.Base(p), Rows: st.NumRows(), BlockRows: st.BlockRows(), Checksum: st.Checksum()}
-		st.Close()
-	}
-	names := make([]string, m.T.NumCols())
-	for c := range names {
-		names[c] = m.T.ColumnAt(c).Name
-	}
-	cells, err := shard.OpenCells(dir, descs, names, false)
-	if err != nil {
-		return nil, fmt.Errorf("core: reopening sharded column stores: %w", err)
-	}
-	if err := m.AttachColumnStore(cells); err != nil {
-		cells.Close()
-		return nil, err
-	}
-	if err := m.DropInlineCells(); err != nil {
-		cells.Close()
-		return nil, err
-	}
-	return cells, nil
 }
 
 // ShardCells returns the model's sharded cell source, or nil when the

@@ -9,11 +9,13 @@ import (
 	"testing"
 
 	"subtab/internal/core"
+	"subtab/internal/shard"
 	"subtab/internal/word2vec"
 )
 
 // shardedModel builds a model, splits its codes into three shard files
-// under dir and returns it shard-backed.
+// under dir and returns it shard-backed with its cells resident: the
+// layout a version 6 file loads into.
 func shardedModel(t *testing.T, dir string) *core.Model {
 	t.Helper()
 	opt := core.Default()
@@ -29,7 +31,25 @@ func shardedModel(t *testing.T, dir string) *core.Model {
 		paths[i] = filepath.Join(dir, fmt.Sprintf("mixed.codes.%03d", i))
 	}
 	// 61 rows/block: 400 rows split three ways is block-unaligned everywhere.
-	if _, err := m.UseShardedStores(paths, 61); err != nil {
+	sink, err := shard.NewSplitSink(paths, []int{0, 133, 266, 400}, m.B.NumBins(), 61)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.B.ExportCodes(sink, 0); err != nil {
+		t.Fatal(err)
+	}
+	sm, err := sink.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := shard.Open(dir, sm, m.T.NumCols(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.B.AttachStore(src); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.B.DropInlineCodes(); err != nil {
 		t.Fatal(err)
 	}
 	return m

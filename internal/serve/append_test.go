@@ -245,7 +245,7 @@ func TestHTTPAppendRacingSelect(t *testing.T) {
 func TestServiceConcurrentAppendsCompose(t *testing.T) {
 	svc := NewService(NewStore(StoreOptions{}), testOptions())
 	base := testTable("pay", 150, 3)
-	if _, err := svc.AddTable("pay", base, nil, false); err != nil {
+	if _, err := svc.AddTable("pay", base, nil, Resident, false); err != nil {
 		t.Fatal(err)
 	}
 	const writers = 4
@@ -282,7 +282,7 @@ func TestZeroRowAppendIsFreeOfSideEffects(t *testing.T) {
 	dir := t.TempDir()
 	store := NewStore(StoreOptions{Dir: dir})
 	svc := NewService(store, testOptions())
-	if _, err := svc.AddTable("pay", testTable("pay", 100, 3), nil, false); err != nil {
+	if _, err := svc.AddTable("pay", testTable("pay", 100, 3), nil, Resident, false); err != nil {
 		t.Fatal(err)
 	}
 	// Remove the persisted file: a no-op Update must not resurrect it.
@@ -319,7 +319,7 @@ func TestZeroRowAppendIsFreeOfSideEffects(t *testing.T) {
 func TestAppendPersistsThroughStore(t *testing.T) {
 	dir := t.TempDir()
 	svc := NewService(NewStore(StoreOptions{Dir: dir}), testOptions())
-	if _, err := svc.AddTable("pay", testTable("pay", 120, 3), nil, false); err != nil {
+	if _, err := svc.AddTable("pay", testTable("pay", 120, 3), nil, Resident, false); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := svc.AppendRows("pay", testTable("pay", 15, 7), core.AppendOptions{DriftThreshold: 1}); err != nil {

@@ -35,9 +35,7 @@ func TestSelectErrorClasses(t *testing.T) {
 	if err := m.AttachColumnStore(failingCells{m.T}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.DropInlineCells(); err != nil {
-		t.Fatal(err)
-	}
+	m.T.DropCells()
 	store := NewStore(StoreOptions{})
 	if err := store.Put("cells", m); err != nil {
 		t.Fatal(err)

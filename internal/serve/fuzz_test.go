@@ -1,0 +1,86 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+
+	"subtab/internal/table"
+)
+
+// FuzzV1Body drives the JSON bodies of the three select-shaped endpoints —
+// the table select, the session select and the drill-down — through the
+// handler on a small resident table, without a listener. Whatever the
+// bytes, the handler must not panic or answer 5xx, and every non-2xx
+// answer must be the typed error envelope.
+//
+//	go test -run '^$' -fuzz=FuzzV1Body -fuzztime=10s ./internal/serve/
+func FuzzV1Body(f *testing.F) {
+	for _, seed := range []struct {
+		endpoint uint8
+		body     string
+	}{
+		{0, `{"k":6,"l":3,"targets":["status"],"highlight":true}`},
+		{0, `{"k":4,"l":3,"query":{"where":[{"col":"amount","op":">=","num":40}],"select":["amount","status"]}}`},
+		{0, `{"k":3,"l":2,"scale":{"threshold":1,"sample_budget":64,"batch_size":16,"max_iter":5,"slab_budget":1}}`},
+		{1, `{"where":[{"col":"status","op":"=","str":"failed"}],"k":5,"l":3}`},
+		{1, `{"k":5,"l":3,"weights":{"null_rate":1,"view_count":0.5}}`},
+		{1, `{"where":[{"col":"amount","op":"~","num":1}]}`},
+		{1, `{"k":-2}`},
+		{2, `{"row":0,"col":"amount","k":4,"l":3}`},
+		{2, `{"row":-99}`},
+		{2, `{"row":1,"col":"status","k":4,"l":2,"weights":{"view_count":1}}`},
+		{2, ``},
+		{1, `{"k":`},
+		{0, `{"k":65536,"l":1,"scale":{"threshold":1,"sample_budget":1000000000,"batch_size":1000000000,"max_iter":1000000000}}`},
+		{2, `{"row":3,"k":256,"l":256,"scale":{"threshold":1,"batch_size":1000000000,"slab_budget":1}}`},
+	} {
+		f.Add(seed.endpoint, []byte(seed.body))
+	}
+	tbl, err := table.ReadCSV("pay", strings.NewReader(testCSV(120)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	svc := NewService(NewStore(StoreOptions{}), testOptions())
+	if _, err := svc.AddTable("pay", tbl, nil, Resident, false); err != nil {
+		f.Fatal(err)
+	}
+	h := NewHandler(svc, nil)
+	post := func(path string, body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		return rec
+	}
+	rec := post("/v1/sessions", []byte(`{"table":"pay"}`))
+	var info SessionInfo
+	if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil || rec.Code != http.StatusCreated {
+		f.Fatalf("creating the session: %d %s", rec.Code, rec.Body)
+	}
+	// One view up front, so drill-downs have rows to anchor on.
+	if rec := post("/v1/sessions/"+info.Session+"/select", []byte(`{"k":4,"l":3}`)); rec.Code != http.StatusOK {
+		f.Fatalf("first session select: %d %s", rec.Code, rec.Body)
+	}
+	paths := []string{
+		"/v1/tables/pay/select",
+		"/v1/sessions/" + info.Session + "/select",
+		"/v1/sessions/" + info.Session + "/drilldown",
+	}
+
+	f.Fuzz(func(t *testing.T, endpoint uint8, body []byte) {
+		path := paths[int(endpoint)%len(paths)]
+		rec := post(path, body)
+		if rec.Code >= 500 {
+			t.Fatalf("POST %s %q = %d: %s", path, body, rec.Code, rec.Body)
+		}
+		if rec.Code/100 == 2 {
+			return
+		}
+		var env errorEnvelope
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Code == "" || env.Message == "" {
+			t.Fatalf("POST %s %q = %d without the error envelope: %s", path, body, rec.Code, rec.Body)
+		}
+	})
+}

@@ -203,7 +203,9 @@ func (h *api) deleteTable(w http.ResponseWriter, r *http.Request) {
 
 // createTable ingests a CSV body: POST /tables?name=flights with optional
 // pipeline knobs (bins, dim, window, epochs, seed, strategy, columns,
-// workers) and replace=1 to overwrite an existing table.
+// workers), replace=1 to overwrite an existing table, and the table's
+// layout: store=1 pages its codes and cells out to one file pair, shards=N
+// to N row-range shards (at most maxShards, and no more than the rows).
 func (h *api) createTable(w http.ResponseWriter, r *http.Request) {
 	qp := r.URL.Query()
 	name := qp.Get("name")
@@ -216,23 +218,22 @@ func (h *api) createTable(w http.ResponseWriter, r *http.Request) {
 		writeBadRequest(w, "%v", err)
 		return
 	}
-	var toStore bool
+	layout := Resident
 	switch v := qp.Get("store"); v {
 	case "", "0", "false":
 	case "1", "true":
-		toStore = true
+		layout = Paged
 	default:
 		writeBadRequest(w, "parameter store: want 1/true or 0/false, got %q", v)
 		return
 	}
-	var shards int
 	if v := qp.Get("shards"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n <= 0 {
 			writeBadRequest(w, "parameter shards: want a positive integer, got %q", v)
 			return
 		}
-		shards = n
+		layout = Shards(n)
 	}
 	t, err := table.ReadCSV(name, http.MaxBytesReader(w, r.Body, maxCSVBody))
 	if err != nil {
@@ -241,20 +242,7 @@ func (h *api) createTable(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	replace := qp.Get("replace") == "1" || qp.Get("replace") == "true"
-	var m *core.Model
-	switch {
-	case shards > 0:
-		// Sharded upload: bin codes split into N code store files in the
-		// disk cache, scaled selections scatter across them.
-		m, err = h.svc.AddTableSharded(name, t, opt, shards, replace)
-	case toStore:
-		// Out-of-core upload: bin codes live in a code store file in the
-		// disk cache; the served model keeps only the table, the binnings
-		// and the embedding resident.
-		m, err = h.svc.AddTableOutOfCore(name, t, opt, replace)
-	default:
-		m, err = h.svc.AddTable(name, t, opt, replace)
-	}
+	m, err := h.svc.AddTable(name, t, opt, layout, replace)
 	if err != nil {
 		writeError(w, err)
 		return

@@ -161,7 +161,7 @@ func TestServiceAdmission(t *testing.T) {
 	g := memgov.New(1) // any select's estimate exceeds one byte
 	svc := NewService(NewStore(StoreOptions{Governor: g}), testOptions())
 	svc.SetAdmission(g, 0)
-	if _, err := svc.AddTable("t", testTable("t", 300, 5), nil, false); err != nil {
+	if _, err := svc.AddTable("t", testTable("t", 300, 5), nil, Resident, false); err != nil {
 		t.Fatal(err)
 	}
 	_, err := svc.Select("t", core.ExploreSpec{K: 5, L: 3})

@@ -1,94 +1,19 @@
-// Serving-layer tests for out-of-core tables: the store=1 upload knob,
-// the on-disk model + code store pairing, disk reloads that come back
-// store-backed, selection equivalence against an in-memory twin, and the
-// per-request slab budget.
+// Serving-layer tests for out-of-core tables (their whole life in one
+// layout is TestLayoutLifecycle's): appends and reloads stay out-of-core,
+// paged layouts need a disk-backed store, and the store=1 upload knob and
+// the per-request slab budget work over HTTP.
 package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strings"
 	"testing"
 
 	"subtab/internal/core"
 )
-
-func TestAddTableOutOfCoreServesIdentically(t *testing.T) {
-	dir := t.TempDir()
-	svcOOC := NewService(NewStore(StoreOptions{Dir: dir}), testOptions())
-	svcMem := NewService(NewStore(StoreOptions{}), testOptions())
-	tbl := testTable("t", 2500, 7)
-	mOOC, err := svcOOC.AddTableOutOfCore("t", tbl, nil, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !mOOC.OutOfCore() {
-		t.Fatal("AddTableOutOfCore served an in-core model")
-	}
-	if _, err := svcMem.AddTable("t", testTable("t", 2500, 7), nil, false); err != nil {
-		t.Fatal(err)
-	}
-
-	// The model file and the code store sit side by side in the cache dir.
-	csPath, err := svcOOC.Store().CodeStorePath("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(csPath); err != nil {
-		t.Fatalf("code store file missing: %v", err)
-	}
-
-	for _, scale := range []*core.ScaleOptions{nil, scaleForce()} {
-		want, err := svcMem.Select("t", core.ExploreSpec{K: 6, L: 3, Scale: scale})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := svcOOC.Select("t", core.ExploreSpec{K: 6, L: 3, Scale: scale})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if subTableFingerprint(got) != subTableFingerprint(want) {
-			t.Fatalf("out-of-core serve diverged (scale=%v):\n got %s\nwant %s",
-				scale, subTableFingerprint(got), subTableFingerprint(want))
-		}
-	}
-
-	// A fresh service over the same cache dir reloads the model from disk
-	// (modelio v5 external reference) and must serve the same selections,
-	// still out-of-core.
-	svcReload := NewService(NewStore(StoreOptions{Dir: dir}), testOptions())
-	m, err := svcReload.Model("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.OutOfCore() {
-		t.Fatal("disk reload lost the code store backing")
-	}
-	want, err := svcMem.Select("t", core.ExploreSpec{K: 6, L: 3, Scale: scaleForce()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := svcReload.Select("t", core.ExploreSpec{K: 6, L: 3, Scale: scaleForce()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if subTableFingerprint(got) != subTableFingerprint(want) {
-		t.Fatal("reloaded out-of-core model serves different selections")
-	}
-
-	// Rules and highlight still work (they materialize a private copy).
-	if _, _, err := svcOOC.Rules("t", rulesOptionsForTest()); err != nil {
-		t.Fatal(err)
-	}
-
-	// RemoveTable drops both files.
-	svcOOC.RemoveTable("t")
-	if _, err := os.Stat(csPath); !os.IsNotExist(err) {
-		t.Fatalf("code store file survived RemoveTable: %v", err)
-	}
-}
 
 // TestAppendKeepsTableOutOfCore pins that appending to a store-backed
 // table re-exports the successor's codes instead of silently regressing
@@ -98,7 +23,7 @@ func TestAddTableOutOfCoreServesIdentically(t *testing.T) {
 func TestAppendKeepsTableOutOfCore(t *testing.T) {
 	dir := t.TempDir()
 	svc := NewService(NewStore(StoreOptions{Dir: dir}), testOptions())
-	if _, err := svc.AddTableOutOfCore("t", testTable("t", 1200, 7), nil, false); err != nil {
+	if _, err := svc.AddTable("t", testTable("t", 1200, 7), nil, Paged, false); err != nil {
 		t.Fatal(err)
 	}
 	delta := testTable("t", 12, 8)
@@ -127,11 +52,14 @@ func TestAppendKeepsTableOutOfCore(t *testing.T) {
 	}
 }
 
-// TestAddTableOutOfCoreNeedsDisk pins the memory-only rejection.
+// TestAddTableOutOfCoreNeedsDisk pins the memory-only rejection of every
+// paged layout.
 func TestAddTableOutOfCoreNeedsDisk(t *testing.T) {
 	svc := NewService(NewStore(StoreOptions{}), testOptions())
-	if _, err := svc.AddTableOutOfCore("t", testTable("t", 200, 1), nil, false); err == nil {
-		t.Fatal("AddTableOutOfCore succeeded without a disk-backed store")
+	for _, l := range []Layout{Paged, Shards(1), Shards(2)} {
+		if _, err := svc.AddTable("t", testTable("t", 200, 1), nil, l, false); !errors.Is(err, ErrBadRequest) {
+			t.Fatalf("layout %d without a disk-backed store: %v, want a bad request", l, err)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"subtab/internal/core"
@@ -104,163 +105,137 @@ type TableInfo struct {
 	LocalShards int `json:"local_shards,omitempty"`
 }
 
-// AddTable pre-processes t and registers it under name. Concurrent AddTable
-// and Select calls for the same name share a single Preprocess run. With
-// replace false, a name that is already served returns ErrExists; with
-// replace true, the new model overwrites the old one (and its caches,
-// mined rules included, leave with it).
-func (s *Service) AddTable(name string, t *table.Table, opt *core.Options, replace bool) (*core.Model, error) {
+// Layout says where an added table's bin codes and displayed cells live.
+// Resident keeps both in memory. Paged writes them to one .codes/.cols file
+// pair next to the model file in the store's directory, and Shards(n) to n
+// row-range shard pairs plus a .shards map, which worker instances can
+// split between them. Paged layouts serve the files mmap'd: the resident
+// model is schema, binnings and embedding, and a select streams the code
+// blocks it samples and gathers only the displayed rows' cells.
+type Layout int
+
+const (
+	Resident Layout = 0
+	Paged    Layout = -1
+)
+
+// Shards is the layout of n row-range shards (n >= 1; n = 1 is a one-shard
+// table, not the Paged pair).
+func Shards(n int) Layout { return Layout(n) }
+
+// maxShards bounds an added table's shard count. Each shard is two files,
+// so this caps the files one upload writes.
+const maxShards = 256
+
+// AddTable pre-processes t and registers it under name, its codes and cells
+// in layout l. Selections are bit-identical in every layout, and disk
+// reloads come back in the layout the table was added with. With replace
+// false, a name that is already served returns ErrExists; with replace
+// true, the new model overwrites the old one (and its caches, mined rules
+// included, leave with it), and once the new model file is in place every
+// store file of the name that the new model does not use is deleted.
+//
+// A resident add that does not replace shares one Preprocess with
+// concurrent requests for the name. Every other add builds, pages out,
+// persists and inserts under the table's name lock, so two uploads of one
+// name serialize instead of pairing one model with the other's files.
+func (s *Service) AddTable(name string, t *table.Table, opt *core.Options, l Layout, replace bool) (*core.Model, error) {
 	if strings.TrimSpace(name) == "" {
 		return nil, errors.New("serve: table name must not be empty")
+	}
+	if err := s.checkLayout(l, t.NumRows()); err != nil {
+		return nil, err
 	}
 	o := s.defaults
 	if opt != nil {
 		o = *opt
 	}
 	build := func() (*core.Model, error) { return core.Preprocess(t, o) }
-	if !replace {
+	if l == Resident && !replace {
 		if s.store.Contains(name) {
 			return nil, fmt.Errorf("%w: %q", ErrExists, name)
 		}
 		return s.store.GetOrBuild(name, build)
 	}
+	nl := s.store.lockName(name)
+	nl.Lock()
+	defer nl.Unlock()
+	if !replace && s.store.Contains(name) {
+		return nil, fmt.Errorf("%w: %q", ErrExists, name)
+	}
 	m, err := build()
 	if err != nil {
 		return nil, err
 	}
-	if err := s.store.Put(name, m); err != nil {
-		return nil, err
+	files, err := s.pageOut(name, m, l, 0)
+	if err == nil {
+		err = s.store.putLocked(name, m)
 	}
-	return m, nil
-}
-
-// AddTableOutOfCore is AddTable for tables that should serve out-of-core:
-// after pre-processing, the bin codes are exported to a code store file in
-// the disk cache, the model is switched onto it and the inline codes are
-// released, so the served model's resident footprint excludes the per-cell
-// code matrix and scaled selections stream the store instead. The raw
-// displayed columns page out the same way, to a sibling column store file:
-// view assembly gathers the selected rows' blocks instead of indexing an
-// in-memory table. The persisted model references both store files
-// (modelio v5/v7), so disk reloads come back out-of-core too. Requires a disk-backed store; selections are
-// bit-identical to the in-memory path. The whole build — export, attach,
-// persist, insert — runs under the table's per-name lock, so concurrent
-// uploads of one name serialize instead of pairing one upload's model with
-// the other's code store.
-func (s *Service) AddTableOutOfCore(name string, t *table.Table, opt *core.Options, replace bool) (*core.Model, error) {
-	if strings.TrimSpace(name) == "" {
-		return nil, errors.New("serve: table name must not be empty")
-	}
-	csPath, err := s.store.CodeStorePath(name)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	colsPath, err := s.store.ColumnStorePath(name)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	nl := s.store.lockName(name)
-	nl.Lock()
-	defer nl.Unlock()
-	if !replace && s.store.Contains(name) {
-		return nil, fmt.Errorf("%w: %q", ErrExists, name)
-	}
-	o := s.defaults
-	if opt != nil {
-		o = *opt
-	}
-	m, err := core.Preprocess(t, o)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := m.UseCodeStoreFile(csPath, 0); err != nil {
-		return nil, err
-	}
-	// Page out the raw displayed columns too: with both stores external the
-	// resident model is schema + binnings + embedding, and a select gathers
-	// only the k chosen rows' cell blocks back.
-	if _, err := m.UseColumnStoreFile(colsPath, 0); err != nil {
-		os.Remove(csPath)
-		return nil, err
-	}
-	if err := s.store.putLocked(name, m); err != nil {
 		// Do not strand stores whose model never registered.
-		os.Remove(csPath)
-		os.Remove(colsPath)
+		for _, f := range files {
+			os.Remove(f)
+		}
 		return nil, err
 	}
+	s.store.sweepStores(name, files)
 	return m, nil
 }
 
-// AddTableSharded is AddTableOutOfCore with the code store split into
-// shards: the bin codes export into `shards` codestore files (rows cut
-// evenly), the model serves scaled selections by scattering one goroutine
-// per shard, and a sidecar shard-map file records the layout so Remove
-// can delete every shard and external tooling can address them. The raw
-// displayed columns export into column-store shards cut at the same rows,
-// so each worker instance holds the cells its code shard can select. The
-// persisted model references the shard map and column shards (modelio
-// v6/v7); selections stay bit-identical to the single-store and in-memory
-// paths.
-func (s *Service) AddTableSharded(name string, t *table.Table, opt *core.Options, shards int, replace bool) (*core.Model, error) {
-	if strings.TrimSpace(name) == "" {
-		return nil, errors.New("serve: table name must not be empty")
+// checkLayout refuses, before any file is written, a layout the store or
+// the table cannot hold.
+func (s *Service) checkLayout(l Layout, rows int) error {
+	switch {
+	case l == Resident:
+		return nil
+	case l < Paged:
+		return fmt.Errorf("%w: shard count must be positive, got %d", ErrBadRequest, l)
+	case s.store.opt.Dir == "":
+		return fmt.Errorf("%w: paged tables need a disk-backed store (set StoreOptions.Dir)", ErrBadRequest)
+	case l > maxShards:
+		return fmt.Errorf("%w: %d shards exceed the limit of %d", ErrBadRequest, l, maxShards)
+	case l > 1 && int(l) > rows:
+		return fmt.Errorf("%w: %d shards for %d rows: every shard needs a row", ErrBadRequest, l, rows)
 	}
-	if shards <= 0 {
-		return nil, fmt.Errorf("%w: shard count must be positive, got %d", ErrBadRequest, shards)
+	return nil
+}
+
+// pageOut writes m's codes and cells in layout l next to name's model file
+// (nothing for Resident) and switches m onto them. It returns the files of
+// the layout, also on error, so a failed add can delete what it wrote.
+func (s *Service) pageOut(name string, m *core.Model, l Layout, blockRows int) ([]string, error) {
+	codes, cells, shardMap := s.store.layoutPaths(name, l)
+	files := slices.Concat(codes, cells)
+	if shardMap != "" {
+		files = append(files, shardMap)
 	}
-	paths, err := s.store.ShardPaths(name, shards)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	if len(files) == 0 {
+		return nil, nil
 	}
-	colPaths, err := s.store.ColumnShardPaths(name, shards)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	if err := os.MkdirAll(s.store.opt.Dir, 0o755); err != nil {
+		return files, err
 	}
-	nl := s.store.lockName(name)
-	nl.Lock()
-	defer nl.Unlock()
-	if !replace && s.store.Contains(name) {
-		return nil, fmt.Errorf("%w: %q", ErrExists, name)
+	if err := m.PageOut(codes, cells, shardMap != "", blockRows); err != nil {
+		return files, err
 	}
-	o := s.defaults
-	if opt != nil {
-		o = *opt
-	}
-	m, err := core.Preprocess(t, o)
-	if err != nil {
-		return nil, err
-	}
-	src, err := m.UseShardedStores(paths, 0)
-	if err != nil {
-		return nil, err
-	}
-	cleanup := func() {
-		for _, p := range paths {
-			os.Remove(p)
+	if shardMap != "" {
+		if err := shard.WriteFile(shardMap, m.ShardSource().Map()); err != nil {
+			return files, fmt.Errorf("serve: writing shard map for %q: %w", name, err)
 		}
-		for _, p := range colPaths {
-			os.Remove(p)
-		}
-		os.Remove(s.store.shardMapPath(name))
 	}
-	// The raw displayed columns shard at the same row cuts as the codes, so
-	// a worker instance given shard i's code file and column file holds
-	// everything a scatter touching shard i needs: codes to scan, cells to
-	// render.
-	if _, err := m.UseShardedColumnStores(colPaths, 0); err != nil {
-		cleanup()
-		return nil, err
+	return files, nil
+}
+
+// layoutOf is the layout a served model is in. A model loaded from a
+// version 5 file (paged codes, resident cells) counts as Paged.
+func layoutOf(m *core.Model) Layout {
+	if src := m.ShardSource(); src != nil {
+		return Shards(src.NumShards())
 	}
-	if err := shard.WriteFile(s.store.shardMapPath(name), src.Map()); err != nil {
-		cleanup()
-		return nil, fmt.Errorf("serve: writing shard map for %q: %w", name, err)
+	if m.OutOfCore() || m.CellsPaged() {
+		return Paged
 	}
-	if err := s.store.putLocked(name, m); err != nil {
-		cleanup()
-		return nil, err
-	}
-	return m, nil
+	return Resident
 }
 
 // AppendRows ingests rows into the named table via core.Model.Append: the
@@ -271,13 +246,13 @@ func (s *Service) AddTableSharded(name string, t *table.Table, opt *core.Options
 // concurrent appends compose instead of losing rows. Rules mined over the
 // old rows stay cached on the old model only.
 //
-// Out-of-core tables stay out-of-core: Append materializes inline codes
-// to build the successor, so the successor's codes are re-exported over
-// the table's store file and dropped again before the swap — the memory
-// bound the table was uploaded under survives its appends. Paged raw
-// columns re-export the same way, over the table's column store (or its
-// column shards). In-flight selections on the old model keep reading the
-// replaced stores through their open mappings.
+// Paged tables stay paged: Append materializes inline codes and cells to
+// build the successor, so the successor is paged out again, in the table's
+// layout and block size, over the table's store files before the swap — the
+// memory bound the table was added under survives its appends. A table
+// loaded from a version 5 file (paged codes, resident cells) comes out with
+// its cells paged too. In-flight selections on the old model keep reading
+// the replaced stores through their open mappings.
 func (s *Service) AppendRows(name string, rows *table.Table, opt core.AppendOptions) (*core.Model, core.AppendStats, error) {
 	var stats core.AppendStats
 	m, err := s.store.Update(name, func(cur *core.Model) (*core.Model, error) {
@@ -293,55 +268,9 @@ func (s *Service) AppendRows(name string, rows *table.Table, opt core.AppendOpti
 			return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 		}
 		stats = st
-		changed := next != cur
-		switch {
-		case changed && cur.ShardSource() != nil && next.ShardSource() == nil:
-			// Sharded tables stay sharded: re-export the successor's codes
-			// into the same shard count and granularity and rewrite the
-			// sidecar map. In-flight selections keep their open mappings of
-			// the replaced shard files.
-			cursrc := cur.ShardSource()
-			paths, perr := s.store.ShardPaths(name, cursrc.NumShards())
-			if perr != nil {
-				return nil, fmt.Errorf("serve: re-exporting shards after append: %w", perr)
-			}
-			nsrc, err := next.UseShardedStores(paths, cursrc.BlockRows())
-			if err != nil {
-				return nil, fmt.Errorf("serve: re-exporting shards after append: %w", err)
-			}
-			if err := shard.WriteFile(s.store.shardMapPath(name), nsrc.Map()); err != nil {
-				return nil, fmt.Errorf("serve: rewriting shard map after append: %w", err)
-			}
-			if cur.CellsPaged() && !next.CellsPaged() {
-				// Paged columns stay paged, re-sharded at the successor's cuts.
-				colPaths, perr := s.store.ColumnShardPaths(name, cursrc.NumShards())
-				if perr != nil {
-					return nil, fmt.Errorf("serve: re-exporting column shards after append: %w", perr)
-				}
-				blockRows := 0
-				if sc := cur.ShardCells(); sc != nil && sc.NumShards() > 0 {
-					blockRows = sc.Desc(0).BlockRows
-				}
-				if _, err := next.UseShardedColumnStores(colPaths, blockRows); err != nil {
-					return nil, fmt.Errorf("serve: re-exporting column shards after append: %w", err)
-				}
-			}
-		case changed && cur.OutOfCore() && !next.OutOfCore():
-			csPath, perr := s.store.CodeStorePath(name)
-			if perr != nil {
-				return nil, fmt.Errorf("serve: re-exporting code store after append: %w", perr)
-			}
-			if _, err := next.UseCodeStoreFile(csPath, 0); err != nil {
-				return nil, fmt.Errorf("serve: re-exporting code store after append: %w", err)
-			}
-			if cur.CellsPaged() && !next.CellsPaged() {
-				colsPath, perr := s.store.ColumnStorePath(name)
-				if perr != nil {
-					return nil, fmt.Errorf("serve: re-exporting column store after append: %w", perr)
-				}
-				if _, err := next.UseColumnStoreFile(colsPath, 0); err != nil {
-					return nil, fmt.Errorf("serve: re-exporting column store after append: %w", err)
-				}
+		if next != cur {
+			if _, err := s.pageOut(name, next, layoutOf(cur), cur.B.Source().BlockRows()); err != nil {
+				return nil, fmt.Errorf("serve: paging out %q after append: %w", name, err)
 			}
 		}
 		return next, nil

@@ -84,7 +84,7 @@ func TestShardedSmoke(t *testing.T) {
 	coordDir, workerDir := t.TempDir(), t.TempDir()
 	build := NewService(NewStore(StoreOptions{Dir: coordDir}), shardSmokeOptions())
 	start := time.Now()
-	if _, err := build.AddTableSharded("smoke", tbl, nil, 4, false); err != nil {
+	if _, err := build.AddTable("smoke", tbl, nil, Shards(4), false); err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("preprocess + 4-shard export: %s", time.Since(start).Round(time.Millisecond))
@@ -125,14 +125,7 @@ func TestShardedSmoke(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(workerDir, filepath.Base(models[0])), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	paths, err := build.Store().ShardPaths("smoke", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	colPaths, err := build.Store().ColumnShardPaths("smoke", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	paths, colPaths, _ := build.Store().layoutPaths("smoke", Shards(4))
 	for _, i := range []int{2, 3} {
 		for _, p := range []string{paths[i], colPaths[i]} {
 			if err := os.Rename(p, filepath.Join(workerDir, filepath.Base(p))); err != nil {

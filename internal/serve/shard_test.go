@@ -1,8 +1,7 @@
-// Serving-layer tests for sharded tables: sharded uploads must serve
-// bit-identically to in-memory models, survive disk reloads, clean up
-// every shard file on removal, keep their sharding across appends, and —
-// the HTTP lift — a coordinator holding some shards must reproduce the
-// same selections by sampling the rest from a peer instance.
+// Serving-layer tests for sharded tables (their whole life in one layout is
+// TestLayoutLifecycle's): a coordinator holding some shards must reproduce
+// the same selections by sampling the rest from a peer instance, the worker
+// endpoint validates its requests, and the shards upload knob is bounded.
 package serve
 
 import (
@@ -18,119 +17,6 @@ import (
 	"subtab/internal/shard"
 )
 
-func TestAddTableShardedServesIdentically(t *testing.T) {
-	dir := t.TempDir()
-	svcSh := NewService(NewStore(StoreOptions{Dir: dir}), testOptions())
-	svcMem := NewService(NewStore(StoreOptions{}), testOptions())
-	m, err := svcSh.AddTableSharded("t", testTable("t", 2500, 7), nil, 3, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if src := m.ShardSource(); src == nil || src.NumShards() != 3 || !src.Complete() {
-		t.Fatalf("sharded add produced source %+v", m.ShardSource())
-	}
-	if _, err := svcMem.AddTable("t", testTable("t", 2500, 7), nil, false); err != nil {
-		t.Fatal(err)
-	}
-
-	paths, err := svcSh.Store().ShardPaths("t", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range paths {
-		if _, err := os.Stat(p); err != nil {
-			t.Fatalf("shard file missing: %v", err)
-		}
-	}
-	info, err := svcSh.Info("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Shards != 3 || info.LocalShards != 3 {
-		t.Fatalf("info = %+v, want 3/3 shards", info)
-	}
-
-	// Exact and scaled selects both match the in-memory twin.
-	for _, scale := range []*core.ScaleOptions{nil, scaleForce()} {
-		want, err := svcMem.Select("t", core.ExploreSpec{K: 6, L: 3, Scale: scale})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := svcSh.Select("t", core.ExploreSpec{K: 6, L: 3, Scale: scale})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if subTableFingerprint(got) != subTableFingerprint(want) {
-			t.Fatalf("sharded serve diverged (scale=%v)", scale)
-		}
-	}
-
-	// A fresh service over the same cache dir reloads the sharded model
-	// from disk (modelio v6) and serves the same scaled selections.
-	svcReload := NewService(NewStore(StoreOptions{Dir: dir}), testOptions())
-	m2, err := svcReload.Model("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if src := m2.ShardSource(); src == nil || !src.Complete() {
-		t.Fatal("disk reload lost the shard backing")
-	}
-	want, err := svcMem.Select("t", core.ExploreSpec{K: 6, L: 3, Scale: scaleForce()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := svcReload.Select("t", core.ExploreSpec{K: 6, L: 3, Scale: scaleForce()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if subTableFingerprint(got) != subTableFingerprint(want) {
-		t.Fatal("reloaded sharded model serves different selections")
-	}
-
-	// RemoveTable deletes the model, every shard file and the sidecar map.
-	svcSh.RemoveTable("t")
-	left, err := filepath.Glob(filepath.Join(dir, "*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(left) != 0 {
-		t.Fatalf("RemoveTable left files behind: %v", left)
-	}
-}
-
-// TestShardedAppendKeepsSharded pins that appending to a sharded table
-// re-exports into the same shard count instead of regressing to inline
-// codes, and that the result survives a disk reload.
-func TestShardedAppendKeepsSharded(t *testing.T) {
-	dir := t.TempDir()
-	svc := NewService(NewStore(StoreOptions{Dir: dir}), testOptions())
-	if _, err := svc.AddTableSharded("t", testTable("t", 1200, 7), nil, 3, false); err != nil {
-		t.Fatal(err)
-	}
-	next, stats, err := svc.AppendRows("t", testTable("t", 12, 8), core.AppendOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.AppendedRows != 12 {
-		t.Fatalf("appended %d rows, want 12", stats.AppendedRows)
-	}
-	src := next.ShardSource()
-	if src == nil || src.NumShards() != 3 || src.NumRows() != 1212 {
-		t.Fatalf("append changed the sharding: %+v", src)
-	}
-	if _, err := next.SelectExplore(core.ExploreSpec{K: 6, L: 3, Scale: scaleForce()}); err != nil {
-		t.Fatal(err)
-	}
-	svc2 := NewService(NewStore(StoreOptions{Dir: dir}), testOptions())
-	m, err := svc2.Model("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.T.NumRows() != 1212 || m.ShardSource() == nil {
-		t.Fatalf("reload: %d rows, sharded=%v; want 1212, true", m.T.NumRows(), m.ShardSource() != nil)
-	}
-}
-
 // splitCacheDir builds a sharded table in its own cache dir, then moves
 // the shards listed in remote (plus a copy of the model file) into a
 // second dir — simulating two instances that each own part of the table.
@@ -138,7 +24,7 @@ func splitCacheDir(t *testing.T, name string, rows int, shards int, remote []int
 	t.Helper()
 	coordDir, workerDir = t.TempDir(), t.TempDir()
 	build := NewService(NewStore(StoreOptions{Dir: coordDir}), testOptions())
-	if _, err := build.AddTableSharded(name, testTable(name, rows, 7), nil, shards, false); err != nil {
+	if _, err := build.AddTable(name, testTable(name, rows, 7), nil, Shards(shards), false); err != nil {
 		t.Fatal(err)
 	}
 	models, err := filepath.Glob(filepath.Join(coordDir, "*"+".subtab"))
@@ -152,10 +38,7 @@ func splitCacheDir(t *testing.T, name string, rows int, shards int, remote []int
 	if err := os.WriteFile(filepath.Join(workerDir, filepath.Base(models[0])), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	paths, err := build.Store().ShardPaths(name, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
+	paths, _, _ := build.Store().layoutPaths(name, Shards(shards))
 	for _, i := range remote {
 		dst := filepath.Join(workerDir, filepath.Base(paths[i]))
 		if err := os.Rename(paths[i], dst); err != nil {
@@ -201,7 +84,7 @@ func TestShardedCoordinatorHTTP(t *testing.T) {
 	}), testOptions())
 
 	svcMem := NewService(NewStore(StoreOptions{}), testOptions())
-	if _, err := svcMem.AddTable(name, testTable(name, 2500, 7), nil, false); err != nil {
+	if _, err := svcMem.AddTable(name, testTable(name, 2500, 7), nil, Resident, false); err != nil {
 		t.Fatal(err)
 	}
 	want, err := svcMem.Select(name, core.ExploreSpec{K: 6, L: 3, Scale: scaleForce()})
@@ -244,11 +127,11 @@ func TestShardedCoordinatorHTTP(t *testing.T) {
 func TestShardSampleEndpointValidation(t *testing.T) {
 	dir := t.TempDir()
 	svc := NewService(NewStore(StoreOptions{Dir: dir}), testOptions())
-	m, err := svc.AddTableSharded("sh", testTable("sh", 600, 3), nil, 2, false)
+	m, err := svc.AddTable("sh", testTable("sh", 600, 3), nil, Shards(2), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.AddTable("plain", testTable("plain", 200, 3), nil, false); err != nil {
+	if _, err := svc.AddTable("plain", testTable("plain", 200, 3), nil, Resident, false); err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(NewHandler(svc, nil))

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -27,7 +28,6 @@ import (
 	"subtab/internal/core"
 	"subtab/internal/memgov"
 	"subtab/internal/modelio"
-	"subtab/internal/shard"
 )
 
 // ErrNotFound is returned for operations on tables the store does not know.
@@ -314,9 +314,9 @@ func (s *Store) Put(name string, m *core.Model) error {
 	return s.putLocked(name, m)
 }
 
-// putLocked is Put for callers already holding the per-name lock (the
-// out-of-core add path, which must keep the code-store file and the model
-// insert under one critical section).
+// putLocked is Put for callers already holding the per-name lock (the add
+// path, which must keep the store files and the model insert under one
+// critical section).
 func (s *Store) putLocked(name string, m *core.Model) error {
 	if s.opt.Dir != "" {
 		if err := s.persist(name, m); err != nil {
@@ -418,11 +418,10 @@ func (s *Store) Contains(name string) bool {
 	return err == nil
 }
 
-// Remove drops name from memory and disk, and invalidates any in-flight
+// Remove drops name from memory and disk — the model file and every store
+// file of the name, whatever its layout — and invalidates any in-flight
 // build of the name so its result is not resurrected. Removing an unknown
-// name is a no-op. Sharded tables drop every shard file their shard map
-// references (plus the map itself), not just the single-store path — a
-// table's disk footprint is whatever its map says it is.
+// name is a no-op.
 func (s *Store) Remove(name string) {
 	nl := s.lockName(name)
 	nl.Lock()
@@ -439,22 +438,8 @@ func (s *Store) Remove(name string) {
 	}
 	s.mu.Unlock()
 	if s.opt.Dir != "" {
-		if sm, err := shard.ReadFile(s.shardMapPath(name)); err == nil {
-			for _, d := range sm.Shards {
-				os.Remove(filepath.Join(s.opt.Dir, d.File))
-			}
-		}
-		os.Remove(s.shardMapPath(name))
 		os.Remove(s.path(name))
-		os.Remove(s.path(name) + codesExt)
-		// Paged raw columns: the single store plus any column shards. Model
-		// paths are hex-encoded, so the glob pattern cannot be confused by
-		// metacharacters in the table name.
-		if files, err := filepath.Glob(s.path(name) + colsExt + "*"); err == nil {
-			for _, f := range files {
-				os.Remove(f)
-			}
-		}
+		s.sweepStores(name, nil)
 	}
 }
 
@@ -568,11 +553,11 @@ func (s *Store) modelBytes(m *core.Model) int64 {
 	return m.ResidentBytes()
 }
 
-// modelExt is the on-disk model file suffix; codesExt is appended to the
-// model path for a table's external code store (out-of-core selection);
-// colsExt for its paged raw-column store (out-of-core view rendering);
-// shardsExt is appended to the model path for a sharded table's sidecar
-// shard map (the file Remove consults to delete every shard).
+// modelExt is the on-disk model file suffix. A paged table's store files
+// sit next to its model file, named by appending codesExt (bin codes),
+// colsExt (displayed cells) — each with a ".NNN" shard index in a sharded
+// layout — or shardsExt (a sharded table's sidecar shard map, for external
+// tooling).
 const (
 	modelExt  = ".subtab"
 	codesExt  = ".codes"
@@ -580,48 +565,45 @@ const (
 	shardsExt = ".shards"
 )
 
-// CodeStorePath returns the disk-cache path of name's external code store
-// — the file an out-of-core table's bin codes live in, next to its model
-// file so modelio's relative references resolve. The cache directory is
-// created if needed. Requires a disk-backed store.
-func (s *Store) CodeStorePath(name string) (string, error) {
-	if s.opt.Dir == "" {
-		return "", errors.New("serve: out-of-core tables need a disk-backed store (set StoreOptions.Dir)")
+// layoutPaths names the store files a table of layout l keeps: one code
+// and one column path per row range, and the shard map of a sharded layout
+// ("" otherwise). Resident tables keep none. Every store file of a table is
+// named here, as the model path plus an extension, so sweepStores finds
+// all of them by that prefix.
+func (s *Store) layoutPaths(name string, l Layout) (codes, cells []string, shardMap string) {
+	base := s.path(name)
+	switch {
+	case l == Paged:
+		return []string{base + codesExt}, []string{base + colsExt}, ""
+	case l > 0:
+		for i := 0; i < int(l); i++ {
+			codes = append(codes, fmt.Sprintf("%s%s.%03d", base, codesExt, i))
+			cells = append(cells, fmt.Sprintf("%s%s.%03d", base, colsExt, i))
+		}
+		return codes, cells, base + shardsExt
 	}
-	if err := os.MkdirAll(s.opt.Dir, 0o755); err != nil {
-		return "", err
-	}
-	return s.path(name) + codesExt, nil
+	return nil, nil, ""
 }
 
-// ColumnStorePath returns the disk-cache path of name's paged raw-column
-// store — the file an out-of-core table's displayed cells live in, next to
-// its model file so modelio's relative references resolve. Requires a
-// disk-backed store.
-func (s *Store) ColumnStorePath(name string) (string, error) {
+// sweepStores deletes every store file of name that keep does not list:
+// the files a replaced layout leaves behind, or all of them (keep empty)
+// when the table is removed. Temp files of an interrupted store write go
+// with them.
+func (s *Store) sweepStores(name string, keep []string) {
 	if s.opt.Dir == "" {
-		return "", errors.New("serve: paged column stores need a disk-backed store (set StoreOptions.Dir)")
+		return
 	}
-	if err := os.MkdirAll(s.opt.Dir, 0o755); err != nil {
-		return "", err
-	}
-	return s.path(name) + colsExt, nil
-}
-
-// ColumnShardPaths returns the disk-cache paths of name's n column-store
-// shard files (".cols.000", ".cols.001", ...), cut at the same rows as the
-// code shards so a worker holding 1/Nth of the codes holds 1/Nth of the
-// column pages. Requires a disk-backed store.
-func (s *Store) ColumnShardPaths(name string, n int) ([]string, error) {
-	base, err := s.ColumnStorePath(name)
+	files, err := os.ReadDir(s.opt.Dir)
 	if err != nil {
-		return nil, err
+		return
 	}
-	paths := make([]string, n)
-	for i := range paths {
-		paths[i] = fmt.Sprintf("%s.%03d", base, i)
+	prefix := filepath.Base(s.path(name)) + "."
+	for _, f := range files {
+		p := filepath.Join(s.opt.Dir, f.Name())
+		if strings.HasPrefix(f.Name(), prefix) && !slices.Contains(keep, p) {
+			os.Remove(p)
+		}
 	}
-	return paths, nil
 }
 
 // Generation returns name's replacement generation: it bumps on every Put,
@@ -632,26 +614,6 @@ func (s *Store) Generation(name string) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.gen[name]
-}
-
-// ShardPaths returns the disk-cache paths of name's n shard files
-// (".codes.000", ".codes.001", ...), creating the cache directory like
-// CodeStorePath. Requires a disk-backed store.
-func (s *Store) ShardPaths(name string, n int) ([]string, error) {
-	base, err := s.CodeStorePath(name)
-	if err != nil {
-		return nil, err
-	}
-	paths := make([]string, n)
-	for i := range paths {
-		paths[i] = fmt.Sprintf("%s.%03d", base, i)
-	}
-	return paths, nil
-}
-
-// shardMapPath is the sidecar shard-map file for a sharded table.
-func (s *Store) shardMapPath(name string) string {
-	return s.path(name) + shardsExt
 }
 
 // path maps a table name to its cache file. Names are hex-encoded so

@@ -225,7 +225,7 @@ func TestCorruptDiskSelfHeals(t *testing.T) {
 // is the race detector (go test -race ./internal/serve).
 func TestServiceConcurrentAccess(t *testing.T) {
 	svc := NewService(NewStore(StoreOptions{}), testOptions())
-	if _, err := svc.AddTable("conc", testTable("conc", 300, 5), nil, false); err != nil {
+	if _, err := svc.AddTable("conc", testTable("conc", 300, 5), nil, Resident, false); err != nil {
 		t.Fatal(err)
 	}
 	q := &query.Query{Where: []query.Predicate{{Col: "num", Op: query.Geq, Num: 20}}}
@@ -376,7 +376,7 @@ func TestPutWinsOverInflightBuild(t *testing.T) {
 // they were mined from, even when the table is replaced concurrently.
 func TestRulesModelConsistency(t *testing.T) {
 	svc := NewService(NewStore(StoreOptions{}), testOptions())
-	if _, err := svc.AddTable("r", testTable("v1", 200, 3), nil, false); err != nil {
+	if _, err := svc.AddTable("r", testTable("v1", 200, 3), nil, Resident, false); err != nil {
 		t.Fatal(err)
 	}
 	rs, m, err := svc.Rules("r", rulesOptionsForTest())
@@ -386,7 +386,7 @@ func TestRulesModelConsistency(t *testing.T) {
 	if m.T.Name != "v1" {
 		t.Fatalf("rules mined against %q", m.T.Name)
 	}
-	if _, err := svc.AddTable("r", testTable("v2", 150, 4), nil, true); err != nil {
+	if _, err := svc.AddTable("r", testTable("v2", 150, 4), nil, Resident, true); err != nil {
 		t.Fatal(err)
 	}
 	// The replace invalidated the cache: a fresh call mines against v2.
@@ -410,7 +410,7 @@ func TestRulesDoNotPinEvictedModels(t *testing.T) {
 	models := make([]weak.Pointer[core.Model], 10)
 	for i := range models {
 		name := fmt.Sprintf("t%d", i)
-		if _, err := svc.AddTable(name, testTable(name, 120, int64(i)), nil, false); err != nil {
+		if _, err := svc.AddTable(name, testTable(name, 120, int64(i)), nil, Resident, false); err != nil {
 			t.Fatal(err)
 		}
 		rs, m, err := svc.Rules(name, rulesOptionsForTest())
@@ -437,16 +437,16 @@ func TestRulesDoNotPinEvictedModels(t *testing.T) {
 
 func TestServiceAddExistsAndReplace(t *testing.T) {
 	svc := NewService(NewStore(StoreOptions{}), testOptions())
-	if _, err := svc.AddTable("dup", testTable("dup", 100, 1), nil, false); err != nil {
+	if _, err := svc.AddTable("dup", testTable("dup", 100, 1), nil, Resident, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.AddTable("dup", testTable("dup", 100, 2), nil, false); !errors.Is(err, ErrExists) {
+	if _, err := svc.AddTable("dup", testTable("dup", 100, 2), nil, Resident, false); !errors.Is(err, ErrExists) {
 		t.Fatalf("err = %v, want ErrExists", err)
 	}
-	if _, err := svc.AddTable("dup", testTable("dup", 100, 2), nil, true); err != nil {
+	if _, err := svc.AddTable("dup", testTable("dup", 100, 2), nil, Resident, true); err != nil {
 		t.Fatalf("replace: %v", err)
 	}
-	if _, err := svc.AddTable("  ", testTable("blank", 50, 1), nil, false); err == nil {
+	if _, err := svc.AddTable("  ", testTable("blank", 50, 1), nil, Resident, false); err == nil {
 		t.Fatal("blank names must be rejected")
 	}
 }

@@ -11,7 +11,7 @@ import (
 // SplitSink implements binning.CodeSink over N codestore writers: streamed
 // row chunks are routed to shards by a fixed row-boundary plan, so a
 // table's codes export straight into their sharded layout in one pass
-// (core.Model.UseShardedStores, cmd/subtab-datagen -shards). Each shard is
+// (core.Model.PageOut, cmd/subtab-datagen -shards). Each shard is
 // written to its path plus ".tmp"; Close finalizes every store, renames
 // them all into place and returns the shard map — a crash mid-export
 // leaves only .tmp leftovers that codestore.Open rejects.

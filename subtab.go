@@ -48,14 +48,14 @@
 // over every tuple-vector. Below the threshold the pipeline is bit-for-bit
 // the exact path.
 //
-// Tables larger than memory serve out-of-core: Model.UseCodeStoreFile
-// moves the bin codes into a chunked, checksummed, mmap-backed code store
-// and releases the in-memory copy, the scaled Select streams its sampler
-// over store blocks, and ScaleOptions.SlabBudgetBytes spills the sampled
-// tuple-vector slab to a temp file past the budget — all byte-identical to
-// the in-memory path. SaveModel on a store-backed model writes a
-// checksummed reference to the store (format v5) instead of inlining the
-// codes.
+// Tables larger than memory serve out-of-core: Model.PageOut moves the
+// bin codes and the displayed cells into chunked, checksummed, mmap-backed
+// stores (one file pair, or N row-range shards) and releases the in-memory
+// copies, the scaled Select streams its sampler over store blocks, a view
+// gathers only the selected rows' cells, and ScaleOptions.SlabBudgetBytes
+// spills the sampled tuple-vector slab to a temp file past the budget —
+// all byte-identical to the in-memory path. SaveModel on a paged model
+// writes checksummed references to the stores instead of inlining them.
 //
 // The packages behind this facade also implement the paper's evaluation
 // stack: the informativeness metrics (Defs. 3.6–3.7), an Apriori rule miner,
