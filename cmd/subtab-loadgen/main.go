@@ -68,7 +68,6 @@ func main() {
 		workers    = flag.Int("concurrency", 8, "concurrent load-generating workers")
 		seed       = flag.Int64("seed", 1, "workload seed (sizes, datasets, op streams, popularity)")
 		memBudget  = flag.String("memory-budget", "64MiB", "server's process-wide governed budget (empty = ungoverned)")
-		slabBudget = flag.String("slab-budget", "", "server's per-request slab spill budget (empty = never spill)")
 		tableConc  = flag.Int("table-concurrency", 4, "server's per-table concurrent select limit (0 = unlimited)")
 		maxModels  = flag.Int("max-models", 256, "server's in-memory model count backstop")
 		filtered   = flag.Bool("filtered", false, "mix /v1 session predicate-scoped selects and drill-downs into the select share")
@@ -90,10 +89,6 @@ func main() {
 	if err != nil {
 		log.Fatalf("-memory-budget: %v", err)
 	}
-	slab, err := parseByteSize(*slabBudget)
-	if err != nil {
-		log.Fatalf("-slab-budget: %v", err)
-	}
 	rssLimit, err := parseByteSize(*assertRSS)
 	if err != nil {
 		log.Fatalf("-assert-rss: %v", err)
@@ -111,7 +106,6 @@ func main() {
 	}
 	defer os.RemoveAll(cacheDir)
 	opt := subtab.DefaultOptions()
-	opt.Scale.SlabBudgetBytes = slab
 	store := serve.NewStore(serve.StoreOptions{MaxModels: *maxModels, Dir: cacheDir, Governor: gov})
 	svc := serve.NewService(store, opt)
 	svc.SetAdmission(gov, *tableConc)

@@ -15,9 +15,8 @@
 //	subtab-server flights=testdata/flights.csv
 //
 // Out-of-core serving: upload with store=1 to move a table's bin codes
-// into an mmap'd code store beside the cached model (requires -cache-dir),
-// and set -slab-budget to spill the sampled tuple-vector slab of scaled
-// selects past that size; selections are byte-identical either way.
+// and cells into mmap'd stores beside the cached model (requires
+// -cache-dir); selections are byte-identical either way.
 //
 // Memory governance: -memory-budget caps the process's governed resident
 // bytes — cached models, per-model vector and sample caches, coordinator
@@ -71,8 +70,7 @@ func main() {
 		seed      = flag.Int64("seed", 1, "default pipeline seed for uploaded tables")
 		timeout   = flag.Duration("shutdown-timeout", 15*time.Second, "graceful shutdown grace period")
 		withPprof = flag.Bool("pprof", false, "expose net/http/pprof endpoints under /debug/pprof/ (profile serving hot spots in place)")
-		memBudget = flag.String("memory-budget", "", "process-wide budget for every governed resident byte consumer — cached models, per-model vector/sample caches, coordinator sample caches, in-flight select working sets — e.g. 512MiB (plain bytes, or KiB/MiB/GiB). Growth past it evicts cold models and caches; selects that cannot be admitted get 429 + Retry-After. Empty = ungoverned. NOTE: before the governor this flag named the per-request slab spill budget, now spelled -slab-budget")
-		slabFlag  = flag.String("slab-budget", "", "default per-request budget for the sampled tuple-vector slab, e.g. 64MiB; selections whose slab exceeds it spill to a temp file. Empty = never spill. Overridable per request via the select body's scale.slab_budget")
+		memBudget = flag.String("memory-budget", "", "process-wide budget for every governed resident byte consumer — cached models, per-model vector/sample caches, coordinator sample caches, in-flight select working sets — e.g. 512MiB (plain bytes, or KiB/MiB/GiB). Growth past it evicts cold models and caches; selects that cannot be admitted get 429 + Retry-After. Empty = ungoverned. NOTE: before the governor this flag named a per-request slab spill budget; spilling has since been removed")
 		tableConc = flag.Int("table-concurrency", 0, "max selects running concurrently against one table; excess requests are refused with 429. 0 = unlimited")
 		shardRole = flag.String("shard-role", "", `role in a sharded deployment: "worker" (holds some shards of sharded tables, answers shard-exec requests) or "coordinator" (scatters scaled selects to -shard-peers). Empty = standalone: sharded tables must be fully local`)
 		peerList  = flag.String("shard-peers", "", "comma-separated base URLs of the instances holding this server's missing shards (coordinator role only)")
@@ -82,15 +80,11 @@ func main() {
 	if err != nil {
 		log.Fatalf("-memory-budget: %v", err)
 	}
-	slabBudget, err := parseByteSize(*slabFlag)
-	if err != nil {
-		log.Fatalf("-slab-budget: %v", err)
-	}
 	shardOpt, err := parseShardFlags(*shardRole, *peerList, *cacheDir)
 	if err != nil {
 		log.Fatal(err)
 	}
-	lim := limitsConfig{memoryBudget: memoryBudget, slabBudget: slabBudget, tableConcurrency: *tableConc}
+	lim := limitsConfig{memoryBudget: memoryBudget, tableConcurrency: *tableConc}
 	if err := run(*addr, *cacheDir, *maxModels, *seed, lim, *timeout, *withPprof, shardOpt, flag.Args()); err != nil {
 		log.Fatal(err)
 	}
@@ -99,7 +93,6 @@ func main() {
 // limitsConfig carries the parsed resource-limit flags into run.
 type limitsConfig struct {
 	memoryBudget     int64 // process-wide governed budget (0 = ungoverned)
-	slabBudget       int64 // per-request slab spill threshold (0 = never spill)
 	tableConcurrency int   // concurrent selects per table (0 = unlimited)
 }
 
@@ -167,7 +160,6 @@ func run(addr, cacheDir string, maxModels int, seed int64, lim limitsConfig, tim
 	opt.Corpus.Seed = seed
 	opt.Embedding.Seed = seed
 	opt.ClusterSeed = seed
-	opt.Scale.SlabBudgetBytes = lim.slabBudget
 
 	var gov *memgov.Governor
 	if lim.memoryBudget > 0 {

@@ -64,15 +64,12 @@ func pageOutCodes(t *testing.T, model *subtab.Model, paths ...string) {
 // TestGoldenLargeModeFingerprintsOutOfCore pins the out-of-core selection
 // path against the *existing* large-mode golden files: a model whose bin
 // codes were exported to an mmap'd code store (inline codes dropped) must
-// reproduce `<name>.large.fingerprint` byte for byte, with the sampled
-// tuple-vector slab resident and with it force-spilled to disk. This test
+// reproduce `<name>.large.fingerprint` byte for byte. This test
 // never records — it reuses the files TestGoldenLargeModeFingerprints
 // owns, so a divergence in the store-backed path cannot hide behind a
 // re-recording.
 func TestGoldenLargeModeFingerprintsOutOfCore(t *testing.T) {
 	scale := &subtab.ScaleOptions{Threshold: 1, SampleBudget: 256, BatchSize: 128, MaxIter: 50}
-	spill := *scale
-	spill.SlabBudgetBytes = 1 // 256 sampled rows x 16 dims x 4B >> 1B: always spills
 	for _, name := range []string{"FL", "SP", "CY"} {
 		t.Run(name, func(t *testing.T) {
 			model := goldenModel(t, name, goldenConfig())
@@ -85,9 +82,6 @@ func TestGoldenLargeModeFingerprintsOutOfCore(t *testing.T) {
 			if got := goldenSelections(t, model, name, scale); got != string(want) {
 				t.Errorf("out-of-core scaled selection diverged from the recorded large-mode golden for %s.\n"+
 					"The code store path must be byte-identical to the in-memory path.\n got:\n%s\nwant:\n%s", name, got, want)
-			}
-			if got := goldenSelections(t, model, name, &spill); got != string(want) {
-				t.Errorf("spilled-slab scaled selection diverged from the recorded large-mode golden for %s.\n got:\n%s\nwant:\n%s", name, got, want)
 			}
 		})
 	}

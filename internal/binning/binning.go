@@ -53,10 +53,14 @@ func (s Strategy) String() string {
 	}
 }
 
+// MaxBinsLimit is the largest MaxBins Bin accepts: bin codes are uint16,
+// and a column holds at most MaxBins bins plus a missing bin.
+const MaxBinsLimit = 1<<16 - 1
+
 // Options configures binning.
 type Options struct {
 	// MaxBins bounds the number of non-missing bins per column (paper
-	// default: 5).
+	// default: 5, at most MaxBinsLimit).
 	MaxBins int
 	// Strategy for numeric columns.
 	Strategy Strategy
@@ -181,6 +185,9 @@ type Binned struct {
 
 // Bin computes the binning of t under the given options.
 func Bin(t *table.Table, opt Options) (*Binned, error) {
+	if opt.MaxBins > MaxBinsLimit {
+		return nil, fmt.Errorf("binning: MaxBins %d exceeds %d (bin codes are uint16)", opt.MaxBins, MaxBinsLimit)
+	}
 	opt = opt.withDefaults()
 	n := t.NumRows()
 	b := &Binned{T: t}

@@ -3,6 +3,7 @@ package binning
 import (
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -413,6 +414,43 @@ func TestMixedTableGlobalItems(t *testing.T) {
 			if id < 0 || int(id) >= b.NumItems() {
 				t.Fatalf("item id %d out of range", id)
 			}
+		}
+	}
+}
+
+// TestMaxBinsLimit pins the bound that keeps bin codes exact: a column
+// holds at most MaxBins bins plus a missing bin, codes are uint16, so Bin
+// refuses MaxBins above MaxBinsLimit instead of wrapping a code onto
+// another bin's, and at the limit every row's code is its bin.
+func TestMaxBinsLimit(t *testing.T) {
+	const n = 66_000
+	vals := make([]string, n)
+	for i := range vals {
+		vals[i] = "c" + strconv.Itoa(i)
+	}
+	vals[n-1] = "" // missing: its bin takes the top code, 65535
+	tab := table.New("t")
+	if err := tab.AddColumn(table.NewCategorical("x", vals)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Bin(tab, Options{MaxBins: 70_000}); err == nil {
+		t.Fatal("MaxBins 70000 accepted")
+	}
+	b, err := Bin(tab, Options{MaxBins: MaxBinsLimit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb, col := b.Cols[0], tab.ColumnAt(0)
+	if cb.NumBins() != MaxBinsLimit+1 || cb.MissingBin != MaxBinsLimit {
+		t.Fatalf("bins = %d, missing bin %d; want %d and %d", cb.NumBins(), cb.MissingBin, MaxBinsLimit+1, MaxBinsLimit)
+	}
+	for r := 0; r < n; r++ {
+		want := cb.MissingBin
+		if !col.Missing(r) {
+			want = cb.BinOfCat(col.Cats[r])
+		}
+		if got := int(b.Codes[0][r]); got != want {
+			t.Fatalf("row %d: code %d, bin %d", r, got, want)
 		}
 	}
 }

@@ -108,23 +108,10 @@ func flightsVectors(t *testing.T, n, dim int) f32.Matrix {
 	return pts
 }
 
-func spill(t *testing.T, pts f32.Matrix) *f32.Slab {
-	t.Helper()
-	slab, err := f32.NewSpillSlab(pts.R, pts.C, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { slab.Close() })
-	if err := slab.WriteChunk(0, pts); err != nil {
-		t.Fatal(err)
-	}
-	return slab
-}
-
 // TestClusterGolden pins the clustering bits at the clustering layer. The
 // selection goldens see a clustering only through the ten rows a display
 // chooses; this sees every assignment, every size, the iteration count and
-// every bit of every centre, for the three entry points the pipeline calls,
+// every bit of every centre, for the two entry points the pipeline calls,
 // so a nearest-centre kernel that differs from the recorded arithmetic in
 // one comparison fails here even when no selection moves. Dim 10 is a width
 // no 4-lane body takes, 13 and 27 centres leave an odd centre over after
@@ -145,16 +132,14 @@ func TestClusterGolden(t *testing.T) {
 			{"flights", flightsVectors(t, 2400, dim)},
 		}
 		for _, in := range inputs {
-			slab := spill(t, in.pts)
 			for _, k := range []int{1, 2, 3, 10, 13, 27} {
 				for _, workers := range []int{1, 4} {
 					// A batch of 256 puts every input but the tied one past
 					// 4×batch rows, where seeding takes the strided subsample.
 					mb := cluster.MiniBatchOptions{BatchSize: 256, Seed: 41, Workers: workers}
-					fmt.Fprintf(&got, "%s dim=%d k=%d workers=%d exact=%s minibatch=%s source=%s\n", in.name, dim, k, workers,
+					fmt.Fprintf(&got, "%s dim=%d k=%d workers=%d exact=%s minibatch=%s\n", in.name, dim, k, workers,
 						resultHash(cluster.KMeansMatrix(in.pts, k, cluster.Options{Seed: 41, Workers: workers})),
-						resultHash(cluster.MiniBatchKMeans(in.pts, k, mb)),
-						resultHash(cluster.MiniBatchKMeansSource(slab, k, mb)))
+						resultHash(cluster.MiniBatchKMeans(in.pts, k, mb)))
 				}
 			}
 		}

@@ -4,8 +4,7 @@
 // are clustered and the points nearest each centroid become the sub-table's
 // rows and columns (the paper uses sklearn's KMeans for this).
 //
-// The input is a contiguous f32.Matrix (KMeansMatrix, MiniBatchKMeans) or a
-// PointSource that may be spilled to disk (MiniBatchKMeansSource). The
+// The input is a contiguous f32.Matrix (KMeansMatrix, MiniBatchKMeans). The
 // assignment step — the O(n·k·dim) bulk of every Lloyd iteration — runs
 // across workers, each point's scan one f32.Centers.Nearest call (every
 // center's distance in one pass over the point), while the centroid-update
@@ -170,7 +169,7 @@ func KMeansMatrix(pts f32.Matrix, k int, opt Options) *Result {
 // from its current center (never stealing a singleton), reading the
 // distances from dist. The scan is serial in index order — first-found
 // farthest wins on exact ties — so the repair is deterministic and shared
-// bit-for-bit by the exact, mini-batch and spilled-source paths. A moved
+// bit-for-bit by the exact and mini-batch paths. A moved
 // point becomes a singleton, which no later scan reads, and its dist is
 // retaken from row(i) against its new center.
 func repairEmptyClusters(centers f32.Matrix, assign []int, dist []float64, sizes []int, row func(i int) []float32) {

@@ -260,8 +260,8 @@ func TestClosestOrder(t *testing.T) {
 }
 
 // TestResultDistIsSqDist pins Result.Dist to f32.SqDist's bits against the
-// returned centres, on every entry point: the exact loop, the mini-batch
-// matrix path and a spilled mini-batch source, for k below n, k >= n, and
+// returned centres, on both entry points: the exact loop and the mini-batch
+// path, for k below n, k >= n, and
 // duplicate-heavy inputs whose empty clusters only the repair can fill.
 func TestResultDistIsSqDist(t *testing.T) {
 	dups := f32.New(300, 5) // 3 distinct points for k = 12
@@ -288,7 +288,6 @@ func TestResultDistIsSqDist(t *testing.T) {
 		}{
 			{"exact", KMeansMatrix(tc.pts, tc.k, Options{Seed: 11})},
 			{"minibatch", MiniBatchKMeans(tc.pts, tc.k, opt)},
-			{"spilled", MiniBatchKMeansSource(spilledCopy(t, tc.pts), tc.k, opt)},
 		} {
 			res := run.res
 			if len(res.Dist) != tc.pts.R {
@@ -307,4 +306,16 @@ func TestResultDistIsSqDist(t *testing.T) {
 			}
 		}
 	}
+}
+
+func clusterTestPoints(seed int64, n, dim, modes int) f32.Matrix {
+	rng := rand.New(rand.NewSource(seed))
+	pts := f32.New(n, dim)
+	for i := 0; i < n; i++ {
+		m := rng.Intn(modes)
+		for d := 0; d < dim; d++ {
+			pts.Row(i)[d] = float32(m) + float32(rng.NormFloat64())*0.1
+		}
+	}
+	return pts
 }

@@ -158,6 +158,9 @@ func newModel(t *table.Table, b *binning.Binned, emb *word2vec.Model, opt Option
 
 // Preprocess runs the pre-processing phase of Algorithm 2 on table t.
 func Preprocess(t *table.Table, opt Options) (*Model, error) {
+	if opt.Embedding.Dim > word2vec.MaxDim {
+		return nil, fmt.Errorf("core: embedding dimension %d exceeds %d", opt.Embedding.Dim, word2vec.MaxDim)
+	}
 	b, err := binning.Bin(t, opt.Bins)
 	if err != nil {
 		return nil, fmt.Errorf("core: binning: %w", err)

@@ -62,6 +62,17 @@ func testOptions() Options {
 	}
 }
 
+// TestPreprocessRefusesOversizedDim: a model file holds at most
+// word2vec.MaxDim dimensions, so Preprocess refuses more before training
+// rather than build a model that cannot be loaded back.
+func TestPreprocessRefusesOversizedDim(t *testing.T) {
+	opt := testOptions()
+	opt.Embedding.Dim = word2vec.MaxDim + 1
+	if _, err := Preprocess(ruleTable(t, 20, 1), opt); err == nil {
+		t.Fatalf("Preprocess accepted dim %d", opt.Embedding.Dim)
+	}
+}
+
 func TestPreprocess(t *testing.T) {
 	tab := ruleTable(t, 200, 1)
 	m, err := Preprocess(tab, testOptions())
@@ -398,9 +409,9 @@ func TestRowColVectors(t *testing.T) {
 
 // TestRepresentativeTiesPickLowestRow: identical rows have identical
 // vectors, so their centroid distances tie exactly, and the display must
-// show the lowest source row of every duplicate group — on the exact path,
-// the scaled path and the scaled path over a spilled slab (a sample budget
-// above the row count keeps every row a candidate there).
+// show the lowest source row of every duplicate group — on the exact path
+// and the scaled path (a sample budget above the row count keeps every row
+// a candidate there).
 func TestRepresentativeTiesPickLowestRow(t *testing.T) {
 	const n, patterns = 400, 8
 	rng := rand.New(rand.NewSource(23))
@@ -426,12 +437,10 @@ func TestRepresentativeTiesPickLowestRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	scaled := &ScaleOptions{Threshold: 1, SampleBudget: 2 * n, BatchSize: 64, MaxIter: 30}
-	spilled := *scaled
-	spilled.SlabBudgetBytes = 1
 	for _, tc := range []struct {
 		name  string
 		scale *ScaleOptions
-	}{{"exact", nil}, {"scaled", scaled}, {"spilled", &spilled}} {
+	}{{"exact", nil}, {"scaled", scaled}} {
 		st, err := m.SelectExplore(ExploreSpec{K: 6, L: 3, Scale: tc.scale})
 		if err != nil {
 			t.Fatal(err)

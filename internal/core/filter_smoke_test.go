@@ -51,7 +51,7 @@ func TestPredicateScopedSmoke(t *testing.T) {
 	// The bound is deliberately not cut-aligned: the filter must resolve the
 	// boundary bin through batched colstore gathers, not from codes alone.
 	q := &query.Query{Where: []query.Predicate{{Col: "DISTANCE", Op: query.Geq, Num: 817.5}}}
-	scale := &core.ScaleOptions{Threshold: 50_000, SlabBudgetBytes: 256 << 10}
+	scale := &core.ScaleOptions{Threshold: 50_000}
 
 	// Heap watermark before the select: a materialized 1M-row table copy
 	// (the escape hatch this path must never take) costs hundreds of MiB and

@@ -23,9 +23,7 @@ import (
 // then on the scaled Select path streams the stratified sampler over store
 // blocks and gathers only the sampled rows' tuple-vectors, and a view
 // renders by fetching only the selected rows' cell blocks, so selection
-// memory is bounded by the sample budget (and, with
-// ScaleOptions.SlabBudgetBytes, by the spill threshold) rather than the
-// table. Selections and rendered views are bit-identical to the in-memory
+// memory is bounded by the sample budget rather than the table. Selections and rendered views are bit-identical to the in-memory
 // path. Operations that need the whole table at memory speed — rule
 // mining, query evaluation, incremental append — transparently materialize
 // a private copy (see binning.MaterializedCodes and residentTable).

@@ -2,8 +2,8 @@
 // The CI workflow generates a 1M-row table with subtab-datagen, points
 // SUBTAB_OOC_SMOKE_CSV at it and runs this test under GOMEMLIMIT=256MiB:
 // the table is pre-processed, its bin codes are moved to an mmap'd code
-// store (inline codes dropped), and a scaled Select with a spill-forcing
-// slab budget must finish inside the wall-clock bound with the process
+// store (inline codes dropped), and a scaled Select must finish inside
+// the wall-clock bound with the process
 // peak RSS under the asserted ceiling. It also pins the exported code
 // store at one byte per cell plus framing, and logs the bytes per CSV byte
 // of the table's column store. Without the env var the test skips,
@@ -94,9 +94,7 @@ func TestOutOfCoreSmoke(t *testing.T) {
 	t.Logf("column store: %.3f bytes per CSV byte", float64(fileSize(t, cellsPath))/float64(fileSize(t, csvPath)))
 	os.Remove(cellsPath)
 
-	// Slab budget below the sampled vectors' size (20000 x 8 x 4B = 640KiB)
-	// so the spill path runs under the memory cap too.
-	scale := &core.ScaleOptions{Threshold: 50_000, SlabBudgetBytes: 256 << 10}
+	scale := &core.ScaleOptions{Threshold: 50_000}
 	start := time.Now()
 	st, err := m.SelectExplore(core.ExploreSpec{K: 10, L: 8, Scale: scale})
 	elapsed := time.Since(start)
@@ -111,8 +109,8 @@ func TestOutOfCoreSmoke(t *testing.T) {
 	}
 	t.Logf("out-of-core scaled Select: %s", elapsed)
 
-	// A warm repeat must agree byte for byte (the sample cache and the
-	// spill path compose deterministically).
+	// A warm repeat must agree byte for byte (the sample cache is
+	// deterministic).
 	again, err := m.SelectExplore(core.ExploreSpec{K: 10, L: 8, Scale: scale})
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,7 @@
 // Tests for the out-of-core selection path: a store-backed model (bin
 // codes in an mmap'd code store, inline codes dropped) must reproduce the
 // in-memory model's selections byte for byte — scaled, exact, query-
-// restricted, with and without slab spilling — and the operations that
+// restricted — and the operations that
 // need materialized codes (rule mining, appends, persistence) must keep
 // working.
 package core_test
@@ -47,36 +47,6 @@ func TestOutOfCoreScaledSelectMatchesInMemory(t *testing.T) {
 	}
 	if fingerprint(got) != fingerprint(want) {
 		t.Fatalf("store-backed scaled select diverged:\n got %s\nwant %s", fingerprint(got), fingerprint(want))
-	}
-}
-
-// TestOutOfCoreSpilledSlabMatches pins the slab spill: a budget far below
-// the sampled vectors' size forces the spill file, and the selection must
-// not change by a byte.
-func TestOutOfCoreSpilledSlabMatches(t *testing.T) {
-	mem := deterministicModel(t)
-	ooc := outOfCoreTwin(t)
-	plain := forceScale()
-	want, err := mem.SelectExplore(core.ExploreSpec{K: 8, L: 7, Scale: plain})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spill := forceScale()
-	spill.SlabBudgetBytes = 1 // 300 sampled rows x 16 dims x 4B >> 1B
-	got, err := ooc.SelectExplore(core.ExploreSpec{K: 8, L: 7, Scale: spill})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fingerprint(got) != fingerprint(want) {
-		t.Fatalf("spilled-slab select diverged:\n got %s\nwant %s", fingerprint(got), fingerprint(want))
-	}
-	// The in-memory model must spill identically too.
-	memSpill, err := mem.SelectExplore(core.ExploreSpec{K: 8, L: 7, Scale: spill})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fingerprint(memSpill) != fingerprint(want) {
-		t.Fatalf("in-memory spilled select diverged:\n got %s\nwant %s", fingerprint(memSpill), fingerprint(want))
 	}
 }
 

@@ -425,20 +425,24 @@ func planSelect(spec ExploreSpec, c caps) (*plan, error) {
 	// The transient working set a serving layer reserves while this plan
 	// runs: the tuple-vector slab it materializes (the dominant allocation)
 	// plus the candidate index, sized for the largest candidate set the
-	// plan can meet — every row. Scaled plans size by the sample budget
-	// (capped by the slab spill budget when one is set — the spill path
-	// keeps only one chunk resident); exact plans by the row count. The
-	// estimate is deliberately on the reserve side of truth: pooled buffers
-	// and k-means state ride inside it.
+	// plan can meet — every row, or every scope row. Exact plans size by
+	// that count; scaled plans by the sample budget. A row source that can
+	// cut the candidates under the threshold (a filter, scope or query) may
+	// run either leg, so it reserves the larger: exact k-means over up to
+	// Threshold-1 candidates, or the sample. The estimate is deliberately
+	// on the reserve side of truth: pooled buffers and k-means state ride
+	// inside it, and it is the only bound on the slab.
 	rows, dim := int64(c.rows), int64(c.dim)
+	if spec.Scope != nil {
+		rows = int64(len(spec.Scope))
+	}
 	p.reserve = rows * dim * 4
-	if p.scale.Active(c.rows) {
+	if p.scale.Active(int(rows)) {
 		n := min(int64(p.scale.SampleBudget), rows)
-		slab := n * dim * 4
-		if p.scale.SlabBudgetBytes > 0 && slab > p.scale.SlabBudgetBytes {
-			slab = p.scale.SlabBudgetBytes
+		p.reserve = n*dim*4 + n*8
+		if p.rows != rowsAll && !p.remote {
+			p.reserve = max(p.reserve, min(rows, int64(p.scale.Threshold)-1)*dim*4)
 		}
-		p.reserve = slab + n*8
 	}
 	return p, nil
 }

@@ -217,28 +217,44 @@ func TestPlanMatrix(t *testing.T) {
 }
 
 // TestPlanReserveBytes pins the reservation a serving layer makes per plan:
-// exact plans reserve the full-table slab, scaled plans the sample's slab
-// (capped by the spill budget) plus the candidate index — and the sample
-// budget default comes from ScaleOptions, nowhere else.
+// exact plans reserve the slab of every candidate (the table, or the
+// scope), scaled plans the sample's slab plus the candidate index, and a
+// scaled plan whose filter or scope can leave fewer candidates than the
+// threshold the larger of that and the exact slab of Threshold-1 rows —
+// and the sample budget default comes from ScaleOptions, nowhere else.
 func TestPlanReserveBytes(t *testing.T) {
 	c := caps{rows: 50_000, dim: 16, bins: matrixBins, cellsResident: true, inlineCodes: true}
+	where := []query.Predicate{{Col: "x", Op: query.Leq, Num: 20}}
+	wide := make([]int, 45_000)
+	for i := range wide {
+		wide[i] = i
+	}
 	for _, tc := range []struct {
+		spec  ExploreSpec
 		scale ScaleOptions
 		want  int64
 	}{
-		{ScaleOptions{}, 50_000 * 16 * 4},
-		{ScaleOptions{Threshold: 60_000}, 50_000 * 16 * 4},
-		{ScaleOptions{Threshold: 1}, 20_000*16*4 + 20_000*8},
-		{ScaleOptions{Threshold: 1, SampleBudget: 400}, 400*16*4 + 400*8},
-		{ScaleOptions{Threshold: 1, SampleBudget: 80_000}, 50_000*16*4 + 50_000*8},
-		{ScaleOptions{Threshold: 1, SlabBudgetBytes: 1 << 10}, 1<<10 + 20_000*8},
+		{ExploreSpec{}, ScaleOptions{}, 50_000 * 16 * 4},
+		{ExploreSpec{}, ScaleOptions{Threshold: 60_000}, 50_000 * 16 * 4},
+		{ExploreSpec{}, ScaleOptions{Threshold: 1}, 20_000*16*4 + 20_000*8},
+		{ExploreSpec{}, ScaleOptions{Threshold: 1, SampleBudget: 400}, 400*16*4 + 400*8},
+		{ExploreSpec{}, ScaleOptions{Threshold: 1, SampleBudget: 80_000}, 50_000*16*4 + 50_000*8},
+		{ExploreSpec{}, ScaleOptions{Threshold: 40_000, SampleBudget: 400}, 400*16*4 + 400*8},
+		{ExploreSpec{Where: where}, ScaleOptions{Threshold: 40_000, SampleBudget: 400}, 39_999 * 16 * 4},
+		{ExploreSpec{Scope: wide}, ScaleOptions{Threshold: 40_000, SampleBudget: 400}, 39_999 * 16 * 4},
+		{ExploreSpec{Scope: []int{1, 2, 3}}, ScaleOptions{Threshold: 40_000, SampleBudget: 400}, 3 * 16 * 4},
+		{ExploreSpec{Scope: []int{1, 2, 3}, Where: where}, ScaleOptions{}, 3 * 16 * 4},
+		{ExploreSpec{Where: where}, ScaleOptions{Threshold: 1, SampleBudget: 400}, 400*16*4 + 400*8},
+		{ExploreSpec{Where: where}, ScaleOptions{Threshold: 100}, 20_000*16*4 + 20_000*8},
 	} {
-		p, err := planSelect(ExploreSpec{K: 5, L: 2, Scale: &tc.scale}, c)
+		spec := tc.spec
+		spec.K, spec.L, spec.Scale = 5, 2, &tc.scale
+		p, err := planSelect(spec, c)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if p.reserve != tc.want {
-			t.Errorf("scale %+v reserves %d bytes, want %d", tc.scale, p.reserve, tc.want)
+			t.Errorf("rows %s, scale %+v reserves %d bytes, want %d", p.rows, tc.scale, p.reserve, tc.want)
 		}
 	}
 }

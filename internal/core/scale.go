@@ -35,14 +35,6 @@ type ScaleOptions struct {
 	BatchSize int
 	// MaxIter bounds mini-batch iterations (default 100).
 	MaxIter int
-	// SlabBudgetBytes caps the in-memory size of the sampled tuple-vector
-	// slab: a sample whose vectors (SampleBudget × dim × 4 bytes) exceed
-	// the budget is built chunk by chunk into a spill file and clustered by
-	// chunked reads, keeping the selection's resident footprint bounded
-	// regardless of the sample budget. 0 (the default) never spills — the
-	// historical in-memory behaviour. Selections are bit-identical either
-	// way.
-	SlabBudgetBytes int64
 }
 
 // Active reports whether the scaled path handles a candidate set of n rows.
@@ -89,20 +81,18 @@ func (m *Model) sample(p *plan, rows rowSet, covered *bitset.Set) rowSet {
 }
 
 // rowVectors is the vector-build stage: the candidates' tuple-vectors as one
-// slab, plus its release. Full-column plans can read the model's full-table
-// matrix (a tuple-vector depends only on the column set): the exact path
-// builds it on first use — inline codes only, the plan's full-cache variant
-// — while the scaled path borrows it only when already warm, because it
-// never materializes vectors for rows the sample dropped (the point of
-// sampling before embedding lookup on million-row tables). Everything else
-// is computed per request by gatherTupleVectors — the same gather on every
-// layout, the full-table build included — into a pooled matrix or, when a
-// scaled sample's vectors exceed SlabBudgetBytes, chunk by chunk into a
-// spill file, so the resident cost is the chunk, not the sample. All routes
-// produce bit-identical vectors. src, when non-nil, is a code overlay (the
-// coordinator's gathered shard codes) that replaces the model's own code
-// source for the gather.
-func (m *Model) rowVectors(rows rowSet, p *plan, scaled bool, src binning.CodeSource) (*f32.Slab, func(), error) {
+// matrix, plus its release. Full-column plans can read the model's
+// full-table matrix (a tuple-vector depends only on the column set): the
+// exact path builds it on first use — inline codes only, the plan's
+// full-cache variant — while the scaled path borrows it only when already
+// warm, because it never materializes vectors for rows the sample dropped
+// (the point of sampling before embedding lookup on million-row tables).
+// Everything else is computed per request by gatherTupleVectors — the same
+// gather on every layout, the full-table build included — into a pooled
+// matrix. All routes produce bit-identical vectors. src, when non-nil, is a
+// code overlay (the coordinator's gathered shard codes) that replaces the
+// model's own code source for the gather.
+func (m *Model) rowVectors(rows rowSet, p *plan, scaled bool, src binning.CodeSource) (f32.Matrix, func()) {
 	dim := m.Emb.Dim()
 	var full f32.Matrix
 	haveFull := false
@@ -114,26 +104,7 @@ func (m *Model) rowVectors(rows rowSet, p *plan, scaled bool, src binning.CodeSo
 		full, haveFull = m.fullRowVectors(), true
 	}
 	if haveFull && rows.ids == nil && rows.n == full.R {
-		return f32.WrapSlab(full), func() {}, nil // the candidates are the table
-	}
-	if need := int64(rows.n) * int64(dim) * 4; scaled && p.scale.SlabBudgetBytes > 0 && need > p.scale.SlabBudgetBytes {
-		slab, err := f32.NewSpillSlab(rows.n, dim, "")
-		if err != nil {
-			return nil, nil, err
-		}
-		chunkRows := min(slab.ChunkRows(), rows.n)
-		buf := getVecBuf(chunkRows * dim)
-		defer putVecBuf(buf)
-		for start := 0; start < rows.n; start += chunkRows {
-			end := min(start+chunkRows, rows.n)
-			chunk := f32.Wrap(end-start, dim, (*buf)[:(end-start)*dim])
-			m.gatherTupleVectors(chunk, rows.slice(start, end), p.cols, src)
-			if err := slab.WriteChunk(start, chunk); err != nil {
-				slab.Close()
-				return nil, nil, err
-			}
-		}
-		return slab, func() { slab.Close() }, nil
+		return full, func() {} // the candidates are the table
 	}
 	buf := getVecBuf(rows.n * dim)
 	mat := f32.Wrap(rows.n, dim, *buf)
@@ -142,7 +113,7 @@ func (m *Model) rowVectors(rows rowSet, p *plan, scaled bool, src binning.CodeSo
 	} else {
 		m.gatherTupleVectors(mat, rows, p.cols, src)
 	}
-	return f32.WrapSlab(mat), func() { putVecBuf(buf) }, nil
+	return mat, func() { putVecBuf(buf) }
 }
 
 // gatherChunkRows is how many rows a worker gathers codes for at a time:

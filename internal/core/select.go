@@ -148,13 +148,6 @@ func (s rowSet) list() []int {
 	return ids
 }
 
-func (s rowSet) slice(start, end int) rowSet {
-	if s.ids == nil {
-		return rowSet{lo: s.lo + start, n: end - start}
-	}
-	return listRows(s.ids[start:end])
-}
-
 // SelectExplore runs one selection. Deterministic: the result is a fixed
 // function of (model, spec) on every store layout.
 func (m *Model) SelectExplore(spec ExploreSpec) (*SubTable, error) {
@@ -210,20 +203,16 @@ func (m *Model) execute(p *plan, spec ExploreSpec) (*SubTable, error) {
 
 	// Row selection (Alg. 2 lines 8-12): cluster the tuple-vectors, then
 	// pick one representative per cluster.
-	slab, done, err := m.rowVectors(rows, p, scaled, csrc)
-	if err != nil {
-		return nil, fmt.Errorf("core: building tuple-vector slab: %w", err)
-	}
+	mat, done := m.rowVectors(rows, p, scaled, csrc)
 	defer done()
 	var res *cluster.Result
 	if scaled {
-		res = cluster.MiniBatchKMeansSource(slab, p.k, cluster.MiniBatchOptions{
+		res = cluster.MiniBatchKMeans(mat, p.k, cluster.MiniBatchOptions{
 			BatchSize: p.scale.BatchSize,
 			MaxIter:   p.scale.MaxIter,
 			Seed:      m.Opt.ClusterSeed,
 		})
 	} else {
-		mat, _ := slab.Matrix() // exact-path slabs are always resident
 		res = cluster.KMeansMatrix(mat, p.k, cluster.Options{Seed: m.Opt.ClusterSeed})
 	}
 	src := csrc

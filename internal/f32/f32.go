@@ -525,6 +525,26 @@ func meanPoolIntoGo(dst []float32, src Matrix, rows []int32) int {
 	return n
 }
 
+// MeanPoolRows fills every row of dst with the mean of gathered src rows:
+// dst row i pools src rows idx[i*k : (i+1)*k], skipping negative indices
+// (the "unseen item" sentinel). Per row it performs exactly MeanPoolInto's
+// arithmetic — float32 sums in index order, one multiply by 1/n — so a
+// batch built through this kernel is bit-identical to per-row pooling.
+// It is off the selection path: the tuple-vector gather in package core
+// pools each row with MeanPoolInto straight from its gathered codes, with
+// no index slab. It is kept because the layer benchmark (bench/layers.go)
+// times it.
+func MeanPoolRows(dst Matrix, src Matrix, idx []int32, k int) {
+	if len(idx) != dst.R*k {
+		panic("f32: MeanPoolRows: index slab does not match dst rows")
+	}
+	ParallelRange(dst.R, Workers(dst.R), func(start, end int) {
+		for i := start; i < end; i++ {
+			MeanPoolInto(dst.Row(i), src, idx[i*k:(i+1)*k])
+		}
+	})
+}
+
 // GatherRows copies the selected rows of src into dst (dst row i receives
 // src row rows[i]). Both matrices must share the column count and dst must
 // have len(rows) rows. The copies are plain memmoves fanned out across

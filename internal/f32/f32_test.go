@@ -329,3 +329,34 @@ func TestWorkers(t *testing.T) {
 		t.Fatalf("Workers(big) = %d", w)
 	}
 }
+
+func randMatrix(rng *rand.Rand, r, c int) Matrix {
+	m := New(r, c)
+	for i := range m.Data {
+		m.Data[i] = rng.Float32()*2 - 1
+	}
+	return m
+}
+
+// TestMeanPoolRowsMatchesPerRow pins the batched kernel against per-row
+// MeanPoolInto bit for bit, negatives included.
+func TestMeanPoolRowsMatchesPerRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	src := randMatrix(rng, 40, 7)
+	const rows, k = 33, 5
+	idx := make([]int32, rows*k)
+	for i := range idx {
+		idx[i] = int32(rng.Intn(42) - 2) // includes the -1/-2 unseen sentinels
+	}
+	batch := New(rows, 7)
+	MeanPoolRows(batch, src, idx, k)
+	want := make([]float32, 7)
+	for i := 0; i < rows; i++ {
+		MeanPoolInto(want, src, idx[i*k:(i+1)*k])
+		for d := range want {
+			if batch.Row(i)[d] != want[d] {
+				t.Fatalf("row %d dim %d: batched %v, per-row %v", i, d, batch.Row(i)[d], want[d])
+			}
+		}
+	}
+}

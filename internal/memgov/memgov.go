@@ -6,8 +6,9 @@
 // mined rules, the coordinator's scatter/gather overlay cache, and every
 // in-flight request's working set (sampled-vector slabs, response cells).
 // Before this package they were governed by three uncoordinated knobs (an
-// entry-counted LRU, the slab spill budget, and nothing at all for the
-// vector caches); the governor replaces that with one ledger:
+// entry-counted LRU, a per-request slab spill budget since removed, and
+// nothing at all for the vector caches); the governor replaces that with
+// one ledger:
 //
 //   - Resident consumers report growth and shrinkage under a named class
 //     (Grow/Shrink). Growth past the budget triggers the registered

@@ -62,7 +62,8 @@ import (
 // and may be replaced by a reference to an external code store file
 // (package codestore), identified by base name and checksum and resolved
 // against the model file's directory at load time; the scale options gain
-// the slab spill budget. Files from versions 1-4 still load unchanged.
+// the slab spill budget, a slot since retired (written as 0, skipped on
+// read). Files from versions 1-4 still load unchanged.
 // Version 6 adds a third codes-section variant for sharded models (flag 2):
 // the shard map — per shard, the codestore file's base name, row count,
 // block size and identity checksum — resolved against the model file's
@@ -357,7 +358,7 @@ func writeOptions(e *encoder, o core.Options) {
 	e.i64(int64(o.Scale.SampleBudget))
 	e.i64(int64(o.Scale.BatchSize))
 	e.i64(int64(o.Scale.MaxIter))
-	e.i64(o.Scale.SlabBudgetBytes)
+	e.i64(0) // v5-v7 slot of the retired slab spill budget
 }
 
 func readOptions(d *decoder, v uint16) core.Options {
@@ -388,10 +389,10 @@ func readOptions(d *decoder, v uint16) core.Options {
 		o.Scale.BatchSize = int(d.i64())
 		o.Scale.MaxIter = int(d.i64())
 	}
-	// The slab spill budget exists from version 5 on; older files predate
-	// spilling and load with it off (in-memory slabs, the historical mode).
+	// Versions 5-7 carry the retired slab spill budget's slot; the value is
+	// ignored (the memory governor alone bounds a select's slab).
 	if v >= 5 {
-		o.Scale.SlabBudgetBytes = d.i64()
+		d.i64()
 	}
 	return o
 }
@@ -735,7 +736,7 @@ func readBinnedParts(d *decoder, t *table.Table, v uint16) ([]binning.ColumnBins
 		if d.err != nil {
 			return nil, nil, nil, nil
 		}
-		if nLabels > 1<<16 {
+		if nLabels > binning.MaxBinsLimit+1 {
 			// Bin codes are uint16, so no column can have more bins.
 			d.fail("column %d has %d bin labels", i, nLabels)
 			return nil, nil, nil, nil
@@ -840,7 +841,7 @@ func readEmbedding(d *decoder) *word2vec.Model {
 	if d.err != nil {
 		return nil
 	}
-	if dim <= 0 || dim > 1<<16 {
+	if dim <= 0 || dim > word2vec.MaxDim {
 		d.fail("embedding dimension %d out of range", dim)
 		return nil
 	}

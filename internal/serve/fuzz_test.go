@@ -25,7 +25,7 @@ func FuzzV1Body(f *testing.F) {
 	}{
 		{0, `{"k":6,"l":3,"targets":["status"],"highlight":true}`},
 		{0, `{"k":4,"l":3,"query":{"where":[{"col":"amount","op":">=","num":40}],"select":["amount","status"]}}`},
-		{0, `{"k":3,"l":2,"scale":{"threshold":1,"sample_budget":64,"batch_size":16,"max_iter":5,"slab_budget":1}}`},
+		{0, `{"k":3,"l":2,"scale":{"threshold":1,"sample_budget":64,"batch_size":16,"max_iter":5}}`},
 		{1, `{"where":[{"col":"status","op":"=","str":"failed"}],"k":5,"l":3}`},
 		{1, `{"k":5,"l":3,"weights":{"null_rate":1,"view_count":0.5}}`},
 		{1, `{"where":[{"col":"amount","op":"~","num":1}]}`},
@@ -36,7 +36,7 @@ func FuzzV1Body(f *testing.F) {
 		{2, ``},
 		{1, `{"k":`},
 		{0, `{"k":65536,"l":1,"scale":{"threshold":1,"sample_budget":1000000000,"batch_size":1000000000,"max_iter":1000000000}}`},
-		{2, `{"row":3,"k":256,"l":256,"scale":{"threshold":1,"batch_size":1000000000,"slab_budget":1}}`},
+		{2, `{"row":3,"k":256,"l":256,"scale":{"threshold":1,"batch_size":1000000000}}`},
 	} {
 		f.Add(seed.endpoint, []byte(seed.body))
 	}

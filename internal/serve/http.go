@@ -18,6 +18,7 @@ import (
 	"subtab/internal/rules"
 	"subtab/internal/shard"
 	"subtab/internal/table"
+	"subtab/internal/word2vec"
 )
 
 // maxCSVBody bounds uploaded CSV bodies (tables beyond this belong in a
@@ -424,12 +425,11 @@ func pipelineOptions(base core.Options, qp map[string][]string) (*core.Options, 
 			*dst = n
 		}
 	}
-	if v, ok := get("scale_slab_budget"); ok {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || n < 0 {
-			return nil, fmt.Errorf("parameter scale_slab_budget: want a non-negative byte count, got %q", v)
-		}
-		opt.Scale.SlabBudgetBytes = n
+	if opt.Bins.MaxBins > binning.MaxBinsLimit {
+		return nil, fmt.Errorf("parameter bins: at most %d, got %d", binning.MaxBinsLimit, opt.Bins.MaxBins)
+	}
+	if opt.Embedding.Dim > word2vec.MaxDim {
+		return nil, fmt.Errorf("parameter dim: at most %d, got %d", word2vec.MaxDim, opt.Embedding.Dim)
 	}
 	if v, ok := get("seed"); ok {
 		seed, err := strconv.ParseInt(v, 10, 64)
@@ -479,29 +479,26 @@ type selectRequest struct {
 
 // scaleDTO is the JSON shape of core.ScaleOptions. threshold 0 disables the
 // scaled path for the request (the explicit way to force exact selection on
-// a model configured with a threshold); threshold 1 forces it. slab_budget
-// caps the in-memory sampled-vector slab in bytes (0 = never spill).
+// a model configured with a threshold); threshold 1 forces it.
 type scaleDTO struct {
-	Threshold    int   `json:"threshold"`
-	SampleBudget int   `json:"sample_budget"`
-	BatchSize    int   `json:"batch_size"`
-	MaxIter      int   `json:"max_iter"`
-	SlabBudget   int64 `json:"slab_budget"`
+	Threshold    int `json:"threshold"`
+	SampleBudget int `json:"sample_budget"`
+	BatchSize    int `json:"batch_size"`
+	MaxIter      int `json:"max_iter"`
 }
 
 func (d *scaleDTO) toOptions() (*core.ScaleOptions, error) {
 	if d == nil {
 		return nil, nil // no override: the model's configured mode
 	}
-	if d.Threshold < 0 || d.SampleBudget < 0 || d.BatchSize < 0 || d.MaxIter < 0 || d.SlabBudget < 0 {
+	if d.Threshold < 0 || d.SampleBudget < 0 || d.BatchSize < 0 || d.MaxIter < 0 {
 		return nil, fmt.Errorf("scale: all knobs must be non-negative")
 	}
 	return &core.ScaleOptions{
-		Threshold:       d.Threshold,
-		SampleBudget:    d.SampleBudget,
-		BatchSize:       d.BatchSize,
-		MaxIter:         d.MaxIter,
-		SlabBudgetBytes: d.SlabBudget,
+		Threshold:    d.Threshold,
+		SampleBudget: d.SampleBudget,
+		BatchSize:    d.BatchSize,
+		MaxIter:      d.MaxIter,
 	}, nil
 }
 

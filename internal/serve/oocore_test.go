@@ -63,8 +63,8 @@ func TestAddTableOutOfCoreNeedsDisk(t *testing.T) {
 	}
 }
 
-// TestHTTPOutOfCoreUpload drives the store=1 knob and the slab-budget
-// request field end to end.
+// TestHTTPOutOfCoreUpload drives the store=1 knob and a scaled select over
+// the paged table end to end.
 func TestHTTPOutOfCoreUpload(t *testing.T) {
 	dir := t.TempDir()
 	svc := NewService(NewStore(StoreOptions{Dir: dir}), testOptions())
@@ -87,21 +87,21 @@ func TestHTTPOutOfCoreUpload(t *testing.T) {
 		t.Fatalf("info = %+v, want OutOfCore", info)
 	}
 
-	// Scaled select with a 1-byte slab budget: spills, still answers.
+	// Scaled select over the paged table.
 	var sel struct {
 		SourceRows []int `json:"source_rows"`
 	}
 	body := map[string]any{
 		"k": 5, "l": 3,
-		"scale": map[string]any{"threshold": 1, "sample_budget": 300, "batch_size": 64, "max_iter": 20, "slab_budget": 1},
+		"scale": map[string]any{"threshold": 1, "sample_budget": 300, "batch_size": 64, "max_iter": 20},
 	}
 	doJSON(t, "POST", srv.URL+"/v1/tables/ooc/select", body, http.StatusOK, &sel)
 	if len(sel.SourceRows) != 5 {
 		t.Fatalf("select returned %d rows, want 5", len(sel.SourceRows))
 	}
 
-	// Negative slab budget is the caller's bug.
-	bad := map[string]any{"k": 5, "l": 3, "scale": map[string]any{"slab_budget": -1}}
+	// A negative scale knob is the caller's bug.
+	bad := map[string]any{"k": 5, "l": 3, "scale": map[string]any{"sample_budget": -1}}
 	doJSON(t, "POST", srv.URL+"/v1/tables/ooc/select", bad, http.StatusBadRequest, nil)
 
 	// store=1 without a cache dir is a 400, not a crash.

@@ -406,7 +406,7 @@ func (s *Service) explore(name string, sess *session.Session, wt *SessionWeights
 // selectError sorts a selection error by whose it is. A refusal (the spec
 // is malformed, or the table's layout cannot serve it) and an empty match
 // are the request's: ErrBadRequest. Anything else is the executor failing —
-// a dead shard peer, spill-file I/O, a column-store checksum mismatch — and
+// a dead shard peer, a column-store checksum mismatch — and
 // keeps its chain for the HTTP layer's 500.
 func selectError(err error) error {
 	var refusal *core.Refusal

@@ -264,3 +264,73 @@ func TestV1DrillDownDeterminism(t *testing.T) {
 		t.Fatalf("replayed dialogue diverged:\n %v\n %v", a, b)
 	}
 }
+
+// TestHTTPAdmissionReservesExactLeg: a select whose filter leaves fewer
+// candidates than the scale threshold clusters every candidate exactly, so
+// admission must reserve that slab, not the sample's. The budget sits
+// between the two: the unfiltered (sampled) select fits it, the filtered
+// one is shed.
+func TestHTTPAdmissionReservesExactLeg(t *testing.T) {
+	svc := NewService(NewStore(StoreOptions{}), testOptions())
+	srv := httptest.NewServer(NewHandler(svc, nil))
+	t.Cleanup(srv.Close)
+	uploadCSV(t, srv, "pay", testCSV(900), http.StatusCreated)
+
+	const dim = 12 // testOptions
+	sampled := int64(100*dim*4 + 100*8)
+	exact := int64(799 * dim * 4)
+	svc.SetAdmission(memgov.New((sampled+exact)/2), 0)
+	scale := map[string]any{"threshold": 800, "sample_budget": 100}
+	url := srv.URL + "/v1/tables/pay/select"
+	doJSON(t, "POST", url, map[string]any{"k": 4, "l": 2, "scale": scale}, http.StatusOK, nil)
+	filtered := map[string]any{
+		"k": 4, "l": 2, "scale": scale,
+		"query": map[string]any{"where": []map[string]any{{"col": "amount", "op": ">=", "num": 50}}},
+	}
+	wantEnvelope(t, "POST", url, filtered, http.StatusTooManyRequests, "overloaded")
+}
+
+// TestHTTPRetiredSlabBudget pins the contract of the removed slab spill
+// settings: a select body's scale.slab_budget is an unknown field, so the
+// typed 400, while an upload's scale_slab_budget parameter is ignored like
+// any other unknown query parameter.
+func TestHTTPRetiredSlabBudget(t *testing.T) {
+	srv := newTestServer(t)
+	resp, err := http.Post(srv.URL+"/tables?name=pay&workers=1&scale_slab_budget=1", "text/csv", strings.NewReader(testCSV(120)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("upload with scale_slab_budget = %d, want 201", resp.StatusCode)
+	}
+	env, _ := wantEnvelope(t, "POST", srv.URL+"/v1/tables/pay/select",
+		map[string]any{"k": 3, "l": 2, "scale": map[string]any{"slab_budget": 1}}, http.StatusBadRequest, "bad_request")
+	if !strings.Contains(env.Message, "slab_budget") {
+		t.Fatalf("envelope message %q does not name the unknown field", env.Message)
+	}
+}
+
+// TestHTTPPipelineKnobBounds pins the upper bounds of the bins and dim
+// upload knobs: bin codes are uint16 and a model file holds at most
+// word2vec.MaxDim dimensions, so a larger value is the typed 400 naming
+// the knob, before the CSV is read, rather than a model that shares one
+// code between two bins or cannot be loaded back.
+func TestHTTPPipelineKnobBounds(t *testing.T) {
+	srv := newTestServer(t)
+	for _, knob := range []string{"bins=70000", "dim=70000"} {
+		resp, err := http.Post(srv.URL+"/tables?name=x&workers=1&"+knob, "text/csv", strings.NewReader("a\n1\n2\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		var env errorEnvelope
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(raw, &env) != nil || env.Code != "bad_request" {
+			t.Fatalf("upload with %s = %d %s, want the typed 400", knob, resp.StatusCode, raw)
+		}
+		if name, _, _ := strings.Cut(knob, "="); !strings.Contains(env.Message, "parameter "+name) {
+			t.Fatalf("upload with %s: message %q does not name the knob", knob, env.Message)
+		}
+	}
+}

@@ -20,9 +20,12 @@ import (
 	"subtab/internal/f32"
 )
 
+// MaxDim is the largest embedding dimensionality a model file holds.
+const MaxDim = 1 << 16
+
 // Options configures training.
 type Options struct {
-	// Dim is the embedding dimensionality (default 32).
+	// Dim is the embedding dimensionality (default 32, at most MaxDim).
 	Dim int
 	// Window is the number of context tokens sampled per center token
 	// (default 5). The effective window is the whole sentence, as in

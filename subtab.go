@@ -51,10 +51,9 @@
 // Tables larger than memory serve out-of-core: Model.PageOut moves the
 // bin codes and the displayed cells into chunked, checksummed, mmap-backed
 // stores (one file pair, or N row-range shards) and releases the in-memory
-// copies, the scaled Select streams its sampler over store blocks, a view
-// gathers only the selected rows' cells, and ScaleOptions.SlabBudgetBytes
-// spills the sampled tuple-vector slab to a temp file past the budget —
-// all byte-identical to the in-memory path. SaveModel on a paged model
+// copies, the scaled Select streams its sampler over store blocks and
+// holds only the sample's tuple-vectors, and a view gathers only the
+// selected rows' cells — all byte-identical to the in-memory path. SaveModel on a paged model
 // writes checksummed references to the stores instead of inlining them.
 //
 // The packages behind this facade also implement the paper's evaluation
