@@ -36,9 +36,16 @@
 // Readers are safe for concurrent use: the file is memory-mapped where the
 // platform supports it and read with pread-style ReadAt elsewhere, and both
 // access paths are stateless apart from caller-owned scratch.
+//
+// A store file can also live in memory: CreateImage writes through the same
+// Append, block flush and finish as Create and yields the exact bytes the
+// file would hold, and OpenBytes validates such an image through the same
+// checks as Open and reads it in place. Package modelio embeds a resident
+// model's codes and cells in its model file this way.
 package blockfile
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -83,12 +90,13 @@ const (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// Writer streams rows into a store file. Rows are appended in chunks and
-// flushed block by block; Close finalizes the index and footer. A writer
-// that never reaches Close leaves a file Open rejects, so a crashed export
-// cannot be mistaken for a complete store.
+// Writer streams rows into a store file, or into an in-memory image of
+// one. Rows are appended in chunks and flushed block by block; Close
+// finalizes the index and footer. A writer that never reaches Close leaves
+// a file Open rejects, so a crashed export cannot be mistaken for a
+// complete store.
 type Writer struct {
-	f         *os.File
+	dst       sink
 	ft        Format
 	blockRows int
 	rows      uint64
@@ -99,10 +107,56 @@ type Writer struct {
 	err       error
 }
 
+// sink is what a Writer writes to: an *os.File, or an *image. WriteAt
+// patches the header's row count on Close.
+type sink interface {
+	io.Writer
+	io.WriterAt
+}
+
+// image is the in-memory sink: the bytes a store file would hold.
+type image struct{ buf []byte }
+
+func (m *image) Write(p []byte) (int, error) {
+	// Doubling keeps the buffers an image outgrows at about its own size
+	// in all; append's gentler growth for large slices would cost several.
+	if n := len(m.buf) + len(p); n > cap(m.buf) {
+		m.buf = append(make([]byte, 0, max(n, 2*cap(m.buf))), m.buf...)
+	}
+	m.buf = append(m.buf, p...)
+	return len(p), nil
+}
+
+func (m *image) WriteAt(p []byte, off int64) (int, error) {
+	return copy(m.buf[off:], p), nil
+}
+
 // Create starts a store file of cols columns at path in the format's current
 // Version; meta is the meta section's payload (ignored when that version has
 // none). The file is truncated.
 func Create(path string, ft Format, cols, blockRows int, meta []byte) (*Writer, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	w, err := newWriter(f, ft, cols, blockRows, meta)
+	if err != nil {
+		f.Close()
+		os.Remove(path)
+		return nil, err
+	}
+	return w, nil
+}
+
+// CreateImage is Create for an in-memory target: after Close, Image returns
+// the exact bytes Create would have left in the file.
+func CreateImage(ft Format, cols, blockRows int, meta []byte) (*Writer, error) {
+	return newWriter(&image{}, ft, cols, blockRows, meta)
+}
+
+// newWriter writes the header and meta section to dst and returns the
+// writer that streams the pages after them.
+func newWriter(dst sink, ft Format, cols, blockRows int, meta []byte) (*Writer, error) {
 	if cols <= 0 || blockRows <= 0 {
 		return nil, fmt.Errorf("blockfile: create: impossible geometry (%d cols, %d rows/block)", cols, blockRows)
 	}
@@ -116,18 +170,12 @@ func Create(path string, ft Format, cols, blockRows int, meta []byte) (*Writer, 
 		head = binary.LittleEndian.AppendUint32(head, uint32(len(meta)))
 		head = append(head, meta...)
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
 	// The header is rewritten with the final row count on Close; writing a
 	// placeholder now keeps the data section at a fixed offset.
-	if _, err := f.Write(head); err != nil {
-		f.Close()
-		os.Remove(path)
+	if _, err := dst.Write(head); err != nil {
 		return nil, err
 	}
-	return &Writer{f: f, ft: ft, blockRows: blockRows, head: head, buf: make([][]byte, cols)}, nil
+	return &Writer{dst: dst, ft: ft, blockRows: blockRows, head: head, buf: make([][]byte, cols)}, nil
 }
 
 // Append adds n rows. For each run of rows that fits the current block it
@@ -163,7 +211,7 @@ func (w *Writer) Append(n int, encode func(c int, dst []byte, off, take int) []b
 func (w *Writer) flushBlock() error {
 	for c := range w.buf {
 		w.crcs = append(w.crcs, crc32.Checksum(w.buf[c], crcTable))
-		if _, err := w.f.Write(w.buf[c]); err != nil {
+		if _, err := w.dst.Write(w.buf[c]); err != nil {
 			return w.Fail(err)
 		}
 		w.buf[c] = w.buf[c][:0]
@@ -183,9 +231,14 @@ func (w *Writer) Fail(err error) error {
 
 // Close flushes the final (possibly short) block, writes the page index,
 // rewrites the header with the final row count, writes the footer checksum
-// and the end magic, and syncs the file.
+// and the end magic, and syncs and closes the file (a CreateImage writer
+// has none).
 func (w *Writer) Close() error {
-	return errors.Join(w.finish(), w.f.Close())
+	err := w.finish()
+	if f, ok := w.dst.(*os.File); ok {
+		err = errors.Join(err, f.Close())
+	}
+	return err
 }
 
 func (w *Writer) finish() error {
@@ -201,11 +254,11 @@ func (w *Writer) finish() error {
 	for _, crc := range w.crcs {
 		index = binary.LittleEndian.AppendUint32(index, crc)
 	}
-	if _, err := w.f.Write(index); err != nil {
+	if _, err := w.dst.Write(index); err != nil {
 		return err
 	}
 	binary.LittleEndian.PutUint64(w.head[rowsOff:], w.rows)
-	if _, err := w.f.WriteAt(w.head[:headerSize], 0); err != nil {
+	if _, err := w.dst.WriteAt(w.head[:headerSize], 0); err != nil {
 		return err
 	}
 	// The footer checksum covers header + meta + index, so a store whose
@@ -216,16 +269,30 @@ func (w *Writer) finish() error {
 	h.Write(index)
 	foot := binary.LittleEndian.AppendUint32(nil, h.Sum32())
 	foot = append(foot, w.ft.EndMagic[:]...)
-	if _, err := w.f.Write(foot); err != nil {
+	if _, err := w.dst.Write(foot); err != nil {
 		return err
 	}
-	return w.f.Sync()
+	if f, ok := w.dst.(*os.File); ok {
+		return f.Sync()
+	}
+	return nil
 }
 
-// Abort discards the writer and removes the partial file.
+// Image returns the bytes of a CreateImage writer after a successful Close
+// (nil for a file writer).
+func (w *Writer) Image() []byte {
+	if m, ok := w.dst.(*image); ok {
+		return m.buf
+	}
+	return nil
+}
+
+// Abort discards the writer and removes the partial file, if any.
 func (w *Writer) Abort() {
-	w.f.Close()
-	os.Remove(w.f.Name())
+	if f, ok := w.dst.(*os.File); ok {
+		f.Close()
+		os.Remove(f.Name())
+	}
 }
 
 // WriteAtomic runs write against path+".tmp" and renames the result into
@@ -256,8 +323,9 @@ type Layout func(version uint16, cols int, meta []byte) (widths []int, err error
 // garbage-collected without Close release their resources via a runtime
 // cleanup, so an evicted model cannot leak a mapping forever.
 type File struct {
-	// Data is the whole file when it is memory-mapped and nil on the ReadAt
-	// path. The typed accessors of the store packages index it directly.
+	// Data is the whole file when it is memory-mapped or opened from bytes,
+	// and nil on the ReadAt path. The typed accessors of the store packages
+	// index it directly.
 	Data []byte
 
 	path      string
@@ -273,6 +341,7 @@ type File struct {
 	crcs      []uint32
 	checksum  uint32   // footer CRC: the store's identity for external refs
 	src       *os.File // what ReadAt reads when the file is not mapped
+	res       region   // the OS resources Close releases (none for bytes)
 	cleanup   runtime.Cleanup
 }
 
@@ -314,12 +383,44 @@ func Open(path string, ft Format, layout Layout) (_ *File, err error) {
 	if err != nil {
 		return nil, err
 	}
-	size := fi.Size()
+	file, err := open(f, fi.Size(), ft, layout)
+	if err != nil {
+		return nil, err
+	}
+	file.path = path
+	if data, err := mapFile(f, fi.Size()); err == nil {
+		file.Data = data
+		f.Close()
+	} else {
+		file.src = f
+	}
+	file.res = region{file.Data, file.src}
+	file.cleanup = runtime.AddCleanup(file, region.release, file.res)
+	return file, nil
+}
+
+// OpenBytes opens a store file image held in memory — what Open validates,
+// the same way. The File reads data in place (Data is data) and must not
+// outlive it; it holds no OS resources, and its Path is empty.
+func OpenBytes(data []byte, ft Format, layout Layout) (*File, error) {
+	file, err := open(bytes.NewReader(data), int64(len(data)), ft, layout)
+	if err != nil {
+		return nil, err
+	}
+	file.Data = data
+	return file, nil
+}
+
+// open validates the store file of size bytes that r reads — the magic,
+// the version, the geometry, the meta section, the exact length, the
+// footer checksum and the end magic — and returns its File without an
+// access path.
+func open(r io.ReaderAt, size int64, ft Format, layout Layout) (*File, error) {
 	if size < headerSize {
 		return nil, fmt.Errorf("%w: %d bytes, header needs %d", ErrTruncated, size, headerSize)
 	}
 	head := make([]byte, headerSize, headerSize+4)
-	if _, err := f.ReadAt(head, 0); err != nil {
+	if _, err := r.ReadAt(head, 0); err != nil {
 		return nil, err
 	}
 	if [8]byte(head[:8]) != ft.Magic {
@@ -346,7 +447,7 @@ func Open(path string, ft Format, layout Layout) (_ *File, err error) {
 			return nil, fmt.Errorf("%w: %d bytes, header needs %d", ErrTruncated, size, headerSize+4)
 		}
 		head = head[:headerSize+4]
-		if _, err := f.ReadAt(head[headerSize:], headerSize); err != nil {
+		if _, err := r.ReadAt(head[headerSize:], headerSize); err != nil {
 			return nil, err
 		}
 		metaLen := int64(binary.LittleEndian.Uint32(head[headerSize:]))
@@ -354,12 +455,12 @@ func Open(path string, ft Format, layout Layout) (_ *File, err error) {
 			return nil, fmt.Errorf("%w: meta section claims %d bytes past the file end", ErrTruncated, metaLen)
 		}
 		meta = make([]byte, metaLen)
-		if _, err := f.ReadAt(meta, int64(len(head))); err != nil {
+		if _, err := r.ReadAt(meta, int64(len(head))); err != nil {
 			return nil, err
 		}
 	}
 	file := &File{
-		path: path, version: version, rows: int(rows64), cols: cols, blockRows: blockRows,
+		version: version, rows: int(rows64), cols: cols, blockRows: blockRows,
 		dataStart: int64(len(head) + len(meta)),
 	}
 	widths, err := layout(version, cols, meta)
@@ -396,7 +497,7 @@ func Open(path string, ft Format, layout Layout) (_ *File, err error) {
 		return nil, fmt.Errorf("%w: %d bytes on disk, a %dx%d store needs %d (crashed writer?)", ErrTruncated, size, file.rows, cols, want)
 	}
 	tail := make([]byte, indexSize+4+8)
-	if _, err := f.ReadAt(tail, file.dataStart+dataSize); err != nil {
+	if _, err := r.ReadAt(tail, file.dataStart+dataSize); err != nil {
 		return nil, err
 	}
 	if [8]byte(tail[len(tail)-8:]) != ft.EndMagic {
@@ -414,13 +515,6 @@ func Open(path string, ft Format, layout Layout) (_ *File, err error) {
 	for i := range file.crcs {
 		file.crcs[i] = binary.LittleEndian.Uint32(tail[i*4:])
 	}
-	if data, err := mapFile(f, size); err == nil {
-		file.Data = data
-		f.Close()
-	} else {
-		file.src = f
-	}
-	file.cleanup = runtime.AddCleanup(file, region.release, region{file.Data, file.src})
 	return file, nil
 }
 
@@ -428,12 +522,12 @@ func Open(path string, ft Format, layout Layout) (_ *File, err error) {
 // Close is not safe to race with in-flight reads.
 func (f *File) Close() error {
 	f.cleanup.Stop()
-	region{f.Data, f.src}.release()
-	f.Data, f.src = nil, nil
+	f.res.release()
+	f.Data, f.src, f.res = nil, nil, region{}
 	return nil
 }
 
-// Path returns the path the file was opened from.
+// Path returns the path the file was opened from ("" for OpenBytes).
 func (f *File) Path() string { return f.path }
 
 // Checksum returns the footer CRC — a cheap identity covering the geometry,
@@ -441,8 +535,8 @@ func (f *File) Path() string { return f.path }
 // (modelio, the shard map) to detect a swapped or regenerated store.
 func (f *File) Checksum() uint32 { return f.checksum }
 
-// Mapped reports whether the file is memory-mapped (false = ReadAt
-// fallback).
+// Mapped reports whether the file is memory-mapped or in memory (false =
+// ReadAt fallback).
 func (f *File) Mapped() bool { return f.Data != nil }
 
 // NumRows returns the row count.

@@ -36,9 +36,20 @@ type storeKind struct {
 	abandon func(path string, rows, blockRows int) (abort func(), err error)
 	// open opens the store and returns its framing.
 	open func(path string) (*blockfile.File, error)
-	// read opens the store, verifies it and reads every typed value through
-	// every typed accessor, rendering them into text unless it is nil.
-	read func(path string, text *strings.Builder) error
+	// read opens the store — the file at path, or data in memory when path
+	// is "" — verifies it and reads every typed value through every typed
+	// accessor, rendering them into text unless it is nil. It returns the
+	// store's footer checksum.
+	read func(path string, data []byte, text *strings.Builder) (uint32, error)
+}
+
+// openStore opens a store through its package: Open(path), or
+// OpenBytes(data) when path is "".
+func openStore[S any](open func(string) (S, error), openBytes func([]byte) (S, error), path string, data []byte) (S, error) {
+	if path == "" {
+		return openBytes(data)
+	}
+	return open(path)
 }
 
 var storeKinds = []storeKind{
@@ -63,14 +74,14 @@ var storeKinds = []storeKind{
 			}
 			return s.File, nil
 		},
-		read: func(path string, text *strings.Builder) error {
-			s, err := codestore.Open(path)
+		read: func(path string, data []byte, text *strings.Builder) (uint32, error) {
+			s, err := openStore(codestore.Open, codestore.OpenBytes, path, data)
 			if err != nil {
-				return err
+				return 0, err
 			}
 			defer s.Close()
 			if err := s.Verify(); err != nil {
-				return err
+				return 0, err
 			}
 			var scratch []uint16
 			for c := 0; c < s.NumCols(); c++ {
@@ -86,7 +97,7 @@ var storeKinds = []storeKind{
 					}
 				}
 			}
-			return nil
+			return s.Checksum(), nil
 		},
 	},
 	{
@@ -110,20 +121,20 @@ var storeKinds = []storeKind{
 			}
 			return s.File, nil
 		},
-		read: func(path string, text *strings.Builder) error {
-			s, err := colstore.Open(path)
+		read: func(path string, data []byte, text *strings.Builder) (uint32, error) {
+			s, err := openStore(colstore.Open, colstore.OpenBytes, path, data)
 			if err != nil {
-				return err
+				return 0, err
 			}
 			defer s.Close()
 			if err := s.Verify(); err != nil {
-				return err
+				return 0, err
 			}
 			for c := 0; c < s.NumCols(); c++ {
 				for r := 0; r < s.NumRows(); r++ {
 					cell, err := s.Cell(c, r)
 					if err != nil {
-						return err
+						return 0, err
 					}
 					if text != nil {
 						fmt.Fprintln(text, "cell", c, r, cell)
@@ -131,10 +142,13 @@ var storeKinds = []storeKind{
 				}
 			}
 			mat, err := s.MaterializeTable("t")
-			if err == nil && text != nil {
+			if err != nil {
+				return 0, err
+			}
+			if text != nil {
 				text.WriteString(mat.Render(nil))
 			}
-			return err
+			return s.Checksum(), nil
 		},
 	},
 }
@@ -355,7 +369,7 @@ func TestMappedEqualsUnmapped(t *testing.T) {
 						pages[i] = append(pages[i], page...)
 					}
 				}
-				if err := k.read(path, &typed[i]); err != nil {
+				if _, err := k.read(path, nil, &typed[i]); err != nil {
 					t.Fatal(err)
 				}
 			})

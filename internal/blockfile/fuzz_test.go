@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 
 	"subtab/internal/blockfile"
@@ -45,11 +46,12 @@ func fuzzSeeds(k storeKind, raw []byte) [][]byte {
 // wrapping ErrTruncated/ErrCorrupt and never panic; whatever it accepts
 // must survive Verify and a full typed read (ColumnBlock and Code over
 // every block; Cell and MaterializeTable) without panicking and without
-// allocating more than a small multiple of the file size. Seeds are the
-// checked-in golden stores of both formats, truncated and bit-flipped at
-// every section boundary; the corpus under testdata/fuzz/FuzzOpen replays a
-// sample of them, and the crafted headers of
-// TestCraftedGeometryCostsNothing, on every plain `go test` run.
+// allocating more than a small multiple of the file size. OpenBytes over
+// the same bytes must give the same verdict, the same Checksum and the
+// same typed reads. Seeds are the checked-in golden stores of both
+// formats, truncated and bit-flipped at every section boundary; the corpus
+// under testdata/fuzz/FuzzOpen replays a sample of them, and the crafted
+// headers of TestCraftedGeometryCostsNothing, on every plain `go test` run.
 func FuzzOpen(f *testing.F) {
 	for i, k := range storeKinds {
 		stores, err := filepath.Glob(filepath.Join("testdata", "stores", k.stem+"_*"))
@@ -77,7 +79,7 @@ func FuzzOpen(f *testing.F) {
 				t.Fatal(err)
 			}
 			var err error
-			n := allocatedBy(func() { err = k.read(path, nil) })
+			n := allocatedBy(func() { _, err = k.read(path, nil, nil) })
 			// Open and Verify fail with the sentinels; the typed accessors
 			// of an accepted store may additionally report an
 			// out-of-dictionary code, also under ErrCorrupt.
@@ -89,6 +91,14 @@ func FuzzOpen(f *testing.F) {
 			// 16 bytes per 4-byte empty string.
 			if limit := uint64(32*len(variant) + 256<<10); n > limit {
 				t.Fatalf("%s: reading a %d-byte file allocated %d bytes (limit %d)", k.name, len(variant), n, limit)
+			}
+			// The same bytes opened in memory: the same verdict, the same
+			// checksum and the same typed reads.
+			var fromFile, fromBytes strings.Builder
+			fileSum, fileErr := k.read(path, nil, &fromFile)
+			bytesSum, bytesErr := k.read("", variant, &fromBytes)
+			if fmt.Sprint(fileErr) != fmt.Sprint(bytesErr) || fileSum != bytesSum || fromFile.String() != fromBytes.String() {
+				t.Fatalf("%s: the file gave (%08x, %v), the same bytes in memory (%08x, %v)", k.name, fileSum, fileErr, bytesSum, bytesErr)
 			}
 		}
 	})

@@ -16,6 +16,8 @@
 //	         of its column's width
 //
 // Version 1 files (no meta section, every cell a u16) still open and read.
+// Image builds a store's exact bytes in memory and OpenBytes reads them in
+// place: a resident model's file (package modelio) embeds its codes so.
 package codestore
 
 import (
@@ -94,6 +96,15 @@ type Writer struct {
 // (each column's bin count, which sets its code width) and the given
 // rows-per-block (<= 0 uses DefaultBlockRows). The file is truncated.
 func Create(path string, bins []int, blockRows int) (*Writer, error) {
+	return create(bins, blockRows, func(blockRows int, meta []byte) (*blockfile.Writer, error) {
+		return blockfile.Create(path, format, len(bins), blockRows, meta)
+	})
+}
+
+// create derives the per-column widths and the meta section from bins and
+// starts the blockfile writer open returns over them: a file's or an
+// in-memory image's.
+func create(bins []int, blockRows int, open func(blockRows int, meta []byte) (*blockfile.Writer, error)) (*Writer, error) {
 	if blockRows <= 0 {
 		blockRows = DefaultBlockRows
 	}
@@ -103,7 +114,7 @@ func Create(path string, bins []int, blockRows int) (*Writer, error) {
 		widths[c] = codeWidth(nb)
 		meta[c] = byte(widths[c])
 	}
-	w, err := blockfile.Create(path, format, len(bins), blockRows, meta)
+	w, err := open(blockRows, meta)
 	if err != nil {
 		return nil, err
 	}
@@ -125,6 +136,7 @@ func (w *Writer) AppendColumns(chunk [][]uint16) error {
 	}
 	return w.Append(n, func(c int, dst []byte, off, take int) []byte {
 		codes := chunk[c][off : off+take]
+		dst = slices.Grow(dst, take*w.widths[c])
 		if w.widths[c] == 2 {
 			for _, v := range codes {
 				dst = binary.LittleEndian.AppendUint16(dst, v)
@@ -160,12 +172,34 @@ func WriteFile(path string, codes [][]uint16, blockRows int) error {
 		if err != nil {
 			return err
 		}
-		if err := w.AppendColumns(codes); err != nil {
-			w.Abort()
-			return err
-		}
-		return w.Close()
+		return w.appendAll(codes)
 	})
+}
+
+// Image returns the bytes of a complete store of the given columns, built
+// in memory: one column per entry of bins, whose bin counts set the code
+// widths as in Create.
+func Image(bins []int, codes [][]uint16, blockRows int) ([]byte, error) {
+	w, err := create(bins, blockRows, func(blockRows int, meta []byte) (*blockfile.Writer, error) {
+		return blockfile.CreateImage(format, len(bins), blockRows, meta)
+	})
+	if err != nil {
+		return nil, err
+	}
+	if err := w.appendAll(codes); err != nil {
+		return nil, err
+	}
+	return w.Image(), nil
+}
+
+// appendAll appends codes as one chunk and closes the writer, aborting it
+// on failure.
+func (w *Writer) appendAll(codes [][]uint16) error {
+	if err := w.AppendColumns(codes); err != nil {
+		w.Abort()
+		return err
+	}
+	return w.Close()
 }
 
 // Store is an open, read-only code store: a blockfile.File (geometry, Path,
@@ -186,6 +220,28 @@ func Open(path string) (*Store, error) {
 		return nil, err
 	}
 	return &Store{f}, nil
+}
+
+// OpenBytes opens a store image held in memory, validated as Open
+// validates a file; the Store reads data in place.
+func OpenBytes(data []byte) (*Store, error) {
+	f, err := blockfile.OpenBytes(data, format, layout)
+	if err != nil {
+		return nil, err
+	}
+	return &Store{f}, nil
+}
+
+// Columns decodes every column whole into fresh slices, one per column.
+func (s *Store) Columns() [][]uint16 {
+	out := make([][]uint16, s.NumCols())
+	for c := range out {
+		out[c] = make([]uint16, s.NumRows())
+		for blk := 0; blk < s.NumBlocks(); blk++ {
+			s.ColumnBlock(c, blk, out[c][blk*s.BlockRows():])
+		}
+	}
+	return out
 }
 
 // ColumnBlock decodes column c's codes for block blk into scratch

@@ -7,10 +7,12 @@
 package codestore
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -221,5 +223,44 @@ func TestWriteFileAtomic(t *testing.T) {
 	}
 	if entries, _ := os.ReadDir(dir); len(entries) != 2 {
 		t.Fatalf("store dir has %d entries after a failed rename, want 2 (no .tmp)", len(entries))
+	}
+}
+
+// TestImage pins the in-memory entry points: Image is byte for byte the
+// file Create writes for the same bin counts, OpenBytes reads it as Open
+// reads the file, and Columns decodes every column whole.
+func TestImage(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	codes := append(randCodes(rng, 2, 300, 200), randCodes(rng, 1, 300, 3000)...)
+	bins := []int{200, 200, 3000}
+	path := filepath.Join(t.TempDir(), "img.codes")
+	w, err := Create(path, bins, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AppendColumns(codes); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	image, err := Image(bins, codes, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(image, want) {
+		t.Fatalf("Image differs from the %d-byte file Create writes", len(want))
+	}
+	s, err := OpenBytes(image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkStore(t, s, codes)
+	if !reflect.DeepEqual(s.Columns(), codes) {
+		t.Fatal("Columns differs from the codes written")
 	}
 }

@@ -21,7 +21,9 @@
 // The writer picks each column's narrowest exact encoding from the rows it
 // writes. Version 1 files, whose columns are all Float64 (numeric) or
 // 4-byte DictCode (categorical) with no encoding bytes in the schema, still
-// open and read.
+// open and read. TableImage builds a store's exact bytes in memory and
+// OpenBytes reads them in place: a resident model's file (package modelio)
+// embeds its cells so.
 package colstore
 
 import (
@@ -77,6 +79,15 @@ type Writer struct {
 // with AppendRows, within that range, so a shard export can write its own
 // slice. The file is truncated.
 func Create(path string, t *table.Table, start, end, blockRows int) (*Writer, error) {
+	return create(t, start, end, blockRows, func(blockRows int, meta []byte) (*blockfile.Writer, error) {
+		return blockfile.Create(path, format, t.NumCols(), blockRows, meta)
+	})
+}
+
+// create encodes t's schema and the chosen encodings into the meta section
+// and starts the blockfile writer open returns over them: a file's or an
+// in-memory image's.
+func create(t *table.Table, start, end, blockRows int, open func(blockRows int, meta []byte) (*blockfile.Writer, error)) (*Writer, error) {
 	cols := t.Columns()
 	if len(cols) == 0 {
 		return nil, fmt.Errorf("colstore: create: table %s has no columns", t.Name)
@@ -105,7 +116,7 @@ func Create(path string, t *table.Table, start, end, blockRows int) (*Writer, er
 		encs[i] = chooseEncoding(c, start, end)
 		meta = encs[i].appendMeta(meta)
 	}
-	w, err := blockfile.Create(path, format, len(cols), blockRows, meta)
+	w, err := open(blockRows, meta)
 	if err != nil {
 		return nil, err
 	}
@@ -139,12 +150,32 @@ func WriteTableRows(path string, t *table.Table, start, end, blockRows int) erro
 		if err != nil {
 			return err
 		}
-		if err := w.AppendRows(start, end-start); err != nil {
-			w.Abort()
-			return err
-		}
-		return w.Close()
+		return w.appendAll(start, end)
 	})
+}
+
+// TableImage returns the bytes WriteTable writes for t, built in memory.
+func TableImage(t *table.Table, blockRows int) ([]byte, error) {
+	w, err := create(t, 0, t.NumRows(), blockRows, func(blockRows int, meta []byte) (*blockfile.Writer, error) {
+		return blockfile.CreateImage(format, t.NumCols(), blockRows, meta)
+	})
+	if err != nil {
+		return nil, err
+	}
+	if err := w.appendAll(0, t.NumRows()); err != nil {
+		return nil, err
+	}
+	return w.Image(), nil
+}
+
+// appendAll appends the source rows [start, end) and closes the writer,
+// aborting it on failure.
+func (w *Writer) appendAll(start, end int) error {
+	if err := w.AppendRows(start, end-start); err != nil {
+		w.Abort()
+		return err
+	}
+	return w.Close()
 }
 
 // Store is an open, read-only paged column store: a blockfile.File
@@ -170,6 +201,18 @@ type Store struct {
 func Open(path string) (*Store, error) {
 	s := &Store{}
 	f, err := blockfile.Open(path, format, s.parseSchema)
+	if err != nil {
+		return nil, err
+	}
+	s.File = f
+	return s, nil
+}
+
+// OpenBytes opens a store image held in memory, validated as Open
+// validates a file; the Store reads data in place.
+func OpenBytes(data []byte) (*Store, error) {
+	s := &Store{}
+	f, err := blockfile.OpenBytes(data, format, s.parseSchema)
 	if err != nil {
 		return nil, err
 	}
@@ -299,6 +342,9 @@ func (s *Store) MaterializeTable(name string) (*table.Table, error) {
 		} else {
 			col.Cats = make([]int32, 0, s.NumRows())
 			col.Dict = table.DictFromStrings(s.dicts[c])
+			if col.Dict.Size() != len(s.dicts[c]) {
+				return nil, fmt.Errorf("%w: column %q's dictionary repeats a string", ErrCorrupt, s.names[c])
+			}
 		}
 		e := s.encs[c]
 		for blk := 0; blk < s.NumBlocks(); blk++ {

@@ -8,8 +8,11 @@
 package colstore
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"os"
@@ -323,5 +326,65 @@ func TestWriteTableAtomic(t *testing.T) {
 	}
 	if entries, _ := os.ReadDir(dir); len(entries) != 2 {
 		t.Fatalf("store dir has %d entries after a failed rename, want 2 (no .tmp)", len(entries))
+	}
+}
+
+// TestTableImage pins the in-memory entry points: TableImage is byte for
+// byte the file WriteTable writes, and OpenBytes reads it as Open reads
+// the file.
+func TestTableImage(t *testing.T) {
+	src := randTable(rand.New(rand.NewSource(3)), "img", 700)
+	path := filepath.Join(t.TempDir(), "img.cols")
+	if err := WriteTable(path, src, 256); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	image, err := TableImage(src, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(image, want) {
+		t.Fatalf("TableImage differs from the %d-byte file WriteTable writes", len(want))
+	}
+	s, err := OpenBytes(image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Path() != "" || s.NumBlocks() != 3 {
+		t.Fatalf("image store: path %q, %d blocks", s.Path(), s.NumBlocks())
+	}
+	checkStore(t, s, src)
+}
+
+// TestMaterializeRejectsRepeatedDictionary: a dictionary page whose
+// strings repeat (damage the footer checksum cannot see once resealed)
+// cannot become a table dictionary, which interns each string once — its
+// codes would point past the rebuilt dictionary.
+func TestMaterializeRejectsRepeatedDictionary(t *testing.T) {
+	src, err := table.FromColumns("dup", []*table.Column{table.NewCategorical("cat", []string{"a", "b", "a"})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	image, err := TableImage(src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(image, []byte{1, 0, 0, 0, 'b'})
+	image[at+4] = 'a'
+	// Reseal the footer over header, meta and the one-page index.
+	metaEnd := 26 + 4 + int(binary.LittleEndian.Uint32(image[26:]))
+	h := crc32.New(crc32.MakeTable(crc32.Castagnoli))
+	h.Write(image[:metaEnd])
+	h.Write(image[len(image)-16 : len(image)-12])
+	binary.LittleEndian.PutUint32(image[len(image)-12:], h.Sum32())
+	s, err := OpenBytes(image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.MaterializeTable("dup"); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("materializing a repeated dictionary: err = %v, want ErrCorrupt", err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"subtab/internal/blockfile"
 	"subtab/internal/table"
@@ -102,6 +103,7 @@ func chooseEncoding(col *table.Column, start, end int) encoding {
 
 // appendCells appends the encoding of col's rows [start, start+n) to dst.
 func (e encoding) appendCells(dst []byte, col *table.Column, start, n int) []byte {
+	dst = slices.Grow(dst, n*e.width)
 	if e.enc == DictCode {
 		for _, code := range col.Cats[start : start+n] {
 			u := uint64(code)

@@ -1,0 +1,139 @@
+package modelio
+
+import (
+	"bytes"
+	"encoding/binary"
+	"flag"
+	"math"
+	"os"
+	"reflect"
+	"testing"
+
+	"subtab/internal/core"
+	"subtab/internal/table"
+	"subtab/internal/word2vec"
+)
+
+var writeV7 = flag.Bool("write-v7", false, "write "+v7Fixture+" with this build's Save, which must write format version 7")
+
+// v7Fixture is a model file written by the last build whose Save wrote
+// format version 7. It pins that every later build still loads it.
+const v7Fixture = "testdata/model_v7.subtab"
+
+// compatModel builds the model the v7 fixture holds: the mixed test table
+// (missing values in both kinds, an "other" bin) pre-processed over 120
+// rows, then 20 more rows appended incrementally, so the bin counts and
+// the append lineage are non-trivial.
+func compatModel(t *testing.T) *core.Model {
+	t.Helper()
+	opt := core.Default()
+	opt.Embedding = word2vec.Options{Dim: 8, Epochs: 1, Seed: 3, Workers: 1}
+	opt.ClusterSeed = 5
+	m, err := core.Preprocess(testTable(t, 120), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _, err = m.Append(testTable(t, 20), core.AppendOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestWriteV7Fixture re-records the v7 fixture. It runs only with
+// -write-v7, on a build whose Save still writes version 7.
+func TestWriteV7Fixture(t *testing.T) {
+	if !*writeV7 {
+		t.Skip("run with -write-v7 on a build that writes format version 7")
+	}
+	if Version != 7 {
+		t.Fatalf("this build writes format version %d; the fixture must be written by a version 7 build", Version)
+	}
+	if err := SaveFile(v7Fixture, compatModel(t)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLoadV7Fixture is the back-compat pin of format version 7: the
+// checked-in file loads; its cells, codes, bin counts and lineage equal a
+// fresh build of the same model; and re-saved in the current format and
+// loaded again it selects byte-identically.
+func TestLoadV7Fixture(t *testing.T) {
+	raw, err := os.ReadFile(v7Fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint16(raw[8:]); v != 7 {
+		t.Fatalf("fixture is format version %d, want 7", v)
+	}
+	old, err := Load(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := compatModel(t)
+	assertSameTable(t, fresh.T, old.T)
+	if !reflect.DeepEqual(fresh.B.Codes, old.B.Codes) {
+		t.Fatal("v7 fixture's bin codes differ from a fresh build's")
+	}
+	if !reflect.DeepEqual(fresh.BinCountsData(), old.BinCountsData()) {
+		t.Fatal("v7 fixture's bin counts differ from a fresh build's")
+	}
+	if fresh.AppendedSinceRebin() != old.AppendedSinceRebin() || old.AppendedSinceRebin() != 20 {
+		t.Fatalf("append lineage: fixture %d, fresh build %d, want 20", old.AppendedSinceRebin(), fresh.AppendedSinceRebin())
+	}
+
+	resaved := saveBytes(t, old)
+	if v := binary.LittleEndian.Uint16(resaved[8:]); v != Version {
+		t.Fatalf("re-saved model is format version %d, want %d", v, Version)
+	}
+	again, err := Load(bytes.NewReader(resaved))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameTable(t, old.T, again.T)
+	for _, c := range []struct {
+		k, l    int
+		targets []string
+	}{{4, 2, nil}, {6, 3, nil}, {5, 4, []string{"cat"}}} {
+		want, err := old.Select(c.k, c.l, c.targets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := again.Select(c.k, c.l, c.targets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want.SourceRows, got.SourceRows) || !reflect.DeepEqual(want.Cols, got.Cols) ||
+			want.View.String() != got.View.String() {
+			t.Fatalf("Select(%d,%d,%v) of the re-saved v7 model diverged", c.k, c.l, c.targets)
+		}
+	}
+}
+
+// assertSameTable fails unless the two resident tables hold the same
+// columns bit for bit: names, kinds, numeric float64 bits (any NaN matches
+// any NaN), dictionaries in code order and categorical codes.
+func assertSameTable(t *testing.T, want, got *table.Table) {
+	t.Helper()
+	if want.Name != got.Name || want.NumRows() != got.NumRows() || want.NumCols() != got.NumCols() {
+		t.Fatalf("table %q %dx%d, want %q %dx%d", got.Name, got.NumRows(), got.NumCols(), want.Name, want.NumRows(), want.NumCols())
+	}
+	for c, wc := range want.Columns() {
+		gc := got.ColumnAt(c)
+		if wc.Name != gc.Name || wc.Kind != gc.Kind {
+			t.Fatalf("column %d is %q kind %d, want %q kind %d", c, gc.Name, gc.Kind, wc.Name, wc.Kind)
+		}
+		if wc.Kind == table.Categorical {
+			if !reflect.DeepEqual(wc.Dict.Strings(), gc.Dict.Strings()) || !reflect.DeepEqual(wc.Cats, gc.Cats) {
+				t.Fatalf("categorical column %q differs", wc.Name)
+			}
+			continue
+		}
+		for r, v := range wc.Nums {
+			g := gc.Nums[r]
+			if math.Float64bits(v) != math.Float64bits(g) && !(math.IsNaN(v) && math.IsNaN(g)) {
+				t.Fatalf("column %q row %d: %v (bits %016x), want %v (bits %016x)", wc.Name, r, g, math.Float64bits(g), v, math.Float64bits(v))
+			}
+		}
+	}
+}

@@ -3,6 +3,9 @@ package modelio
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
+	"os"
+	"runtime"
 	"testing"
 
 	"subtab/internal/core"
@@ -46,57 +49,93 @@ func fuzzModelBytes(tb testing.TB) []byte {
 
 // FuzzLoad drives Load with corrupted model files: whatever the bytes,
 // Load must return a model or an error — never panic, never hang, never
-// allocate unboundedly off a poisoned length field. Seeds cover the
-// adversarial classes the codec is documented to reject: truncations at
-// section boundaries, bit flips (caught by the CRC), version skew, and an
+// allocate unboundedly off a poisoned length field. Each input runs as
+// given and again with its trailing CRC-32C recomputed, so mutations reach
+// the section validators (core.Restore, binning.Restore, the embedded
+// store images' checks) instead of all failing the checksum. Seeds are a
+// current-version file and the checked-in version 7 fixture, truncated at
+// section boundaries, bit-flipped, version-skewed and poisoned, plus an
 // empty/garbage stream. The checked-in corpus under testdata/fuzz/FuzzLoad
 // replays known-interesting inputs on every plain `go test` run.
 func FuzzLoad(f *testing.F) {
-	valid := fuzzModelBytes(f)
-	f.Add(valid)
+	v7, err := os.ReadFile(v7Fixture)
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add([]byte{})
 	f.Add([]byte("SUBTABMD"))
 	f.Add([]byte("not a model file at all"))
-	// Truncations: header, early sections, just before the checksum.
-	for _, n := range []int{4, 9, 16, 64, len(valid) / 2, len(valid) - 5, len(valid) - 1} {
-		if n >= 0 && n < len(valid) {
-			f.Add(valid[:n])
+	for _, valid := range [][]byte{fuzzModelBytes(f), v7} {
+		f.Add(valid)
+		// Truncations: header, early sections, just before the checksum.
+		for _, n := range []int{4, 9, 16, 64, len(valid) / 2, len(valid) - 5, len(valid) - 1} {
+			if n >= 0 && n < len(valid) {
+				f.Add(valid[:n])
+			}
 		}
+		// Bit flips sprinkled through every section.
+		for pos := 0; pos < len(valid); pos += len(valid)/16 + 1 {
+			flipped := append([]byte(nil), valid...)
+			flipped[pos] ^= 0x40
+			f.Add(flipped)
+		}
+		// Version skew: future and zero versions in an otherwise valid file.
+		for _, v := range []uint16{0, Version + 1, 999} {
+			skewed := append([]byte(nil), valid...)
+			binary.LittleEndian.PutUint16(skewed[8:10], v)
+			f.Add(skewed)
+		}
+		// Poisoned length field right after the header (row count).
+		poisoned := append([]byte(nil), valid...)
+		binary.LittleEndian.PutUint32(poisoned[10:14], 0xFFFFFFF0)
+		f.Add(poisoned)
 	}
-	// Bit flips sprinkled through every section.
-	for pos := 0; pos < len(valid); pos += len(valid)/16 + 1 {
-		flipped := append([]byte(nil), valid...)
-		flipped[pos] ^= 0x40
-		f.Add(flipped)
-	}
-	// Version skew: future and zero versions in an otherwise valid file.
-	for _, v := range []uint16{0, Version + 1, 999} {
-		skewed := append([]byte(nil), valid...)
-		binary.LittleEndian.PutUint16(skewed[8:10], v)
-		f.Add(skewed)
-	}
-	// Poisoned length field right after the header (row count).
-	poisoned := append([]byte(nil), valid...)
-	binary.LittleEndian.PutUint32(poisoned[10:14], 0xFFFFFFF0)
-	f.Add(poisoned)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := Load(bytes.NewReader(data))
-		if err != nil {
-			if m != nil {
-				t.Fatal("Load returned both a model and an error")
+		for _, variant := range [][]byte{data, resealModel(data)} {
+			var m *core.Model
+			var err error
+			n := allocatedBy(func() { m, err = Load(bytes.NewReader(variant)) })
+			// A load costs a few bytes per byte of file plus fixed buffers
+			// (the 64KiB reader, one 1MiB read chunk at most per section).
+			if limit := uint64(64*len(variant) + 8<<20); n > limit {
+				t.Fatalf("loading a %d-byte file allocated %d bytes (limit %d)", len(variant), n, limit)
 			}
-			return
-		}
-		// Anything Load accepts must be internally consistent enough to
-		// serialize again and to answer the cheap structural queries the
-		// serving layer makes.
-		if m.T == nil || m.B == nil || m.Emb == nil {
-			t.Fatal("Load accepted an incomplete model")
-		}
-		var buf bytes.Buffer
-		if err := Save(&buf, m); err != nil {
-			t.Fatalf("accepted model does not re-save: %v", err)
+			if err != nil {
+				if m != nil {
+					t.Fatal("Load returned both a model and an error")
+				}
+				continue
+			}
+			// Anything Load accepts must be internally consistent enough to
+			// serialize again and to answer the cheap structural queries the
+			// serving layer makes.
+			if m.T == nil || m.B == nil || m.Emb == nil {
+				t.Fatal("Load accepted an incomplete model")
+			}
+			var buf bytes.Buffer
+			if err := Save(&buf, m); err != nil {
+				t.Fatalf("accepted model does not re-save: %v", err)
+			}
 		}
 	})
+}
+
+// resealModel returns data with its trailing CRC-32C recomputed over the
+// bytes before it, as Save would have written it.
+func resealModel(data []byte) []byte {
+	out := bytes.Clone(data)
+	if len(out) >= 4 {
+		binary.LittleEndian.PutUint32(out[len(out)-4:], crc32.Checksum(out[:len(out)-4], crcTable))
+	}
+	return out
+}
+
+// allocatedBy returns the bytes fn allocates (cumulative, not live).
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }

@@ -1,0 +1,149 @@
+package modelio
+
+import (
+	"bytes"
+	"encoding/binary"
+	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"subtab/internal/codestore"
+	"subtab/internal/colstore"
+	"subtab/internal/core"
+	"subtab/internal/datagen"
+	"subtab/internal/table"
+	"subtab/internal/word2vec"
+)
+
+// embeddedImage returns the store image a model file embeds: the bytes
+// behind the u64 length that precedes the store's magic.
+func embeddedImage(t *testing.T, model []byte, magic string) []byte {
+	t.Helper()
+	at := bytes.Index(model, []byte(magic))
+	if at < 8 || bytes.Contains(model[at+1:], []byte(magic)) {
+		t.Fatalf("model file does not embed exactly one %s image", magic)
+	}
+	n := int(binary.LittleEndian.Uint64(model[at-8:]))
+	if n > len(model)-at {
+		t.Fatalf("%s image claims %d bytes, %d left in the file", magic, n, len(model)-at)
+	}
+	return model[at : at+n]
+}
+
+// TestResidentModelEmbedsStoreImages writes a 20,000-row FL model the way
+// the server builds one (CSV in, every pipeline seed 1) and pins the v8
+// layout: the embedded codes and cells are byte for byte the files the
+// paged stores write for the same model, the whole file is at most 0.90
+// bytes per CSV byte, and a reload restores the cells and codes exactly.
+func TestResidentModelEmbedsStoreImages(t *testing.T) {
+	if testing.Short() {
+		t.Skip("pre-processes a 20,000-row table")
+	}
+	ds, err := datagen.ByName("FL", 20000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var csv bytes.Buffer
+	if err := ds.T.WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	csvBytes := csv.Len()
+	tab, err := table.ReadCSV("FL", &csv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := core.Default()
+	opt.Bins.Seed, opt.Corpus.Seed, opt.Embedding.Seed, opt.ClusterSeed = 1, 1, 1, 1
+	m, err := core.Preprocess(tab, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := saveBytes(t, m)
+
+	dir := t.TempDir()
+	for _, c := range []struct {
+		magic string
+		write func(path string) error
+	}{
+		{"SUBTABCS", func(path string) error { return m.ExportCodeStore(path, 0) }},
+		{"SUBTABCS", func(path string) error { return codestore.WriteFile(path, m.B.Codes, 0) }},
+		{"SUBTABPC", func(path string) error { return colstore.WriteTable(path, m.T, 0) }},
+	} {
+		path := filepath.Join(dir, "store")
+		if err := c.write(path); err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(embeddedImage(t, model, c.magic), want) {
+			t.Fatalf("embedded %s image differs from the %d-byte standalone store", c.magic, len(want))
+		}
+	}
+	ratio := float64(len(model)) / float64(csvBytes)
+	t.Logf("model file %d bytes for %d CSV bytes: %.3f", len(model), csvBytes, ratio)
+	if ratio > 0.90 {
+		t.Fatalf("model file is %.3f bytes per CSV byte, want at most 0.90", ratio)
+	}
+
+	loaded, err := Load(bytes.NewReader(model))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameTable(t, m.T, loaded.T)
+	if !reflect.DeepEqual(m.B.Codes, loaded.B.Codes) {
+		t.Fatal("bin codes diverged after reload")
+	}
+}
+
+// TestCellsRoundTripExactly pins that the narrow cell encodings are exact:
+// negative zero, integers past float32's mantissa, values that need all
+// 64 bits, an all-missing column and a dictionary whose code order is not
+// sorted all come back bit for bit, and missing cells come back missing.
+func TestCellsRoundTripExactly(t *testing.T) {
+	const rows = 90
+	negZero := math.Copysign(0, -1)
+	cols := map[string][]float64{}
+	for _, name := range []string{"negzero", "bigint", "f64", "missing"} {
+		cols[name] = make([]float64, rows)
+	}
+	cats := make([]string, rows)
+	for r := 0; r < rows; r++ {
+		cols["negzero"][r] = []float64{negZero, 1.5, -2, 0}[r%4]
+		cols["bigint"][r] = float64(1<<40 + r*r)
+		cols["f64"][r] = 1/3.0 + float64(r)*1e-12
+		cols["missing"][r] = nan()
+		cats[r] = []string{"zulu", "alpha", "", "mike"}[r%4]
+	}
+	cols["bigint"][7] = nan()
+	tab, err := table.FromColumns("exact", []*table.Column{
+		table.NewNumeric("negzero", cols["negzero"]),
+		table.NewNumeric("bigint", cols["bigint"]),
+		table.NewNumeric("f64", cols["f64"]),
+		table.NewNumeric("missing", cols["missing"]),
+		table.NewCategorical("cat", cats),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := core.Default()
+	opt.Embedding = word2vec.Options{Dim: 8, Epochs: 1, Seed: 3}
+	m, err := core.Preprocess(tab, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(bytes.NewReader(saveBytes(t, m)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameTable(t, m.T, loaded.T)
+	if got := loaded.T.ColumnAt(0).Nums[0]; !math.Signbit(got) || got != 0 {
+		t.Fatalf("negative zero came back as %v", got)
+	}
+	if !reflect.DeepEqual(m.B.Codes, loaded.B.Codes) {
+		t.Fatal("bin codes diverged after reload")
+	}
+}

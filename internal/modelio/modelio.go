@@ -4,20 +4,37 @@
 // serializing the model extends "once" across process restarts and lets a
 // serving layer (package serve) keep warm models on disk.
 //
-// The format is a versioned little-endian binary codec:
+// The format is a versioned little-endian binary codec. Version 8:
 //
-//	"SUBTABMD" magic · uint16 version · options · table · binned
-//	representation · embedding matrices · column-affinity matrix ·
-//	bin counts + append lineage (v3+) · CRC-32C
+//	"SUBTABMD" magic · uint16 version · options · table schema husk
+//	(name, row count, per column name and kind) · binned representation
+//	(per-column binnings, then the codes section) · embedding matrices ·
+//	column-affinity matrix · bin counts · append lineage · cells section ·
+//	CRC-32C
+//
+// The codes section and the cells section each hold one of three variants
+// behind a flag byte: an embedded image — a u64 length, then byte for byte
+// the code store (package codestore) or column store (package colstore)
+// file the paged stores write for the same model, so bin codes sit at one
+// byte per cell when a column has at most 256 bins and each column's cells
+// in its narrowest exact encoding; a reference to one such file beside the
+// model (base name, block size, identity checksum); or a shard map of
+// row-range shard files. A resident model embeds both images and loads
+// back fully resident: Load materializes the images into the in-memory
+// table and inline codes. Package blockfile is the only framing and cell
+// encoding on disk either way.
 //
 // Everything Select/SelectQuery needs is round-tripped — including the item
 // vectors and the precomputed column-affinity matrix — so a loaded model
 // skips binning, training and the affinity computation entirely and produces
 // byte-identical selections (same seeds) to the model that was saved.
+// Cells come back exactly (negative zero included, dictionaries in code
+// order); a missing cell comes back missing, without a NaN's payload bits.
 //
-// The trailing CRC-32C covers every preceding byte; Load rejects truncated
-// or bit-flipped files with an error wrapping ErrCorrupt, unknown magics
-// with ErrBadMagic, and newer/older format versions with ErrVersion.
+// The trailing CRC-32C covers every preceding byte, embedded images
+// included; Load rejects truncated or bit-flipped files with an error
+// wrapping ErrCorrupt, unknown magics with ErrBadMagic, and newer/older
+// format versions with ErrVersion. Files of every version from 1 on load.
 package modelio
 
 import (
@@ -31,6 +48,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"subtab/internal/binning"
 	"subtab/internal/codestore"
@@ -76,8 +94,16 @@ import (
 // counter references the external paged column store (package colstore) —
 // a single file, a sharded set cut like the code shards, or none — by base
 // name and identity checksum, resolved against the model file's directory
-// at load time. Files from versions 1-6 still load unchanged.
-const Version uint16 = 7
+// at load time. Files from versions 1-6 still load unchanged. Version 8
+// carries a resident model's codes and cells as embedded code-store and
+// column-store images (the bytes those stores' files hold, at one byte per
+// code for up to 256 bins and each column's narrowest exact cell encoding,
+// where version 7 spent 2 bytes per code, 8 per number and 4 per
+// dictionary code); its table section is always the schema husk, the
+// codes and cells sections each hold an image, an external reference or a
+// shard map, and the retired options slot is gone. Files from versions 1-7
+// still load unchanged.
+const Version uint16 = 8
 
 var magic = [8]byte{'S', 'U', 'B', 'T', 'A', 'B', 'M', 'D'}
 
@@ -102,7 +128,7 @@ func Save(w io.Writer, m *core.Model) error {
 	e.bytes(magic[:])
 	e.u16(Version)
 	writeOptions(e, m.Opt)
-	writeTable(e, m.T)
+	writeSchema(e, m.T)
 	if err := writeBinned(e, m.B); err != nil {
 		return err
 	}
@@ -110,7 +136,7 @@ func Save(w io.Writer, m *core.Model) error {
 	writeAffinity(e, m.AffinityData(), m.T.NumCols())
 	writeBinCounts(e, m.BinCountsData())
 	e.u64(uint64(m.AppendedSinceRebin()))
-	if err := writeColumnStore(e, m); err != nil {
+	if err := writeCells(e, m); err != nil {
 		return err
 	}
 	if e.err != nil {
@@ -164,7 +190,7 @@ func Load(r io.Reader) (*core.Model, error) {
 
 // LoadWith reads a model previously written by Save, resolving external
 // code-store references per opt.
-func LoadWith(r io.Reader, lopt LoadOptions) (*core.Model, error) {
+func LoadWith(r io.Reader, lopt LoadOptions) (_ *core.Model, err error) {
 	h := crc32.New(crcTable)
 	d := &decoder{r: bufio.NewReaderSize(r, 1<<16), h: h}
 
@@ -188,7 +214,7 @@ func LoadWith(r io.Reader, lopt LoadOptions) (*core.Model, error) {
 	}
 	opt := readOptions(d, v)
 	t := readTable(d, v)
-	cols, codes, ref, smap := readBinnedParts(d, t, v)
+	cols, codes, codeSec := readBinnedParts(d, t, v)
 	emb := readEmbedding(d)
 	aff := readAffinity(d, t)
 	var counts [][]int64
@@ -197,10 +223,9 @@ func LoadWith(r io.Reader, lopt LoadOptions) (*core.Model, error) {
 		counts = readBinCounts(d, t, cols)
 		appendedSinceRebin = int(d.u64())
 	}
-	var colRef *storeRef
-	var colShards []shard.Desc
+	var cellSec section
 	if v >= 7 {
-		colRef, colShards = readColumnStore(d, t)
+		cellSec = readCells(d, t, v)
 	}
 	if d.err != nil {
 		return nil, d.err
@@ -215,49 +240,59 @@ func LoadWith(r io.Reader, lopt LoadOptions) (*core.Model, error) {
 	if got := binary.LittleEndian.Uint32(crc[:]); got != want {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
+	// Every store opened from here on is closed again when a later step
+	// fails, so a rejected model leaves no mapping behind.
+	var opened []io.Closer
+	defer func() {
+		if err != nil {
+			for _, c := range opened {
+				c.Close()
+			}
+		}
+	}()
+	// Embedded cells (v8) turn the schema husk back into the resident
+	// table before anything is restored over it.
+	if cellSec.image != nil {
+		if t, err = residentTable(t, cellSec.image); err != nil {
+			return nil, err
+		}
+	}
 	// Assemble the binned representation only after the model file itself
-	// verified: inline codes restore directly; an external reference opens
-	// the code store next to the model and checks its identity checksum; a
-	// shard map opens every shard the same way (or, with AllowMissingShards,
-	// the shards that are here).
+	// verified: inline or embedded codes restore directly; an external
+	// reference opens the code store next to the model and checks its
+	// identity checksum; a shard map opens every shard the same way (or,
+	// with AllowMissingShards, the shards that are here).
 	var b *binning.Binned
 	switch {
-	case smap != nil:
+	case codeSec.shards != nil:
 		if lopt.CodeStoreDir == "" {
-			return nil, fmt.Errorf("modelio: model references a %d-shard code store; load with LoadFile or LoadWith{CodeStoreDir}", len(smap.Shards))
+			return nil, fmt.Errorf("modelio: model references a %d-shard code store; load with LoadFile or LoadWith{CodeStoreDir}", len(codeSec.shards))
 		}
-		src, err := shard.Open(lopt.CodeStoreDir, smap, t.NumCols(), lopt.AllowMissingShards)
+		src, err := shard.Open(lopt.CodeStoreDir, &shard.Map{Shards: codeSec.shards}, t.NumCols(), lopt.AllowMissingShards)
 		if err != nil {
 			return nil, fmt.Errorf("modelio: opening sharded code store: %w", err)
 		}
-		b, err = binning.RestoreWithStore(t, cols, src)
-		if err != nil {
-			src.Close()
+		opened = append(opened, src)
+		if b, err = binning.RestoreWithStore(t, cols, src); err != nil {
 			return nil, fmt.Errorf("%w: attaching sharded code store: %v", ErrCorrupt, err)
 		}
-	case ref == nil:
-		var err error
-		b, err = binning.Restore(t, cols, codes)
+	case codeSec.ref != nil:
+		cs, err := openRef(lopt, codeSec.ref, "code", codestore.Open)
 		if err != nil {
-			return nil, fmt.Errorf("%w: rebuilding binned representation: %v", ErrCorrupt, err)
+			return nil, err
+		}
+		opened = append(opened, cs)
+		if b, err = binning.RestoreWithStore(t, cols, cs); err != nil {
+			return nil, fmt.Errorf("%w: attaching external code store: %v", ErrCorrupt, err)
 		}
 	default:
-		if lopt.CodeStoreDir == "" {
-			return nil, fmt.Errorf("modelio: model references external code store %q; load with LoadFile or LoadWith{CodeStoreDir}", ref.file)
+		if codeSec.image != nil {
+			if codes, err = imageCodes(codeSec.image, t.NumRows(), len(cols)); err != nil {
+				return nil, err
+			}
 		}
-		cs, err := codestore.Open(filepath.Join(lopt.CodeStoreDir, ref.file))
-		if err != nil {
-			return nil, fmt.Errorf("modelio: opening external code store %q: %w", ref.file, err)
-		}
-		if cs.Checksum() != ref.checksum {
-			cs.Close()
-			return nil, fmt.Errorf("%w: external code store %q has checksum %08x, model expects %08x",
-				ErrCorrupt, ref.file, cs.Checksum(), ref.checksum)
-		}
-		b, err = binning.RestoreWithStore(t, cols, cs)
-		if err != nil {
-			cs.Close()
-			return nil, fmt.Errorf("%w: attaching external code store: %v", ErrCorrupt, err)
+		if b, err = binning.Restore(t, cols, codes); err != nil {
+			return nil, fmt.Errorf("%w: rebuilding binned representation: %v", ErrCorrupt, err)
 		}
 	}
 	m, err := core.Restore(t, b, emb, opt, aff)
@@ -275,41 +310,88 @@ func LoadWith(r io.Reader, lopt LoadOptions) (*core.Model, error) {
 	// External raw columns attach last: the model is structurally whole, so
 	// geometry validation runs against the verified schema.
 	switch {
-	case colShards != nil:
+	case cellSec.shards != nil:
 		if lopt.CodeStoreDir == "" {
-			return nil, fmt.Errorf("modelio: model references a %d-shard column store; load with LoadFile or LoadWith{CodeStoreDir}", len(colShards))
+			return nil, fmt.Errorf("modelio: model references a %d-shard column store; load with LoadFile or LoadWith{CodeStoreDir}", len(cellSec.shards))
 		}
-		names := make([]string, t.NumCols())
-		for c := range names {
-			names[c] = t.ColumnAt(c).Name
-		}
-		cells, err := shard.OpenCells(lopt.CodeStoreDir, colShards, names, lopt.AllowMissingShards)
+		cells, err := shard.OpenCells(lopt.CodeStoreDir, cellSec.shards, t.ColumnNames(), lopt.AllowMissingShards)
 		if err != nil {
 			return nil, fmt.Errorf("modelio: opening sharded column store: %w", err)
 		}
+		opened = append(opened, cells)
 		if err := m.AttachColumnStore(cells); err != nil {
-			cells.Close()
 			return nil, fmt.Errorf("%w: attaching sharded column store: %v", ErrCorrupt, err)
 		}
-	case colRef != nil:
-		if lopt.CodeStoreDir == "" {
-			return nil, fmt.Errorf("modelio: model references external column store %q; load with LoadFile or LoadWith{CodeStoreDir}", colRef.file)
-		}
-		cs, err := colstore.Open(filepath.Join(lopt.CodeStoreDir, colRef.file))
+	case cellSec.ref != nil:
+		cs, err := openRef(lopt, cellSec.ref, "column", colstore.Open)
 		if err != nil {
-			return nil, fmt.Errorf("modelio: opening external column store %q: %w", colRef.file, err)
+			return nil, err
 		}
-		if cs.Checksum() != colRef.checksum {
-			cs.Close()
-			return nil, fmt.Errorf("%w: external column store %q has checksum %08x, model expects %08x",
-				ErrCorrupt, colRef.file, cs.Checksum(), colRef.checksum)
-		}
+		opened = append(opened, cs)
 		if err := m.AttachColumnStore(cs); err != nil {
-			cs.Close()
 			return nil, fmt.Errorf("%w: attaching external column store: %v", ErrCorrupt, err)
 		}
 	}
 	return m, nil
+}
+
+// openRef opens the external store ref names in lopt.CodeStoreDir and
+// checks its identity checksum against the one the model recorded; what
+// ("code" or "column") names the store in errors.
+func openRef[S interface {
+	Checksum() uint32
+	Close() error
+}](lopt LoadOptions, ref *storeRef, what string, open func(string) (S, error)) (S, error) {
+	var none S
+	if lopt.CodeStoreDir == "" {
+		return none, fmt.Errorf("modelio: model references external %s store %q; load with LoadFile or LoadWith{CodeStoreDir}", what, ref.file)
+	}
+	s, err := open(filepath.Join(lopt.CodeStoreDir, ref.file))
+	if err != nil {
+		return none, fmt.Errorf("modelio: opening external %s store %q: %w", what, ref.file, err)
+	}
+	if s.Checksum() != ref.checksum {
+		s.Close()
+		return none, fmt.Errorf("%w: external %s store %q has checksum %08x, model expects %08x",
+			ErrCorrupt, what, ref.file, s.Checksum(), ref.checksum)
+	}
+	return s, nil
+}
+
+// residentTable rebuilds the resident table a v8 file's schema husk
+// describes from its embedded column-store image, which must hold exactly
+// the husk's columns (names and kinds, in order) and rows.
+func residentTable(husk *table.Table, image []byte) (*table.Table, error) {
+	s, err := colstore.OpenBytes(image)
+	if err != nil {
+		return nil, fmt.Errorf("%w: embedded cells: %v", ErrCorrupt, err)
+	}
+	if s.NumRows() != husk.NumRows() || s.NumCols() != husk.NumCols() {
+		return nil, fmt.Errorf("%w: embedded cells are %dx%d, table is %dx%d", ErrCorrupt, s.NumRows(), s.NumCols(), husk.NumRows(), husk.NumCols())
+	}
+	for c, col := range husk.Columns() {
+		if s.ColumnName(c) != col.Name || s.ColumnKind(c) != col.Kind {
+			return nil, fmt.Errorf("%w: embedded cells column %d is %q, table has %q", ErrCorrupt, c, s.ColumnName(c), col.Name)
+		}
+	}
+	t, err := s.MaterializeTable(husk.Name)
+	if err != nil {
+		return nil, fmt.Errorf("%w: embedded cells: %v", ErrCorrupt, err)
+	}
+	return t, nil
+}
+
+// imageCodes decodes a v8 file's embedded code-store image, which must
+// hold exactly cols columns of rows codes.
+func imageCodes(image []byte, rows, cols int) ([][]uint16, error) {
+	s, err := codestore.OpenBytes(image)
+	if err != nil {
+		return nil, fmt.Errorf("%w: embedded codes: %v", ErrCorrupt, err)
+	}
+	if s.NumRows() != rows || s.NumCols() != cols {
+		return nil, fmt.Errorf("%w: embedded codes are %dx%d, table is %dx%d", ErrCorrupt, s.NumRows(), s.NumCols(), rows, cols)
+	}
+	return s.Columns(), nil
 }
 
 // LoadFile reads a model from path. External code-store references are
@@ -358,7 +440,6 @@ func writeOptions(e *encoder, o core.Options) {
 	e.i64(int64(o.Scale.SampleBudget))
 	e.i64(int64(o.Scale.BatchSize))
 	e.i64(int64(o.Scale.MaxIter))
-	e.i64(0) // v5-v7 slot of the retired slab spill budget
 }
 
 func readOptions(d *decoder, v uint16) core.Options {
@@ -391,45 +472,22 @@ func readOptions(d *decoder, v uint16) core.Options {
 	}
 	// Versions 5-7 carry the retired slab spill budget's slot; the value is
 	// ignored (the memory governor alone bounds a select's slab).
-	if v >= 5 {
+	if v >= 5 && v <= 7 {
 		d.i64()
 	}
 	return o
 }
 
-func writeTable(e *encoder, t *table.Table) {
+// writeSchema writes the v8 table section: the schema husk of name, row
+// count and per column name and kind. The cells travel in the cells
+// section.
+func writeSchema(e *encoder, t *table.Table) {
 	e.str(t.Name)
 	e.u32(uint32(t.NumRows()))
 	e.u32(uint32(t.NumCols()))
-	// v7: the cells-presence flag. A paged table (raw columns living in an
-	// external column store) saves as a schema husk — per column just name
-	// and kind; the dictionaries and payloads are the store's.
-	if t.CellsResident() {
-		e.u8(1)
-	} else {
-		e.u8(0)
-		for _, c := range t.Columns() {
-			e.str(c.Name)
-			e.u8(uint8(c.Kind))
-		}
-		return
-	}
 	for _, c := range t.Columns() {
 		e.str(c.Name)
 		e.u8(uint8(c.Kind))
-		if c.Kind == table.Numeric {
-			e.f64s(c.Nums)
-			continue
-		}
-		dictSize := 0
-		if c.Dict != nil {
-			dictSize = c.Dict.Size()
-		}
-		e.u32(uint32(dictSize))
-		for code := 0; code < dictSize; code++ {
-			e.str(c.Dict.String(int32(code)))
-		}
-		e.i32s(c.Cats)
 	}
 }
 
@@ -444,37 +502,24 @@ func readTable(d *decoder, v uint16) *table.Table {
 	if d.err != nil {
 		return nil
 	}
-	if nCols > maxColumns {
-		d.fail("column count %d exceeds limit", nCols)
+	// No version's Save writes a model without columns (it has no codes to
+	// store), so a zero count is damage.
+	if nCols == 0 || nCols > maxColumns {
+		d.fail("column count %d out of range", nCols)
 		return nil
 	}
-	if v >= 7 {
+	// v8 always writes the schema husk; v7 writes it for a paged table,
+	// behind a cells-presence flag. The raw columns live in the cells
+	// section or the external column store it references.
+	if v >= 8 {
+		return readHusk(d, name, nRows, nCols)
+	}
+	if v == 7 {
 		switch flag := d.u8(); {
 		case d.err != nil:
 			return nil
 		case flag == 0:
-			// Schema husk: the raw columns live in the external column store
-			// the trailing column-store section references.
-			cols := make([]*table.Column, 0, min(nCols, 4096))
-			for i := 0; i < nCols; i++ {
-				colName := d.str()
-				kind := table.Kind(d.u8())
-				if d.err != nil {
-					return nil
-				}
-				if kind != table.Numeric && kind != table.Categorical {
-					d.fail("unknown column kind %d", kind)
-					return nil
-				}
-				cols = append(cols, &table.Column{Name: colName, Kind: kind})
-			}
-			t, err := table.FromColumns(name, cols)
-			if err != nil {
-				d.fail("rebuilding table: %v", err)
-				return nil
-			}
-			t.MarkPaged(nRows)
-			return t
+			return readHusk(d, name, nRows, nCols)
 		case flag != 1:
 			d.fail("unknown table cells flag %d", flag)
 			return nil
@@ -529,11 +574,172 @@ func readTable(d *decoder, v uint16) *table.Table {
 	return t
 }
 
-// writeBinned serializes the binned representation in the v5 layout:
-// per-column metadata first, then one codes section — inline (flag 1, the
-// per-column bin codes) or an external code-store reference (flag 0: base
-// file name, block size and the store's identity checksum). Store-backed
-// models whose source has no file identity cannot be saved as-is.
+// readHusk reads a schema husk's columns (name and kind) and returns the
+// table they describe, marked paged at nRows rows.
+func readHusk(d *decoder, name string, nRows, nCols int) *table.Table {
+	cols := make([]*table.Column, 0, min(nCols, 4096))
+	for i := 0; i < nCols; i++ {
+		colName := d.str()
+		kind := table.Kind(d.u8())
+		if d.err != nil {
+			return nil
+		}
+		if kind != table.Numeric && kind != table.Categorical {
+			d.fail("unknown column kind %d", kind)
+			return nil
+		}
+		cols = append(cols, &table.Column{Name: colName, Kind: kind})
+	}
+	t, err := table.FromColumns(name, cols)
+	if err != nil {
+		d.fail("rebuilding table: %v", err)
+		return nil
+	}
+	t.MarkPaged(nRows)
+	return t
+}
+
+// The codes section (v5+) and the cells section (v7+) each hold one of
+// three variants behind a flag byte: an embedded store image (v8), a
+// reference to one external store file, or a row-range shard map. The two
+// sections number their flags differently: in v5-v7 the codes flag 1
+// meant inline u16 codes and the cells flag 0 meant cells inline in the
+// table section, and v8 put each section's image under that flag.
+type sectionFlags struct{ image, ref, shards uint8 }
+
+var (
+	codeFlags = sectionFlags{image: 1, ref: 0, shards: 2}
+	cellFlags = sectionFlags{image: 0, ref: 1, shards: 2}
+)
+
+// section is one decoded codes or cells section: at most one field is set
+// (none for v1-v7 inline codes and cells).
+type section struct {
+	image  []byte       // an embedded store image (v8)
+	ref    *storeRef    // an external store file next to the model
+	shards []shard.Desc // row-range shard files next to the model
+}
+
+// storeRef is a deserialized external store reference.
+type storeRef struct {
+	file      string
+	blockRows int
+	checksum  uint32
+}
+
+// maxImageBytes bounds an embedded image's length field: the stores'
+// geometry caps keep any real image far below it.
+const maxImageBytes = 1 << 50
+
+// writeImage writes an embedded store image behind its flag: u64 length,
+// then the image's bytes.
+func writeImage(e *encoder, flag uint8, image []byte) {
+	e.u8(flag)
+	e.u64(uint64(len(image)))
+	e.bytes(image)
+}
+
+// writeStoreSection writes the section of a store-backed source: the shard
+// map when src is sharded, else the reference to its single file. what
+// ("code" or "cell") names the source in errors.
+func writeStoreSection(e *encoder, flags sectionFlags, src any, what string) error {
+	if sc, ok := src.(interface{ ShardDescs() []shard.Desc }); ok {
+		descs := sc.ShardDescs()
+		for i, d := range descs {
+			if d.File == "" {
+				return fmt.Errorf("modelio: %s shard %d has no file identity; only stores opened from a shard map can be saved", what, i)
+			}
+		}
+		e.u8(flags.shards)
+		e.u32(uint32(len(descs)))
+		for _, d := range descs {
+			e.str(d.File)
+			e.u64(uint64(d.Rows))
+			e.u32(uint32(d.BlockRows))
+			e.u32(d.Checksum)
+		}
+		return nil
+	}
+	ref, ok := src.(interface {
+		Path() string
+		Checksum() uint32
+		BlockRows() int
+	})
+	if !ok || ref.Path() == "" {
+		return fmt.Errorf("modelio: the model's %s source has no file identity; attach a store opened from a file before saving", what)
+	}
+	e.u8(flags.ref)
+	e.str(filepath.Base(ref.Path()))
+	e.u32(uint32(ref.BlockRows()))
+	e.u32(ref.Checksum())
+	return nil
+}
+
+// readSection reads the variant flag names (already read) of a section
+// over rows rows. Flags outside the three variants fail.
+func readSection(d *decoder, flag uint8, flags sectionFlags, what string, rows int) section {
+	switch flag {
+	case flags.image:
+		n := d.u64()
+		if d.err != nil {
+			return section{}
+		}
+		if n > maxImageBytes {
+			d.fail("embedded %s image of %d bytes", what, n)
+			return section{}
+		}
+		return section{image: d.raw(int(n))}
+	case flags.ref:
+		ref := &storeRef{file: d.str(), blockRows: int(d.u32()), checksum: d.u32()}
+		if d.err != nil {
+			return section{}
+		}
+		if ref.file == "" || ref.file != filepath.Base(ref.file) {
+			d.fail("invalid external %s store reference %q", what, ref.file)
+			return section{}
+		}
+		return section{ref: ref}
+	case flags.shards:
+		n := int(d.u32())
+		if d.err != nil {
+			return section{}
+		}
+		if n <= 0 || n > 1<<20 {
+			d.fail("%s store with %d shards", what, n)
+			return section{}
+		}
+		descs := make([]shard.Desc, 0, n)
+		total := 0
+		for i := 0; i < n; i++ {
+			sd := shard.Desc{
+				File:      d.str(),
+				Rows:      int(d.u64()),
+				BlockRows: int(d.u32()),
+				Checksum:  d.u32(),
+			}
+			if d.err != nil {
+				return section{}
+			}
+			if sd.File == "" || sd.File != filepath.Base(sd.File) || sd.Rows < 0 || sd.BlockRows <= 0 {
+				d.fail("invalid %s shard entry %d (%q, %d rows, %d rows/block)", what, i, sd.File, sd.Rows, sd.BlockRows)
+				return section{}
+			}
+			total += sd.Rows
+			descs = append(descs, sd)
+		}
+		if total != rows {
+			d.fail("%s shards hold %d rows, table has %d", what, total, rows)
+			return section{}
+		}
+		return section{shards: descs}
+	}
+	d.fail("unknown %s-section flag %d", what, flag)
+	return section{}
+}
+
+// writeBinned serializes the binned representation: per-column metadata
+// first, then the codes section — the inline codes as an embedded code
+// store image, an external code-store reference, or a shard map.
 func writeBinned(e *encoder, b *binning.Binned) error {
 	e.u32(uint32(len(b.Cols)))
 	for i := range b.Cols {
@@ -553,177 +759,70 @@ func writeBinned(e *encoder, b *binning.Binned) error {
 		e.i32s(ints)
 		e.i64(int64(cb.MissingBin))
 	}
-	if b.HasInlineCodes() {
-		e.u8(1)
-		for i := range b.Cols {
-			e.u16s(b.Codes[i])
-		}
-		return nil
+	if !b.HasInlineCodes() {
+		return writeStoreSection(e, codeFlags, b.Source(), "code")
 	}
-	if src, ok := b.Source().(*shard.Source); ok {
-		descs := src.ShardDescs()
-		for i, d := range descs {
-			if d.File == "" {
-				return fmt.Errorf("modelio: sharded model's shard %d has no file identity; only stores opened from a shard map can be saved", i)
-			}
-		}
-		e.u8(2)
-		e.u32(uint32(len(descs)))
-		for _, d := range descs {
-			e.str(d.File)
-			e.u64(uint64(d.Rows))
-			e.u32(uint32(d.BlockRows))
-			e.u32(d.Checksum)
-		}
-		return nil
+	image, err := codestore.Image(b.NumBins(), b.Codes, 0)
+	if err != nil {
+		return fmt.Errorf("modelio: encoding bin codes: %w", err)
 	}
-	ref, ok := b.Source().(interface {
-		Path() string
-		Checksum() uint32
-		BlockRows() int
-	})
-	if !ok {
-		return errors.New("modelio: model is store-backed but its code source has no file identity; attach a codestore.Store or materialize the codes before saving")
-	}
-	e.u8(0)
-	e.str(filepath.Base(ref.Path()))
-	e.u32(uint32(ref.BlockRows()))
-	e.u32(ref.Checksum())
+	writeImage(e, codeFlags.image, image)
 	return nil
 }
 
-// storeRef is a deserialized external code-store reference.
-type storeRef struct {
-	file      string
-	blockRows int
-	checksum  uint32
-}
-
-// writeColumnStore serializes the v7 column-store section: one flag — no
-// external columns (0, cells travel inline in the table section), a single
-// paged column store (1: base file name, block size, identity checksum), or
-// a sharded set (2: per-shard descriptors, cut like the code shards).
-func writeColumnStore(e *encoder, m *core.Model) error {
-	src := m.CellSource()
-	if src == nil {
-		if !m.T.CellsResident() {
-			return errors.New("modelio: table cells are paged but the model has no cell source")
-		}
-		e.u8(0)
-		return nil
+// writeCells serializes the cells section: the resident table's cells as
+// an embedded column store image, or the external column store (one file
+// or a shard set) its cell source was opened from.
+func writeCells(e *encoder, m *core.Model) error {
+	if src := m.CellSource(); src != nil {
+		return writeStoreSection(e, cellFlags, src, "cell")
 	}
-	if sc, ok := src.(interface{ ShardDescs() []shard.Desc }); ok {
-		descs := sc.ShardDescs()
-		for i, d := range descs {
-			if d.File == "" {
-				return fmt.Errorf("modelio: sharded column store's shard %d has no file identity", i)
-			}
-		}
-		e.u8(2)
-		e.u32(uint32(len(descs)))
-		for _, d := range descs {
-			e.str(d.File)
-			e.u64(uint64(d.Rows))
-			e.u32(uint32(d.BlockRows))
-			e.u32(d.Checksum)
-		}
-		return nil
+	if !m.T.CellsResident() {
+		return errors.New("modelio: table cells are paged but the model has no cell source")
 	}
-	ref, ok := src.(interface {
-		Path() string
-		Checksum() uint32
-		BlockRows() int
-	})
-	if !ok {
-		return errors.New("modelio: model's cell source has no file identity; attach a colstore.Store before saving")
+	image, err := colstore.TableImage(m.T, 0)
+	if err != nil {
+		return fmt.Errorf("modelio: encoding table cells: %w", err)
 	}
-	e.u8(1)
-	e.str(filepath.Base(ref.Path()))
-	e.u32(uint32(ref.BlockRows()))
-	e.u32(ref.Checksum())
+	writeImage(e, cellFlags.image, image)
 	return nil
 }
 
-// readColumnStore reads the v7 column-store section, returning exactly one
-// of a single-file reference or a sharded descriptor list (both nil when
-// the model has no external columns).
-func readColumnStore(d *decoder, t *table.Table) (*storeRef, []shard.Desc) {
+// readCells reads the cells section (v7+). A v7 file's flag 0 means the
+// cells travelled inline in the table section.
+func readCells(d *decoder, t *table.Table, v uint16) section {
 	if d.err != nil || t == nil {
-		return nil, nil
+		return section{}
 	}
-	switch flag := d.u8(); {
-	case d.err != nil:
-		return nil, nil
-	case flag == 0:
+	flag := d.u8()
+	if d.err != nil {
+		return section{}
+	}
+	if v == 7 && flag == 0 {
 		if !t.CellsResident() {
 			d.fail("table cells are paged but no column store is referenced")
 		}
-		return nil, nil
-	case flag == 1:
-		ref := &storeRef{file: d.str(), blockRows: int(d.u32()), checksum: d.u32()}
-		if d.err != nil {
-			return nil, nil
-		}
-		if ref.file == "" || ref.file != filepath.Base(ref.file) {
-			d.fail("invalid external column store reference %q", ref.file)
-			return nil, nil
-		}
-		return ref, nil
-	case flag == 2:
-		n := int(d.u32())
-		if d.err != nil {
-			return nil, nil
-		}
-		if n <= 0 || n > 1<<20 {
-			d.fail("column store with %d shards", n)
-			return nil, nil
-		}
-		descs := make([]shard.Desc, 0, n)
-		total := 0
-		for i := 0; i < n; i++ {
-			sd := shard.Desc{
-				File:      d.str(),
-				Rows:      int(d.u64()),
-				BlockRows: int(d.u32()),
-				Checksum:  d.u32(),
-			}
-			if d.err != nil {
-				return nil, nil
-			}
-			if sd.File == "" || sd.File != filepath.Base(sd.File) || sd.Rows < 0 || sd.BlockRows <= 0 {
-				d.fail("invalid column shard entry %d (%q, %d rows, %d rows/block)", i, sd.File, sd.Rows, sd.BlockRows)
-				return nil, nil
-			}
-			total += sd.Rows
-			descs = append(descs, sd)
-		}
-		if total != t.NumRows() {
-			d.fail("column shards hold %d rows, table has %d", total, t.NumRows())
-			return nil, nil
-		}
-		return nil, descs
-	default:
-		d.fail("unknown column-store flag %d", flag)
-		return nil, nil
+		return section{}
 	}
+	return readSection(d, flag, cellFlags, "cell", t.NumRows())
 }
 
 // readBinnedParts reads the binned section: the per-column binnings plus
-// exactly one of the inline codes, an external store reference, or (v6) a
-// shard map. Versions <= 4 interleave each column's codes with its
-// metadata; version 5 moves the codes behind the presence flag after all
-// columns; version 6 adds the shard-map variant.
-func readBinnedParts(d *decoder, t *table.Table, v uint16) ([]binning.ColumnBins, [][]uint16, *storeRef, *shard.Map) {
+// the codes — inline (v1-v7), or the section holding them. Versions <= 4
+// interleave each column's codes with its metadata; version 5 moves the
+// codes behind the presence flag after all columns; version 6 adds the
+// shard-map variant and version 8 the embedded image.
+func readBinnedParts(d *decoder, t *table.Table, v uint16) ([]binning.ColumnBins, [][]uint16, section) {
 	if d.err != nil {
-		return nil, nil, nil, nil
+		return nil, nil, section{}
 	}
 	nCols := int(d.u32())
 	if d.err != nil {
-		return nil, nil, nil, nil
+		return nil, nil, section{}
 	}
 	if nCols != t.NumCols() {
 		d.fail("binned representation has %d columns, table has %d", nCols, t.NumCols())
-		return nil, nil, nil, nil
+		return nil, nil, section{}
 	}
 	nRows := t.NumRows()
 	cols := make([]binning.ColumnBins, nCols)
@@ -734,12 +833,12 @@ func readBinnedParts(d *decoder, t *table.Table, v uint16) ([]binning.ColumnBins
 		cb.Kind = table.Kind(d.u8())
 		nLabels := int(d.u32())
 		if d.err != nil {
-			return nil, nil, nil, nil
+			return nil, nil, section{}
 		}
 		if nLabels > binning.MaxBinsLimit+1 {
 			// Bin codes are uint16, so no column can have more bins.
 			d.fail("column %d has %d bin labels", i, nLabels)
-			return nil, nil, nil, nil
+			return nil, nil, section{}
 		}
 		cb.Labels = make([]string, nLabels)
 		for j := range cb.Labels {
@@ -758,65 +857,30 @@ func readBinnedParts(d *decoder, t *table.Table, v uint16) ([]binning.ColumnBins
 			codes[i] = d.u16s(nRows)
 		}
 		if d.err != nil {
-			return nil, nil, nil, nil
+			return nil, nil, section{}
 		}
 	}
 	if v <= 4 {
-		return cols, codes, nil, nil
+		return cols, codes, section{}
 	}
-	switch flag := d.u8(); {
+	flag := d.u8()
+	switch {
 	case d.err != nil:
-		return nil, nil, nil, nil
-	case flag == 1:
+		return nil, nil, section{}
+	case flag == 1 && v <= 7:
 		for i := 0; i < nCols; i++ {
 			codes[i] = d.u16s(nRows)
 		}
-		return cols, codes, nil, nil
-	case flag == 0:
-		ref := &storeRef{file: d.str(), blockRows: int(d.u32()), checksum: d.u32()}
-		if d.err != nil {
-			return nil, nil, nil, nil
-		}
-		if ref.file == "" || ref.file != filepath.Base(ref.file) {
-			d.fail("invalid external code store reference %q", ref.file)
-			return nil, nil, nil, nil
-		}
-		return cols, nil, ref, nil
-	case flag == 2 && v >= 6:
-		n := int(d.u32())
-		if d.err != nil {
-			return nil, nil, nil, nil
-		}
-		if n < 0 || n > 1<<20 {
-			d.fail("shard map with %d shards", n)
-			return nil, nil, nil, nil
-		}
-		sm := &shard.Map{Shards: make([]shard.Desc, 0, n)}
-		for i := 0; i < n; i++ {
-			sd := shard.Desc{
-				File:      d.str(),
-				Rows:      int(d.u64()),
-				BlockRows: int(d.u32()),
-				Checksum:  d.u32(),
-			}
-			if d.err != nil {
-				return nil, nil, nil, nil
-			}
-			if sd.File == "" || sd.File != filepath.Base(sd.File) || sd.Rows < 0 || sd.BlockRows <= 0 {
-				d.fail("invalid shard map entry %d (%q, %d rows, %d rows/block)", i, sd.File, sd.Rows, sd.BlockRows)
-				return nil, nil, nil, nil
-			}
-			sm.Shards = append(sm.Shards, sd)
-		}
-		if sm.TotalRows() != nRows {
-			d.fail("shard map holds %d rows, table has %d", sm.TotalRows(), nRows)
-			return nil, nil, nil, nil
-		}
-		return cols, nil, nil, sm
-	default:
-		d.fail("unknown codes-section flag %d", flag)
-		return nil, nil, nil, nil
+		return cols, codes, section{}
+	case flag == codeFlags.shards && v < 6:
+		d.fail("unknown code-section flag %d", flag)
+		return nil, nil, section{}
 	}
+	sec := readSection(d, flag, codeFlags, "code", nRows)
+	if d.err != nil {
+		return nil, nil, section{}
+	}
+	return cols, nil, sec
 }
 
 // f64s with an explicit leading count (cuts have no implied length).
@@ -990,18 +1054,6 @@ func (e *encoder) i32s(xs []int32) {
 	e.bytes(buf)
 }
 
-func (e *encoder) u16s(xs []uint16) {
-	buf := make([]byte, 0, 1<<16)
-	for _, x := range xs {
-		buf = binary.LittleEndian.AppendUint16(buf, x)
-		if len(buf) >= 1<<16 {
-			e.bytes(buf)
-			buf = buf[:0]
-		}
-	}
-	e.bytes(buf)
-}
-
 func (e *encoder) f32s(xs []float32) {
 	buf := make([]byte, 0, 1<<16)
 	for _, x := range xs {
@@ -1085,7 +1137,7 @@ func (d *decoder) raw(n int) []byte {
 	out := make([]byte, 0, min(n, maxChunk))
 	for len(out) < n {
 		c := min(n-len(out), maxChunk)
-		out = append(out, make([]byte, c)...)
+		out = slices.Grow(out, c)[:len(out)+c]
 		d.bytes(out[len(out)-c:])
 		if d.err != nil {
 			return nil

@@ -5,11 +5,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"subtab/internal/colstore"
 	"subtab/internal/core"
 	"subtab/internal/query"
 	"subtab/internal/table"
@@ -223,5 +226,42 @@ func TestLoadTrailingGarbageChecksum(t *testing.T) {
 	data[len(data)-1] ^= 0xff // corrupt the checksum itself
 	if _, err := Load(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestLoadFailureClosesStores is the regression test for a leak on late
+// load failures: a paged model whose column store was regenerated (so its
+// checksum no longer matches the model's reference) fails to load after
+// its code store was opened, and that code store must be closed — its
+// mapping gone — when LoadFile returns, not whenever a GC cleanup runs.
+func TestLoadFailureClosesStores(t *testing.T) {
+	maps, err := os.ReadFile("/proc/self/maps")
+	if err != nil {
+		t.Skip("needs /proc/self/maps to see the process's mappings")
+	}
+	dir := t.TempDir()
+	codes, cells := filepath.Join(dir, "mixed.codes"), filepath.Join(dir, "mixed.cols")
+	m := testModel(t)
+	if err := m.PageOut([]string{codes}, []string{cells}, false, 0); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "mixed.subtab")
+	if err := SaveFile(path, m); err != nil {
+		t.Fatal(err)
+	}
+	// The saved model's own stores are closed, so only LoadFile can map.
+	m.B.Source().(io.Closer).Close()
+	m.CellSource().(io.Closer).Close()
+	if err := colstore.WriteTable(cells, testTable(t, 400), 64); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadFile(path); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("loading against a regenerated column store: err = %v, want ErrCorrupt", err)
+	}
+	if maps, err = os.ReadFile("/proc/self/maps"); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(maps, []byte(codes)) {
+		t.Fatalf("the code store %s is still mapped after the load failed", codes)
 	}
 }

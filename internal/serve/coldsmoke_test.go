@@ -19,7 +19,8 @@ import (
 // serial-equivalent training cost, which lands at the bound instead of well
 // under it. CI runs this as its own step (no -race, no coverage
 // instrumentation — both inflate the hot training loop enough to make a
-// wall-clock bound meaningless).
+// wall-clock bound meaningless). Under -race the upload and the select
+// still run and must succeed; only the wall-clock assertion is skipped.
 func TestColdUploadSmoke(t *testing.T) {
 	ds, err := datagen.ByName("FL", 3000, 1)
 	if err != nil {
@@ -40,6 +41,10 @@ func TestColdUploadSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	elapsed := time.Since(start)
+	if raceEnabled {
+		t.Logf("cold upload (preprocess + first select) under -race: %s; the 2s bound applies to uninstrumented runs only", elapsed)
+		return
+	}
 	if elapsed > 2*time.Second {
 		t.Fatalf("cold upload (preprocess + first select) took %s, over the 2s smoke bound", elapsed)
 	}
