@@ -14,7 +14,10 @@ import (
 	"subtab/internal/word2vec"
 )
 
-var writeV7 = flag.Bool("write-v7", false, "write "+v7Fixture+" with this build's Save, which must write format version 7")
+var (
+	writeV7 = flag.Bool("write-v7", false, "write "+v7Fixture+" with this build's Save, which must write format version 7")
+	writeV8 = flag.Bool("write-v8", false, "write the v8 fixtures with this build's Save, which must write format version 8")
+)
 
 // v7Fixture is a model file written by the last build whose Save wrote
 // format version 7. It pins that every later build still loads it.
@@ -50,6 +53,54 @@ func TestWriteV7Fixture(t *testing.T) {
 		t.Fatalf("this build writes format version %d; the fixture must be written by a version 7 build", Version)
 	}
 	if err := SaveFile(v7Fixture, compatModel(t)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The v8 fixtures are model files written by the last build whose Save
+// wrote format version 8: a resident file (codes and cells embedded as
+// store images) and a paged one (a schema husk referencing the .codes and
+// .cols store files beside it).
+const (
+	v8ResidentFixture = "testdata/model_v8_resident.subtab"
+	v8PagedFixture    = "testdata/model_v8_paged.subtab"
+)
+
+// v8Model builds the model the v8 fixtures hold: the mixed test table
+// pre-processed over 280 rows, then 20 more rows appended incrementally.
+func v8Model(t *testing.T) *core.Model {
+	t.Helper()
+	opt := core.Default()
+	opt.Embedding = word2vec.Options{Dim: 8, Epochs: 1, Seed: 3, Workers: 1}
+	opt.ClusterSeed = 5
+	m, err := core.Preprocess(testTable(t, 280), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _, err = m.Append(testTable(t, 20), core.AppendOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestWriteV8Fixtures re-records the v8 fixtures. It runs only with
+// -write-v8, on a build whose Save still writes version 8.
+func TestWriteV8Fixtures(t *testing.T) {
+	if !*writeV8 {
+		t.Skip("run with -write-v8 on a build that writes format version 8")
+	}
+	if Version != 8 {
+		t.Fatalf("this build writes format version %d; the fixtures must be written by a version 8 build", Version)
+	}
+	if err := SaveFile(v8ResidentFixture, v8Model(t)); err != nil {
+		t.Fatal(err)
+	}
+	m := v8Model(t)
+	if err := m.PageOut([]string{v8PagedFixture + ".codes"}, []string{v8PagedFixture + ".cols"}, false, 128); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveFile(v8PagedFixture, m); err != nil {
 		t.Fatal(err)
 	}
 }
