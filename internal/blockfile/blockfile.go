@@ -37,11 +37,12 @@
 // platform supports it and read with pread-style ReadAt elsewhere, and both
 // access paths are stateless apart from caller-owned scratch.
 //
-// A store file can also live in memory: CreateImage writes through the same
-// Append, block flush and finish as Create and yields the exact bytes the
-// file would hold, and OpenBytes validates such an image through the same
-// checks as Open and reads it in place. Package modelio embeds a resident
-// model's codes and cells in its model file this way.
+// A store can also be an image inside a larger file: CreateIn streams one
+// of a row count declared up front into any writer, its exact length known
+// before the first page, and OpenIn opens one at an offset inside a Region —
+// one file's mapping (or read handle, or bytes already in memory) that
+// every image opened in it shares. Package modelio keeps a table's codes
+// and cells so, inside its model file.
 package blockfile
 
 import (
@@ -53,6 +54,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"sync/atomic"
 )
 
 // Format identifies one kind of store file. The two stores each declare one
@@ -90,73 +92,66 @@ const (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// Writer streams rows into a store file, or into an in-memory image of
-// one. Rows are appended in chunks and flushed block by block; Close
-// finalizes the index and footer. A writer that never reaches Close leaves
-// a file Open rejects, so a crashed export cannot be mistaken for a
+// Writer streams rows into a store file, or into a store image inside a
+// larger file. Rows are appended in chunks and flushed block by block;
+// Close finalizes the index and footer. A writer that never reaches Close
+// leaves a file Open rejects, so a crashed export cannot be mistaken for a
 // complete store.
 type Writer struct {
-	dst       sink
+	dst       io.Writer
+	file      *os.File // Create's file, which Close patches, syncs and closes; nil for CreateIn
 	ft        Format
+	widths    []int // per-column cell width
 	blockRows int
 	rows      uint64
-	head      []byte   // header + meta section: what the footer CRC covers besides the index
+	declared  int64  // CreateIn's row count; -1 for Create, which learns it on Close
+	head      []byte // header + meta section: what the footer CRC covers besides the index
+	wroteHead bool
 	buf       [][]byte // per-column pending page bytes (< blockRows rows)
 	bufRows   int
 	crcs      []uint32
 	err       error
 }
 
-// sink is what a Writer writes to: an *os.File, or an *image. WriteAt
-// patches the header's row count on Close.
-type sink interface {
-	io.Writer
-	io.WriterAt
-}
-
-// image is the in-memory sink: the bytes a store file would hold.
-type image struct{ buf []byte }
-
-func (m *image) Write(p []byte) (int, error) {
-	// Doubling keeps the buffers an image outgrows at about its own size
-	// in all; append's gentler growth for large slices would cost several.
-	if n := len(m.buf) + len(p); n > cap(m.buf) {
-		m.buf = append(make([]byte, 0, max(n, 2*cap(m.buf))), m.buf...)
+// Create starts a store file at path in the format's current Version, one
+// column per entry of widths (each column's cell width); meta is the meta
+// section's payload (ignored when that version has none). The row count is
+// whatever is appended before Close. The file is truncated.
+func Create(path string, ft Format, widths []int, blockRows int, meta []byte) (*Writer, error) {
+	w, err := newWriter(ft, widths, -1, blockRows, meta)
+	if err != nil {
+		return nil, err
 	}
-	m.buf = append(m.buf, p...)
-	return len(p), nil
-}
-
-func (m *image) WriteAt(p []byte, off int64) (int, error) {
-	return copy(m.buf[off:], p), nil
-}
-
-// Create starts a store file of cols columns at path in the format's current
-// Version; meta is the meta section's payload (ignored when that version has
-// none). The file is truncated.
-func Create(path string, ft Format, cols, blockRows int, meta []byte) (*Writer, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, err
 	}
-	w, err := newWriter(f, ft, cols, blockRows, meta)
-	if err != nil {
-		f.Close()
-		os.Remove(path)
-		return nil, err
-	}
+	w.dst, w.file = f, f
 	return w, nil
 }
 
-// CreateImage is Create for an in-memory target: after Close, Image returns
-// the exact bytes Create would have left in the file.
-func CreateImage(ft Format, cols, blockRows int, meta []byte) (*Writer, error) {
-	return newWriter(&image{}, ft, cols, blockRows, meta)
+// CreateIn starts a store image of exactly rows rows that streams into dst
+// from dst's current position: every size is known before the first page,
+// so the header goes out final and nothing is patched — Size is the exact
+// length the image will have. Nothing is written before the first page is
+// flushed (or Close, for an empty image), so a caller can record Size ahead
+// of the image. Close does not close dst.
+func CreateIn(dst io.Writer, ft Format, widths []int, rows, blockRows int, meta []byte) (*Writer, error) {
+	if rows < 0 {
+		return nil, fmt.Errorf("blockfile: create: %d rows", rows)
+	}
+	w, err := newWriter(ft, widths, int64(rows), blockRows, meta)
+	if err != nil {
+		return nil, err
+	}
+	w.dst = dst
+	return w, nil
 }
 
-// newWriter writes the header and meta section to dst and returns the
-// writer that streams the pages after them.
-func newWriter(dst sink, ft Format, cols, blockRows int, meta []byte) (*Writer, error) {
+// newWriter builds the header and meta section of a store whose row count
+// is declared (-1: unknown until Close).
+func newWriter(ft Format, widths []int, declared int64, blockRows int, meta []byte) (*Writer, error) {
+	cols := len(widths)
 	if cols <= 0 || blockRows <= 0 {
 		return nil, fmt.Errorf("blockfile: create: impossible geometry (%d cols, %d rows/block)", cols, blockRows)
 	}
@@ -164,18 +159,27 @@ func newWriter(dst sink, ft Format, cols, blockRows int, meta []byte) (*Writer, 
 	head = append(head, ft.Magic[:]...)
 	head = binary.LittleEndian.AppendUint16(head, ft.Version)
 	head = binary.LittleEndian.AppendUint32(head, uint32(cols))
-	head = binary.LittleEndian.AppendUint64(head, 0) // row count, patched on Close
+	head = binary.LittleEndian.AppendUint64(head, uint64(max(declared, 0))) // patched on Close when undeclared
 	head = binary.LittleEndian.AppendUint32(head, uint32(blockRows))
 	if ft.hasMeta(ft.Version) {
 		head = binary.LittleEndian.AppendUint32(head, uint32(len(meta)))
 		head = append(head, meta...)
 	}
-	// The header is rewritten with the final row count on Close; writing a
-	// placeholder now keeps the data section at a fixed offset.
-	if _, err := dst.Write(head); err != nil {
-		return nil, err
+	return &Writer{ft: ft, widths: widths, blockRows: blockRows, declared: declared, head: head, buf: make([][]byte, cols)}, nil
+}
+
+// Size returns the exact byte length of a CreateIn image (-1 for a Create
+// writer, whose row count is not known yet).
+func (w *Writer) Size() int64 {
+	if w.declared < 0 {
+		return -1
 	}
-	return &Writer{dst: dst, ft: ft, blockRows: blockRows, head: head, buf: make([][]byte, cols)}, nil
+	var rowWidth int64
+	for _, cw := range w.widths {
+		rowWidth += int64(cw)
+	}
+	blocks := (w.declared + int64(w.blockRows) - 1) / int64(w.blockRows)
+	return int64(len(w.head)) + w.declared*rowWidth + blocks*int64(len(w.widths))*4 + 4 + 8
 }
 
 // Append adds n rows. For each run of rows that fits the current block it
@@ -207,9 +211,27 @@ func (w *Writer) Append(n int, encode func(c int, dst []byte, off, take int) []b
 	return nil
 }
 
+// writeHead writes the header and meta section ahead of the first page.
+func (w *Writer) writeHead() error {
+	if w.wroteHead {
+		return nil
+	}
+	w.wroteHead = true
+	if _, err := w.dst.Write(w.head); err != nil {
+		return w.Fail(err)
+	}
+	return nil
+}
+
 // flushBlock writes the buffered rows of every column as one block.
 func (w *Writer) flushBlock() error {
+	if err := w.writeHead(); err != nil {
+		return err
+	}
 	for c := range w.buf {
+		if len(w.buf[c]) != w.bufRows*w.widths[c] {
+			return w.Fail(fmt.Errorf("blockfile: column %d encoded %d bytes for %d cells of width %d", c, len(w.buf[c]), w.bufRows, w.widths[c]))
+		}
 		w.crcs = append(w.crcs, crc32.Checksum(w.buf[c], crcTable))
 		if _, err := w.dst.Write(w.buf[c]); err != nil {
 			return w.Fail(err)
@@ -230,13 +252,12 @@ func (w *Writer) Fail(err error) error {
 }
 
 // Close flushes the final (possibly short) block, writes the page index,
-// rewrites the header with the final row count, writes the footer checksum
-// and the end magic, and syncs and closes the file (a CreateImage writer
-// has none).
+// rewrites a Create file's header with the final row count, writes the
+// footer checksum and the end magic, and syncs and closes a Create file.
 func (w *Writer) Close() error {
 	err := w.finish()
-	if f, ok := w.dst.(*os.File); ok {
-		err = errors.Join(err, f.Close())
+	if w.file != nil {
+		err = errors.Join(err, w.file.Close())
 	}
 	return err
 }
@@ -245,10 +266,16 @@ func (w *Writer) finish() error {
 	if w.err != nil {
 		return w.err
 	}
+	if w.declared >= 0 && w.rows != uint64(w.declared) {
+		return w.Fail(fmt.Errorf("blockfile: %d rows appended to an image declared with %d", w.rows, w.declared))
+	}
 	if w.bufRows > 0 {
 		if err := w.flushBlock(); err != nil {
 			return err
 		}
+	}
+	if err := w.writeHead(); err != nil {
+		return err
 	}
 	index := make([]byte, 0, 4*len(w.crcs))
 	for _, crc := range w.crcs {
@@ -258,8 +285,10 @@ func (w *Writer) finish() error {
 		return err
 	}
 	binary.LittleEndian.PutUint64(w.head[rowsOff:], w.rows)
-	if _, err := w.dst.WriteAt(w.head[:headerSize], 0); err != nil {
-		return err
+	if w.file != nil {
+		if _, err := w.file.WriteAt(w.head[:headerSize], 0); err != nil {
+			return err
+		}
 	}
 	// The footer checksum covers header + meta + index, so a store whose
 	// geometry, meta or index was damaged after the fact fails Open even at
@@ -272,26 +301,17 @@ func (w *Writer) finish() error {
 	if _, err := w.dst.Write(foot); err != nil {
 		return err
 	}
-	if f, ok := w.dst.(*os.File); ok {
-		return f.Sync()
+	if w.file != nil {
+		return w.file.Sync()
 	}
 	return nil
 }
 
-// Image returns the bytes of a CreateImage writer after a successful Close
-// (nil for a file writer).
-func (w *Writer) Image() []byte {
-	if m, ok := w.dst.(*image); ok {
-		return m.buf
-	}
-	return nil
-}
-
-// Abort discards the writer and removes the partial file, if any.
+// Abort discards the writer and removes a Create writer's partial file.
 func (w *Writer) Abort() {
-	if f, ok := w.dst.(*os.File); ok {
-		f.Close()
-		os.Remove(f.Name())
+	if w.file != nil {
+		w.file.Close()
+		os.Remove(w.file.Name())
 	}
 }
 
@@ -318,17 +338,19 @@ func WriteAtomic(path string, write func(tmp string) error) error {
 // claiming 2^24 columns costs Open no allocation.
 type Layout func(version uint16, cols int, meta []byte) (widths []int, err error)
 
-// File is an open, read-only store file. All methods are safe for
-// concurrent use. Close releases the mapping/file handle; files that are
-// garbage-collected without Close release their resources via a runtime
-// cleanup, so an evicted model cannot leak a mapping forever.
+// File is an open, read-only store: a whole file, or an image inside one
+// (OpenIn). All methods are safe for concurrent use. Close releases its
+// hold on the Region it reads; a File that is garbage-collected without
+// Close lets the Region's runtime cleanup release the mapping or handle,
+// so an evicted model cannot leak a mapping forever.
 type File struct {
-	// Data is the whole file when it is memory-mapped or opened from bytes,
-	// and nil on the ReadAt path. The typed accessors of the store packages
-	// index it directly.
+	// Data is the store's bytes when its Region is memory-mapped or in
+	// memory, and nil on the ReadAt path. The typed accessors of the store
+	// packages index it directly.
 	Data []byte
 
 	path      string
+	size      int64
 	rows      int
 	cols      int
 	blockRows int
@@ -339,20 +361,35 @@ type File struct {
 	blockSize int64   // bytes of one full block: blockRows × the summed widths
 	dataStart int64
 	crcs      []uint32
-	checksum  uint32   // footer CRC: the store's identity for external refs
-	src       *os.File // what ReadAt reads when the file is not mapped
-	res       region   // the OS resources Close releases (none for bytes)
-	cleanup   runtime.Cleanup
+	checksum  uint32      // footer CRC: the store's identity for external refs
+	src       io.ReaderAt // what ReadAt reads when the Region is not mapped
+	reg       *Region
 }
 
-// region names a File's OS resources (mapping or file handle) so the runtime
-// cleanup can release them without referencing the File itself.
-type region struct {
+// Region is the bytes of one file that stores are opened in: its
+// read-only memory mapping where the platform supports it, else its handle,
+// read with ReadAt; or a byte slice already in memory (BytesRegion). Every
+// store opened in a Region shares it, so a model file holding two images
+// is mapped once. A Region counts its holders — the opener, and each File
+// opened in it — and releases its mapping or handle when the last one
+// closes, or through a runtime cleanup once nothing references it.
+type Region struct {
+	data    []byte   // the whole file when mapped or in memory
+	src     *os.File // what ReadAt reads when not mapped
+	path    string
+	size    int64
+	refs    atomic.Int64
+	cleanup runtime.Cleanup
+}
+
+// resources names a Region's OS resources (mapping or file handle) so the
+// runtime cleanup can release them without referencing the Region itself.
+type resources struct {
 	data []byte   // non-nil when memory-mapped
 	f    *os.File // non-nil when reading through the file
 }
 
-func (r region) release() {
+func (r resources) release() {
 	if r.data != nil {
 		munmap(r.data)
 	}
@@ -361,53 +398,118 @@ func (r region) release() {
 	}
 }
 
-// mapFile is mmapFile everywhere outside this package's tests, which swap
-// in a failing stub to run the reader suite over the ReadAt path that every
-// non-unix build takes.
+// mapFile is mmapFile unless DisableMapping swapped in a failing stub.
 var mapFile = mmapFile
 
-// Open opens the store file at path, memory-mapping it when the platform
-// supports it and falling back to plain file reads otherwise. layout derives
-// the cell widths of the version found.
-func Open(path string, ft Format, layout Layout) (_ *File, err error) {
+// DisableMapping makes every later Open and OpenRegion take the ReadAt
+// access path — the one every non-unix build runs — until the returned
+// func restores mapping. It exists for tests of this package and the ones
+// above it, and must not race with opens.
+func DisableMapping() (restore func()) {
+	old := mapFile
+	mapFile = func(*os.File, int64) ([]byte, error) { return nil, errors.ErrUnsupported }
+	return func() { mapFile = old }
+}
+
+// OpenRegion opens the file at path, memory-mapping it when the platform
+// supports it and falling back to file reads otherwise. The caller holds
+// one reference and drops it with Close.
+func OpenRegion(path string) (*Region, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	defer func() {
-		if err != nil {
-			f.Close()
-		}
-	}()
 	fi, err := f.Stat()
 	if err != nil {
+		f.Close()
 		return nil, err
 	}
-	file, err := open(f, fi.Size(), ft, layout)
-	if err != nil {
-		return nil, err
-	}
-	file.path = path
-	if data, err := mapFile(f, fi.Size()); err == nil {
-		file.Data = data
+	r := &Region{path: path, size: fi.Size()}
+	if data, err := mapFile(f, r.size); err == nil {
+		r.data = data
 		f.Close()
 	} else {
-		file.src = f
+		r.src = f
 	}
-	file.res = region{file.Data, file.src}
-	file.cleanup = runtime.AddCleanup(file, region.release, file.res)
-	return file, nil
+	r.refs.Store(1)
+	r.cleanup = runtime.AddCleanup(r, resources.release, resources{r.data, r.src})
+	return r, nil
 }
 
-// OpenBytes opens a store file image held in memory — what Open validates,
-// the same way. The File reads data in place (Data is data) and must not
-// outlive it; it holds no OS resources, and its Path is empty.
-func OpenBytes(data []byte, ft Format, layout Layout) (*File, error) {
-	file, err := open(bytes.NewReader(data), int64(len(data)), ft, layout)
+// BytesRegion returns a Region over data, which stores opened in it read in
+// place and must not outlive. It holds no OS resources.
+func BytesRegion(data []byte) *Region {
+	r := &Region{data: data, size: int64(len(data))}
+	r.refs.Store(1)
+	return r
+}
+
+// Size returns the region's length in bytes.
+func (r *Region) Size() int64 { return r.size }
+
+// ReadAt reads from the mapping, the bytes or the file (io.ReaderAt).
+func (r *Region) ReadAt(p []byte, off int64) (int, error) {
+	if r.src != nil {
+		return r.src.ReadAt(p, off)
+	}
+	if off < 0 || off > int64(len(r.data)) {
+		return 0, io.EOF
+	}
+	n := copy(p, r.data[off:])
+	if n < len(p) {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
+// Close drops one reference; the last releases the mapping or handle.
+// Reads through the region or its stores must not race with the last
+// Close.
+func (r *Region) Close() error {
+	if r.refs.Add(-1) == 0 {
+		r.cleanup.Stop()
+		resources{r.data, r.src}.release()
+	}
+	return nil
+}
+
+// Open opens the store file at path, memory-mapping it when the platform
+// supports it and falling back to plain file reads otherwise. layout derives
+// the cell widths of the version found.
+func Open(path string, ft Format, layout Layout) (*File, error) {
+	r, err := OpenRegion(path)
 	if err != nil {
 		return nil, err
 	}
-	file.Data = data
+	defer r.Close()
+	return OpenIn(r, 0, r.Size(), ft, layout)
+}
+
+// OpenIn opens the store image of size bytes at offset off inside r —
+// validated as Open validates a whole file — and takes a reference to r,
+// which the File's Close drops. The File reads the mapping or bytes in
+// place, or r's file through a section reader.
+func OpenIn(r *Region, off, size int64, ft Format, layout Layout) (*File, error) {
+	if off < 0 || size < 0 || off > r.size-size {
+		return nil, fmt.Errorf("%w: a %d-byte store at offset %d of a %d-byte file", ErrTruncated, size, off, r.size)
+	}
+	var src io.ReaderAt
+	if r.data != nil {
+		src = bytes.NewReader(r.data[off : off+size])
+	} else {
+		src = io.NewSectionReader(r.src, off, size)
+	}
+	file, err := open(src, size, ft, layout)
+	if err != nil {
+		return nil, err
+	}
+	file.path, file.size, file.reg = r.path, size, r
+	if r.data != nil {
+		file.Data = r.data[off : off+size : off+size]
+	} else {
+		file.src = src
+	}
+	r.refs.Add(1)
 	return file, nil
 }
 
@@ -518,24 +620,39 @@ func open(r io.ReaderAt, size int64, ft Format, layout Layout) (*File, error) {
 	return file, nil
 }
 
-// Close releases the mapping/file handle. Further reads fail or panic;
+// Close drops the file's hold on its Region. Further reads fail or panic;
 // Close is not safe to race with in-flight reads.
 func (f *File) Close() error {
-	f.cleanup.Stop()
-	f.res.release()
-	f.Data, f.src, f.res = nil, nil, region{}
+	if f.reg != nil {
+		f.reg.Close()
+	}
+	f.Data, f.src, f.reg = nil, nil, nil
 	return nil
 }
 
-// Path returns the path the file was opened from ("" for OpenBytes).
+// Path returns the path of the file the store was opened from ("" for a
+// BytesRegion).
 func (f *File) Path() string { return f.path }
+
+// Size returns the store's length in bytes.
+func (f *File) Size() int64 { return f.size }
+
+// WriteTo writes the store's bytes to w (io.WriterTo): a verbatim copy,
+// for a model re-saved without re-encoding its stores.
+func (f *File) WriteTo(w io.Writer) (int64, error) {
+	if f.Data != nil {
+		n, err := w.Write(f.Data)
+		return int64(n), err
+	}
+	return io.Copy(w, io.NewSectionReader(f.src, 0, f.size))
+}
 
 // Checksum returns the footer CRC — a cheap identity covering the geometry,
 // the meta section and the per-page checksums, used by external references
 // (modelio, the shard map) to detect a swapped or regenerated store.
 func (f *File) Checksum() uint32 { return f.checksum }
 
-// Mapped reports whether the file is memory-mapped or in memory (false =
+// Mapped reports whether the store is memory-mapped or in memory (false =
 // ReadAt fallback).
 func (f *File) Mapped() bool { return f.Data != nil }
 

@@ -14,6 +14,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -43,11 +44,13 @@ type storeKind struct {
 	read func(path string, data []byte, text *strings.Builder) (uint32, error)
 }
 
-// openStore opens a store through its package: Open(path), or
-// OpenBytes(data) when path is "".
-func openStore[S any](open func(string) (S, error), openBytes func([]byte) (S, error), path string, data []byte) (S, error) {
+// openStore opens a store through its package: Open(path), or, when path
+// is "", OpenIn over data held in memory between a prefix and a suffix —
+// the store as an image inside a larger file.
+func openStore[S any](open func(string) (S, error), openIn func(*blockfile.Region, int64, int64) (S, error), path string, data []byte) (S, error) {
 	if path == "" {
-		return openBytes(data)
+		file := slices.Concat([]byte("prefix"), data, []byte("suffix"))
+		return openIn(blockfile.BytesRegion(file), int64(len("prefix")), int64(len(data)))
 	}
 	return open(path)
 }
@@ -75,7 +78,7 @@ var storeKinds = []storeKind{
 			return s.File, nil
 		},
 		read: func(path string, data []byte, text *strings.Builder) (uint32, error) {
-			s, err := openStore(codestore.Open, codestore.OpenBytes, path, data)
+			s, err := openStore(codestore.Open, codestore.OpenIn, path, data)
 			if err != nil {
 				return 0, err
 			}
@@ -122,7 +125,7 @@ var storeKinds = []storeKind{
 			return s.File, nil
 		},
 		read: func(path string, data []byte, text *strings.Builder) (uint32, error) {
-			s, err := openStore(colstore.Open, colstore.OpenBytes, path, data)
+			s, err := openStore(colstore.Open, colstore.OpenIn, path, data)
 			if err != nil {
 				return 0, err
 			}

@@ -16,13 +16,14 @@
 //	         of its column's width
 //
 // Version 1 files (no meta section, every cell a u16) still open and read.
-// Image builds a store's exact bytes in memory and OpenBytes reads them in
-// place: a resident model's file (package modelio) embeds its codes so.
+// CreateIn streams a store image into a larger file and OpenIn opens one
+// in place: a model file (package modelio) holds its table's codes so.
 package codestore
 
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"slices"
 
 	"subtab/internal/blockfile"
@@ -96,15 +97,23 @@ type Writer struct {
 // (each column's bin count, which sets its code width) and the given
 // rows-per-block (<= 0 uses DefaultBlockRows). The file is truncated.
 func Create(path string, bins []int, blockRows int) (*Writer, error) {
-	return create(bins, blockRows, func(blockRows int, meta []byte) (*blockfile.Writer, error) {
-		return blockfile.Create(path, format, len(bins), blockRows, meta)
+	return create(bins, blockRows, func(widths []int, blockRows int, meta []byte) (*blockfile.Writer, error) {
+		return blockfile.Create(path, format, widths, blockRows, meta)
+	})
+}
+
+// CreateIn starts a store image of exactly rows rows that streams into dst
+// (blockfile.CreateIn): its Size is known before any byte is written.
+func CreateIn(dst io.Writer, bins []int, rows, blockRows int) (*Writer, error) {
+	return create(bins, blockRows, func(widths []int, blockRows int, meta []byte) (*blockfile.Writer, error) {
+		return blockfile.CreateIn(dst, format, widths, rows, blockRows, meta)
 	})
 }
 
 // create derives the per-column widths and the meta section from bins and
 // starts the blockfile writer open returns over them: a file's or an
-// in-memory image's.
-func create(bins []int, blockRows int, open func(blockRows int, meta []byte) (*blockfile.Writer, error)) (*Writer, error) {
+// image's inside a larger file.
+func create(bins []int, blockRows int, open func(widths []int, blockRows int, meta []byte) (*blockfile.Writer, error)) (*Writer, error) {
 	if blockRows <= 0 {
 		blockRows = DefaultBlockRows
 	}
@@ -114,7 +123,7 @@ func create(bins []int, blockRows int, open func(blockRows int, meta []byte) (*b
 		widths[c] = codeWidth(nb)
 		meta[c] = byte(widths[c])
 	}
-	w, err := open(blockRows, meta)
+	w, err := open(widths, blockRows, meta)
 	if err != nil {
 		return nil, err
 	}
@@ -176,22 +185,6 @@ func WriteFile(path string, codes [][]uint16, blockRows int) error {
 	})
 }
 
-// Image returns the bytes of a complete store of the given columns, built
-// in memory: one column per entry of bins, whose bin counts set the code
-// widths as in Create.
-func Image(bins []int, codes [][]uint16, blockRows int) ([]byte, error) {
-	w, err := create(bins, blockRows, func(blockRows int, meta []byte) (*blockfile.Writer, error) {
-		return blockfile.CreateImage(format, len(bins), blockRows, meta)
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := w.appendAll(codes); err != nil {
-		return nil, err
-	}
-	return w.Image(), nil
-}
-
 // appendAll appends codes as one chunk and closes the writer, aborting it
 // on failure.
 func (w *Writer) appendAll(codes [][]uint16) error {
@@ -222,10 +215,10 @@ func Open(path string) (*Store, error) {
 	return &Store{f}, nil
 }
 
-// OpenBytes opens a store image held in memory, validated as Open
-// validates a file; the Store reads data in place.
-func OpenBytes(data []byte) (*Store, error) {
-	f, err := blockfile.OpenBytes(data, format, layout)
+// OpenIn opens the store image of size bytes at offset off inside r,
+// validated as Open validates a file (blockfile.OpenIn).
+func OpenIn(r *blockfile.Region, off, size int64) (*Store, error) {
+	f, err := blockfile.OpenIn(r, off, size, format, layout)
 	if err != nil {
 		return nil, err
 	}

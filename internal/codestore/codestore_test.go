@@ -14,6 +14,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"subtab/internal/blockfile"
 )
 
 // randCodes builds cols column slices of n random codes < maxCode.
@@ -226,9 +228,10 @@ func TestWriteFileAtomic(t *testing.T) {
 	}
 }
 
-// TestImage pins the in-memory entry points: Image is byte for byte the
-// file Create writes for the same bin counts, OpenBytes reads it as Open
-// reads the file, and Columns decodes every column whole.
+// TestImage pins the embedded entry points: CreateIn streams byte for byte
+// the file Create writes for the same bin counts, at the Size it declares
+// before the first byte, and OpenIn reads it at its offset inside a larger
+// file as Open reads the file; Columns decodes every column whole.
 func TestImage(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	codes := append(randCodes(rng, 2, 300, 200), randCodes(rng, 1, 300, 3000)...)
@@ -248,14 +251,25 @@ func TestImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	image, err := Image(bins, codes, 64)
+	file := bytes.NewBufferString("prefix")
+	iw, err := CreateIn(file, bins, 300, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(image, want) {
-		t.Fatalf("Image differs from the %d-byte file Create writes", len(want))
+	if iw.Size() != int64(len(want)) || file.Len() != len("prefix") {
+		t.Fatalf("CreateIn declares %d bytes and wrote %d up front, want %d and none", iw.Size(), file.Len()-len("prefix"), len(want))
 	}
-	s, err := OpenBytes(image)
+	if err := iw.AppendColumns(codes); err != nil {
+		t.Fatal(err)
+	}
+	if err := iw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	file.WriteString("suffix")
+	if image := file.Bytes()[len("prefix") : file.Len()-len("suffix")]; !bytes.Equal(image, want) {
+		t.Fatalf("CreateIn wrote %d bytes that differ from the %d-byte file Create writes", len(image), len(want))
+	}
+	s, err := OpenIn(blockfile.BytesRegion(file.Bytes()), int64(len("prefix")), int64(len(want)))
 	if err != nil {
 		t.Fatal(err)
 	}

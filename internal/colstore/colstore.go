@@ -21,14 +21,15 @@
 // The writer picks each column's narrowest exact encoding from the rows it
 // writes. Version 1 files, whose columns are all Float64 (numeric) or
 // 4-byte DictCode (categorical) with no encoding bytes in the schema, still
-// open and read. TableImage builds a store's exact bytes in memory and
-// OpenBytes reads them in place: a resident model's file (package modelio)
-// embeds its cells so.
+// open and read. CreateIn streams a store image into a larger file and
+// OpenIn opens one in place: a model file (package modelio) holds its
+// table's cells so.
 package colstore
 
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 
 	"subtab/internal/blockfile"
@@ -79,15 +80,24 @@ type Writer struct {
 // with AppendRows, within that range, so a shard export can write its own
 // slice. The file is truncated.
 func Create(path string, t *table.Table, start, end, blockRows int) (*Writer, error) {
-	return create(t, start, end, blockRows, func(blockRows int, meta []byte) (*blockfile.Writer, error) {
-		return blockfile.Create(path, format, t.NumCols(), blockRows, meta)
+	return create(t, start, end, blockRows, func(widths []int, blockRows int, meta []byte) (*blockfile.Writer, error) {
+		return blockfile.Create(path, format, widths, blockRows, meta)
+	})
+}
+
+// CreateIn starts a store image of all of t's rows that streams into dst
+// (blockfile.CreateIn): its Size is known before any byte is written. The
+// rows are appended separately with AppendRows.
+func CreateIn(dst io.Writer, t *table.Table, blockRows int) (*Writer, error) {
+	return create(t, 0, t.NumRows(), blockRows, func(widths []int, blockRows int, meta []byte) (*blockfile.Writer, error) {
+		return blockfile.CreateIn(dst, format, widths, t.NumRows(), blockRows, meta)
 	})
 }
 
 // create encodes t's schema and the chosen encodings into the meta section
 // and starts the blockfile writer open returns over them: a file's or an
-// in-memory image's.
-func create(t *table.Table, start, end, blockRows int, open func(blockRows int, meta []byte) (*blockfile.Writer, error)) (*Writer, error) {
+// image's inside a larger file.
+func create(t *table.Table, start, end, blockRows int, open func(widths []int, blockRows int, meta []byte) (*blockfile.Writer, error)) (*Writer, error) {
 	cols := t.Columns()
 	if len(cols) == 0 {
 		return nil, fmt.Errorf("colstore: create: table %s has no columns", t.Name)
@@ -103,6 +113,7 @@ func create(t *table.Table, start, end, blockRows int, open func(blockRows int, 
 	}
 	var meta []byte
 	encs := make([]encoding, len(cols))
+	widths := make([]int, len(cols))
 	for i, c := range cols {
 		if len(c.Name) > math.MaxUint16 {
 			return nil, fmt.Errorf("colstore: create: column name %d bytes long", len(c.Name))
@@ -114,9 +125,10 @@ func create(t *table.Table, start, end, blockRows int, open func(blockRows int, 
 			meta = appendDictPage(meta, c.Dict.Strings())
 		}
 		encs[i] = chooseEncoding(c, start, end)
+		widths[i] = encs[i].width
 		meta = encs[i].appendMeta(meta)
 	}
-	w, err := open(blockRows, meta)
+	w, err := open(widths, blockRows, meta)
 	if err != nil {
 		return nil, err
 	}
@@ -152,20 +164,6 @@ func WriteTableRows(path string, t *table.Table, start, end, blockRows int) erro
 		}
 		return w.appendAll(start, end)
 	})
-}
-
-// TableImage returns the bytes WriteTable writes for t, built in memory.
-func TableImage(t *table.Table, blockRows int) ([]byte, error) {
-	w, err := create(t, 0, t.NumRows(), blockRows, func(blockRows int, meta []byte) (*blockfile.Writer, error) {
-		return blockfile.CreateImage(format, t.NumCols(), blockRows, meta)
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := w.appendAll(0, t.NumRows()); err != nil {
-		return nil, err
-	}
-	return w.Image(), nil
 }
 
 // appendAll appends the source rows [start, end) and closes the writer,
@@ -208,11 +206,11 @@ func Open(path string) (*Store, error) {
 	return s, nil
 }
 
-// OpenBytes opens a store image held in memory, validated as Open
-// validates a file; the Store reads data in place.
-func OpenBytes(data []byte) (*Store, error) {
+// OpenIn opens the store image of size bytes at offset off inside r,
+// validated as Open validates a file (blockfile.OpenIn).
+func OpenIn(r *blockfile.Region, off, size int64) (*Store, error) {
 	s := &Store{}
-	f, err := blockfile.OpenBytes(data, format, s.parseSchema)
+	f, err := blockfile.OpenIn(r, off, size, format, s.parseSchema)
 	if err != nil {
 		return nil, err
 	}

@@ -19,6 +19,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"subtab/internal/blockfile"
 	"subtab/internal/table"
 )
 
@@ -329,9 +330,10 @@ func TestWriteTableAtomic(t *testing.T) {
 	}
 }
 
-// TestTableImage pins the in-memory entry points: TableImage is byte for
-// byte the file WriteTable writes, and OpenBytes reads it as Open reads
-// the file.
+// TestTableImage pins the embedded entry points: CreateIn streams byte for
+// byte the file WriteTable writes, at the Size it declares before the
+// first byte, and OpenIn reads it at its offset inside a larger file as
+// Open reads the file.
 func TestTableImage(t *testing.T) {
 	src := randTable(rand.New(rand.NewSource(3)), "img", 700)
 	path := filepath.Join(t.TempDir(), "img.cols")
@@ -342,14 +344,12 @@ func TestTableImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	image, err := TableImage(src, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
+	file := bytes.NewBufferString("prefix")
+	image := imageOf(t, file, src, 256)
 	if !bytes.Equal(image, want) {
-		t.Fatalf("TableImage differs from the %d-byte file WriteTable writes", len(want))
+		t.Fatalf("CreateIn wrote %d bytes that differ from the %d-byte file WriteTable writes", len(image), len(want))
 	}
-	s, err := OpenBytes(image)
+	s, err := OpenIn(blockfile.BytesRegion(file.Bytes()), int64(len("prefix")), int64(len(want)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,6 +357,30 @@ func TestTableImage(t *testing.T) {
 		t.Fatalf("image store: path %q, %d blocks", s.Path(), s.NumBlocks())
 	}
 	checkStore(t, s, src)
+}
+
+// imageOf streams src's store image into file through CreateIn, checks it
+// came out at the Size declared before its first byte, and returns it.
+func imageOf(t *testing.T, file *bytes.Buffer, src *table.Table, blockRows int) []byte {
+	t.Helper()
+	at := file.Len()
+	w, err := CreateIn(file, src, blockRows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if file.Len() != at {
+		t.Fatal("CreateIn wrote before the first page")
+	}
+	if err := w.AppendRows(0, src.NumRows()); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := int64(file.Len() - at); got != w.Size() {
+		t.Fatalf("CreateIn declared %d bytes and wrote %d", w.Size(), got)
+	}
+	return file.Bytes()[at:]
 }
 
 // TestMaterializeRejectsRepeatedDictionary: a dictionary page whose
@@ -368,10 +392,7 @@ func TestMaterializeRejectsRepeatedDictionary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	image, err := TableImage(src, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	image := imageOf(t, &bytes.Buffer{}, src, 0)
 	at := bytes.Index(image, []byte{1, 0, 0, 0, 'b'})
 	image[at+4] = 'a'
 	// Reseal the footer over header, meta and the one-page index.
@@ -380,7 +401,7 @@ func TestMaterializeRejectsRepeatedDictionary(t *testing.T) {
 	h.Write(image[:metaEnd])
 	h.Write(image[len(image)-16 : len(image)-12])
 	binary.LittleEndian.PutUint32(image[len(image)-12:], h.Sum32())
-	s, err := OpenBytes(image)
+	s, err := OpenIn(blockfile.BytesRegion(image), 0, int64(len(image)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -370,7 +370,7 @@ func TestAppendAfterModelRoundTripMatchesDirect(t *testing.T) {
 	m := mustPreprocess(t, base, opt)
 
 	var buf bytes.Buffer
-	if err := modelio.Save(&buf, m); err != nil {
+	if err := modelio.Save(&buf, m, modelio.Resident); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := modelio.Load(&buf)
@@ -407,7 +407,7 @@ func TestAppendAfterModelRoundTripMatchesDirect(t *testing.T) {
 		t.Fatalf("AppendedSinceRebin = %d, want 12", direct.AppendedSinceRebin())
 	}
 	buf.Reset()
-	if err := modelio.Save(&buf, direct); err != nil {
+	if err := modelio.Save(&buf, direct, modelio.Resident); err != nil {
 		t.Fatal(err)
 	}
 	reloaded, err := modelio.Load(&buf)

@@ -158,6 +158,9 @@ func newModel(t *table.Table, b *binning.Binned, emb *word2vec.Model, opt Option
 
 // Preprocess runs the pre-processing phase of Algorithm 2 on table t.
 func Preprocess(t *table.Table, opt Options) (*Model, error) {
+	if t.NumCols() == 0 {
+		return nil, fmt.Errorf("%w: table %q", ErrNoColumns, t.Name)
+	}
 	if opt.Embedding.Dim > word2vec.MaxDim {
 		return nil, fmt.Errorf("core: embedding dimension %d exceeds %d", opt.Embedding.Dim, word2vec.MaxDim)
 	}

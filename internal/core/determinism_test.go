@@ -122,7 +122,7 @@ func TestSelectByteIdenticalAfterModelRoundTrip(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := modelio.Save(&buf, m); err != nil {
+	if err := modelio.Save(&buf, m, modelio.Resident); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := modelio.Load(&buf)

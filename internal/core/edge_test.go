@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"errors"
 	"testing"
 
 	"subtab/internal/core"
@@ -20,12 +21,24 @@ func tinyOptions() core.Options {
 // produce a well-formed sub-table or a clear error.
 func TestPreprocessDegenerateTables(t *testing.T) {
 	t.Run("empty", func(t *testing.T) {
+		// No columns: nothing to bin, embed or display, and no model file
+		// could hold the result, so Preprocess refuses with a typed error.
 		m, err := core.Preprocess(table.New("e"), tinyOptions())
+		if !errors.Is(err, core.ErrNoColumns) || m != nil {
+			t.Fatalf("Preprocess of a table without columns: model %v, err %v; want ErrNoColumns", m, err)
+		}
+	})
+	t.Run("no-rows", func(t *testing.T) {
+		tab := table.New("e")
+		if err := tab.AddColumn(table.NewNumeric("n", nil)); err != nil {
+			t.Fatal(err)
+		}
+		m, err := core.Preprocess(tab, tinyOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.Select(3, 2, nil); err == nil {
-			t.Fatal("select over an empty table must error")
+		if _, err := m.Select(3, 2, nil); !errors.Is(err, core.ErrNoRows) {
+			t.Fatalf("select over a table without rows: err %v, want ErrNoRows", err)
 		}
 	})
 	t.Run("single-row", func(t *testing.T) {

@@ -114,7 +114,7 @@ func TestScaleOptionsSurviveModelRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := modelio.Save(&buf, m); err != nil {
+	if err := modelio.Save(&buf, m, modelio.Resident); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := modelio.Load(&buf)

@@ -129,10 +129,10 @@ func TestOutOfCoreRulesAndAppend(t *testing.T) {
 	}
 }
 
-// TestOutOfCoreModelRoundTrip pins modelio v5 external references: a
-// store-backed model saved next to its code store loads back out-of-core
-// and selects identically; a model file without its store, or with a
-// mismatched store, fails loudly.
+// TestOutOfCoreModelRoundTrip pins the paged model file: a store-backed
+// model saves as one file that carries a copy of its code store, loads back
+// out-of-core (from a path or a bare reader) and selects identically, and
+// owes nothing to the store file it was paged out to.
 func TestOutOfCoreModelRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	m := deterministicModel(t)
@@ -145,38 +145,34 @@ func TestOutOfCoreModelRoundTrip(t *testing.T) {
 	if err := modelio.SaveFile(modelPath, m); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := modelio.LoadFile(modelPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !loaded.OutOfCore() {
-		t.Fatal("loaded model is not store-backed")
-	}
-	got, err := loaded.SelectExplore(core.ExploreSpec{K: 8, L: 7, Scale: forceScale()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fingerprint(got) != fingerprint(want) {
-		t.Fatalf("loaded out-of-core model selects differently:\n got %s\nwant %s", fingerprint(got), fingerprint(want))
-	}
-
-	// Loading without the store directory must fail with guidance, not
-	// guess.
-	raw, err := os.ReadFile(modelPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := modelio.Load(bytes.NewReader(raw)); err == nil {
-		t.Fatal("Load from a bare reader resolved an external store reference")
-	}
-
-	// A regenerated (different-seed) store under the referenced name must
-	// be rejected by the checksum.
+	// A regenerated (different-seed) store under the name the model was
+	// paged out to changes nothing: the model file holds its own copy.
 	other := deterministicModel(t)
 	if err := other.ExportCodeStore(filepath.Join(dir, "model.codes"), 128); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := modelio.LoadFile(modelPath); err == nil {
-		t.Fatal("LoadFile accepted a code store with a different checksum")
+	raw, err := os.ReadFile(modelPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromPath, err := modelio.LoadFile(modelPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromReader, err := modelio.Load(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, loaded := range []*core.Model{fromPath, fromReader} {
+		if !loaded.OutOfCore() || !loaded.CellsPaged() {
+			t.Fatal("loaded model is not store-backed")
+		}
+		got, err := loaded.SelectExplore(core.ExploreSpec{K: 8, L: 7, Scale: forceScale()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fingerprint(got) != fingerprint(want) {
+			t.Fatalf("loaded out-of-core model selects differently:\n got %s\nwant %s", fingerprint(got), fingerprint(want))
+		}
 	}
 }

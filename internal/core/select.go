@@ -45,6 +45,10 @@ func (s *SubTable) AsMetricSubTable() metrics.SubTable {
 // predicates (or the scope, or the query) match nothing.
 var ErrNoRows = errors.New("core: no rows to select from")
 
+// ErrNoColumns is returned by Preprocess for a table without columns: it
+// has nothing to bin, embed or display.
+var ErrNoColumns = errors.New("core: table has no columns")
+
 // ExploreSpec is a selection request: which rows (the whole table, a
 // predicate conjunction, a drill-down scope, or a full query), the
 // sub-table shape, and — for exploration sessions — the coverage and

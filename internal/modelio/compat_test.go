@@ -6,6 +6,7 @@ import (
 	"flag"
 	"math"
 	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -158,6 +159,70 @@ func TestLoadV7Fixture(t *testing.T) {
 			want.View.String() != got.View.String() {
 			t.Fatalf("Select(%d,%d,%v) of the re-saved v7 model diverged", c.k, c.l, c.targets)
 		}
+	}
+}
+
+// TestLoadV8Fixtures is the back-compat pin of format version 8, in both
+// of its shapes: the resident file (images embedded) and the paged one (a
+// husk referencing .codes and .cols files beside it). Each loads in the
+// residency it was saved in, restores the cells, codes, bin counts and
+// lineage of a fresh build, selects byte-identically to it, and re-saves
+// as one current-version file that needs nothing beside it.
+func TestLoadV8Fixtures(t *testing.T) {
+	fresh := v8Model(t)
+	dir := t.TempDir()
+	for _, c := range []struct {
+		path  string
+		paged bool
+	}{{v8ResidentFixture, false}, {v8PagedFixture, true}} {
+		raw, err := os.ReadFile(c.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := binary.LittleEndian.Uint16(raw[8:]); v != 8 {
+			t.Fatalf("%s is format version %d, want 8", c.path, v)
+		}
+		old, err := LoadFile(c.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if old.OutOfCore() != c.paged || old.CellsPaged() != c.paged {
+			t.Fatalf("%s: loaded with codes paged %v, cells paged %v", c.path, old.OutOfCore(), old.CellsPaged())
+		}
+		assertSameSelections(t, fresh, old)
+		if !reflect.DeepEqual(fresh.BinCountsData(), old.BinCountsData()) || old.AppendedSinceRebin() != 20 {
+			t.Fatalf("%s: bin counts or append lineage differ from a fresh build's", c.path)
+		}
+		// Re-saved, the model is one file in the current format.
+		path := filepath.Join(dir, filepath.Base(c.path))
+		if err := SaveFile(path, old); err != nil {
+			t.Fatal(err)
+		}
+		if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+			t.Fatalf("%s re-saved as %d files, want 1", c.path, len(entries))
+		}
+		resaved, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		os.Remove(path)
+		if v := binary.LittleEndian.Uint16(resaved[8:]); v != Version {
+			t.Fatalf("re-saved model is format version %d, want %d", v, Version)
+		}
+		again, err := Load(bytes.NewReader(resaved))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again.CellsPaged() != c.paged {
+			t.Fatalf("%s re-saved and loaded with cells paged %v", c.path, again.CellsPaged())
+		}
+		if !c.paged {
+			assertSameTable(t, fresh.T, again.T)
+			if !reflect.DeepEqual(fresh.B.Codes, again.B.Codes) {
+				t.Fatalf("%s: bin codes differ from a fresh build's", c.path)
+			}
+		}
+		assertSameSelections(t, fresh, again)
 	}
 }
 

@@ -3,20 +3,20 @@ package modelio
 import (
 	"bytes"
 	"encoding/binary"
-	"hash/crc32"
 	"os"
 	"runtime"
 	"testing"
 
+	"subtab/internal/blockfile"
 	"subtab/internal/core"
 	"subtab/internal/table"
 	"subtab/internal/word2vec"
 )
 
-// fuzzModelBytes builds a small but fully featured model file: numeric and
-// categorical columns, missing values, an "other" bin, a trained embedding
-// — every section of the format is non-trivial.
-func fuzzModelBytes(tb testing.TB) []byte {
+// fuzzModelBytes builds a small but fully featured model file in residency
+// r: numeric and categorical columns, missing values, an "other" bin, a
+// trained embedding — every section of the format is non-trivial.
+func fuzzModelBytes(tb testing.TB, r Residency) []byte {
 	tb.Helper()
 	nums := make([]float64, 60)
 	cats := make([]string, 60)
@@ -41,7 +41,7 @@ func fuzzModelBytes(tb testing.TB) []byte {
 		tb.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := Save(&buf, m); err != nil {
+	if err := Save(&buf, m, r); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
@@ -51,21 +51,25 @@ func fuzzModelBytes(tb testing.TB) []byte {
 // Load must return a model or an error — never panic, never hang, never
 // allocate unboundedly off a poisoned length field. Each input runs as
 // given and again with its trailing CRC-32C recomputed, so mutations reach
-// the section validators (core.Restore, binning.Restore, the embedded
-// store images' checks) instead of all failing the checksum. Seeds are a
-// current-version file and the checked-in version 7 fixture, truncated at
-// section boundaries, bit-flipped, version-skewed and poisoned, plus an
-// empty/garbage stream. The checked-in corpus under testdata/fuzz/FuzzLoad
+// the section validators (core.Restore, binning.Restore, the store images'
+// checks) instead of all failing the checksum. Seeds are a current-version
+// resident file, a current-version paged file and the checked-in version 7
+// and version 8 fixtures, truncated at section boundaries, bit-flipped,
+// version-skewed and poisoned, plus an empty/garbage stream. The checked-in corpus under testdata/fuzz/FuzzLoad
 // replays known-interesting inputs on every plain `go test` run.
 func FuzzLoad(f *testing.F) {
-	v7, err := os.ReadFile(v7Fixture)
-	if err != nil {
-		f.Fatal(err)
+	valids := [][]byte{fuzzModelBytes(f, Resident), fuzzModelBytes(f, Paged)}
+	for _, fixture := range []string{v7Fixture, v8ResidentFixture} {
+		raw, err := os.ReadFile(fixture)
+		if err != nil {
+			f.Fatal(err)
+		}
+		valids = append(valids, raw)
 	}
 	f.Add([]byte{})
 	f.Add([]byte("SUBTABMD"))
 	f.Add([]byte("not a model file at all"))
-	for _, valid := range [][]byte{fuzzModelBytes(f), v7} {
+	for _, valid := range valids {
 		f.Add(valid)
 		// Truncations: header, early sections, just before the checksum.
 		for _, n := range []int{4, 9, 16, 64, len(valid) / 2, len(valid) - 5, len(valid) - 1} {
@@ -114,19 +118,21 @@ func FuzzLoad(f *testing.F) {
 				t.Fatal("Load accepted an incomplete model")
 			}
 			var buf bytes.Buffer
-			if err := Save(&buf, m); err != nil {
+			if err := Save(&buf, m, ResidencyOf(m)); err != nil {
 				t.Fatalf("accepted model does not re-save: %v", err)
 			}
 		}
 	})
 }
 
-// resealModel returns data with its trailing CRC-32C recomputed over the
-// bytes before it, as Save would have written it.
+// resealModel returns data with its trailing CRC-32C recomputed over what
+// it covers, as Save would have written it: the whole stream before it up
+// to version 8, the header sections and padding in version 9. Data whose
+// header does not decode comes back unchanged.
 func resealModel(data []byte) []byte {
 	out := bytes.Clone(data)
-	if len(out) >= 4 {
-		binary.LittleEndian.PutUint32(out[len(out)-4:], crc32.Checksum(out[:len(out)-4], crcTable))
+	if hd, err := readHeader(blockfile.BytesRegion(out)); err == nil && hd.crcAt+4 <= int64(len(out)) {
+		binary.LittleEndian.PutUint32(out[hd.crcAt:], hd.crc)
 	}
 	return out
 }

@@ -2,7 +2,6 @@ package modelio
 
 import (
 	"bytes"
-	"encoding/binary"
 	"math"
 	"os"
 	"path/filepath"
@@ -17,24 +16,17 @@ import (
 	"subtab/internal/word2vec"
 )
 
-// embeddedImage returns the store image a model file embeds: the bytes
-// behind the u64 length that precedes the store's magic.
-func embeddedImage(t *testing.T, model []byte, magic string) []byte {
+// assertEmbeds fails unless model holds image at an 8-byte-aligned offset.
+func assertEmbeds(t *testing.T, model, image []byte) {
 	t.Helper()
-	at := bytes.Index(model, []byte(magic))
-	if at < 8 || bytes.Contains(model[at+1:], []byte(magic)) {
-		t.Fatalf("model file does not embed exactly one %s image", magic)
+	if at := bytes.Index(model, image); at < 0 || at%imageAlign != 0 {
+		t.Fatalf("model file holds the %d-byte store at offset %d, want an aligned image", len(image), at)
 	}
-	n := int(binary.LittleEndian.Uint64(model[at-8:]))
-	if n > len(model)-at {
-		t.Fatalf("%s image claims %d bytes, %d left in the file", magic, n, len(model)-at)
-	}
-	return model[at : at+n]
 }
 
 // TestResidentModelEmbedsStoreImages writes a 20,000-row FL model the way
-// the server builds one (CSV in, every pipeline seed 1) and pins the v8
-// layout: the embedded codes and cells are byte for byte the files the
+// the server builds one (CSV in, every pipeline seed 1) and pins the
+// layout: the codes and cells images are byte for byte the files the
 // paged stores write for the same model, the whole file is at most 0.90
 // bytes per CSV byte, and a reload restores the cells and codes exactly.
 func TestResidentModelEmbedsStoreImages(t *testing.T) {
@@ -63,25 +55,20 @@ func TestResidentModelEmbedsStoreImages(t *testing.T) {
 	model := saveBytes(t, m)
 
 	dir := t.TempDir()
-	for _, c := range []struct {
-		magic string
-		write func(path string) error
-	}{
-		{"SUBTABCS", func(path string) error { return m.ExportCodeStore(path, 0) }},
-		{"SUBTABCS", func(path string) error { return codestore.WriteFile(path, m.B.Codes, 0) }},
-		{"SUBTABPC", func(path string) error { return colstore.WriteTable(path, m.T, 0) }},
+	for _, write := range []func(path string) error{
+		func(path string) error { return m.ExportCodeStore(path, 0) },
+		func(path string) error { return codestore.WriteFile(path, m.B.Codes, 0) },
+		func(path string) error { return colstore.WriteTable(path, m.T, 0) },
 	} {
 		path := filepath.Join(dir, "store")
-		if err := c.write(path); err != nil {
+		if err := write(path); err != nil {
 			t.Fatal(err)
 		}
 		want, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(embeddedImage(t, model, c.magic), want) {
-			t.Fatalf("embedded %s image differs from the %d-byte standalone store", c.magic, len(want))
-		}
+		assertEmbeds(t, model, want)
 	}
 	ratio := float64(len(model)) / float64(csvBytes)
 	t.Logf("model file %d bytes for %d CSV bytes: %.3f", len(model), csvBytes, ratio)

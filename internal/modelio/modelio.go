@@ -4,25 +4,31 @@
 // serializing the model extends "once" across process restarts and lets a
 // serving layer (package serve) keep warm models on disk.
 //
-// The format is a versioned little-endian binary codec. Version 8:
+// The format is a versioned little-endian binary codec. Version 9 keeps an
+// unsharded table in one file:
 //
 //	"SUBTABMD" magic · uint16 version · options · table schema husk
-//	(name, row count, per column name and kind) · binned representation
-//	(per-column binnings, then the codes section) · embedding matrices ·
-//	column-affinity matrix · bin counts · append lineage · cells section ·
-//	CRC-32C
+//	(name, row count, per column name and kind) · per-column binnings ·
+//	embedding matrices · column-affinity matrix · bin counts · append
+//	lineage · residency byte · codes section · cells section · zero
+//	padding to an 8-byte boundary · codes image · zero padding · cells
+//	image · CRC-32C
 //
-// The codes section and the cells section each hold one of three variants
-// behind a flag byte: an embedded image — a u64 length, then byte for byte
-// the code store (package codestore) or column store (package colstore)
-// file the paged stores write for the same model, so bin codes sit at one
-// byte per cell when a column has at most 256 bins and each column's cells
-// in its narrowest exact encoding; a reference to one such file beside the
-// model (base name, block size, identity checksum); or a shard map of
-// row-range shard files. A resident model embeds both images and loads
-// back fully resident: Load materializes the images into the in-memory
-// table and inline codes. Package blockfile is the only framing and cell
-// encoding on disk either way.
+// The codes and cells sections each hold, behind a flag byte, either the
+// length of a store image that follows the header or a shard map of
+// row-range shard files beside the model (base name, row count, block size
+// and identity checksum per shard). An image is byte for byte the file the
+// paged stores write — package codestore's for the bin codes (one byte per
+// code up to 256 bins) and package colstore's for the displayed cells (each
+// column in its narrowest exact encoding) — so package blockfile is the
+// only framing and cell encoding on disk. Save streams the images: their
+// lengths are known before their first page.
+//
+// Load maps the file once (package blockfile's mmap-or-ReadAt Region) and
+// opens both images in place at their offsets. The residency byte, which
+// Save takes as an argument, says what happens next: a Paged model serves
+// its codes and cells from that mapping, and a Resident model copies them
+// into an in-memory table and inline codes, after which the mapping goes.
 //
 // Everything Select/SelectQuery needs is round-tripped — including the item
 // vectors and the precomputed column-affinity matrix — so a loaded model
@@ -31,10 +37,18 @@
 // Cells come back exactly (negative zero included, dictionaries in code
 // order); a missing cell comes back missing, without a NaN's payload bits.
 //
-// The trailing CRC-32C covers every preceding byte, embedded images
-// included; Load rejects truncated or bit-flipped files with an error
-// wrapping ErrCorrupt, unknown magics with ErrBadMagic, and newer/older
-// format versions with ErrVersion. Files of every version from 1 on load.
+// Checksums split between the two layers. The trailing CRC-32C covers the
+// header sections and the alignment padding, which must be zero; each image
+// keeps its own block-file framing — header, meta, per-page CRC index,
+// footer checksum and end magic — which opening it checks without reading
+// its pages. A Resident load reads every page anyway and checks each
+// against the index (Verify), so it rejects damage anywhere in the file. A
+// Paged load keeps the integrity of a store file opened alone: framing at
+// load, per-page checksums on an explicit Verify; a whole-file checksum
+// would make every load read every byte, and a large table would no longer
+// page. Load rejects damage it sees with an error wrapping ErrCorrupt,
+// unknown magics with ErrBadMagic, and versions outside MinVersion through
+// Version with ErrVersion.
 package modelio
 
 import (
@@ -51,6 +65,7 @@ import (
 	"slices"
 
 	"subtab/internal/binning"
+	"subtab/internal/blockfile"
 	"subtab/internal/codestore"
 	"subtab/internal/colstore"
 	"subtab/internal/core"
@@ -61,49 +76,21 @@ import (
 
 // Version is the current model-file format version. It must be bumped
 // whenever the layout of any serialized structure (including the Options
-// structs) changes. Version 2 moved the in-memory endpoints of the codec to
-// the flat-matrix core (embedding and affinity matrices serialize straight
-// from their contiguous backing arrays, with no slice-of-slices staging on
-// either side); the byte layout is unchanged from version 1 apart from the
-// version field itself. Version 3 appends the cumulative per-column bin
-// counts and the appended-since-rebin lineage counter after the affinity
-// matrix, so the streaming append path (core.Model.Append) stays
-// incremental across a save/load cycle instead of re-scanning the table
-// for its drift baseline; files from versions 1 and 2 still load, with the
-// counts rebuilt lazily on first use. Version 4 appends the large-table
-// scale options (threshold, sample budget, batch size, max iterations) to
-// the Options section, so a model saved with the scaled selection mode
-// configured keeps it after a load; files from versions 1-3 load with the
-// mode disabled (the historical behaviour). Version 5 restructures the
-// binned section for out-of-core models: the per-column bin codes — by far
-// the largest section of a big table's model — move behind a presence flag
-// and may be replaced by a reference to an external code store file
-// (package codestore), identified by base name and checksum and resolved
-// against the model file's directory at load time; the scale options gain
-// the slab spill budget, a slot since retired (written as 0, skipped on
-// read). Files from versions 1-4 still load unchanged.
-// Version 6 adds a third codes-section variant for sharded models (flag 2):
-// the shard map — per shard, the codestore file's base name, row count,
-// block size and identity checksum — resolved against the model file's
-// directory at load time. With LoadOptions.AllowMissingShards, shard files
-// that do not exist load as a partial source (a coordinator whose shards
-// live on peers). Files from versions 1-5 still load unchanged. Version 7
-// extends the out-of-core story to the raw columns: the table section gains
-// a cells-presence flag (a paged table saves as a schema husk — names,
-// kinds and row count only), and a column-store section after the lineage
-// counter references the external paged column store (package colstore) —
-// a single file, a sharded set cut like the code shards, or none — by base
-// name and identity checksum, resolved against the model file's directory
-// at load time. Files from versions 1-6 still load unchanged. Version 8
-// carries a resident model's codes and cells as embedded code-store and
-// column-store images (the bytes those stores' files hold, at one byte per
-// code for up to 256 bins and each column's narrowest exact cell encoding,
-// where version 7 spent 2 bytes per code, 8 per number and 4 per
-// dictionary code); its table section is always the schema husk, the
-// codes and cells sections each hold an image, an external reference or a
-// shard map, and the retired options slot is gone. Files from versions 1-7
-// still load unchanged.
-const Version uint16 = 8
+// structs) changes. The history of the versions this build still reads:
+// version 6 added the shard-map variant of the codes section; version 7
+// added the cells section (an external column store or a shard set, the
+// table section then holding a schema husk); version 8 embedded a resident
+// model's codes and cells as store images inside the CRC-covered stream,
+// while a paged model referenced .codes and .cols files beside it; version
+// 9 keeps every unsharded model, paged or resident, as one file — the
+// header sections, a residency byte, then both images at 8-byte-aligned
+// offsets outside the header's CRC. Versions 1 to 5 (inline u16 codes,
+// no scale options before 4, an external code store without cells in 5) no
+// longer load: they fail with ErrVersion.
+const Version uint16 = 9
+
+// MinVersion is the oldest format version Load reads.
+const MinVersion uint16 = 6
 
 var magic = [8]byte{'S', 'U', 'B', 'T', 'A', 'B', 'M', 'D'}
 
@@ -116,34 +103,77 @@ var (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// Save writes m to w in the versioned binary format.
-func Save(w io.Writer, m *core.Model) error {
+// Residency is how a loaded model holds an unsharded table's codes and
+// cells. Save records it; a sharded model's stay in its shard files either
+// way.
+type Residency uint8
+
+const (
+	// Resident models copy their codes and cells into memory on load.
+	Resident Residency = 0
+	// Paged models serve them from the model file's mapping.
+	Paged Residency = 1
+)
+
+// ResidencyOf is the residency m is in: Paged when its codes or its cells
+// are served from store files, Resident when both are in memory.
+func ResidencyOf(m *core.Model) Residency {
+	if m.OutOfCore() || m.CellsPaged() {
+		return Paged
+	}
+	return Resident
+}
+
+// imageAlign is the alignment of each store image inside a model file.
+const imageAlign = 8
+
+// Save writes m to w in the current format, its codes and cells to be
+// loaded in residency r.
+func Save(w io.Writer, m *core.Model, r Residency) error {
 	if m == nil || m.T == nil || m.B == nil || m.Emb == nil {
 		return errors.New("modelio: cannot save incomplete model")
 	}
+	if r != Resident && r != Paged {
+		return fmt.Errorf("modelio: unknown residency %d", r)
+	}
 	bw := bufio.NewWriterSize(w, 1<<16)
+	codes, err := codesSection(bw, m)
+	if err != nil {
+		return err
+	}
+	cells, err := cellsSection(bw, m)
+	if err != nil {
+		return err
+	}
 	h := crc32.New(crcTable)
 	e := &encoder{w: io.MultiWriter(bw, h)}
-
 	e.bytes(magic[:])
 	e.u16(Version)
 	writeOptions(e, m.Opt)
 	writeSchema(e, m.T)
-	if err := writeBinned(e, m.B); err != nil {
-		return err
-	}
+	writeBinnings(e, m.B)
 	writeEmbedding(e, m.Emb)
 	writeAffinity(e, m.AffinityData(), m.T.NumCols())
 	writeBinCounts(e, m.BinCountsData())
 	e.u64(uint64(m.AppendedSinceRebin()))
-	if err := writeCells(e, m); err != nil {
-		return err
+	e.u8(uint8(r))
+	codes.writeHeader(e, codeFlags)
+	cells.writeHeader(e, cellFlags)
+	for _, sec := range []outSection{codes, cells} {
+		if sec.write == nil {
+			continue
+		}
+		// The padding is hashed; the image streams past the hashing writer,
+		// its pages covered by its own checksums.
+		e.bytes(make([]byte, padding(e.n)))
+		if e.err == nil {
+			e.err = sec.write()
+		}
+		e.n += sec.size
 	}
 	if e.err != nil {
 		return e.err
 	}
-	// The checksum trails the data it covers, so it is written past the
-	// hashing writer.
 	var crc [4]byte
 	binary.LittleEndian.PutUint32(crc[:], h.Sum32())
 	if _, err := bw.Write(crc[:]); err != nil {
@@ -152,26 +182,34 @@ func Save(w io.Writer, m *core.Model) error {
 	return bw.Flush()
 }
 
-// SaveFile writes m to path, creating or truncating the file.
+// padding returns the zero bytes that take offset n to the next image
+// boundary.
+func padding(n int64) int64 { return (imageAlign - n%imageAlign) % imageAlign }
+
+// SaveFile writes m to path in its current residency (ResidencyOf). It
+// writes a temp file beside path, syncs it and renames it over path, so a
+// crash never leaves a partial model at path and a model still mapped from
+// the old file keeps reading it.
 func SaveFile(path string, m *core.Model) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := Save(f, m); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return blockfile.WriteAtomic(path, func(tmp string) error {
+		f, err := os.Create(tmp)
+		if err != nil {
+			return err
+		}
+		err = Save(f, m, ResidencyOf(m))
+		if err == nil {
+			err = f.Sync()
+		}
+		return errors.Join(err, f.Close())
+	})
 }
 
 // LoadOptions configures Load for models that reference external state.
 type LoadOptions struct {
-	// CodeStoreDir is the directory external code-store references (v5
-	// models saved out-of-core) and shard maps (v6 sharded models) are
-	// resolved against. Empty means external references fail with a
-	// descriptive error; LoadFile fills it with the model file's own
-	// directory.
+	// CodeStoreDir is the directory shard maps, and the external store
+	// references of version 6 to 8 files, are resolved against. Empty
+	// means such references fail with a descriptive error; LoadFile fills
+	// it with the model file's own directory.
 	CodeStoreDir string
 	// AllowMissingShards loads a sharded model whose shard files are partly
 	// absent as a partial source (every present shard still validates
@@ -181,67 +219,148 @@ type LoadOptions struct {
 	AllowMissingShards bool
 }
 
-// Load reads a model previously written by Save. Models that reference an
-// external code store need the store's directory — use LoadFile (which
-// infers it from the model path) or LoadWith.
+// Load reads a model previously written by Save. It reads r whole: a
+// Paged model then serves its codes and cells from those bytes. Models
+// that reference files beside them need the directory — use LoadFile
+// (which infers it from the model path) or LoadWith.
 func Load(r io.Reader) (*core.Model, error) {
 	return LoadWith(r, LoadOptions{})
 }
 
-// LoadWith reads a model previously written by Save, resolving external
-// code-store references per opt.
-func LoadWith(r io.Reader, lopt LoadOptions) (_ *core.Model, err error) {
-	h := crc32.New(crcTable)
-	d := &decoder{r: bufio.NewReaderSize(r, 1<<16), h: h}
+// LoadWith is Load, resolving shard maps and external store references
+// per lopt.
+func LoadWith(r io.Reader, lopt LoadOptions) (*core.Model, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return load(blockfile.BytesRegion(data), lopt)
+}
 
+// LoadFile reads a model from path, mapping the file. Shard maps and
+// external store references are resolved against the model file's
+// directory.
+func LoadFile(path string) (*core.Model, error) {
+	return LoadFileWith(path, LoadOptions{})
+}
+
+// LoadFileWith reads a model from path with explicit load options; an
+// empty CodeStoreDir is filled with the model file's own directory.
+func LoadFileWith(path string, lopt LoadOptions) (*core.Model, error) {
+	reg, err := blockfile.OpenRegion(path)
+	if err != nil {
+		return nil, err
+	}
+	// A Paged model's stores hold their own references to the mapping; a
+	// Resident or failed load leaves none, and this Close unmaps the file.
+	defer reg.Close()
+	if lopt.CodeStoreDir == "" {
+		lopt.CodeStoreDir = filepath.Dir(path)
+	}
+	return load(reg, lopt)
+}
+
+// header is a model file's decoded header sections, before the model is
+// assembled from them.
+type header struct {
+	version   uint16
+	residency Residency
+	opt       core.Options
+	t         *table.Table
+	cols      []binning.ColumnBins
+	codes     [][]uint16 // inline codes (versions 6 and 7)
+	codeSec   section
+	cellSec   section
+	emb       *word2vec.Model
+	aff       []float64
+	counts    [][]int64
+	appended  int
+	crcAt     int64  // offset of the trailing CRC-32C
+	crc       uint32 // the CRC-32C of what it covers
+}
+
+// readHeader decodes the header sections of the model file reg holds,
+// places its images and checks its padding. It computes the trailing
+// checksum but does not compare it.
+func readHeader(reg *blockfile.Region) (*header, error) {
+	h := crc32.New(crcTable)
+	d := &decoder{r: bufio.NewReaderSize(io.NewSectionReader(reg, 0, reg.Size()), 1<<16), h: h}
 	var gotMagic [8]byte
 	d.bytes(gotMagic[:])
 	if d.err != nil || gotMagic != magic {
 		return nil, ErrBadMagic
 	}
-	// All prior versions are accepted: v2 only changed the in-memory
-	// endpoints of the codec, v3 appended the bin-count section, and v4
-	// appended the scale options — so older disk caches keep serving
-	// (byte-identical selections included) across upgrades; v1/v2 models
-	// rebuild their counts lazily, and pre-v4 models load with the
-	// large-table mode disabled.
-	v := d.u16()
-	if d.err != nil || v < 1 || v > Version {
-		if d.err != nil {
-			return nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
+	hd := &header{version: d.u16()}
+	v := hd.version
+	if d.err != nil {
+		return nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
+	}
+	if v < MinVersion || v > Version {
+		return nil, fmt.Errorf("%w: file version %d, this build reads versions %d-%d", ErrVersion, v, MinVersion, Version)
+	}
+	hd.opt = readOptions(d, v)
+	hd.t = readTable(d, v)
+	hd.cols, hd.codes, hd.codeSec = readBinnedParts(d, hd.t, v)
+	hd.emb = readEmbedding(d)
+	hd.aff = readAffinity(d, hd.t)
+	hd.counts = readBinCounts(d, hd.t, hd.cols)
+	hd.appended = int(d.u64())
+	switch {
+	case v >= 9:
+		if hd.residency = Residency(d.u8()); d.err == nil && hd.residency != Resident && hd.residency != Paged {
+			d.fail("unknown residency %d", hd.residency)
 		}
-		return nil, fmt.Errorf("%w: file version %d, this build reads versions 1-%d", ErrVersion, v, Version)
-	}
-	opt := readOptions(d, v)
-	t := readTable(d, v)
-	cols, codes, codeSec := readBinnedParts(d, t, v)
-	emb := readEmbedding(d)
-	aff := readAffinity(d, t)
-	var counts [][]int64
-	appendedSinceRebin := 0
-	if v >= 3 {
-		counts = readBinCounts(d, t, cols)
-		appendedSinceRebin = int(d.u64())
-	}
-	var cellSec section
-	if v >= 7 {
-		cellSec = readCells(d, t, v)
+		hd.codeSec = readSection(d, d.u8(), codeFlags, "code", hd.t, v)
+		hd.cellSec = readSection(d, d.u8(), cellFlags, "cell", hd.t, v)
+	case v >= 7:
+		hd.cellSec = readCells(d, hd.t, v)
 	}
 	if d.err != nil {
 		return nil, d.err
 	}
+	// Version 9 images follow the header, each at the next 8-byte boundary;
+	// version 8 images sat inside the stream, where the decoder placed them.
+	end := d.off
+	for _, img := range []*span{hd.codeSec.image, hd.cellSec.image} {
+		if img == nil || v < 9 {
+			continue
+		}
+		pad := make([]byte, padding(end))
+		if _, err := reg.ReadAt(pad, end); err != nil {
+			return nil, fmt.Errorf("%w: truncated before an image", ErrCorrupt)
+		}
+		if slices.ContainsFunc(pad, func(b byte) bool { return b != 0 }) {
+			return nil, fmt.Errorf("%w: nonzero padding at offset %d", ErrCorrupt, end)
+		}
+		h.Write(pad)
+		img.off = end + int64(len(pad))
+		end = img.off + img.n
+	}
+	hd.crcAt, hd.crc = end, h.Sum32()
+	return hd, nil
+}
+
+// load reads the model file reg holds.
+func load(reg *blockfile.Region, lopt LoadOptions) (_ *core.Model, err error) {
+	hd, err := readHeader(reg)
+	if err != nil {
+		return nil, err
+	}
 	// Verify the trailing checksum before trusting any of the decoded data
 	// structurally beyond what decoding itself validated.
-	want := h.Sum32()
 	var crc [4]byte
-	if _, err := io.ReadFull(d.r, crc[:]); err != nil {
+	if hd.crcAt+4 != reg.Size() {
+		return nil, fmt.Errorf("%w: %d bytes, the sections and checksum end at %d", ErrCorrupt, reg.Size(), hd.crcAt+4)
+	}
+	if _, err := reg.ReadAt(crc[:], hd.crcAt); err != nil {
 		return nil, fmt.Errorf("%w: missing checksum", ErrCorrupt)
 	}
-	if got := binary.LittleEndian.Uint32(crc[:]); got != want {
+	if binary.LittleEndian.Uint32(crc[:]) != hd.crc {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
 	// Every store opened from here on is closed again when a later step
-	// fails, so a rejected model leaves no mapping behind.
+	// fails, so a rejected model leaves no mapping behind; a Resident load
+	// closes its images once it has copied them.
 	var opened []io.Closer
 	defer func() {
 		if err != nil {
@@ -250,71 +369,91 @@ func LoadWith(r io.Reader, lopt LoadOptions) (_ *core.Model, err error) {
 			}
 		}
 	}()
-	// Embedded cells (v8) turn the schema husk back into the resident
-	// table before anything is restored over it.
-	if cellSec.image != nil {
-		if t, err = residentTable(t, cellSec.image); err != nil {
+	t, codes := hd.t, hd.codes
+	paged := hd.residency == Paged
+	var cellStore *colstore.Store
+	if img := hd.cellSec.image; img != nil {
+		cs, err := openCells(reg, img, t)
+		if err != nil {
 			return nil, err
+		}
+		if paged {
+			cellStore = cs
+			opened = append(opened, cs)
+		} else {
+			// The cells turn the schema husk into the resident table before
+			// anything is restored over it.
+			t, err = residentTable(cs, t.Name)
+			cs.Close()
+			if err != nil {
+				return nil, err
+			}
 		}
 	}
 	// Assemble the binned representation only after the model file itself
-	// verified: inline or embedded codes restore directly; an external
-	// reference opens the code store next to the model and checks its
-	// identity checksum; a shard map opens every shard the same way (or,
-	// with AllowMissingShards, the shards that are here).
+	// verified: inline codes restore directly; an image restores from the
+	// mapping (Paged) or is copied out of it; an external reference opens
+	// the code store next to the model and checks its identity checksum; a
+	// shard map opens every shard the same way (or, with
+	// AllowMissingShards, the shards that are here).
 	var b *binning.Binned
 	switch {
-	case codeSec.shards != nil:
+	case hd.codeSec.shards != nil:
 		if lopt.CodeStoreDir == "" {
-			return nil, fmt.Errorf("modelio: model references a %d-shard code store; load with LoadFile or LoadWith{CodeStoreDir}", len(codeSec.shards))
+			return nil, fmt.Errorf("modelio: model references a %d-shard code store; load with LoadFile or LoadWith{CodeStoreDir}", len(hd.codeSec.shards))
 		}
-		src, err := shard.Open(lopt.CodeStoreDir, &shard.Map{Shards: codeSec.shards}, t.NumCols(), lopt.AllowMissingShards)
+		src, err := shard.Open(lopt.CodeStoreDir, &shard.Map{Shards: hd.codeSec.shards}, t.NumCols(), lopt.AllowMissingShards)
 		if err != nil {
 			return nil, fmt.Errorf("modelio: opening sharded code store: %w", err)
 		}
 		opened = append(opened, src)
-		if b, err = binning.RestoreWithStore(t, cols, src); err != nil {
+		if b, err = binning.RestoreWithStore(t, hd.cols, src); err != nil {
 			return nil, fmt.Errorf("%w: attaching sharded code store: %v", ErrCorrupt, err)
 		}
-	case codeSec.ref != nil:
-		cs, err := openRef(lopt, codeSec.ref, "code", codestore.Open)
+	case hd.codeSec.ref != nil || (hd.codeSec.image != nil && paged):
+		var cs *codestore.Store
+		if hd.codeSec.ref != nil {
+			cs, err = openRef(lopt, hd.codeSec.ref, "code", codestore.Open)
+		} else {
+			cs, err = openCodes(reg, hd.codeSec.image, t.NumRows(), len(hd.cols))
+		}
 		if err != nil {
 			return nil, err
 		}
 		opened = append(opened, cs)
-		if b, err = binning.RestoreWithStore(t, cols, cs); err != nil {
-			return nil, fmt.Errorf("%w: attaching external code store: %v", ErrCorrupt, err)
+		if b, err = binning.RestoreWithStore(t, hd.cols, cs); err != nil {
+			return nil, fmt.Errorf("%w: attaching code store: %v", ErrCorrupt, err)
 		}
 	default:
-		if codeSec.image != nil {
-			if codes, err = imageCodes(codeSec.image, t.NumRows(), len(cols)); err != nil {
+		if img := hd.codeSec.image; img != nil {
+			if codes, err = residentCodes(reg, img, t.NumRows(), len(hd.cols)); err != nil {
 				return nil, err
 			}
 		}
-		if b, err = binning.Restore(t, cols, codes); err != nil {
+		if b, err = binning.Restore(t, hd.cols, codes); err != nil {
 			return nil, fmt.Errorf("%w: rebuilding binned representation: %v", ErrCorrupt, err)
 		}
 	}
-	m, err := core.Restore(t, b, emb, opt, aff)
+	m, err := core.Restore(t, b, hd.emb, hd.opt, hd.aff)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	if counts != nil {
-		if err := m.SeedBinCounts(counts); err != nil {
+	if hd.counts != nil {
+		if err := m.SeedBinCounts(hd.counts); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
 	}
-	if err := m.SetAppendedSinceRebin(appendedSinceRebin); err != nil {
+	if err := m.SetAppendedSinceRebin(hd.appended); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	// External raw columns attach last: the model is structurally whole, so
+	// Paged raw columns attach last: the model is structurally whole, so
 	// geometry validation runs against the verified schema.
 	switch {
-	case cellSec.shards != nil:
+	case hd.cellSec.shards != nil:
 		if lopt.CodeStoreDir == "" {
-			return nil, fmt.Errorf("modelio: model references a %d-shard column store; load with LoadFile or LoadWith{CodeStoreDir}", len(cellSec.shards))
+			return nil, fmt.Errorf("modelio: model references a %d-shard column store; load with LoadFile or LoadWith{CodeStoreDir}", len(hd.cellSec.shards))
 		}
-		cells, err := shard.OpenCells(lopt.CodeStoreDir, cellSec.shards, t.ColumnNames(), lopt.AllowMissingShards)
+		cells, err := shard.OpenCells(lopt.CodeStoreDir, hd.cellSec.shards, t.ColumnNames(), lopt.AllowMissingShards)
 		if err != nil {
 			return nil, fmt.Errorf("modelio: opening sharded column store: %w", err)
 		}
@@ -322,14 +461,15 @@ func LoadWith(r io.Reader, lopt LoadOptions) (_ *core.Model, err error) {
 		if err := m.AttachColumnStore(cells); err != nil {
 			return nil, fmt.Errorf("%w: attaching sharded column store: %v", ErrCorrupt, err)
 		}
-	case cellSec.ref != nil:
-		cs, err := openRef(lopt, cellSec.ref, "column", colstore.Open)
-		if err != nil {
-			return nil, err
+	case hd.cellSec.ref != nil || cellStore != nil:
+		if cellStore == nil {
+			if cellStore, err = openRef(lopt, hd.cellSec.ref, "column", colstore.Open); err != nil {
+				return nil, err
+			}
+			opened = append(opened, cellStore)
 		}
-		opened = append(opened, cs)
-		if err := m.AttachColumnStore(cs); err != nil {
-			return nil, fmt.Errorf("%w: attaching external column store: %v", ErrCorrupt, err)
+		if err := m.AttachColumnStore(cellStore); err != nil {
+			return nil, fmt.Errorf("%w: attaching column store: %v", ErrCorrupt, err)
 		}
 	}
 	return m, nil
@@ -358,60 +498,65 @@ func openRef[S interface {
 	return s, nil
 }
 
-// residentTable rebuilds the resident table a v8 file's schema husk
-// describes from its embedded column-store image, which must hold exactly
-// the husk's columns (names and kinds, in order) and rows.
-func residentTable(husk *table.Table, image []byte) (*table.Table, error) {
-	s, err := colstore.OpenBytes(image)
+// openCells opens the cells image img spans in reg, which must hold
+// exactly the husk's columns (names and kinds, in order) and rows.
+func openCells(reg *blockfile.Region, img *span, husk *table.Table) (*colstore.Store, error) {
+	s, err := colstore.OpenIn(reg, img.off, img.n)
 	if err != nil {
-		return nil, fmt.Errorf("%w: embedded cells: %v", ErrCorrupt, err)
+		return nil, fmt.Errorf("%w: cells image: %v", ErrCorrupt, err)
 	}
 	if s.NumRows() != husk.NumRows() || s.NumCols() != husk.NumCols() {
-		return nil, fmt.Errorf("%w: embedded cells are %dx%d, table is %dx%d", ErrCorrupt, s.NumRows(), s.NumCols(), husk.NumRows(), husk.NumCols())
+		s.Close()
+		return nil, fmt.Errorf("%w: cells image is %dx%d, table is %dx%d", ErrCorrupt, s.NumRows(), s.NumCols(), husk.NumRows(), husk.NumCols())
 	}
 	for c, col := range husk.Columns() {
 		if s.ColumnName(c) != col.Name || s.ColumnKind(c) != col.Kind {
-			return nil, fmt.Errorf("%w: embedded cells column %d is %q, table has %q", ErrCorrupt, c, s.ColumnName(c), col.Name)
+			s.Close()
+			return nil, fmt.Errorf("%w: cells image column %d is %q, table has %q", ErrCorrupt, c, s.ColumnName(c), col.Name)
 		}
 	}
-	t, err := s.MaterializeTable(husk.Name)
+	return s, nil
+}
+
+// residentTable checks every page of a cells image and copies it into a
+// resident table.
+func residentTable(s *colstore.Store, name string) (*table.Table, error) {
+	if err := s.Verify(); err != nil {
+		return nil, fmt.Errorf("%w: cells image: %v", ErrCorrupt, err)
+	}
+	t, err := s.MaterializeTable(name)
 	if err != nil {
-		return nil, fmt.Errorf("%w: embedded cells: %v", ErrCorrupt, err)
+		return nil, fmt.Errorf("%w: cells image: %v", ErrCorrupt, err)
 	}
 	return t, nil
 }
 
-// imageCodes decodes a v8 file's embedded code-store image, which must
-// hold exactly cols columns of rows codes.
-func imageCodes(image []byte, rows, cols int) ([][]uint16, error) {
-	s, err := codestore.OpenBytes(image)
+// openCodes opens the codes image img spans in reg, which must hold
+// exactly cols columns of rows codes.
+func openCodes(reg *blockfile.Region, img *span, rows, cols int) (*codestore.Store, error) {
+	s, err := codestore.OpenIn(reg, img.off, img.n)
 	if err != nil {
-		return nil, fmt.Errorf("%w: embedded codes: %v", ErrCorrupt, err)
+		return nil, fmt.Errorf("%w: codes image: %v", ErrCorrupt, err)
 	}
 	if s.NumRows() != rows || s.NumCols() != cols {
-		return nil, fmt.Errorf("%w: embedded codes are %dx%d, table is %dx%d", ErrCorrupt, s.NumRows(), s.NumCols(), rows, cols)
+		s.Close()
+		return nil, fmt.Errorf("%w: codes image is %dx%d, table is %dx%d", ErrCorrupt, s.NumRows(), s.NumCols(), rows, cols)
 	}
-	return s.Columns(), nil
+	return s, nil
 }
 
-// LoadFile reads a model from path. External code-store references are
-// resolved against the model file's directory.
-func LoadFile(path string) (*core.Model, error) {
-	return LoadFileWith(path, LoadOptions{})
-}
-
-// LoadFileWith reads a model from path with explicit load options; an
-// empty CodeStoreDir is filled with the model file's own directory.
-func LoadFileWith(path string, lopt LoadOptions) (*core.Model, error) {
-	f, err := os.Open(path)
+// residentCodes checks every page of a codes image and copies it into
+// inline codes.
+func residentCodes(reg *blockfile.Region, img *span, rows, cols int) ([][]uint16, error) {
+	s, err := openCodes(reg, img, rows, cols)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	if lopt.CodeStoreDir == "" {
-		lopt.CodeStoreDir = filepath.Dir(path)
+	defer s.Close()
+	if err := s.Verify(); err != nil {
+		return nil, fmt.Errorf("%w: codes image: %v", ErrCorrupt, err)
 	}
-	return LoadWith(f, lopt)
+	return s.Columns(), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -462,23 +607,19 @@ func readOptions(d *decoder, v uint16) core.Options {
 	o.Embedding.Workers = int(d.i64())
 	o.Columns = core.ColumnStrategy(d.i64())
 	o.ClusterSeed = d.i64()
-	// The scale section exists from version 4 on; older files predate the
-	// large-table mode and load with it disabled.
-	if v >= 4 {
-		o.Scale.Threshold = int(d.i64())
-		o.Scale.SampleBudget = int(d.i64())
-		o.Scale.BatchSize = int(d.i64())
-		o.Scale.MaxIter = int(d.i64())
-	}
-	// Versions 5-7 carry the retired slab spill budget's slot; the value is
-	// ignored (the memory governor alone bounds a select's slab).
-	if v >= 5 && v <= 7 {
+	o.Scale.Threshold = int(d.i64())
+	o.Scale.SampleBudget = int(d.i64())
+	o.Scale.BatchSize = int(d.i64())
+	o.Scale.MaxIter = int(d.i64())
+	// Versions 6 and 7 carry the retired slab spill budget's slot; the value
+	// is ignored (the memory governor alone bounds a select's slab).
+	if v <= 7 {
 		d.i64()
 	}
 	return o
 }
 
-// writeSchema writes the v8 table section: the schema husk of name, row
+// writeSchema writes the table section: the schema husk of name, row
 // count and per column name and kind. The cells travel in the cells
 // section.
 func writeSchema(e *encoder, t *table.Table) {
@@ -508,9 +649,9 @@ func readTable(d *decoder, v uint16) *table.Table {
 		d.fail("column count %d out of range", nCols)
 		return nil
 	}
-	// v8 always writes the schema husk; v7 writes it for a paged table,
-	// behind a cells-presence flag. The raw columns live in the cells
-	// section or the external column store it references.
+	// v8 and v9 always write the schema husk; v7 writes it for a paged
+	// table, behind a cells-presence flag, and v6 never. The raw columns
+	// live in the cells section or the store it names.
 	if v >= 8 {
 		return readHusk(d, name, nRows, nCols)
 	}
@@ -599,12 +740,13 @@ func readHusk(d *decoder, name string, nRows, nCols int) *table.Table {
 	return t
 }
 
-// The codes section (v5+) and the cells section (v7+) each hold one of
-// three variants behind a flag byte: an embedded store image (v8), a
-// reference to one external store file, or a row-range shard map. The two
-// sections number their flags differently: in v5-v7 the codes flag 1
-// meant inline u16 codes and the cells flag 0 meant cells inline in the
-// table section, and v8 put each section's image under that flag.
+// The codes section (v6+) and the cells section (v7+) each hold one of
+// three variants behind a flag byte: a store image (v8 inside the checksum
+// stream, v9 after the header), a reference to one external store file
+// (v6-v8), or a row-range shard map. The two sections number their flags
+// differently: in v6 and v7 the codes flag 1 meant inline u16 codes and the
+// cells flag 0 meant cells inline in the table section, and v8 put each
+// section's image under that flag.
 type sectionFlags struct{ image, ref, shards uint8 }
 
 var (
@@ -613,12 +755,15 @@ var (
 )
 
 // section is one decoded codes or cells section: at most one field is set
-// (none for v1-v7 inline codes and cells).
+// (none for v6-v7 inline codes and cells).
 type section struct {
-	image  []byte       // an embedded store image (v8)
-	ref    *storeRef    // an external store file next to the model
+	image  *span        // a store image inside the model file
+	ref    *storeRef    // an external store file next to the model (v6-v8)
 	shards []shard.Desc // row-range shard files next to the model
 }
+
+// span is where a store image lies in the model file.
+type span struct{ off, n int64 }
 
 // storeRef is a deserialized external store reference.
 type storeRef struct {
@@ -627,69 +772,125 @@ type storeRef struct {
 	checksum  uint32
 }
 
-// maxImageBytes bounds an embedded image's length field: the stores'
-// geometry caps keep any real image far below it.
+// maxImageBytes bounds an image's length field: the stores' geometry caps
+// keep any real image far below it.
 const maxImageBytes = 1 << 50
 
-// writeImage writes an embedded store image behind its flag: u64 length,
-// then the image's bytes.
-func writeImage(e *encoder, flag uint8, image []byte) {
-	e.u8(flag)
-	e.u64(uint64(len(image)))
-	e.bytes(image)
+// outSection is a codes or cells section as Save writes it: a store image
+// of size bytes that write streams after the header, or a shard map.
+type outSection struct {
+	size   int64
+	write  func() error
+	shards []shard.Desc
 }
 
-// writeStoreSection writes the section of a store-backed source: the shard
-// map when src is sharded, else the reference to its single file. what
-// ("code" or "cell") names the source in errors.
-func writeStoreSection(e *encoder, flags sectionFlags, src any, what string) error {
+// writeHeader writes the section's flag and its length or shard map.
+func (sec outSection) writeHeader(e *encoder, flags sectionFlags) {
+	if sec.write != nil {
+		e.u8(flags.image)
+		e.u64(uint64(sec.size))
+		return
+	}
+	e.u8(flags.shards)
+	e.u32(uint32(len(sec.shards)))
+	for _, d := range sec.shards {
+		e.str(d.File)
+		e.u64(uint64(d.Rows))
+		e.u32(uint32(d.BlockRows))
+		e.u32(d.Checksum)
+	}
+}
+
+// pagedSection is the section of a store-backed source: the shard map when
+// src is sharded, else a verbatim copy of its one store image into dst.
+// what ("code" or "cell") names the source in errors.
+func pagedSection(dst io.Writer, src any, what string) (outSection, error) {
 	if sc, ok := src.(interface{ ShardDescs() []shard.Desc }); ok {
 		descs := sc.ShardDescs()
 		for i, d := range descs {
 			if d.File == "" {
-				return fmt.Errorf("modelio: %s shard %d has no file identity; only stores opened from a shard map can be saved", what, i)
+				return outSection{}, fmt.Errorf("modelio: %s shard %d has no file identity; only stores opened from a shard map can be saved", what, i)
 			}
 		}
-		e.u8(flags.shards)
-		e.u32(uint32(len(descs)))
-		for _, d := range descs {
-			e.str(d.File)
-			e.u64(uint64(d.Rows))
-			e.u32(uint32(d.BlockRows))
-			e.u32(d.Checksum)
-		}
-		return nil
+		return outSection{shards: descs}, nil
 	}
-	ref, ok := src.(interface {
-		Path() string
-		Checksum() uint32
-		BlockRows() int
+	img, ok := src.(interface {
+		Size() int64
+		WriteTo(io.Writer) (int64, error)
 	})
-	if !ok || ref.Path() == "" {
-		return fmt.Errorf("modelio: the model's %s source has no file identity; attach a store opened from a file before saving", what)
+	if !ok {
+		return outSection{}, fmt.Errorf("modelio: the model's %s source %T cannot be saved", what, src)
 	}
-	e.u8(flags.ref)
-	e.str(filepath.Base(ref.Path()))
-	e.u32(uint32(ref.BlockRows()))
-	e.u32(ref.Checksum())
-	return nil
+	return outSection{size: img.Size(), write: func() error {
+		_, err := img.WriteTo(dst)
+		return err
+	}}, nil
 }
 
-// readSection reads the variant flag names (already read) of a section
-// over rows rows. Flags outside the three variants fail.
-func readSection(d *decoder, flag uint8, flags sectionFlags, what string, rows int) section {
-	switch flag {
-	case flags.image:
+// codesSection is the codes section of m: its inline codes encoded as a
+// code store image streamed into dst, or its paged source's.
+func codesSection(dst io.Writer, m *core.Model) (outSection, error) {
+	b := m.B
+	if !b.HasInlineCodes() {
+		return pagedSection(dst, b.Source(), "code")
+	}
+	w, err := codestore.CreateIn(dst, b.NumBins(), m.T.NumRows(), 0)
+	if err != nil {
+		return outSection{}, fmt.Errorf("modelio: encoding bin codes: %w", err)
+	}
+	return outSection{size: w.Size(), write: func() error {
+		if err := w.AppendColumns(b.Codes); err != nil {
+			return fmt.Errorf("modelio: encoding bin codes: %w", err)
+		}
+		return w.Close()
+	}}, nil
+}
+
+// cellsSection is the cells section of m: its resident table's cells
+// encoded as a column store image streamed into dst, or its cell source's.
+func cellsSection(dst io.Writer, m *core.Model) (outSection, error) {
+	if src := m.CellSource(); src != nil {
+		return pagedSection(dst, src, "cell")
+	}
+	if !m.T.CellsResident() {
+		return outSection{}, errors.New("modelio: table cells are paged but the model has no cell source")
+	}
+	w, err := colstore.CreateIn(dst, m.T, 0)
+	if err != nil {
+		return outSection{}, fmt.Errorf("modelio: encoding table cells: %w", err)
+	}
+	return outSection{size: w.Size(), write: func() error {
+		if err := w.AppendRows(0, m.T.NumRows()); err != nil {
+			return fmt.Errorf("modelio: encoding table cells: %w", err)
+		}
+		return w.Close()
+	}}, nil
+}
+
+// readSection reads the section of a version v file over t's rows whose
+// variant flag (already read) is flag. Flags outside the variants v writes
+// fail.
+func readSection(d *decoder, flag uint8, flags sectionFlags, what string, t *table.Table, v uint16) section {
+	if d.err != nil || t == nil {
+		return section{}
+	}
+	switch {
+	case flag == flags.image && v >= 8:
 		n := d.u64()
 		if d.err != nil {
 			return section{}
 		}
 		if n > maxImageBytes {
-			d.fail("embedded %s image of %d bytes", what, n)
+			d.fail("%s image of %d bytes", what, n)
 			return section{}
 		}
-		return section{image: d.raw(int(n))}
-	case flags.ref:
+		img := &span{off: d.off, n: int64(n)}
+		if v == 8 {
+			// A v8 image sits inside the checksummed stream.
+			d.skip(img.n)
+		}
+		return section{image: img}
+	case flag == flags.ref && v <= 8:
 		ref := &storeRef{file: d.str(), blockRows: int(d.u32()), checksum: d.u32()}
 		if d.err != nil {
 			return section{}
@@ -699,7 +900,7 @@ func readSection(d *decoder, flag uint8, flags sectionFlags, what string, rows i
 			return section{}
 		}
 		return section{ref: ref}
-	case flags.shards:
+	case flag == flags.shards:
 		n := int(d.u32())
 		if d.err != nil {
 			return section{}
@@ -727,8 +928,8 @@ func readSection(d *decoder, flag uint8, flags sectionFlags, what string, rows i
 			total += sd.Rows
 			descs = append(descs, sd)
 		}
-		if total != rows {
-			d.fail("%s shards hold %d rows, table has %d", what, total, rows)
+		if total != t.NumRows() {
+			d.fail("%s shards hold %d rows, table has %d", what, total, t.NumRows())
 			return section{}
 		}
 		return section{shards: descs}
@@ -737,10 +938,9 @@ func readSection(d *decoder, flag uint8, flags sectionFlags, what string, rows i
 	return section{}
 }
 
-// writeBinned serializes the binned representation: per-column metadata
-// first, then the codes section — the inline codes as an embedded code
-// store image, an external code-store reference, or a shard map.
-func writeBinned(e *encoder, b *binning.Binned) error {
+// writeBinnings serializes the per-column binnings; the codes travel in
+// the codes section.
+func writeBinnings(e *encoder, b *binning.Binned) {
 	e.u32(uint32(len(b.Cols)))
 	for i := range b.Cols {
 		cb := &b.Cols[i]
@@ -759,59 +959,27 @@ func writeBinned(e *encoder, b *binning.Binned) error {
 		e.i32s(ints)
 		e.i64(int64(cb.MissingBin))
 	}
-	if !b.HasInlineCodes() {
-		return writeStoreSection(e, codeFlags, b.Source(), "code")
-	}
-	image, err := codestore.Image(b.NumBins(), b.Codes, 0)
-	if err != nil {
-		return fmt.Errorf("modelio: encoding bin codes: %w", err)
-	}
-	writeImage(e, codeFlags.image, image)
-	return nil
 }
 
-// writeCells serializes the cells section: the resident table's cells as
-// an embedded column store image, or the external column store (one file
-// or a shard set) its cell source was opened from.
-func writeCells(e *encoder, m *core.Model) error {
-	if src := m.CellSource(); src != nil {
-		return writeStoreSection(e, cellFlags, src, "cell")
-	}
-	if !m.T.CellsResident() {
-		return errors.New("modelio: table cells are paged but the model has no cell source")
-	}
-	image, err := colstore.TableImage(m.T, 0)
-	if err != nil {
-		return fmt.Errorf("modelio: encoding table cells: %w", err)
-	}
-	writeImage(e, cellFlags.image, image)
-	return nil
-}
-
-// readCells reads the cells section (v7+). A v7 file's flag 0 means the
-// cells travelled inline in the table section.
+// readCells reads the cells section of a v7 or v8 file. A v7 file's flag 0
+// means the cells travelled inline in the table section.
 func readCells(d *decoder, t *table.Table, v uint16) section {
 	if d.err != nil || t == nil {
 		return section{}
 	}
 	flag := d.u8()
-	if d.err != nil {
-		return section{}
-	}
 	if v == 7 && flag == 0 {
 		if !t.CellsResident() {
 			d.fail("table cells are paged but no column store is referenced")
 		}
 		return section{}
 	}
-	return readSection(d, flag, cellFlags, "cell", t.NumRows())
+	return readSection(d, flag, cellFlags, "cell", t, v)
 }
 
-// readBinnedParts reads the binned section: the per-column binnings plus
-// the codes — inline (v1-v7), or the section holding them. Versions <= 4
-// interleave each column's codes with its metadata; version 5 moves the
-// codes behind the presence flag after all columns; version 6 adds the
-// shard-map variant and version 8 the embedded image.
+// readBinnedParts reads the binned section: the per-column binnings, then
+// in v6-v8 the codes — inline u16 codes (v6 and v7), or the section holding
+// them. Version 9 keeps the codes section after the lineage counter.
 func readBinnedParts(d *decoder, t *table.Table, v uint16) ([]binning.ColumnBins, [][]uint16, section) {
 	if d.err != nil {
 		return nil, nil, section{}
@@ -826,7 +994,6 @@ func readBinnedParts(d *decoder, t *table.Table, v uint16) ([]binning.ColumnBins
 	}
 	nRows := t.NumRows()
 	cols := make([]binning.ColumnBins, nCols)
-	codes := make([][]uint16, nCols)
 	for i := 0; i < nCols; i++ {
 		cb := &cols[i]
 		cb.Col = d.str()
@@ -853,30 +1020,22 @@ func readBinnedParts(d *decoder, t *table.Table, v uint16) ([]binning.ColumnBins
 			cb.CatToBin[j] = int(v)
 		}
 		cb.MissingBin = int(d.i64())
-		if v <= 4 {
-			codes[i] = d.u16s(nRows)
-		}
 		if d.err != nil {
 			return nil, nil, section{}
 		}
 	}
-	if v <= 4 {
-		return cols, codes, section{}
+	if v >= 9 {
+		return cols, nil, section{}
 	}
 	flag := d.u8()
-	switch {
-	case d.err != nil:
-		return nil, nil, section{}
-	case flag == 1 && v <= 7:
-		for i := 0; i < nCols; i++ {
+	if flag == 1 && v <= 7 {
+		codes := make([][]uint16, nCols)
+		for i := range codes {
 			codes[i] = d.u16s(nRows)
 		}
 		return cols, codes, section{}
-	case flag == codeFlags.shards && v < 6:
-		d.fail("unknown code-section flag %d", flag)
-		return nil, nil, section{}
 	}
-	sec := readSection(d, flag, codeFlags, "code", nRows)
+	sec := readSection(d, flag, codeFlags, "code", t, v)
 	if d.err != nil {
 		return nil, nil, section{}
 	}
@@ -1007,6 +1166,7 @@ func readAffinity(d *decoder, t *table.Table) []float64 {
 
 type encoder struct {
 	w   io.Writer
+	n   int64 // bytes written
 	err error
 	buf [8]byte
 }
@@ -1016,6 +1176,7 @@ func (e *encoder) bytes(p []byte) {
 		return
 	}
 	_, e.err = e.w.Write(p)
+	e.n += int64(len(p))
 }
 
 func (e *encoder) u8(v uint8) { e.bytes([]byte{v}) }
@@ -1069,6 +1230,7 @@ func (e *encoder) f32s(xs []float32) {
 type decoder struct {
 	r   io.Reader
 	h   hash.Hash32
+	off int64 // bytes read
 	err error
 	buf [8]byte
 }
@@ -1088,6 +1250,17 @@ func (d *decoder) bytes(p []byte) {
 		return
 	}
 	d.h.Write(p)
+	d.off += int64(len(p))
+}
+
+// skip reads and hashes n bytes without keeping them.
+func (d *decoder) skip(n int64) {
+	buf := make([]byte, min(n, maxChunk))
+	for n > 0 && d.err == nil {
+		c := min(n, int64(len(buf)))
+		d.bytes(buf[:c])
+		n -= c
+	}
 }
 
 func (d *decoder) u8() uint8 {

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -67,10 +66,11 @@ func testModel(t *testing.T) *core.Model {
 	return m
 }
 
+// saveBytes saves m in its current residency.
 func saveBytes(t *testing.T, m *core.Model) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := Save(&buf, m); err != nil {
+	if err := Save(&buf, m, ResidencyOf(m)); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -195,6 +195,25 @@ func TestLoadVersionMismatch(t *testing.T) {
 	}
 }
 
+// TestLoadRetiredVersions pins that versions before MinVersion are refused
+// as versions, not misread: a hand-built version 5 header, and the first
+// bytes of a current file relabelled with every retired version.
+func TestLoadRetiredVersions(t *testing.T) {
+	v5 := binary.LittleEndian.AppendUint16([]byte("SUBTABMD"), 5)
+	v5 = append(v5, make([]byte, 64)...)
+	if _, err := Load(bytes.NewReader(v5)); !errors.Is(err, ErrVersion) {
+		t.Fatalf("version 5 header: err = %v, want ErrVersion", err)
+	}
+	data := saveBytes(t, testModel(t))
+	for v := uint16(0); v < MinVersion; v++ {
+		old := bytes.Clone(data)
+		binary.LittleEndian.PutUint16(old[8:], v)
+		if _, err := Load(bytes.NewReader(old)); !errors.Is(err, ErrVersion) {
+			t.Fatalf("version %d: err = %v, want ErrVersion", v, err)
+		}
+	}
+}
+
 func TestLoadTruncated(t *testing.T) {
 	data := saveBytes(t, testModel(t))
 	for _, n := range []int{9, 16, 64, len(data) / 4, len(data) / 2, len(data) - 1} {
@@ -230,38 +249,64 @@ func TestLoadTrailingGarbageChecksum(t *testing.T) {
 }
 
 // TestLoadFailureClosesStores is the regression test for a leak on late
-// load failures: a paged model whose column store was regenerated (so its
-// checksum no longer matches the model's reference) fails to load after
-// its code store was opened, and that code store must be closed — its
-// mapping gone — when LoadFile returns, not whenever a GC cleanup runs.
+// load failures: a store opened before a later step fails must be closed —
+// its mapping gone — when LoadFile returns, not whenever a GC cleanup runs.
+// Two files fail so: a v8 paged model whose column store beside it was
+// regenerated (its checksum no longer matches the model's reference)
+// after its code store opened, and a v9 paged model whose codes image is
+// damaged after its cells image opened in the same mapping.
 func TestLoadFailureClosesStores(t *testing.T) {
-	maps, err := os.ReadFile("/proc/self/maps")
-	if err != nil {
+	if _, err := os.ReadFile("/proc/self/maps"); err != nil {
 		t.Skip("needs /proc/self/maps to see the process's mappings")
 	}
 	dir := t.TempDir()
-	codes, cells := filepath.Join(dir, "mixed.codes"), filepath.Join(dir, "mixed.cols")
-	m := testModel(t)
-	if err := m.PageOut([]string{codes}, []string{cells}, false, 0); err != nil {
+	for _, f := range []string{v8PagedFixture, v8PagedFixture + ".codes"} {
+		copyFile(t, f, filepath.Join(dir, filepath.Base(f)))
+	}
+	if err := colstore.WriteTable(filepath.Join(dir, filepath.Base(v8PagedFixture)+".cols"), testTable(t, 300), 64); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "mixed.subtab")
-	if err := SaveFile(path, m); err != nil {
-		t.Fatal(err)
-	}
-	// The saved model's own stores are closed, so only LoadFile can map.
-	m.B.Source().(io.Closer).Close()
-	m.CellSource().(io.Closer).Close()
-	if err := colstore.WriteTable(cells, testTable(t, 400), 64); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadFile(path); !errors.Is(err, ErrCorrupt) {
+	v8 := filepath.Join(dir, filepath.Base(v8PagedFixture))
+	if _, err := LoadFile(v8); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("loading against a regenerated column store: err = %v, want ErrCorrupt", err)
 	}
-	if maps, err = os.ReadFile("/proc/self/maps"); err != nil {
+	assertUnmapped(t, v8+".codes")
+
+	v9 := filepath.Join(dir, "paged.subtab")
+	raw := pagedBytes(t, testModel(t))
+	// The codes image's end magic is the last 8 bytes before its cells
+	// image: damage it, and the codes fail to open after the cells did.
+	at := bytes.Index(raw, []byte("SUBTABCE"))
+	raw[at] ^= 0x40
+	if err := os.WriteFile(v9, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Contains(maps, []byte(codes)) {
-		t.Fatalf("the code store %s is still mapped after the load failed", codes)
+	if _, err := LoadFile(v9); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("loading a damaged codes image: err = %v, want ErrCorrupt", err)
+	}
+	assertUnmapped(t, v9)
+}
+
+// assertUnmapped fails if path is mapped into this process.
+func assertUnmapped(t *testing.T, path string) {
+	t.Helper()
+	maps, err := os.ReadFile("/proc/self/maps")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(maps, []byte(path)) {
+		t.Fatalf("%s is still mapped", path)
+	}
+}
+
+// copyFile copies the file at src to dst.
+func copyFile(t *testing.T, src, dst string) {
+	t.Helper()
+	raw, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dst, raw, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }

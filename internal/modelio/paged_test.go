@@ -1,0 +1,250 @@
+package modelio
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
+	"testing"
+	"time"
+
+	"subtab/internal/blockfile"
+	"subtab/internal/codestore"
+	"subtab/internal/colstore"
+	"subtab/internal/core"
+	"subtab/internal/query"
+)
+
+// pagedBytes saves m as a Paged file.
+func pagedBytes(t *testing.T, m *core.Model) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := Save(&buf, m, Paged); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// assertSameSelections fails unless got answers a few selects and a
+// filtered select byte-identically to want.
+func assertSameSelections(t *testing.T, want, got *core.Model) {
+	t.Helper()
+	for _, c := range []struct {
+		k, l    int
+		targets []string
+	}{{4, 2, nil}, {6, 3, nil}, {5, 4, []string{"cat"}}} {
+		w, err := want.Select(c.k, c.l, c.targets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := got.Select(c.k, c.l, c.targets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(w.SourceRows, g.SourceRows) || !reflect.DeepEqual(w.Cols, g.Cols) || w.View.String() != g.View.String() {
+			t.Fatalf("Select(%d,%d,%v) diverged", c.k, c.l, c.targets)
+		}
+	}
+	q := &query.Query{Where: []query.Predicate{{Col: "num", Op: query.Geq, Num: 10}}}
+	w, err := want.SelectQuery(q, 5, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := got.SelectQuery(q, 5, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.View.String() != g.View.String() {
+		t.Fatal("filtered select diverged")
+	}
+}
+
+// TestPagedFileLayout pins the v9 paged file: one file whose codes and
+// cells images are byte for byte the stores' files, at 8-byte-aligned
+// offsets; it loads paged with both stores reading one mapping, selects as
+// the model that was saved, re-saves byte-identically, and re-saved
+// Resident equals the resident save of the same model.
+func TestPagedFileLayout(t *testing.T) {
+	m := testModel(t)
+	dir := t.TempDir()
+	var resident bytes.Buffer
+	if err := Save(&resident, m, Resident); err != nil {
+		t.Fatal(err)
+	}
+	raw := pagedBytes(t, m)
+	for _, write := range []func(string) error{
+		func(path string) error { return codestore.WriteFile(path, m.B.Codes, 0) },
+		func(path string) error { return colstore.WriteTable(path, m.T, 0) },
+	} {
+		path := filepath.Join(dir, "store")
+		if err := write(path); err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, file := range [][]byte{raw, resident.Bytes()} {
+			if at := bytes.Index(file, want); at < 0 || at%imageAlign != 0 {
+				t.Fatalf("the %d-byte store is at offset %d of the model file, want an aligned image", len(want), at)
+			}
+		}
+	}
+
+	path := filepath.Join(dir, "paged.subtab")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !loaded.OutOfCore() || !loaded.CellsPaged() || ResidencyOf(loaded) != Paged {
+		t.Fatal("a Paged file loaded with resident codes or cells")
+	}
+	if maps, err := os.ReadFile("/proc/self/maps"); err == nil {
+		if n := bytes.Count(maps, []byte(path)); n != 1 {
+			t.Fatalf("the model file is mapped %d times, want once for both images", n)
+		}
+	}
+	assertSameSelections(t, m, loaded)
+	if again := saveBytes(t, loaded); !bytes.Equal(again, raw) {
+		t.Fatal("a loaded Paged model re-saves differently")
+	}
+	var fromPaged bytes.Buffer
+	if err := Save(&fromPaged, loaded, Resident); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fromPaged.Bytes(), resident.Bytes()) {
+		t.Fatal("a paged model saved Resident differs from the resident save")
+	}
+	// The model file may be replaced under a model mapped from it.
+	if err := SaveFile(path, loaded); err != nil {
+		t.Fatal(err)
+	}
+	assertSameSelections(t, m, loaded)
+}
+
+// TestLoadFileAccessPaths runs LoadFile over every file shape this build
+// reads — v9 resident and paged, the v8 fixtures, the v7 fixture — on both
+// of blockfile's access paths: the mapping, and ReadAt through a section
+// reader at each image's offset, which every non-unix build takes. Each
+// loads, selects as its reference, and serves paged stores by the access
+// path in force; bit flips in a v9 file are rejected on both paths.
+func TestLoadFileAccessPaths(t *testing.T) {
+	m := testModel(t)
+	dir := t.TempDir()
+	files := map[string][]byte{"resident.subtab": saveBytes(t, m), "paged.subtab": pagedBytes(t, m)}
+	for name, raw := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v8, v7 := v8Model(t), compatModel(t)
+	cases := []struct {
+		path  string
+		want  *core.Model
+		paged bool
+	}{
+		{filepath.Join(dir, "resident.subtab"), m, false},
+		{filepath.Join(dir, "paged.subtab"), m, true},
+		{v8ResidentFixture, v8, false},
+		{v8PagedFixture, v8, true},
+		{v7Fixture, v7, false},
+	}
+	for _, mapped := range []bool{true, false} {
+		t.Run(map[bool]string{true: "mmap", false: "readat"}[mapped], func(t *testing.T) {
+			if !mapped {
+				t.Cleanup(blockfile.DisableMapping())
+			}
+			for _, c := range cases {
+				loaded, err := LoadFile(c.path)
+				if err != nil {
+					t.Fatalf("%s: %v", c.path, err)
+				}
+				if ResidencyOf(loaded) != map[bool]Residency{false: Resident, true: Paged}[c.paged] {
+					t.Fatalf("%s: loaded in residency %d", c.path, ResidencyOf(loaded))
+				}
+				if c.paged {
+					cs := loaded.CellSource().(*colstore.Store)
+					if cs.Mapped() != mapped || loaded.B.Source().(*codestore.Store).Mapped() != mapped {
+						t.Fatalf("%s: stores mapped=%v, want %v", c.path, cs.Mapped(), mapped)
+					}
+				}
+				assertSameSelections(t, c.want, loaded)
+			}
+			stride := 131
+			if testing.Short() {
+				stride = 977
+			}
+			for name, raw := range files {
+				path := filepath.Join(dir, "flipped-"+name)
+				for pos := 10; pos < len(raw); pos += stride {
+					corrupt := bytes.Clone(raw)
+					corrupt[pos] ^= 0x40
+					if err := os.WriteFile(path, corrupt, 0o644); err != nil {
+						t.Fatal(err)
+					}
+					loaded, err := LoadFile(path)
+					if err == nil && name == "paged.subtab" {
+						// A paged load checks the framing, not every page:
+						// a flip inside a page is for Verify to find.
+						err = verifyStores(loaded)
+					}
+					if err == nil {
+						t.Fatalf("%s: flip at byte %d of %d loaded without error", name, pos, len(raw))
+					}
+				}
+			}
+		})
+	}
+}
+
+// verifyStores checks every page of a paged model's stores.
+func verifyStores(m *core.Model) error {
+	if err := m.B.Source().(*codestore.Store).Verify(); err != nil {
+		return err
+	}
+	return m.CellSource().(*colstore.Store).Verify()
+}
+
+// TestPagedModelReleasesItsMapping: once nothing references a paged model,
+// the runtime cleanup of its one mapping unmaps the model file.
+func TestPagedModelReleasesItsMapping(t *testing.T) {
+	if _, err := os.ReadFile("/proc/self/maps"); err != nil {
+		t.Skip("needs /proc/self/maps to see the process's mappings")
+	}
+	path := filepath.Join(t.TempDir(), "paged.subtab")
+	if err := os.WriteFile(path, pagedBytes(t, testModel(t)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	func() {
+		loaded, err := LoadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := loaded.Select(4, 2, nil); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	awaitUnmapped(t, path)
+}
+
+// awaitUnmapped collects garbage until path is no longer mapped into this
+// process, failing after a generous number of rounds.
+func awaitUnmapped(t *testing.T, path string) {
+	t.Helper()
+	for range 100 {
+		runtime.GC()
+		maps, err := os.ReadFile("/proc/self/maps")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(maps, []byte(path)) {
+			return
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	t.Fatalf("%s is still mapped after its model became unreachable", path)
+}

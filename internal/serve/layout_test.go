@@ -18,8 +18,9 @@ import (
 // layout: upload, exact and scaled selects, append, restart on the same
 // cache directory, replace by the next layout, remove. Every select must
 // render exactly what a resident twin renders, the directory must hold
-// exactly the files of the current layout after each step, and removal
-// must leave it empty.
+// exactly the files of the current layout after each step — the model
+// file alone for a resident or paged table — and removal must leave it
+// empty.
 func TestLayoutLifecycle(t *testing.T) {
 	layouts := []Layout{Resident, Paged, Shards(3)}
 	for i, l := range layouts {
@@ -56,9 +57,7 @@ func TestLayoutLifecycle(t *testing.T) {
 			}
 			files := func(svc *Service, l Layout, when string) {
 				t.Helper()
-				if got, want := dirFiles(t, dir), layoutFiles(svc, l); !slices.Equal(got, want) {
-					t.Fatalf("%s: cache dir holds %v, want %v", when, got, want)
-				}
+				assertLayoutFiles(t, svc, dir, l, when)
 			}
 
 			add(svc, l, 7, false)
@@ -129,9 +128,7 @@ func TestConcurrentReplacesKeepOneLayout(t *testing.T) {
 	}
 	wg.Wait()
 	m := mustModel(t, svc)
-	if got, want := dirFiles(t, dir), layoutFiles(svc, layoutOf(m)); !slices.Equal(got, want) {
-		t.Fatalf("cache dir holds %v, want the files of layout %d: %v", got, layoutOf(m), want)
-	}
+	assertLayoutFiles(t, svc, dir, layoutOf(m), "after the race")
 	restarted := mustModel(t, NewService(NewStore(StoreOptions{Dir: dir}), testOptions()))
 	for _, scale := range []*core.ScaleOptions{nil, scaleForce()} {
 		want, err := m.SelectExplore(core.ExploreSpec{K: 6, L: 3, Scale: scale})
@@ -145,6 +142,19 @@ func TestConcurrentReplacesKeepOneLayout(t *testing.T) {
 		if subTableFingerprint(got) != subTableFingerprint(want) {
 			t.Fatalf("restart serves another table than the last replace (scale=%v)", scale)
 		}
+	}
+}
+
+// assertLayoutFiles fails unless dir holds exactly the files of table "t"
+// in layout l: its model file alone when unsharded.
+func assertLayoutFiles(t *testing.T, svc *Service, dir string, l Layout, when string) {
+	t.Helper()
+	got, want := dirFiles(t, dir), layoutFiles(svc, l)
+	if l <= 0 && len(want) != 1 {
+		t.Fatalf("%s: an unsharded layout keeps %v, want one file", when, want)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: cache dir holds %v, want the files of layout %d: %v", when, got, l, want)
 	}
 }
 

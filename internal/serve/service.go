@@ -106,12 +106,13 @@ type TableInfo struct {
 }
 
 // Layout says where an added table's bin codes and displayed cells live.
-// Resident keeps both in memory. Paged writes them to one .codes/.cols file
-// pair next to the model file in the store's directory, and Shards(n) to n
-// row-range shard pairs plus a .shards map, which worker instances can
-// split between them. Paged layouts serve the files mmap'd: the resident
-// model is schema, binnings and embedding, and a select streams the code
-// blocks it samples and gathers only the displayed rows' cells.
+// Resident keeps both in memory. Paged serves them mmap'd from the table's
+// model file in the store's directory, which holds them as store images
+// after its header: the resident model is schema, binnings and embedding,
+// and a select streams the code blocks it samples and gathers only the
+// displayed rows' cells. In both layouts a table is that one file. Shards(n)
+// writes them to n row-range shard file pairs plus a .shards map beside the
+// model file, which worker instances can split between them.
 type Layout int
 
 const (
@@ -133,12 +134,15 @@ const maxShards = 256
 // false, a name that is already served returns ErrExists; with replace
 // true, the new model overwrites the old one (and its caches, mined rules
 // included, leave with it), and once the new model file is in place every
-// store file of the name that the new model does not use is deleted.
+// file of the name that the new model does not use is deleted. An
+// unsharded table commits by one rename of its model file, so a failed
+// replace leaves the old table whole.
 //
 // A resident add that does not replace shares one Preprocess with
 // concurrent requests for the name. Every other add builds, pages out,
 // persists and inserts under the table's name lock, so two uploads of one
 // name serialize instead of pairing one model with the other's files.
+// A table without columns is a bad request (core.ErrNoColumns).
 func (s *Service) AddTable(name string, t *table.Table, opt *core.Options, l Layout, replace bool) (*core.Model, error) {
 	if strings.TrimSpace(name) == "" {
 		return nil, errors.New("serve: table name must not be empty")
@@ -150,7 +154,13 @@ func (s *Service) AddTable(name string, t *table.Table, opt *core.Options, l Lay
 	if opt != nil {
 		o = *opt
 	}
-	build := func() (*core.Model, error) { return core.Preprocess(t, o) }
+	build := func() (*core.Model, error) {
+		m, err := core.Preprocess(t, o)
+		if errors.Is(err, core.ErrNoColumns) {
+			return nil, fmt.Errorf("%w: %w", ErrBadRequest, err)
+		}
+		return m, err
+	}
 	if l == Resident && !replace {
 		if s.store.Contains(name) {
 			return nil, fmt.Errorf("%w: %q", ErrExists, name)
@@ -169,10 +179,10 @@ func (s *Service) AddTable(name string, t *table.Table, opt *core.Options, l Lay
 	}
 	files, err := s.pageOut(name, m, l, 0)
 	if err == nil {
-		err = s.store.putLocked(name, m)
+		m, err = s.store.putLocked(name, m, l)
 	}
 	if err != nil {
-		// Do not strand stores whose model never registered.
+		// Do not strand shard files whose model never registered.
 		for _, f := range files {
 			os.Remove(f)
 		}
@@ -200,34 +210,30 @@ func (s *Service) checkLayout(l Layout, rows int) error {
 	return nil
 }
 
-// pageOut writes m's codes and cells in layout l next to name's model file
-// (nothing for Resident) and switches m onto them. It returns the files of
+// pageOut writes m's codes and cells to the shard files of a sharded
+// layout l next to name's model file (nothing for an unsharded one, whose
+// model file holds them) and switches m onto them. It returns the files of
 // the layout, also on error, so a failed add can delete what it wrote.
 func (s *Service) pageOut(name string, m *core.Model, l Layout, blockRows int) ([]string, error) {
-	codes, cells, shardMap := s.store.layoutPaths(name, l)
-	files := slices.Concat(codes, cells)
-	if shardMap != "" {
-		files = append(files, shardMap)
-	}
-	if len(files) == 0 {
+	if l <= 0 {
 		return nil, nil
 	}
+	codes, cells, shardMap := s.store.layoutPaths(name, l)
+	files := append(slices.Concat(codes, cells), shardMap)
 	if err := os.MkdirAll(s.store.opt.Dir, 0o755); err != nil {
 		return files, err
 	}
-	if err := m.PageOut(codes, cells, shardMap != "", blockRows); err != nil {
+	if err := m.PageOut(codes, cells, true, blockRows); err != nil {
 		return files, err
 	}
-	if shardMap != "" {
-		if err := shard.WriteFile(shardMap, m.ShardSource().Map()); err != nil {
-			return files, fmt.Errorf("serve: writing shard map for %q: %w", name, err)
-		}
+	if err := shard.WriteFile(shardMap, m.ShardSource().Map()); err != nil {
+		return files, fmt.Errorf("serve: writing shard map for %q: %w", name, err)
 	}
 	return files, nil
 }
 
-// layoutOf is the layout a served model is in. A model loaded from a
-// version 5 file (paged codes, resident cells) counts as Paged.
+// layoutOf is the layout a served model is in. A model whose codes or
+// cells alone are paged (loaded from a version 6 file) counts as Paged.
 func layoutOf(m *core.Model) Layout {
 	if src := m.ShardSource(); src != nil {
 		return Shards(src.NumShards())
@@ -247,12 +253,13 @@ func layoutOf(m *core.Model) Layout {
 // old rows stay cached on the old model only.
 //
 // Paged tables stay paged: Append materializes inline codes and cells to
-// build the successor, so the successor is paged out again, in the table's
-// layout and block size, over the table's store files before the swap — the
-// memory bound the table was added under survives its appends. A table
-// loaded from a version 5 file (paged codes, resident cells) comes out with
-// its cells paged too. In-flight selections on the old model keep reading
-// the replaced stores through their open mappings.
+// build the successor, and the store persists it in the table's layout —
+// an unsharded successor into a new model file, renamed over the old one
+// and served from its mapping, a sharded one paged out again over the
+// table's shard files in their block size first — so the memory bound the
+// table was added under survives its appends. A table whose codes alone
+// were paged comes out with its cells paged too. In-flight selections on
+// the old model keep reading the replaced files through their mappings.
 func (s *Service) AppendRows(name string, rows *table.Table, opt core.AppendOptions) (*core.Model, core.AppendStats, error) {
 	var stats core.AppendStats
 	m, err := s.store.Update(name, func(cur *core.Model) (*core.Model, error) {

@@ -258,7 +258,7 @@ func (s *Store) commit(name string, m *core.Model, built bool, startGen uint64) 
 	if built && s.opt.Dir != "" {
 		// Persist outside s.mu (file I/O) but under the name lock, so no
 		// replacement can interleave between the write and the insert.
-		if err := s.persist(name, m); err != nil {
+		if _, err := s.persist(name, m, Resident); err != nil {
 			return nil, fmt.Errorf("serve: persisting model %q: %w", name, err)
 		}
 	}
@@ -304,25 +304,37 @@ func (s *Store) loadDisk(name string) (*core.Model, error) {
 	return m, nil
 }
 
-// Put caches (and persists) a ready-made model under name, replacing any
-// previous model with that name. In-flight builds of the same name that
-// finish after a Put discard their result instead of clobbering it.
+// Put caches (and persists) a ready-made model under name in the layout it
+// is in, replacing any previous model with that name. In-flight builds of
+// the same name that finish after a Put discard their result instead of
+// clobbering it.
 func (s *Store) Put(name string, m *core.Model) error {
 	nl := s.lockName(name)
 	nl.Lock()
 	defer nl.Unlock()
-	return s.putLocked(name, m)
+	_, err := s.putLocked(name, m, layoutOf(m))
+	return err
 }
 
 // putLocked is Put for callers already holding the per-name lock (the add
 // path, which must keep the store files and the model insert under one
-// critical section).
-func (s *Store) putLocked(name string, m *core.Model) error {
+// critical section). It persists m in layout l and returns the model it
+// installed: m, or for a Paged layout the model mapped from its file.
+func (s *Store) putLocked(name string, m *core.Model, l Layout) (*core.Model, error) {
 	if s.opt.Dir != "" {
-		if err := s.persist(name, m); err != nil {
-			return fmt.Errorf("serve: persisting model %q: %w", name, err)
+		var err error
+		if m, err = s.persist(name, m, l); err != nil {
+			return nil, fmt.Errorf("serve: persisting model %q: %w", name, err)
 		}
 	}
+	s.install(name, m)
+	return m, nil
+}
+
+// install inserts a model that replaces name's (bumping the generation, so
+// in-flight builds of the name discard their now-stale results) and
+// accounts it with the governor.
+func (s *Store) install(name string, m *core.Model) {
 	if s.opt.Governor != nil {
 		m.SetGovernor(s.opt.Governor)
 	}
@@ -331,7 +343,6 @@ func (s *Store) putLocked(name string, m *core.Model) error {
 	grow := s.insertLocked(name, m)
 	s.mu.Unlock()
 	s.opt.Governor.Grow(memgov.ClassModels, grow)
-	return nil
 }
 
 // Update atomically replaces name's model with fn(current): the
@@ -342,7 +353,10 @@ func (s *Store) putLocked(name string, m *core.Model) error {
 // reads are never blocked — selections in flight keep the model they
 // resolved, new requests see the replacement as soon as it is installed.
 // fn must not mutate the model it is given; it builds and returns a new one
-// (core.Model.Append's contract). Unknown names return ErrNotFound.
+// (core.Model.Append's contract), which is persisted in the current
+// model's layout. The returned model is the one installed: for a Paged
+// table, the successor mapped from its new file. Unknown names return
+// ErrNotFound.
 func (s *Store) Update(name string, fn func(*core.Model) (*core.Model, error)) (*core.Model, error) {
 	nl := s.lockName(name)
 	nl.Lock()
@@ -375,20 +389,7 @@ func (s *Store) Update(name string, fn func(*core.Model) (*core.Model, error)) (
 		s.insert(name, cur)
 		return cur, nil
 	}
-	if s.opt.Dir != "" {
-		if err := s.persist(name, next); err != nil {
-			return nil, fmt.Errorf("serve: persisting model %q: %w", name, err)
-		}
-	}
-	if s.opt.Governor != nil {
-		next.SetGovernor(s.opt.Governor)
-	}
-	s.mu.Lock()
-	s.gen[name]++
-	grow := s.insertLocked(name, next)
-	s.mu.Unlock()
-	s.opt.Governor.Grow(memgov.ClassModels, grow)
-	return next, nil
+	return s.putLocked(name, next, layoutOf(cur))
 }
 
 // lockName returns the mutex serializing mutations of one table name.
@@ -553,10 +554,10 @@ func (s *Store) modelBytes(m *core.Model) int64 {
 	return m.ResidentBytes()
 }
 
-// modelExt is the on-disk model file suffix. A paged table's store files
-// sit next to its model file, named by appending codesExt (bin codes),
-// colsExt (displayed cells) — each with a ".NNN" shard index in a sharded
-// layout — or shardsExt (a sharded table's sidecar shard map, for external
+// modelExt is the on-disk model file suffix. An unsharded table is its
+// model file alone. A sharded table's store files sit next to it, named by
+// appending codesExt (bin codes) or colsExt (displayed cells) with a
+// ".NNN" shard index, and shardsExt (the sidecar shard map, for external
 // tooling).
 const (
 	modelExt  = ".subtab"
@@ -565,30 +566,28 @@ const (
 	shardsExt = ".shards"
 )
 
-// layoutPaths names the store files a table of layout l keeps: one code
-// and one column path per row range, and the shard map of a sharded layout
-// ("" otherwise). Resident tables keep none. Every store file of a table is
-// named here, as the model path plus an extension, so sweepStores finds
-// all of them by that prefix.
+// layoutPaths names the store files a table of layout l keeps beside its
+// model file: one code and one column path per row range, and the shard
+// map, of a sharded layout. Unsharded tables keep none. Every store file
+// of a table is named here, as the model path plus an extension, so
+// sweepStores finds all of them by that prefix.
 func (s *Store) layoutPaths(name string, l Layout) (codes, cells []string, shardMap string) {
 	base := s.path(name)
-	switch {
-	case l == Paged:
-		return []string{base + codesExt}, []string{base + colsExt}, ""
-	case l > 0:
-		for i := 0; i < int(l); i++ {
-			codes = append(codes, fmt.Sprintf("%s%s.%03d", base, codesExt, i))
-			cells = append(cells, fmt.Sprintf("%s%s.%03d", base, colsExt, i))
-		}
-		return codes, cells, base + shardsExt
+	for i := 0; i < int(l); i++ {
+		codes = append(codes, fmt.Sprintf("%s%s.%03d", base, codesExt, i))
+		cells = append(cells, fmt.Sprintf("%s%s.%03d", base, colsExt, i))
 	}
-	return nil, nil, ""
+	if l > 0 {
+		shardMap = base + shardsExt
+	}
+	return codes, cells, shardMap
 }
 
-// sweepStores deletes every store file of name that keep does not list:
-// the files a replaced layout leaves behind, or all of them (keep empty)
-// when the table is removed. Temp files of an interrupted store write go
-// with them.
+// sweepStores deletes every file of name beside its model file that keep
+// does not list: the shard files a replaced layout leaves behind, the
+// .codes and .cols files of a table last saved in model format 8, and the
+// temp files of an interrupted write — or all of them (keep empty) when
+// the table is removed.
 func (s *Store) sweepStores(name string, keep []string) {
 	if s.opt.Dir == "" {
 		return
@@ -622,30 +621,55 @@ func (s *Store) path(name string) string {
 	return filepath.Join(s.opt.Dir, hex.EncodeToString([]byte(name))+modelExt)
 }
 
-// persist writes the model file atomically: a temp file in the same
-// directory is renamed over the final path, so concurrent readers never see
-// a half-written model and a crash never corrupts the cache.
-func (s *Store) persist(name string, m *core.Model) error {
+// rename is os.Rename outside this package's tests, which swap in a
+// failing stub to fail a model-file commit at its last step.
+var rename = os.Rename
+
+// persist commits m as name's model file in layout l and returns the model
+// to serve: m, or for a Paged layout the model mapped from the new file.
+// The file is written under a temp name carrying the model file's name as
+// its prefix (so sweepStores finds what a crashed write left), synced,
+// renamed over the model file, and the directory synced: the model file
+// holds the old model or the new one, and selects in flight on a mapped
+// old model keep reading its inode.
+func (s *Store) persist(name string, m *core.Model, l Layout) (*core.Model, error) {
 	if err := os.MkdirAll(s.opt.Dir, 0o755); err != nil {
-		return err
+		return nil, err
 	}
 	final := s.path(name)
-	tmp, err := os.CreateTemp(s.opt.Dir, "tmp-*"+modelExt)
+	tmp, err := os.CreateTemp(s.opt.Dir, filepath.Base(final)+".tmp-*")
+	if err != nil {
+		return nil, err
+	}
+	residency := modelio.Resident
+	if l == Paged {
+		residency = modelio.Paged
+	}
+	err = modelio.Save(tmp, m, residency)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	err = errors.Join(err, tmp.Close())
+	if err == nil && l == Paged {
+		// The model to serve is the file's: its mapping outlives the rename.
+		m, err = modelio.LoadFile(tmp.Name())
+	}
+	if err == nil {
+		err = rename(tmp.Name(), final)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+		return nil, err
+	}
+	return m, syncDir(s.opt.Dir)
+}
+
+// syncDir makes the renames inside dir durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
 	if err != nil {
 		return err
 	}
-	if err := modelio.Save(tmp, m); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), final); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
+	defer d.Close()
+	return d.Sync()
 }

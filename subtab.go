@@ -53,8 +53,9 @@
 // stores (one file pair, or N row-range shards) and releases the in-memory
 // copies, the scaled Select streams its sampler over store blocks and
 // holds only the sample's tuple-vectors, and a view gathers only the
-// selected rows' cells — all byte-identical to the in-memory path. SaveModel on a paged model
-// writes checksummed references to the stores instead of inlining them.
+// selected rows' cells — all byte-identical to the in-memory path. SaveModel
+// on a paged model writes a file that loads paged again, its codes and cells
+// served from the file's mapping.
 //
 // The packages behind this facade also implement the paper's evaluation
 // stack: the informativeness metrics (Defs. 3.6–3.7), an Apriori rule miner,
@@ -211,7 +212,7 @@ func Preprocess(t *Table, opt Options) (*Model, error) { return core.Preprocess(
 // format. Everything Select/SelectQuery needs is serialized — table, binned
 // representation, embedding vectors and the precomputed column-affinity
 // matrix — so LoadModel restores the model without re-running Preprocess.
-func SaveModel(w io.Writer, m *Model) error { return modelio.Save(w, m) }
+func SaveModel(w io.Writer, m *Model) error { return modelio.Save(w, m, modelio.ResidencyOf(m)) }
 
 // LoadModel reads a model written by SaveModel. The loaded model produces
 // selections identical to the model that was saved (same seeds). Corrupt or
