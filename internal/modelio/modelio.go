@@ -263,7 +263,6 @@ func LoadFileWith(path string, lopt LoadOptions) (*core.Model, error) {
 // header is a model file's decoded header sections, before the model is
 // assembled from them.
 type header struct {
-	version   uint16
 	residency Residency
 	opt       core.Options
 	t         *table.Table
@@ -290,8 +289,8 @@ func readHeader(reg *blockfile.Region) (*header, error) {
 	if d.err != nil || gotMagic != magic {
 		return nil, ErrBadMagic
 	}
-	hd := &header{version: d.u16()}
-	v := hd.version
+	hd := &header{}
+	v := d.u16()
 	if d.err != nil {
 		return nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
 	}
