@@ -350,7 +350,6 @@ type File struct {
 	Data []byte
 
 	path      string
-	size      int64
 	rows      int
 	cols      int
 	blockRows int
@@ -361,8 +360,8 @@ type File struct {
 	blockSize int64   // bytes of one full block: blockRows × the summed widths
 	dataStart int64
 	crcs      []uint32
-	checksum  uint32      // footer CRC: the store's identity for external refs
-	src       io.ReaderAt // what ReadAt reads when the Region is not mapped
+	checksum  uint32            // footer CRC: the store's identity for external refs
+	src       *io.SectionReader // the store's bytes, read when Data is nil
 	reg       *Region
 }
 
@@ -374,12 +373,13 @@ type File struct {
 // opened in it — and releases its mapping or handle when the last one
 // closes, or through a runtime cleanup once nothing references it.
 type Region struct {
-	data    []byte   // the whole file when mapped or in memory
-	src     *os.File // what ReadAt reads when not mapped
-	path    string
-	size    int64
-	refs    atomic.Int64
-	cleanup runtime.Cleanup
+	io.ReaderAt          // the mapping or bytes through a bytes.Reader, else the file
+	data        []byte   // the whole file when mapped or in memory
+	src         *os.File // the handle, when not mapped
+	path        string
+	size        int64
+	refs        atomic.Int64
+	cleanup     runtime.Cleanup
 }
 
 // resources names a Region's OS resources (mapping or file handle) so the
@@ -401,10 +401,9 @@ func (r resources) release() {
 // mapFile is mmapFile unless DisableMapping swapped in a failing stub.
 var mapFile = mmapFile
 
-// DisableMapping makes every later Open and OpenRegion take the ReadAt
-// access path — the one every non-unix build runs — until the returned
-// func restores mapping. It exists for tests of this package and the ones
-// above it, and must not race with opens.
+// DisableMapping makes every later OpenRegion take the ReadAt access path
+// of non-unix builds until the returned func restores mapping: a test seam
+// for this package and those above it, not to be raced with opens.
 func DisableMapping() (restore func()) {
 	old := mapFile
 	mapFile = func(*os.File, int64) ([]byte, error) { return nil, errors.ErrUnsupported }
@@ -424,12 +423,10 @@ func OpenRegion(path string) (*Region, error) {
 		f.Close()
 		return nil, err
 	}
-	r := &Region{path: path, size: fi.Size()}
+	r := &Region{ReaderAt: f, src: f, path: path, size: fi.Size()}
 	if data, err := mapFile(f, r.size); err == nil {
-		r.data = data
+		r.ReaderAt, r.data, r.src = bytes.NewReader(data), data, nil
 		f.Close()
-	} else {
-		r.src = f
 	}
 	r.refs.Store(1)
 	r.cleanup = runtime.AddCleanup(r, resources.release, resources{r.data, r.src})
@@ -439,28 +436,13 @@ func OpenRegion(path string) (*Region, error) {
 // BytesRegion returns a Region over data, which stores opened in it read in
 // place and must not outlive. It holds no OS resources.
 func BytesRegion(data []byte) *Region {
-	r := &Region{data: data, size: int64(len(data))}
+	r := &Region{ReaderAt: bytes.NewReader(data), data: data, size: int64(len(data))}
 	r.refs.Store(1)
 	return r
 }
 
 // Size returns the region's length in bytes.
 func (r *Region) Size() int64 { return r.size }
-
-// ReadAt reads from the mapping, the bytes or the file (io.ReaderAt).
-func (r *Region) ReadAt(p []byte, off int64) (int, error) {
-	if r.src != nil {
-		return r.src.ReadAt(p, off)
-	}
-	if off < 0 || off > int64(len(r.data)) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.data[off:])
-	if n < len(p) {
-		return n, io.EOF
-	}
-	return n, nil
-}
 
 // Close drops one reference; the last releases the mapping or handle.
 // Reads through the region or its stores must not race with the last
@@ -493,21 +475,14 @@ func OpenIn(r *Region, off, size int64, ft Format, layout Layout) (*File, error)
 	if off < 0 || size < 0 || off > r.size-size {
 		return nil, fmt.Errorf("%w: a %d-byte store at offset %d of a %d-byte file", ErrTruncated, size, off, r.size)
 	}
-	var src io.ReaderAt
-	if r.data != nil {
-		src = bytes.NewReader(r.data[off : off+size])
-	} else {
-		src = io.NewSectionReader(r.src, off, size)
-	}
+	src := io.NewSectionReader(r, off, size)
 	file, err := open(src, size, ft, layout)
 	if err != nil {
 		return nil, err
 	}
-	file.path, file.size, file.reg = r.path, size, r
+	file.path, file.src, file.reg = r.path, src, r
 	if r.data != nil {
 		file.Data = r.data[off : off+size : off+size]
-	} else {
-		file.src = src
 	}
 	r.refs.Add(1)
 	return file, nil
@@ -635,16 +610,12 @@ func (f *File) Close() error {
 func (f *File) Path() string { return f.path }
 
 // Size returns the store's length in bytes.
-func (f *File) Size() int64 { return f.size }
+func (f *File) Size() int64 { return f.src.Size() }
 
 // WriteTo writes the store's bytes to w (io.WriterTo): a verbatim copy,
 // for a model re-saved without re-encoding its stores.
 func (f *File) WriteTo(w io.Writer) (int64, error) {
-	if f.Data != nil {
-		n, err := w.Write(f.Data)
-		return int64(n), err
-	}
-	return io.Copy(w, io.NewSectionReader(f.src, 0, f.size))
+	return io.Copy(w, io.NewSectionReader(f.src, 0, f.src.Size()))
 }
 
 // Checksum returns the footer CRC — a cheap identity covering the geometry,
@@ -743,19 +714,6 @@ func (f *File) Load(c, r int) (uint64, error) {
 		return 0, fmt.Errorf("blockfile: reading cell (%d,%d) of %s: %w", c, r, f.path, err)
 	}
 	return Uint(b[:], w), nil
-}
-
-// ReadAt fills p from file offset off, from the mapping or the file.
-func (f *File) ReadAt(p []byte, off int64) error {
-	if f.Data != nil {
-		if off < 0 || off+int64(len(p)) > int64(len(f.Data)) {
-			return io.ErrUnexpectedEOF
-		}
-		copy(p, f.Data[off:])
-		return nil
-	}
-	_, err := f.src.ReadAt(p, off)
-	return err
 }
 
 // Page returns the raw bytes of column c's page of block blk: a read-only

@@ -221,20 +221,13 @@ type LoadOptions struct {
 
 // Load reads a model previously written by Save. It reads r whole: a
 // Paged model then serves its codes and cells from those bytes. Models
-// that reference files beside them need the directory — use LoadFile
-// (which infers it from the model path) or LoadWith.
+// that reference files beside them need their directory: use LoadFile.
 func Load(r io.Reader) (*core.Model, error) {
-	return LoadWith(r, LoadOptions{})
-}
-
-// LoadWith is Load, resolving shard maps and external store references
-// per lopt.
-func LoadWith(r io.Reader, lopt LoadOptions) (*core.Model, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
-	return load(blockfile.BytesRegion(data), lopt)
+	return load(blockfile.BytesRegion(data), LoadOptions{})
 }
 
 // LoadFile reads a model from path, mapping the file. Shard maps and
@@ -358,8 +351,7 @@ func load(reg *blockfile.Region, lopt LoadOptions) (_ *core.Model, err error) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
 	// Every store opened from here on is closed again when a later step
-	// fails, so a rejected model leaves no mapping behind; a Resident load
-	// closes its images once it has copied them.
+	// fails, so a rejected model leaves no mapping behind.
 	var opened []io.Closer
 	defer func() {
 		if err != nil {
@@ -368,38 +360,65 @@ func load(reg *blockfile.Region, lopt LoadOptions) (_ *core.Model, err error) {
 			}
 		}
 	}()
+	// The images open in place. A Paged model serves them; a Resident one
+	// checks every page, copies them — the cells turning the schema husk
+	// into the resident table — and closes them.
 	t, codes := hd.t, hd.codes
-	paged := hd.residency == Paged
+	var codeStore *codestore.Store
 	var cellStore *colstore.Store
-	if img := hd.cellSec.image; img != nil {
-		cs, err := openCells(reg, img, t)
-		if err != nil {
-			return nil, err
+	if img := hd.codeSec.image; img != nil {
+		if codeStore, err = codestore.OpenIn(reg, img.off, img.n); err != nil {
+			return nil, fmt.Errorf("%w: codes image: %v", ErrCorrupt, err)
 		}
-		if paged {
-			cellStore = cs
-			opened = append(opened, cs)
-		} else {
-			// The cells turn the schema husk into the resident table before
-			// anything is restored over it.
-			t, err = residentTable(cs, t.Name)
-			cs.Close()
-			if err != nil {
-				return nil, err
+		opened = append(opened, codeStore)
+		if codeStore.NumRows() != t.NumRows() || codeStore.NumCols() != len(hd.cols) {
+			return nil, fmt.Errorf("%w: codes image is %dx%d, table is %dx%d", ErrCorrupt, codeStore.NumRows(), codeStore.NumCols(), t.NumRows(), len(hd.cols))
+		}
+	}
+	if img := hd.cellSec.image; img != nil {
+		if cellStore, err = colstore.OpenIn(reg, img.off, img.n); err != nil {
+			return nil, fmt.Errorf("%w: cells image: %v", ErrCorrupt, err)
+		}
+		opened = append(opened, cellStore)
+		if cellStore.NumRows() != t.NumRows() || cellStore.NumCols() != t.NumCols() {
+			return nil, fmt.Errorf("%w: cells image is %dx%d, table is %dx%d", ErrCorrupt, cellStore.NumRows(), cellStore.NumCols(), t.NumRows(), t.NumCols())
+		}
+		for c, col := range t.Columns() {
+			if cellStore.ColumnName(c) != col.Name || cellStore.ColumnKind(c) != col.Kind {
+				return nil, fmt.Errorf("%w: cells image column %d is %q, table has %q", ErrCorrupt, c, cellStore.ColumnName(c), col.Name)
 			}
 		}
 	}
+	if hd.residency == Resident {
+		if codeStore != nil {
+			if err := codeStore.Verify(); err != nil {
+				return nil, fmt.Errorf("%w: codes image: %v", ErrCorrupt, err)
+			}
+			codes = codeStore.Columns()
+			codeStore.Close()
+			codeStore = nil
+		}
+		if cellStore != nil {
+			if err := cellStore.Verify(); err != nil {
+				return nil, fmt.Errorf("%w: cells image: %v", ErrCorrupt, err)
+			}
+			if t, err = cellStore.MaterializeTable(t.Name); err != nil {
+				return nil, fmt.Errorf("%w: cells image: %v", ErrCorrupt, err)
+			}
+			cellStore.Close()
+			cellStore = nil
+		}
+	}
 	// Assemble the binned representation only after the model file itself
-	// verified: inline codes restore directly; an image restores from the
-	// mapping (Paged) or is copied out of it; an external reference opens
-	// the code store next to the model and checks its identity checksum; a
-	// shard map opens every shard the same way (or, with
-	// AllowMissingShards, the shards that are here).
+	// verified: inline codes restore directly; a mapped image, an external
+	// reference (opened next to the model, its identity checksum checked)
+	// or a shard map (every shard opened the same way, or with
+	// AllowMissingShards the shards that are here) attach as the store.
 	var b *binning.Binned
 	switch {
 	case hd.codeSec.shards != nil:
 		if lopt.CodeStoreDir == "" {
-			return nil, fmt.Errorf("modelio: model references a %d-shard code store; load with LoadFile or LoadWith{CodeStoreDir}", len(hd.codeSec.shards))
+			return nil, fmt.Errorf("modelio: model references a %d-shard code store; load with LoadFile", len(hd.codeSec.shards))
 		}
 		src, err := shard.Open(lopt.CodeStoreDir, &shard.Map{Shards: hd.codeSec.shards}, t.NumCols(), lopt.AllowMissingShards)
 		if err != nil {
@@ -409,26 +428,17 @@ func load(reg *blockfile.Region, lopt LoadOptions) (_ *core.Model, err error) {
 		if b, err = binning.RestoreWithStore(t, hd.cols, src); err != nil {
 			return nil, fmt.Errorf("%w: attaching sharded code store: %v", ErrCorrupt, err)
 		}
-	case hd.codeSec.ref != nil || (hd.codeSec.image != nil && paged):
-		var cs *codestore.Store
-		if hd.codeSec.ref != nil {
-			cs, err = openRef(lopt, hd.codeSec.ref, "code", codestore.Open)
-		} else {
-			cs, err = openCodes(reg, hd.codeSec.image, t.NumRows(), len(hd.cols))
+	case hd.codeSec.ref != nil || codeStore != nil:
+		if codeStore == nil {
+			if codeStore, err = openRef(lopt, hd.codeSec.ref, "code", codestore.Open); err != nil {
+				return nil, err
+			}
+			opened = append(opened, codeStore)
 		}
-		if err != nil {
-			return nil, err
-		}
-		opened = append(opened, cs)
-		if b, err = binning.RestoreWithStore(t, hd.cols, cs); err != nil {
+		if b, err = binning.RestoreWithStore(t, hd.cols, codeStore); err != nil {
 			return nil, fmt.Errorf("%w: attaching code store: %v", ErrCorrupt, err)
 		}
 	default:
-		if img := hd.codeSec.image; img != nil {
-			if codes, err = residentCodes(reg, img, t.NumRows(), len(hd.cols)); err != nil {
-				return nil, err
-			}
-		}
 		if b, err = binning.Restore(t, hd.cols, codes); err != nil {
 			return nil, fmt.Errorf("%w: rebuilding binned representation: %v", ErrCorrupt, err)
 		}
@@ -450,7 +460,7 @@ func load(reg *blockfile.Region, lopt LoadOptions) (_ *core.Model, err error) {
 	switch {
 	case hd.cellSec.shards != nil:
 		if lopt.CodeStoreDir == "" {
-			return nil, fmt.Errorf("modelio: model references a %d-shard column store; load with LoadFile or LoadWith{CodeStoreDir}", len(hd.cellSec.shards))
+			return nil, fmt.Errorf("modelio: model references a %d-shard column store; load with LoadFile", len(hd.cellSec.shards))
 		}
 		cells, err := shard.OpenCells(lopt.CodeStoreDir, hd.cellSec.shards, t.ColumnNames(), lopt.AllowMissingShards)
 		if err != nil {
@@ -483,7 +493,7 @@ func openRef[S interface {
 }](lopt LoadOptions, ref *storeRef, what string, open func(string) (S, error)) (S, error) {
 	var none S
 	if lopt.CodeStoreDir == "" {
-		return none, fmt.Errorf("modelio: model references external %s store %q; load with LoadFile or LoadWith{CodeStoreDir}", what, ref.file)
+		return none, fmt.Errorf("modelio: model references external %s store %q; load with LoadFile", what, ref.file)
 	}
 	s, err := open(filepath.Join(lopt.CodeStoreDir, ref.file))
 	if err != nil {
@@ -495,67 +505,6 @@ func openRef[S interface {
 			ErrCorrupt, what, ref.file, s.Checksum(), ref.checksum)
 	}
 	return s, nil
-}
-
-// openCells opens the cells image img spans in reg, which must hold
-// exactly the husk's columns (names and kinds, in order) and rows.
-func openCells(reg *blockfile.Region, img *span, husk *table.Table) (*colstore.Store, error) {
-	s, err := colstore.OpenIn(reg, img.off, img.n)
-	if err != nil {
-		return nil, fmt.Errorf("%w: cells image: %v", ErrCorrupt, err)
-	}
-	if s.NumRows() != husk.NumRows() || s.NumCols() != husk.NumCols() {
-		s.Close()
-		return nil, fmt.Errorf("%w: cells image is %dx%d, table is %dx%d", ErrCorrupt, s.NumRows(), s.NumCols(), husk.NumRows(), husk.NumCols())
-	}
-	for c, col := range husk.Columns() {
-		if s.ColumnName(c) != col.Name || s.ColumnKind(c) != col.Kind {
-			s.Close()
-			return nil, fmt.Errorf("%w: cells image column %d is %q, table has %q", ErrCorrupt, c, s.ColumnName(c), col.Name)
-		}
-	}
-	return s, nil
-}
-
-// residentTable checks every page of a cells image and copies it into a
-// resident table.
-func residentTable(s *colstore.Store, name string) (*table.Table, error) {
-	if err := s.Verify(); err != nil {
-		return nil, fmt.Errorf("%w: cells image: %v", ErrCorrupt, err)
-	}
-	t, err := s.MaterializeTable(name)
-	if err != nil {
-		return nil, fmt.Errorf("%w: cells image: %v", ErrCorrupt, err)
-	}
-	return t, nil
-}
-
-// openCodes opens the codes image img spans in reg, which must hold
-// exactly cols columns of rows codes.
-func openCodes(reg *blockfile.Region, img *span, rows, cols int) (*codestore.Store, error) {
-	s, err := codestore.OpenIn(reg, img.off, img.n)
-	if err != nil {
-		return nil, fmt.Errorf("%w: codes image: %v", ErrCorrupt, err)
-	}
-	if s.NumRows() != rows || s.NumCols() != cols {
-		s.Close()
-		return nil, fmt.Errorf("%w: codes image is %dx%d, table is %dx%d", ErrCorrupt, s.NumRows(), s.NumCols(), rows, cols)
-	}
-	return s, nil
-}
-
-// residentCodes checks every page of a codes image and copies it into
-// inline codes.
-func residentCodes(reg *blockfile.Region, img *span, rows, cols int) ([][]uint16, error) {
-	s, err := openCodes(reg, img, rows, cols)
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	if err := s.Verify(); err != nil {
-		return nil, fmt.Errorf("%w: codes image: %v", ErrCorrupt, err)
-	}
-	return s.Columns(), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -829,20 +778,14 @@ func pagedSection(dst io.Writer, src any, what string) (outSection, error) {
 // codesSection is the codes section of m: its inline codes encoded as a
 // code store image streamed into dst, or its paged source's.
 func codesSection(dst io.Writer, m *core.Model) (outSection, error) {
-	b := m.B
-	if !b.HasInlineCodes() {
-		return pagedSection(dst, b.Source(), "code")
+	if !m.B.HasInlineCodes() {
+		return pagedSection(dst, m.B.Source(), "code")
 	}
-	w, err := codestore.CreateIn(dst, b.NumBins(), m.T.NumRows(), 0)
+	w, err := codestore.CreateIn(dst, m.B.NumBins(), m.T.NumRows(), 0)
 	if err != nil {
 		return outSection{}, fmt.Errorf("modelio: encoding bin codes: %w", err)
 	}
-	return outSection{size: w.Size(), write: func() error {
-		if err := w.AppendColumns(b.Codes); err != nil {
-			return fmt.Errorf("modelio: encoding bin codes: %w", err)
-		}
-		return w.Close()
-	}}, nil
+	return imageSection(w.Writer, func() error { return w.AppendColumns(m.B.Codes) }), nil
 }
 
 // cellsSection is the cells section of m: its resident table's cells
@@ -858,12 +801,18 @@ func cellsSection(dst io.Writer, m *core.Model) (outSection, error) {
 	if err != nil {
 		return outSection{}, fmt.Errorf("modelio: encoding table cells: %w", err)
 	}
+	return imageSection(w.Writer, func() error { return w.AppendRows(0, m.T.NumRows()) }), nil
+}
+
+// imageSection is the section of the image w streams once fill has
+// appended every row.
+func imageSection(w *blockfile.Writer, fill func() error) outSection {
 	return outSection{size: w.Size(), write: func() error {
-		if err := w.AppendRows(0, m.T.NumRows()); err != nil {
-			return fmt.Errorf("modelio: encoding table cells: %w", err)
+		if err := fill(); err != nil {
+			return err
 		}
 		return w.Close()
-	}}, nil
+	}}
 }
 
 // readSection reads the section of a version v file over t's rows whose

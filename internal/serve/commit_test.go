@@ -176,13 +176,13 @@ func awaitUnmapped(t *testing.T, path string) {
 	t.Fatalf("%s is still mapped after its model left the store", path)
 }
 
-// TestAddTableWithoutColumns: a table without columns is a typed bad
-// request (400), not a model no file format can hold.
+// TestAddTableWithoutColumns: a table without columns is a typed refusal
+// that HTTP answers with 400, not a model no file format can hold.
 func TestAddTableWithoutColumns(t *testing.T) {
 	svc := NewService(NewStore(StoreOptions{Dir: t.TempDir()}), testOptions())
 	_, err := svc.AddTable("e", table.New("e"), nil, Resident, false)
-	if !errors.Is(err, ErrBadRequest) || !errors.Is(err, core.ErrNoColumns) {
-		t.Fatalf("err = %v, want ErrBadRequest wrapping core.ErrNoColumns", err)
+	if !errors.Is(err, core.ErrNoColumns) {
+		t.Fatalf("err = %v, want core.ErrNoColumns", err)
 	}
 	rec := httptest.NewRecorder()
 	writeError(rec, err)

@@ -142,7 +142,7 @@ func writeError(w http.ResponseWriter, err error) {
 		status, code = http.StatusNotFound, "not_found"
 	case errors.Is(err, ErrExists):
 		status, code = http.StatusConflict, "conflict"
-	case errors.Is(err, ErrBadRequest):
+	case errors.Is(err, ErrBadRequest), errors.Is(err, core.ErrNoColumns):
 		status, code = http.StatusBadRequest, "bad_request"
 	case errors.Is(err, ErrOverloaded):
 		// Load shed: tell the client when to come back. The admission error

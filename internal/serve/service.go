@@ -142,7 +142,6 @@ const maxShards = 256
 // concurrent requests for the name. Every other add builds, pages out,
 // persists and inserts under the table's name lock, so two uploads of one
 // name serialize instead of pairing one model with the other's files.
-// A table without columns is a bad request (core.ErrNoColumns).
 func (s *Service) AddTable(name string, t *table.Table, opt *core.Options, l Layout, replace bool) (*core.Model, error) {
 	if strings.TrimSpace(name) == "" {
 		return nil, errors.New("serve: table name must not be empty")
@@ -154,13 +153,7 @@ func (s *Service) AddTable(name string, t *table.Table, opt *core.Options, l Lay
 	if opt != nil {
 		o = *opt
 	}
-	build := func() (*core.Model, error) {
-		m, err := core.Preprocess(t, o)
-		if errors.Is(err, core.ErrNoColumns) {
-			return nil, fmt.Errorf("%w: %w", ErrBadRequest, err)
-		}
-		return m, err
-	}
+	build := func() (*core.Model, error) { return core.Preprocess(t, o) }
 	if l == Resident && !replace {
 		if s.store.Contains(name) {
 			return nil, fmt.Errorf("%w: %q", ErrExists, name)

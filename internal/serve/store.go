@@ -327,14 +327,6 @@ func (s *Store) putLocked(name string, m *core.Model, l Layout) (*core.Model, er
 			return nil, fmt.Errorf("serve: persisting model %q: %w", name, err)
 		}
 	}
-	s.install(name, m)
-	return m, nil
-}
-
-// install inserts a model that replaces name's (bumping the generation, so
-// in-flight builds of the name discard their now-stale results) and
-// accounts it with the governor.
-func (s *Store) install(name string, m *core.Model) {
 	if s.opt.Governor != nil {
 		m.SetGovernor(s.opt.Governor)
 	}
@@ -343,6 +335,7 @@ func (s *Store) install(name string, m *core.Model) {
 	grow := s.insertLocked(name, m)
 	s.mu.Unlock()
 	s.opt.Governor.Grow(memgov.ClassModels, grow)
+	return m, nil
 }
 
 // Update atomically replaces name's model with fn(current): the
