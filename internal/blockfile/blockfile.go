@@ -53,6 +53,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sync/atomic"
 )
@@ -315,9 +316,11 @@ func (w *Writer) Abort() {
 	}
 }
 
-// WriteAtomic runs write against path+".tmp" and renames the result into
-// place, so a crash never leaves a plausible-looking partial file at path.
-// The temp file is removed on every failure, a failed rename included.
+// WriteAtomic runs write against path+".tmp", renames the result into
+// place and syncs the directory, so path holds the old file or the new
+// one, never a plausible-looking partial file, and the rename survives a
+// crash once WriteAtomic returns; write must sync what it wrote. The temp
+// file is removed on every failure, a failed rename included.
 func WriteAtomic(path string, write func(tmp string) error) error {
 	tmp := path + ".tmp"
 	err := write(tmp)
@@ -326,8 +329,9 @@ func WriteAtomic(path string, write func(tmp string) error) error {
 	}
 	if err != nil {
 		os.Remove(tmp)
+		return err
 	}
-	return err
+	return syncDir(filepath.Dir(path))
 }
 
 // Layout derives the per-column cell widths of a store from its version,

@@ -13,3 +13,7 @@ func mmapFile(f *os.File, size int64) ([]byte, error) {
 }
 
 func munmap(data []byte) {}
+
+// syncDir is a no-op where a directory cannot be synced through a file
+// handle.
+func syncDir(dir string) error { return nil }

@@ -18,3 +18,13 @@ func mmapFile(f *os.File, size int64) ([]byte, error) {
 }
 
 func munmap(data []byte) { _ = syscall.Munmap(data) }
+
+// syncDir makes the renames inside dir durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
+}

@@ -2,20 +2,25 @@ package serve
 
 import (
 	"errors"
+	"io"
+	"os"
 	"testing"
+
+	"subtab/internal/core"
+	"subtab/internal/modelio"
 )
 
-// failCommits makes every model-file commit fail at its rename — after the
-// temp file was written and synced — until restore runs or the test ends.
-// seen collects the temp files those commits wrote.
+// failCommits makes every model-file commit fail while it writes the model
+// until restore runs or the test ends. seen collects the temp files those
+// commits wrote to.
 func failCommits(t testing.TB) (seen *[]string, restore func()) {
-	old := rename
+	old := saveModel
 	seen = new([]string)
-	rename = func(tmp, _ string) error {
-		*seen = append(*seen, tmp)
+	saveModel = func(w io.Writer, _ *core.Model, _ modelio.Residency) error {
+		*seen = append(*seen, w.(*os.File).Name())
 		return errors.New("injected commit failure")
 	}
-	restore = func() { rename = old }
+	restore = func() { saveModel = old }
 	t.Cleanup(restore)
 	return seen, restore
 }

@@ -25,6 +25,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"subtab/internal/blockfile"
 	"subtab/internal/core"
 	"subtab/internal/memgov"
 	"subtab/internal/modelio"
@@ -614,55 +615,42 @@ func (s *Store) path(name string) string {
 	return filepath.Join(s.opt.Dir, hex.EncodeToString([]byte(name))+modelExt)
 }
 
-// rename is os.Rename outside this package's tests, which swap in a
-// failing stub to fail a model-file commit at its last step.
-var rename = os.Rename
+// saveModel is modelio.Save outside this package's tests, which swap in a
+// failing stub to fail a model-file commit.
+var saveModel = modelio.Save
 
 // persist commits m as name's model file in layout l and returns the model
 // to serve: m, or for a Paged layout the model mapped from the new file.
-// The file is written under a temp name carrying the model file's name as
-// its prefix (so sweepStores finds what a crashed write left), synced,
-// renamed over the model file, and the directory synced: the model file
-// holds the old model or the new one, and selects in flight on a mapped
-// old model keep reading its inode.
+// blockfile.WriteAtomic writes it under the model file's name plus ".tmp"
+// (so sweepStores finds what a crashed write left), renames it over the
+// model file and syncs the directory: the model file holds the old model
+// or the new one, and selects in flight on a mapped old model keep reading
+// its inode.
 func (s *Store) persist(name string, m *core.Model, l Layout) (*core.Model, error) {
 	if err := os.MkdirAll(s.opt.Dir, 0o755); err != nil {
-		return nil, err
-	}
-	final := s.path(name)
-	tmp, err := os.CreateTemp(s.opt.Dir, filepath.Base(final)+".tmp-*")
-	if err != nil {
 		return nil, err
 	}
 	residency := modelio.Resident
 	if l == Paged {
 		residency = modelio.Paged
 	}
-	err = modelio.Save(tmp, m, residency)
-	if err == nil {
-		err = tmp.Sync()
-	}
-	err = errors.Join(err, tmp.Close())
-	if err == nil && l == Paged {
-		// The model to serve is the file's: its mapping outlives the rename.
-		m, err = modelio.LoadFile(tmp.Name())
-	}
-	if err == nil {
-		err = rename(tmp.Name(), final)
-	}
+	err := blockfile.WriteAtomic(s.path(name), func(tmp string) error {
+		f, err := os.Create(tmp)
+		if err != nil {
+			return err
+		}
+		err = saveModel(f, m, residency)
+		if err == nil {
+			err = f.Sync()
+		}
+		if err = errors.Join(err, f.Close()); err == nil && l == Paged {
+			// The model to serve is the file's: its mapping outlives the rename.
+			m, err = modelio.LoadFile(tmp)
+		}
+		return err
+	})
 	if err != nil {
-		os.Remove(tmp.Name())
 		return nil, err
 	}
-	return m, syncDir(s.opt.Dir)
-}
-
-// syncDir makes the renames inside dir durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
+	return m, nil
 }
