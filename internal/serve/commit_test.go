@@ -190,3 +190,43 @@ func TestAddTableWithoutColumns(t *testing.T) {
 		t.Fatalf("status %d, want 400", rec.Code)
 	}
 }
+
+// TestV8CacheUpgrades serves a cache directory the format 8 server wrote
+// for a paged table (testdata/v8cache: a model husk plus its .codes and
+// .cols files). It restarts into it and selects as a fresh build does, and
+// its first append rewrites the table as one file and deletes the two
+// store files the old model named.
+func TestV8CacheUpgrades(t *testing.T) {
+	dir := t.TempDir()
+	entries, err := os.ReadDir("testdata/v8cache")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		raw, err := os.ReadFile(filepath.Join("testdata/v8cache", e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	twin := NewService(NewStore(StoreOptions{}), testOptions())
+	if _, err := twin.AddTable("t", testTable("t", 300, 7), nil, Resident, false); err != nil {
+		t.Fatal(err)
+	}
+	svc := NewService(NewStore(StoreOptions{Dir: dir}), testOptions())
+	if got, want := fingerprints(t, svc), fingerprints(t, twin); strings.Join(got, "|") != strings.Join(want, "|") {
+		t.Fatalf("the v8 cache serves another table than a fresh build:\n got %v\nwant %v", got, want)
+	}
+	if m := mustModel(t, svc); layoutOf(m) != Paged {
+		t.Fatalf("the v8 paged table loaded in layout %d", layoutOf(m))
+	}
+	for _, s := range []*Service{svc, twin} {
+		if _, _, err := s.AppendRows("t", testTable("t", 12, 8), core.AppendOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	assertLayoutFiles(t, svc, dir, Paged, "append")
+	assertServes(t, svc, dir, fingerprints(t, twin), "append")
+}

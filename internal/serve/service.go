@@ -181,7 +181,6 @@ func (s *Service) AddTable(name string, t *table.Table, opt *core.Options, l Lay
 		}
 		return nil, err
 	}
-	s.store.sweepStores(name, files)
 	return m, nil
 }
 

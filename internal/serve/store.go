@@ -319,14 +319,17 @@ func (s *Store) Put(name string, m *core.Model) error {
 
 // putLocked is Put for callers already holding the per-name lock (the add
 // path, which must keep the store files and the model insert under one
-// critical section). It persists m in layout l and returns the model it
-// installed: m, or for a Paged layout the model mapped from its file.
+// critical section). It persists m in layout l, deletes every file of the
+// name that layout does not use, and returns the model it installed: m,
+// or for a Paged layout the model mapped from its file.
 func (s *Store) putLocked(name string, m *core.Model, l Layout) (*core.Model, error) {
 	if s.opt.Dir != "" {
 		var err error
 		if m, err = s.persist(name, m, l); err != nil {
 			return nil, fmt.Errorf("serve: persisting model %q: %w", name, err)
 		}
+		codes, cells, shardMap := s.layoutPaths(name, l)
+		s.sweepStores(name, append(slices.Concat(codes, cells), shardMap))
 	}
 	if s.opt.Governor != nil {
 		m.SetGovernor(s.opt.Governor)
