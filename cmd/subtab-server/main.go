@@ -14,9 +14,9 @@
 //
 //	subtab-server flights=testdata/flights.csv
 //
-// Out-of-core serving: upload with store=1 to move a table's bin codes
-// and cells into mmap'd stores beside the cached model (requires
-// -cache-dir); selections are byte-identical either way.
+// Out-of-core serving: upload with store=1 to serve a table's bin codes
+// and cells mmap'd from its cached model file (requires -cache-dir);
+// selections are byte-identical either way.
 //
 // Memory governance: -memory-budget caps the process's governed resident
 // bytes — cached models, per-model vector and sample caches, coordinator

@@ -205,8 +205,9 @@ func (h *api) deleteTable(w http.ResponseWriter, r *http.Request) {
 // createTable ingests a CSV body: POST /tables?name=flights with optional
 // pipeline knobs (bins, dim, window, epochs, seed, strategy, columns,
 // workers), replace=1 to overwrite an existing table, and the table's
-// layout: store=1 pages its codes and cells out to one file pair, shards=N
-// to N row-range shards (at most maxShards, and no more than the rows).
+// layout: store=1 serves its codes and cells paged from its model file,
+// shards=N from N row-range shards (at most maxShards, and no more than the
+// rows).
 func (h *api) createTable(w http.ResponseWriter, r *http.Request) {
 	qp := r.URL.Query()
 	name := qp.Get("name")
