@@ -46,9 +46,9 @@ func fuzzSeeds(k storeKind, raw []byte) [][]byte {
 // wrapping ErrTruncated/ErrCorrupt and never panic; whatever it accepts
 // must survive Verify and a full typed read (ColumnBlock and Code over
 // every block; Cell and MaterializeTable) without panicking and without
-// allocating more than a small multiple of the file size. OpenIn over
-// the same bytes in memory must give the same verdict, the same Checksum and the
-// same typed reads. Seeds are the checked-in golden stores of both
+// allocating more than a small multiple of the file size. OpenIn over the
+// same bytes in memory must give the same verdict, the same Checksum and
+// the same typed reads. Seeds are the checked-in golden stores of both
 // formats, truncated and bit-flipped at every section boundary; the corpus
 // under testdata/fuzz/FuzzOpen replays a sample of them, and the crafted
 // headers of TestCraftedGeometryCostsNothing, on every plain `go test` run.
