@@ -95,6 +95,7 @@ func TestLayoutLifecycle(t *testing.T) {
 				t.Fatalf("restart: layout %d with %d rows, want %d with 2512", layoutOf(m), m.T.NumRows(), l)
 			}
 			same(restarted, "restart")
+			files(restarted, l, "restart")
 
 			add(restarted, next, 9, true)
 			add(twin, Resident, 9, true)
