@@ -26,7 +26,7 @@ func testBinned(t *testing.T) *binning.Binned {
 func storeFor(t testing.TB, b *binning.Binned, blockRows int) *codestore.Store {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "codes")
-	w, err := codestore.Create(path, b.NumBins(), blockRows)
+	w, err := codestore.Create(path, b.NumBins(), b.NumRows(), blockRows)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,8 +13,7 @@
 //	data:    block-major: for each block b, for each column c, one page: the
 //	         cells of rows [b*blockRows, min((b+1)*blockRows, rows)) at the
 //	         column's cell width (1, 2, 4 or 8 bytes) — block-major so a
-//	         writer can stream row chunks without knowing the final row
-//	         count up front
+//	         writer can stream row chunks
 //	index:   one u32 CRC-32C per (block, column) page, in data order
 //	footer:  u32 CRC-32C over header+meta+index · 8-byte end magic
 //
@@ -37,9 +36,10 @@
 // platform supports it and read with pread-style ReadAt elsewhere, and both
 // access paths are stateless apart from caller-owned scratch.
 //
-// A store can also be an image inside a larger file: CreateIn streams one
-// of a row count declared up front into any writer, its exact length known
-// before the first page, and OpenIn opens one at an offset inside a Region —
+// A writer declares its row count up front, so a store's exact length is
+// known before its first page. That lets a store be an image inside a
+// larger file: CreateIn streams one into any writer, and OpenIn opens one
+// at an offset inside a Region —
 // one file's mapping (or read handle, or bytes already in memory) that
 // every image opened in it shares. Package modelio keeps a table's codes
 // and cells so, inside its model file.
@@ -85,7 +85,6 @@ var (
 
 const (
 	headerSize = 8 + 2 + 4 + 8 + 4 // magic + version + cols + rows + blockRows
-	rowsOff    = 8 + 2 + 4         // offset of the row count inside the header
 	// maxCellWidth bounds a Layout's widths; with the geometry caps in Open
 	// it keeps every size computation inside int64.
 	maxCellWidth = 8
@@ -94,18 +93,19 @@ const (
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Writer streams rows into a store file, or into a store image inside a
-// larger file. Rows are appended in chunks and flushed block by block;
-// Close finalizes the index and footer. A writer that never reaches Close
-// leaves a file Open rejects, so a crashed export cannot be mistaken for a
-// complete store.
+// larger file. Its row count is declared up front, so every size is known
+// before the first page and the header goes out final. Rows are appended in
+// chunks and flushed block by block; Close finalizes the index and footer.
+// A writer that never reaches Close leaves a file Open rejects, so a
+// crashed export cannot be mistaken for a complete store.
 type Writer struct {
 	dst       io.Writer
-	file      *os.File // Create's file, which Close patches, syncs and closes; nil for CreateIn
+	file      *os.File // Create's file, which Close syncs and closes; nil for CreateIn
 	ft        Format
 	widths    []int // per-column cell width
 	blockRows int
-	rows      uint64
-	declared  int64  // CreateIn's row count; -1 for Create, which learns it on Close
+	rows      int64  // rows appended so far
+	declared  int64  // the row count Close requires
 	head      []byte // header + meta section: what the footer CRC covers besides the index
 	wroteHead bool
 	buf       [][]byte // per-column pending page bytes (< blockRows rows)
@@ -114,12 +114,11 @@ type Writer struct {
 	err       error
 }
 
-// Create starts a store file at path in the format's current Version, one
-// column per entry of widths (each column's cell width); meta is the meta
-// section's payload (ignored when that version has none). The row count is
-// whatever is appended before Close. The file is truncated.
-func Create(path string, ft Format, widths []int, blockRows int, meta []byte) (*Writer, error) {
-	w, err := newWriter(ft, widths, -1, blockRows, meta)
+// Create starts a store file at path of exactly rows rows in the format's
+// current Version (CreateIn, into a new file that Close syncs and closes).
+// The file is truncated.
+func Create(path string, ft Format, widths []int, rows, blockRows int, meta []byte) (*Writer, error) {
+	w, err := CreateIn(nil, ft, widths, rows, blockRows, meta)
 	if err != nil {
 		return nil, err
 	}
@@ -132,49 +131,32 @@ func Create(path string, ft Format, widths []int, blockRows int, meta []byte) (*
 }
 
 // CreateIn starts a store image of exactly rows rows that streams into dst
-// from dst's current position: every size is known before the first page,
-// so the header goes out final and nothing is patched — Size is the exact
-// length the image will have. Nothing is written before the first page is
-// flushed (or Close, for an empty image), so a caller can record Size ahead
-// of the image. Close does not close dst.
+// from dst's current position, one column per entry of widths (each
+// column's cell width); meta is the meta section's payload (ignored when
+// the format's Version has none). Size is the exact length the image will
+// have. Nothing is written before the first page is flushed (or Close, for
+// an empty image), so a caller can record Size ahead of the image. Close
+// does not close dst.
 func CreateIn(dst io.Writer, ft Format, widths []int, rows, blockRows int, meta []byte) (*Writer, error) {
-	if rows < 0 {
-		return nil, fmt.Errorf("blockfile: create: %d rows", rows)
-	}
-	w, err := newWriter(ft, widths, int64(rows), blockRows, meta)
-	if err != nil {
-		return nil, err
-	}
-	w.dst = dst
-	return w, nil
-}
-
-// newWriter builds the header and meta section of a store whose row count
-// is declared (-1: unknown until Close).
-func newWriter(ft Format, widths []int, declared int64, blockRows int, meta []byte) (*Writer, error) {
 	cols := len(widths)
-	if cols <= 0 || blockRows <= 0 {
-		return nil, fmt.Errorf("blockfile: create: impossible geometry (%d cols, %d rows/block)", cols, blockRows)
+	if cols <= 0 || blockRows <= 0 || rows < 0 {
+		return nil, fmt.Errorf("blockfile: create: impossible geometry (%d cols, %d rows, %d rows/block)", cols, rows, blockRows)
 	}
 	head := make([]byte, 0, headerSize+4+len(meta))
 	head = append(head, ft.Magic[:]...)
 	head = binary.LittleEndian.AppendUint16(head, ft.Version)
 	head = binary.LittleEndian.AppendUint32(head, uint32(cols))
-	head = binary.LittleEndian.AppendUint64(head, uint64(max(declared, 0))) // patched on Close when undeclared
+	head = binary.LittleEndian.AppendUint64(head, uint64(rows))
 	head = binary.LittleEndian.AppendUint32(head, uint32(blockRows))
 	if ft.hasMeta(ft.Version) {
 		head = binary.LittleEndian.AppendUint32(head, uint32(len(meta)))
 		head = append(head, meta...)
 	}
-	return &Writer{ft: ft, widths: widths, blockRows: blockRows, declared: declared, head: head, buf: make([][]byte, cols)}, nil
+	return &Writer{dst: dst, ft: ft, widths: widths, blockRows: blockRows, declared: int64(rows), head: head, buf: make([][]byte, cols)}, nil
 }
 
-// Size returns the exact byte length of a CreateIn image (-1 for a Create
-// writer, whose row count is not known yet).
+// Size returns the exact byte length of the store being written.
 func (w *Writer) Size() int64 {
-	if w.declared < 0 {
-		return -1
-	}
 	var rowWidth int64
 	for _, cw := range w.widths {
 		rowWidth += int64(cw)
@@ -208,7 +190,7 @@ func (w *Writer) Append(n int, encode func(c int, dst []byte, off, take int) []b
 			}
 		}
 	}
-	w.rows += uint64(n)
+	w.rows += int64(n)
 	return nil
 }
 
@@ -253,11 +235,14 @@ func (w *Writer) Fail(err error) error {
 }
 
 // Close flushes the final (possibly short) block, writes the page index,
-// rewrites a Create file's header with the final row count, writes the
-// footer checksum and the end magic, and syncs and closes a Create file.
+// the footer checksum and the end magic, and syncs and closes a Create
+// file. Appending other than the declared row count fails it.
 func (w *Writer) Close() error {
 	err := w.finish()
 	if w.file != nil {
+		if err == nil {
+			err = w.file.Sync()
+		}
 		err = errors.Join(err, w.file.Close())
 	}
 	return err
@@ -267,8 +252,8 @@ func (w *Writer) finish() error {
 	if w.err != nil {
 		return w.err
 	}
-	if w.declared >= 0 && w.rows != uint64(w.declared) {
-		return w.Fail(fmt.Errorf("blockfile: %d rows appended to an image declared with %d", w.rows, w.declared))
+	if w.rows != w.declared {
+		return w.Fail(fmt.Errorf("blockfile: %d rows appended to a store declared with %d", w.rows, w.declared))
 	}
 	if w.bufRows > 0 {
 		if err := w.flushBlock(); err != nil {
@@ -285,12 +270,6 @@ func (w *Writer) finish() error {
 	if _, err := w.dst.Write(index); err != nil {
 		return err
 	}
-	binary.LittleEndian.PutUint64(w.head[rowsOff:], w.rows)
-	if w.file != nil {
-		if _, err := w.file.WriteAt(w.head[:headerSize], 0); err != nil {
-			return err
-		}
-	}
 	// The footer checksum covers header + meta + index, so a store whose
 	// geometry, meta or index was damaged after the fact fails Open even at
 	// the right size.
@@ -299,13 +278,8 @@ func (w *Writer) finish() error {
 	h.Write(index)
 	foot := binary.LittleEndian.AppendUint32(nil, h.Sum32())
 	foot = append(foot, w.ft.EndMagic[:]...)
-	if _, err := w.dst.Write(foot); err != nil {
-		return err
-	}
-	if w.file != nil {
-		return w.file.Sync()
-	}
-	return nil
+	_, err := w.dst.Write(foot)
+	return err
 }
 
 // Abort discards the writer and removes a Create writer's partial file.
@@ -512,7 +486,7 @@ func open(r io.ReaderAt, size int64, ft Format, layout Layout) (*File, error) {
 		return nil, fmt.Errorf("%w: store version %d, this build reads versions %d to %d", ErrCorrupt, version, ft.MinVersion, ft.Version)
 	}
 	cols := int(binary.LittleEndian.Uint32(head[10:]))
-	rows64 := binary.LittleEndian.Uint64(head[rowsOff:])
+	rows64 := binary.LittleEndian.Uint64(head[14:])
 	blockRows := int(binary.LittleEndian.Uint32(head[22:]))
 	// Geometry caps double as overflow guards: with cols <= 2^24, rows <=
 	// 2^40, rows×cols <= 2^59 and cells of at most 8 bytes, every size

@@ -64,7 +64,7 @@ var storeKinds = []storeKind{
 			return codestore.WriteFile(path, goldenNarrowCodes(rows), blockRows)
 		},
 		abandon: func(path string, rows, blockRows int) (func(), error) {
-			w, err := codestore.Create(path, goldenBins, blockRows)
+			w, err := codestore.Create(path, goldenBins, rows, blockRows)
 			if err != nil {
 				return nil, err
 			}

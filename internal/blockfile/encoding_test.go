@@ -200,7 +200,7 @@ func TestCodeWidths(t *testing.T) {
 	wantWidths := []int{1, 2, 1, 2}
 	dir := t.TempDir()
 	created, written := filepath.Join(dir, "created.codes"), filepath.Join(dir, "written.codes")
-	w, err := codestore.Create(created, bins, blockRows)
+	w, err := codestore.Create(created, bins, rows, blockRows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestCodeWidths(t *testing.T) {
 		}
 	})
 	// A code past its column's declared bins cannot be stored narrow.
-	w, err = codestore.Create(filepath.Join(dir, "over.codes"), []int{256}, blockRows)
+	w, err = codestore.Create(filepath.Join(dir, "over.codes"), []int{256}, 2, blockRows)
 	if err != nil {
 		t.Fatal(err)
 	}

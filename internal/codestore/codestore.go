@@ -93,12 +93,13 @@ type Writer struct {
 	widths []int
 }
 
-// Create starts a store file at path with one column per entry of bins
-// (each column's bin count, which sets its code width) and the given
-// rows-per-block (<= 0 uses DefaultBlockRows). The file is truncated.
-func Create(path string, bins []int, blockRows int) (*Writer, error) {
+// Create starts a store file at path of exactly rows rows, with one column
+// per entry of bins (each column's bin count, which sets its code width)
+// and the given rows-per-block (<= 0 uses DefaultBlockRows). The file is
+// truncated.
+func Create(path string, bins []int, rows, blockRows int) (*Writer, error) {
 	return create(bins, blockRows, func(widths []int, blockRows int, meta []byte) (*blockfile.Writer, error) {
-		return blockfile.Create(path, format, widths, blockRows, meta)
+		return blockfile.Create(path, format, widths, rows, blockRows, meta)
 	})
 }
 
@@ -171,13 +172,15 @@ func (w *Writer) AppendColumns(chunk [][]uint16) error {
 // plausible-looking partial store at path.
 func WriteFile(path string, codes [][]uint16, blockRows int) error {
 	bins := make([]int, len(codes))
+	rows := 0
 	for c, col := range codes {
 		if len(col) > 0 {
 			bins[c] = int(slices.Max(col)) + 1
 		}
+		rows = len(col)
 	}
 	return blockfile.WriteAtomic(path, func(tmp string) error {
-		w, err := Create(tmp, bins, blockRows)
+		w, err := Create(tmp, bins, rows, blockRows)
 		if err != nil {
 			return err
 		}

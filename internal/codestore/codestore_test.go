@@ -9,6 +9,7 @@ package codestore
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -113,7 +114,7 @@ func TestStreamedChunksMatchOneShot(t *testing.T) {
 		t.Fatal(err)
 	}
 	streamed := filepath.Join(dir, "stream.codes")
-	w, err := Create(streamed, []int{30, 30, 30, 30}, blockRows)
+	w, err := Create(streamed, []int{30, 30, 30, 30}, n, blockRows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestStreamedChunksMatchOneShot(t *testing.T) {
 // is blockfile's TestReopenAfterCrash.
 func TestReopenAfterCrashTruncatedTail(t *testing.T) {
 	abandoned := filepath.Join(t.TempDir(), "a.codes")
-	w, err := Create(abandoned, []int{20, 20}, 16)
+	w, err := Create(abandoned, []int{20, 20}, 100, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,6 +163,45 @@ func TestReopenAfterCrashTruncatedTail(t *testing.T) {
 		t.Fatalf("Open on an unfinalized store: got %v, want ErrTruncated", err)
 	}
 	w.Abort()
+}
+
+// TestCreateHoldsItsRowCount: a store file is exactly the Size its writer
+// declared, and a writer given fewer or more rows than it declared fails
+// Close and leaves a file Open rejects.
+func TestCreateHoldsItsRowCount(t *testing.T) {
+	dir := t.TempDir()
+	codes := randCodes(rand.New(rand.NewSource(4)), 2, 100, 20)
+	for _, rows := range []int{99, 100, 101} {
+		path := filepath.Join(dir, fmt.Sprintf("%d.codes", rows))
+		w, err := Create(path, []int{20, 20}, rows, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size := w.Size()
+		if err := w.AppendColumns(codes); err != nil {
+			t.Fatal(err)
+		}
+		err = w.Close()
+		if rows != 100 {
+			if err == nil {
+				t.Fatalf("Close accepted 100 rows for a store declared with %d", rows)
+			}
+			if _, err := Open(path); err == nil {
+				t.Fatalf("Open accepted a store declared with %d rows and given 100", rows)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() != size {
+			t.Fatalf("store file of %d bytes, writer declared %d", fi.Size(), size)
+		}
+	}
 }
 
 // TestPerBlockChecksum pins that silent corruption surfaces under this
@@ -237,7 +277,7 @@ func TestImage(t *testing.T) {
 	codes := append(randCodes(rng, 2, 300, 200), randCodes(rng, 1, 300, 3000)...)
 	bins := []int{200, 200, 3000}
 	path := filepath.Join(t.TempDir(), "img.codes")
-	w, err := Create(path, bins, 64)
+	w, err := Create(path, bins, 300, 64)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,7 +81,7 @@ type Writer struct {
 // slice. The file is truncated.
 func Create(path string, t *table.Table, start, end, blockRows int) (*Writer, error) {
 	return create(t, start, end, blockRows, func(widths []int, blockRows int, meta []byte) (*blockfile.Writer, error) {
-		return blockfile.Create(path, format, widths, blockRows, meta)
+		return blockfile.Create(path, format, widths, end-start, blockRows, meta)
 	})
 }
 

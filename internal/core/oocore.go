@@ -34,7 +34,7 @@ import (
 // plausible partial store behind.
 func (m *Model) ExportCodeStore(path string, blockRows int) error {
 	err := blockfile.WriteAtomic(path, func(tmp string) error {
-		w, err := codestore.Create(tmp, m.B.NumBins(), blockRows)
+		w, err := codestore.Create(tmp, m.B.NumBins(), m.T.NumRows(), blockRows)
 		if err != nil {
 			return err
 		}

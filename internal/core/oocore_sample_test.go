@@ -27,7 +27,7 @@ func TestStratifiedReservoirStreamsFromStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "sample.codes")
-	w, err := codestore.Create(path, ooc.NumBins(), 37)
+	w, err := codestore.Create(path, ooc.NumBins(), ds.T.NumRows(), 37)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,8 +47,8 @@ func NewSplitSink(paths []string, cuts []int, bins []int, blockRows int) (*Split
 		blockRows = codestore.DefaultBlockRows
 	}
 	s := &SplitSink{paths: paths, cuts: cuts, blockRows: blockRows, cols: len(bins)}
-	for _, p := range paths {
-		w, err := codestore.Create(p+".tmp", bins, blockRows)
+	for i, p := range paths {
+		w, err := codestore.Create(p+".tmp", bins, cuts[i+1]-cuts[i], blockRows)
 		if err != nil {
 			s.Abort()
 			return nil, err
