@@ -290,11 +290,18 @@ func (w *Writer) Abort() {
 	}
 }
 
+// ErrUnsynced wraps WriteAtomic's failure to sync the directory after its
+// rename: the new file is in place, and is what a reader opens, but the
+// rename may not survive a crash.
+var ErrUnsynced = errors.New("blockfile: rename not synced to its directory")
+
 // WriteAtomic runs write against path+".tmp", renames the result into
 // place and syncs the directory, so path holds the old file or the new
 // one, never a plausible-looking partial file, and the rename survives a
-// crash once WriteAtomic returns; write must sync what it wrote. The temp
-// file is removed on every failure, a failed rename included.
+// crash once WriteAtomic returns nil; write must sync what it wrote. The
+// temp file is removed on every failure before the rename, a failed rename
+// included. After the rename only the directory sync can fail, with
+// ErrUnsynced: the new file is committed.
 func WriteAtomic(path string, write func(tmp string) error) error {
 	tmp := path + ".tmp"
 	err := write(tmp)
@@ -305,7 +312,10 @@ func WriteAtomic(path string, write func(tmp string) error) error {
 		os.Remove(tmp)
 		return err
 	}
-	return syncDir(filepath.Dir(path))
+	if err := syncDir(filepath.Dir(path)); err != nil {
+		return fmt.Errorf("%w: %w", ErrUnsynced, err)
+	}
+	return nil
 }
 
 // Layout derives the per-column cell widths of a store from its version,

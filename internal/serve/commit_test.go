@@ -69,6 +69,39 @@ func TestFailedCommitsKeepPagedTable(t *testing.T) {
 	}
 }
 
+// TestUnsyncedCommitStands: a replace, and then an append, of a paged
+// table whose directory sync fails after the rename are committed. The
+// live service and one restarted on the same directory both serve the new
+// table, and the served model's stores name the model file, not the temp
+// file the commit wrote.
+func TestUnsyncedCommitStands(t *testing.T) {
+	dir := t.TempDir()
+	svc := NewService(NewStore(StoreOptions{Dir: dir}), testOptions())
+	if _, err := svc.AddTable("t", testTable("t", 300, 7), nil, Paged, false); err != nil {
+		t.Fatal(err)
+	}
+	twin := NewService(NewStore(StoreOptions{}), testOptions())
+	if _, err := twin.AddTable("t", testTable("t", 300, 9), nil, Resident, false); err != nil {
+		t.Fatal(err)
+	}
+	unsyncedCommits(t)
+	if _, err := svc.AddTable("t", testTable("t", 300, 9), nil, Paged, true); err != nil {
+		t.Fatalf("replace: %v", err)
+	}
+	assertServes(t, svc, dir, fingerprints(t, twin), "unsynced replace")
+	for _, s := range []*Service{svc, twin} {
+		if _, _, err := s.AppendRows("t", testTable("t", 40, 8), core.AppendOptions{}); err != nil {
+			t.Fatalf("append: %v", err)
+		}
+	}
+	assertServes(t, svc, dir, fingerprints(t, twin), "unsynced append")
+	assertLayoutFiles(t, svc, dir, Paged, "unsynced append")
+	src, ok := mustModel(t, svc).B.Source().(interface{ Path() string })
+	if !ok || src.Path() != svc.Store().path("t") {
+		t.Fatalf("the served paged model reads codes from %v, want the model file %s", src, svc.Store().path("t"))
+	}
+}
+
 func isInjected(err error) bool {
 	return err != nil && strings.Contains(err.Error(), "injected commit failure")
 }

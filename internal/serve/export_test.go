@@ -2,10 +2,12 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"testing"
 
+	"subtab/internal/blockfile"
 	"subtab/internal/core"
 	"subtab/internal/modelio"
 )
@@ -23,4 +25,17 @@ func failCommits(t testing.TB) (seen *[]string, restore func()) {
 	restore = func() { saveModel = old }
 	t.Cleanup(restore)
 	return seen, restore
+}
+
+// unsyncedCommits makes every model-file commit report a failed directory
+// sync after its rename until the test ends.
+func unsyncedCommits(t testing.TB) {
+	old := writeAtomic
+	writeAtomic = func(path string, write func(tmp string) error) error {
+		if err := old(path, write); err != nil {
+			return err
+		}
+		return fmt.Errorf("%w: injected", blockfile.ErrUnsynced)
+	}
+	t.Cleanup(func() { writeAtomic = old })
 }

@@ -18,6 +18,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"log"
 	"os"
 	"path/filepath"
 	"slices"
@@ -618,9 +619,13 @@ func (s *Store) path(name string) string {
 	return filepath.Join(s.opt.Dir, hex.EncodeToString([]byte(name))+modelExt)
 }
 
-// saveModel is modelio.Save outside this package's tests, which swap in a
-// failing stub to fail a model-file commit.
-var saveModel = modelio.Save
+// saveModel and writeAtomic are modelio.Save and blockfile.WriteAtomic
+// outside this package's tests, which swap in stubs that fail a model-file
+// commit before or after its rename.
+var (
+	saveModel   = modelio.Save
+	writeAtomic = blockfile.WriteAtomic
+)
 
 // persist commits m as name's model file in layout l and returns the model
 // to serve: m, or for a Paged layout the model mapped from the new file.
@@ -628,7 +633,10 @@ var saveModel = modelio.Save
 // (so sweepStores finds what a crashed write left), renames it over the
 // model file and syncs the directory: the model file holds the old model
 // or the new one, and selects in flight on a mapped old model keep reading
-// its inode.
+// its inode. A failure before the rename leaves the old model in place and
+// is returned. The rename is the commit: after it, the new model is served
+// whatever follows — a failed directory sync is logged, and should mapping
+// the new file back fail, m serves the same rows from memory.
 func (s *Store) persist(name string, m *core.Model, l Layout) (*core.Model, error) {
 	if err := os.MkdirAll(s.opt.Dir, 0o755); err != nil {
 		return nil, err
@@ -637,7 +645,8 @@ func (s *Store) persist(name string, m *core.Model, l Layout) (*core.Model, erro
 	if l == Paged {
 		residency = modelio.Paged
 	}
-	err := blockfile.WriteAtomic(s.path(name), func(tmp string) error {
+	path := s.path(name)
+	err := writeAtomic(path, func(tmp string) error {
 		f, err := os.Create(tmp)
 		if err != nil {
 			return err
@@ -646,14 +655,19 @@ func (s *Store) persist(name string, m *core.Model, l Layout) (*core.Model, erro
 		if err == nil {
 			err = f.Sync()
 		}
-		if err = errors.Join(err, f.Close()); err == nil && l == Paged {
-			// The model to serve is the file's: its mapping outlives the rename.
-			m, err = modelio.LoadFile(tmp)
-		}
-		return err
+		return errors.Join(err, f.Close())
 	})
-	if err != nil {
+	if errors.Is(err, blockfile.ErrUnsynced) {
+		log.Printf("serve: model %q committed: %v", name, err)
+	} else if err != nil {
 		return nil, err
+	}
+	if l == Paged {
+		paged, err := modelio.LoadFile(path)
+		if err == nil {
+			return paged, nil
+		}
+		log.Printf("serve: model %q committed, serving it from memory: %v", name, err)
 	}
 	return m, nil
 }
