@@ -105,7 +105,7 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Residency is how a loaded model holds an unsharded table's codes and
 // cells. Save records it; a sharded model's stay in its shard files either
-// way.
+// way, and is saved Resident.
 type Residency uint8
 
 const (
@@ -115,10 +115,10 @@ const (
 	Paged Residency = 1
 )
 
-// ResidencyOf is the residency m is in: Paged when its codes or its cells
-// are served from store files, Resident when both are in memory.
+// ResidencyOf is the residency m is in: Paged when it is unsharded and its
+// codes or its cells are served from a store, else Resident.
 func ResidencyOf(m *core.Model) Residency {
-	if m.OutOfCore() || m.CellsPaged() {
+	if m.ShardSource() == nil && (m.OutOfCore() || m.CellsPaged()) {
 		return Paged
 	}
 	return Resident

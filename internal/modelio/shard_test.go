@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"subtab/internal/blockfile"
 	"subtab/internal/core"
 	"subtab/internal/shard"
 	"subtab/internal/word2vec"
@@ -142,7 +143,8 @@ func TestShardedLoadValidation(t *testing.T) {
 }
 
 // TestShardedResave: a loaded sharded model round-trips again — the shard
-// map survives a second save/load cycle unchanged.
+// map survives a second save/load cycle unchanged — and is saved Resident:
+// its shard files hold its codes and cells, whatever the residency byte.
 func TestShardedResave(t *testing.T) {
 	dir := t.TempDir()
 	m := shardedModel(t, dir)
@@ -164,5 +166,16 @@ func TestShardedResave(t *testing.T) {
 	}
 	if !reflect.DeepEqual(again.ShardSource().Map(), m.ShardSource().Map()) {
 		t.Fatal("shard map changed across save/load cycles")
+	}
+	if ResidencyOf(m) != Resident || ResidencyOf(again) != Resident {
+		t.Fatalf("a sharded model's residency is %d before and %d after, want Resident", ResidencyOf(m), ResidencyOf(again))
+	}
+	reg, err := blockfile.OpenRegion(path2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	if hd, err := readHeader(reg); err != nil || hd.residency != Resident {
+		t.Fatalf("a sharded model file records residency %v (%v), want Resident", hd, err)
 	}
 }

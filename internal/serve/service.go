@@ -9,6 +9,7 @@ import (
 
 	"subtab/internal/core"
 	"subtab/internal/memgov"
+	"subtab/internal/modelio"
 	"subtab/internal/rules"
 	"subtab/internal/session"
 	"subtab/internal/shard"
@@ -230,7 +231,7 @@ func layoutOf(m *core.Model) Layout {
 	if src := m.ShardSource(); src != nil {
 		return Shards(src.NumShards())
 	}
-	if m.OutOfCore() || m.CellsPaged() {
+	if modelio.ResidencyOf(m) == modelio.Paged {
 		return Paged
 	}
 	return Resident
