@@ -10,6 +10,10 @@ import (
 	"reflect"
 	"testing"
 
+	"subtab/internal/binning"
+	"subtab/internal/blockfile"
+	"subtab/internal/codestore"
+	"subtab/internal/colstore"
 	"subtab/internal/core"
 	"subtab/internal/table"
 	"subtab/internal/word2vec"
@@ -252,4 +256,203 @@ func assertSameTable(t *testing.T, want, got *table.Table) {
 			}
 		}
 	}
+}
+
+var writeV9 = flag.Bool("write-v9", false, "write the v9 fixtures and the standalone store fixtures with this build, whose stores must write store format version 2")
+
+// The v9 fixtures are model files written by the last build whose code and
+// column stores wrote store format version 2 (a byte or more per cell): a
+// resident file and a paged one, both holding their codes and cells as
+// images; and a standalone code store and column store of the same model.
+// They pin that store images written before the sub-byte widths still
+// load, select and re-save.
+const (
+	v9ResidentFixture = "testdata/model_v9_resident.subtab"
+	v9PagedFixture    = "testdata/model_v9_paged.subtab"
+	v2CodesFixture    = "testdata/store_v2.codes"
+	v2CellsFixture    = "testdata/store_v2.cols"
+	fixtureBlockRows  = 128
+)
+
+// TestWriteV9Fixtures re-records the v9 model fixtures and the standalone
+// v2 store fixtures from v8Model's 300 rows. It runs only with -write-v9,
+// on a build whose model files are version 9 and whose stores write
+// version 2.
+func TestWriteV9Fixtures(t *testing.T) {
+	if !*writeV9 {
+		t.Skip("run with -write-v9 on a build that writes model format 9 with version 2 stores")
+	}
+	if Version != 9 || codestore.Version != 2 || colstore.Version != 2 {
+		t.Fatalf("this build writes model format %d with store formats %d and %d; the fixtures need 9, 2 and 2", Version, codestore.Version, colstore.Version)
+	}
+	if err := SaveFile(v9ResidentFixture, v8Model(t)); err != nil {
+		t.Fatal(err)
+	}
+	m := v8Model(t)
+	dir := t.TempDir()
+	if err := m.PageOut([]string{filepath.Join(dir, "m.codes")}, []string{filepath.Join(dir, "m.cols")}, false, fixtureBlockRows); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveFile(v9PagedFixture, m); err != nil {
+		t.Fatal(err)
+	}
+	m = v8Model(t)
+	if err := m.ExportCodeStore(v2CodesFixture, fixtureBlockRows); err != nil {
+		t.Fatal(err)
+	}
+	if err := colstore.WriteTable(v2CellsFixture, m.T, fixtureBlockRows); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// imageVersions returns the store format versions of the codes and cells
+// images inside the model file raw.
+func imageVersions(t *testing.T, raw []byte) (codes, cells uint16) {
+	t.Helper()
+	reg := blockfile.BytesRegion(raw)
+	defer reg.Close()
+	hd, err := readHeader(reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hd.codeSec.image == nil || hd.cellSec.image == nil {
+		t.Fatal("model file holds no codes or cells image")
+	}
+	cs, err := codestore.OpenIn(reg, hd.codeSec.image.off, hd.codeSec.image.n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cs.Close()
+	ls, err := colstore.OpenIn(reg, hd.cellSec.image.off, hd.cellSec.image.n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ls.Close()
+	return cs.Version(), ls.Version()
+}
+
+// TestLoadV9Fixtures is the back-compat pin of store images written before
+// the sub-byte widths: the resident and paged v9 files each load in the
+// residency they were saved in, hold version 2 images, select
+// byte-identically to a fresh build, and re-save with images in the stores'
+// current versions, which load and select the same again.
+func TestLoadV9Fixtures(t *testing.T) {
+	fresh := v8Model(t)
+	dir := t.TempDir()
+	for _, c := range []struct {
+		path  string
+		paged bool
+	}{{v9ResidentFixture, false}, {v9PagedFixture, true}} {
+		raw, err := os.ReadFile(c.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := binary.LittleEndian.Uint16(raw[8:]); v != 9 {
+			t.Fatalf("%s is format version %d, want 9", c.path, v)
+		}
+		if cv, lv := imageVersions(t, raw); cv != 2 || lv != 2 {
+			t.Fatalf("%s holds store images of versions %d and %d, want 2 and 2", c.path, cv, lv)
+		}
+		old, err := LoadFile(c.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if old.OutOfCore() != c.paged || old.CellsPaged() != c.paged {
+			t.Fatalf("%s: loaded with codes paged %v, cells paged %v", c.path, old.OutOfCore(), old.CellsPaged())
+		}
+		assertSameSelections(t, fresh, old)
+		if !reflect.DeepEqual(fresh.BinCountsData(), old.BinCountsData()) || old.AppendedSinceRebin() != 20 {
+			t.Fatalf("%s: bin counts or append lineage differ from a fresh build's", c.path)
+		}
+		path := filepath.Join(dir, filepath.Base(c.path))
+		if err := SaveFile(path, old); err != nil {
+			t.Fatal(err)
+		}
+		resaved, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cv, lv := imageVersions(t, resaved); cv != codestore.Version || lv != colstore.Version {
+			t.Fatalf("%s re-saved with store images of versions %d and %d, want %d and %d", c.path, cv, lv, codestore.Version, colstore.Version)
+		}
+		again, err := LoadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again.CellsPaged() != c.paged {
+			t.Fatalf("%s re-saved and loaded with cells paged %v", c.path, again.CellsPaged())
+		}
+		assertSameSelections(t, fresh, again)
+	}
+}
+
+// TestLoadV2StoreFixtures pins the standalone version-2 stores: each opens
+// and reads back the codes and cells of a fresh build, a model assembled
+// over them selects byte-identically to it, and each re-writes in its
+// store's current version with the same values.
+func TestLoadV2StoreFixtures(t *testing.T) {
+	fresh := v8Model(t)
+	codes, err := codestore.Open(v2CodesFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer codes.Close()
+	cells, err := colstore.Open(v2CellsFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cells.Close()
+	if codes.Version() != 2 || cells.Version() != 2 {
+		t.Fatalf("store fixtures are versions %d and %d, want 2 and 2", codes.Version(), cells.Version())
+	}
+	if !reflect.DeepEqual(codes.Columns(), fresh.B.Codes) {
+		t.Fatal("v2 code store's codes differ from a fresh build's")
+	}
+	tab, err := cells.MaterializeTable(fresh.T.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameTable(t, fresh.T, tab)
+	b, err := binning.RestoreWithStore(tab, fresh.B.Cols, codes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := core.Restore(tab, b, fresh.Emb, fresh.Opt, fresh.AffinityData())
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameSelections(t, fresh, m)
+
+	dir := t.TempDir()
+	codesPath, cellsPath := filepath.Join(dir, "s.codes"), filepath.Join(dir, "s.cols")
+	if err := codestore.WriteFile(codesPath, codes.Columns(), fixtureBlockRows); err != nil {
+		t.Fatal(err)
+	}
+	if err := colstore.WriteTable(cellsPath, tab, fixtureBlockRows); err != nil {
+		t.Fatal(err)
+	}
+	codes3, err := codestore.Open(codesPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer codes3.Close()
+	cells3, err := colstore.Open(cellsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cells3.Close()
+	if codes3.Version() != codestore.Version || cells3.Version() != colstore.Version {
+		t.Fatalf("re-written stores are versions %d and %d, want %d and %d", codes3.Version(), cells3.Version(), codestore.Version, colstore.Version)
+	}
+	if codes3.Size() > codes.Size() || cells3.Size() > cells.Size() {
+		t.Fatalf("re-written stores take %d and %d bytes, the v2 fixtures %d and %d", codes3.Size(), cells3.Size(), codes.Size(), cells.Size())
+	}
+	if !reflect.DeepEqual(codes3.Columns(), fresh.B.Codes) {
+		t.Fatal("re-written code store's codes differ from a fresh build's")
+	}
+	tab3, err := cells3.MaterializeTable(fresh.T.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameTable(t, fresh.T, tab3)
 }
