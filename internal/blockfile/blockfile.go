@@ -11,9 +11,14 @@
 //	         metaLen bytes the store package owns — the per-column cell
 //	         widths and encodings, and colstore's schema
 //	data:    block-major: for each block b, for each column c, one page: the
-//	         cells of rows [b*blockRows, min((b+1)*blockRows, rows)) at the
-//	         column's cell width (1, 2, 4 or 8 bytes) — block-major so a
-//	         writer can stream row chunks
+//	         n cells of rows [b*blockRows, min((b+1)*blockRows, rows)) at the
+//	         column's cell width in bits (1, 2, 4, 8, 16, 32 or 64) — block-
+//	         major so a writer can stream row chunks. A page is
+//	         ⌈n·bits/8⌉ bytes: cells of a byte or more are little-endian
+//	         unsigned integers; sub-byte cells pack from the low bits of
+//	         each byte up (cell i at bit i·bits), and the last byte's unused
+//	         high bits are zero. Widths are powers of two, so no cell
+//	         straddles a byte.
 //	index:   one u32 CRC-32C per (block, column) page, in data order
 //	footer:  u32 CRC-32C over header+meta+index · 8-byte end magic
 //
@@ -21,13 +26,14 @@
 // MinVersion up to it and hands the one it found to the store's Layout,
 // which derives the cell widths. Version 1 of both stores has fixed widths
 // (codestore: no meta, u16 cells; colstore: 8-byte numeric and 4-byte
-// categorical cells); version 2 records each column's narrowest exact width
-// in the meta section.
+// categorical cells); version 2 records each column's narrowest exact byte
+// width in the meta section; version 3 records it in bits, down to 1.
 //
-// Every offset is computable from the header and the cell widths, so Open is
-// O(1) in the data size: it reads header, meta and tail and validates the
-// magic, the version, the geometry, the exact file length, the footer
-// checksum (which covers the page index) and the end magic. A crash
+// Every offset is computable from the header and the cell widths (File keeps
+// each column's page offset within a full block and within the last one), so
+// Open is O(1) in the data size: it reads header, meta and tail and
+// validates the magic, the version, the geometry, the exact file length, the
+// footer checksum (which covers the page index) and the end magic. A crash
 // mid-write leaves a file whose length cannot match its header (index and
 // footer are written last), which Open reports as ErrTruncated; silent bit
 // rot inside a page is caught by Verify against the per-page checksums.
@@ -85,10 +91,25 @@ var (
 
 const (
 	headerSize = 8 + 2 + 4 + 8 + 4 // magic + version + cols + rows + blockRows
-	// maxCellWidth bounds a Layout's widths; with the geometry caps in Open
-	// it keeps every size computation inside int64.
-	maxCellWidth = 8
+	// maxCellBytes bounds a cell: 64 bits. With the geometry caps in Open it
+	// keeps every size computation inside int64.
+	maxCellBytes = 8
 )
+
+// ValidBits reports whether a cell width of bits is one blockfile frames: 1,
+// 2, 4, 8, 16, 32 or 64.
+func ValidBits(bits int) bool {
+	return bits > 0 && bits <= 8*maxCellBytes && bits&(bits-1) == 0
+}
+
+// pageLen returns the byte length of a page of n cells of bits each:
+// ⌈n·bits/8⌉.
+func pageLen(n, bits int) int64 { return (int64(n)*int64(bits) + 7) / 8 }
+
+// CellBytes returns the bytes one cell of bits takes in an encode
+// callback's output (Writer.Append): its byte width, or one byte for a
+// sub-byte cell, which the writer packs.
+func CellBytes(bits int) int { return max(bits/8, 1) }
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
@@ -102,7 +123,7 @@ type Writer struct {
 	dst       io.Writer
 	file      *os.File // Create's file, which Close syncs and closes; nil for CreateIn
 	ft        Format
-	widths    []int // per-column cell width
+	widths    []int // per-column cell width in bits
 	blockRows int
 	rows      int64  // rows appended so far
 	declared  int64  // the row count Close requires
@@ -131,16 +152,21 @@ func Create(path string, ft Format, widths []int, rows, blockRows int, meta []by
 }
 
 // CreateIn starts a store image of exactly rows rows that streams into dst
-// from dst's current position, one column per entry of widths (each
-// column's cell width); meta is the meta section's payload (ignored when
-// the format's Version has none). Size is the exact length the image will
-// have. Nothing is written before the first page is flushed (or Close, for
-// an empty image), so a caller can record Size ahead of the image. Close
-// does not close dst.
+// from dst's current position, one column per entry of widths (each column's
+// cell width in bits, ValidBits); meta is the meta section's payload
+// (ignored when the format's Version has none). Size is the exact length the
+// image will have. Nothing is written before the first page is flushed (or
+// Close, for an empty image), so a caller can record Size ahead of the
+// image. Close does not close dst.
 func CreateIn(dst io.Writer, ft Format, widths []int, rows, blockRows int, meta []byte) (*Writer, error) {
 	cols := len(widths)
 	if cols <= 0 || blockRows <= 0 || rows < 0 {
 		return nil, fmt.Errorf("blockfile: create: impossible geometry (%d cols, %d rows, %d rows/block)", cols, rows, blockRows)
+	}
+	for c, bits := range widths {
+		if !ValidBits(bits) {
+			return nil, fmt.Errorf("blockfile: create: column %d has cell width %d bits", c, bits)
+		}
 	}
 	head := make([]byte, 0, headerSize+4+len(meta))
 	head = append(head, ft.Magic[:]...)
@@ -157,17 +183,19 @@ func CreateIn(dst io.Writer, ft Format, widths []int, rows, blockRows int, meta 
 
 // Size returns the exact byte length of the store being written.
 func (w *Writer) Size() int64 {
-	var rowWidth int64
-	for _, cw := range w.widths {
-		rowWidth += int64(cw)
+	full, tail := w.declared/int64(w.blockRows), int(w.declared%int64(w.blockRows))
+	var data int64
+	for _, bits := range w.widths {
+		data += full*pageLen(w.blockRows, bits) + pageLen(tail, bits)
 	}
 	blocks := (w.declared + int64(w.blockRows) - 1) / int64(w.blockRows)
-	return int64(len(w.head)) + w.declared*rowWidth + blocks*int64(len(w.widths))*4 + 4 + 8
+	return int64(len(w.head)) + data + blocks*int64(len(w.widths))*4 + 4 + 8
 }
 
 // Append adds n rows. For each run of rows that fits the current block it
 // calls encode once per column: encode(c, dst, off, take) appends column c's
-// cells for rows [off, off+take) of the chunk to dst and returns it. An
+// cells for rows [off, off+take) of the chunk to dst, CellBytes each, and
+// returns it; the writer packs sub-byte cells when it flushes the page. An
 // encode that meets a cell its column's width cannot hold calls Fail, and
 // Append returns that error.
 func (w *Writer) Append(n int, encode func(c int, dst []byte, off, take int) []byte) error {
@@ -211,18 +239,69 @@ func (w *Writer) flushBlock() error {
 	if err := w.writeHead(); err != nil {
 		return err
 	}
-	for c := range w.buf {
-		if len(w.buf[c]) != w.bufRows*w.widths[c] {
-			return w.Fail(fmt.Errorf("blockfile: column %d encoded %d bytes for %d cells of width %d", c, len(w.buf[c]), w.bufRows, w.widths[c]))
+	for c, bits := range w.widths {
+		if len(w.buf[c]) != w.bufRows*CellBytes(bits) {
+			return w.Fail(fmt.Errorf("blockfile: column %d encoded %d bytes for %d cells of %d bits", c, len(w.buf[c]), w.bufRows, bits))
 		}
-		w.crcs = append(w.crcs, crc32.Checksum(w.buf[c], crcTable))
-		if _, err := w.dst.Write(w.buf[c]); err != nil {
+		page := w.buf[c]
+		if bits < 8 {
+			var err error
+			if page, err = pack(page, bits); err != nil {
+				return w.Fail(fmt.Errorf("blockfile: column %d: %w", c, err))
+			}
+		}
+		w.crcs = append(w.crcs, crc32.Checksum(page, crcTable))
+		if _, err := w.dst.Write(page); err != nil {
 			return w.Fail(err)
 		}
 		w.buf[c] = w.buf[c][:0]
 	}
 	w.bufRows = 0
 	return nil
+}
+
+// pack packs cells, one value below 2^bits per byte, in place into a page
+// of bits-wide cells and returns it: byte j takes cells [j·8/bits,
+// (j+1)·8/bits), the first in its low bits, and the unused high bits of the
+// last byte stay zero. Byte j is written only after the cells it takes,
+// which lie at or after j, were read.
+func pack(cells []byte, bits int) ([]byte, error) {
+	var seen byte
+	for _, v := range cells {
+		seen |= v
+	}
+	if seen>>bits != 0 {
+		return nil, fmt.Errorf("a cell above %d in %d-bit cells", 1<<bits-1, bits)
+	}
+	per := 8 / bits
+	full := len(cells) / per
+	switch bits {
+	case 1:
+		for j := range full {
+			c := cells[8*j : 8*j+8 : 8*j+8]
+			cells[j] = c[0] | c[1]<<1 | c[2]<<2 | c[3]<<3 | c[4]<<4 | c[5]<<5 | c[6]<<6 | c[7]<<7
+		}
+	case 2:
+		for j := range full {
+			c := cells[4*j : 4*j+4 : 4*j+4]
+			cells[j] = c[0] | c[1]<<2 | c[2]<<4 | c[3]<<6
+		}
+	default:
+		for j := range full {
+			c := cells[2*j : 2*j+2 : 2*j+2]
+			cells[j] = c[0] | c[1]<<4
+		}
+	}
+	n := full
+	if rest := cells[full*per:]; len(rest) > 0 {
+		var b byte
+		for k, v := range rest {
+			b |= v << (k * bits)
+		}
+		cells[n] = b
+		n++
+	}
+	return cells[:n], nil
 }
 
 // Fail poisons the writer: every later Append and Close returns the first
@@ -318,10 +397,10 @@ func WriteAtomic(path string, write func(tmp string) error) error {
 	return nil
 }
 
-// Layout derives the per-column cell widths of a store from its version,
-// its column count and its meta section (nil for versions without one). It
-// runs before the file length is validated, so it must bound its own
-// allocations by len(meta), not by cols. A single width applies to every
+// Layout derives the per-column cell widths in bits of a store from its
+// version, its column count and its meta section (nil for versions without
+// one). It runs before the file length is validated, so it must bound its
+// own allocations by len(meta), not by cols. A single width applies to every
 // column: a fixed-width version keeps no per-column table, so a header
 // claiming 2^24 columns costs Open no allocation.
 type Layout func(version uint16, cols int, meta []byte) (widths []int, err error)
@@ -343,14 +422,18 @@ type File struct {
 	blockRows int
 	nBlocks   int
 	version   uint16
-	width     int64   // uniform cell width; 0 = per column
-	starts    []int64 // starts[c] = summed widths of columns [0, c), cols+1 entries (nil when uniform)
-	blockSize int64   // bytes of one full block: blockRows × the summed widths
+	bits      []int // per-column cell width in bits; one entry when every column shares it
+	blockSize int64 // bytes of one full block: its pages' summed lengths
 	dataStart int64
-	crcs      []uint32
-	checksum  uint32            // footer CRC: the store's identity for external refs
-	src       *io.SectionReader // the store's bytes, read when Data is nil
-	reg       *Region
+	// fullStarts[c] and lastStarts[c] are the offsets of column c's page
+	// within a full block and within the last block: the summed page
+	// lengths of columns [0, c), cols+1 entries each (nil when uniform).
+	fullStarts []int64
+	lastStarts []int64
+	crcs       []uint32
+	checksum   uint32            // footer CRC: the store's identity for external refs
+	src        *io.SectionReader // the store's bytes, read when Data is nil
+	reg        *Region
 }
 
 // Region is the bytes of one file that stores are opened in: its
@@ -535,27 +618,40 @@ func open(r io.ReaderAt, size int64, ft Format, layout Layout) (*File, error) {
 	if len(widths) != 1 && len(widths) != cols {
 		return nil, fmt.Errorf("%w: meta section describes %d columns, header says %d", ErrCorrupt, len(widths), cols)
 	}
-	for c, w := range widths {
-		if w <= 0 || w > maxCellWidth {
-			return nil, fmt.Errorf("%w: column %d has cell width %d", ErrCorrupt, c, w)
+	for c, bits := range widths {
+		if !ValidBits(bits) {
+			return nil, fmt.Errorf("%w: column %d has cell width %d bits", ErrCorrupt, c, bits)
 		}
 	}
-	var rowWidth int64
-	if len(widths) == 1 {
-		file.width = int64(widths[0])
-		rowWidth = int64(cols) * file.width
-	} else {
-		file.starts = make([]int64, cols+1)
-		for c, w := range widths {
-			file.starts[c+1] = file.starts[c] + int64(w)
-		}
-		rowWidth = file.starts[cols]
-	}
-	file.blockSize = int64(blockRows) * rowWidth
+	file.bits = widths
 	if file.rows > 0 {
 		file.nBlocks = (file.rows + blockRows - 1) / blockRows
 	}
-	dataSize := int64(file.rows) * rowWidth
+	// With cells of at most 64 bits, a full block's pages sum to at most
+	// 2^59 bytes (blockRows < 2^32, cols <= 2^24), and blocks before the
+	// last exist only when blockRows < rows, so the data size stays below
+	// 2^62 plus a byte of padding per page.
+	var lastRows int
+	if file.nBlocks > 0 {
+		lastRows = file.BlockLen(file.nBlocks - 1)
+	}
+	var lastSize int64
+	if len(widths) == 1 {
+		file.blockSize = int64(cols) * pageLen(blockRows, widths[0])
+		lastSize = int64(cols) * pageLen(lastRows, widths[0])
+	} else {
+		file.fullStarts = make([]int64, cols+1)
+		file.lastStarts = make([]int64, cols+1)
+		for c, bits := range widths {
+			file.fullStarts[c+1] = file.fullStarts[c] + pageLen(blockRows, bits)
+			file.lastStarts[c+1] = file.lastStarts[c] + pageLen(lastRows, bits)
+		}
+		file.blockSize, lastSize = file.fullStarts[cols], file.lastStarts[cols]
+	}
+	var dataSize int64
+	if file.nBlocks > 0 {
+		dataSize = int64(file.nBlocks-1)*file.blockSize + lastSize
+	}
 	indexSize := int64(file.nBlocks) * int64(cols) * 4
 	want := file.dataStart + dataSize + indexSize + 4 + 8
 	if size != want {
@@ -639,69 +735,146 @@ func (f *File) BlockLen(blk int) int {
 // before blk are all full; within a block, column pages are contiguous in
 // column order.
 func (f *File) Off(c, blk int) int64 {
-	start := int64(c) * f.width
-	if f.starts != nil {
-		start = f.starts[c]
+	var start int64
+	switch {
+	case f.fullStarts == nil:
+		start = int64(c) * pageLen(f.BlockLen(blk), f.bits[0])
+	case blk == f.nBlocks-1:
+		start = f.lastStarts[c]
+	default:
+		start = f.fullStarts[c]
 	}
-	return f.dataStart + int64(blk)*f.blockSize + int64(f.BlockLen(blk))*start
+	return f.dataStart + int64(blk)*f.blockSize + start
 }
 
 // Version returns the format version the file was written in.
 func (f *File) Version() uint16 { return f.version }
 
-// CellWidth returns the byte width of column c's cells.
-func (f *File) CellWidth(c int) int {
-	if f.starts != nil {
-		return int(f.starts[c+1] - f.starts[c])
+// CellBits returns the width in bits of column c's cells.
+func (f *File) CellBits(c int) int {
+	if len(f.bits) == 1 {
+		return f.bits[0]
 	}
-	return int(f.width)
+	return f.bits[c]
 }
 
-// CellOff returns the file offset of cell (c, r).
+// CellOff returns the file offset of the byte that holds cell (c, r) — its
+// first byte, for a cell of a byte or more.
 func (f *File) CellOff(c, r int) int64 {
 	blk := r / f.blockRows
-	return f.Off(c, blk) + int64(r-blk*f.blockRows)*int64(f.CellWidth(c))
+	return f.Off(c, blk) + int64(r-blk*f.blockRows)*int64(f.CellBits(c))/8
 }
 
-// Uint decodes one little-endian cell of width w (1, 2, 4 or 8 bytes) from
-// the front of b.
-func Uint(b []byte, w int) uint64 {
-	switch w {
-	case 1:
-		return uint64(b[0])
-	case 2:
-		return uint64(binary.LittleEndian.Uint16(b))
-	case 4:
-		return uint64(binary.LittleEndian.Uint32(b))
+// cellAt decodes cell i of a page of bits-wide cells: a little-endian
+// unsigned integer for a cell of a byte or more, else the cell's bits
+// shifted down out of the byte that holds them and masked.
+func cellAt(page []byte, i, bits int) uint64 {
+	switch bits {
+	case 8:
+		return uint64(page[i])
+	case 16:
+		return uint64(binary.LittleEndian.Uint16(page[2*i:]))
+	case 32:
+		return uint64(binary.LittleEndian.Uint32(page[4*i:]))
+	case 64:
+		return binary.LittleEndian.Uint64(page[8*i:])
 	}
-	return binary.LittleEndian.Uint64(b)
+	at := i * bits
+	return uint64(page[at>>3]>>(at&7)) & (1<<bits - 1)
 }
 
-// AppendUint appends v as one little-endian cell of width w to dst.
-func AppendUint(dst []byte, v uint64, w int) []byte {
-	switch w {
+// Unpack decodes the first len(dst) cells of a page of bits-wide cells into
+// dst, one loop per width; sub-byte cells unpack a whole byte per step.
+// Values wider than T are truncated; callers pick a T that holds their
+// widths.
+func Unpack[T ~uint16 | ~uint64](dst []T, page []byte, bits int) {
+	switch bits {
 	case 1:
-		return append(dst, byte(v))
+		full := len(dst) / 8
+		for j, b := range page[:full] {
+			d := dst[8*j : 8*j+8 : 8*j+8]
+			d[0], d[1], d[2], d[3] = T(b&1), T(b>>1&1), T(b>>2&1), T(b>>3&1)
+			d[4], d[5], d[6], d[7] = T(b>>4&1), T(b>>5&1), T(b>>6&1), T(b>>7)
+		}
+		unpackTail(dst, page, full*8, bits)
 	case 2:
+		full := len(dst) / 4
+		for j, b := range page[:full] {
+			d := dst[4*j : 4*j+4 : 4*j+4]
+			d[0], d[1], d[2], d[3] = T(b&3), T(b>>2&3), T(b>>4&3), T(b>>6)
+		}
+		unpackTail(dst, page, full*4, bits)
+	case 4:
+		full := len(dst) / 2
+		for j, b := range page[:full] {
+			d := dst[2*j : 2*j+2 : 2*j+2]
+			d[0], d[1] = T(b&0xF), T(b>>4)
+		}
+		unpackTail(dst, page, full*2, bits)
+	case 8:
+		for i := range dst {
+			dst[i] = T(page[i])
+		}
+	case 16:
+		for i := range dst {
+			dst[i] = T(binary.LittleEndian.Uint16(page[2*i:]))
+		}
+	case 32:
+		for i := range dst {
+			dst[i] = T(binary.LittleEndian.Uint32(page[4*i:]))
+		}
+	default:
+		for i := range dst {
+			dst[i] = T(binary.LittleEndian.Uint64(page[8*i:]))
+		}
+	}
+}
+
+// unpackTail decodes sub-byte cells [from, len(dst)) one at a time: the
+// cells of a page's last, partly filled byte.
+func unpackTail[T ~uint16 | ~uint64](dst []T, page []byte, from, bits int) {
+	for i := from; i < len(dst); i++ {
+		dst[i] = T(cellAt(page, i, bits))
+	}
+}
+
+// AppendCell appends v as one cell of bits to an encode callback's dst
+// (Writer.Append): little-endian in CellBytes(bits) bytes, a sub-byte cell
+// as one byte the writer packs.
+func AppendCell(dst []byte, v uint64, bits int) []byte {
+	switch bits {
+	case 16:
 		return binary.LittleEndian.AppendUint16(dst, uint16(v))
-	case 4:
+	case 32:
 		return binary.LittleEndian.AppendUint32(dst, uint32(v))
+	case 64:
+		return binary.LittleEndian.AppendUint64(dst, v)
 	}
-	return binary.LittleEndian.AppendUint64(dst, v)
+	return append(dst, byte(v))
 }
 
 // Load returns the value of cell (c, r) at its column's width: an in-place
-// load on the mapping, else one ReadAt of the cell's bytes.
+// load on the mapping, else one ReadAt of the bytes that hold the cell.
+// Either way it reads no byte past the cell's page.
 func (f *File) Load(c, r int) (uint64, error) {
-	off, w := f.CellOff(c, r), f.CellWidth(c)
+	bits := f.CellBits(c)
+	blk := r / f.blockRows
+	at := int64(r-blk*f.blockRows) * int64(bits) // the cell's bit offset in its page
+	off, n := f.Off(c, blk)+at>>3, int64(CellBytes(bits))
+	var b []byte
 	if f.Data != nil {
-		return Uint(f.Data[off:off+int64(w)], w), nil
+		b = f.Data[off : off+n]
+	} else {
+		var buf [maxCellBytes]byte
+		b = buf[:n]
+		if _, err := f.src.ReadAt(b, off); err != nil {
+			return 0, fmt.Errorf("blockfile: reading cell (%d,%d) of %s: %w", c, r, f.path, err)
+		}
 	}
-	var b [maxCellWidth]byte
-	if _, err := f.src.ReadAt(b[:w], off); err != nil {
-		return 0, fmt.Errorf("blockfile: reading cell (%d,%d) of %s: %w", c, r, f.path, err)
+	if bits < 8 {
+		return uint64(b[0]>>(at&7)) & (1<<bits - 1), nil
 	}
-	return Uint(b[:], w), nil
+	return cellAt(b, 0, bits), nil
 }
 
 // Page returns the raw bytes of column c's page of block blk: a read-only
@@ -709,7 +882,7 @@ func (f *File) Load(c, r int) (uint64, error) {
 // scratch, grown as needed and filled from the file. Concurrent callers
 // must pass distinct scratch.
 func (f *File) Page(c, blk int, scratch []byte) ([]byte, error) {
-	off, n := f.Off(c, blk), int64(f.BlockLen(blk))*int64(f.CellWidth(c))
+	off, n := f.Off(c, blk), pageLen(f.BlockLen(blk), f.CellBits(c))
 	if f.Data != nil {
 		return f.Data[off : off+n : off+n], nil
 	}

@@ -26,7 +26,7 @@ import (
 // storeKind is one Format, reached through its store package.
 type storeKind struct {
 	name string
-	stem string // golden files are testdata/stores/<stem>_[v2_]<rows>.<ext>
+	stem string // golden files are testdata/stores/<stem>_[v2_|v3_]<rows>.<ext>
 	// metaSince is the first version with a length-prefixed meta section
 	// after the header.
 	metaSince uint16
@@ -61,14 +61,14 @@ var storeKinds = []storeKind{
 		stem:      "codes",
 		metaSince: 2,
 		write: func(path string, rows, blockRows int) error {
-			return codestore.WriteFile(path, goldenNarrowCodes(rows), blockRows)
+			return codestore.WriteFile(path, goldenPackedCodes(rows), blockRows)
 		},
 		abandon: func(path string, rows, blockRows int) (func(), error) {
 			w, err := codestore.Create(path, goldenBins, rows, blockRows)
 			if err != nil {
 				return nil, err
 			}
-			return w.Abort, w.AppendColumns(goldenNarrowCodes(rows))
+			return w.Abort, w.AppendColumns(goldenPackedCodes(rows))
 		},
 		open: func(path string) (*blockfile.File, error) {
 			s, err := codestore.Open(path)
@@ -108,10 +108,10 @@ var storeKinds = []storeKind{
 		stem:      "cells",
 		metaSince: 1,
 		write: func(path string, rows, blockRows int) error {
-			return colstore.WriteTable(path, goldenWideTable(rows), blockRows)
+			return colstore.WriteTable(path, goldenPackedTable(rows), blockRows)
 		},
 		abandon: func(path string, rows, blockRows int) (func(), error) {
-			w, err := colstore.Create(path, goldenWideTable(rows), 0, rows, blockRows)
+			w, err := colstore.Create(path, goldenPackedTable(rows), 0, rows, blockRows)
 			if err != nil {
 				return nil, err
 			}

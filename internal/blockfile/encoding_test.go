@@ -3,7 +3,8 @@
 // typed accessor of both stores, on both access paths. Cases sit on the
 // edges of each choice: the NaN sentinel of each width, the 2^53 bound of
 // exact integers, negative zero, infinities, subnormals of both float
-// widths, and dictionaries just below and above each code width.
+// widths, and spans and dictionaries just below and above each cell width,
+// the 1-, 2- and 4-bit ones included.
 package blockfile_test
 
 import (
@@ -23,12 +24,12 @@ import (
 )
 
 // numCase is one numeric column: its values (repeated to fill the table)
-// and the encoding and width the writer must choose.
+// and the encoding and width in bits the writer must choose.
 type numCase struct {
-	name  string
-	vals  []float64
-	enc   colstore.Encoding
-	width int
+	name string
+	vals []float64
+	enc  colstore.Encoding
+	bits int
 }
 
 func numCases() []numCase {
@@ -37,33 +38,42 @@ func numCases() []numCase {
 	return []numCase{
 		{"constant", []float64{7}, colstore.Offset, 1},
 		{"all-nan", []float64{nan}, colstore.Offset, 1},
-		{"span-254", span(-1000, 254), colstore.Offset, 1},
-		{"span-255", span(-1000, 255), colstore.Offset, 2},
-		{"span-256", span(3, 256), colstore.Offset, 2},
-		{"span-65534", span(-5, 65534), colstore.Offset, 2},
-		{"span-65535", span(0, 65535), colstore.Offset, 4},
-		{"span-65536", span(1e9, 65536), colstore.Offset, 4},
-		{"span-2^32-2", span(-7, 1<<32-2), colstore.Offset, 4},
-		{"span-2^32-1", span(0, 1<<32-1), colstore.Float64, 8},
-		{"at-2^53", []float64{1 << 53, 1<<53 - 1, nan}, colstore.Offset, 1},
-		{"at-minus-2^53", []float64{-(1 << 53), -(1 << 53) + 200}, colstore.Offset, 1},
-		{"past-2^53", []float64{1<<53 + 2, 1 << 53}, colstore.Float64, 8},
-		{"negative-zero", []float64{0, math.Copysign(0, -1), 1}, colstore.Float32, 4},
-		{"infinities", []float64{1, math.Inf(1), nan, math.Inf(-1)}, colstore.Float32, 4},
-		{"float32-exact", []float64{0.5, -1.75, 3.125, nan, float64(float32(0.1))}, colstore.Float32, 4},
-		{"float32-subnormal", []float64{math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32 * 3}, colstore.Float32, 4},
-		{"float64-subnormal", []float64{math.SmallestNonzeroFloat64, 1}, colstore.Float64, 8},
-		{"float64-max", []float64{math.MaxFloat64, -1}, colstore.Float64, 8},
-		{"tenths", []float64{0.1, 0.2, nan}, colstore.Float64, 8},
+		{"span-1", span(-3, 1), colstore.Offset, 2},
+		{"span-2", span(40, 2), colstore.Offset, 2},
+		{"span-3", span(40, 3), colstore.Offset, 4},
+		{"span-14", span(-7, 14), colstore.Offset, 4},
+		{"span-15", span(-7, 15), colstore.Offset, 8},
+		{"span-254", span(-1000, 254), colstore.Offset, 8},
+		{"span-255", span(-1000, 255), colstore.Offset, 16},
+		{"span-256", span(3, 256), colstore.Offset, 16},
+		{"span-65534", span(-5, 65534), colstore.Offset, 16},
+		{"span-65535", span(0, 65535), colstore.Offset, 32},
+		{"span-65536", span(1e9, 65536), colstore.Offset, 32},
+		{"span-2^32-2", span(-7, 1<<32-2), colstore.Offset, 32},
+		{"span-2^32-1", span(0, 1<<32-1), colstore.Float64, 64},
+		{"at-2^53", []float64{1 << 53, 1<<53 - 1, nan}, colstore.Offset, 2},
+		{"at-minus-2^53", []float64{-(1 << 53), -(1 << 53) + 200}, colstore.Offset, 8},
+		{"past-2^53", []float64{1<<53 + 2, 1 << 53}, colstore.Float64, 64},
+		{"negative-zero", []float64{0, math.Copysign(0, -1), 1}, colstore.Float32, 32},
+		{"infinities", []float64{1, math.Inf(1), nan, math.Inf(-1)}, colstore.Float32, 32},
+		{"float32-exact", []float64{0.5, -1.75, 3.125, nan, float64(float32(0.1))}, colstore.Float32, 32},
+		{"float32-subnormal", []float64{math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32 * 3}, colstore.Float32, 32},
+		{"float64-subnormal", []float64{math.SmallestNonzeroFloat64, 1}, colstore.Float64, 64},
+		{"float64-max", []float64{math.MaxFloat64, -1}, colstore.Float64, 64},
+		{"tenths", []float64{0.1, 0.2, nan}, colstore.Float64, 64},
 	}
 }
 
-// catCase is one categorical column over a dictionary of size strings.
+// catCase is one categorical column over a dictionary of size strings,
+// stored in cells of bits.
 type catCase struct {
-	size, width int
+	size, bits int
 }
 
-var catCases = []catCase{{0, 1}, {254, 1}, {255, 1}, {256, 2}, {65534, 2}, {65535, 2}, {65536, 4}}
+var catCases = []catCase{
+	{0, 1}, {1, 1}, {2, 2}, {3, 2}, {4, 4}, {15, 4}, {16, 8},
+	{254, 8}, {255, 8}, {256, 16}, {65534, 16}, {65535, 16}, {65536, 32},
+}
 
 // encodingTable lays the cases out as the columns of one rows-row table.
 func encodingTable(rows int) *table.Table {
@@ -165,27 +175,27 @@ func TestCellEncodings(t *testing.T) {
 		s := checkCells(t, whole, src, 0)
 		defer s.Close()
 		for c, nc := range numCases() {
-			if enc, w := s.ColumnEncoding(c), s.CellWidth(c); enc != nc.enc || w != nc.width {
-				t.Errorf("column %q stored as encoding %d at %d bytes, want %d at %d", nc.name, enc, w, nc.enc, nc.width)
+			if enc, bits := s.ColumnEncoding(c), s.CellBits(c); enc != nc.enc || bits != nc.bits {
+				t.Errorf("column %q stored as encoding %d at %d bits, want %d at %d", nc.name, enc, bits, nc.enc, nc.bits)
 			}
 		}
 		for i, cc := range catCases {
 			c := len(numCases()) + i
-			if enc, w := s.ColumnEncoding(c), s.CellWidth(c); enc != colstore.DictCode || w != cc.width {
-				t.Errorf("dictionary of %d strings stored as encoding %d at %d bytes, want %d at %d", cc.size, enc, w, colstore.DictCode, cc.width)
+			if enc, bits := s.ColumnEncoding(c), s.CellBits(c); enc != colstore.DictCode || bits != cc.bits {
+				t.Errorf("dictionary of %d strings stored as encoding %d at %d bits, want %d at %d", cc.size, enc, bits, colstore.DictCode, cc.bits)
 			}
 		}
 		checkCells(t, slice, src, 7).Close()
 	})
 }
 
-// TestCodeWidths checks the code store's width choice — one byte up to 256
-// bins, two above — from Create's bin counts and from WriteFile's codes,
-// and every code read back through ColumnBlock, Code and GatherCodes on
-// both access paths.
+// TestCodeWidths checks the code store's width choice — 1 bit up to 2
+// bins, 2 up to 4, 4 up to 16, 8 up to 256, else 16 — from Create's bin
+// counts and from WriteFile's codes, and every code read back through
+// ColumnBlock, Code and GatherCodes on both access paths.
 func TestCodeWidths(t *testing.T) {
 	const rows, blockRows = 45, 16
-	codes := make([][]uint16, 4)
+	codes := make([][]uint16, 8)
 	for c := range codes {
 		codes[c] = make([]uint16, rows)
 	}
@@ -194,10 +204,14 @@ func TestCodeWidths(t *testing.T) {
 		codes[1][r] = uint16(r * 41 % 257) // 257 bins
 		codes[2][r] = uint16(r % 3)
 		codes[3][r] = uint16(65535 - r)
+		codes[4][r] = uint16(r * 5 % 2)   // 2 bins
+		codes[5][r] = uint16(r * 7 % 16)  // 16 bins
+		codes[6][r] = uint16(r * 11 % 17) // 17 bins
+		codes[7][r] = uint16(r % 4)       // 4 bins
 	}
-	codes[0][rows-1], codes[1][rows-1] = 255, 256
-	bins := []int{256, 257, 3, 1 << 16}
-	wantWidths := []int{1, 2, 1, 2}
+	codes[0][rows-1], codes[1][rows-1], codes[5][rows-1], codes[6][rows-1] = 255, 256, 15, 16
+	bins := []int{256, 257, 3, 1 << 16, 2, 16, 17, 4}
+	wantWidths := []int{8, 16, 2, 16, 1, 4, 8, 2}
 	dir := t.TempDir()
 	created, written := filepath.Join(dir, "created.codes"), filepath.Join(dir, "written.codes")
 	w, err := codestore.Create(created, bins, rows, blockRows)
@@ -224,8 +238,8 @@ func TestCodeWidths(t *testing.T) {
 				t.Fatal(err)
 			}
 			for c := range codes {
-				if got := s.CellWidth(c); got != wantWidths[c] {
-					t.Errorf("%s column %d: %d-byte codes, want %d", filepath.Base(path), c, got, wantWidths[c])
+				if got := s.CellBits(c); got != wantWidths[c] {
+					t.Errorf("%s column %d: %d-bit codes, want %d", filepath.Base(path), c, got, wantWidths[c])
 				}
 				var col []uint16
 				for blk := 0; blk < s.NumBlocks(); blk++ {
@@ -248,22 +262,26 @@ func TestCodeWidths(t *testing.T) {
 		}
 	})
 	// A code past its column's declared bins cannot be stored narrow.
-	w, err = codestore.Create(filepath.Join(dir, "over.codes"), []int{256}, 2, blockRows)
-	if err != nil {
-		t.Fatal(err)
+	for _, over := range []struct{ bins, code int }{{256, 256}, {16, 16}, {4, 4}, {2, 2}} {
+		w, err = codestore.Create(filepath.Join(dir, "over.codes"), []int{over.bins}, 2, blockRows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.AppendColumns([][]uint16{{1, uint16(over.code)}}); err == nil {
+			t.Fatalf("a %d-bin column accepted code %d", over.bins, over.code)
+		}
+		w.Abort()
 	}
-	if err := w.AppendColumns([][]uint16{{3, 256}}); err == nil {
-		t.Fatal("a 1-byte column accepted code 256")
-	}
-	w.Abort()
 }
 
-// FuzzCellEncoding is differential: arbitrary float64 bit patterns and a
-// dictionary of arbitrary size are written to a column store, which must
-// open and render every cell exactly as Column.CellString does, and
-// materialize the source bits (any NaN as NaN), on the access path mode
-// selects. It runs as a regression test over its seeds on every plain `go
-// test`.
+// FuzzCellEncoding is differential: arbitrary float64 bit patterns, small
+// integers over a span mode picks (1 to 20 values, so 1-, 2-, 4- and 8-bit
+// Offset cells) and a dictionary of arbitrary size (sub-byte DictCode cells
+// up to 15 strings) are written to a column store, which must open and
+// render every cell exactly as Column.CellString does, and materialize the
+// source bits (any NaN as NaN), on the access path mode selects. Its 7-row
+// blocks leave sub-byte pages ending mid-byte. It runs as a regression test
+// over its seeds on every plain `go test`.
 func FuzzCellEncoding(f *testing.F) {
 	seed := func(mode byte, dict uint32, vals ...float64) {
 		var raw []byte
@@ -274,6 +292,11 @@ func FuzzCellEncoding(f *testing.F) {
 	}
 	seed(0, 0)
 	seed(1, 3, 1, 2, 3)
+	seed(2, 1, 4, 5, 6, 7, 8, 9, 10, 11, 12)
+	seed(5, 2, 0.25, -3, 11, 12, 13, 14, 15, 16, 17, 18)
+	seed(6, 4, math.NaN(), 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13)
+	seed(31, 15, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16)
+	seed(38, 16, 1, 2, 3, 4, 5, 6, 7, 8, 9)
 	seed(0, 255, math.NaN(), math.Copysign(0, -1), math.Inf(1), 1<<53)
 	seed(1, 256, 1<<53+2, math.SmallestNonzeroFloat64, math.SmallestNonzeroFloat32)
 	seed(0, 1<<31+1, 0.5, -1.75, 1e300, -1e-300)
@@ -289,7 +312,9 @@ func FuzzCellEncoding(f *testing.F) {
 		if dict >= 1<<31 {
 			size = 1<<16 - 2 + int(dict%4)
 		}
+		span := 1 + int(mode>>1)%20
 		nums := make([]float64, n)
+		small := make([]float64, n)
 		cats := make([]int32, n)
 		d := table.NewDict()
 		for i := 0; i < size; i++ {
@@ -298,6 +323,10 @@ func FuzzCellEncoding(f *testing.F) {
 		for r := range nums {
 			bits := binary.LittleEndian.Uint64(raw[r*8:])
 			nums[r] = math.Float64frombits(bits)
+			small[r] = float64(int64(bits%uint64(span)) - 3)
+			if bits%11 == 0 {
+				small[r] = math.NaN()
+			}
 			cats[r] = -1
 			if size > 0 && bits%7 != 0 {
 				cats[r] = int32(bits % uint64(size))
@@ -305,6 +334,7 @@ func FuzzCellEncoding(f *testing.F) {
 		}
 		src, err := table.FromColumns("fuzz", []*table.Column{
 			{Name: "num", Kind: table.Numeric, Nums: nums},
+			{Name: "small", Kind: table.Numeric, Nums: small},
 			{Name: "cat", Kind: table.Categorical, Cats: cats, Dict: d},
 		})
 		if err != nil {
@@ -316,13 +346,23 @@ func FuzzCellEncoding(f *testing.F) {
 		}
 		s := checkCells(t, path, src, 0)
 		defer s.Close()
-		if w := s.CellWidth(0); slices.Index([]int{1, 2, 4, 8}, w) < 0 {
-			t.Fatalf("numeric cells %d bytes wide", w)
+		for c := 0; c < s.NumCols(); c++ {
+			if bits := s.CellBits(c); slices.Index([]int{1, 2, 4, 8, 16, 32, 64}, bits) < 0 {
+				t.Fatalf("column %d: cells %d bits wide", c, bits)
+			}
+		}
+		// The span fits 8 bits below the sentinel; the dictionary's width
+		// follows its size.
+		if bits := s.CellBits(1); s.ColumnEncoding(1) != colstore.Offset || bits > 8 {
+			t.Fatalf("%d-value integer column stored as encoding %d at %d bits", span, s.ColumnEncoding(1), bits)
+		}
+		if size <= 15 && s.CellBits(2) > 4 {
+			t.Fatalf("%d-string dictionary stored at %d bits", size, s.CellBits(2))
 		}
 	})
 }
 
-// TestHostileMeta patches the encoding entries of zero-row version-2 stores
+// TestHostileMeta patches the encoding entries of zero-row version-3 stores
 // (so a resealed footer gets them past the checksum): an unknown encoding
 // byte, an encoding the column's kind cannot have, a width its encoding
 // cannot have, and an offset base outside ±2^53 are all ErrCorrupt, with a
@@ -357,26 +397,31 @@ func TestHostileMeta(t *testing.T) {
 		ok    bool
 	}{
 		{"offset as written", cols, func([]byte) {}, true},
-		{"offset at 2 bytes", cols, setByte(width, 2), true},
-		{"offset at 4 bytes", cols, setByte(width, 4), true},
+		{"offset at 2 bits", cols, setByte(width, 2), true},
+		{"offset at 4 bits", cols, setByte(width, 4), true},
+		{"offset at 8 bits", cols, setByte(width, 8), true},
+		{"offset at 32 bits", cols, setByte(width, 32), true},
 		{"base -2^53", cols, setBase(-(1 << 53)), true},
 		{"base 2^53", cols, setBase(1 << 53), true},
 		{"encoding 0", cols, setByte(enc, 0), false},
 		{"encoding 5", cols, setByte(enc, 5), false},
 		{"encoding 255", cols, setByte(enc, 255), false},
 		{"dictionary code on a numeric column", cols, setByte(enc, byte(colstore.DictCode)), false},
-		{"float32 at 1 byte", cols, setByte(enc, byte(colstore.Float32)), false},
-		{"float64 at 1 byte", cols, setByte(enc, byte(colstore.Float64)), false},
-		{"offset at 3 bytes", cols, setByte(width, 3), false},
-		{"offset at 8 bytes", cols, setByte(width, 8), false},
-		{"offset at 0 bytes", cols, setByte(width, 0), false},
+		{"float32 at 1 bit", cols, setByte(enc, byte(colstore.Float32)), false},
+		{"float64 at 1 bit", cols, setByte(enc, byte(colstore.Float64)), false},
+		{"offset at 3 bits", cols, setByte(width, 3), false},
+		{"offset at 64 bits", cols, setByte(width, 64), false},
+		{"offset at 0 bits", cols, setByte(width, 0), false},
 		{"base 2^53+1", cols, setBase(1<<53 + 1), false},
 		{"base -2^53-1", cols, setBase(-(1 << 53) - 1), false},
 		{"base max int64", cols, setBase(math.MaxInt64), false},
 		{"base min int64", cols, setBase(math.MinInt64), false},
 		{"code width 2", codes, setByte(meta+1, 2), true},
+		{"code width 4", codes, setByte(meta+1, 4), true},
+		{"code width 16", codes, setByte(meta, 16), true},
 		{"code width 0", codes, setByte(meta, 0), false},
-		{"code width 4", codes, setByte(meta+1, 4), false},
+		{"code width 3", codes, setByte(meta+1, 3), false},
+		{"code width 32", codes, setByte(meta+1, 32), false},
 		{"code width 255", codes, setByte(meta, 255), false},
 	} {
 		raw, err := os.ReadFile(tc.path)

@@ -106,7 +106,8 @@ func FuzzOpen(f *testing.F) {
 
 // TestUpdateFuzzCorpus re-records testdata/fuzz/FuzzOpen under -update: for
 // each format and version the 17-row golden store (one block + 1 row) whole,
-// truncated and flipped — the version-2 stores hold every encoding — plus
+// truncated and flipped — the version-3 stores hold every encoding and
+// every cell width — plus
 // the two crafted zero-row headers of each version-1 store.
 func TestUpdateFuzzCorpus(t *testing.T) {
 	if !*update {
@@ -137,7 +138,7 @@ func TestUpdateFuzzCorpus(t *testing.T) {
 		return raw
 	}
 	for i, k := range storeKinds {
-		for _, infix := range []string{"", "v2_"} {
+		for _, infix := range []string{"", "v2_", "v3_"} {
 			raw := golden(k, infix, 17)
 			for j, seed := range fuzzSeeds(k, raw) {
 				// Alternate the access path so the corpus replays both.

@@ -1,7 +1,8 @@
 // Format golden: the bytes both stores write are pinned by SHA-256 and by a
-// checked-in copy of every file. Version-2 files are re-written and compared
+// checked-in copy of every file. Version-3 files are re-written and compared
 // byte for byte; version-1 files, recorded before the stores moved onto this
-// package and no longer written by this build, are only read. Every
+// package, and version-2 files, recorded before sub-byte cells, are no
+// longer written by this build and are only read. Every
 // checked-in copy is opened and every typed value read back — the proof that
 // no byte on disk moved and that spill files written by an older build
 // still open.
@@ -64,8 +65,22 @@ func goldenNarrowCodes(n int) [][]uint16 {
 	return append(codes, narrow[0], narrow[1])
 }
 
-// goldenBins bounds goldenNarrowCodes' columns: two-byte, then one-byte.
-var goldenBins = []int{1 << 16, 1 << 16, 1 << 16, 1 << 8, 7}
+// goldenPackedCodes is goldenNarrowCodes plus a column of each sub-byte
+// width, so a version-3 store holds every code width: 16, 16, 16, 8, 4
+// (goldenNarrowCodes' 7-bin column), then 1, 2 and 4 bits.
+func goldenPackedCodes(n int) [][]uint16 {
+	codes := goldenNarrowCodes(n)
+	packed := [3][]uint16{make([]uint16, n), make([]uint16, n), make([]uint16, n)}
+	for r := 0; r < n; r++ {
+		packed[0][r] = uint16(r*5/3) % 2
+		packed[1][r] = uint16(r % 3)
+		packed[2][r] = uint16(r*5) % 16
+	}
+	return append(codes, packed[:]...)
+}
+
+// goldenBins bounds goldenPackedCodes' columns.
+var goldenBins = []int{1 << 16, 1 << 16, 1 << 16, 1 << 8, 7, 2, 3, 16}
 
 // goldenTable has every cell shape the version-1 page encoding
 // distinguishes: numeric values with NaN and integral cells, a categorical
@@ -132,8 +147,35 @@ func goldenWideTable(n int) *table.Table {
 	return t
 }
 
+// goldenPackedTable is goldenWideTable plus integer columns at the two
+// sub-byte Offset widths it lacks: a 2-bit one (three values and NaN) and a
+// 1-bit one (one value and NaN). goldenWideTable's own "small" and "cat"
+// columns take 4 bits, "gone" 1.
+func goldenPackedTable(n int) *table.Table {
+	t := goldenWideTable(n)
+	tri, one := make([]float64, n), make([]float64, n)
+	for r := 0; r < n; r++ {
+		tri[r], one[r] = float64(r%3-1), 42
+		if r%5 == 2 {
+			tri[r] = math.NaN()
+		}
+		if r%3 == 1 {
+			one[r] = math.NaN()
+		}
+	}
+	for _, col := range []*table.Column{
+		{Name: "tri", Kind: table.Numeric, Nums: tri},
+		{Name: "one", Kind: table.Numeric, Nums: one},
+	} {
+		if err := t.AddColumn(col); err != nil {
+			panic(err)
+		}
+	}
+	return t
+}
+
 // goldenCase is one pinned store file: write produces it (nil for a
-// version-1 file, which this build only reads), check opens a copy (fresh
+// version-1 or version-2 file, which this build only reads), check opens a copy (fresh
 // or checked in) and reads every typed value back, returning the store's
 // identity checksum.
 type goldenCase struct {
@@ -167,21 +209,38 @@ func goldenCases() []goldenCase {
 		codes := goldenNarrowCodes(n)
 		cases = append(cases, goldenCase{
 			name:  fmt.Sprintf("codes_v2_%02d.codes", n),
-			write: func(path string) error { return codestore.WriteFile(path, codes, goldenBlockRows) },
 			check: func(t *testing.T, path string) uint32 { return checkGoldenCodes(t, path, 2, codes) },
 		})
 		src := goldenWideTable(n)
 		cases = append(cases, goldenCase{
 			name:  fmt.Sprintf("cells_v2_%02d.cols", n),
-			write: func(path string) error { return colstore.WriteTable(path, src, goldenBlockRows) },
 			check: func(t *testing.T, path string) uint32 { return checkGoldenCells(t, path, 2, src, 0, n) },
 		})
 	}
 	wide := goldenWideTable(40)
 	cases = append(cases, goldenCase{
 		name:  "cells_v2_40_rows_09_31.cols",
-		write: func(path string) error { return colstore.WriteTableRows(path, wide, 9, 31, goldenBlockRows) },
 		check: func(t *testing.T, path string) uint32 { return checkGoldenCells(t, path, 2, wide, 9, 31) },
+	})
+	for _, n := range goldenRows {
+		codes := goldenPackedCodes(n)
+		cases = append(cases, goldenCase{
+			name:  fmt.Sprintf("codes_v3_%02d.codes", n),
+			write: func(path string) error { return codestore.WriteFile(path, codes, goldenBlockRows) },
+			check: func(t *testing.T, path string) uint32 { return checkGoldenCodes(t, path, 3, codes) },
+		})
+		src := goldenPackedTable(n)
+		cases = append(cases, goldenCase{
+			name:  fmt.Sprintf("cells_v3_%02d.cols", n),
+			write: func(path string) error { return colstore.WriteTable(path, src, goldenBlockRows) },
+			check: func(t *testing.T, path string) uint32 { return checkGoldenCells(t, path, 3, src, 0, n) },
+		})
+	}
+	packed := goldenPackedTable(40)
+	cases = append(cases, goldenCase{
+		name:  "cells_v3_40_rows_09_31.cols",
+		write: func(path string) error { return colstore.WriteTableRows(path, packed, 9, 31, goldenBlockRows) },
+		check: func(t *testing.T, path string) uint32 { return checkGoldenCells(t, path, 3, packed, 9, 31) },
 	})
 	return cases
 }
@@ -253,7 +312,7 @@ func checkGoldenCells(t *testing.T, path string, version uint16, src *table.Tabl
 }
 
 // TestFormatGolden pins every byte both stores write, and reads back every
-// version-1 file the previous format wrote.
+// version-1 and version-2 file the previous formats wrote.
 func TestFormatGolden(t *testing.T) {
 	const jsonPath = "testdata/format_golden.json"
 	storeDir := filepath.Join("testdata", "stores")
@@ -275,8 +334,8 @@ func TestFormatGolden(t *testing.T) {
 	for i, gc := range cases {
 		checkedIn := filepath.Join(storeDir, gc.name)
 		if gc.write == nil {
-			// Version 1: the checked-in bytes are the record; they must still
-			// match it, open, verify and read back typed.
+			// Versions 1 and 2: the checked-in bytes are the record; they must
+			// still match it, open, verify and read back typed.
 			raw, err := os.ReadFile(checkedIn)
 			if err != nil {
 				t.Fatal(err)

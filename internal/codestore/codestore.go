@@ -10,12 +10,15 @@
 // internal/blockfile's; see its package comment for the layout. This package
 // owns only what is typed: the "SUBTABCS"/"SUBTABCE" magics and
 //
-//	meta:    (version 2) one byte per column: its cell width, 1 when the
-//	         column has at most 256 bins, else 2
-//	pages:   each cell is its bin code as a little-endian unsigned integer
-//	         of its column's width
+//	meta:    (versions 2 and 3) one byte per column: its cell width — in
+//	         version 3 the bits of the smallest power of two that holds the
+//	         column's codes (1 bit up to 2 bins, 2 up to 4, 4 up to 16, 8
+//	         up to 256, else 16); in version 2 bytes, 1 up to 256 bins,
+//	         else 2
+//	pages:   each cell is its bin code as an unsigned integer of its
+//	         column's width, packed as blockfile packs sub-byte cells
 //
-// Version 1 files (no meta section, every cell a u16) still open and read.
+// Versions 1 (no meta section, every cell a u16) and 2 still open and read.
 // CreateIn streams a store image into a larger file and OpenIn opens one
 // in place: a model file (package modelio) holds its table's codes so.
 package codestore
@@ -30,8 +33,9 @@ import (
 )
 
 // Version is the store format version Create writes. Open also reads
-// version 1, which is version 2 with every column at 2-byte cells.
-const Version uint16 = 2
+// version 1 (every column at 16-bit cells, no meta section) and version 2
+// (each column at 8 or 16 bits, its meta recording bytes).
+const Version uint16 = 3
 
 // DefaultBlockRows is the default rows-per-block granularity: 64Ki rows
 // keep a per-column block at 64KiB of 1-byte codes — big enough to
@@ -47,31 +51,37 @@ var format = blockfile.Format{
 	MetaSince:  2,
 }
 
-// codeWidth returns the cell width of a column with the given bin count:
-// one byte when every code fits in it (at most 256 bins), else two.
-func codeWidth(bins int) int {
-	if bins <= 1<<8 {
-		return 1
+// codeBits returns the cell width in bits of a column with the given bin
+// count: the smallest of 1, 2, 4, 8 and 16 bits that holds every code.
+func codeBits(bins int) int {
+	for _, bits := range []int{1, 2, 4, 8} {
+		if bins <= 1<<bits {
+			return bits
+		}
 	}
-	return 2
+	return 16
 }
 
 // layout is the blockfile.Layout of this format: version 1 stores every
-// code in two bytes; version 2's meta section holds one width byte per
-// column.
+// code in 16 bits; the meta section of versions 2 and 3 holds one width
+// byte per column, in bytes (1 or 2) and in bits (1, 2, 4, 8 or 16).
 func layout(version uint16, cols int, meta []byte) ([]int, error) {
 	if version == 1 {
-		return []int{2}, nil
+		return []int{16}, nil
 	}
 	if len(meta) != cols {
 		return nil, fmt.Errorf("%w: meta section of %d bytes for %d columns", ErrCorrupt, len(meta), cols)
 	}
 	widths := make([]int, cols)
 	for c, w := range meta {
-		if w != 1 && w != 2 {
-			return nil, fmt.Errorf("%w: column %d has code width %d", ErrCorrupt, c, w)
+		bits := int(w)
+		if version == 2 {
+			bits *= 8
 		}
-		widths[c] = int(w)
+		if bits > 16 || !blockfile.ValidBits(bits) {
+			return nil, fmt.Errorf("%w: column %d has code width byte %d", ErrCorrupt, c, w)
+		}
+		widths[c] = bits
 	}
 	return widths, nil
 }
@@ -121,7 +131,7 @@ func create(bins []int, blockRows int, open func(widths []int, blockRows int, me
 	meta := make([]byte, len(bins))
 	widths := make([]int, len(bins))
 	for c, nb := range bins {
-		widths[c] = codeWidth(nb)
+		widths[c] = codeBits(nb)
 		meta[c] = byte(widths[c])
 	}
 	w, err := open(widths, blockRows, meta)
@@ -145,9 +155,9 @@ func (w *Writer) AppendColumns(chunk [][]uint16) error {
 		}
 	}
 	return w.Append(n, func(c int, dst []byte, off, take int) []byte {
-		codes := chunk[c][off : off+take]
-		dst = slices.Grow(dst, take*w.widths[c])
-		if w.widths[c] == 2 {
+		codes, bits := chunk[c][off:off+take], w.widths[c]
+		dst = slices.Grow(dst, take*blockfile.CellBytes(bits))
+		if bits == 16 {
 			for _, v := range codes {
 				dst = binary.LittleEndian.AppendUint16(dst, v)
 			}
@@ -158,8 +168,8 @@ func (w *Writer) AppendColumns(chunk [][]uint16) error {
 			dst = append(dst, byte(v))
 			seen |= v
 		}
-		if seen > 0xFF {
-			w.Fail(fmt.Errorf("codestore: column %d holds a code above 255 in 1-byte cells", c))
+		if seen>>bits != 0 {
+			w.Fail(fmt.Errorf("codestore: column %d holds a code above %d in %d-bit cells", c, 1<<bits-1, bits))
 		}
 		return dst
 	})
@@ -241,8 +251,8 @@ func (s *Store) Columns() [][]uint16 {
 }
 
 // ColumnBlock decodes column c's codes for block blk into scratch
-// (grown as needed) and returns the decoded slice. Concurrent callers
-// must pass distinct scratch.
+// (grown as needed) and returns the decoded slice: packed codes unpack
+// there. Concurrent callers must pass distinct scratch.
 func (s *Store) ColumnBlock(c, blk int, scratch []uint16) []uint16 {
 	raw, err := s.Page(c, blk, nil)
 	if err != nil {
@@ -253,27 +263,21 @@ func (s *Store) ColumnBlock(c, blk int, scratch []uint16) []uint16 {
 		scratch = make([]uint16, n)
 	}
 	scratch = scratch[:n]
-	if s.CellWidth(c) == 1 {
-		for i, b := range raw {
-			scratch[i] = uint16(b)
-		}
-		return scratch
-	}
-	for i := range scratch {
-		scratch[i] = binary.LittleEndian.Uint16(raw[i*2:])
-	}
+	blockfile.Unpack(scratch, raw, s.CellBits(c))
 	return scratch
 }
 
 // GatherCodes sets dst[i] to the code of cell (c, rows[i]) without
-// decoding any block whole: on the mmap path each code is a one- or
-// two-byte load from its block's page in place, and on the fallback path
+// decoding any block whole: on the mmap path each code is read in place
+// from its block's page — a shift and a mask of the byte that holds a
+// code of up to 8 bits, a two-byte load at 16 — and on the fallback path
 // each page a run of rows lands in is read once into scratch, so ascending
 // rows read every page at most once. Any order and repeats are allowed; a
 // page that cannot be read panics, as in ColumnBlock.
 func (s *Store) GatherCodes(c int, rows []int, dst []uint16) {
 	dst = dst[:len(rows)]
-	br, w := s.BlockRows(), s.CellWidth(c)
+	br, bits := s.BlockRows(), s.CellBits(c)
+	mask := byte(1<<min(bits, 8) - 1)
 	var page []byte
 	lo, hi := 0, 0 // the global rows [lo, hi) that page holds
 	for i, r := range rows {
@@ -284,18 +288,20 @@ func (s *Store) GatherCodes(c int, rows []int, dst []uint16) {
 				panic(fmt.Sprintf("codestore: %v", err))
 			}
 			page, lo = p, blk*br
-			hi = lo + len(p)/w
+			hi = lo + s.BlockLen(blk)
 		}
-		if w == 1 {
-			dst[i] = uint16(page[r-lo])
-		} else {
+		if bits == 16 {
 			dst[i] = binary.LittleEndian.Uint16(page[(r-lo)*2:])
+			continue
 		}
+		at := (r - lo) * bits
+		dst[i] = uint16(page[at>>3] >> (at & 7) & mask)
 	}
 }
 
 // Code returns the code of one cell (random access). On the mmap path this
-// is a one- or two-byte load; on the fallback path a pread of as many.
+// is an in-place load of the byte or two that hold it; on the fallback path
+// a pread of as many.
 func (s *Store) Code(c, r int) uint16 {
 	v, err := s.Load(c, r)
 	if err != nil {

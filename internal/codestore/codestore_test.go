@@ -232,8 +232,8 @@ func TestPerBlockChecksum(t *testing.T) {
 		t.Fatalf("Open should defer data-block validation to Verify, got %v", err)
 	}
 	defer s.Close()
-	if s.CellWidth(1) != 1 {
-		t.Fatalf("a 20-bin column is stored in %d-byte cells, want 1", s.CellWidth(1))
+	if s.CellBits(1) != 8 {
+		t.Fatalf("a 20-bin column is stored in %d-bit cells, want 8", s.CellBits(1))
 	}
 	if got, want := s.Code(1, n-1), codes[1][n-1]^0x04; got != want {
 		t.Fatalf("flipped code reads %d, want %d", got, want)

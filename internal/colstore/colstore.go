@@ -11,17 +11,20 @@
 //	meta:    the schema — per column: u16 nameLen · name · u8 kind · for
 //	         categorical columns a dictionary page (u32 count, per string
 //	         u32 len + bytes) holding the interned strings in code order ·
-//	         (version 2) u8 encoding · u8 cell width · for Offset columns an
-//	         i64 base. The footer checksum covers it, dictionaries included.
-//	pages:   each cell a little-endian unsigned integer of its column's
-//	         width, per its Encoding: Float64 (8 B) or Float32 (4 B) bits,
-//	         an Offset from the base (1, 2 or 4 B), or a DictCode (1, 2 or
-//	         4 B). The all-ones cell of the width marks a missing cell.
+//	         (versions 2 and 3) u8 encoding · u8 cell width (version 3: in
+//	         bits; version 2: in bytes) · for Offset columns an i64 base.
+//	         The footer checksum covers it, dictionaries included.
+//	pages:   each cell an unsigned integer of its column's width, packed
+//	         as blockfile packs sub-byte cells, per its Encoding: Float64
+//	         (64 bits) or Float32 (32 bits) bits, an Offset from the base
+//	         (1, 2, 4, 8, 16 or 32 bits), or a DictCode (the same widths).
+//	         The all-ones cell of the width marks a missing cell.
 //
 // The writer picks each column's narrowest exact encoding from the rows it
 // writes. Version 1 files, whose columns are all Float64 (numeric) or
-// 4-byte DictCode (categorical) with no encoding bytes in the schema, still
-// open and read. CreateIn streams a store image into a larger file and
+// 32-bit DictCode (categorical) with no encoding bytes in the schema, and
+// version 2 files, whose Offset and DictCode cells are 8, 16 or 32 bits,
+// still open and read. CreateIn streams a store image into a larger file and
 // OpenIn opens one in place: a model file (package modelio) holds its
 // table's cells so.
 package colstore
@@ -37,8 +40,8 @@ import (
 )
 
 // Version is the store format version Create writes. Open also reads
-// version 1.
-const Version uint16 = 2
+// versions 1 and 2.
+const Version uint16 = 3
 
 // DefaultBlockRows is the default rows-per-block granularity: 64Ki rows put
 // a numeric column page at up to 512KiB — big enough to amortize I/O, small
@@ -125,7 +128,7 @@ func create(t *table.Table, start, end, blockRows int, open func(widths []int, b
 			meta = appendDictPage(meta, c.Dict.Strings())
 		}
 		encs[i] = chooseEncoding(c, start, end)
-		widths[i] = encs[i].width
+		widths[i] = encs[i].bits
 		meta = encs[i].appendMeta(meta)
 	}
 	w, err := open(widths, blockRows, meta)
@@ -259,14 +262,14 @@ func (s *Store) parseSchema(version uint16, cols int, meta []byte) ([]int, error
 		}
 		s.encs[c] = v1Encoding(kind)
 		if version >= 2 {
-			e, n, err := parseEncoding(meta[off:], kind)
+			e, n, err := parseEncoding(meta[off:], kind, version)
 			if err != nil {
 				return nil, fmt.Errorf("column %q: %w", s.names[c], err)
 			}
 			s.encs[c] = e
 			off += n
 		}
-		widths[c] = s.encs[c].width
+		widths[c] = s.encs[c].bits
 	}
 	if off != len(meta) {
 		return nil, fmt.Errorf("%w: schema section has %d trailing bytes", ErrCorrupt, len(meta)-off)
@@ -280,8 +283,8 @@ func (s *Store) ColumnName(c int) string { return s.names[c] }
 // ColumnKind returns the kind of column c.
 func (s *Store) ColumnKind(c int) table.Kind { return s.kinds[c] }
 
-// ColumnEncoding returns how column c's cells are stored; CellWidth gives
-// their byte width.
+// ColumnEncoding returns how column c's cells are stored; CellBits gives
+// their width.
 func (s *Store) ColumnEncoding(c int) Encoding { return s.encs[c].enc }
 
 // Cell renders one cell — the exact bytes Column.CellString produces on the
@@ -328,17 +331,20 @@ func (s *Store) GatherCells(c int, rows []int) ([]string, error) {
 
 // MaterializeTable rebuilds the full typed table — a private copy for
 // whole-table scans (query evaluation, append re-binning), the raw-cell
-// analogue of binning.MaterializedCodes. The result shares nothing with the
+// analogue of binning.MaterializedCodes. It decodes a page at a time: the
+// page's cells unpack at their width, then one loop per encoding fills the
+// column's preallocated Nums or Cats. The result shares nothing with the
 // store and may be mutated freely.
 func (s *Store) MaterializeTable(name string) (*table.Table, error) {
 	out := table.New(name)
 	var scratch []byte
+	var cells []uint64
 	for c := 0; c < s.NumCols(); c++ {
 		col := &table.Column{Name: s.names[c], Kind: s.kinds[c]}
 		if s.kinds[c] == table.Numeric {
-			col.Nums = make([]float64, 0, s.NumRows())
+			col.Nums = make([]float64, s.NumRows())
 		} else {
-			col.Cats = make([]int32, 0, s.NumRows())
+			col.Cats = make([]int32, s.NumRows())
 			col.Dict = table.DictFromStrings(s.dicts[c])
 			if col.Dict.Size() != len(s.dicts[c]) {
 				return nil, fmt.Errorf("%w: column %q's dictionary repeats a string", ErrCorrupt, s.names[c])
@@ -351,17 +357,16 @@ func (s *Store) MaterializeTable(name string) (*table.Table, error) {
 				return nil, err
 			}
 			scratch = page
-			for i := 0; i < len(page); i += e.width {
-				u := blockfile.Uint(page[i:], e.width)
-				if s.kinds[c] == table.Numeric {
-					col.Nums = append(col.Nums, e.num(u))
-					continue
-				}
-				code, err := e.code(u, len(s.dicts[c]))
-				if err != nil {
-					return nil, fmt.Errorf("colstore: column %q: %w", s.names[c], err)
-				}
-				col.Cats = append(col.Cats, code)
+			lo, n := blk*s.BlockRows(), s.BlockLen(blk)
+			if cap(cells) < n {
+				cells = make([]uint64, n)
+			}
+			cells = cells[:n]
+			blockfile.Unpack(cells, page, e.bits)
+			if s.kinds[c] == table.Numeric {
+				e.nums(col.Nums[lo:lo+n], cells)
+			} else if err := e.codes(col.Cats[lo:lo+n], cells, len(s.dicts[c])); err != nil {
+				return nil, fmt.Errorf("colstore: column %q: %w", s.names[c], err)
 			}
 		}
 		if err := out.AddColumn(col); err != nil {

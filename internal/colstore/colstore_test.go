@@ -274,19 +274,23 @@ func TestPerPageChecksum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The high byte of the first non-missing "cat" cell: setting its 0x40
-	// bit pushes the code far past the 12-string dictionary.
+	// The first non-missing "cat" cell, a 4-bit cell over the 12-string
+	// dictionary: rewriting its bits to 13 puts the code past the
+	// dictionary (15 would be the missing-cell sentinel).
 	row := 0
 	for src.ColumnAt(1).Cats[row] < 0 {
 		row++
 	}
-	catCell := s.CellOff(1, row) + int64(s.CellWidth(1)) - 1
+	if s.CellBits(1) != 4 {
+		t.Fatalf("a 12-string dictionary is stored in %d-bit cells, want 4", s.CellBits(1))
+	}
+	catCell, shift := s.CellOff(1, row), row%blockRows*4%8
 	s.Close()
 	full, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full[catCell] ^= 0x40
+	full[catCell] = full[catCell]&^(0xF<<shift) | 13<<shift
 	if err := os.WriteFile(path, full, 0o644); err != nil {
 		t.Fatal(err)
 	}

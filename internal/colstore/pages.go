@@ -23,12 +23,12 @@ const (
 	// every value of the column converts to float32 and back unchanged.
 	Float32
 	// Offset stores an integral numeric cell as its unsigned offset from
-	// the column's base in 1, 2 or 4 bytes; chosen when every value is an
-	// integer of magnitude at most 2^53 (negative zero excluded) and the
-	// span fits below the NaN sentinel.
+	// the column's base in 1, 2, 4, 8, 16 or 32 bits; chosen when every
+	// value is an integer of magnitude at most 2^53 (negative zero
+	// excluded) and the span fits below the NaN sentinel.
 	Offset
-	// DictCode stores a categorical cell's dictionary code in 1, 2 or 4
-	// bytes, by dictionary size.
+	// DictCode stores a categorical cell's dictionary code in 1, 2, 4, 8,
+	// 16 or 32 bits, by dictionary size.
 	DictCode
 )
 
@@ -36,24 +36,25 @@ const (
 // up to 2^53 is an exact float64, and base + offset stays inside int64.
 const maxExactInt = 1 << 53
 
-// encoding is one column's page encoding: the scheme, the cell width, and
-// for Offset the base every cell is stored relative to. The all-ones cell
-// of the width is the sentinel for a missing cell (NaN, or code -1).
+// encoding is one column's page encoding: the scheme, the cell width in
+// bits, and for Offset the base every cell is stored relative to. The
+// all-ones cell of the width is the sentinel for a missing cell (NaN, or
+// code -1).
 type encoding struct {
-	enc   Encoding
-	width int
-	base  int64
+	enc  Encoding
+	bits int
+	base int64
 }
 
-// allOnes is the missing-cell sentinel of a width-byte cell.
-func allOnes(width int) uint64 { return uint64(1)<<(8*width) - 1 }
+// allOnes is the missing-cell sentinel of a bits-wide cell.
+func allOnes(bits int) uint64 { return ^uint64(0) >> (64 - bits) }
 
-// narrowest returns the smallest of 1, 2 or 4 bytes whose values below the
-// all-ones sentinel cover [0, top], or 0 when none does.
+// narrowest returns the smallest of 1, 2, 4, 8, 16 or 32 bits whose values
+// below the all-ones sentinel cover [0, top], or 0 when none does.
 func narrowest(top uint64) int {
-	for _, w := range []int{1, 2, 4} {
-		if top < allOnes(w) {
-			return w
+	for _, bits := range []int{1, 2, 4, 8, 16, 32} {
+		if top < allOnes(bits) {
+			return bits
 		}
 	}
 	return 0
@@ -65,7 +66,7 @@ func chooseEncoding(col *table.Column, start, end int) encoding {
 	if col.Kind == table.Categorical {
 		// Every dictionary code must fit, not only the ones these rows use:
 		// a shard's slice shares its table's dictionary.
-		return encoding{enc: DictCode, width: narrowest(uint64(max(col.Dict.Size()-1, 0)))}
+		return encoding{enc: DictCode, bits: narrowest(uint64(max(col.Dict.Size()-1, 0)))}
 	}
 	ints, f32 := true, true
 	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
@@ -89,28 +90,29 @@ func chooseEncoding(col *table.Column, start, end int) encoding {
 	}
 	if ints {
 		if lo > hi { // no value but NaN
-			return encoding{enc: Offset, width: 1}
+			return encoding{enc: Offset, bits: 1}
 		}
-		if w := narrowest(uint64(hi - lo)); w > 0 {
-			return encoding{enc: Offset, width: w, base: lo}
+		if bits := narrowest(uint64(hi - lo)); bits > 0 {
+			return encoding{enc: Offset, bits: bits, base: lo}
 		}
 	}
 	if f32 {
-		return encoding{enc: Float32, width: 4}
+		return encoding{enc: Float32, bits: 32}
 	}
-	return encoding{enc: Float64, width: 8}
+	return encoding{enc: Float64, bits: 64}
 }
 
-// appendCells appends the encoding of col's rows [start, start+n) to dst.
+// appendCells appends the encoding of col's rows [start, start+n) to dst,
+// blockfile.CellBytes each.
 func (e encoding) appendCells(dst []byte, col *table.Column, start, n int) []byte {
-	dst = slices.Grow(dst, n*e.width)
+	dst = slices.Grow(dst, n*blockfile.CellBytes(e.bits))
 	if e.enc == DictCode {
 		for _, code := range col.Cats[start : start+n] {
 			u := uint64(code)
 			if code < 0 {
-				u = allOnes(e.width)
+				u = allOnes(e.bits)
 			}
-			dst = blockfile.AppendUint(dst, u, e.width)
+			dst = blockfile.AppendCell(dst, u, e.bits)
 		}
 		return dst
 	}
@@ -118,7 +120,7 @@ func (e encoding) appendCells(dst []byte, col *table.Column, start, n int) []byt
 		var u uint64
 		switch {
 		case math.IsNaN(v):
-			u = allOnes(e.width)
+			u = allOnes(e.bits)
 		case e.enc == Offset:
 			u = uint64(int64(v) - e.base)
 		case e.enc == Float32:
@@ -126,7 +128,7 @@ func (e encoding) appendCells(dst []byte, col *table.Column, start, n int) []byt
 		default:
 			u = math.Float64bits(v)
 		}
-		dst = blockfile.AppendUint(dst, u, e.width)
+		dst = blockfile.AppendCell(dst, u, e.bits)
 	}
 	return dst
 }
@@ -134,7 +136,7 @@ func (e encoding) appendCells(dst []byte, col *table.Column, start, n int) []byt
 // num decodes a numeric cell.
 func (e encoding) num(u uint64) float64 {
 	switch {
-	case u == allOnes(e.width):
+	case u == allOnes(e.bits):
 		return math.NaN()
 	case e.enc == Offset:
 		return float64(e.base + int64(u))
@@ -147,7 +149,7 @@ func (e encoding) num(u uint64) float64 {
 // code decodes a categorical cell: its dictionary code, -1 when missing.
 // A code the dictionary does not hold is damage.
 func (e encoding) code(u uint64, dictLen int) (int32, error) {
-	if u == allOnes(e.width) {
+	if u == allOnes(e.bits) {
 		return -1, nil
 	}
 	if u >= uint64(dictLen) {
@@ -156,38 +158,90 @@ func (e encoding) code(u uint64, dictLen int) (int32, error) {
 	return int32(u), nil
 }
 
-// appendMeta appends the encoding's version-2 meta entry: u8 encoding,
-// u8 width, and for Offset the i64 base.
+// nums decodes a page's numeric cells into dst, one loop per encoding.
+func (e encoding) nums(dst []float64, cells []uint64) {
+	miss := allOnes(e.bits)
+	switch e.enc {
+	case Offset:
+		for i, u := range cells {
+			if u == miss {
+				dst[i] = math.NaN()
+				continue
+			}
+			dst[i] = float64(e.base + int64(u))
+		}
+	case Float32:
+		for i, u := range cells {
+			if u == miss {
+				dst[i] = math.NaN()
+				continue
+			}
+			dst[i] = float64(math.Float32frombits(uint32(u)))
+		}
+	default:
+		for i, u := range cells {
+			if u == miss {
+				dst[i] = math.NaN()
+				continue
+			}
+			dst[i] = math.Float64frombits(u)
+		}
+	}
+}
+
+// codes decodes a page's categorical cells into dst: dictionary codes, -1
+// where missing. A code the dictionary does not hold is damage.
+func (e encoding) codes(dst []int32, cells []uint64, dictLen int) error {
+	miss := allOnes(e.bits)
+	for i, u := range cells {
+		if u >= uint64(dictLen) && u != miss {
+			return fmt.Errorf("%w: dictionary code %d, dictionary holds %d", ErrCorrupt, u, dictLen)
+		}
+		dst[i] = int32(u)
+		if u == miss {
+			dst[i] = -1
+		}
+	}
+	return nil
+}
+
+// appendMeta appends the encoding's version-3 meta entry: u8 encoding,
+// u8 width in bits, and for Offset the i64 base.
 func (e encoding) appendMeta(dst []byte) []byte {
-	dst = append(dst, byte(e.enc), byte(e.width))
+	dst = append(dst, byte(e.enc), byte(e.bits))
 	if e.enc == Offset {
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(e.base))
 	}
 	return dst
 }
 
-// parseEncoding decodes a version-2 meta entry from the front of buf for a
-// column of kind k, returning it and the bytes consumed. An encoding the
-// kind cannot have, a width the encoding cannot have, or a base outside
-// ±2^53 (whose offsets could overflow) is ErrCorrupt.
-func parseEncoding(buf []byte, k table.Kind) (encoding, int, error) {
+// parseEncoding decodes a meta entry of a store of the given version (2 or
+// later) from the front of buf for a column of kind k, returning it and
+// the bytes consumed; a version-2 entry records its width in bytes, a
+// version-3 one in bits. An encoding the kind cannot have, a width the
+// encoding cannot have, or a base outside ±2^53 (whose offsets could
+// overflow) is ErrCorrupt.
+func parseEncoding(buf []byte, k table.Kind, version uint16) (encoding, int, error) {
 	if len(buf) < 2 {
 		return encoding{}, 0, fmt.Errorf("%w: encoding truncated", ErrCorrupt)
 	}
-	e := encoding{enc: Encoding(buf[0]), width: int(buf[1])}
+	e := encoding{enc: Encoding(buf[0]), bits: int(buf[1])}
+	if version == 2 {
+		e.bits *= 8
+	}
 	ok := false
 	switch e.enc {
 	case Float64:
-		ok = k == table.Numeric && e.width == 8
+		ok = k == table.Numeric && e.bits == 64
 	case Float32:
-		ok = k == table.Numeric && e.width == 4
+		ok = k == table.Numeric && e.bits == 32
 	case Offset:
-		ok = k == table.Numeric && (e.width == 1 || e.width == 2 || e.width == 4)
+		ok = k == table.Numeric && e.bits <= 32 && blockfile.ValidBits(e.bits)
 	case DictCode:
-		ok = k == table.Categorical && (e.width == 1 || e.width == 2 || e.width == 4)
+		ok = k == table.Categorical && e.bits <= 32 && blockfile.ValidBits(e.bits)
 	}
 	if !ok {
-		return encoding{}, 0, fmt.Errorf("%w: encoding %d at width %d for a %v column", ErrCorrupt, e.enc, e.width, k)
+		return encoding{}, 0, fmt.Errorf("%w: encoding %d at width %d for a %v column", ErrCorrupt, e.enc, buf[1], k)
 	}
 	if e.enc != Offset {
 		return e, 2, nil
@@ -206,9 +260,9 @@ func parseEncoding(buf []byte, k table.Kind) (encoding, int, error) {
 // bits for numeric cells, a u32 code for categorical ones.
 func v1Encoding(k table.Kind) encoding {
 	if k == table.Numeric {
-		return encoding{enc: Float64, width: 8}
+		return encoding{enc: Float64, bits: 64}
 	}
-	return encoding{enc: DictCode, width: 4}
+	return encoding{enc: DictCode, bits: 32}
 }
 
 // appendDictPage appends a dictionary page — u32 count, then per string a

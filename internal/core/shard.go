@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"subtab/internal/binning"
+	"subtab/internal/f32"
 	"subtab/internal/query"
 	"subtab/internal/shard"
 )
@@ -111,10 +112,13 @@ func (m *Model) SampleShard(idx int, cols []int, budget int, seed int64, preds [
 // phase-2 heaps merge associatively, and the pick order replays exactly —
 // byte-identical to the single-store scan (see package shard). covered,
 // when non-nil, applies the session coverage bias at the merge's pick step
-// (shard.FinishSampleBiased); nil preserves the historical pick order.
+// (shard.FinishSampleBiased); nil preserves the historical pick order. A
+// scan's panic (an unreadable page) is raised again here once every scan
+// has finished.
 func shardedReservoir(b *binning.Binned, src *shard.Source, cols []int, budget int, seed int64, covered func(item int) bool) []int {
 	sums := make([]shard.Summary, src.NumShards())
 	var wg sync.WaitGroup
+	var panics f32.Panics
 	for i := 0; i < src.NumShards(); i++ {
 		if src.ShardRows(i) == 0 {
 			continue
@@ -122,10 +126,12 @@ func shardedReservoir(b *binning.Binned, src *shard.Source, cols []int, budget i
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			defer panics.Recover(&i)
 			sums[i] = shard.Scan(b, src.ShardSource(i), src.ShardStart(i), cols, budget, seed)
 		}(i)
 	}
 	wg.Wait()
+	panics.Raise()
 	strata, cands := shard.MergeSummaries(sums, b.NumItems())
 	return shard.FinishSampleBiased(strata, cands, budget, covered)
 }

@@ -582,10 +582,46 @@ func Workers(n int) int {
 	return w
 }
 
+// Panics carries the panics of a parallel helper's workers to the calling
+// goroutine. A panic in a bare goroutine ends the process — no caller,
+// net/http's per-request recovery included, can catch it — so each worker
+// defers Recover, and once every worker has finished the caller calls
+// Raise, which panics again with the recorded value there. Of several
+// panics it keeps the one of the lowest work index. The zero value is
+// ready to use.
+type Panics struct {
+	mu  sync.Mutex
+	at  int
+	val any
+	set bool
+}
+
+// Recover, deferred by a worker, records the worker's panic, if any, as
+// that of work index *at (read when the panic unwinds).
+func (p *Panics) Recover(at *int) {
+	if r := recover(); r != nil {
+		p.mu.Lock()
+		if !p.set || *at < p.at {
+			p.at, p.val, p.set = *at, r, true
+		}
+		p.mu.Unlock()
+	}
+}
+
+// Raise panics with the recorded panic of the lowest work index, if any
+// worker panicked. Call it after every worker has finished.
+func (p *Panics) Raise() {
+	if p.set {
+		panic(p.val)
+	}
+}
+
 // ParallelRange splits [0,n) into one contiguous chunk per worker and runs
 // fn(start, end) concurrently, blocking until all chunks finish. With
 // workers <= 1 (or tiny n) it degenerates to a direct call, so callers need
 // no serial fallback. fn must only write state owned by its own index range.
+// A panic in fn is raised again on the calling goroutine once every chunk
+// has finished (the one of the lowest chunk, if several panic).
 func ParallelRange(n, workers int, fn func(start, end int)) {
 	if n <= 0 {
 		return
@@ -599,6 +635,7 @@ func ParallelRange(n, workers int, fn func(start, end int)) {
 	}
 	chunk := (n + workers - 1) / workers
 	var wg sync.WaitGroup
+	var panics Panics
 	for w := 0; w < workers; w++ {
 		start := w * chunk
 		if start >= n {
@@ -611,16 +648,20 @@ func ParallelRange(n, workers int, fn func(start, end int)) {
 		wg.Add(1)
 		go func(start, end int) {
 			defer wg.Done()
+			defer panics.Recover(&start)
 			fn(start, end)
 		}(start, end)
 	}
 	wg.Wait()
+	panics.Raise()
 }
 
 // ParallelIndex runs fn(i) for every i in [0,n) across workers with dynamic
 // (work-stealing) scheduling — the right shape for triangular or otherwise
 // unbalanced loops. fn must only write state owned by index i; under that
-// contract the result is independent of scheduling.
+// contract the result is independent of scheduling. A panic in fn stops its
+// worker and is raised again on the calling goroutine once every worker has
+// finished (the one of the lowest index, if several panic).
 func ParallelIndex(n, workers int, fn func(i int)) {
 	if n <= 0 {
 		return
@@ -636,12 +677,15 @@ func ParallelIndex(n, workers int, fn func(i int)) {
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
+	var panics Panics
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var i int
+			defer panics.Recover(&i)
 			for {
-				i := int(next.Add(1)) - 1
+				i = int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
@@ -650,6 +694,7 @@ func ParallelIndex(n, workers int, fn func(i int)) {
 		}()
 	}
 	wg.Wait()
+	panics.Raise()
 }
 
 // SGSlotMaxBatch bounds the batched fast path of SGSlot: slots with more

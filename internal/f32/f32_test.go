@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
 )
 
@@ -357,6 +358,48 @@ func TestMeanPoolRowsMatchesPerRow(t *testing.T) {
 			if batch.Row(i)[d] != want[d] {
 				t.Fatalf("row %d dim %d: batched %v, per-row %v", i, d, batch.Row(i)[d], want[d])
 			}
+		}
+	}
+}
+
+// TestParallelPanicReachesCaller pins that a worker's panic surfaces on the
+// calling goroutine — where a caller (an HTTP handler's recovery, say) can
+// catch it — after every other worker has finished, and that of several
+// panics the one of the lowest work index is raised. Before, a panic in a
+// worker ended the process.
+func TestParallelPanicReachesCaller(t *testing.T) {
+	caught := func(run func()) (v any) {
+		defer func() { v = recover() }()
+		run()
+		return nil
+	}
+	var ranges atomic.Int32
+	v := caught(func() {
+		ParallelRange(100, 4, func(start, end int) {
+			if start >= 50 {
+				panic(start)
+			}
+			ranges.Add(1)
+		})
+	})
+	if v != 50 || ranges.Load() != 2 {
+		t.Fatalf("ParallelRange raised %v after %d clean chunks, want 50 after 2", v, ranges.Load())
+	}
+	var done [100]atomic.Bool
+	v = caught(func() {
+		ParallelIndex(100, 4, func(i int) {
+			if i == 30 || i == 70 {
+				panic(i)
+			}
+			done[i].Store(true)
+		})
+	})
+	if v != 30 {
+		t.Fatalf("ParallelIndex raised %v, want 30", v)
+	}
+	for i := range done {
+		if done[i].Load() == (i == 30 || i == 70) {
+			t.Fatalf("index %d ran: %v", i, done[i].Load())
 		}
 	}
 }

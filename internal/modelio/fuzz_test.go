@@ -53,13 +53,15 @@ func fuzzModelBytes(tb testing.TB, r Residency) []byte {
 // given and again with its trailing CRC-32C recomputed, so mutations reach
 // the section validators (core.Restore, binning.Restore, the store images'
 // checks) instead of all failing the checksum. Seeds are a current-version
-// resident file, a current-version paged file and the checked-in version 7
-// and version 8 fixtures, truncated at section boundaries, bit-flipped,
+// resident file and a current-version paged file (their images in the
+// stores' current versions, sub-byte cells included) and the checked-in
+// version 7, 8 and 9 fixtures (the version 9 ones holding version 2
+// images), truncated at section boundaries, bit-flipped,
 // version-skewed and poisoned, plus an empty/garbage stream. The checked-in corpus under testdata/fuzz/FuzzLoad
 // replays known-interesting inputs on every plain `go test` run.
 func FuzzLoad(f *testing.F) {
 	valids := [][]byte{fuzzModelBytes(f, Resident), fuzzModelBytes(f, Paged)}
-	for _, fixture := range []string{v7Fixture, v8ResidentFixture} {
+	for _, fixture := range []string{v7Fixture, v8ResidentFixture, v9ResidentFixture, v9PagedFixture} {
 		raw, err := os.ReadFile(fixture)
 		if err != nil {
 			f.Fatal(err)

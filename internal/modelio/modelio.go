@@ -18,11 +18,15 @@
 // length of a store image that follows the header or a shard map of
 // row-range shard files beside the model (base name, row count, block size
 // and identity checksum per shard). An image is byte for byte the file the
-// paged stores write — package codestore's for the bin codes (one byte per
-// code up to 256 bins) and package colstore's for the displayed cells (each
-// column in its narrowest exact encoding) — so package blockfile is the
-// only framing and cell encoding on disk. Save streams the images: their
-// lengths are known before their first page.
+// paged stores write — package codestore's for the bin codes (1, 2, 4, 8
+// or 16 bits per code, the fewest that hold the column's bins) and package
+// colstore's for the displayed cells (each column in its narrowest exact
+// encoding, down to 1 bit) — so package blockfile is the only framing and
+// cell encoding on disk. Each image carries its own store version, so a
+// model file of this version may hold images of any store version the
+// stores read; Save writes the current ones, re-encoding a paged model's
+// older images. Save streams the images: their lengths are known before
+// their first page.
 //
 // Load maps the file once (package blockfile's mmap-or-ReadAt Region) and
 // opens both images in place at their offsets. The residency byte, which
@@ -775,33 +779,78 @@ func pagedSection(dst io.Writer, src any, what string) (outSection, error) {
 	}}, nil
 }
 
+// outdated reports whether a paged store is re-encoded when its model is
+// saved: it is in an older version of its format than current and every
+// page checks out. A damaged store is copied as it stands, as a current
+// one is, for its reader to reject.
+func outdated(s interface {
+	Version() uint16
+	Verify() error
+}, current uint16) bool {
+	return s.Version() < current && s.Verify() == nil
+}
+
 // codesSection is the codes section of m: its inline codes encoded as a
-// code store image streamed into dst, or its paged source's.
+// code store image streamed into dst, or its paged source's. A code store
+// in an older store version is re-encoded block by block, so a re-saved
+// model takes the current widths.
 func codesSection(dst io.Writer, m *core.Model) (outSection, error) {
-	if !m.B.HasInlineCodes() {
+	if m.B.HasInlineCodes() {
+		return codesImage(dst, m, 0, func(w *codestore.Writer) error { return w.AppendColumns(m.B.Codes) })
+	}
+	old, ok := m.B.Source().(*codestore.Store)
+	if !ok || !outdated(old, codestore.Version) {
 		return pagedSection(dst, m.B.Source(), "code")
 	}
-	w, err := codestore.CreateIn(dst, m.B.NumBins(), m.T.NumRows(), 0)
+	return codesImage(dst, m, old.BlockRows(), func(w *codestore.Writer) error {
+		chunk := make([][]uint16, old.NumCols())
+		for blk := 0; blk < old.NumBlocks(); blk++ {
+			for c := range chunk {
+				chunk[c] = old.ColumnBlock(c, blk, chunk[c])
+			}
+			if err := w.AppendColumns(chunk); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// codesImage is the section of a code store image of m's codes that fill
+// appends, blockRows rows to a block (<= 0: the default).
+func codesImage(dst io.Writer, m *core.Model, blockRows int, fill func(*codestore.Writer) error) (outSection, error) {
+	w, err := codestore.CreateIn(dst, m.B.NumBins(), m.T.NumRows(), blockRows)
 	if err != nil {
 		return outSection{}, fmt.Errorf("modelio: encoding bin codes: %w", err)
 	}
-	return imageSection(w.Writer, func() error { return w.AppendColumns(m.B.Codes) }), nil
+	return imageSection(w.Writer, func() error { return fill(w) }), nil
 }
 
 // cellsSection is the cells section of m: its resident table's cells
 // encoded as a column store image streamed into dst, or its cell source's.
+// A column store in an older store version is re-encoded from a
+// materialized copy of its table — held in memory while the image
+// streams — so a re-saved model takes the current widths.
 func cellsSection(dst io.Writer, m *core.Model) (outSection, error) {
+	t, blockRows := m.T, 0
 	if src := m.CellSource(); src != nil {
-		return pagedSection(dst, src, "cell")
-	}
-	if !m.T.CellsResident() {
+		old, ok := src.(*colstore.Store)
+		if !ok || !outdated(old, colstore.Version) {
+			return pagedSection(dst, src, "cell")
+		}
+		mat, err := old.MaterializeTable(t.Name)
+		if err != nil {
+			return outSection{}, fmt.Errorf("modelio: re-encoding table cells: %w", err)
+		}
+		t, blockRows = mat, old.BlockRows()
+	} else if !t.CellsResident() {
 		return outSection{}, errors.New("modelio: table cells are paged but the model has no cell source")
 	}
-	w, err := colstore.CreateIn(dst, m.T, 0)
+	w, err := colstore.CreateIn(dst, t, blockRows)
 	if err != nil {
 		return outSection{}, fmt.Errorf("modelio: encoding table cells: %w", err)
 	}
-	return imageSection(w.Writer, func() error { return w.AppendRows(0, m.T.NumRows()) }), nil
+	return imageSection(w.Writer, func() error { return w.AppendRows(0, t.NumRows()) }), nil
 }
 
 // imageSection is the section of the image w streams once fill has

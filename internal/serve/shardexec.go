@@ -35,6 +35,7 @@ import (
 
 	"subtab/internal/binning"
 	"subtab/internal/core"
+	"subtab/internal/f32"
 	"subtab/internal/memgov"
 	"subtab/internal/query"
 	"subtab/internal/shard"
@@ -296,6 +297,7 @@ func (s *shardSampler) scatter(cols []int, budget int, preds []query.Predicate) 
 	resps := make([]*shard.SampleResponse, s.src.NumShards())
 	errs := make([]error, s.src.NumShards())
 	var wg sync.WaitGroup
+	var panics f32.Panics
 	for i := 0; i < s.src.NumShards(); i++ {
 		if s.src.ShardRows(i) == 0 {
 			continue
@@ -303,6 +305,7 @@ func (s *shardSampler) scatter(cols []int, budget int, preds []query.Predicate) 
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			defer panics.Recover(&i)
 			req := &shard.SampleRequest{Checksum: s.src.Desc(i).Checksum, Seed: seed, Budget: budget, Cols: cols, Preds: preds}
 			if s.src.ShardAvailable(i) {
 				resps[i], errs[i] = sampleLocalShard(s.m, i, req)
@@ -316,6 +319,7 @@ func (s *shardSampler) scatter(cols []int, budget int, preds []query.Predicate) 
 		}(i)
 	}
 	wg.Wait()
+	panics.Raise()
 	for _, err := range errs {
 		if err != nil {
 			return sampleResult{}, err
