@@ -259,29 +259,6 @@ func (f *Filter) MatchingRows(src CodeSource, start int, cells CellFn, limit int
 	return out, nil
 }
 
-// MatchMask evaluates the conjunction over every row of src and returns a
-// local-row keep mask plus the matched count — the shard-scan form, where
-// the sampler needs random access to the verdicts rather than a row list.
-func (f *Filter) MatchMask(src CodeSource, start int, cells CellFn) ([]bool, int, error) {
-	n := 0
-	if src != nil {
-		n = src.NumRows()
-	}
-	keep := make([]bool, n)
-	matched := 0
-	err := f.stream(src, start, cells, func(rows []int) bool {
-		for _, r := range rows {
-			keep[r-start] = true
-		}
-		matched += len(rows)
-		return true
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	return keep, matched, nil
-}
-
 // stream drives the block loop: per block it classifies every row against
 // every predicate, batches one residual cell gather per predicate with
 // undecided rows, and emits the block's matching global rows (ascending) to

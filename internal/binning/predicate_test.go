@@ -151,41 +151,6 @@ func TestFilterMatchesCellGroundTruth(t *testing.T) {
 	}
 }
 
-// TestFilterMatchMaskAgrees pins MatchMask against MatchingRows: the mask's
-// set positions (offset by start) are exactly the matching rows, and the
-// matched count is their number.
-func TestFilterMatchMaskAgrees(t *testing.T) {
-	tab := predTable(t, 700)
-	b, err := binning.Bin(tab, binning.Options{MaxBins: 4, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cells := tableCells(tab)
-	for i, preds := range predCorpus(b) {
-		f := b.CompileFilter(preds)
-		rows, err := f.MatchingRows(b.Source(), 0, cells, 0)
-		if err != nil {
-			t.Fatalf("corpus %d: %v", i, err)
-		}
-		keep, matched, err := f.MatchMask(b.Source(), 0, cells)
-		if err != nil {
-			t.Fatalf("corpus %d: %v", i, err)
-		}
-		if matched != len(rows) {
-			t.Fatalf("corpus %d (%v): matched = %d, MatchingRows found %d", i, preds, matched, len(rows))
-		}
-		var fromMask []int
-		for r, ok := range keep {
-			if ok {
-				fromMask = append(fromMask, r)
-			}
-		}
-		if len(fromMask) != len(rows) || (len(rows) > 0 && !reflect.DeepEqual(fromMask, rows)) {
-			t.Fatalf("corpus %d (%v): mask rows %v, want %v", i, preds, fromMask, rows)
-		}
-	}
-}
-
 // TestFilterLimitIsPrefix pins limit semantics: the first N ascending
 // matches, exactly the unlimited result's prefix.
 func TestFilterLimitIsPrefix(t *testing.T) {

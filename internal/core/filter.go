@@ -18,9 +18,9 @@ import (
 // byte-identical to materialize-then-filter on resident tables.
 
 // candidateRows runs the plan's row source on a model whose shards are all
-// local. Filters return ascending matches; a scope keeps its rows the
-// filter's mask passes (limits and scopes never combine — queries carry
-// limits, drill-downs carry scopes). The materialize source is full relational
+// local. Filters return ascending matches; a scope keeps the matches it
+// holds (limits and scopes never combine — queries carry limits,
+// drill-downs carry scopes). The materialize source is full relational
 // evaluation (group-by, aggregates, sorting) via query.Apply over resident
 // cells, and doubles as the reference the streaming path is tested against.
 func (m *Model) candidateRows(p *plan, spec ExploreSpec) (rowSet, error) {
@@ -36,22 +36,28 @@ func (m *Model) candidateRows(p *plan, spec ExploreSpec) (rowSet, error) {
 		}
 		return listRows(rows), nil
 	}
-	src, cells := m.B.Source(), m.residualCells(p.residual)
-	if p.rows != rowsFilterScope {
-		rows, err := p.filter.MatchingRows(src, 0, cells, p.limit)
+	rows, err := p.filter.MatchingRows(m.B.Source(), 0, m.residualCells(p.residual), p.limit)
+	if err != nil || p.rows != rowsFilterScope {
 		return listRows(rows), err
 	}
-	keep, _, err := p.filter.MatchMask(src, 0, cells)
-	if err != nil {
-		return rowSet{}, err
-	}
-	var rows []int
-	for _, r := range spec.Scope {
-		if keep[r] {
-			rows = append(rows, r)
+	return listRows(intersectSorted(rows, spec.Scope)), nil
+}
+
+// intersectSorted returns the rows two ascending lists share, ascending.
+func intersectSorted(a, b []int) []int {
+	var out []int
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			out = append(out, a[i])
+			i, j = i+1, j+1
 		}
 	}
-	return listRows(rows), nil
+	return out
 }
 
 // residualCells returns the cell reader a compiled filter resolves its

@@ -18,7 +18,7 @@ import (
 // the Generic dataset's pattern column gives a handful of categorical bins,
 // and we thin one pattern down to a rare stratum so coverage is actually
 // exercised (a uniform sampler would routinely miss it).
-func sampleTestBinned(t *testing.T, n int, seed int64) *binning.Binned {
+func sampleTestBinned(t testing.TB, n int, seed int64) *binning.Binned {
 	t.Helper()
 	ds := datagen.Generic(n, 6, 5, seed)
 	b, err := binning.Bin(ds.T, binning.Options{MaxBins: 4, Seed: seed})

@@ -100,11 +100,14 @@ func (m *Model) SampleShard(idx int, cols []int, budget int, seed int64, preds [
 	if err != nil {
 		return shard.Summary{}, 0, err
 	}
-	keep, matched, err := f.MatchMask(cs, start, m.residualCells(residual))
+	rows, err := f.MatchingRows(cs, start, m.residualCells(residual), 0)
 	if err != nil {
 		return shard.Summary{}, 0, err
 	}
-	return shard.ScanFiltered(m.B, cs, start, cols, budget, seed, keep), matched, nil
+	if len(rows) == 0 { // nil would scan the whole shard
+		return shard.Summary{Strata: shard.EmptyStrata(m.B.NumItems())}, 0, nil
+	}
+	return shard.ScanRows(m.B, cs, start, rows, cols, budget, seed), len(rows), nil
 }
 
 // shardedReservoir is the local scatter/gather form of the stratified

@@ -1,18 +1,19 @@
-// Property sweep pinning the scatter/gather contract: for any split of a
-// table's rows into shards — one shard, many shards, empty shards,
-// block-unaligned boundaries — the merged per-shard summaries must
-// reproduce the single-store stratified reservoir byte for byte, both
-// through the explicit Scan/Merge/Finish protocol (what the HTTP
-// coordinator runs) and through the shard-backed fast path inside
-// stratifiedReservoir (what a local sharded model runs).
+// Property sweep pinning the sampler against its definition: for any
+// candidate set (every row or a subset), any split of the table's rows into
+// shards — one shard, many shards, empty shards, block-unaligned
+// boundaries — any budget and any coverage set, the single-store scan, the
+// sharded fan-out inside stratifiedReservoir and the explicit
+// Scan/Merge/Finish protocol (what the HTTP coordinator runs) must all
+// pick exactly what oracleSample picks.
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"subtab/internal/binning"
-	"subtab/internal/datagen"
 	"subtab/internal/shard"
 )
 
@@ -85,109 +86,226 @@ func shardSplit(b *binning.Binned, cuts []int, rng *rand.Rand) ([]binning.CodeSo
 	return srcs, counts
 }
 
-func TestShardMergeMatchesSingleScan(t *testing.T) {
+// oracleSample is the sampler's definition, written for clarity rather
+// than speed: sort the candidates by (hash, row). A stratum's
+// representative is the first candidate in that order holding one of its
+// items. Phase 1 takes the representatives in ascending item order (the
+// uncovered strata first, then the covered ones, when covered is set),
+// skipping rows already taken; phase 2 takes the first untaken candidates
+// in (hash, row) order. Both stop at the budget. A candidate set within the
+// budget is returned whole.
+func oracleSample(b *binning.Binned, rows, cols []int, budget int, seed int64, covered func(item int) bool) []int {
+	out := slices.Clone(rows)
+	if budget <= 0 || len(rows) <= budget {
+		slices.Sort(out)
+		return out
+	}
+	slices.SortFunc(out, func(x, y int) int {
+		hx, hy := shard.RowHash(seed, int64(x)), shard.RowHash(seed, int64(y))
+		if hx != hy {
+			if hx < hy {
+				return -1
+			}
+			return 1
+		}
+		return x - y
+	})
+	rep := make([]int, b.NumItems())
+	for s := range rep {
+		rep[s] = -1
+	}
+	for _, r := range out {
+		for _, c := range cols {
+			if s := b.Item(c, r); rep[s] < 0 {
+				rep[s] = r
+			}
+		}
+	}
+	taken := map[int]bool{}
+	var sample []int
+	take := func(r int) {
+		if r >= 0 && !taken[r] && len(sample) < budget {
+			taken[r] = true
+			sample = append(sample, r)
+		}
+	}
+	for _, wantCovered := range []bool{false, true} {
+		for s, r := range rep {
+			if covered == nil || covered(s) == wantCovered {
+				take(r)
+			}
+		}
+		if covered == nil {
+			break
+		}
+	}
+	for _, r := range out {
+		take(r)
+	}
+	slices.Sort(sample)
+	return sample
+}
+
+// samplerCase is one point of the sweep: a table split into shards, a
+// candidate set (nil: every row), a budget, a seed and a coverage set.
+type samplerCase struct {
+	cuts    []int
+	srcs    []binning.CodeSource
+	rows    []int
+	budget  int
+	seed    int64
+	covered func(item int) bool
+}
+
+// checkAgainstOracle samples c three ways — one scan of b's inline codes,
+// twin switched onto c's shards, and the per-shard protocol with the
+// summaries merged in a shuffled order — and fails unless each picks what
+// oracleSample picks.
+func checkAgainstOracle(t *testing.T, b, twin *binning.Binned, c samplerCase, rng *rand.Rand) {
+	t.Helper()
+	cols := allCols(b)
+	set, cands := allRows(b.NumRows()), identity(b.NumRows())
+	if c.rows != nil {
+		set, cands = listRows(c.rows), c.rows
+	}
+	want := oracleSample(b, cands, cols, c.budget, c.seed, c.covered)
+	name := fmt.Sprintf("cuts %v, %d candidates, budget %d, seed %d, covered %v", c.cuts, len(cands), c.budget, c.seed, c.covered != nil)
+	sampled := func(out rowSet) []int {
+		if out.ids == nil {
+			return identity(out.n)
+		}
+		return out.ids
+	}
+	assertSameSample(t, "single store, "+name, sampled(stratifiedReservoir(b, set, cols, c.budget, c.seed, c.covered)), want)
+
+	counts := make([]int, len(c.srcs))
+	for i := range counts {
+		counts[i] = c.cuts[i+1] - c.cuts[i]
+	}
+	src, err := shard.NewSource(c.srcs, counts, b.NumCols())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := twin.AttachStore(src); err != nil {
+		t.Fatal(err)
+	}
+	assertSameSample(t, "sharded, "+name, sampled(stratifiedReservoir(twin, set, cols, c.budget, c.seed, c.covered)), want)
+
+	if c.budget <= 0 {
+		return // the protocol's callers never send a budget below one
+	}
+	sorted := slices.Clone(c.rows) // an empty subset stays a non-nil list
+	slices.Sort(sorted)
+	sums := make([]shard.Summary, len(c.srcs))
+	for i, cs := range c.srcs {
+		var rows []int // nil: the shard's whole range
+		if c.rows != nil {
+			lo, _ := slices.BinarySearch(sorted, c.cuts[i])
+			hi, _ := slices.BinarySearch(sorted, c.cuts[i+1])
+			rows = sorted[lo:hi:hi]
+		}
+		sums[i] = shard.ScanRows(b, cs, c.cuts[i], rows, cols, c.budget, c.seed)
+	}
+	rng.Shuffle(len(sums), func(i, j int) { sums[i], sums[j] = sums[j], sums[i] })
+	strata, merged := shard.MergeSummaries(sums, b.NumItems())
+	got := shard.FinishSampleBiased(strata, merged, c.budget, c.covered)
+	assertSameSample(t, "protocol, "+name, got, want)
+}
+
+// randomCovered marks each item covered with probability p, or returns
+// nil for p == 0.
+func randomCovered(rng *rand.Rand, numItems int, p float64) func(item int) bool {
+	if p == 0 {
+		return nil
+	}
+	set := make([]bool, numItems)
+	for i := range set {
+		set[i] = rng.Float64() < p
+	}
+	return func(item int) bool { return set[item] }
+}
+
+// randomSubset keeps each of rows 0..n-1 with probability p, shuffled
+// when shuffle is set (query results under an order-by arrive unsorted).
+func randomSubset(rng *rand.Rand, n int, p float64, shuffle bool) []int {
+	rows := []int{}
+	for r := 0; r < n; r++ {
+		if rng.Float64() < p {
+			rows = append(rows, r)
+		}
+	}
+	if shuffle {
+		rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+	}
+	return rows
+}
+
+func TestStratifiedReservoirMatchesOracle(t *testing.T) {
 	const n = 1100
 	b := sampleTestBinned(t, n, 5)
-	rows, cols := identity(n), allCols(b)
-
+	twin := shardTwin(t, n, 5)
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 12; trial++ {
-		shards := 1 + rng.Intn(6)
-		cuts := randomCuts(rng, n, shards)
-		srcs, counts := shardSplit(b, cuts, rng)
-		for _, budget := range []int{40, 171, 500} {
-			for _, seed := range []int64{3, -11, 1 << 33} {
-				want := reservoir(b, rows, cols, budget, seed)
-
-				// The explicit protocol, as a coordinator runs it: one Scan
-				// per shard (shuffled merge order — the merge is
-				// commutative), MergeSummaries, FinishSample.
-				sums := make([]shard.Summary, len(srcs))
-				for i, cs := range srcs {
-					sums[i] = shard.Scan(b, cs, cuts[i], cols, budget, seed)
+		cuts := randomCuts(rng, n, 1+rng.Intn(6))
+		srcs, _ := shardSplit(b, cuts, rng)
+		for _, rows := range [][]int{nil, randomSubset(rng, n, 0.6, trial%2 == 1)} {
+			size := n
+			if rows != nil {
+				size = len(rows)
+			}
+			for _, budget := range []int{3, 12, 40, 171, size - 1, size, size + 50} {
+				for _, p := range []float64{0, 0.3} {
+					seed := []int64{3, -11, 1 << 33}[rng.Intn(3)]
+					checkAgainstOracle(t, b, twin, samplerCase{cuts, srcs, rows, budget, seed, randomCovered(rng, b.NumItems(), p)}, rng)
 				}
-				rng.Shuffle(len(sums), func(i, j int) { sums[i], sums[j] = sums[j], sums[i] })
-				strata, cands := shard.MergeSummaries(sums, b.NumItems())
-				got := shard.FinishSample(strata, cands, budget)
-				assertSameSample(t, "protocol", trial, budget, seed, cuts, got, want)
-
-				// The in-process fast path: a binned twin switched onto the
-				// sharded source, sampled through stratifiedReservoir itself.
-				src, err := shard.NewSource(srcs, counts, b.NumCols())
-				if err != nil {
-					t.Fatal(err)
-				}
-				twin := rebinnedTwin(t, n, 5)
-				if err := twin.AttachStore(src); err != nil {
-					t.Fatal(err)
-				}
-				if err := twin.DropInlineCodes(); err != nil {
-					t.Fatal(err)
-				}
-				got2 := reservoir(twin, nil, cols, budget, seed)
-				assertSameSample(t, "fan-out", trial, budget, seed, cuts, got2, want)
 			}
 		}
 	}
 }
 
-// rebinnedTwin rebuilds the same binned table (same data, same binning
-// seed) so attaching a store to it cannot alias the original's codes.
-func rebinnedTwin(t *testing.T, n int, seed int64) *binning.Binned {
-	t.Helper()
-	ds := datagen.Generic(n, 6, 5, seed)
-	b, err := binning.Bin(ds.T, binning.Options{MaxBins: 4, Seed: seed})
-	if err != nil {
-		t.Fatal(err)
+// FuzzStratifiedReservoir checks random cuts, candidate subsets, budgets
+// and coverage sets against the oracle.
+//
+//	go test -run '^$' -fuzz FuzzStratifiedReservoir ./internal/core/
+func FuzzStratifiedReservoir(f *testing.F) {
+	const n = 300
+	b := sampleTestBinned(f, n, 6)
+	twin := shardTwin(f, n, 6)
+	f.Add(int64(1), uint8(0), uint8(255), uint16(40), uint8(0))
+	f.Add(int64(2), uint8(3), uint8(150), uint16(90), uint8(80))
+	f.Add(int64(3), uint8(5), uint8(30), uint16(400), uint8(255))
+	f.Add(int64(4), uint8(2), uint8(0), uint16(7), uint8(40))
+	f.Fuzz(func(t *testing.T, seed int64, shards, keep uint8, budget uint16, cover uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		cuts := randomCuts(rng, n, 1+int(shards)%6)
+		srcs, _ := shardSplit(b, cuts, rng)
+		var rows []int
+		if keep < 255 {
+			rows = randomSubset(rng, n, float64(keep)/255, seed%2 == 0)
+		}
+		covered := randomCovered(rng, b.NumItems(), float64(cover)/255)
+		checkAgainstOracle(t, b, twin, samplerCase{cuts, srcs, rows, int(budget) % (n + 60), seed, covered}, rng)
+	})
+}
+
+// shardTwin builds the same binned table (same data, same binning seed)
+// served from a code source instead of inline codes, so each case can
+// attach its own shard split.
+func shardTwin(tb testing.TB, n int, seed int64) *binning.Binned {
+	tb.Helper()
+	b := sampleTestBinned(tb, n, seed)
+	if err := b.AttachStore(&shardMemSource{codes: b.Codes, blockRows: n}); err != nil {
+		tb.Fatal(err)
+	}
+	if err := b.DropInlineCodes(); err != nil {
+		tb.Fatal(err)
 	}
 	return b
 }
 
-func assertSameSample(t *testing.T, path string, trial, budget int, seed int64, cuts []int, got, want []int) {
+func assertSameSample(t *testing.T, what string, got, want []int) {
 	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s trial %d budget %d seed %d cuts %v: %d rows sharded, %d single-scan", path, trial, budget, seed, cuts, len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("%s trial %d budget %d seed %d cuts %v: sample[%d] = %d sharded, %d single-scan", path, trial, budget, seed, cuts, i, got[i], want[i])
-		}
-	}
-}
-
-// Budget at or above the row count must reproduce the early-return path
-// (the whole candidate set), sharded or not.
-func TestShardMergeFullBudget(t *testing.T) {
-	const n = 400
-	b := sampleTestBinned(t, n, 2)
-	rows, cols := identity(n), allCols(b)
-	rng := rand.New(rand.NewSource(1))
-	cuts := randomCuts(rng, n, 3)
-	srcs, _ := shardSplit(b, cuts, rng)
-	sums := make([]shard.Summary, len(srcs))
-	for i, cs := range srcs {
-		sums[i] = shard.Scan(b, cs, cuts[i], cols, n+50, 17)
-	}
-	strata, cands := shard.MergeSummaries(sums, b.NumItems())
-	got := shard.FinishSample(strata, cands, n+50)
-	want := reservoir(b, rows, cols, n+50, 17)
-	assertSameSample(t, "full-budget", 0, n+50, 17, cuts, got, want)
-}
-
-// A one-shard split is the degenerate identity: Scan over the whole table
-// plus FinishSample is exactly the single scan.
-func TestShardMergeSingleShard(t *testing.T) {
-	const n = 700
-	b := sampleTestBinned(t, n, 8)
-	cols := allCols(b)
-	sub := make([][]uint16, b.NumCols())
-	copy(sub, b.Codes)
-	cs := &shardMemSource{codes: sub, blockRows: 61}
-	for _, budget := range []int{25, 333} {
-		sum := shard.Scan(b, cs, 0, cols, budget, 23)
-		strata, cands := shard.MergeSummaries([]shard.Summary{sum}, b.NumItems())
-		got := shard.FinishSample(strata, cands, budget)
-		want := reservoir(b, nil, cols, budget, 23)
-		assertSameSample(t, "one-shard", 0, budget, 23, []int{0, n}, got, want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: sampled %d rows %v, oracle %d rows %v", what, len(got), got, len(want), want)
 	}
 }

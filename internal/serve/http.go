@@ -7,6 +7,7 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"time"
@@ -84,9 +85,35 @@ func NewHandler(svc *Service, logger *log.Logger) http.Handler {
 		writeErrorCode(w, http.StatusNotFound, "not_found", "no route for %s %s", r.Method, r.URL.Path)
 	})
 	if logger == nil {
-		return mux
+		return recoverPanics(nil, mux)
 	}
-	return logRequests(logger, mux)
+	return logRequests(logger, recoverPanics(logger, mux))
+}
+
+// recoverPanics answers a handler's panic (a store page that cannot be
+// read panics out of a select) with the 500 internal envelope naming the
+// cause, so the client still gets JSON rather than a dropped connection,
+// and logs the stack to logger when there is one. A panic after the
+// response has started cannot be answered and goes on to net/http, as does
+// http.ErrAbortHandler, which aborts a response on purpose.
+func recoverPanics(logger *log.Logger, next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rec := &statusRecorder{ResponseWriter: w}
+		defer func() {
+			p := recover()
+			if p == nil {
+				return
+			}
+			if p == http.ErrAbortHandler || rec.wrote {
+				panic(p)
+			}
+			if logger != nil {
+				logger.Printf("panic serving %s %s: %v\n%s", r.Method, r.URL.Path, p, debug.Stack())
+			}
+			writeErrorCode(w, http.StatusInternalServerError, "internal", "%v", p)
+		}()
+		next.ServeHTTP(rec, r)
+	})
 }
 
 // logRequests wraps next with per-request logging (method, path, status,
@@ -100,14 +127,22 @@ func logRequests(logger *log.Logger, next http.Handler) http.Handler {
 	})
 }
 
+// statusRecorder notes the status a handler answered with, and whether it
+// has started the response at all.
 type statusRecorder struct {
 	http.ResponseWriter
 	status int
+	wrote  bool
 }
 
 func (r *statusRecorder) WriteHeader(code int) {
-	r.status = code
+	r.status, r.wrote = code, true
 	r.ResponseWriter.WriteHeader(code)
+}
+
+func (r *statusRecorder) Write(b []byte) (int, error) {
+	r.wrote = true
+	return r.ResponseWriter.Write(b)
 }
 
 type api struct {

@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"io"
-	"log"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -12,6 +10,7 @@ import (
 
 	"subtab/internal/codestore"
 	"subtab/internal/core"
+	"subtab/internal/memgov"
 )
 
 // failingPages is a code store whose page reads fail once armed: its
@@ -31,10 +30,10 @@ func (f failingPages) GatherCodes(c int, rows []int, dst []uint16) {
 
 // TestWorkerPanicFailsOnlyItsRequest pins that a code store's panic inside
 // a select's parallel gather reaches the request, not the process: the
-// select on the broken table panics on the caller's goroutine — over HTTP,
-// net/http's per-request recovery ends that request — and the next select
-// on another table answers. Before, the panic ended the process from a
-// worker goroutine no one could recover.
+// select on the broken table panics on the caller's goroutine, over HTTP
+// the handler answers the 500 internal envelope naming the cause and the
+// admission reservation is released, and the next select on another table
+// answers.
 func TestWorkerPanicFailsOnlyItsRequest(t *testing.T) {
 	broken := buildModel(t, "broken", 600)
 	path := filepath.Join(t.TempDir(), "broken.codes")
@@ -61,6 +60,8 @@ func TestWorkerPanicFailsOnlyItsRequest(t *testing.T) {
 		}
 	}
 	svc := NewService(store, testOptions())
+	gov := memgov.New(1 << 30)
+	svc.SetAdmission(gov, 0)
 
 	var raised any
 	func() {
@@ -71,14 +72,15 @@ func TestWorkerPanicFailsOnlyItsRequest(t *testing.T) {
 		t.Fatalf("select over a failing store raised %v on the caller, want the store's panic", raised)
 	}
 
-	srv := httptest.NewUnstartedServer(NewHandler(svc, nil))
-	srv.Config.ErrorLog = log.New(io.Discard, "", 0) // the recovered panic's stack
-	srv.Start()
+	srv := httptest.NewServer(NewHandler(svc, nil))
 	t.Cleanup(srv.Close)
-	resp, err := http.Post(srv.URL+"/v1/tables/broken/select", "application/json", strings.NewReader(`{"k":4,"l":2}`))
-	if err == nil {
-		resp.Body.Close()
-		t.Fatalf("select over a failing store answered %d", resp.StatusCode)
+	var env errorEnvelope
+	doJSON(t, "POST", srv.URL+"/v1/tables/broken/select", map[string]any{"k": 4, "l": 2}, http.StatusInternalServerError, &env)
+	if env.Code != "internal" || !strings.Contains(env.Message, "injected I/O error") {
+		t.Fatalf("select over a failing store answered %+v, want the internal envelope naming the store's panic", env)
+	}
+	if got := gov.ClassBytes(memgov.ClassRequests); got != 0 {
+		t.Fatalf("ClassRequests = %d after the panicking select, want 0", got)
 	}
 	doJSON(t, "POST", srv.URL+"/v1/tables/fine/select", map[string]any{"k": 4, "l": 2}, http.StatusOK, nil)
 }

@@ -6,27 +6,31 @@ import (
 	"subtab/internal/binning"
 )
 
-// The scatter/gather sampler protocol. core's stratified min-hash
-// reservoir has two phases, and both are associative merges over
-// per-row (hash, row) pairs:
+// The stratified min-hash sampler behind the scaled selection path, in
+// one implementation: a table on one store is the one-summary case of the
+// scatter/gather protocol. Strata are the (column, bin) items of the
+// sampled rows over the requested columns, and both phases rank rows by
+// one seeded per-row hash (RowHash), so a sample is a fixed function of
+// (binning, rows, cols, budget, seed) with no dependence on block
+// geometry, shard cuts or scheduling:
 //
-//   - Phase 1 keeps, per (column, bin) stratum, the candidate row with
-//     the smallest hash (ties to the lower row id). A per-shard minimum
-//     over the shard's row range merges with other shards' minima by the
-//     same comparison — min is associative and commutative, so any
-//     grouping of rows into shards yields the global minima.
-//   - Phase 2 fills the remaining budget with the globally smallest
-//     (hash, row) pairs among rows phase 1 did not pick. A shard cannot
-//     know the global picked set, so it reports its budget smallest pairs
-//     unfiltered. That is always enough: a row among the global
-//     rem-smallest unpicked has fewer than picked + rem <= budget
-//     shard-local rows ahead of it in (hash, row) order, so it sits
-//     within its shard's top budget.
+//   - Phase 1 (coverage) keeps, per stratum, the row with the smallest
+//     hash (ties to the lower row id), so rare bins survive sampling
+//     however skewed the table is. Per-shard minima merge by the same
+//     comparison — min is associative and commutative, so any grouping
+//     of rows into shards yields the global minima. The pick serves
+//     strata in ascending item order until the budget is spent.
+//   - Phase 2 (fill) spends the rest of the budget on the smallest
+//     (hash, row) pairs among rows phase 1 did not pick: a uniform
+//     reservoir over the leftovers. A shard cannot know the global picked
+//     set, so it reports its budget smallest pairs unfiltered. That is
+//     always enough: a row among the global rem-smallest unpicked has
+//     fewer than picked + rem <= budget shard-local rows ahead of it in
+//     (hash, row) order, so it sits within its shard's top budget.
 //
-// Scan produces the per-shard Summary, MergeStrata folds phase-1 minima,
-// and FinishSample replays core's exact pick order over the merged state
-// — byte-identical to a single full-table scan, which the property sweep
-// in core and the golden never-recording tests pin.
+// ScanRows produces a Summary, MergeSummaries folds several, and
+// FinishSampleBiased picks the sample from the merged state. Tests in
+// core pin the result against a definition-level oracle of this order.
 
 // StratumMin is the phase-1 state of one stratum: the minimal (hash, row)
 // pair seen, or Row == -1 when the stratum is empty so far.
@@ -42,9 +46,10 @@ type HashRow struct {
 	Row  int64
 }
 
-// Summary is one shard's contribution to a scatter/gather sample. Strata
-// is indexed by global item id; Cand holds the shard's budget smallest
-// (hash, row) pairs in ascending order. Rows are global ids throughout.
+// Summary is one scan's contribution to a sample. Strata is indexed by
+// global item id; Cand holds the scan's budget smallest (hash, row) pairs
+// in no particular order (the finish selects among them by value). Rows
+// are global ids throughout.
 type Summary struct {
 	Strata []StratumMin
 	Cand   []HashRow
@@ -52,8 +57,7 @@ type Summary struct {
 
 // RowHash maps (seed, global row) to a uniform 64-bit rank with a
 // splitmix64-style finalizer. It is the one hash both sampler phases rank
-// rows by — core.sampleHash delegates here, so shard-local scans and
-// whole-table scans are rank-identical by construction.
+// rows by, so every scan of a row ranks it the same.
 func RowHash(seed int64, row int64) uint64 {
 	x := uint64(seed)*0x9E3779B97F4A7C15 + uint64(row)*0x94D049BB133111EB
 	x ^= x >> 30
@@ -77,44 +81,66 @@ func EmptyStrata(numItems int) []StratumMin {
 // Scan computes one shard's Summary: cs holds the shard's rows (local ids
 // 0..NumRows-1, global ids offset by start), b supplies the item-id space
 // (stratum s of column c's code v is b.ItemOf(c, 0)+v), and budget bounds
-// the phase-2 candidate list. The scan streams cs block by block, exactly
-// like core's single-store scan restricted to this row range.
+// the phase-2 candidate list. The scan streams cs block by block.
 func Scan(b *binning.Binned, cs binning.CodeSource, start int, cols []int, budget int, seed int64) Summary {
-	return ScanFiltered(b, cs, start, cols, budget, seed, nil)
+	return ScanRows(b, cs, start, nil, cols, budget, seed)
 }
 
-// ScanFiltered is Scan restricted to the rows whose local-id entry in keep
-// is true (keep == nil keeps every row). Rows filtered out contribute to
-// neither phase, so the merged result equals a single-store scan over just
-// the matching rows: both sampler phases are per-row min/top-k reductions,
-// and dropping a row from every shard's reduction is the same as dropping
-// it from the global one.
-func ScanFiltered(b *binning.Binned, cs binning.CodeSource, start int, cols []int, budget int, seed int64, keep []bool) Summary {
+// ScanRows is the one sampler scan. rows lists the global row ids to
+// sample from — ascending, each inside cs's range [start, start+NumRows) —
+// or is nil for every row of cs. A list reads its codes with GatherCodes,
+// the whole range streams ColumnBlock; both are the same per-cell
+// read-and-compare. Rows left out contribute to neither phase, so merged
+// per-shard scans of any row subset equal one scan of that subset.
+func ScanRows(b *binning.Binned, cs binning.CodeSource, start int, rows []int, cols []int, budget int, seed int64) Summary {
 	strata := EmptyStrata(b.NumItems())
-	n := 0
-	if cs != nil {
+	n := len(rows)
+	if rows == nil && cs != nil {
 		n = cs.NumRows()
 	}
 	if n == 0 {
 		return Summary{Strata: strata}
 	}
+	// One hash per scanned row, computed once: the per-cell work of the
+	// dominant phase-1 loop is then a code read and a compare. The same
+	// pass keeps the phase-2 candidates, the budget smallest (hash, row)
+	// pairs, in a bounded max-heap, so a large scan needs no full sort.
 	rowH := make([]uint64, n)
+	heap := make(candHeap, 0, min(budget, n))
 	for i := range rowH {
-		rowH[i] = RowHash(seed, int64(start+i))
-	}
-	matched := n
-	if keep != nil {
-		matched = 0
-		for _, k := range keep {
-			if k {
-				matched++
-			}
+		r := start + i
+		if rows != nil {
+			r = rows[i]
+		}
+		hr := HashRow{Hash: RowHash(seed, int64(r)), Row: int64(r)}
+		rowH[i] = hr.Hash
+		if len(heap) < cap(heap) {
+			heap = append(heap, hr)
+			heap.up(len(heap) - 1)
+		} else if hr.less(heap[0]) {
+			heap[0] = hr
+			heap.down(0)
 		}
 	}
-	if matched == 0 {
-		return Summary{Strata: strata}
-	}
 	var scratch []uint16
+	if rows != nil {
+		local := rows
+		if start != 0 {
+			local = make([]int, n)
+			for i, r := range rows {
+				local[i] = r - start
+			}
+		}
+		scratch = make([]uint16, n)
+		for _, c := range cols {
+			base := b.ItemOf(c, 0)
+			cs.GatherCodes(c, local, scratch)
+			for i, code := range scratch {
+				strata[base+int32(code)].offer(int64(rows[i]), rowH[i])
+			}
+		}
+		return Summary{Strata: strata, Cand: heap}
+	}
 	br := cs.BlockRows()
 	for _, c := range cols {
 		base := b.ItemOf(c, 0)
@@ -122,72 +148,58 @@ func ScanFiltered(b *binning.Binned, cs binning.CodeSource, start int, cols []in
 			codes := cs.ColumnBlock(c, blk, scratch)
 			scratch = codes
 			off := blk * br
+			hs := rowH[off : off+len(codes)]
 			for i, code := range codes {
-				if keep != nil && !keep[off+i] {
-					continue
-				}
-				s := base + int32(code)
-				r := int64(start + off + i)
-				h := rowH[off+i]
-				if strata[s].Row < 0 || h < strata[s].Hash || (h == strata[s].Hash && r < strata[s].Row) {
-					strata[s] = StratumMin{Row: r, Hash: h}
-				}
+				strata[base+int32(code)].offer(int64(start+off+i), hs[i])
 			}
 		}
 	}
-
-	// Phase-2 candidates: the shard's budget smallest (hash, row) pairs,
-	// via the same bounded max-heap core uses (no full sort of the shard).
-	rem := min(budget, matched)
-	heap := make([]HashRow, 0, rem)
-	greater := func(a, b HashRow) bool {
-		if a.Hash != b.Hash {
-			return a.Hash > b.Hash
-		}
-		return a.Row > b.Row
-	}
-	siftDown := func(i int) {
-		for {
-			l, r := 2*i+1, 2*i+2
-			big := i
-			if l < len(heap) && greater(heap[l], heap[big]) {
-				big = l
-			}
-			if r < len(heap) && greater(heap[r], heap[big]) {
-				big = r
-			}
-			if big == i {
-				return
-			}
-			heap[i], heap[big] = heap[big], heap[i]
-			i = big
-		}
-	}
-	for i := 0; i < n; i++ {
-		if keep != nil && !keep[i] {
-			continue
-		}
-		hr := HashRow{Hash: rowH[i], Row: int64(start + i)}
-		if len(heap) < rem {
-			heap = append(heap, hr)
-			for j := len(heap) - 1; j > 0; {
-				p := (j - 1) / 2
-				if !greater(heap[j], heap[p]) {
-					break
-				}
-				heap[j], heap[p] = heap[p], heap[j]
-				j = p
-			}
-			continue
-		}
-		if greater(hr, heap[0]) {
-			continue
-		}
-		heap[0] = hr
-		siftDown(0)
-	}
-	sort.Slice(heap, func(i, j int) bool { return greater(heap[j], heap[i]) })
 	return Summary{Strata: strata, Cand: heap}
+}
+
+// offer lowers the stratum's minimum to (hash h, row r) when that pair
+// ranks below it: by hash, ties toward the lower row id.
+func (m *StratumMin) offer(r int64, h uint64) {
+	if m.Row < 0 || h < m.Hash || h == m.Hash && r < m.Row {
+		*m = StratumMin{Row: r, Hash: h}
+	}
+}
+
+// less is the sampler's (hash, row) order: ties in hash break toward the
+// lower row id.
+func (a HashRow) less(b HashRow) bool {
+	return a.Hash < b.Hash || a.Hash == b.Hash && a.Row < b.Row
+}
+
+// candHeap is a binary max-heap of candidates under HashRow.less.
+type candHeap []HashRow
+
+func (h candHeap) up(j int) {
+	for j > 0 {
+		p := (j - 1) / 2
+		if !h[p].less(h[j]) {
+			return
+		}
+		h[j], h[p] = h[p], h[j]
+		j = p
+	}
+}
+
+func (h candHeap) down(i int) {
+	for {
+		big, l, r := i, 2*i+1, 2*i+2
+		if l < len(h) && h[big].less(h[l]) {
+			big = l
+		}
+		if r < len(h) && h[big].less(h[r]) {
+			big = r
+		}
+		if big == i {
+			return
+		}
+		h[i], h[big] = h[big], h[i]
+		i = big
+	}
 }
 
 // MergeStrata folds src's phase-1 minima into dst element-wise with the
@@ -195,12 +207,8 @@ func ScanFiltered(b *binning.Binned, cs binning.CodeSource, start int, cols []in
 // commutative, so shard order cannot change the result.
 func MergeStrata(dst, src []StratumMin) {
 	for s := range dst {
-		o := src[s]
-		if o.Row < 0 {
-			continue
-		}
-		if dst[s].Row < 0 || o.Hash < dst[s].Hash || (o.Hash == dst[s].Hash && o.Row < dst[s].Row) {
-			dst[s] = o
+		if o := src[s]; o.Row >= 0 {
+			dst[s].offer(o.Row, o.Hash)
 		}
 	}
 }
@@ -244,11 +252,10 @@ func (s Summary) CandidateRows() []int64 {
 	return out
 }
 
-// FinishSample replays core's pick order over merged scatter state:
-// phase 1 serves strata in ascending item order (skipping empties and
-// rows already picked) up to budget, then phase 2 spends the remainder on
-// the smallest unpicked (hash, row) candidates. The result is sorted
-// ascending — byte-identical to the single-scan sampler's output.
+// FinishSample picks the sample from merged scan state: phase 1 serves
+// strata in ascending item order (skipping empties and rows already
+// picked) up to budget, then phase 2 spends the remainder on the smallest
+// unpicked (hash, row) candidates. The result is sorted ascending.
 func FinishSample(strata []StratumMin, cands []HashRow, budget int) []int {
 	return FinishSampleBiased(strata, cands, budget, nil)
 }
@@ -285,20 +292,23 @@ func FinishSampleBiased(strata []StratumMin, cands []HashRow, budget int, covere
 		}
 	}
 	if rem := budget - len(sample); rem > 0 {
-		rest := make([]HashRow, 0, len(cands))
+		// The rem smallest unpicked candidates: heapify the unpicked ones and
+		// pop the excess from the top. One summary's excess is at most its
+		// phase-1 picks, so a single-store finish pops few and sorts nothing.
+		rest := make(candHeap, 0, len(cands))
 		for _, hr := range cands {
 			if !picked[hr.Row] {
 				rest = append(rest, hr)
 			}
 		}
-		sort.Slice(rest, func(i, j int) bool {
-			if rest[i].Hash != rest[j].Hash {
-				return rest[i].Hash < rest[j].Hash
-			}
-			return rest[i].Row < rest[j].Row
-		})
-		if len(rest) > rem {
-			rest = rest[:rem]
+		for i := len(rest)/2 - 1; i >= 0; i-- {
+			rest.down(i)
+		}
+		for len(rest) > rem {
+			last := len(rest) - 1
+			rest[0] = rest[last]
+			rest = rest[:last]
+			rest.down(0)
 		}
 		for _, hr := range rest {
 			sample = append(sample, int(hr.Row))

@@ -10,12 +10,13 @@
 //     across shard boundaries). A Source may be partial — shards owned by
 //     remote peers stay nil — and reports availability per block so
 //     attach-time validation and local scans skip what is not here.
-//   - The scatter/gather sampler protocol (sample.go, wire.go): both
-//     phases of core's stratified min-hash reservoir merge associatively,
-//     so per-shard Scan summaries — computed by local goroutines or remote
-//     subtab-server peers — combine into exactly the sample a single
-//     full-table scan would produce. Bit-identical selection is the
-//     contract, pinned by never-recording golden tests.
+//   - The stratified min-hash sampler (sample.go) and its wire codec
+//     (wire.go). It is the only sampler: a table on one store is the
+//     one-summary case. Both phases merge associatively, so per-shard
+//     summaries — computed by local goroutines or remote subtab-server
+//     peers — combine into exactly the sample one scan of every row would
+//     pick. Bit-identical selection is the contract, pinned by
+//     never-recording golden tests.
 package shard
 
 import (
