@@ -157,10 +157,11 @@ type samplerCase struct {
 	covered func(item int) bool
 }
 
-// checkAgainstOracle samples c three ways — one scan of b's inline codes,
-// twin switched onto c's shards, and the per-shard protocol with the
-// summaries merged in a shuffled order — and fails unless each picks what
-// oracleSample picks.
+// checkAgainstOracle samples c three ways — b's inline codes, twin
+// switched onto c's shards (the fan-out for the whole table, one scan
+// through the shard source for a subset), and the per-shard protocol with
+// the summaries merged in a shuffled order — and fails unless each picks
+// what oracleSample picks.
 func checkAgainstOracle(t *testing.T, b, twin *binning.Binned, c samplerCase, rng *rand.Rand) {
 	t.Helper()
 	cols := allCols(b)
@@ -170,13 +171,7 @@ func checkAgainstOracle(t *testing.T, b, twin *binning.Binned, c samplerCase, rn
 	}
 	want := oracleSample(b, cands, cols, c.budget, c.seed, c.covered)
 	name := fmt.Sprintf("cuts %v, %d candidates, budget %d, seed %d, covered %v", c.cuts, len(cands), c.budget, c.seed, c.covered != nil)
-	sampled := func(out rowSet) []int {
-		if out.ids == nil {
-			return identity(out.n)
-		}
-		return out.ids
-	}
-	assertSameSample(t, "single store, "+name, sampled(stratifiedReservoir(b, set, cols, c.budget, c.seed, c.covered)), want)
+	assertSameSample(t, "single store, "+name, stratifiedReservoir(b, set, cols, c.budget, c.seed, c.covered).list(), want)
 
 	counts := make([]int, len(c.srcs))
 	for i := range counts {
@@ -189,7 +184,7 @@ func checkAgainstOracle(t *testing.T, b, twin *binning.Binned, c samplerCase, rn
 	if err := twin.AttachStore(src); err != nil {
 		t.Fatal(err)
 	}
-	assertSameSample(t, "sharded, "+name, sampled(stratifiedReservoir(twin, set, cols, c.budget, c.seed, c.covered)), want)
+	assertSameSample(t, "sharded, "+name, stratifiedReservoir(twin, set, cols, c.budget, c.seed, c.covered).list(), want)
 
 	if c.budget <= 0 {
 		return // the protocol's callers never send a budget below one

@@ -84,10 +84,11 @@ func NewHandler(svc *Service, logger *log.Logger) http.Handler {
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		writeErrorCode(w, http.StatusNotFound, "not_found", "no route for %s %s", r.Method, r.URL.Path)
 	})
+	handler := recoverPanics(logger, mux)
 	if logger == nil {
-		return recoverPanics(nil, mux)
+		return handler
 	}
-	return logRequests(logger, recoverPanics(logger, mux))
+	return logRequests(logger, handler)
 }
 
 // recoverPanics answers a handler's panic (a store page that cannot be
