@@ -304,3 +304,74 @@ func assertSameSample(t *testing.T, what string, got, want []int) {
 		t.Fatalf("%s: sampled %d rows %v, oracle %d rows %v", what, len(got), got, len(want), want)
 	}
 }
+
+// TestShardMergeMatchesSingleScan pins the scatter/gather contract without
+// the oracle: for any split, the per-shard protocol (shuffled merge order —
+// the merge is commutative) and the shard-backed fan-out inside
+// stratifiedReservoir reproduce the single-store sample row for row.
+func TestShardMergeMatchesSingleScan(t *testing.T) {
+	const n = 1100
+	b := sampleTestBinned(t, n, 5)
+	twin := shardTwin(t, n, 5)
+	rows, cols := identity(n), allCols(b)
+	rng := rand.New(rand.NewSource(99))
+	for trial := 0; trial < 12; trial++ {
+		cuts := randomCuts(rng, n, 1+rng.Intn(6))
+		srcs, counts := shardSplit(b, cuts, rng)
+		src, err := shard.NewSource(srcs, counts, b.NumCols())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := twin.AttachStore(src); err != nil {
+			t.Fatal(err)
+		}
+		for _, budget := range []int{40, 171, 500} {
+			for _, seed := range []int64{3, -11, 1 << 33} {
+				name := fmt.Sprintf("trial %d, cuts %v, budget %d, seed %d", trial, cuts, budget, seed)
+				want := reservoir(b, rows, cols, budget, seed)
+
+				sums := make([]shard.Summary, len(srcs))
+				for i, cs := range srcs {
+					sums[i] = shard.Scan(b, cs, cuts[i], cols, budget, seed)
+				}
+				rng.Shuffle(len(sums), func(i, j int) { sums[i], sums[j] = sums[j], sums[i] })
+				strata, cands := shard.MergeSummaries(sums, b.NumItems())
+				assertSameSample(t, "protocol, "+name, shard.FinishSample(strata, cands, budget), want)
+				assertSameSample(t, "fan-out, "+name, reservoir(twin, nil, cols, budget, seed), want)
+			}
+		}
+	}
+}
+
+// TestShardMergeFullBudget: a budget at or above the row count reproduces
+// the early-return path (the whole candidate set), sharded or not.
+func TestShardMergeFullBudget(t *testing.T) {
+	const n = 400
+	b := sampleTestBinned(t, n, 2)
+	rows, cols := identity(n), allCols(b)
+	rng := rand.New(rand.NewSource(1))
+	cuts := randomCuts(rng, n, 3)
+	srcs, _ := shardSplit(b, cuts, rng)
+	sums := make([]shard.Summary, len(srcs))
+	for i, cs := range srcs {
+		sums[i] = shard.Scan(b, cs, cuts[i], cols, n+50, 17)
+	}
+	strata, cands := shard.MergeSummaries(sums, b.NumItems())
+	got := shard.FinishSample(strata, cands, n+50)
+	assertSameSample(t, fmt.Sprintf("full budget, cuts %v", cuts), got, reservoir(b, rows, cols, n+50, 17))
+}
+
+// TestShardMergeSingleShard: a one-shard split is the degenerate identity —
+// Scan over the whole table plus FinishSample is exactly the single scan.
+func TestShardMergeSingleShard(t *testing.T) {
+	const n = 700
+	b := sampleTestBinned(t, n, 8)
+	cols := allCols(b)
+	cs := &shardMemSource{codes: slices.Clone(b.Codes), blockRows: 61}
+	for _, budget := range []int{25, 333} {
+		sum := shard.Scan(b, cs, 0, cols, budget, 23)
+		strata, cands := shard.MergeSummaries([]shard.Summary{sum}, b.NumItems())
+		got := shard.FinishSample(strata, cands, budget)
+		assertSameSample(t, fmt.Sprintf("one shard, budget %d", budget), got, reservoir(b, nil, cols, budget, 23))
+	}
+}
