@@ -62,9 +62,6 @@ type CellFn func(col int, rows []int) ([]string, error)
 // residual cell reads will ever be issued).
 func (f *Filter) Exact() bool { return f.exact }
 
-// NumPredicates returns the number of compiled predicates.
-func (f *Filter) NumPredicates() int { return len(f.preds) }
-
 // CompileFilter compiles a conjunction of predicates against the binning
 // layout. Every conjunction compiles — predicates over unknown columns
 // match nothing, wrong-kind comparisons match nothing — mirroring

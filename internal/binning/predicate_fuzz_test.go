@@ -110,7 +110,7 @@ func FuzzCompileFilter(f *testing.F) {
 		f.Fatal(err)
 	}
 	store := storeFor(f, b, 64)
-	cells := tableCells(tab)
+	cells := tab.GatherCells
 	nums := []float64{200, 187.5, 0, 1e15, -2.25, math.NaN(), 1.0 / 3}
 	for i := 0; i < 64; i++ { // the plain test run replays these 64 conjunctions
 		f.Add(int64(i), nums[i%len(nums)], uint8(i))

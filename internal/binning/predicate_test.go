@@ -54,18 +54,6 @@ func predTable(t *testing.T, n int) *table.Table {
 	return tab
 }
 
-// tableCells is the residual CellFn a resident table backs.
-func tableCells(tab *table.Table) binning.CellFn {
-	return func(col int, rows []int) ([]string, error) {
-		c := tab.ColumnAt(col)
-		out := make([]string, len(rows))
-		for i, r := range rows {
-			out[i] = c.CellString(r)
-		}
-		return out, nil
-	}
-}
-
 // predCorpus enumerates the conjunctions the sweep checks: every operator,
 // cut-aligned and arbitrary numeric bounds, single-bin and fallback-bin
 // categorical equality, missingness, unknown columns, and multi-predicate
@@ -125,7 +113,7 @@ func TestFilterMatchesCellGroundTruth(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := storeFor(t, b, 64)
-	cells := tableCells(tab)
+	cells := tab.GatherCells
 	for i, preds := range predCorpus(b) {
 		q := &query.Query{Where: preds}
 		want, err := q.MatchingRows(tab)
@@ -159,7 +147,7 @@ func TestFilterLimitIsPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells := tableCells(tab)
+	cells := tab.GatherCells
 	preds := []query.Predicate{{Col: "x", Op: query.Gt, Num: 180}}
 	f := b.CompileFilter(preds)
 	all, err := f.MatchingRows(b.Source(), 0, cells, 0)

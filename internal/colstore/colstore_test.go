@@ -197,9 +197,11 @@ func TestShardRowRanges(t *testing.T) {
 }
 
 // TestPagedViewMatchesInlineView pins the property the golden fingerprints
-// rest on: a view gathered through the store renders byte-identically to
-// SubTableView on the resident table, across random row picks (repeats
-// included) and column subsets.
+// rest on: a view gathered through the store, or through the resident
+// table as its own cell source, renders byte-identically to SubTableView on
+// the resident table, across random row picks (missing cells and a repeated
+// row included) and column subsets. The table's husk has no cells to
+// gather and answers an error.
 func TestPagedViewMatchesInlineView(t *testing.T) {
 	const blockRows, n = 16, 145
 	rng := rand.New(rand.NewSource(3))
@@ -219,6 +221,7 @@ func TestPagedViewMatchesInlineView(t *testing.T) {
 		for j := range rows {
 			rows[j] = rng.Intn(n)
 		}
+		rows = append(rows, rows[0])
 		cols := append([]int(nil), allCols[:1+rng.Intn(len(allCols))]...)
 		names := make([]string, len(cols))
 		for j, c := range cols {
@@ -228,13 +231,19 @@ func TestPagedViewMatchesInlineView(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		paged, err := table.GatherView(s, src.Name, rows, cols)
-		if err != nil {
-			t.Fatal(err)
+		for _, cs := range []table.CellSource{s, src} {
+			gathered, err := table.GatherView(cs, src.Name, rows, cols)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := gathered.Render(nil), inline.Render(nil); got != want {
+				t.Fatalf("trial %d: view gathered from %T renders differently.\n got:\n%s\nwant:\n%s", trial, cs, got, want)
+			}
 		}
-		if got, want := paged.Render(nil), inline.Render(nil); got != want {
-			t.Fatalf("trial %d: paged view renders differently.\n got:\n%s\nwant:\n%s", trial, got, want)
-		}
+	}
+	src.DropCells()
+	if _, err := table.GatherView(src, src.Name, []int{0}, allCols); err == nil {
+		t.Fatal("gathering a view from a paged husk: no error")
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"subtab/internal/binning"
 	"subtab/internal/corpus"
-	"subtab/internal/f32"
 	"subtab/internal/table"
 )
 
@@ -98,9 +97,6 @@ type AppendStats struct {
 	// NewTokens counts embedding vocabulary entries the fine-tune trained —
 	// bins that existed but never appeared in the training corpus until now.
 	NewTokens int `json:"new_tokens"`
-	// RecomputedVectors counts pre-existing rows whose cached tuple-vectors
-	// were recomputed because they contain newly trained items.
-	RecomputedVectors int `json:"recomputed_vectors,omitempty"`
 }
 
 // Append ingests rows (schema-compatible with m.T, see table.AppendRows)
@@ -114,10 +110,10 @@ type AppendStats struct {
 // dictionaries), the embedding matrices are shared and at most fine-tuned
 // (new tokens trained against the frozen old vectors, old vectors
 // byte-identical), bin counts and the column-affinity matrix are updated
-// from the delta alone, and a warm full-table tuple-vector cache is
-// extended in place rather than discarded. Only row-dependent derived state
-// (rules mined over the old rows, cached selections) must be invalidated by
-// the caller.
+// from the delta alone. The returned model starts with empty caches: its
+// full-table tuple-vectors fill lazily on its first selection that needs
+// them. Only row-dependent derived state (rules mined over the old rows,
+// cached selections) must be invalidated by the caller.
 //
 // Append falls back to a full Preprocess of the concatenated table — the
 // exact model a cold build would produce — when the appended rows are
@@ -217,14 +213,6 @@ func (m *Model) Append(rows *table.Table, opt AppendOptions) (*Model, AppendStat
 	}
 	nm.seedBinCounts(counts)
 	nm.colAffinity = nm.affinityFromCounts(counts, newT.NumRows())
-
-	// Extend a warm full-table tuple-vector cache: old rows memcpy (their
-	// item vectors are frozen), new rows computed fresh. Rows that contain a
-	// newly trained item are recomputed so the cache stays bit-identical to
-	// what nm would build lazily.
-	if fv, ok := m.vecs.Get(struct{}{}); ok {
-		stats.RecomputedVectors = m.extendFullVecsInto(nm, oldN, fv)
-	}
 	return nm, stats, nil
 }
 
@@ -237,75 +225,4 @@ func (m *Model) rebin(newT *table.Table, stats *AppendStats, reason string) (*Mo
 		return nil, *stats, fmt.Errorf("core: append: re-preprocessing after %s: %w", reason, err)
 	}
 	return nm, *stats, nil
-}
-
-// extendFullVecsInto builds nm's full-table tuple-vector matrix from fv —
-// m's warm cache, captured by the caller so a concurrent eviction cannot
-// pull it away mid-copy: pre-existing rows are copied
-// (frozen item vectors make the copy bit-identical to recomputation),
-// except rows containing an item that only now received a trained vector —
-// those pooled over fewer cells in m and must be recomputed. Appended rows
-// are always computed fresh. Returns the number of recomputed pre-existing
-// rows.
-func (m *Model) extendFullVecsInto(nm *Model, oldN int, fv f32.Matrix) int {
-	n := nm.T.NumRows()
-	mc := nm.T.NumCols()
-	mat := f32.New(n, nm.Emb.Dim())
-	copy(mat.Data[:oldN*mat.C], fv.Data[:oldN*fv.C])
-
-	cols := make([]int, mc)
-	for i := range cols {
-		cols[i] = i
-	}
-
-	// Bins whose item went from unseen to trained, per column.
-	var affectedCols []int
-	affectedBins := make([][]bool, mc)
-	for c := 0; c < mc; c++ {
-		nb := nm.B.Cols[c].NumBins()
-		var marks []bool
-		for bin := 0; bin < nb; bin++ {
-			item := nm.B.ItemOf(c, bin)
-			if m.itemRow[item] < 0 && nm.itemRow[item] >= 0 {
-				if marks == nil {
-					marks = make([]bool, nb)
-				}
-				marks[bin] = true
-			}
-		}
-		if marks != nil {
-			affectedCols = append(affectedCols, c)
-			affectedBins[c] = marks
-		}
-	}
-	recomputed := 0
-	if len(affectedCols) > 0 {
-		need := make([]bool, oldN)
-		for _, c := range affectedCols {
-			codes := nm.B.Codes[c]
-			marks := affectedBins[c]
-			for r := 0; r < oldN; r++ {
-				if marks[codes[r]] {
-					need[r] = true
-				}
-			}
-		}
-		var hit []int
-		for r := 0; r < oldN; r++ {
-			if need[r] {
-				hit = append(hit, r)
-			}
-		}
-		recomputed = len(hit)
-		f32.ParallelRange(len(hit), f32.Workers(len(hit)), func(start, end int) {
-			idx := make([]int32, mc)
-			for i := start; i < end; i++ {
-				nm.rowVectorInto(mat.Row(hit[i]), hit[i], cols, idx)
-			}
-		})
-	}
-
-	nm.gatherTupleVectors(f32.Wrap(n-oldN, mat.C, mat.Data[oldN*mat.C:]), rowSet{lo: oldN, n: n - oldN}, cols, nil)
-	nm.vecs.Put(struct{}{}, mat)
-	return recomputed
 }

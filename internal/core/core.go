@@ -118,9 +118,9 @@ type Model struct {
 	// SetShardSampler). Nil on every locally complete model.
 	shardSampler ShardSampler
 
-	// cellSrc, when set, supplies rendered cells for view assembly instead of
-	// the in-memory table — a paged column store (internal/colstore) or a
-	// coordinator's over-the-wire shard gatherer. See AttachColumnStore.
+	// cellSrc, when set, supplies the rendered cells of a paged table — a
+	// column store (internal/colstore) or a coordinator's over-the-wire
+	// shard gatherer. See AttachColumnStore and cells.
 	cellSrc table.CellSource
 
 	// vecs caches the tuple-vectors of every row over all columns under

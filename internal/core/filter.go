@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"subtab/internal/binning"
 	"subtab/internal/bitset"
 )
 
@@ -11,7 +10,7 @@ import (
 // Where/Select/Limit queries compile into a code-level filter
 // (binning.CompileFilter, done by the planner) and evaluate over the
 // model's CodeSource blocks, with residual cell checks batched through the
-// paged column store for bin-boundary rows only. Paged and sharded tables
+// model's cell source for bin-boundary rows only. Paged and sharded tables
 // therefore filter without materializing a resident copy, and coordinators
 // push the conjunction into the per-shard scans. Everything downstream of
 // the row set is the one selection path, so streaming-filter results are
@@ -36,7 +35,7 @@ func (m *Model) candidateRows(p *plan, spec ExploreSpec) (rowSet, error) {
 		}
 		return listRows(rows), nil
 	}
-	rows, err := p.filter.MatchingRows(m.B.Source(), 0, m.residualCells(p.residual), p.limit)
+	rows, err := p.filter.MatchingRows(m.B.Source(), 0, m.cells().GatherCells, p.limit)
 	if err != nil || p.rows != rowsFilterScope {
 		return listRows(rows), err
 	}
@@ -58,26 +57,6 @@ func intersectSorted(a, b []int) []int {
 		}
 	}
 	return out
-}
-
-// residualCells returns the cell reader a compiled filter resolves its
-// bin-boundary rows with: the resident columns, the paged column store, or
-// nil for exact filters (guaranteed to issue no cell reads).
-func (m *Model) residualCells(src residualSource) binning.CellFn {
-	switch src {
-	case residualResident:
-		return func(col int, rows []int) ([]string, error) {
-			c := m.T.ColumnAt(col)
-			out := make([]string, len(rows))
-			for i, r := range rows {
-				out[i] = c.CellString(r)
-			}
-			return out, nil
-		}
-	case residualStore:
-		return m.cellSrc.GatherCells
-	}
-	return nil
 }
 
 // Neighborhood computes a drill-down scope around an anchor, streamed over

@@ -7,10 +7,9 @@ import (
 // SetGovernor settles the model's caches — full-table tuple-vectors,
 // memoized candidate samples, mined rules — with the process-wide ledger
 // (internal/memgov) under their own classes, including bytes already
-// resident (an append-extended model arrives with a warm vector cache), so
-// one -memory-budget covers every tenant. Idempotent: only the first
-// governor takes. Passing nil is a no-op. Must not be called while holding
-// a lock g's evictors acquire.
+// resident, so one -memory-budget covers every tenant. Idempotent: only
+// the first governor takes. Passing nil is a no-op. Must not be called
+// while holding a lock g's evictors acquire.
 func (m *Model) SetGovernor(g *memgov.Governor) {
 	m.vecs.Govern(g)
 	m.samples.Govern(g)

@@ -44,9 +44,19 @@ func (m *Model) AttachColumnStore(src table.CellSource) error {
 // (inline cells dropped).
 func (m *Model) CellsPaged() bool { return !m.T.CellsResident() }
 
-// CellSource returns the attached cell source (nil when views are assembled
-// from the in-memory table).
+// CellSource returns the attached cell source (nil when the cells are
+// resident).
 func (m *Model) CellSource() table.CellSource { return m.cellSrc }
+
+// cells returns what the model reads its rendered cells through — views
+// and residual filter checks alike: the attached cell source, else the
+// resident table itself. It mirrors binning.Binned.Source.
+func (m *Model) cells() table.CellSource {
+	if m.cellSrc != nil {
+		return m.cellSrc
+	}
+	return m.T
+}
 
 // residentTable returns m.T when its cells are resident, else a private
 // typed copy materialized from the attached cell source — the whole-table

@@ -38,12 +38,10 @@ const (
 
 // One variant per stage; the strings are the capability matrix's vocabulary.
 type (
-	rowSource      string // how the candidate rows are bound
-	residualSource string // where a non-exact filter resolves its bin-boundary rows
-	sampleKind     string // how the scaled path cuts the candidates to the sample budget
-	vectorKind     string // where the exact path's tuple-vectors come from (the scaled path builds a sampled slab)
-	columnKind     string
-	renderKind     string
+	rowSource  string // how the candidate rows are bound
+	sampleKind string // how the scaled path cuts the candidates to the sample budget
+	vectorKind string // where the exact path's tuple-vectors come from (the scaled path builds a sampled slab)
+	columnKind string
 )
 
 const (
@@ -54,10 +52,6 @@ const (
 	rowsFilterLimit   rowSource = "filter+limit"   // streaming scan, first Limit matches
 	rowsMaterialize   rowSource = "materialize"    // query.Apply over resident cells (group-by, effective order-by)
 	rowsShardPushdown rowSource = "shard-pushdown" // peers filter inside their shard scans; the rows never exist here
-
-	residualNone     residualSource = ""         // exact filter: no cell reads
-	residualResident residualSource = "resident" // the in-memory columns
-	residualStore    residualSource = "store"    // batched gathers through the column store
 
 	sampleCached  sampleKind = "cached"         // whole table, all columns, unbiased: memoized per budget
 	sampleScan    sampleKind = "scan"           // per-call stratified reservoir over the candidates
@@ -70,9 +64,6 @@ const (
 	columnsPatternGroup columnKind = "pattern-group"
 	columnsCentroid     columnKind = "centroid"
 	columnsBiased       columnKind = "biased"
-
-	renderResident renderKind = "resident" // index the in-memory table
-	renderGather   renderKind = "gather"   // gather k×l cells through the cell source
 )
 
 // Reason classifies a Refusal. One constant per row of the capability
@@ -85,7 +76,6 @@ const (
 	ReasonTooManyTargets Reason = "too-many-targets"       // more targets than l
 	ReasonBadSpec        Reason = "bad-spec"               // malformed spec or query
 	ReasonCellsPaged     Reason = "cells-paged"            // group-by / order-by needs resident cells
-	ReasonNoCells        Reason = "no-residual-cells"      // residual predicate, no cells to check it on
 	ReasonNoSampler      Reason = "remote-no-sampler"      // remote shards, no coordinator sampler
 	ReasonRemoteUnscaled Reason = "remote-unscaled"        // remote shards serve the scaled path only
 	ReasonUnderThreshold Reason = "remote-under-threshold" // pushdown matched fewer rows than the threshold
@@ -131,7 +121,6 @@ type caps struct {
 	dim           int
 	bins          []binning.ColumnBins
 	cellsResident bool // raw cells in memory: query.Apply can run
-	columnStore   bool // a cell source is attached: views and residual checks gather through it
 	inlineCodes   bool // bin codes in memory: the full-table vector cache is allowed
 	remote        bool // sharded, and some shards are held by peers
 	sampler       bool // a ShardSampler is installed
@@ -161,21 +150,6 @@ func requireLocal(c caps, reason Reason) error {
 	return refuse(reason, "table has remote shards; run this %s", where)
 }
 
-// residualFor picks where filter f resolves its bin-boundary rows. Exact
-// filters read no cells, so husk tables without any cell source still
-// filter when every predicate is cut-aligned.
-func residualFor(c caps, f *binning.Filter) (residualSource, error) {
-	switch {
-	case f.Exact():
-		return residualNone, nil
-	case c.cellsResident:
-		return residualResident, nil
-	case c.columnStore:
-		return residualStore, nil
-	}
-	return "", refuse(ReasonNoCells, "residual predicate checks need resident cells or an attached column store")
-}
-
 // plan is planSelect's answer: the resolved shape plus one variant per
 // stage. sample is what runs if the scaled path engages, vectors what runs
 // if it does not; which of the two it is depends on the candidate count and
@@ -187,14 +161,12 @@ type plan struct {
 	allCols bool  // cols is every column, in table order
 	limit   int
 
-	rows     rowSource
-	preds    []query.Predicate
-	filter   *binning.Filter // preds compiled (the three filter row sources)
-	residual residualSource
-	sample   sampleKind
-	vectors  vectorKind
-	columns  columnKind
-	render   renderKind
+	rows    rowSource
+	preds   []query.Predicate
+	filter  *binning.Filter // preds compiled (the three filter row sources)
+	sample  sampleKind
+	vectors vectorKind
+	columns columnKind
 
 	quotaCol int // the Fairness group column
 	quotaMin int // the Fairness minimum per group; 0 runs no quota
@@ -228,7 +200,7 @@ func (p *plan) stages(n int) ([]Stage, error) {
 	switch p.rows {
 	case rowsFilter, rowsFilterScope, rowsFilterLimit:
 		out = append(out, StageFilterCompile, StageFilterScan)
-		if p.residual != residualNone {
+		if !p.filter.Exact() {
 			out = append(out, StageResidualGather)
 		}
 	case rowsMaterialize:
@@ -389,10 +361,6 @@ func planSelect(spec ExploreSpec, c caps) (*plan, error) {
 		switch p.rows {
 		case rowsFilter, rowsFilterScope, rowsFilterLimit:
 			p.filter = binning.CompileFilter(c.bins, p.preds)
-			var err error
-			if p.residual, err = residualFor(c, p.filter); err != nil {
-				return nil, err
-			}
 		}
 		switch {
 		case spec.Covered != nil:
@@ -409,7 +377,7 @@ func planSelect(spec ExploreSpec, c caps) (*plan, error) {
 	// Store-backed models never warm the n×dim full-table vector cache: it
 	// would resurrect the very footprint the code store exists to shed, so
 	// they gather per request instead (bit-identical vectors either way).
-	p.vectors, p.columns, p.render = vectorsGather, columnsPatternGroup, renderResident
+	p.vectors, p.columns = vectorsGather, columnsPatternGroup
 	if p.allCols && c.inlineCodes {
 		p.vectors = vectorsFullCache
 	}
@@ -417,9 +385,6 @@ func planSelect(spec ExploreSpec, c caps) (*plan, error) {
 		p.columns = columnsBiased
 	} else if c.columns == Centroids {
 		p.columns = columnsCentroid
-	}
-	if c.columnStore {
-		p.render = renderGather
 	}
 
 	// The transient working set a serving layer reserves while this plan

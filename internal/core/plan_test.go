@@ -37,10 +37,10 @@ var matrixLayouts = []struct {
 }{
 	{"resident", caps{cellsResident: true, inlineCodes: true}},
 	{"codes-out-of-core", caps{cellsResident: true}},
-	{"cells-paged", caps{columnStore: true}},
-	{"sharded-local", caps{columnStore: true}},
-	{"remote+sampler", caps{columnStore: true, remote: true, sampler: true}},
-	{"remote-no-sampler", caps{columnStore: true, remote: true}},
+	{"cells-paged", caps{}},
+	{"sharded-local", caps{}},
+	{"remote+sampler", caps{remote: true, sampler: true}},
+	{"remote-no-sampler", caps{remote: true}},
 }
 
 // matrixShapes pairs each request shape with the candidate count its row
@@ -87,8 +87,6 @@ func cell(p *plan, n int) (string, error) {
 	for _, s := range stages {
 		v := ""
 		switch s {
-		case StageResidualGather:
-			v = string(p.residual)
 		case StageStratifiedSample, StageShardScatter:
 			v = string(p.sample)
 		case StageVectorBuild:
@@ -105,8 +103,6 @@ func cell(p *plan, n int) (string, error) {
 			}
 		case StageColumnChoice:
 			v = string(p.columns)
-		case StageRenderGather:
-			v = string(p.render)
 		}
 		if v != "" {
 			v = "(" + v + ")"
@@ -184,22 +180,11 @@ func TestPlanMatrix(t *testing.T) {
 		}
 	}
 
-	// A husk with no cell source at all still plans exact filters and
-	// refuses only the residual one.
-	husk := caps{rows: matrixRows, dim: 16, bins: matrixBins}
-	for i, want := range []string{"rows(filter)", "REFUSED " + string(ReasonNoCells)} {
-		spec := matrixShapes[1+i].spec
-		spec.K, spec.L, spec.Scale = 5, 2, &ScaleOptions{}
-		if got := outcome(spec, husk, 100); !strings.HasPrefix(got, want) {
-			t.Errorf("husk %s: got %s, want %s…", matrixShapes[1+i].name, got, want)
-		}
-	}
-
 	// The paged-table refusal keeps its typed cause and its pointer at the
 	// streaming subset.
 	spec := matrixShapes[8].spec
 	spec.K, spec.L, spec.Scale = 5, 2, &ScaleOptions{}
-	_, err := planSelect(spec, caps{rows: matrixRows, dim: 16, bins: matrixBins, columnStore: true})
+	_, err := planSelect(spec, caps{rows: matrixRows, dim: 16, bins: matrixBins})
 	if !errors.Is(err, query.ErrCellsPaged) || !strings.Contains(err.Error(), "enable streaming predicates") {
 		t.Errorf("group-by on a paged table: %v", err)
 	}

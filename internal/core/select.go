@@ -94,7 +94,6 @@ func (m *Model) caps() caps {
 		dim:           m.Emb.Dim(),
 		bins:          m.B.Cols,
 		cellsResident: m.T.CellsResident(),
-		columnStore:   m.cellSrc != nil,
 		inlineCodes:   m.B.HasInlineCodes(),
 		remote:        src != nil && !src.Complete(),
 		sampler:       m.shardSampler != nil,
@@ -265,14 +264,7 @@ func (m *Model) execute(p *plan, spec ExploreSpec) (*SubTable, error) {
 			st.Cols = append(st.Cols, m.T.ColumnAt(c).Name)
 		}
 	}
-	if p.render == renderGather {
-		// Paged cells: gather exactly the k×l selected cells out of the
-		// column store (or over the wire) instead of indexing the table.
-		st.View, err = table.GatherView(m.cellSrc, m.T.Name, st.SourceRows, st.ColIdx)
-	} else {
-		st.View, err = m.T.SubTableView(st.SourceRows, st.Cols)
-	}
-	if err != nil {
+	if st.View, err = table.GatherView(m.cells(), m.T.Name, st.SourceRows, st.ColIdx); err != nil {
 		return nil, err
 	}
 	return st, nil

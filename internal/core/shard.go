@@ -95,12 +95,7 @@ func (m *Model) SampleShard(idx int, cols []int, budget int, seed int64, preds [
 		}
 		return shard.Scan(m.B, cs, start, cols, budget, seed), n, nil
 	}
-	f := m.B.CompileFilter(preds)
-	residual, err := residualFor(m.caps(), f)
-	if err != nil {
-		return shard.Summary{}, 0, err
-	}
-	rows, err := f.MatchingRows(cs, start, m.residualCells(residual), 0)
+	rows, err := m.B.CompileFilter(preds).MatchingRows(cs, start, m.cells().GatherCells, 0)
 	if err != nil {
 		return shard.Summary{}, 0, err
 	}

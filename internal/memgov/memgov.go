@@ -40,7 +40,6 @@ package memgov
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -321,23 +320,6 @@ func (g *Governor) reclaim(skipClass string, need int64) {
 			remaining -= freed
 		}
 	}
-}
-
-// ClassNames returns the classes with non-zero bytes, sorted (stats/tests).
-func (g *Governor) ClassNames() []string {
-	if g == nil {
-		return nil
-	}
-	g.mu.Lock()
-	names := make([]string, 0, len(g.classes))
-	for k, v := range g.classes {
-		if v != 0 {
-			names = append(names, k)
-		}
-	}
-	g.mu.Unlock()
-	sort.Strings(names)
-	return names
 }
 
 // account reconciles one Cache's resident bytes with the governor. A cache

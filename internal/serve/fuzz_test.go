@@ -15,7 +15,8 @@ import (
 // the table select, the session select and the drill-down — through the
 // handler on a small resident table, without a listener. Whatever the
 // bytes, the handler must not panic or answer 5xx, and every non-2xx
-// answer must be the typed error envelope.
+// answer must be the typed error envelope. A body carrying a negative
+// session weight must answer the bad_request envelope.
 //
 //	go test -run '^$' -fuzz=FuzzV1Body -fuzztime=10s ./internal/serve/
 func FuzzV1Body(f *testing.F) {
@@ -28,11 +29,16 @@ func FuzzV1Body(f *testing.F) {
 		{0, `{"k":3,"l":2,"scale":{"threshold":1,"sample_budget":64,"batch_size":16,"max_iter":5}}`},
 		{1, `{"where":[{"col":"status","op":"=","str":"failed"}],"k":5,"l":3}`},
 		{1, `{"k":5,"l":3,"weights":{"null_rate":1,"view_count":0.5}}`},
+		{1, `{"k":5,"l":3,"weights":{"null_rate":0,"view_count":0}}`},
+		{1, `{"k":5,"l":3,"weights":{"view_count":-1}}`},
+		{1, `{"k":5,"l":3,"weights":{"null_rate":-0.5,"view_count":2}}`},
 		{1, `{"where":[{"col":"amount","op":"~","num":1}]}`},
 		{1, `{"k":-2}`},
 		{2, `{"row":0,"col":"amount","k":4,"l":3}`},
 		{2, `{"row":-99}`},
 		{2, `{"row":1,"col":"status","k":4,"l":2,"weights":{"view_count":1}}`},
+		{2, `{"row":1,"k":4,"l":2,"weights":{"null_rate":0,"view_count":0}}`},
+		{2, `{"row":1,"k":4,"l":2,"weights":{"view_count":-1}}`},
 		{2, ``},
 		{1, `{"k":`},
 		{0, `{"k":65536,"l":1,"scale":{"threshold":1,"sample_budget":1000000000,"batch_size":1000000000,"max_iter":1000000000}}`},
@@ -75,10 +81,20 @@ func FuzzV1Body(f *testing.F) {
 		if rec.Code >= 500 {
 			t.Fatalf("POST %s %q = %d: %s", path, body, rec.Code, rec.Body)
 		}
+		var env errorEnvelope
+		var shape struct {
+			Weights *SessionWeights `json:"weights"`
+		}
+		if int64(len(body)) <= maxBody && json.Unmarshal(body, &shape) == nil && shape.Weights != nil &&
+			(shape.Weights.NullRate < 0 || shape.Weights.ViewCount < 0) {
+			if json.Unmarshal(rec.Body.Bytes(), &env) != nil || rec.Code != http.StatusBadRequest || env.Code != "bad_request" {
+				t.Fatalf("POST %s %q carries a negative weight = %d, want the bad_request envelope: %s", path, body, rec.Code, rec.Body)
+			}
+			return
+		}
 		if rec.Code/100 == 2 {
 			return
 		}
-		var env errorEnvelope
 		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Code == "" || env.Message == "" {
 			t.Fatalf("POST %s %q = %d without the error envelope: %s", path, body, rec.Code, rec.Body)
 		}

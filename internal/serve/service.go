@@ -358,6 +358,9 @@ func (s *Service) Select(name string, spec core.ExploreSpec) (*core.SubTable, er
 // into the spec (coverage bias, column weights) and the returned view is
 // folded back into the session.
 func (s *Service) explore(name string, sess *session.Session, wt *SessionWeights, spec core.ExploreSpec) (*core.SubTable, error) {
+	if err := wt.check(); err != nil {
+		return nil, err
+	}
 	release, ok := s.limiter.Acquire(name)
 	if !ok {
 		return nil, fmt.Errorf("%w: table %q is at its concurrency limit", ErrOverloaded, name)

@@ -11,6 +11,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 
 	"subtab/internal/core"
 	"subtab/internal/query"
@@ -22,10 +23,25 @@ import (
 // 1 / (1 + NullRate·nullRate(c) + ViewCount·views(c)), so columns full of
 // missing values and columns the session has already shown repeatedly give
 // way to informative unseen ones. Both zero (or a nil weights block) leaves
-// the column step unbiased.
+// the column step unbiased. Weights must be finite and non-negative.
 type SessionWeights struct {
 	NullRate  float64 `json:"null_rate"`
 	ViewCount float64 `json:"view_count"`
+}
+
+// check refuses weights that would invert the bias: a negative weight
+// favours already-shown columns (ViewCount -1 on a column shown once is
+// 1/0), and an infinite one scores 0·Inf = NaN.
+func (wt *SessionWeights) check() error {
+	if wt == nil {
+		return nil
+	}
+	for _, w := range []float64{wt.NullRate, wt.ViewCount} {
+		if !(w >= 0) || math.IsInf(w, 1) {
+			return fmt.Errorf("%w: session weights must be finite and non-negative, got null_rate %g, view_count %g", ErrBadRequest, wt.NullRate, wt.ViewCount)
+		}
+	}
+	return nil
 }
 
 // SessionInfo describes one exploration session.

@@ -3,7 +3,9 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -11,6 +13,7 @@ import (
 	"testing"
 
 	"subtab/internal/memgov"
+	"subtab/internal/table"
 )
 
 // v1Response is the decoded shape of a /v1 session view.
@@ -178,6 +181,45 @@ func TestV1ErrorEnvelopes(t *testing.T) {
 	var env2 errorEnvelope
 	if err := json.Unmarshal(raw, &env2); err != nil || (env2.Code != "conflict" && env2.Code != "not_found") {
 		t.Fatalf("stale session envelope %s", raw)
+	}
+}
+
+// TestSessionWeightsMustBeNonNegative pins that weights which would invert
+// the column bias are the request's fault on both session routes: a
+// negative, NaN or infinite weight answers ErrBadRequest and records no
+// view, where ViewCount -1 used to pin the columns shown once first.
+func TestSessionWeightsMustBeNonNegative(t *testing.T) {
+	tbl, err := table.ReadCSV("pay", strings.NewReader(testCSV(120)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := NewService(NewStore(StoreOptions{}), testOptions())
+	if _, err := svc.AddTable("pay", tbl, nil, Resident, false); err != nil {
+		t.Fatal(err)
+	}
+	info, err := svc.CreateSession("pay")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := svc.SessionSelect(info.Session, nil, 4, 2, nil, nil, &SessionWeights{})
+	if err != nil {
+		t.Fatalf("zero weights: %v", err)
+	}
+	for _, wt := range []SessionWeights{
+		{ViewCount: -1},
+		{NullRate: -0.5, ViewCount: 1},
+		{ViewCount: math.NaN()},
+		{NullRate: math.Inf(1)},
+	} {
+		if _, err := svc.SessionSelect(info.Session, nil, 4, 2, nil, nil, &wt); !errors.Is(err, ErrBadRequest) {
+			t.Errorf("select with weights %+v: %v, want ErrBadRequest", wt, err)
+		}
+		if _, _, err := svc.SessionDrillDown(info.Session, st.SourceRows[0], "", 4, 2, nil, nil, &wt); !errors.Is(err, ErrBadRequest) {
+			t.Errorf("drill-down with weights %+v: %v, want ErrBadRequest", wt, err)
+		}
+	}
+	if status, err := svc.SessionStatus(info.Session); err != nil || status.Views != 1 {
+		t.Fatalf("session after refused selects: %+v, %v; want 1 view", status, err)
 	}
 }
 

@@ -167,9 +167,6 @@ func NewKDE(xs []float64, bandwidth float64) *KDE {
 	return &KDE{sample: sample, bandwidth: bandwidth}
 }
 
-// Bandwidth returns the KDE bandwidth.
-func (k *KDE) Bandwidth() float64 { return k.bandwidth }
-
 // Density evaluates the estimated density at x.
 func (k *KDE) Density(x float64) float64 {
 	if len(k.sample) == 0 {

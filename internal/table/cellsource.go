@@ -2,15 +2,14 @@ package table
 
 import "fmt"
 
-// CellSource provides rendered cells for a table whose raw columns are not
-// resident in memory — the display-side analogue of binning.CodeSource. A
-// selection is a k×l view over the source table; with a CellSource attached
-// the view is assembled by gathering exactly those k rows' cells out of the
-// paged column store (or, on a sharded coordinator, over the wire) instead
-// of indexing an in-memory Table.
+// CellSource provides a table's rendered cells — the display-side analogue
+// of binning.CodeSource. A selection is a k×l view over the source table,
+// assembled by gathering exactly those k rows' cells: from the in-memory
+// columns (a resident *Table is its own CellSource), a paged column store,
+// or, on a sharded coordinator, over the wire.
 //
 // GatherCells must return, for each requested row, the exact bytes
-// Column.CellString would produce on the resident column: "NaN" for missing
+// Column.CellString produces on the resident column: "NaN" for missing
 // cells, FormatNum for numeric values, the dictionary string for
 // categorical codes. That contract is what keeps paged selections
 // byte-identical to in-memory ones.
@@ -61,7 +60,7 @@ type ViewCellGatherer interface {
 }
 
 // GatherView builds the k×l view SubTableView would produce over the
-// resident table, reading the cells through src instead. cols are source
+// resident table, reading the cells through src. cols are source
 // column indices; the view's columns appear in the given order under the
 // source's column names.
 func GatherView(src CellSource, name string, rows []int, cols []int) (*Table, error) {

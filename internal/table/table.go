@@ -247,8 +247,8 @@ func (v Value) String() string {
 // A table can be *paged*: its cell payloads dropped (DropCells) because
 // they live in an external column store, leaving a schema husk that still
 // reports its row count and column names/kinds. Operations that touch cell
-// data panic on a paged table; callers gate on CellsResident and read
-// through a CellSource instead.
+// data panic on a paged table (GatherCells returns an error); callers gate
+// on CellsResident and read through a CellSource instead.
 type Table struct {
 	Name   string
 	cols   []*Column
@@ -384,6 +384,25 @@ func (t *Table) ColumnIndex(name string) int {
 
 // ColumnAt returns the column at position i.
 func (t *Table) ColumnAt(i int) *Column { return t.cols[i] }
+
+// ColumnName returns the name of column c. With GatherCells it makes a
+// table its own CellSource.
+func (t *Table) ColumnName(c int) string { return t.cols[c].Name }
+
+// GatherCells renders column c's cells at the given rows, in order (rows
+// may repeat): Column.CellString's bytes, which define the CellSource
+// contract. A paged table holds no cells and returns an error.
+func (t *Table) GatherCells(c int, rows []int) ([]string, error) {
+	if t.paged {
+		return nil, fmt.Errorf("table %s: cells are paged out; read them through the column store", t.Name)
+	}
+	col := t.cols[c]
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		out[i] = col.CellString(r)
+	}
+	return out, nil
+}
 
 // Cell returns the value at row r of the named column.
 func (t *Table) Cell(r int, name string) Value {

@@ -111,13 +111,7 @@ func (m *Model) VectorMatrix() f32.Matrix {
 	return f32.Wrap(len(m.tokens), m.dim, m.vecs)
 }
 
-// ContextMatrix returns the output (context) vector table as a zero-copy
-// flat matrix view in the same layout as VectorMatrix.
-func (m *Model) ContextMatrix() f32.Matrix {
-	return f32.Wrap(len(m.tokens), m.dim, m.ctx)
-}
-
-// Index returns the dense row index of tok in VectorMatrix/ContextMatrix,
+// Index returns the dense row index of tok in VectorMatrix,
 // or -1 when the token was not seen in training.
 func (m *Model) Index(tok int32) int32 {
 	if i, ok := m.vocab[tok]; ok {
