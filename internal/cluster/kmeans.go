@@ -5,19 +5,21 @@
 // rows and columns (the paper uses sklearn's KMeans for this).
 //
 // The input is a contiguous f32.Matrix (KMeansMatrix, MiniBatchKMeans). The
-// assignment step — the O(n·k·dim) bulk of every Lloyd iteration — runs
-// across workers, each point's scan one f32.Centers.Nearest call (every
-// center's distance in one pass over the point), while the centroid-update
-// step stays serial: its float accumulation order is part of the determinism
-// contract, so results are bit-identical to the serial implementation at any
-// worker count. Every Result carries each point's distance to its centre
-// (Dist), so Closest and Representatives rank members without touching a
-// point again.
+// assignment step runs across workers, each full scan of a point one
+// f32.Centers call (every center's distance in one pass over the point).
+// In MiniBatchKMeans every step is such a scan; in KMeansMatrix only the
+// first is O(n·k·dim), and after it Hamerly's bounds skip every point they
+// prove keeps its centre. The centroid-update step stays serial: its float
+// accumulation order is part of the determinism contract, so results are
+// bit-identical to the serial implementation at any worker count. Every
+// Result carries each point's distance to its centre (Dist), so Closest and
+// Representatives rank members without touching a point again.
 package cluster
 
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"subtab/internal/f32"
@@ -29,7 +31,9 @@ type Options struct {
 	MaxIter int
 	// Seed drives k-means++ initialization.
 	Seed int64
-	// Tolerance stops early when centroids move less than this (default 1e-4).
+	// Tolerance stops early once the centroids' movements in one update,
+	// summed over all of them (Euclidean distances, not squared), fall
+	// below it (default 1e-4).
 	Tolerance float64
 	// Workers bounds the parallelism of the assignment step (default
 	// GOMAXPROCS). Results are identical at any setting.
@@ -69,8 +73,35 @@ func singletons(centers f32.Matrix) *Result {
 	return res
 }
 
+// BytesPerPoint is what KMeansMatrix allocates per point beyond its
+// O(k·dim) centre state: the result's Assign and Dist, the seeding's
+// distances, and the assignment step's bounds (upper and lower, float64)
+// and previous assignment. Admission reserves it per candidate.
+const BytesPerPoint = 6 * 8
+
+// margin pads every bound of the assignment step, relative: far above
+// SqDist's rounding error (about dim·2⁻⁵³), so a bound that claims a point
+// keeps its centre holds for the distances SqDist computes, not only for the
+// exact ones.
+const margin = 1e-9
+
 // KMeansMatrix clusters the rows of pts into k clusters. When
 // k >= pts.R every point becomes its own cluster.
+//
+// It is Lloyd's algorithm with Hamerly's bounds ("Making k-means even
+// faster", SDM 2010) on the assignment step, which therefore costs
+// O(n·k·dim) in the first iteration but usually far less after it: a point
+// whose upper bound on the distance to its centre is strictly below a lower
+// bound on the distance to every other centre, or below half the distance
+// from its centre to the nearest other one, provably keeps its centre, and
+// is skipped. The update step takes a new mean only for the clusters whose
+// members changed; an unchanged member list, summed in index order, would
+// give the same bits. The bounds only decide whether to skip work: every
+// assignment and distance returned comes from f32.SqDist or f32.Centers,
+// and every centre from the same index-order sums, so the output is
+// bit-identical to a plain Lloyd loop on every target (arm64's fused
+// bodies keep their own bits, as before), and to the serial loop at any
+// worker count.
 func KMeansMatrix(pts f32.Matrix, k int, opt Options) *Result {
 	opt = opt.withDefaults()
 	n := pts.R
@@ -94,27 +125,52 @@ func KMeansMatrix(pts f32.Matrix, k int, opt Options) *Result {
 	dist := make([]float64, n)
 	sizes := make([]int, k)
 	next := f32.New(k, dim)
-	counts := make([]int, k)
+	// Per point: upper bounds the distance (not squared) to its centre,
+	// lower the distance to every other one, and prev is the cluster it was
+	// in when the means were last taken. Per centre: half bounds from below
+	// half the distance to the nearest other centre, delta is how far the
+	// last update moved it, and changed marks a new member list.
+	upper, lower, prev := make([]float64, n), make([]float64, n), make([]int, n)
+	half, delta, changed := make([]float64, k), make([]float64, k), make([]bool, k)
+	maxDelta := 0.0
 	var nearest f32.Centers
 
 	iter := 0
 	for ; iter < opt.MaxIter; iter++ {
-		// Assignment step: every point's nearest center is independent, so
-		// the row range fans out across workers against the centers as
-		// frozen here. Each scan starts from the point's previous center and
-		// visits the others in index order with an explicit lowest-index
-		// tie-break, which reproduces the plain index-order scan's first-wins
-		// behaviour even on exact float ties (duplicate rows). On amd64
-		// Nearest computes every center's distance in full, side by side in
-		// one pass over the point; elsewhere it cuts a center's sum short
-		// once it exceeds the incumbent's. Both pick the same center — a sum
-		// cut short has already lost and only grows (see f32.Centers.Nearest).
-		// The winner's distance, SqDist's bits, feeds the repair.
+		// Assignment step: every point is independent, so the row range
+		// fans out across workers against the centers as frozen here. A
+		// point the bounds cannot settle gets the full Nearest scan from its
+		// previous center, which visits the others with an explicit
+		// lowest-index tie-break (the plain index-order scan's first-wins
+		// behaviour even on exact float ties). The skip test is strict, so a
+		// tie is never skipped, and a NaN fails it. A skipped point's dist is
+		// left stale (-1). Hamerly retakes a failing point's own distance
+		// first and tests again; here that costs about what the scan does
+		// (each of the scan's lanes is the same serial sum), so it goes
+		// straight to the scan.
 		nearest.Load(centers)
+		if iter > 0 {
+			halfGaps(centers, half)
+		}
 		f32.ParallelRange(n, workers, func(start, end int) {
 			scratch := nearest.Scratch()
 			for i := start; i < end; i++ {
-				assign[i], dist[i] = nearest.Nearest(pts.Row(i), assign[i], scratch)
+				p, a := pts.Row(i), assign[i]
+				if iter > 0 {
+					if d := delta[a]; d != 0 {
+						upper[i] = (upper[i] + d) * (1 + margin)
+					}
+					if maxDelta != 0 {
+						lower[i] = (lower[i] - maxDelta) * (1 - margin)
+					}
+					if upper[i] < max(half[a], lower[i]) {
+						dist[i] = -1
+						continue
+					}
+				}
+				var second float64
+				assign[i], dist[i], second = nearest.NearestBound(p, a, scratch)
+				upper[i], lower[i] = math.Sqrt(dist[i])*(1+margin), math.Sqrt(second)*(1-margin)
 			}
 		})
 		for c := range sizes {
@@ -123,37 +179,61 @@ func KMeansMatrix(pts f32.Matrix, k int, opt Options) *Result {
 		for _, c := range assign {
 			sizes[c]++
 		}
-		repairEmptyClusters(centers, assign, dist, sizes, pts.Row)
-		// Update step, serial: summing points in index order is part of the
-		// bit-determinism contract (float addition is not associative).
-		f32.Zero(next.Data)
-		for c := range counts {
-			counts[c] = 0
+		if slices.Contains(sizes, 0) {
+			// The repair reads every distance: retake the stale ones.
+			for i, d := range dist {
+				if d < 0 {
+					dist[i] = f32.SqDist(pts.Row(i), centers.Row(assign[i]))
+				}
+			}
+			for _, i := range repairEmptyClusters(centers, assign, dist, sizes, pts.Row) {
+				upper[i], lower[i] = math.Inf(1), 0
+			}
 		}
-		for i := 0; i < n; i++ {
-			c := assign[i]
-			counts[c]++
-			f32.Add(next.Row(c), pts.Row(i))
+		for c := range changed {
+			changed[c] = iter == 0 // the seeds are no means
+		}
+		for i, c := range assign {
+			if prev[i] != c {
+				changed[prev[i]], changed[c] = true, true
+				prev[i] = c
+			}
+		}
+		// Update step, serial: summing points in index order is part of the
+		// bit-determinism contract (float addition is not associative). An
+		// unchanged cluster's moved term is its centre's distance to itself:
+		// +0, or NaN as the plain loop has it for a centre holding a NaN.
+		for c := range changed {
+			if changed[c] {
+				f32.Zero(next.Row(c))
+			}
+		}
+		for i, c := range assign {
+			if changed[c] {
+				f32.Add(next.Row(c), pts.Row(i))
+			}
 		}
 		moved := 0.0
+		maxDelta = 0
 		for c := 0; c < k; c++ {
-			if counts[c] == 0 {
+			delta[c] = 0
+			if sizes[c] == 0 {
 				continue
 			}
-			f32.Scale(1/float32(counts[c]), next.Row(c))
-			moved += math.Sqrt(f32.SqDist(next.Row(c), centers.Row(c)))
-			copy(centers.Row(c), next.Row(c))
+			mean := centers.Row(c)
+			if changed[c] {
+				mean = next.Row(c)
+				f32.Scale(1/float32(sizes[c]), mean)
+			}
+			delta[c] = math.Sqrt(f32.SqDist(mean, centers.Row(c)))
+			moved += delta[c]
+			maxDelta = max(maxDelta, delta[c])
+			copy(centers.Row(c), mean)
 		}
 		if moved < opt.Tolerance {
 			iter++
 			break
 		}
-	}
-	for c := range sizes {
-		sizes[c] = 0
-	}
-	for _, c := range assign {
-		sizes[c]++
 	}
 	// The last update moved the centers after the last assignment, so every
 	// distance is taken once more against the centers returned.
@@ -165,14 +245,30 @@ func KMeansMatrix(pts f32.Matrix, k int, opt Options) *Result {
 	return &Result{K: k, Assign: assign, Dist: dist, Centers: centers.Rows(), Sizes: sizes, Iterations: iter}
 }
 
+// halfGaps sets half[a] to half the distance from centre a to its nearest
+// other centre, shrunk by the margin (+Inf with one centre, NaN if one of
+// the distances is): a point nearer a than that is nearer a than any other.
+func halfGaps(centers f32.Matrix, half []float64) {
+	for a := range half {
+		half[a] = math.Inf(1)
+	}
+	for a := range half {
+		for b := a + 1; b < len(half); b++ {
+			d := math.Sqrt(f32.SqDist(centers.Row(a), centers.Row(b))) * (1 - margin) / 2
+			half[a], half[b] = min(half[a], d), min(half[b], d)
+		}
+	}
+}
+
 // repairEmptyClusters reassigns, for every empty cluster, the point farthest
 // from its current center (never stealing a singleton), reading the
 // distances from dist. The scan is serial in index order — first-found
 // farthest wins on exact ties — so the repair is deterministic and shared
 // bit-for-bit by the exact and mini-batch paths. A moved
 // point becomes a singleton, which no later scan reads, and its dist is
-// retaken from row(i) against its new center.
-func repairEmptyClusters(centers f32.Matrix, assign []int, dist []float64, sizes []int, row func(i int) []float32) {
+// retaken from row(i) against its new center. It returns the points moved.
+func repairEmptyClusters(centers f32.Matrix, assign []int, dist []float64, sizes []int, row func(i int) []float32) []int {
+	var moved []int
 	for c := range sizes {
 		if sizes[c] > 0 {
 			continue
@@ -188,8 +284,10 @@ func repairEmptyClusters(centers f32.Matrix, assign []int, dist []float64, sizes
 			assign[far] = c
 			sizes[c] = 1
 			dist[far] = f32.SqDist(row(far), centers.Row(c))
+			moved = append(moved, far)
 		}
 	}
+	return moved
 }
 
 // Closest returns, for each cluster, the indices of its q members nearest

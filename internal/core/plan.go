@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"subtab/internal/binning"
+	"subtab/internal/cluster"
 	"subtab/internal/query"
 )
 
@@ -389,24 +390,26 @@ func planSelect(spec ExploreSpec, c caps) (*plan, error) {
 
 	// The transient working set a serving layer reserves while this plan
 	// runs: the tuple-vector slab it materializes (the dominant allocation)
-	// plus the candidate index, sized for the largest candidate set the
-	// plan can meet — every row, or every scope row. Exact plans size by
+	// plus, per candidate, the candidate index (scaled) or exact k-means'
+	// own state (cluster.BytesPerPoint), sized for the largest candidate set
+	// the plan can meet — every row, or every scope row. Exact plans size by
 	// that count; scaled plans by the sample budget. A row source that can
 	// cut the candidates under the threshold (a filter, scope or query) may
 	// run either leg, so it reserves the larger: exact k-means over up to
 	// Threshold-1 candidates, or the sample. The estimate is deliberately
-	// on the reserve side of truth: pooled buffers and k-means state ride
-	// inside it, and it is the only bound on the slab.
+	// on the reserve side of truth: pooled buffers ride inside it, and it is
+	// the only bound on the slab.
 	rows, dim := int64(c.rows), int64(c.dim)
 	if spec.Scope != nil {
 		rows = int64(len(spec.Scope))
 	}
-	p.reserve = rows * dim * 4
+	exactPerRow := dim*4 + cluster.BytesPerPoint
+	p.reserve = rows * exactPerRow
 	if p.scale.Active(int(rows)) {
 		n := min(int64(p.scale.SampleBudget), rows)
 		p.reserve = n*dim*4 + n*8
 		if p.rows != rowsAll && !p.remote {
-			p.reserve = max(p.reserve, min(rows, int64(p.scale.Threshold)-1)*dim*4)
+			p.reserve = max(p.reserve, min(rows, int64(p.scale.Threshold)-1)*exactPerRow)
 		}
 	}
 	return p, nil

@@ -15,6 +15,7 @@ import (
 
 	"subtab/internal/binning"
 	"subtab/internal/bitset"
+	"subtab/internal/cluster"
 	"subtab/internal/query"
 	"subtab/internal/shard"
 	"subtab/internal/table"
@@ -203,11 +204,13 @@ func TestPlanMatrix(t *testing.T) {
 
 // TestPlanReserveBytes pins the reservation a serving layer makes per plan:
 // exact plans reserve the slab of every candidate (the table, or the
-// scope), scaled plans the sample's slab plus the candidate index, and a
-// scaled plan whose filter or scope can leave fewer candidates than the
-// threshold the larger of that and the exact slab of Threshold-1 rows —
-// and the sample budget default comes from ScaleOptions, nowhere else.
+// scope) plus exact k-means' per-point state, scaled plans the sample's
+// slab plus the candidate index, and a scaled plan whose filter or scope
+// can leave fewer candidates than the threshold the larger of that and the
+// exact reservation of Threshold-1 rows — and the sample budget default
+// comes from ScaleOptions, nowhere else.
 func TestPlanReserveBytes(t *testing.T) {
+	const exact = 16*4 + cluster.BytesPerPoint // per candidate, dim 16
 	c := caps{rows: 50_000, dim: 16, bins: matrixBins, cellsResident: true, inlineCodes: true}
 	where := []query.Predicate{{Col: "x", Op: query.Leq, Num: 20}}
 	wide := make([]int, 45_000)
@@ -219,16 +222,16 @@ func TestPlanReserveBytes(t *testing.T) {
 		scale ScaleOptions
 		want  int64
 	}{
-		{ExploreSpec{}, ScaleOptions{}, 50_000 * 16 * 4},
-		{ExploreSpec{}, ScaleOptions{Threshold: 60_000}, 50_000 * 16 * 4},
+		{ExploreSpec{}, ScaleOptions{}, 50_000 * exact},
+		{ExploreSpec{}, ScaleOptions{Threshold: 60_000}, 50_000 * exact},
 		{ExploreSpec{}, ScaleOptions{Threshold: 1}, 20_000*16*4 + 20_000*8},
 		{ExploreSpec{}, ScaleOptions{Threshold: 1, SampleBudget: 400}, 400*16*4 + 400*8},
 		{ExploreSpec{}, ScaleOptions{Threshold: 1, SampleBudget: 80_000}, 50_000*16*4 + 50_000*8},
 		{ExploreSpec{}, ScaleOptions{Threshold: 40_000, SampleBudget: 400}, 400*16*4 + 400*8},
-		{ExploreSpec{Where: where}, ScaleOptions{Threshold: 40_000, SampleBudget: 400}, 39_999 * 16 * 4},
-		{ExploreSpec{Scope: wide}, ScaleOptions{Threshold: 40_000, SampleBudget: 400}, 39_999 * 16 * 4},
-		{ExploreSpec{Scope: []int{1, 2, 3}}, ScaleOptions{Threshold: 40_000, SampleBudget: 400}, 3 * 16 * 4},
-		{ExploreSpec{Scope: []int{1, 2, 3}, Where: where}, ScaleOptions{}, 3 * 16 * 4},
+		{ExploreSpec{Where: where}, ScaleOptions{Threshold: 40_000, SampleBudget: 400}, 39_999 * exact},
+		{ExploreSpec{Scope: wide}, ScaleOptions{Threshold: 40_000, SampleBudget: 400}, 39_999 * exact},
+		{ExploreSpec{Scope: []int{1, 2, 3}}, ScaleOptions{Threshold: 40_000, SampleBudget: 400}, 3 * exact},
+		{ExploreSpec{Scope: []int{1, 2, 3}, Where: where}, ScaleOptions{}, 3 * exact},
 		{ExploreSpec{Where: where}, ScaleOptions{Threshold: 1, SampleBudget: 400}, 400*16*4 + 400*8},
 		{ExploreSpec{Where: where}, ScaleOptions{Threshold: 100}, 20_000*16*4 + 20_000*8},
 	} {

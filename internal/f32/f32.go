@@ -468,6 +468,16 @@ func (c *centersGo) Scratch() []float64 { return make([]float64, (c.m.R+1)&^1) }
 // first. It panics on a p shorter than dim, a scratch shorter than Scratch
 // returns, and a first that is not a centre.
 func (c *centersGo) Nearest(p []float32, first int, scratch []float64) (int, float64) {
+	best, d, _ := c.NearestBound(p, first, scratch)
+	return best, d
+}
+
+// NearestBound is Nearest that also returns a lower bound on the squared
+// distance to every other centre but those at a NaN distance, which never
+// win a scan (+Inf when no such centre is left): the least of their sums,
+// run in full or cut short. A sum cut short is a prefix of SqDist's sum of
+// non-negative terms, so it is no larger than the distance.
+func (c *centersGo) NearestBound(p []float32, first int, scratch []float64) (int, float64, float64) {
 	if len(p) < c.m.C || len(scratch) < (c.m.R+1)&^1 {
 		panic("f32: Centers.Nearest: p or scratch too short")
 	}
@@ -475,7 +485,7 @@ func (c *centersGo) Nearest(p []float32, first int, scratch []float64) (int, flo
 	if first < 0 || first >= c.m.R {
 		panic("f32: Centers.Nearest: first is not a centre")
 	}
-	best := first
+	best, second := first, math.Inf(1)
 	bestD := SqDist(p, c.m.Row(best))
 	for i := 0; i < c.m.R; i++ {
 		if i == best {
@@ -483,10 +493,15 @@ func (c *centersGo) Nearest(p []float32, first int, scratch []float64) (int, flo
 		}
 		d := SqDistBounded(p, c.m.Row(i), bestD)
 		if d < bestD || (d == bestD && i < best) {
+			if bestD < second {
+				second = bestD
+			}
 			best, bestD = i, d
+		} else if d < second {
+			second = d
 		}
 	}
-	return best, bestD
+	return best, bestD, second
 }
 
 // Cosine returns the cosine similarity of two vectors (0 for zero vectors).

@@ -2,6 +2,8 @@
 
 package f32
 
+import "math"
+
 // The three hottest kernels have SSE2 bodies in kernels_amd64.s. SSE2 is in
 // the amd64 baseline, so there is nothing to detect and nothing to select:
 // GOARCH picks this file or kernels_generic.go, and the only run-time branch
@@ -134,6 +136,39 @@ func (c *Centers) Scratch() []float64 { return make([]float64, c.stride) }
 // (the terms are non-negative; a NaN compares false either way) and loses
 // again; and a centre that wins was summed to the end in both.
 func (c *Centers) Nearest(p []float32, first int, scratch []float64) (int, float64) {
+	dist := c.distances(p, scratch)
+	best, bestD := first, dist[first]
+	for i, d := range dist {
+		if d < bestD || (d == bestD && i < best) {
+			best, bestD = i, d
+		}
+	}
+	return best, bestD
+}
+
+// NearestBound is Nearest that also returns a lower bound on the squared
+// distance to every other centre but those at a NaN distance, which never
+// win a scan (+Inf when no such centre is left). Here the bound is exact:
+// the least of those distances, with SqDist's bits.
+func (c *Centers) NearestBound(p []float32, first int, scratch []float64) (int, float64, float64) {
+	dist := c.distances(p, scratch)
+	best, bestD, second := first, dist[first], math.Inf(1)
+	for i, d := range dist {
+		if d < bestD || (d == bestD && i < best) {
+			if bestD < second {
+				second = bestD
+			}
+			best, bestD = i, d
+		} else if d < second && i != best {
+			second = d
+		}
+	}
+	return best, bestD, second
+}
+
+// distances sets scratch[:k] to every centre's squared distance to p[:dim]
+// and returns it.
+func (c *Centers) distances(p []float32, scratch []float64) []float64 {
 	// The assembly has no bounds checks: these are them. (A bare reslice
 	// would let a short slice grow into its capacity.)
 	if len(p) < c.dim || len(scratch) < c.stride {
@@ -149,14 +184,7 @@ func (c *Centers) Nearest(p []float32, first int, scratch []float64) (int, float
 		sqDistPairsSSE2(p, c.t, c.stride, scratch, off, n)
 		off += 2 * n
 	}
-	dist := scratch[:c.k]
-	best, bestD := first, dist[first]
-	for i, d := range dist {
-		if d < bestD || (d == bestD && i < best) {
-			best, bestD = i, d
-		}
-	}
-	return best, bestD
+	return scratch[:c.k]
 }
 
 // sgSlotSSE2 is SGSlotDistinct for len(cv) a positive multiple of 4 and

@@ -537,10 +537,39 @@ func checkNearest(t *testing.T, m Matrix, p []float32, pOff, sOff int) {
 			t.Fatalf("dim %d, %d centres, first %d, offsets %d/%d: nearest (%d, %x), Go body (%d, %x)",
 				m.C, m.R, first, pOff, sOff, gi, math.Float64bits(gd), wi, math.Float64bits(wd))
 		}
-		for c, d := range laneDists(&got, gs) {
+		lanes := laneDists(&got, gs)
+		for c, d := range lanes {
 			if sd := SqDist(p[:m.C], m.Row(c)); !sameBits64(d, sd) {
 				t.Fatalf("dim %d, %d centres, first %d, offsets %d/%d: distance to centre %d is %x, SqDist %x",
 					m.C, m.R, first, pOff, sOff, c, math.Float64bits(d), math.Float64bits(sd))
+			}
+		}
+		// The runner-up bound: the same nearest centre, and no more than any
+		// other centre's distance that is not NaN. Where the lanes are
+		// there, it is the least of those distances exactly.
+		for name, body := range map[string]nearestBody{"nearest": &got, "Go body": &want} {
+			bi, bd, bound := body.NearestBound(q, first, gs)
+			if bi != wi || !sameBits64(bd, wd) {
+				t.Fatalf("dim %d, %d centres, first %d: %s NearestBound (%d, %x), Nearest (%d, %x)",
+					m.C, m.R, first, name, bi, math.Float64bits(bd), wi, math.Float64bits(wd))
+			}
+			second := math.Inf(1)
+			for c := 0; c < m.R; c++ {
+				if c == wi {
+					continue
+				}
+				sd := SqDist(p[:m.C], m.Row(c))
+				if sd < second {
+					second = sd
+				}
+				if bound > sd {
+					t.Fatalf("dim %d, %d centres, first %d: %s runner-up bound %v above centre %d's distance %v",
+						m.C, m.R, first, name, bound, c, sd)
+				}
+			}
+			if name == "nearest" && lanes != nil && !sameBits64(bound, second) {
+				t.Fatalf("dim %d, %d centres, first %d: runner-up %x, second-smallest distance %x",
+					m.C, m.R, first, math.Float64bits(bound), math.Float64bits(second))
 			}
 		}
 	}
@@ -630,6 +659,7 @@ type nearestBody interface {
 	Load(Matrix)
 	Scratch() []float64
 	Nearest(p []float32, first int, scratch []float64) (int, float64)
+	NearestBound(p []float32, first int, scratch []float64) (int, float64, float64)
 }
 
 // TestNearestPanicParity: the assembly has no bounds checks, so a short
@@ -678,10 +708,11 @@ func TestNearestPanicParity(t *testing.T) {
 	}
 }
 
-// FuzzNearest drives the differential check from fuzz bytes: values from
-// data (see floatSource), dim 1..100, 1..28 centres, any alignment; dup
-// copies one centre over another (an exact tie) and, when its top bit is
-// set, makes the point a copy of a centre as well (a distance of +0).
+// FuzzNearest drives the differential check, runner-up bound included,
+// from fuzz bytes: values from data (see floatSource), dim 1..100, 1..28
+// centres, any alignment; dup copies one centre over another (an exact tie)
+// and, when its top bit is set, makes the point a copy of a centre as well
+// (a distance of +0).
 func FuzzNearest(f *testing.F) {
 	f.Add([]byte{0x12, 0x34, 0x56, 0x78, 0x9a, 0xbc}, uint8(31), uint8(9), uint8(0), uint8(0x93))
 	f.Add([]byte{0xff, 0xbf, 0x00, 0xa0, 0x07, 0xa0}, uint8(32), uint8(26), uint8(1), uint8(0x05))
