@@ -75,9 +75,9 @@ func singletons(centers f32.Matrix) *Result {
 
 // BytesPerPoint is what KMeansMatrix allocates per point beyond its
 // O(k·dim) centre state: the result's Assign and Dist, the seeding's
-// distances, and the assignment step's bounds (upper and lower, float64)
-// and previous assignment. Admission reserves it per candidate.
-const BytesPerPoint = 6 * 8
+// distances, and the assignment step's bounds (upper and lower, float64).
+// Admission reserves it per candidate.
+const BytesPerPoint = 5 * 8
 
 // margin pads every bound of the assignment step, relative: far above
 // SqDist's rounding error (about dim·2⁻⁵³), so a bound that claims a point
@@ -94,9 +94,7 @@ const margin = 1e-9
 // whose upper bound on the distance to its centre is strictly below a lower
 // bound on the distance to every other centre, or below half the distance
 // from its centre to the nearest other one, provably keeps its centre, and
-// is skipped. The update step takes a new mean only for the clusters whose
-// members changed; an unchanged member list, summed in index order, would
-// give the same bits. The bounds only decide whether to skip work: every
+// is skipped. The bounds only decide whether to skip work: every
 // assignment and distance returned comes from f32.SqDist or f32.Centers,
 // and every centre from the same index-order sums, so the output is
 // bit-identical to a plain Lloyd loop on every target (arm64's fused
@@ -125,13 +123,12 @@ func KMeansMatrix(pts f32.Matrix, k int, opt Options) *Result {
 	dist := make([]float64, n)
 	sizes := make([]int, k)
 	next := f32.New(k, dim)
-	// Per point: upper bounds the distance (not squared) to its centre,
-	// lower the distance to every other one, and prev is the cluster it was
-	// in when the means were last taken. Per centre: half bounds from below
-	// half the distance to the nearest other centre, delta is how far the
-	// last update moved it, and changed marks a new member list.
-	upper, lower, prev := make([]float64, n), make([]float64, n), make([]int, n)
-	half, delta, changed := make([]float64, k), make([]float64, k), make([]bool, k)
+	// Per point: upper bounds the distance (not squared) to its centre and
+	// lower the distance to every other one. Per centre: half bounds from
+	// below half the distance to the nearest other centre, and delta is how
+	// far the last update moved it.
+	upper, lower := make([]float64, n), make([]float64, n)
+	half, delta := make([]float64, k), make([]float64, k)
 	maxDelta := 0.0
 	var nearest f32.Centers
 
@@ -168,9 +165,9 @@ func KMeansMatrix(pts f32.Matrix, k int, opt Options) *Result {
 						continue
 					}
 				}
-				var second float64
-				assign[i], dist[i], second = nearest.NearestBound(p, a, scratch)
-				upper[i], lower[i] = math.Sqrt(dist[i])*(1+margin), math.Sqrt(second)*(1-margin)
+				assign[i], dist[i] = nearest.Nearest(p, a, scratch)
+				upper[i] = math.Sqrt(dist[i]) * (1 + margin)
+				lower[i] = math.Sqrt(nearest.RunnerUp(scratch, assign[i])) * (1 - margin)
 			}
 		})
 		for c := range sizes {
@@ -190,28 +187,11 @@ func KMeansMatrix(pts f32.Matrix, k int, opt Options) *Result {
 				upper[i], lower[i] = math.Inf(1), 0
 			}
 		}
-		for c := range changed {
-			changed[c] = iter == 0 // the seeds are no means
-		}
-		for i, c := range assign {
-			if prev[i] != c {
-				changed[prev[i]], changed[c] = true, true
-				prev[i] = c
-			}
-		}
 		// Update step, serial: summing points in index order is part of the
-		// bit-determinism contract (float addition is not associative). An
-		// unchanged cluster's moved term is its centre's distance to itself:
-		// +0, or NaN as the plain loop has it for a centre holding a NaN.
-		for c := range changed {
-			if changed[c] {
-				f32.Zero(next.Row(c))
-			}
-		}
+		// bit-determinism contract (float addition is not associative).
+		f32.Zero(next.Data)
 		for i, c := range assign {
-			if changed[c] {
-				f32.Add(next.Row(c), pts.Row(i))
-			}
+			f32.Add(next.Row(c), pts.Row(i))
 		}
 		moved := 0.0
 		maxDelta = 0
@@ -220,15 +200,11 @@ func KMeansMatrix(pts f32.Matrix, k int, opt Options) *Result {
 			if sizes[c] == 0 {
 				continue
 			}
-			mean := centers.Row(c)
-			if changed[c] {
-				mean = next.Row(c)
-				f32.Scale(1/float32(sizes[c]), mean)
-			}
-			delta[c] = math.Sqrt(f32.SqDist(mean, centers.Row(c)))
+			f32.Scale(1/float32(sizes[c]), next.Row(c))
+			delta[c] = math.Sqrt(f32.SqDist(next.Row(c), centers.Row(c)))
 			moved += delta[c]
 			maxDelta = max(maxDelta, delta[c])
-			copy(centers.Row(c), mean)
+			copy(centers.Row(c), next.Row(c))
 		}
 		if moved < opt.Tolerance {
 			iter++

@@ -268,22 +268,35 @@ func FuzzKMeansMatrix(f *testing.F) {
 }
 
 // TestKMeansAllocBytes holds KMeansMatrix's allocations to BytesPerPoint per
-// point plus what does not grow with n: the centres, the seeding's rng and
-// the workers' scratch. The garbage collector is off, so TotalAlloc counts
-// every byte allocated.
+// point plus what does not grow with n — the centres, the seeding's rng,
+// and each of the five per-point slices rounded up to at most a page — plus
+// what each parallel pass allocates: its closure, and per worker a
+// goroutine's closure and the assignment step's scratch. There is one pass
+// per seeded centre, one per iteration and one for the final distances, so
+// that term grows with Iterations × workers, never with n. Uniform points
+// keep Lloyd iterating (to MaxIter at 20,000 points), so the term is
+// exercised. The garbage collector is off, so TotalAlloc counts every byte
+// allocated.
 func TestKMeansAllocBytes(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	const k, dim = 10, 32
+	const k, dim, perWorkerPass = 10, 32, 512
 	for _, n := range []int{800, 20_000} {
-		pts := clusterTestPoints(9, n, dim, 12)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		res := KMeansMatrix(pts, k, Options{Seed: 3, Workers: 2})
-		runtime.ReadMemStats(&after)
-		got := after.TotalAlloc - before.TotalAlloc
-		limit := uint64(n*BytesPerPoint + 4*k*dim*8 + 64<<10)
-		if got > limit {
-			t.Errorf("n=%d: %d iterations allocated %d bytes, over %d", n, res.Iterations, got, limit)
+		rng := rand.New(rand.NewSource(int64(n)))
+		pts := f32.New(n, dim)
+		for i := range pts.Data {
+			pts.Data[i] = rng.Float32()
+		}
+		for _, workers := range []int{1, 4} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			res := KMeansMatrix(pts, k, Options{Seed: 3, Workers: workers})
+			runtime.ReadMemStats(&after)
+			got := after.TotalAlloc - before.TotalAlloc
+			passes := k + res.Iterations + 1
+			limit := uint64(n*BytesPerPoint + 5*8<<10 + 4*k*dim*8 + 8<<10 + passes*(workers+1)*perWorkerPass)
+			if got > limit {
+				t.Errorf("n=%d, %d workers: %d iterations allocated %d bytes, over %d", n, workers, res.Iterations, got, limit)
+			}
 		}
 	}
 }

@@ -444,7 +444,7 @@ func SqDistBounded(a, b []float32, bound float64) float64 {
 // one after another, each sum but the first's cut short by SqDistBounded once
 // it exceeds the incumbent's. It is Centers itself on every target but amd64,
 // and on amd64 the oracle the SSE2 body is tested against — hence the same
-// methods, the same panics and a scratch it has no use for.
+// methods, the same panics and a scratch it keeps its sums in.
 type centersGo struct{ m Matrix }
 
 // Load copies the centres (the rows of m) in; later writes to m are not seen.
@@ -457,7 +457,8 @@ func (c *centersGo) Load(m Matrix) {
 }
 
 // Scratch allocates what Nearest needs as scratch for the centres loaded:
-// one float64 per centre, rounded up to even. One per goroutine.
+// one float64 per centre, rounded up to even. One per goroutine. Nearest
+// leaves every centre's sum in it, for RunnerUp.
 func (c *centersGo) Scratch() []float64 { return make([]float64, (c.m.R+1)&^1) }
 
 // Nearest returns the centre nearest to p[:dim] and its squared distance, as
@@ -468,16 +469,6 @@ func (c *centersGo) Scratch() []float64 { return make([]float64, (c.m.R+1)&^1) }
 // first. It panics on a p shorter than dim, a scratch shorter than Scratch
 // returns, and a first that is not a centre.
 func (c *centersGo) Nearest(p []float32, first int, scratch []float64) (int, float64) {
-	best, d, _ := c.NearestBound(p, first, scratch)
-	return best, d
-}
-
-// NearestBound is Nearest that also returns a lower bound on the squared
-// distance to every other centre but those at a NaN distance, which never
-// win a scan (+Inf when no such centre is left): the least of their sums,
-// run in full or cut short. A sum cut short is a prefix of SqDist's sum of
-// non-negative terms, so it is no larger than the distance.
-func (c *centersGo) NearestBound(p []float32, first int, scratch []float64) (int, float64, float64) {
 	if len(p) < c.m.C || len(scratch) < (c.m.R+1)&^1 {
 		panic("f32: Centers.Nearest: p or scratch too short")
 	}
@@ -485,23 +476,42 @@ func (c *centersGo) NearestBound(p []float32, first int, scratch []float64) (int
 	if first < 0 || first >= c.m.R {
 		panic("f32: Centers.Nearest: first is not a centre")
 	}
-	best, second := first, math.Inf(1)
+	best := first
 	bestD := SqDist(p, c.m.Row(best))
+	scratch[best] = bestD
 	for i := 0; i < c.m.R; i++ {
 		if i == best {
 			continue
 		}
 		d := SqDistBounded(p, c.m.Row(i), bestD)
+		scratch[i] = d
 		if d < bestD || (d == bestD && i < best) {
-			if bestD < second {
-				second = bestD
-			}
 			best, bestD = i, d
-		} else if d < second {
+		}
+	}
+	return best, bestD
+}
+
+// RunnerUp returns a lower bound on the squared distance from the point of
+// the last Nearest call made with scratch to every centre but best, the one
+// that call returned, leaving out centres at a NaN distance, which never win
+// a scan (+Inf when no such centre is left): the least of the sums Nearest
+// left, run in full or cut short. A sum cut short is a prefix of SqDist's
+// sum of non-negative terms, so it is no larger than the distance.
+func (c *centersGo) RunnerUp(scratch []float64, best int) float64 {
+	return runnerUp(scratch[:c.m.R], best)
+}
+
+// runnerUp is the least of dist but dist[best], NaNs left out (+Inf when
+// none is left).
+func runnerUp(dist []float64, best int) float64 {
+	second := math.Inf(1)
+	for i, d := range dist {
+		if d < second && i != best {
 			second = d
 		}
 	}
-	return best, bestD, second
+	return second
 }
 
 // Cosine returns the cosine similarity of two vectors (0 for zero vectors).

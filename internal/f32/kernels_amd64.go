@@ -2,8 +2,6 @@
 
 package f32
 
-import "math"
-
 // The three hottest kernels have SSE2 bodies in kernels_amd64.s. SSE2 is in
 // the amd64 baseline, so there is nothing to detect and nothing to select:
 // GOARCH picks this file or kernels_generic.go, and the only run-time branch
@@ -121,7 +119,8 @@ func (c *Centers) Load(m Matrix) {
 }
 
 // Scratch allocates what Nearest needs as scratch for the centres loaded:
-// one float64 per centre, rounded up to even. One per goroutine.
+// one float64 per centre, rounded up to even. One per goroutine. Nearest
+// leaves every centre's distance in it, for RunnerUp.
 func (c *Centers) Scratch() []float64 { return make([]float64, c.stride) }
 
 // Nearest returns the centre nearest to p[:dim] and its squared distance, as
@@ -136,39 +135,6 @@ func (c *Centers) Scratch() []float64 { return make([]float64, c.stride) }
 // (the terms are non-negative; a NaN compares false either way) and loses
 // again; and a centre that wins was summed to the end in both.
 func (c *Centers) Nearest(p []float32, first int, scratch []float64) (int, float64) {
-	dist := c.distances(p, scratch)
-	best, bestD := first, dist[first]
-	for i, d := range dist {
-		if d < bestD || (d == bestD && i < best) {
-			best, bestD = i, d
-		}
-	}
-	return best, bestD
-}
-
-// NearestBound is Nearest that also returns a lower bound on the squared
-// distance to every other centre but those at a NaN distance, which never
-// win a scan (+Inf when no such centre is left). Here the bound is exact:
-// the least of those distances, with SqDist's bits.
-func (c *Centers) NearestBound(p []float32, first int, scratch []float64) (int, float64, float64) {
-	dist := c.distances(p, scratch)
-	best, bestD, second := first, dist[first], math.Inf(1)
-	for i, d := range dist {
-		if d < bestD || (d == bestD && i < best) {
-			if bestD < second {
-				second = bestD
-			}
-			best, bestD = i, d
-		} else if d < second && i != best {
-			second = d
-		}
-	}
-	return best, bestD, second
-}
-
-// distances sets scratch[:k] to every centre's squared distance to p[:dim]
-// and returns it.
-func (c *Centers) distances(p []float32, scratch []float64) []float64 {
 	// The assembly has no bounds checks: these are them. (A bare reslice
 	// would let a short slice grow into its capacity.)
 	if len(p) < c.dim || len(scratch) < c.stride {
@@ -184,7 +150,25 @@ func (c *Centers) distances(p []float32, scratch []float64) []float64 {
 		sqDistPairsSSE2(p, c.t, c.stride, scratch, off, n)
 		off += 2 * n
 	}
-	return scratch[:c.k]
+	dist := scratch[:c.k]
+	best, bestD := first, dist[first]
+	for i, d := range dist {
+		if d < bestD || (d == bestD && i < best) {
+			best, bestD = i, d
+		}
+	}
+	return best, bestD
+}
+
+// RunnerUp returns a lower bound on the squared distance from the point of
+// the last Nearest call made with scratch to every centre but best, the one
+// that call returned, leaving out centres at a NaN distance, which never win
+// a scan (+Inf when no such centre is left). Here the bound is exact: the
+// least of those distances, with SqDist's bits. It is a method of its own,
+// not a third result of Nearest, because the mini-batch path has no use for
+// it and would pay for it on every point.
+func (c *Centers) RunnerUp(scratch []float64, best int) float64 {
+	return runnerUp(scratch[:c.k], best)
 }
 
 // sgSlotSSE2 is SGSlotDistinct for len(cv) a positive multiple of 4 and

@@ -544,33 +544,27 @@ func checkNearest(t *testing.T, m Matrix, p []float32, pOff, sOff int) {
 					m.C, m.R, first, pOff, sOff, c, math.Float64bits(d), math.Float64bits(sd))
 			}
 		}
-		// The runner-up bound: the same nearest centre, and no more than any
-		// other centre's distance that is not NaN. Where the lanes are
-		// there, it is the least of those distances exactly.
-		for name, body := range map[string]nearestBody{"nearest": &got, "Go body": &want} {
-			bi, bd, bound := body.NearestBound(q, first, gs)
-			if bi != wi || !sameBits64(bd, wd) {
-				t.Fatalf("dim %d, %d centres, first %d: %s NearestBound (%d, %x), Nearest (%d, %x)",
-					m.C, m.R, first, name, bi, math.Float64bits(bd), wi, math.Float64bits(wd))
+		// The runner-up bound, on both bodies: no more than any other
+		// centre's distance that is not NaN. Where the lanes are there, it
+		// is the least of those distances exactly.
+		gb, wb := got.RunnerUp(gs, gi), want.RunnerUp(ws, wi)
+		second := math.Inf(1)
+		for c := 0; c < m.R; c++ {
+			if c == wi {
+				continue
 			}
-			second := math.Inf(1)
-			for c := 0; c < m.R; c++ {
-				if c == wi {
-					continue
-				}
-				sd := SqDist(p[:m.C], m.Row(c))
-				if sd < second {
-					second = sd
-				}
-				if bound > sd {
-					t.Fatalf("dim %d, %d centres, first %d: %s runner-up bound %v above centre %d's distance %v",
-						m.C, m.R, first, name, bound, c, sd)
-				}
+			sd := SqDist(p[:m.C], m.Row(c))
+			if sd < second {
+				second = sd
 			}
-			if name == "nearest" && lanes != nil && !sameBits64(bound, second) {
-				t.Fatalf("dim %d, %d centres, first %d: runner-up %x, second-smallest distance %x",
-					m.C, m.R, first, math.Float64bits(bound), math.Float64bits(second))
+			if gb > sd || wb > sd {
+				t.Fatalf("dim %d, %d centres, first %d: runner-up bounds %v (nearest), %v (Go body) above centre %d's distance %v",
+					m.C, m.R, first, gb, wb, c, sd)
 			}
+		}
+		if lanes != nil && !sameBits64(gb, second) {
+			t.Fatalf("dim %d, %d centres, first %d: runner-up %x, second-smallest distance %x",
+				m.C, m.R, first, math.Float64bits(gb), math.Float64bits(second))
 		}
 	}
 }
@@ -659,7 +653,7 @@ type nearestBody interface {
 	Load(Matrix)
 	Scratch() []float64
 	Nearest(p []float32, first int, scratch []float64) (int, float64)
-	NearestBound(p []float32, first int, scratch []float64) (int, float64, float64)
+	RunnerUp(scratch []float64, best int) float64
 }
 
 // TestNearestPanicParity: the assembly has no bounds checks, so a short

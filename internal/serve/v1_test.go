@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"subtab/internal/cluster"
 	"subtab/internal/memgov"
 	"subtab/internal/table"
 )
@@ -320,7 +321,7 @@ func TestHTTPAdmissionReservesExactLeg(t *testing.T) {
 
 	const dim = 12 // testOptions
 	sampled := int64(100*dim*4 + 100*8)
-	exact := int64(799 * dim * 4)
+	exact := int64(799 * (dim*4 + cluster.BytesPerPoint))
 	svc.SetAdmission(memgov.New((sampled+exact)/2), 0)
 	scale := map[string]any{"threshold": 800, "sample_budget": 100}
 	url := srv.URL + "/v1/tables/pay/select"
