@@ -1,10 +1,13 @@
 package modelio
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -177,5 +180,51 @@ func TestShardedResave(t *testing.T) {
 	defer reg.Close()
 	if hd, err := readHeader(reg); err != nil || hd.residency != Resident {
 		t.Fatalf("a sharded model file records residency %v (%v), want Resident", hd, err)
+	}
+}
+
+// TestShardMapRejectsBadEntries: a model file's shard section is the one
+// reader of shard descriptors, and it refuses an entry with an empty or
+// non-base file name, negative rows or no rows per block as corrupt.
+func TestShardMapRejectsBadEntries(t *testing.T) {
+	dir := t.TempDir()
+	m := shardedModel(t, dir)
+	raw := saveBytes(t, m)
+	entry := func(d shard.Desc) []byte {
+		var buf bytes.Buffer
+		e := &encoder{w: &buf}
+		e.str(d.File)
+		e.u64(uint64(d.Rows))
+		e.u32(uint32(d.BlockRows))
+		e.u32(d.Checksum)
+		return buf.Bytes()
+	}
+	good := m.ShardSource().Map().Shards[1]
+	at := bytes.Index(raw, entry(good))
+	if at < 0 || bytes.Count(raw, entry(good)) != 1 {
+		t.Fatalf("shard entry 1 found %d times in the model file", bytes.Count(raw, entry(good)))
+	}
+	load := func(data []byte) error {
+		path := filepath.Join(dir, "crafted.subtab")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadFile(path)
+		return err
+	}
+	if err := load(raw); err != nil {
+		t.Fatalf("the uncrafted file fails to load: %v", err)
+	}
+	for _, bad := range []shard.Desc{
+		{File: "", Rows: good.Rows, BlockRows: good.BlockRows, Checksum: good.Checksum},
+		{File: "sub/dir.codes", Rows: good.Rows, BlockRows: good.BlockRows, Checksum: good.Checksum},
+		{File: good.File, Rows: -1, BlockRows: good.BlockRows, Checksum: good.Checksum},
+		{File: good.File, Rows: good.Rows, BlockRows: 0, Checksum: good.Checksum},
+	} {
+		crafted := slices.Concat(raw[:at], entry(bad), raw[at+len(entry(good)):])
+		err := load(resealModel(crafted))
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "shard entry 1") {
+			t.Errorf("descriptor %+v: err = %v, want ErrCorrupt for shard entry 1", bad, err)
+		}
 	}
 }

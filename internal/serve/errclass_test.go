@@ -37,7 +37,7 @@ func TestSelectErrorClasses(t *testing.T) {
 	}
 	m.T.DropCells()
 	store := NewStore(StoreOptions{})
-	if err := store.Put("cells", m); err != nil {
+	if err := store.put("cells", m); err != nil {
 		t.Fatal(err)
 	}
 	svc := NewService(store, testOptions())

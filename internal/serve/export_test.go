@@ -39,3 +39,13 @@ func unsyncedCommits(t testing.TB) {
 	}
 	t.Cleanup(func() { writeAtomic = old })
 }
+
+// put installs a ready-made model under name in the layout it is in,
+// through the write path an add takes after its Preprocess.
+func (s *Store) put(name string, m *core.Model) error {
+	nl := s.lockName(name)
+	nl.Lock()
+	defer nl.Unlock()
+	_, err := s.putLocked(name, m, layoutOf(m))
+	return err
+}

@@ -147,12 +147,12 @@ func TestConcurrentReplacesKeepOneLayout(t *testing.T) {
 }
 
 // assertLayoutFiles fails unless dir holds exactly the files of table "t"
-// in layout l: its model file alone when unsharded.
+// in layout l: its model file, plus a code and a cell file per shard.
 func assertLayoutFiles(t *testing.T, svc *Service, dir string, l Layout, when string) {
 	t.Helper()
 	got, want := dirFiles(t, dir), layoutFiles(svc, l)
-	if l <= 0 && len(want) != 1 {
-		t.Fatalf("%s: an unsharded layout keeps %v, want one file", when, want)
+	if len(want) != 1+2*max(int(l), 0) {
+		t.Fatalf("%s: layout %d keeps %v, want the model file and two files per shard", when, l, want)
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("%s: cache dir holds %v, want the files of layout %d: %v", when, got, l, want)
@@ -162,11 +162,8 @@ func assertLayoutFiles(t *testing.T, svc *Service, dir string, l Layout, when st
 // layoutFiles lists, sorted, the model file and the store files of table
 // "t" in layout l.
 func layoutFiles(svc *Service, l Layout) []string {
-	codes, cells, shardMap := svc.Store().layoutPaths("t", l)
+	codes, cells := svc.Store().layoutPaths("t", l)
 	files := append(slices.Concat(codes, cells), svc.Store().path("t"))
-	if shardMap != "" {
-		files = append(files, shardMap)
-	}
 	slices.Sort(files)
 	return files
 }

@@ -46,7 +46,7 @@ func TestGovernedStoreEvictionAccounting(t *testing.T) {
 	s := NewStore(StoreOptions{MaxModels: 2, Dir: t.TempDir(), Governor: g})
 
 	for _, name := range []string{"a", "b", "c"} {
-		if err := s.Put(name, buildModel(t, name, 150)); err != nil {
+		if err := s.put(name, buildModel(t, name, 150)); err != nil {
 			t.Fatal(err)
 		}
 		checkModelClass(t, g, s, "after Put "+name)
@@ -130,7 +130,7 @@ func TestGovernedStoreBudgetEviction(t *testing.T) {
 	s := NewStore(StoreOptions{MaxModels: 64, Dir: t.TempDir(), Governor: g})
 
 	for _, name := range []string{"a", "b", "c", "d"} {
-		if err := s.Put(name, buildModel(t, name, 150)); err != nil {
+		if err := s.put(name, buildModel(t, name, 150)); err != nil {
 			t.Fatal(err)
 		}
 	}

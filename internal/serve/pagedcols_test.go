@@ -124,7 +124,7 @@ func TestShardSampleCacheInvalidatedOnReplace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := coordStore.Put(name, m); err != nil {
+	if err := coordStore.put(name, m); err != nil {
 		t.Fatal(err)
 	}
 	got, err := coord.Select(name, core.ExploreSpec{K: 6, L: 3, Scale: scaleForce()})

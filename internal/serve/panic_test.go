@@ -55,7 +55,7 @@ func TestWorkerPanicFailsOnlyItsRequest(t *testing.T) {
 	armed.Store(true)
 	store := NewStore(StoreOptions{})
 	for name, m := range map[string]*core.Model{"broken": broken, "fine": buildModel(t, "fine", 300)} {
-		if err := store.Put(name, m); err != nil {
+		if err := store.put(name, m); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -12,7 +12,6 @@ import (
 	"subtab/internal/modelio"
 	"subtab/internal/rules"
 	"subtab/internal/session"
-	"subtab/internal/shard"
 	"subtab/internal/table"
 )
 
@@ -112,8 +111,9 @@ type TableInfo struct {
 // after its header: the resident model is schema, binnings and embedding,
 // and a select streams the code blocks it samples and gathers only the
 // displayed rows' cells. In both layouts a table is that one file. Shards(n)
-// writes them to n row-range shard file pairs plus a .shards map beside the
-// model file, which worker instances can split between them.
+// writes them to n row-range shard file pairs beside the model file, whose
+// codes and cells sections hold the shard map; worker instances can split
+// the pairs between them.
 type Layout int
 
 const (
@@ -139,10 +139,10 @@ const maxShards = 256
 // unsharded table commits by one rename of its model file, so a failed
 // replace leaves the old table whole.
 //
-// A resident add that does not replace shares one Preprocess with
-// concurrent requests for the name. Every other add builds, pages out,
-// persists and inserts under the table's name lock, so two uploads of one
-// name serialize instead of pairing one model with the other's files.
+// Every add builds, pages out, persists and inserts under the table's
+// name lock, so two uploads of one name serialize instead of pairing one
+// model with the other's files: of concurrent adds that do not replace,
+// one runs Preprocess and the rest return ErrExists.
 func (s *Service) AddTable(name string, t *table.Table, opt *core.Options, l Layout, replace bool) (*core.Model, error) {
 	if strings.TrimSpace(name) == "" {
 		return nil, errors.New("serve: table name must not be empty")
@@ -154,20 +154,13 @@ func (s *Service) AddTable(name string, t *table.Table, opt *core.Options, l Lay
 	if opt != nil {
 		o = *opt
 	}
-	build := func() (*core.Model, error) { return core.Preprocess(t, o) }
-	if l == Resident && !replace {
-		if s.store.Contains(name) {
-			return nil, fmt.Errorf("%w: %q", ErrExists, name)
-		}
-		return s.store.GetOrBuild(name, build)
-	}
 	nl := s.store.lockName(name)
 	nl.Lock()
 	defer nl.Unlock()
 	if !replace && s.store.Contains(name) {
 		return nil, fmt.Errorf("%w: %q", ErrExists, name)
 	}
-	m, err := build()
+	m, err := core.Preprocess(t, o)
 	if err != nil {
 		return nil, err
 	}
@@ -182,6 +175,7 @@ func (s *Service) AddTable(name string, t *table.Table, opt *core.Options, l Lay
 		}
 		return nil, err
 	}
+	s.store.builds.Add(1)
 	return m, nil
 }
 
@@ -211,22 +205,17 @@ func (s *Service) pageOut(name string, m *core.Model, l Layout, blockRows int) (
 	if l <= 0 {
 		return nil, nil
 	}
-	codes, cells, shardMap := s.store.layoutPaths(name, l)
-	files := append(slices.Concat(codes, cells), shardMap)
+	codes, cells := s.store.layoutPaths(name, l)
+	files := slices.Concat(codes, cells)
 	if err := os.MkdirAll(s.store.opt.Dir, 0o755); err != nil {
 		return files, err
 	}
-	if err := m.PageOut(codes, cells, true, blockRows); err != nil {
-		return files, err
-	}
-	if err := shard.WriteFile(shardMap, m.ShardSource().Map()); err != nil {
-		return files, fmt.Errorf("serve: writing shard map for %q: %w", name, err)
-	}
-	return files, nil
+	return files, m.PageOut(codes, cells, true, blockRows)
 }
 
 // layoutOf is the layout a served model is in. A model whose codes or
-// cells alone are paged (loaded from a version 6 file) counts as Paged.
+// cells alone are paged (loaded from a version 6 or 7 file, whose flags
+// allow either mix) counts as Paged.
 func layoutOf(m *core.Model) Layout {
 	if src := m.ShardSource(); src != nil {
 		return Shards(src.NumShards())

@@ -1,9 +1,9 @@
 // Sharded CI smoke: prove the scatter/gather claim at stress size instead
 // of trusting the unit sweep. The CI workflow generates a 1M-row table
-// (plus standalone shard stores) with subtab-datagen -shards 4, points
-// SUBTAB_SHARD_SMOKE_CSV at the CSV and runs this test: the table is
-// pre-processed once into a 4-shard layout, a scaled Select runs through
-// the in-process goroutine fan-out, then the shards are split across two
+// with subtab-datagen, points SUBTAB_SHARD_SMOKE_CSV at the CSV and runs
+// this test: the table is pre-processed once into a 4-shard layout, a
+// scaled Select runs through the in-process goroutine fan-out, then the
+// shards are split across two
 // loopback server instances (coordinator + worker) and the same Select
 // runs over HTTP — both inside a wall-clock bound, with byte-identical
 // fingerprints — and a freshly loaded worker instance must hold only a
@@ -27,7 +27,6 @@ import (
 	"subtab/internal/binning"
 	"subtab/internal/core"
 	"subtab/internal/corpus"
-	"subtab/internal/shard"
 	"subtab/internal/table"
 	"subtab/internal/word2vec"
 )
@@ -61,25 +60,6 @@ func TestShardedSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("table: %d rows x %d cols", tbl.NumRows(), tbl.NumCols())
-
-	// When datagen also emitted standalone shard stores (-shards), open
-	// them against their map: Open verifies every checksum and geometry,
-	// so this is an end-to-end check of the emitted artifacts.
-	if mapPath := os.Getenv("SUBTAB_SHARD_SMOKE_MAP"); mapPath != "" {
-		sm, err := shard.ReadFile(mapPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		src, err := shard.Open(filepath.Dir(mapPath), sm, tbl.NumCols(), false)
-		if err != nil {
-			t.Fatalf("opening datagen-emitted shard stores: %v", err)
-		}
-		if src.NumRows() != tbl.NumRows() {
-			t.Fatalf("datagen shard map covers %d rows, CSV has %d", src.NumRows(), tbl.NumRows())
-		}
-		t.Logf("datagen shard stores: %d shards, %d rows, all checksums valid", src.NumShards(), src.NumRows())
-		src.Close()
-	}
 
 	coordDir, workerDir := t.TempDir(), t.TempDir()
 	build := NewService(NewStore(StoreOptions{Dir: coordDir}), shardSmokeOptions())
@@ -125,7 +105,7 @@ func TestShardedSmoke(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(workerDir, filepath.Base(models[0])), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	paths, colPaths, _ := build.Store().layoutPaths("smoke", Shards(4))
+	paths, colPaths := build.Store().layoutPaths("smoke", Shards(4))
 	for _, i := range []int{2, 3} {
 		for _, p := range []string{paths[i], colPaths[i]} {
 			if err := os.Rename(p, filepath.Join(workerDir, filepath.Base(p))); err != nil {

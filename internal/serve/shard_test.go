@@ -38,7 +38,7 @@ func splitCacheDir(t *testing.T, name string, rows int, shards int, remote []int
 	if err := os.WriteFile(filepath.Join(workerDir, filepath.Base(models[0])), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	paths, _, _ := build.Store().layoutPaths(name, Shards(shards))
+	paths, _ := build.Store().layoutPaths(name, Shards(shards))
 	for _, i := range remote {
 		dst := filepath.Join(workerDir, filepath.Base(paths[i]))
 		if err := os.Rename(paths[i], dst); err != nil {

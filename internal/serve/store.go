@@ -4,9 +4,9 @@
 // requests, sessions and process restarts:
 //
 //   - Store is a concurrency-safe model cache: LRU-bounded in memory,
-//     singleflight-deduplicated (N concurrent requests for the same table
-//     trigger exactly one Preprocess) and optionally disk-backed through
-//     package modelio, so evicted or restarted models reload in milliseconds
+//     singleflight-deduplicated (N concurrent requests for a table on disk
+//     run exactly one load) and optionally disk-backed through package
+//     modelio, so evicted or restarted models reload in milliseconds
 //     instead of re-training.
 //   - Service exposes the user-facing operations — select, select-query,
 //     mine-rules, highlight — over named tables.
@@ -76,7 +76,7 @@ type StoreOptions struct {
 type StoreStats struct {
 	Hits      int64 // served from memory
 	DiskLoads int64 // served by loading a persisted model
-	Builds    int64 // served by running the build function (Preprocess)
+	Builds    int64 // Preprocess runs of successful adds, in every layout
 	Evictions int64 // models dropped from memory by the LRU bound
 }
 
@@ -88,7 +88,7 @@ type Store struct {
 	lru      *list.List // of *storeEntry, front = most recently used
 	entries  map[string]*list.Element
 	inflight map[string]*flightCall
-	gen      map[string]uint64      // bumped by Put/Remove; stale flights check it
+	gen      map[string]uint64      // bumped by putLocked/Remove; stale loads check it
 	nameMu   map[string]*sync.Mutex // serializes persist+insert per table name
 
 	hits, diskLoads, builds, evictions atomic.Int64
@@ -106,12 +106,11 @@ type storeEntry struct {
 	bytes int64
 }
 
-// flightCall deduplicates concurrent builds of the same table.
+// flightCall deduplicates concurrent disk loads of the same table.
 type flightCall struct {
-	done     chan struct{}
-	hasBuild bool // the flight can create the model, not just look it up
-	model    *core.Model
-	err      error
+	done  chan struct{}
+	model *core.Model
+	err   error
 }
 
 // NewStore returns an empty store.
@@ -187,67 +186,56 @@ func (s *Store) Stats() StoreStats {
 	}
 }
 
-// Get returns the cached model for name, consulting memory first and then
-// the disk cache. It returns ErrNotFound when the table is unknown.
+// Get returns the model for name: from memory, else loaded from the disk
+// cache (when Dir is set) at most once across concurrent callers —
+// requests arriving while a load is in flight wait for it instead of
+// starting their own (the singleflight pattern). It returns ErrNotFound
+// when the table is unknown.
 func (s *Store) Get(name string) (*core.Model, error) {
-	return s.GetOrBuild(name, nil)
-}
-
-// GetOrBuild returns the model for name, building it at most once across
-// concurrent callers: requests arriving while a build is in flight wait for
-// that build instead of starting their own (the singleflight pattern). The
-// lookup order is memory, disk (when Dir is set), then build; a nil build
-// turns the final step into ErrNotFound. Successful builds are persisted to
-// disk and inserted into the in-memory LRU.
-func (s *Store) GetOrBuild(name string, build func() (*core.Model, error)) (*core.Model, error) {
-	for {
-		s.mu.Lock()
-		if el, ok := s.entries[name]; ok {
-			s.lru.MoveToFront(el)
-			m := el.Value.(*storeEntry).model
-			s.mu.Unlock()
-			s.hits.Add(1)
-			return m, nil
-		}
-		if c, ok := s.inflight[name]; ok {
-			// A flight that cannot build (a plain lookup) must not decide
-			// the fate of a caller that can: wait it out, take a success,
-			// but retry with our own build on its failure.
-			joinable := c.hasBuild || build == nil
-			s.mu.Unlock()
-			<-c.done
-			if joinable || c.err == nil {
-				return c.model, c.err
-			}
-			continue
-		}
-		c := &flightCall{done: make(chan struct{}), hasBuild: build != nil}
-		s.inflight[name] = c
-		startGen := s.gen[name]
+	s.mu.Lock()
+	if el, ok := s.entries[name]; ok {
+		s.lru.MoveToFront(el)
+		m := el.Value.(*storeEntry).model
 		s.mu.Unlock()
-
-		var built bool
-		c.model, built, c.err = s.miss(name, build)
-		if c.err == nil {
-			c.model, c.err = s.commit(name, c.model, built, startGen)
-		}
-
-		s.mu.Lock()
-		delete(s.inflight, name)
+		s.hits.Add(1)
+		return m, nil
+	}
+	if c, ok := s.inflight[name]; ok {
 		s.mu.Unlock()
-		close(c.done)
+		<-c.done
 		return c.model, c.err
 	}
+	c := &flightCall{done: make(chan struct{})}
+	s.inflight[name] = c
+	startGen := s.gen[name]
+	s.mu.Unlock()
+
+	c.model, c.err = s.load(name, startGen)
+
+	s.mu.Lock()
+	delete(s.inflight, name)
+	s.mu.Unlock()
+	close(c.done)
+	return c.model, c.err
 }
 
-// commit installs a flight's result unless the table changed generation
-// (Put or Remove) while the flight was running — then the flight's model is
-// stale: whatever the store holds now wins, and nothing is persisted over
-// it. The per-name lock serializes this against concurrent Put/Remove.
-func (s *Store) commit(name string, m *core.Model, built bool, startGen uint64) (*core.Model, error) {
-	nl := s.lockName(name)
-	nl.Lock()
-	defer nl.Unlock()
+// load reads name's model from disk and installs it, unless the table
+// changed generation (an add, Update or Remove) while the load ran: then
+// the flight's model is stale and whatever the store holds now wins. A
+// missing file is the normal miss; a corrupt one reads as missing too, and
+// a replacing add writes over it.
+func (s *Store) load(name string, startGen uint64) (*core.Model, error) {
+	if s.opt.Dir == "" {
+		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
+	}
+	m, err := s.loadDisk(name)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
+	}
+	s.diskLoads.Add(1)
+	if s.opt.Governor != nil {
+		m.SetGovernor(s.opt.Governor)
+	}
 	s.mu.Lock()
 	if s.gen[name] != startGen {
 		if el, ok := s.entries[name]; ok {
@@ -256,39 +244,10 @@ func (s *Store) commit(name string, m *core.Model, built bool, startGen uint64) 
 		s.mu.Unlock()
 		return m, nil
 	}
+	grow := s.insertLocked(name, m)
 	s.mu.Unlock()
-	if built && s.opt.Dir != "" {
-		// Persist outside s.mu (file I/O) but under the name lock, so no
-		// replacement can interleave between the write and the insert.
-		if _, err := s.persist(name, m, Resident); err != nil {
-			return nil, fmt.Errorf("serve: persisting model %q: %w", name, err)
-		}
-	}
-	s.insert(name, m)
+	s.opt.Governor.Grow(memgov.ClassModels, grow)
 	return m, nil
-}
-
-// miss resolves a cache miss outside the store lock: disk first, then
-// build. built reports that the model came from the build function and
-// still needs persisting.
-func (s *Store) miss(name string, build func() (*core.Model, error)) (*core.Model, bool, error) {
-	if s.opt.Dir != "" {
-		if m, err := s.loadDisk(name); err == nil {
-			s.diskLoads.Add(1)
-			return m, false, nil
-		}
-		// A missing file is the normal miss; a corrupt one is treated the
-		// same way so the serving layer self-heals by rebuilding over it.
-	}
-	if build == nil {
-		return nil, false, fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	m, err := build()
-	if err != nil {
-		return nil, false, err
-	}
-	s.builds.Add(1)
-	return m, true, nil
 }
 
 // loadDisk reads name's persisted model, honouring the store's shard
@@ -306,31 +265,21 @@ func (s *Store) loadDisk(name string) (*core.Model, error) {
 	return m, nil
 }
 
-// Put caches (and persists) a ready-made model under name in the layout it
-// is in, replacing any previous model with that name. In-flight builds of
-// the same name that finish after a Put discard their result instead of
-// clobbering it.
-func (s *Store) Put(name string, m *core.Model) error {
-	nl := s.lockName(name)
-	nl.Lock()
-	defer nl.Unlock()
-	_, err := s.putLocked(name, m, layoutOf(m))
-	return err
-}
-
-// putLocked is Put for callers already holding the per-name lock (the add
-// path, which must keep the store files and the model insert under one
-// critical section). It persists m in layout l, deletes every file of the
-// name that layout does not use, and returns the model it installed: m,
-// or for a Paged layout the model mapped from its file.
+// putLocked is the one write path: it persists m in layout l, deletes
+// every file of the name that layout does not use, installs m replacing
+// any previous model of the name — in-flight loads of the name that
+// finish after it discard their result — and returns the model it
+// installed: m, or for a Paged layout the model mapped from its file.
+// Callers hold the per-name lock (AddTable and Update), so the store files
+// and the model insert stay one critical section.
 func (s *Store) putLocked(name string, m *core.Model, l Layout) (*core.Model, error) {
 	if s.opt.Dir != "" {
 		var err error
 		if m, err = s.persist(name, m, l); err != nil {
 			return nil, fmt.Errorf("serve: persisting model %q: %w", name, err)
 		}
-		codes, cells, shardMap := s.layoutPaths(name, l)
-		s.sweepStores(name, append(slices.Concat(codes, cells), shardMap))
+		codes, cells := s.layoutPaths(name, l)
+		s.sweepStores(name, slices.Concat(codes, cells))
 	}
 	if s.opt.Governor != nil {
 		m.SetGovernor(s.opt.Governor)
@@ -347,7 +296,7 @@ func (s *Store) putLocked(name string, m *core.Model, l Layout) (*core.Model, er
 // read-modify-write primitive behind streaming appends. Updates of one name
 // are serialized by the per-name lock (two concurrent appends compose
 // instead of the second clobbering the first), the generation is bumped so
-// in-flight builds of the same name discard their now-stale results, and
+// in-flight loads of the same name discard their now-stale results, and
 // reads are never blocked — selections in flight keep the model they
 // resolved, new requests see the replacement as soon as it is installed.
 // fn must not mutate the model it is given; it builds and returns a new one
@@ -555,35 +504,32 @@ func (s *Store) modelBytes(m *core.Model) int64 {
 // modelExt is the on-disk model file suffix. An unsharded table is its
 // model file alone. A sharded table's store files sit next to it, named by
 // appending codesExt (bin codes) or colsExt (displayed cells) with a
-// ".NNN" shard index, and shardsExt (the sidecar shard map, for external
-// tooling).
+// ".NNN" shard index; the model file's codes and cells sections hold the
+// shard map.
 const (
-	modelExt  = ".subtab"
-	codesExt  = ".codes"
-	colsExt   = ".cols"
-	shardsExt = ".shards"
+	modelExt = ".subtab"
+	codesExt = ".codes"
+	colsExt  = ".cols"
 )
 
 // layoutPaths names the store files a table of layout l keeps beside its
-// model file: one code and one column path per row range, and the shard
-// map, of a sharded layout. Unsharded tables keep none. Every store file
-// of a table is named here, as the model path plus an extension, so
-// sweepStores finds all of them by that prefix.
-func (s *Store) layoutPaths(name string, l Layout) (codes, cells []string, shardMap string) {
+// model file: one code and one column path per row range of a sharded
+// layout. Unsharded tables keep none. Every store file of a table is named
+// here, as the model path plus an extension, so sweepStores finds all of
+// them by that prefix.
+func (s *Store) layoutPaths(name string, l Layout) (codes, cells []string) {
 	base := s.path(name)
 	for i := 0; i < int(l); i++ {
 		codes = append(codes, fmt.Sprintf("%s%s.%03d", base, codesExt, i))
 		cells = append(cells, fmt.Sprintf("%s%s.%03d", base, colsExt, i))
 	}
-	if l > 0 {
-		shardMap = base + shardsExt
-	}
-	return codes, cells, shardMap
+	return codes, cells
 }
 
 // sweepStores deletes every file of name beside its model file that keep
 // does not list: the shard files a replaced layout leaves behind, the
-// .codes and .cols files of a table last saved in model format 8, and the
+// .codes and .cols files of a table last saved in model format 8, the
+// .shards map file earlier releases wrote beside a sharded table, and the
 // temp files of an interrupted write — or all of them (keep empty) when
 // the table is removed.
 func (s *Store) sweepStores(name string, keep []string) {
@@ -603,7 +549,7 @@ func (s *Store) sweepStores(name string, keep []string) {
 	}
 }
 
-// Generation returns name's replacement generation: it bumps on every Put,
+// Generation returns name's replacement generation: it bumps on every add,
 // Update and Remove of the name. Coordinators key cross-request caches on
 // it, so samples and cells gathered against a replaced table invalidate
 // instead of serving the predecessor's rows.

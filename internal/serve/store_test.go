@@ -1,10 +1,15 @@
 package serve
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -57,73 +62,153 @@ func buildModel(tb testing.TB, name string, rows int) *core.Model {
 	return m
 }
 
-// TestSingleflight is the core serving guarantee: N concurrent requests for
-// the same un-cached table trigger exactly one Preprocess.
+// TestSingleflight is the core serving guarantee for uploads: N concurrent
+// adds of one name run exactly one Preprocess. One add succeeds and every
+// other gets ErrExists — over HTTP, the 409 envelope.
 func TestSingleflight(t *testing.T) {
-	s := NewStore(StoreOptions{})
-	var builds atomic.Int32
-	build := func() (*core.Model, error) {
-		builds.Add(1)
-		time.Sleep(30 * time.Millisecond) // hold the flight open for the herd
-		return buildModel(t, "flock", 200), nil
+	const n = 8
+	herd := func(add func(i int) error) []error {
+		errs := make([]error, n)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := range n {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				errs[i] = add(i)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		return errs
 	}
-	const n = 16
+	// winners returns the indexes of the calls that succeeded.
+	winners := func(errs []error) []int {
+		var wins []int
+		for i, err := range errs {
+			switch {
+			case err == nil:
+				wins = append(wins, i)
+			case !errors.Is(err, ErrExists):
+				t.Errorf("add %d: %v, want success or ErrExists", i, err)
+			}
+		}
+		return wins
+	}
+
+	svc := NewService(NewStore(StoreOptions{Dir: t.TempDir()}), testOptions())
+	models := make([]*core.Model, n)
+	errs := herd(func(i int) (err error) {
+		models[i], err = svc.AddTable("flock", testTable("flock", 200, 11), nil, Resident, false)
+		return err
+	})
+	wins := winners(errs)
+	if len(wins) != 1 {
+		t.Fatalf("%d of %d concurrent adds of one name succeeded, want 1: %v", len(wins), n, errs)
+	}
+	if got := svc.Store().Stats().Builds; got != 1 {
+		t.Fatalf("stats.Builds = %d, want 1", got)
+	}
+	if m, err := svc.Model("flock"); err != nil || m != models[wins[0]] {
+		t.Fatalf("store serves %p (%v), want the winning add's model", m, err)
+	}
+
+	hsvc := NewService(NewStore(StoreOptions{}), testOptions())
+	srv := httptest.NewServer(NewHandler(hsvc, nil))
+	t.Cleanup(srv.Close)
+	errs = herd(func(int) error {
+		resp, err := http.Post(srv.URL+"/tables?name=flock&workers=1", "text/csv", strings.NewReader(testCSV(200)))
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode == http.StatusCreated {
+			return nil
+		}
+		var env errorEnvelope
+		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+			return err
+		}
+		if resp.StatusCode != http.StatusConflict || env.Code != "conflict" || env.Message == "" {
+			return fmt.Errorf("status %d with %+v, want a 409 conflict envelope with a message", resp.StatusCode, env)
+		}
+		return ErrExists
+	})
+	if wins := winners(errs); len(wins) != 1 {
+		t.Fatalf("%d of %d concurrent uploads of one name answered 201, want 1: %v", len(wins), n, errs)
+	}
+	if got := hsvc.Store().Stats().Builds; got != 1 {
+		t.Fatalf("HTTP stats.Builds = %d, want 1", got)
+	}
+}
+
+// TestSingleflightError pins the load flight and failed adds. N concurrent
+// Gets of a table that lives only on disk run one load and return one
+// model. An add whose Preprocess fails leaves no file and no entry, and the
+// next add builds again. Builds counts every successful add, whatever its
+// layout or replace.
+func TestSingleflightError(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := NewService(NewStore(StoreOptions{Dir: dir}), testOptions()).AddTable("disk", testTable("disk", 200, 3), nil, Resident, false); err != nil {
+		t.Fatal(err)
+	}
+	var prepared atomic.Int32
+	s := NewStore(StoreOptions{Dir: dir, PrepareModel: func(string, *core.Model) error {
+		prepared.Add(1)
+		time.Sleep(30 * time.Millisecond) // hold the flight open for the herd
+		return nil
+	}})
+	const n = 8
 	models := make([]*core.Model, n)
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for i := range n {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			m, err := s.GetOrBuild("flock", build)
+			m, err := s.Get("disk")
 			if err != nil {
 				t.Error(err)
 			}
 			models[i] = m
-		}(i)
-	}
-	wg.Wait()
-	if got := builds.Load(); got != 1 {
-		t.Fatalf("%d concurrent requests ran %d builds, want 1", n, got)
-	}
-	for i := 1; i < n; i++ {
-		if models[i] != models[0] {
-			t.Fatal("concurrent callers received different models")
-		}
-	}
-	if got := s.Stats().Builds; got != 1 {
-		t.Fatalf("stats.Builds = %d, want 1", got)
-	}
-}
-
-func TestSingleflightError(t *testing.T) {
-	s := NewStore(StoreOptions{})
-	boom := errors.New("boom")
-	var builds atomic.Int32
-	build := func() (*core.Model, error) {
-		builds.Add(1)
-		time.Sleep(10 * time.Millisecond)
-		return nil, boom
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := s.GetOrBuild("bad", build); !errors.Is(err, boom) {
-				t.Errorf("err = %v, want boom", err)
-			}
 		}()
 	}
 	wg.Wait()
-	if got := builds.Load(); got != 1 {
-		t.Fatalf("builds = %d, want 1 (errors must not be cached, but the flight must be shared)", got)
+	if got := prepared.Load(); got != 1 {
+		t.Fatalf("%d concurrent Gets prepared %d loaded models, want 1", n, got)
 	}
-	// A failed build leaves nothing cached: the next request builds again.
-	if _, err := s.GetOrBuild("bad", build); !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
+	if st := s.Stats(); st.DiskLoads != 1 || st.Builds != 0 {
+		t.Fatalf("stats = %+v, want one disk load and no builds", st)
 	}
-	if got := builds.Load(); got != 2 {
-		t.Fatalf("builds = %d, want 2", got)
+	for i := 1; i < n; i++ {
+		if models[i] != models[0] {
+			t.Fatal("concurrent Gets received different models")
+		}
+	}
+
+	svc := NewService(s, testOptions())
+	if _, err := svc.AddTable("bad", table.New("bad"), nil, Resident, false); !errors.Is(err, core.ErrNoColumns) {
+		t.Fatalf("err = %v, want core.ErrNoColumns", err)
+	}
+	if got, want := dirFiles(t, dir), []string{s.path("disk")}; !slices.Equal(got, want) {
+		t.Fatalf("a failed add left %v, want %v", got, want)
+	}
+	if s.Contains("bad") || s.MemoryLen() != 1 {
+		t.Fatalf("a failed add left an entry: Contains = %v, %d in memory", s.Contains("bad"), s.MemoryLen())
+	}
+	if got := s.Stats().Builds; got != 0 {
+		t.Fatalf("a failed add counted %d builds", got)
+	}
+	for i, add := range []struct {
+		l       Layout
+		replace bool
+	}{{Resident, false}, {Resident, true}, {Paged, true}, {Shards(2), true}} {
+		if _, err := svc.AddTable("bad", testTable("bad", 150, 4), nil, add.l, add.replace); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Stats().Builds; got != int64(i+1) {
+			t.Fatalf("after add %d (layout %d, replace %v): stats.Builds = %d, want %d", i, add.l, add.replace, got, i+1)
+		}
 	}
 }
 
@@ -139,7 +224,7 @@ func TestGetUnknown(t *testing.T) {
 func TestLRUEvictionDiskReload(t *testing.T) {
 	s := NewStore(StoreOptions{MaxModels: 2, Dir: t.TempDir()})
 	for _, name := range []string{"a", "b", "c"} {
-		if err := s.Put(name, buildModel(t, name, 150)); err != nil {
+		if err := s.put(name, buildModel(t, name, 150)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -169,11 +254,11 @@ func TestLRUEvictionDiskReload(t *testing.T) {
 
 func TestRemove(t *testing.T) {
 	s := NewStore(StoreOptions{Dir: t.TempDir()})
-	if err := s.Put("x", buildModel(t, "x", 120)); err != nil {
+	if err := s.put("x", buildModel(t, "x", 120)); err != nil {
 		t.Fatal(err)
 	}
 	if !s.Contains("x") {
-		t.Fatal("Contains after Put = false")
+		t.Fatal("Contains after put = false")
 	}
 	s.Remove("x")
 	if s.Contains("x") {
@@ -184,12 +269,13 @@ func TestRemove(t *testing.T) {
 	}
 }
 
-// TestCorruptDiskSelfHeals: a truncated cache file is treated as a miss and
-// rebuilt over.
+// TestCorruptDiskSelfHeals: a truncated cache file reads as a miss, and a
+// replacing add rebuilds over it.
 func TestCorruptDiskSelfHeals(t *testing.T) {
 	dir := t.TempDir()
 	s := NewStore(StoreOptions{Dir: dir})
-	if err := s.Put("h", buildModel(t, "h", 120)); err != nil {
+	svc := NewService(s, testOptions())
+	if _, err := svc.AddTable("h", testTable("h", 120, 11), nil, Resident, false); err != nil {
 		t.Fatal(err)
 	}
 	// Drop from memory, then corrupt the file on disk.
@@ -198,20 +284,17 @@ func TestCorruptDiskSelfHeals(t *testing.T) {
 	s.lru.Remove(el)
 	delete(s.entries, "h")
 	s.mu.Unlock()
-	path := s.path("h")
-	if err := truncateFile(path, 64); err != nil {
+	if err := truncateFile(s.path("h"), 64); err != nil {
 		t.Fatal(err)
 	}
-	var rebuilt atomic.Int32
-	m, err := s.GetOrBuild("h", func() (*core.Model, error) {
-		rebuilt.Add(1)
-		return buildModel(t, "h", 120), nil
-	})
-	if err != nil || m == nil {
+	if _, err := s.Get("h"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("err = %v, want ErrNotFound for a corrupt cache file", err)
+	}
+	if _, err := svc.AddTable("h", testTable("h", 120, 11), nil, Resident, true); err != nil {
 		t.Fatal(err)
 	}
-	if rebuilt.Load() != 1 {
-		t.Fatal("corrupt disk cache should fall through to a rebuild")
+	if got := s.Stats().Builds; got != 2 {
+		t.Fatalf("stats.Builds = %d, want 2", got)
 	}
 	// The rebuild must have healed the file: a fresh store loads it.
 	s2 := NewStore(StoreOptions{Dir: dir})
@@ -277,7 +360,7 @@ func TestServiceConcurrentAccess(t *testing.T) {
 func TestMemoryOnlyNeverEvicts(t *testing.T) {
 	s := NewStore(StoreOptions{MaxModels: 2})
 	for _, name := range []string{"a", "b", "c", "d"} {
-		if err := s.Put(name, buildModel(t, name, 80)); err != nil {
+		if err := s.put(name, buildModel(t, name, 80)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -291,29 +374,29 @@ func TestMemoryOnlyNeverEvicts(t *testing.T) {
 	}
 }
 
-// TestBuilderNotPoisonedByLookupFlight: a GetOrBuild carrying a build
-// function that arrives while a build-less lookup flight is in progress
-// must not inherit the lookup's ErrNotFound — it retries with its build.
+// TestBuilderNotPoisonedByLookupFlight: an add that arrives while a
+// lookup flight of its name is in progress neither waits for the lookup
+// nor inherits its ErrNotFound.
 func TestBuilderNotPoisonedByLookupFlight(t *testing.T) {
 	s := NewStore(StoreOptions{})
-	// Plant a build-less flight, as a concurrent Get would.
-	c := &flightCall{done: make(chan struct{}), hasBuild: false}
+	// Plant a lookup flight, as a concurrent Get would.
+	c := &flightCall{done: make(chan struct{})}
 	s.mu.Lock()
 	s.inflight["x"] = c
 	s.mu.Unlock()
 
-	got := make(chan error, 1)
+	added := make(chan error, 1)
 	go func() {
-		_, err := s.GetOrBuild("x", func() (*core.Model, error) {
-			return buildModel(t, "x", 80), nil
-		})
-		got <- err
+		_, err := NewService(s, testOptions()).AddTable("x", testTable("x", 80, 11), nil, Resident, false)
+		added <- err
 	}()
-	// The builder must be waiting on the lookup flight, not failed.
 	select {
-	case err := <-got:
-		t.Fatalf("builder returned %v before the lookup flight resolved", err)
-	case <-time.After(30 * time.Millisecond):
+	case err := <-added:
+		if err != nil {
+			t.Fatalf("add during a lookup flight: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the add is waiting on the lookup flight")
 	}
 	// Resolve the lookup flight with its natural result: not found.
 	c.err = fmt.Errorf("%w: %q", ErrNotFound, "x")
@@ -321,54 +404,53 @@ func TestBuilderNotPoisonedByLookupFlight(t *testing.T) {
 	delete(s.inflight, "x")
 	s.mu.Unlock()
 	close(c.done)
-	if err := <-got; err != nil {
-		t.Fatalf("builder inherited the lookup's failure: %v", err)
-	}
 	if _, err := s.Get("x"); err != nil {
-		t.Fatalf("model not cached after build: %v", err)
+		t.Fatalf("model not cached after the add: %v", err)
 	}
 }
 
-// TestPutWinsOverInflightBuild: a replacement Put that lands while a build
-// of the same name is in flight must not be clobbered when the build
+// TestPutWinsOverInflightBuild: a replacement that lands while a disk load
+// of the same name is in flight must not be clobbered when the load
 // finishes — in memory or on disk.
 func TestPutWinsOverInflightBuild(t *testing.T) {
 	dir := t.TempDir()
-	s := NewStore(StoreOptions{Dir: dir})
-	replacement := buildModel(t, "new", 100)
-	building := make(chan struct{})
+	if err := NewStore(StoreOptions{Dir: dir}).put("x", buildModel(t, "old", 100)); err != nil {
+		t.Fatal(err)
+	}
+	loading, proceed := make(chan struct{}), make(chan struct{})
+	s := NewStore(StoreOptions{Dir: dir, PrepareModel: func(string, *core.Model) error {
+		close(loading)
+		<-proceed // the put lands mid-load
+		return nil
+	}})
 	done := make(chan *core.Model, 1)
 	go func() {
-		m, err := s.GetOrBuild("x", func() (*core.Model, error) {
-			close(building)
-			time.Sleep(50 * time.Millisecond) // Put lands mid-build
-			return buildModel(t, "old", 100), nil
-		})
+		m, err := s.Get("x")
 		if err != nil {
 			t.Error(err)
 		}
 		done <- m
 	}()
-	<-building
-	if err := s.Put("x", replacement); err != nil {
+	<-loading
+	replacement := buildModel(t, "new", 100)
+	if err := s.put("x", replacement); err != nil {
 		t.Fatal(err)
 	}
-	got := <-done
-	if got != replacement {
-		t.Fatal("in-flight build caller received the stale model, not the replacement")
+	close(proceed)
+	if got := <-done; got != replacement {
+		t.Fatal("the in-flight load's caller received the stale model, not the replacement")
 	}
 	if m, err := s.Get("x"); err != nil || m != replacement {
 		t.Fatalf("store serves %v (%p), want the replacement", err, m)
 	}
 	// Disk must hold the replacement too: a fresh store loads a model whose
-	// table is the replacement's ("new"), not the stale build's ("old").
-	s2 := NewStore(StoreOptions{Dir: dir})
-	m2, err := s2.Get("x")
+	// table is the replacement's ("new"), not the stale load's ("old").
+	m2, err := NewStore(StoreOptions{Dir: dir}).Get("x")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m2.T.Name != "new" {
-		t.Fatalf("disk holds table %q, want %q (stale build overwrote the replacement)", m2.T.Name, "new")
+		t.Fatalf("disk holds table %q, want %q", m2.T.Name, "new")
 	}
 }
 

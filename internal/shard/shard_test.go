@@ -3,9 +3,7 @@ package shard
 import (
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -62,94 +60,13 @@ func TestMapRoundTrip(t *testing.T) {
 		{File: "t.codes.001", Rows: 0, BlockRows: 64, Checksum: 0},
 		{File: "t.codes.002", Rows: 41, BlockRows: 64, Checksum: 7},
 	}}
-	path := filepath.Join(t.TempDir(), "t.shards")
-	if err := WriteFile(path, m); err != nil {
-		t.Fatalf("WriteFile: %v", err)
+	if m.TotalRows() != 141 {
+		t.Fatalf("TotalRows = %d, want 141", m.TotalRows())
 	}
-	got, err := ReadFile(path)
-	if err != nil {
-		t.Fatalf("ReadFile: %v", err)
-	}
-	if !reflect.DeepEqual(got, m) {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, m)
-	}
-	if got.TotalRows() != 141 {
-		t.Fatalf("TotalRows = %d, want 141", got.TotalRows())
-	}
-	if want := []int{0, 100, 100, 141}; !reflect.DeepEqual(got.Starts(), want) {
-		t.Fatalf("Starts = %v, want %v", got.Starts(), want)
+	if want := []int{0, 100, 100, 141}; !reflect.DeepEqual(m.Starts(), want) {
+		t.Fatalf("Starts = %v, want %v", m.Starts(), want)
 	}
 }
-
-func TestMapRejectsBadNames(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "t.shards")
-	for _, bad := range []Desc{
-		{File: "", Rows: 1, BlockRows: 1},
-		{File: "sub/dir.codes", Rows: 1, BlockRows: 1},
-		{File: "ok.codes", Rows: -1, BlockRows: 1},
-		{File: "ok.codes", Rows: 1, BlockRows: 0},
-	} {
-		if err := WriteFile(path, &Map{Shards: []Desc{bad}}); err == nil {
-			t.Errorf("WriteFile accepted invalid descriptor %+v", bad)
-		}
-	}
-}
-
-func TestMapCorruption(t *testing.T) {
-	m := &Map{Shards: []Desc{{File: "a.codes", Rows: 5, BlockRows: 4, Checksum: 9}}}
-	path := filepath.Join(t.TempDir(), "t.shards")
-	if err := WriteFile(path, m); err != nil {
-		t.Fatalf("WriteFile: %v", err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check := func(name string, mutate func([]byte) []byte) {
-		buf := mutate(append([]byte(nil), raw...))
-		if _, err := decodeMap(buf); err == nil {
-			t.Errorf("%s: decode accepted corrupt map", name)
-		}
-	}
-	check("truncated", func(b []byte) []byte { return b[:len(b)-9] })
-	check("short", func(b []byte) []byte { return b[:10] })
-	check("bit flip body", func(b []byte) []byte { b[20] ^= 0x40; return b })
-	check("bad magic", func(b []byte) []byte { b[0] = 'X'; return b })
-	check("bad end magic", func(b []byte) []byte { b[len(b)-1] = 'X'; return b })
-	// A flipped version byte must fail (CRC covers it), and a consistently
-	// re-checksummed future version must fail on the version check.
-	check("future version", func(b []byte) []byte {
-		b[8] = 0xff
-		return regenCRC(b)
-	})
-	// Trailing-bytes case: extra entry bytes inside a re-checksummed body.
-	body := append([]byte(nil), raw[:len(raw)-12]...)
-	body = append(body, 1, 2, 3)
-	if _, err := decodeMap(regenTail(body)); err == nil {
-		t.Error("decode accepted map with trailing body bytes")
-	}
-}
-
-// regenTail appends a fresh CRC and end magic to body.
-func regenTail(body []byte) []byte {
-	out := append([]byte(nil), body...)
-	out = append(out,
-		byte(crcOf(body)), byte(crcOf(body)>>8), byte(crcOf(body)>>16), byte(crcOf(body)>>24))
-	return append(out, mapEndMagic[:]...)
-}
-
-// regenCRC recomputes the trailing CRC of a full map buffer in place.
-func regenCRC(b []byte) []byte {
-	body := b[: len(b)-12 : len(b)-12]
-	c := crcOf(body)
-	b[len(b)-12] = byte(c)
-	b[len(b)-11] = byte(c >> 8)
-	b[len(b)-10] = byte(c >> 16)
-	b[len(b)-9] = byte(c >> 24)
-	return b
-}
-
-func crcOf(b []byte) uint32 { return crc32.Checksum(b, crcTable) }
 
 func TestSplitSinkGeometry(t *testing.T) {
 	// 100 rows, 3 cols, cuts at 0/33/33/90/100: an empty shard and
@@ -232,20 +149,6 @@ func TestSplitSinkGeometry(t *testing.T) {
 		}
 	}
 
-	// The map round-trips through its file codec and reopens.
-	mapPath := filepath.Join(dir, "t.shards")
-	if err := WriteFile(mapPath, m); err != nil {
-		t.Fatalf("WriteFile: %v", err)
-	}
-	m2, err := ReadFile(mapPath)
-	if err != nil {
-		t.Fatalf("ReadFile: %v", err)
-	}
-	src2, err := Open(dir, m2, cols, false)
-	if err != nil {
-		t.Fatalf("reopen from read map: %v", err)
-	}
-	src2.Close()
 }
 
 func TestSplitSinkZeroRows(t *testing.T) {

@@ -11,10 +11,10 @@ import (
 // SplitSink implements binning.CodeSink over N codestore writers: streamed
 // row chunks are routed to shards by a fixed row-boundary plan, so a
 // table's codes export straight into their sharded layout in one pass
-// (core.Model.PageOut, cmd/subtab-datagen -shards). Each shard is
-// written to its path plus ".tmp"; Close finalizes every store, renames
-// them all into place and returns the shard map — a crash mid-export
-// leaves only .tmp leftovers that codestore.Open rejects.
+// (core.Model.PageOut). Each shard is written to its path plus ".tmp";
+// Close finalizes every store, renames them all into place and returns the
+// shard map, which the model file records — a crash mid-export leaves only
+// .tmp leftovers that codestore.Open rejects.
 type SplitSink struct {
 	paths     []string
 	cuts      []int // cuts[i] is shard i's first global row; len(paths)+1 entries

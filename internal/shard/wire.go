@@ -2,6 +2,7 @@ package shard
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -22,6 +23,11 @@ import (
 // different versions reject each other's frames outright — a mixed fleet
 // fails loudly instead of silently sampling unfiltered.
 const wireVersion uint16 = 2
+
+// ErrCorrupt marks a damaged or truncated wire frame.
+var ErrCorrupt = errors.New("shard: corrupt wire frame")
+
+var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 var (
 	reqMagic  = [4]byte{'S', 'B', 'S', 'Q'}
