@@ -92,9 +92,9 @@ func TestGoldenLargeModeFingerprintsShardedColumns(t *testing.T) {
 }
 
 // TestGoldenPagedModelRoundTrip extends the golden guarantee across
-// persistence: saving a model whose codes and raw columns are both external
-// (modelio v7 schema husk + column-store reference) and loading it back must
-// still reproduce the recorded fingerprints.
+// persistence: saving a model whose codes and raw columns are both paged
+// (a schema husk plus both store images in one model file) and loading it
+// back must still reproduce the recorded fingerprints.
 func TestGoldenPagedModelRoundTrip(t *testing.T) {
 	scale := &subtab.ScaleOptions{Threshold: 1, SampleBudget: 256, BatchSize: 128, MaxIter: 50}
 	dir := t.TempDir()

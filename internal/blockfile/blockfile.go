@@ -7,9 +7,8 @@
 // Layout (little-endian):
 //
 //	header:  8-byte magic · u16 version · u32 cols · u64 rows · u32 blockRows
-//	meta:    (versions from the format's MetaSince on) u32 metaLen, then
-//	         metaLen bytes the store package owns — the per-column cell
-//	         widths and encodings, and colstore's schema
+//	meta:    u32 metaLen, then metaLen bytes the store package owns — the
+//	         per-column cell widths and encodings, and colstore's schema
 //	data:    block-major: for each block b, for each column c, one page: the
 //	         n cells of rows [b*blockRows, min((b+1)*blockRows, rows)) at the
 //	         column's cell width in bits (1, 2, 4, 8, 16, 32 or 64) — block-
@@ -22,12 +21,9 @@
 //	index:   one u32 CRC-32C per (block, column) page, in data order
 //	footer:  u32 CRC-32C over header+meta+index · 8-byte end magic
 //
-// Versions: Create writes a format's Version; Open reads every version from
-// MinVersion up to it and hands the one it found to the store's Layout,
-// which derives the cell widths. Version 1 of both stores has fixed widths
-// (codestore: no meta, u16 cells; colstore: 8-byte numeric and 4-byte
-// categorical cells); version 2 records each column's narrowest exact byte
-// width in the meta section; version 3 records it in bits, down to 1.
+// Versions: Create writes a format's Version and Open reads that version
+// only; any other fails with ErrVersion. Both stores are at version 3,
+// whose meta section records each column's cell width in bits, down to 1.
 //
 // Every offset is computable from the header and the cell widths (File keeps
 // each column's page offset within a full block and within the last one), so
@@ -68,16 +64,9 @@ import (
 // package-level Format; it is not something a caller configures.
 type Format struct {
 	Magic, EndMagic [8]byte
-	// Version is the version Create writes; Open accepts every version from
-	// MinVersion through Version.
-	Version, MinVersion uint16
-	// MetaSince is the first version whose header is followed by a
-	// length-prefixed meta section; older versions have none.
-	MetaSince uint16
+	// Version is the version Create writes and the only one Open reads.
+	Version uint16
 }
-
-// hasMeta reports whether version v of the format carries a meta section.
-func (ft Format) hasMeta(v uint16) bool { return v >= ft.MetaSince }
 
 // Sentinel errors. The store packages re-export these same values.
 var (
@@ -87,6 +76,9 @@ var (
 	// ErrCorrupt marks structural damage other than truncation (bad magic,
 	// checksum mismatch, impossible geometry).
 	ErrCorrupt = errors.New("blockfile: corrupt store file")
+	// ErrVersion marks a store in a format version other than the one this
+	// build writes: intact, but not read.
+	ErrVersion = errors.New("blockfile: unsupported store version")
 )
 
 const (
@@ -153,8 +145,8 @@ func Create(path string, ft Format, widths []int, rows, blockRows int, meta []by
 
 // CreateIn starts a store image of exactly rows rows that streams into dst
 // from dst's current position, one column per entry of widths (each column's
-// cell width in bits, ValidBits); meta is the meta section's payload
-// (ignored when the format's Version has none). Size is the exact length the
+// cell width in bits, ValidBits); meta is the meta section's payload. Size
+// is the exact length the
 // image will have. Nothing is written before the first page is flushed (or
 // Close, for an empty image), so a caller can record Size ahead of the
 // image. Close does not close dst.
@@ -174,10 +166,8 @@ func CreateIn(dst io.Writer, ft Format, widths []int, rows, blockRows int, meta 
 	head = binary.LittleEndian.AppendUint32(head, uint32(cols))
 	head = binary.LittleEndian.AppendUint64(head, uint64(rows))
 	head = binary.LittleEndian.AppendUint32(head, uint32(blockRows))
-	if ft.hasMeta(ft.Version) {
-		head = binary.LittleEndian.AppendUint32(head, uint32(len(meta)))
-		head = append(head, meta...)
-	}
+	head = binary.LittleEndian.AppendUint32(head, uint32(len(meta)))
+	head = append(head, meta...)
 	return &Writer{dst: dst, ft: ft, widths: widths, blockRows: blockRows, declared: int64(rows), head: head, buf: make([][]byte, cols)}, nil
 }
 
@@ -398,12 +388,11 @@ func WriteAtomic(path string, write func(tmp string) error) error {
 }
 
 // Layout derives the per-column cell widths in bits of a store from its
-// version, its column count and its meta section (nil for versions without
-// one). It runs before the file length is validated, so it must bound its
-// own allocations by len(meta), not by cols. A single width applies to every
-// column: a fixed-width version keeps no per-column table, so a header
-// claiming 2^24 columns costs Open no allocation.
-type Layout func(version uint16, cols int, meta []byte) (widths []int, err error)
+// column count and its meta section, one width per column. It runs before
+// the file length is validated, so it must bound its own allocations by
+// len(meta), not by cols: a header claiming 2^24 columns over a small meta
+// section is damage, not an allocation request.
+type Layout func(cols int, meta []byte) (widths []int, err error)
 
 // File is an open, read-only store: a whole file, or an image inside one
 // (OpenIn). All methods are safe for concurrent use. Close releases its
@@ -421,17 +410,16 @@ type File struct {
 	cols      int
 	blockRows int
 	nBlocks   int
-	version   uint16
-	bits      []int // per-column cell width in bits; one entry when every column shares it
+	bits      []int // per-column cell width in bits
 	blockSize int64 // bytes of one full block: its pages' summed lengths
 	dataStart int64
 	// fullStarts[c] and lastStarts[c] are the offsets of column c's page
 	// within a full block and within the last block: the summed page
-	// lengths of columns [0, c), cols+1 entries each (nil when uniform).
+	// lengths of columns [0, c), cols+1 entries each.
 	fullStarts []int64
 	lastStarts []int64
 	crcs       []uint32
-	checksum   uint32            // footer CRC: the store's identity for external refs
+	checksum   uint32            // footer CRC: the store's identity in a shard map
 	src        *io.SectionReader // the store's bytes, read when Data is nil
 	reg        *Region
 }
@@ -528,7 +516,7 @@ func (r *Region) Close() error {
 
 // Open opens the store file at path, memory-mapping it when the platform
 // supports it and falling back to plain file reads otherwise. layout derives
-// the cell widths of the version found.
+// the cell widths from the meta section.
 func Open(path string, ft Format, layout Layout) (*File, error) {
 	r, err := OpenRegion(path)
 	if err != nil {
@@ -574,9 +562,8 @@ func open(r io.ReaderAt, size int64, ft Format, layout Layout) (*File, error) {
 	if [8]byte(head[:8]) != ft.Magic {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	version := binary.LittleEndian.Uint16(head[8:])
-	if version < ft.MinVersion || version > ft.Version {
-		return nil, fmt.Errorf("%w: store version %d, this build reads versions %d to %d", ErrCorrupt, version, ft.MinVersion, ft.Version)
+	if version := binary.LittleEndian.Uint16(head[8:]); version != ft.Version {
+		return nil, fmt.Errorf("%w: store version %d, this build reads version %d", ErrVersion, version, ft.Version)
 	}
 	cols := int(binary.LittleEndian.Uint32(head[10:]))
 	rows64 := binary.LittleEndian.Uint64(head[14:])
@@ -589,33 +576,30 @@ func open(r io.ReaderAt, size int64, ft Format, layout Layout) (*File, error) {
 		(rows64 > 0 && uint64(cols) > (1<<59)/rows64) {
 		return nil, fmt.Errorf("%w: impossible geometry (%d cols, %d rows, %d rows/block)", ErrCorrupt, cols, rows64, blockRows)
 	}
-	var meta []byte
-	if ft.hasMeta(version) {
-		if size < headerSize+4 {
-			return nil, fmt.Errorf("%w: %d bytes, header needs %d", ErrTruncated, size, headerSize+4)
-		}
-		head = head[:headerSize+4]
-		if _, err := r.ReadAt(head[headerSize:], headerSize); err != nil {
-			return nil, err
-		}
-		metaLen := int64(binary.LittleEndian.Uint32(head[headerSize:]))
-		if metaLen > size-int64(len(head)) {
-			return nil, fmt.Errorf("%w: meta section claims %d bytes past the file end", ErrTruncated, metaLen)
-		}
-		meta = make([]byte, metaLen)
-		if _, err := r.ReadAt(meta, int64(len(head))); err != nil {
-			return nil, err
-		}
+	if size < headerSize+4 {
+		return nil, fmt.Errorf("%w: %d bytes, header needs %d", ErrTruncated, size, headerSize+4)
+	}
+	head = head[:headerSize+4]
+	if _, err := r.ReadAt(head[headerSize:], headerSize); err != nil {
+		return nil, err
+	}
+	metaLen := int64(binary.LittleEndian.Uint32(head[headerSize:]))
+	if metaLen > size-int64(len(head)) {
+		return nil, fmt.Errorf("%w: meta section claims %d bytes past the file end", ErrTruncated, metaLen)
+	}
+	meta := make([]byte, metaLen)
+	if _, err := r.ReadAt(meta, int64(len(head))); err != nil {
+		return nil, err
 	}
 	file := &File{
-		version: version, rows: int(rows64), cols: cols, blockRows: blockRows,
+		rows: int(rows64), cols: cols, blockRows: blockRows,
 		dataStart: int64(len(head) + len(meta)),
 	}
-	widths, err := layout(version, cols, meta)
+	widths, err := layout(cols, meta)
 	if err != nil {
 		return nil, err
 	}
-	if len(widths) != 1 && len(widths) != cols {
+	if len(widths) != cols {
 		return nil, fmt.Errorf("%w: meta section describes %d columns, header says %d", ErrCorrupt, len(widths), cols)
 	}
 	for c, bits := range widths {
@@ -635,19 +619,14 @@ func open(r io.ReaderAt, size int64, ft Format, layout Layout) (*File, error) {
 	if file.nBlocks > 0 {
 		lastRows = file.BlockLen(file.nBlocks - 1)
 	}
-	var lastSize int64
-	if len(widths) == 1 {
-		file.blockSize = int64(cols) * pageLen(blockRows, widths[0])
-		lastSize = int64(cols) * pageLen(lastRows, widths[0])
-	} else {
-		file.fullStarts = make([]int64, cols+1)
-		file.lastStarts = make([]int64, cols+1)
-		for c, bits := range widths {
-			file.fullStarts[c+1] = file.fullStarts[c] + pageLen(blockRows, bits)
-			file.lastStarts[c+1] = file.lastStarts[c] + pageLen(lastRows, bits)
-		}
-		file.blockSize, lastSize = file.fullStarts[cols], file.lastStarts[cols]
+	file.fullStarts = make([]int64, cols+1)
+	file.lastStarts = make([]int64, cols+1)
+	for c, bits := range widths {
+		file.fullStarts[c+1] = file.fullStarts[c] + pageLen(blockRows, bits)
+		file.lastStarts[c+1] = file.lastStarts[c] + pageLen(lastRows, bits)
 	}
+	file.blockSize = file.fullStarts[cols]
+	lastSize := file.lastStarts[cols]
 	var dataSize int64
 	if file.nBlocks > 0 {
 		dataSize = int64(file.nBlocks-1)*file.blockSize + lastSize
@@ -703,8 +682,8 @@ func (f *File) WriteTo(w io.Writer) (int64, error) {
 }
 
 // Checksum returns the footer CRC — a cheap identity covering the geometry,
-// the meta section and the per-page checksums, used by external references
-// (modelio, the shard map) to detect a swapped or regenerated store.
+// the meta section and the per-page checksums, which a model file's shard
+// map records to detect a swapped or regenerated shard.
 func (f *File) Checksum() uint32 { return f.checksum }
 
 // Mapped reports whether the store is memory-mapped or in memory (false =
@@ -735,28 +714,15 @@ func (f *File) BlockLen(blk int) int {
 // before blk are all full; within a block, column pages are contiguous in
 // column order.
 func (f *File) Off(c, blk int) int64 {
-	var start int64
-	switch {
-	case f.fullStarts == nil:
-		start = int64(c) * pageLen(f.BlockLen(blk), f.bits[0])
-	case blk == f.nBlocks-1:
-		start = f.lastStarts[c]
-	default:
-		start = f.fullStarts[c]
+	starts := f.fullStarts
+	if blk == f.nBlocks-1 {
+		starts = f.lastStarts
 	}
-	return f.dataStart + int64(blk)*f.blockSize + start
+	return f.dataStart + int64(blk)*f.blockSize + starts[c]
 }
-
-// Version returns the format version the file was written in.
-func (f *File) Version() uint16 { return f.version }
 
 // CellBits returns the width in bits of column c's cells.
-func (f *File) CellBits(c int) int {
-	if len(f.bits) == 1 {
-		return f.bits[0]
-	}
-	return f.bits[c]
-}
+func (f *File) CellBits(c int) int { return f.bits[c] }
 
 // CellOff returns the file offset of the byte that holds cell (c, r) — its
 // first byte, for a cell of a byte or more.

@@ -27,9 +27,9 @@ import (
 type storeKind struct {
 	name string
 	stem string // golden files are testdata/stores/<stem>_[v2_|v3_]<rows>.<ext>
-	// metaSince is the first version with a length-prefixed meta section
-	// after the header.
-	metaSince uint16
+	// magic and version open a store of this kind in its header.
+	magic   string
+	version uint16
 	// write writes a complete rows-row store (temp file + rename).
 	write func(path string, rows, blockRows int) error
 	// abandon appends rows to a fresh writer and returns without Close — a
@@ -57,9 +57,10 @@ func openStore[S any](open func(string) (S, error), openIn func(*blockfile.Regio
 
 var storeKinds = []storeKind{
 	{
-		name:      "codestore",
-		stem:      "codes",
-		metaSince: 2,
+		name:    "codestore",
+		stem:    "codes",
+		magic:   "SUBTABCS",
+		version: codestore.Version,
 		write: func(path string, rows, blockRows int) error {
 			return codestore.WriteFile(path, goldenPackedCodes(rows), blockRows)
 		},
@@ -104,9 +105,10 @@ var storeKinds = []storeKind{
 		},
 	},
 	{
-		name:      "colstore",
-		stem:      "cells",
-		metaSince: 1,
+		name:    "colstore",
+		stem:    "cells",
+		magic:   "SUBTABPC",
+		version: colstore.Version,
 		write: func(path string, rows, blockRows int) error {
 			return colstore.WriteTable(path, goldenPackedTable(rows), blockRows)
 		},
@@ -156,10 +158,11 @@ var storeKinds = []storeKind{
 	},
 }
 
-// hasMeta reports whether raw, a store file of kind k, carries a meta
-// section — by the version in its header.
-func (k storeKind) hasMeta(raw []byte) bool {
-	return len(raw) >= 10 && binary.LittleEndian.Uint16(raw[8:]) >= k.metaSince
+// retired reports whether raw has a whole header of a store of kind k in a
+// version other than the current one, which Open must refuse with
+// ErrVersion.
+func (k storeKind) retired(raw []byte) bool {
+	return len(raw) >= blockfile.HeaderSize && string(raw[:8]) == k.magic && binary.LittleEndian.Uint16(raw[8:]) != k.version
 }
 
 // eachKind runs fn as one subtest per Format.
@@ -203,10 +206,7 @@ func sections(t *testing.T, k storeKind, path string, raw []byte) (dataStart, in
 		t.Fatal(err)
 	}
 	defer f.Close()
-	dataStart = blockfile.HeaderSize
-	if k.hasMeta(raw) {
-		dataStart += 4 + int(binary.LittleEndian.Uint32(raw[blockfile.HeaderSize:]))
-	}
+	dataStart = blockfile.HeaderSize + 4 + int(binary.LittleEndian.Uint32(raw[blockfile.HeaderSize:]))
 	return dataStart, len(raw) - 12 - 4*f.NumBlocks()*f.NumCols()
 }
 
@@ -308,8 +308,9 @@ func TestReopenAfterCrash(t *testing.T) {
 
 // TestPerPageChecksum flips one bit at every byte of a store: inside the
 // data section Open still succeeds (geometry and footer are intact) and
-// Verify names the damage; anywhere else — header, meta, page index, footer
-// — the footer checksum or the end magic fails Open outright.
+// Verify names the damage; in the version field Open refuses a version it
+// does not read; anywhere else — header, meta, page index, footer — the
+// footer checksum or the end magic fails Open outright.
 func TestPerPageChecksum(t *testing.T) {
 	eachKind(t, func(t *testing.T, k storeKind) {
 		bothPaths(t, func(t *testing.T) {
@@ -334,6 +335,8 @@ func TestPerPageChecksum(t *testing.T) {
 					wantStoreError(t, fmt.Sprintf("flip at end-magic byte %d", pos), err, blockfile.ErrTruncated)
 				case pos >= indexStart:
 					wantStoreError(t, fmt.Sprintf("flip at index/footer byte %d", pos), err, blockfile.ErrCorrupt)
+				case pos == 8 || pos == 9:
+					wantStoreError(t, fmt.Sprintf("flip at version byte %d", pos), err, blockfile.ErrVersion)
 				default:
 					wantStoreError(t, fmt.Sprintf("flip at header/meta byte %d", pos), err, blockfile.ErrCorrupt, blockfile.ErrTruncated)
 				}
@@ -408,68 +411,44 @@ func allocatedBy(fn func()) uint64 {
 }
 
 // TestCraftedGeometryCostsNothing is the regression test for two headers
-// that are well-formed but describe nothing real: blockRows = 2^31-1 over
-// zero rows (codestore.Verify used to size its scratch from blockRows and
-// allocate 4GiB for this 38-byte file) and 2^24 columns over zero rows.
-// Open rejects neither for its geometry, and neither may cost more than
-// the file is worth. Both are crafted from a fresh empty store and from
-// the checked-in version-1 one: a version with a meta section rejects 2^24
-// columns its meta cannot describe, and a fixed-width version without one
-// opens them with no per-column table.
+// that are well-formed but describe nothing real, crafted from a fresh
+// empty store: blockRows = 2^31-1 over zero rows (codestore.Verify used to
+// size its scratch from blockRows and allocate 4GiB for this 38-byte file),
+// which opens, and 2^24 columns over zero rows, which the meta section
+// cannot describe — damage. Neither may cost more than the file is worth.
 func TestCraftedGeometryCostsNothing(t *testing.T) {
 	eachKind(t, func(t *testing.T, k storeKind) {
 		bothPaths(t, func(t *testing.T) {
-			_, fresh := writeStore(t, k, 0, 16)
-			v1s, err := filepath.Glob(filepath.Join("testdata", "stores", k.stem+"_00.*"))
-			if err != nil || len(v1s) != 1 {
-				t.Fatalf("checked-in empty %s store: %v, %v", k.name, v1s, err)
-			}
-			v1, err := os.ReadFile(v1s[0])
-			if err != nil {
+			_, empty := writeStore(t, k, 0, 16)
+			crafted := filepath.Join(t.TempDir(), "c.store")
+			huge := bytes.Clone(empty)
+			binary.LittleEndian.PutUint32(huge[22:], 0x7FFFFFFF) // blockRows
+			if err := os.WriteFile(crafted, reseal(huge), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			crafted := filepath.Join(t.TempDir(), "c.store")
-			for _, empty := range [][]byte{fresh, v1} {
-				huge := bytes.Clone(empty)
-				binary.LittleEndian.PutUint32(huge[22:], 0x7FFFFFFF) // blockRows
-				if err := os.WriteFile(crafted, reseal(huge), 0o644); err != nil {
-					t.Fatal(err)
+			if n := allocatedBy(func() {
+				f, err := k.open(crafted)
+				if err != nil {
+					t.Fatalf("Open rejected blockRows = 2^31-1 over zero rows: %v", err)
 				}
-				if n := allocatedBy(func() {
-					f, err := k.open(crafted)
-					if err != nil {
-						t.Fatalf("Open rejected blockRows = 2^31-1 over zero rows: %v", err)
-					}
-					defer f.Close()
-					if err := f.Verify(); err != nil {
-						t.Fatalf("Verify: %v", err)
-					}
-				}); n > 1<<20 {
-					t.Fatalf("opening and verifying a %d-byte file allocated %d bytes", len(huge), n)
+				defer f.Close()
+				if err := f.Verify(); err != nil {
+					t.Fatalf("Verify: %v", err)
 				}
+			}); n > 1<<20 {
+				t.Fatalf("opening and verifying a %d-byte file allocated %d bytes", len(huge), n)
+			}
 
-				wide := bytes.Clone(empty)
-				binary.LittleEndian.PutUint32(wide[10:], 1<<24) // cols
-				if err := os.WriteFile(crafted, reseal(wide), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				if n := allocatedBy(func() {
-					f, err := k.open(crafted)
-					if k.hasMeta(empty) {
-						// The meta section cannot describe 2^24 columns: damage.
-						wantStoreError(t, "2^24 columns over a small meta section", err, blockfile.ErrCorrupt)
-						return
-					}
-					if err != nil {
-						t.Fatalf("Open rejected 2^24 columns over zero rows: %v", err)
-					}
-					defer f.Close()
-					if err := f.Verify(); err != nil || f.NumCols() != 1<<24 {
-						t.Fatalf("Verify: %v; %d columns", err, f.NumCols())
-					}
-				}); n > 1<<20 {
-					t.Fatalf("opening a %d-byte file allocated %d bytes", len(wide), n)
-				}
+			wide := bytes.Clone(empty)
+			binary.LittleEndian.PutUint32(wide[10:], 1<<24) // cols
+			if err := os.WriteFile(crafted, reseal(wide), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if n := allocatedBy(func() {
+				_, err := k.open(crafted)
+				wantStoreError(t, "2^24 columns over a small meta section", err, blockfile.ErrCorrupt)
+			}); n > 1<<20 {
+				t.Fatalf("opening a %d-byte file allocated %d bytes", len(wide), n)
 			}
 		})
 	})

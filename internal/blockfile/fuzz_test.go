@@ -17,10 +17,7 @@ import (
 // from one valid store file: truncations at the header, meta, data, index
 // and footer boundaries, and single-byte flips inside each section.
 func fuzzSeeds(k storeKind, raw []byte) [][]byte {
-	dataStart := blockfile.HeaderSize
-	if k.hasMeta(raw) {
-		dataStart += 4
-	}
+	dataStart := blockfile.HeaderSize + 4
 	cuts := []int{0, 8, blockfile.HeaderSize - 1, blockfile.HeaderSize, dataStart, (dataStart + len(raw)) / 2, len(raw) - 13, len(raw) - 12, len(raw) - 8, len(raw) - 1}
 	flips := []int{0, 9, 10, 14, 22, blockfile.HeaderSize, dataStart + 3, (dataStart + len(raw)) / 2, len(raw) - 16, len(raw) - 12, len(raw) - 1}
 	seeds := [][]byte{raw}
@@ -43,13 +40,16 @@ func fuzzSeeds(k storeKind, raw []byte) [][]byte {
 // with the footer checksum of a zero-row layout recomputed (so mutated
 // headers and schemas of empty stores get past the footer check and reach
 // the geometry and meta validation). Open must return a store or an error
-// wrapping ErrTruncated/ErrCorrupt and never panic; whatever it accepts
+// wrapping ErrTruncated/ErrCorrupt/ErrVersion and never panic — a whole
+// header of the store's magic and a version but the current one always
+// ErrVersion, as the version 1 and 2 golden stores are; whatever it accepts
 // must survive Verify and a full typed read (ColumnBlock and Code over
 // every block; Cell and MaterializeTable) without panicking and without
 // allocating more than a small multiple of the file size. OpenIn over the
 // same bytes in memory must give the same verdict, the same Checksum and
 // the same typed reads. Seeds are the checked-in golden stores of both
-// formats, truncated and bit-flipped at every section boundary; the corpus
+// formats and all three versions, truncated and bit-flipped at every
+// section boundary; the corpus
 // under testdata/fuzz/FuzzOpen replays a sample of them, and the crafted
 // headers of TestCraftedGeometryCostsNothing, on every plain `go test` run.
 func FuzzOpen(f *testing.F) {
@@ -83,8 +83,11 @@ func FuzzOpen(f *testing.F) {
 			// Open and Verify fail with the sentinels; the typed accessors
 			// of an accepted store may additionally report an
 			// out-of-dictionary code, also under ErrCorrupt.
-			if err != nil && !errors.Is(err, blockfile.ErrTruncated) && !errors.Is(err, blockfile.ErrCorrupt) {
-				t.Fatalf("%s: error outside ErrTruncated/ErrCorrupt: %v", k.name, err)
+			if err != nil && !errors.Is(err, blockfile.ErrTruncated) && !errors.Is(err, blockfile.ErrCorrupt) && !errors.Is(err, blockfile.ErrVersion) {
+				t.Fatalf("%s: error outside ErrTruncated/ErrCorrupt/ErrVersion: %v", k.name, err)
+			}
+			if k.retired(variant) && !errors.Is(err, blockfile.ErrVersion) {
+				t.Fatalf("%s: a retired version's header: err = %v, want ErrVersion", k.name, err)
 			}
 			// A materialized table and its rendered cells cost a few bytes
 			// per byte of page; a dictionary page's string headers the most,
@@ -107,8 +110,8 @@ func FuzzOpen(f *testing.F) {
 // TestUpdateFuzzCorpus re-records testdata/fuzz/FuzzOpen under -update: for
 // each format and version the 17-row golden store (one block + 1 row) whole,
 // truncated and flipped — the version-3 stores hold every encoding and
-// every cell width — plus
-// the two crafted zero-row headers of each version-1 store.
+// every cell width, the version 1 and 2 ones must be refused — plus the
+// two crafted zero-row headers of each version-3 store.
 func TestUpdateFuzzCorpus(t *testing.T) {
 	if !*update {
 		t.Skip("run with -update to re-record the FuzzOpen corpus")
@@ -145,7 +148,7 @@ func TestUpdateFuzzCorpus(t *testing.T) {
 				put(fmt.Sprintf("seed-%s-%s%02d", k.name, infix, j), i|(j%2)<<1, seed)
 			}
 		}
-		empty := golden(k, "", 0)
+		empty := golden(k, "v3_", 0)
 		huge := bytes.Clone(empty)
 		copy(huge[22:], []byte{0xFF, 0xFF, 0xFF, 0x7F}) // blockRows = 2^31-1
 		put("seed-"+k.name+"-huge-blockrows", i, reseal(huge))

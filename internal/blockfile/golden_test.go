@@ -1,18 +1,19 @@
 // Format golden: the bytes both stores write are pinned by SHA-256 and by a
 // checked-in copy of every file. Version-3 files are re-written and compared
-// byte for byte; version-1 files, recorded before the stores moved onto this
-// package, and version-2 files, recorded before sub-byte cells, are no
-// longer written by this build and are only read. Every
-// checked-in copy is opened and every typed value read back — the proof that
-// no byte on disk moved and that spill files written by an older build
-// still open.
+// byte for byte, and every checked-in copy is opened and every typed value
+// read back — the proof that no byte on disk moved. Version-1 files,
+// recorded before the stores moved onto this package, and version-2 files,
+// recorded before sub-byte cells, are retired: their checked-in bytes must
+// still match the record, and opening them must fail with ErrVersion.
 package blockfile_test
 
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -20,6 +21,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"subtab/internal/blockfile"
 	"subtab/internal/codestore"
 	"subtab/internal/colstore"
 	"subtab/internal/table"
@@ -54,7 +56,7 @@ func goldenCodes(n int) [][]uint16 {
 }
 
 // goldenNarrowCodes is goldenCodes plus two columns whose codes fit one
-// byte, so a version-2 store holds both code widths.
+// byte.
 func goldenNarrowCodes(n int) [][]uint16 {
 	codes := goldenCodes(n)
 	narrow := [2][]uint16{make([]uint16, n), make([]uint16, n)}
@@ -82,10 +84,9 @@ func goldenPackedCodes(n int) [][]uint16 {
 // goldenBins bounds goldenPackedCodes' columns.
 var goldenBins = []int{1 << 16, 1 << 16, 1 << 16, 1 << 8, 7, 2, 3, 16}
 
-// goldenTable has every cell shape the version-1 page encoding
-// distinguishes: numeric values with NaN and integral cells, a categorical
-// column with missing cells, and an all-missing categorical column (empty
-// dictionary page).
+// goldenTable has the basic cell shapes: numeric values with NaN and
+// integral cells, a categorical column with missing cells, and an
+// all-missing categorical column (empty dictionary page).
 func goldenTable(n int) *table.Table {
 	nums := make([]float64, n)
 	cats := make([]int32, n)
@@ -118,10 +119,9 @@ func goldenTable(n int) *table.Table {
 	return t
 }
 
-// goldenWideTable is goldenTable plus a column of every other version-2
-// encoding: offset integers at each width (one with a negative base) and
-// float64 fractions; goldenTable's own columns are Float32 and 1-byte
-// DictCode.
+// goldenWideTable is goldenTable plus a column of every other encoding:
+// offset integers at several widths (one with a negative base) and
+// float64 fractions; goldenTable's own columns are Float32 and DictCode.
 func goldenWideTable(n int) *table.Table {
 	t := goldenTable(n)
 	small, mid, wide, frac := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
@@ -175,77 +175,83 @@ func goldenPackedTable(n int) *table.Table {
 }
 
 // goldenCase is one pinned store file: write produces it (nil for a
-// version-1 or version-2 file, which this build only reads), check opens a copy (fresh
-// or checked in) and reads every typed value back, returning the store's
-// identity checksum.
+// retired version-1 or version-2 file), check opens a copy (fresh or
+// checked in) and reads every typed value back — or, for a retired file,
+// requires the refusal — returning the store's identity checksum.
 type goldenCase struct {
 	name  string
 	write func(path string) error
 	check func(t *testing.T, path string) uint32
 }
 
-func goldenCases() []goldenCase {
+// retiredCases are the version-1 and version-2 files: the first recorded
+// before the stores moved onto this package, the second before sub-byte
+// cells, with a shard's slice (rows [9, 31) of the 40-row table, cut off
+// the block grid at both ends) of each cells version.
+func retiredCases() []goldenCase {
 	var cases []goldenCase
-	for _, n := range goldenRows {
-		codes := goldenCodes(n)
-		cases = append(cases, goldenCase{
-			name:  fmt.Sprintf("codes_%02d.codes", n),
-			check: func(t *testing.T, path string) uint32 { return checkGoldenCodes(t, path, 1, codes) },
-		})
-		src := goldenTable(n)
-		cases = append(cases, goldenCase{
-			name:  fmt.Sprintf("cells_%02d.cols", n),
-			check: func(t *testing.T, path string) uint32 { return checkGoldenCells(t, path, 1, src, 0, n) },
-		})
+	for _, infix := range []string{"", "v2_"} {
+		for _, n := range goldenRows {
+			cases = append(cases,
+				goldenCase{name: fmt.Sprintf("codes_%s%02d.codes", infix, n), check: checkRetiredCodes},
+				goldenCase{name: fmt.Sprintf("cells_%s%02d.cols", infix, n), check: checkRetiredCells})
+		}
+		cases = append(cases, goldenCase{name: "cells_" + infix + "40_rows_09_31.cols", check: checkRetiredCells})
 	}
-	// A shard's slice: rows [9, 31) of the 40-row table, cut off the block
-	// grid at both ends, with the full dictionaries.
-	src := goldenTable(40)
-	cases = append(cases, goldenCase{
-		name:  "cells_40_rows_09_31.cols",
-		check: func(t *testing.T, path string) uint32 { return checkGoldenCells(t, path, 1, src, 9, 31) },
-	})
-	for _, n := range goldenRows {
-		codes := goldenNarrowCodes(n)
-		cases = append(cases, goldenCase{
-			name:  fmt.Sprintf("codes_v2_%02d.codes", n),
-			check: func(t *testing.T, path string) uint32 { return checkGoldenCodes(t, path, 2, codes) },
-		})
-		src := goldenWideTable(n)
-		cases = append(cases, goldenCase{
-			name:  fmt.Sprintf("cells_v2_%02d.cols", n),
-			check: func(t *testing.T, path string) uint32 { return checkGoldenCells(t, path, 2, src, 0, n) },
-		})
+	return cases
+}
+
+// checkRetiredCodes and checkRetiredCells require a retired store's
+// refusal: Open fails with ErrVersion, not ErrCorrupt. They return the
+// footer checksum its bytes record.
+func checkRetiredCodes(t *testing.T, path string) uint32 {
+	_, err := codestore.Open(path)
+	return checkRetired(t, path, err)
+}
+
+func checkRetiredCells(t *testing.T, path string) uint32 {
+	_, err := colstore.Open(path)
+	return checkRetired(t, path, err)
+}
+
+func checkRetired(t *testing.T, path string, err error) uint32 {
+	t.Helper()
+	if !errors.Is(err, blockfile.ErrVersion) || errors.Is(err, blockfile.ErrCorrupt) {
+		t.Fatalf("open %s: %v, want ErrVersion and not ErrCorrupt", path, err)
 	}
-	wide := goldenWideTable(40)
-	cases = append(cases, goldenCase{
-		name:  "cells_v2_40_rows_09_31.cols",
-		check: func(t *testing.T, path string) uint32 { return checkGoldenCells(t, path, 2, wide, 9, 31) },
-	})
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return binary.LittleEndian.Uint32(raw[len(raw)-12:])
+}
+
+func goldenCases() []goldenCase {
+	cases := retiredCases()
 	for _, n := range goldenRows {
 		codes := goldenPackedCodes(n)
 		cases = append(cases, goldenCase{
 			name:  fmt.Sprintf("codes_v3_%02d.codes", n),
 			write: func(path string) error { return codestore.WriteFile(path, codes, goldenBlockRows) },
-			check: func(t *testing.T, path string) uint32 { return checkGoldenCodes(t, path, 3, codes) },
+			check: func(t *testing.T, path string) uint32 { return checkGoldenCodes(t, path, codes) },
 		})
 		src := goldenPackedTable(n)
 		cases = append(cases, goldenCase{
 			name:  fmt.Sprintf("cells_v3_%02d.cols", n),
 			write: func(path string) error { return colstore.WriteTable(path, src, goldenBlockRows) },
-			check: func(t *testing.T, path string) uint32 { return checkGoldenCells(t, path, 3, src, 0, n) },
+			check: func(t *testing.T, path string) uint32 { return checkGoldenCells(t, path, src, 0, n) },
 		})
 	}
 	packed := goldenPackedTable(40)
 	cases = append(cases, goldenCase{
 		name:  "cells_v3_40_rows_09_31.cols",
 		write: func(path string) error { return colstore.WriteTableRows(path, packed, 9, 31, goldenBlockRows) },
-		check: func(t *testing.T, path string) uint32 { return checkGoldenCells(t, path, 3, packed, 9, 31) },
+		check: func(t *testing.T, path string) uint32 { return checkGoldenCells(t, path, packed, 9, 31) },
 	})
 	return cases
 }
 
-func checkGoldenCodes(t *testing.T, path string, version uint16, codes [][]uint16) uint32 {
+func checkGoldenCodes(t *testing.T, path string, codes [][]uint16) uint32 {
 	t.Helper()
 	s, err := codestore.Open(path)
 	if err != nil {
@@ -253,8 +259,8 @@ func checkGoldenCodes(t *testing.T, path string, version uint16, codes [][]uint1
 	}
 	defer s.Close()
 	n := len(codes[0])
-	if s.NumRows() != n || s.NumCols() != len(codes) || s.BlockRows() != goldenBlockRows || s.Version() != version {
-		t.Fatalf("%s is v%d %dx%d at %d rows/block, want v%d %dx%d at %d", path, s.Version(), s.NumRows(), s.NumCols(), s.BlockRows(), version, n, len(codes), goldenBlockRows)
+	if s.NumRows() != n || s.NumCols() != len(codes) || s.BlockRows() != goldenBlockRows {
+		t.Fatalf("%s is %dx%d at %d rows/block, want %dx%d at %d", path, s.NumRows(), s.NumCols(), s.BlockRows(), n, len(codes), goldenBlockRows)
 	}
 	for c := range codes {
 		for r := 0; r < n; r++ {
@@ -276,15 +282,15 @@ func checkGoldenCodes(t *testing.T, path string, version uint16, codes [][]uint1
 	return s.Checksum()
 }
 
-func checkGoldenCells(t *testing.T, path string, version uint16, src *table.Table, start, end int) uint32 {
+func checkGoldenCells(t *testing.T, path string, src *table.Table, start, end int) uint32 {
 	t.Helper()
 	s, err := colstore.Open(path)
 	if err != nil {
 		t.Fatalf("open %s: %v", path, err)
 	}
 	defer s.Close()
-	if s.NumRows() != end-start || s.NumCols() != src.NumCols() || s.BlockRows() != goldenBlockRows || s.Version() != version {
-		t.Fatalf("%s is v%d %dx%d at %d rows/block, want v%d %dx%d at %d", path, s.Version(), s.NumRows(), s.NumCols(), s.BlockRows(), version, end-start, src.NumCols(), goldenBlockRows)
+	if s.NumRows() != end-start || s.NumCols() != src.NumCols() || s.BlockRows() != goldenBlockRows {
+		t.Fatalf("%s is %dx%d at %d rows/block, want %dx%d at %d", path, s.NumRows(), s.NumCols(), s.BlockRows(), end-start, src.NumCols(), goldenBlockRows)
 	}
 	mat, err := s.MaterializeTable("golden")
 	if err != nil {
@@ -311,8 +317,8 @@ func checkGoldenCells(t *testing.T, path string, version uint16, src *table.Tabl
 	return s.Checksum()
 }
 
-// TestFormatGolden pins every byte both stores write, and reads back every
-// version-1 and version-2 file the previous formats wrote.
+// TestFormatGolden pins every byte both stores write, and the refusal of
+// every version-1 and version-2 file the retired formats wrote.
 func TestFormatGolden(t *testing.T) {
 	const jsonPath = "testdata/format_golden.json"
 	storeDir := filepath.Join("testdata", "stores")
@@ -335,7 +341,7 @@ func TestFormatGolden(t *testing.T) {
 		checkedIn := filepath.Join(storeDir, gc.name)
 		if gc.write == nil {
 			// Versions 1 and 2: the checked-in bytes are the record; they must
-			// still match it, open, verify and read back typed.
+			// still match it, and opening them must fail as a version.
 			raw, err := os.ReadFile(checkedIn)
 			if err != nil {
 				t.Fatal(err)

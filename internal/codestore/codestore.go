@@ -10,17 +10,16 @@
 // internal/blockfile's; see its package comment for the layout. This package
 // owns only what is typed: the "SUBTABCS"/"SUBTABCE" magics and
 //
-//	meta:    (versions 2 and 3) one byte per column: its cell width — in
-//	         version 3 the bits of the smallest power of two that holds the
-//	         column's codes (1 bit up to 2 bins, 2 up to 4, 4 up to 16, 8
-//	         up to 256, else 16); in version 2 bytes, 1 up to 256 bins,
-//	         else 2
+//	meta:    one byte per column: its cell width in bits, the smallest
+//	         power of two that holds the column's codes (1 bit up to 2
+//	         bins, 2 up to 4, 4 up to 16, 8 up to 256, else 16)
 //	pages:   each cell is its bin code as an unsigned integer of its
 //	         column's width, packed as blockfile packs sub-byte cells
 //
-// Versions 1 (no meta section, every cell a u16) and 2 still open and read.
-// CreateIn streams a store image into a larger file and OpenIn opens one
-// in place: a model file (package modelio) holds its table's codes so.
+// Open reads version 3 only; a store of any other version fails with
+// ErrVersion. CreateIn streams a store image into a larger file and OpenIn
+// opens one in place: a model file (package modelio) holds its table's
+// codes so.
 package codestore
 
 import (
@@ -32,9 +31,8 @@ import (
 	"subtab/internal/blockfile"
 )
 
-// Version is the store format version Create writes. Open also reads
-// version 1 (every column at 16-bit cells, no meta section) and version 2
-// (each column at 8 or 16 bits, its meta recording bytes).
+// Version is the store format version Create writes and the only one Open
+// reads.
 const Version uint16 = 3
 
 // DefaultBlockRows is the default rows-per-block granularity: 64Ki rows
@@ -44,11 +42,9 @@ const Version uint16 = 3
 const DefaultBlockRows = 1 << 16
 
 var format = blockfile.Format{
-	Magic:      [8]byte{'S', 'U', 'B', 'T', 'A', 'B', 'C', 'S'},
-	EndMagic:   [8]byte{'S', 'U', 'B', 'T', 'A', 'B', 'C', 'E'},
-	Version:    Version,
-	MinVersion: 1,
-	MetaSince:  2,
+	Magic:    [8]byte{'S', 'U', 'B', 'T', 'A', 'B', 'C', 'S'},
+	EndMagic: [8]byte{'S', 'U', 'B', 'T', 'A', 'B', 'C', 'E'},
+	Version:  Version,
 }
 
 // codeBits returns the cell width in bits of a column with the given bin
@@ -62,22 +58,15 @@ func codeBits(bins int) int {
 	return 16
 }
 
-// layout is the blockfile.Layout of this format: version 1 stores every
-// code in 16 bits; the meta section of versions 2 and 3 holds one width
-// byte per column, in bytes (1 or 2) and in bits (1, 2, 4, 8 or 16).
-func layout(version uint16, cols int, meta []byte) ([]int, error) {
-	if version == 1 {
-		return []int{16}, nil
-	}
+// layout is the blockfile.Layout of this format: the meta section holds
+// one width byte per column, in bits (1, 2, 4, 8 or 16).
+func layout(cols int, meta []byte) ([]int, error) {
 	if len(meta) != cols {
 		return nil, fmt.Errorf("%w: meta section of %d bytes for %d columns", ErrCorrupt, len(meta), cols)
 	}
 	widths := make([]int, cols)
 	for c, w := range meta {
 		bits := int(w)
-		if version == 2 {
-			bits *= 8
-		}
 		if bits > 16 || !blockfile.ValidBits(bits) {
 			return nil, fmt.Errorf("%w: column %d has code width byte %d", ErrCorrupt, c, w)
 		}
@@ -86,12 +75,14 @@ func layout(version uint16, cols int, meta []byte) ([]int, error) {
 	return widths, nil
 }
 
-// ErrTruncated (a crashed or interrupted writer's leftover) and ErrCorrupt
-// (any other structural damage) are blockfile's sentinels, re-exported so
-// errors.Is against this package's names keeps working.
+// ErrTruncated (a crashed or interrupted writer's leftover), ErrCorrupt
+// (any other structural damage) and ErrVersion (a store in a retired
+// version) are blockfile's sentinels, re-exported so errors.Is against this
+// package's names keeps working.
 var (
 	ErrTruncated = blockfile.ErrTruncated
 	ErrCorrupt   = blockfile.ErrCorrupt
+	ErrVersion   = blockfile.ErrVersion
 )
 
 // Writer streams column codes into a store file. Rows are appended in
@@ -219,7 +210,7 @@ type Store struct {
 // supports it and falling back to plain file reads otherwise. It validates
 // the header, the per-column widths, the exact file length, the footer
 // checksum and the end magic; a crashed writer's leftover fails here with
-// ErrTruncated.
+// ErrTruncated, and a store of a retired version with ErrVersion.
 func Open(path string) (*Store, error) {
 	f, err := blockfile.Open(path, format, layout)
 	if err != nil {

@@ -11,9 +11,8 @@
 //	meta:    the schema — per column: u16 nameLen · name · u8 kind · for
 //	         categorical columns a dictionary page (u32 count, per string
 //	         u32 len + bytes) holding the interned strings in code order ·
-//	         (versions 2 and 3) u8 encoding · u8 cell width (version 3: in
-//	         bits; version 2: in bytes) · for Offset columns an i64 base.
-//	         The footer checksum covers it, dictionaries included.
+//	         u8 encoding · u8 cell width in bits · for Offset columns an
+//	         i64 base. The footer checksum covers it, dictionaries included.
 //	pages:   each cell an unsigned integer of its column's width, packed
 //	         as blockfile packs sub-byte cells, per its Encoding: Float64
 //	         (64 bits) or Float32 (32 bits) bits, an Offset from the base
@@ -21,10 +20,8 @@
 //	         The all-ones cell of the width marks a missing cell.
 //
 // The writer picks each column's narrowest exact encoding from the rows it
-// writes. Version 1 files, whose columns are all Float64 (numeric) or
-// 32-bit DictCode (categorical) with no encoding bytes in the schema, and
-// version 2 files, whose Offset and DictCode cells are 8, 16 or 32 bits,
-// still open and read. CreateIn streams a store image into a larger file and
+// writes. Open reads version 3 only; a store of any other version fails
+// with ErrVersion. CreateIn streams a store image into a larger file and
 // OpenIn opens one in place: a model file (package modelio) holds its
 // table's cells so.
 package colstore
@@ -39,8 +36,8 @@ import (
 	"subtab/internal/table"
 )
 
-// Version is the store format version Create writes. Open also reads
-// versions 1 and 2.
+// Version is the store format version Create writes and the only one Open
+// reads.
 const Version uint16 = 3
 
 // DefaultBlockRows is the default rows-per-block granularity: 64Ki rows put
@@ -49,20 +46,19 @@ const Version uint16 = 3
 const DefaultBlockRows = 1 << 16
 
 var format = blockfile.Format{
-	Magic:      [8]byte{'S', 'U', 'B', 'T', 'A', 'B', 'P', 'C'},
-	EndMagic:   [8]byte{'S', 'U', 'B', 'T', 'A', 'B', 'P', 'E'},
-	Version:    Version,
-	MinVersion: 1,
-	MetaSince:  1,
+	Magic:    [8]byte{'S', 'U', 'B', 'T', 'A', 'B', 'P', 'C'},
+	EndMagic: [8]byte{'S', 'U', 'B', 'T', 'A', 'B', 'P', 'E'},
+	Version:  Version,
 }
 
-// ErrTruncated (a crashed or interrupted writer's leftover) and ErrCorrupt
+// ErrTruncated (a crashed or interrupted writer's leftover), ErrCorrupt
 // (any other structural damage, an out-of-range dictionary code included)
-// are blockfile's sentinels, re-exported so errors.Is against this package's
-// names keeps working.
+// and ErrVersion (a store in a retired version) are blockfile's sentinels,
+// re-exported so errors.Is against this package's names keeps working.
 var (
 	ErrTruncated = blockfile.ErrTruncated
 	ErrCorrupt   = blockfile.ErrCorrupt
+	ErrVersion   = blockfile.ErrVersion
 )
 
 // Writer streams a table's rows into a store file. The schema (names,
@@ -198,7 +194,8 @@ type Store struct {
 // supports it and falling back to plain file reads otherwise. It validates
 // the header, the schema section (encodings included), the exact file
 // length, the footer checksum and the end magic; a crashed writer's
-// leftover fails with ErrTruncated.
+// leftover fails with ErrTruncated, and a store of a retired version with
+// ErrVersion.
 func Open(path string) (*Store, error) {
 	s := &Store{}
 	f, err := blockfile.Open(path, format, s.parseSchema)
@@ -223,7 +220,7 @@ func OpenIn(r *blockfile.Region, off, size int64) (*Store, error) {
 
 // parseSchema decodes the meta section into the store's schema and returns
 // the per-column cell widths (the blockfile.Layout of this format).
-func (s *Store) parseSchema(version uint16, cols int, meta []byte) ([]int, error) {
+func (s *Store) parseSchema(cols int, meta []byte) ([]int, error) {
 	// Every column takes at least a name length and a kind byte, so a column
 	// count the section cannot hold is damage, not an allocation request.
 	if cols > len(meta)/3 {
@@ -260,16 +257,13 @@ func (s *Store) parseSchema(version uint16, cols int, meta []byte) ([]int, error
 			s.dicts[c] = strs
 			off += n
 		}
-		s.encs[c] = v1Encoding(kind)
-		if version >= 2 {
-			e, n, err := parseEncoding(meta[off:], kind, version)
-			if err != nil {
-				return nil, fmt.Errorf("column %q: %w", s.names[c], err)
-			}
-			s.encs[c] = e
-			off += n
+		e, n, err := parseEncoding(meta[off:], kind)
+		if err != nil {
+			return nil, fmt.Errorf("column %q: %w", s.names[c], err)
 		}
-		widths[c] = s.encs[c].bits
+		s.encs[c] = e
+		off += n
+		widths[c] = e.bits
 	}
 	if off != len(meta) {
 		return nil, fmt.Errorf("%w: schema section has %d trailing bytes", ErrCorrupt, len(meta)-off)

@@ -205,8 +205,8 @@ func (e encoding) codes(dst []int32, cells []uint64, dictLen int) error {
 	return nil
 }
 
-// appendMeta appends the encoding's version-3 meta entry: u8 encoding,
-// u8 width in bits, and for Offset the i64 base.
+// appendMeta appends the encoding's meta entry: u8 encoding, u8 width in
+// bits, and for Offset the i64 base.
 func (e encoding) appendMeta(dst []byte) []byte {
 	dst = append(dst, byte(e.enc), byte(e.bits))
 	if e.enc == Offset {
@@ -215,20 +215,15 @@ func (e encoding) appendMeta(dst []byte) []byte {
 	return dst
 }
 
-// parseEncoding decodes a meta entry of a store of the given version (2 or
-// later) from the front of buf for a column of kind k, returning it and
-// the bytes consumed; a version-2 entry records its width in bytes, a
-// version-3 one in bits. An encoding the kind cannot have, a width the
-// encoding cannot have, or a base outside ±2^53 (whose offsets could
-// overflow) is ErrCorrupt.
-func parseEncoding(buf []byte, k table.Kind, version uint16) (encoding, int, error) {
+// parseEncoding decodes a meta entry from the front of buf for a column of
+// kind k, returning it and the bytes consumed. An encoding the kind cannot
+// have, a width the encoding cannot have, or a base outside ±2^53 (whose
+// offsets could overflow) is ErrCorrupt.
+func parseEncoding(buf []byte, k table.Kind) (encoding, int, error) {
 	if len(buf) < 2 {
 		return encoding{}, 0, fmt.Errorf("%w: encoding truncated", ErrCorrupt)
 	}
 	e := encoding{enc: Encoding(buf[0]), bits: int(buf[1])}
-	if version == 2 {
-		e.bits *= 8
-	}
 	ok := false
 	switch e.enc {
 	case Float64:
@@ -254,15 +249,6 @@ func parseEncoding(buf []byte, k table.Kind, version uint16) (encoding, int, err
 		return encoding{}, 0, fmt.Errorf("%w: offset base %d outside ±2^53", ErrCorrupt, e.base)
 	}
 	return e, 10, nil
-}
-
-// v1Encoding is the fixed encoding every version-1 column has: float64
-// bits for numeric cells, a u32 code for categorical ones.
-func v1Encoding(k table.Kind) encoding {
-	if k == table.Numeric {
-		return encoding{enc: Float64, bits: 64}
-	}
-	return encoding{enc: DictCode, bits: 32}
 }
 
 // appendDictPage appends a dictionary page — u32 count, then per string a

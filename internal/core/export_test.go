@@ -1,4 +1,4 @@
 package core
 
-// CodesOut gives the external tests codesOut, the modelio v6 layout.
+// CodesOut gives the external tests codesOut: codes paged, cells resident.
 var CodesOut = codesOut

@@ -76,7 +76,7 @@ func shardPaths(dir string, n int) (codes, cells []string) {
 }
 
 // codesOut switches m's codes onto a code store at path and drops them,
-// keeping the cells resident: the layout a modelio v6 file loads into.
+// keeping the cells resident.
 func codesOut(t testing.TB, m *Model, path string, blockRows int) *codestore.Store {
 	t.Helper()
 	if err := m.ExportCodeStore(path, blockRows); err != nil {

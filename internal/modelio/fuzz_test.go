@@ -3,6 +3,7 @@ package modelio
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"os"
 	"runtime"
 	"testing"
@@ -52,16 +53,18 @@ func fuzzModelBytes(tb testing.TB, r Residency) []byte {
 // allocate unboundedly off a poisoned length field. Each input runs as
 // given and again with its trailing CRC-32C recomputed, so mutations reach
 // the section validators (core.Restore, binning.Restore, the store images'
-// checks) instead of all failing the checksum. Seeds are a current-version
-// resident file and a current-version paged file (their images in the
-// stores' current versions, sub-byte cells included) and the checked-in
+// checks) instead of all failing the checksum. A file whose header names
+// any version but the current one must fail with ErrVersion. Seeds are a
+// current-version resident file and a current-version paged file (sub-byte
+// cells included), the checked-in current fixtures, and the retired
 // version 7, 8 and 9 fixtures (the version 9 ones holding version 2
-// images), truncated at section boundaries, bit-flipped,
-// version-skewed and poisoned, plus an empty/garbage stream. The checked-in corpus under testdata/fuzz/FuzzLoad
-// replays known-interesting inputs on every plain `go test` run.
+// images), which must be refused; each truncated at section boundaries,
+// bit-flipped, version-skewed and poisoned, plus an empty/garbage stream.
+// The checked-in corpus under testdata/fuzz/FuzzLoad replays
+// known-interesting inputs on every plain `go test` run.
 func FuzzLoad(f *testing.F) {
 	valids := [][]byte{fuzzModelBytes(f, Resident), fuzzModelBytes(f, Paged)}
-	for _, fixture := range []string{v7Fixture, v8ResidentFixture, v9ResidentFixture, v9PagedFixture} {
+	for _, fixture := range []string{v7Fixture, v8ResidentFixture, v9V2ResidentFixture, v9V2PagedFixture, v9ResidentFixture, v9PagedFixture} {
 		raw, err := os.ReadFile(fixture)
 		if err != nil {
 			f.Fatal(err)
@@ -102,6 +105,9 @@ func FuzzLoad(f *testing.F) {
 			var m *core.Model
 			var err error
 			n := allocatedBy(func() { m, err = Load(bytes.NewReader(variant)) })
+			if len(variant) >= 10 && bytes.HasPrefix(variant, magic[:]) && binary.LittleEndian.Uint16(variant[8:]) != Version && !errors.Is(err, ErrVersion) {
+				t.Fatalf("a version %d file: err = %v, want ErrVersion", binary.LittleEndian.Uint16(variant[8:]), err)
+			}
 			// A load costs a few bytes per byte of file plus fixed buffers
 			// (the 64KiB reader, one 1MiB read chunk at most per section).
 			if limit := uint64(64*len(variant) + 8<<20); n > limit {
@@ -128,9 +134,8 @@ func FuzzLoad(f *testing.F) {
 }
 
 // resealModel returns data with its trailing CRC-32C recomputed over what
-// it covers, as Save would have written it: the whole stream before it up
-// to version 8, the header sections and padding in version 9. Data whose
-// header does not decode comes back unchanged.
+// it covers, as Save would have written it: the header sections and
+// padding. Data whose header does not decode comes back unchanged.
 func resealModel(data []byte) []byte {
 	out := bytes.Clone(data)
 	if hd, err := readHeader(blockfile.BytesRegion(out)); err == nil && hd.crcAt+4 <= int64(len(out)) {

@@ -4,8 +4,8 @@
 // serializing the model extends "once" across process restarts and lets a
 // serving layer (package serve) keep warm models on disk.
 //
-// The format is a versioned little-endian binary codec. Version 9 keeps an
-// unsharded table in one file:
+// The format is a versioned little-endian binary codec, and Load reads the
+// one version Save writes, 9. It keeps an unsharded table in one file:
 //
 //	"SUBTABMD" magic · uint16 version · options · table schema husk
 //	(name, row count, per column name and kind) · per-column binnings ·
@@ -22,11 +22,10 @@
 // or 16 bits per code, the fewest that hold the column's bins) and package
 // colstore's for the displayed cells (each column in its narrowest exact
 // encoding, down to 1 bit) — so package blockfile is the only framing and
-// cell encoding on disk. Each image carries its own store version, so a
-// model file of this version may hold images of any store version the
-// stores read; Save writes the current ones, re-encoding a paged model's
-// older images. Save streams the images: their lengths are known before
-// their first page.
+// cell encoding on disk. Each image carries its own store version, which
+// must be the one the stores read; a model file whose images are older is
+// refused as a version. Save streams the images: their lengths are known
+// before their first page, and a paged model's are copied verbatim.
 //
 // Load maps the file once (package blockfile's mmap-or-ReadAt Region) and
 // opens both images in place at their offsets. The residency byte, which
@@ -51,8 +50,8 @@
 // load, per-page checksums on an explicit Verify; a whole-file checksum
 // would make every load read every byte, and a large table would no longer
 // page. Load rejects damage it sees with an error wrapping ErrCorrupt,
-// unknown magics with ErrBadMagic, and versions outside MinVersion through
-// Version with ErrVersion.
+// unknown magics with ErrBadMagic, and every file version but Version, or
+// store images of a store version but the current one, with ErrVersion.
 package modelio
 
 import (
@@ -78,23 +77,14 @@ import (
 	"subtab/internal/word2vec"
 )
 
-// Version is the current model-file format version. It must be bumped
+// Version is the model-file format version Save writes and the only one
+// Load reads; every other version fails with ErrVersion. It must be bumped
 // whenever the layout of any serialized structure (including the Options
-// structs) changes. The history of the versions this build still reads:
-// version 6 added the shard-map variant of the codes section; version 7
-// added the cells section (an external column store or a shard set, the
-// table section then holding a schema husk); version 8 embedded a resident
-// model's codes and cells as store images inside the CRC-covered stream,
-// while a paged model referenced .codes and .cols files beside it; version
-// 9 keeps every unsharded model, paged or resident, as one file — the
-// header sections, a residency byte, then both images at 8-byte-aligned
-// offsets outside the header's CRC. Versions 1 to 5 (inline u16 codes,
-// no scale options before 4, an external code store without cells in 5) no
-// longer load: they fail with ErrVersion.
+// structs) changes, and a bump retires the files of the version before.
+// Version 9 keeps every unsharded model, paged or resident, as one file:
+// the header sections, a residency byte, then both store images at
+// 8-byte-aligned offsets outside the header's CRC.
 const Version uint16 = 9
-
-// MinVersion is the oldest format version Load reads.
-const MinVersion uint16 = 6
 
 var magic = [8]byte{'S', 'U', 'B', 'T', 'A', 'B', 'M', 'D'}
 
@@ -208,13 +198,8 @@ func SaveFile(path string, m *core.Model) error {
 	})
 }
 
-// LoadOptions configures Load for models that reference external state.
+// LoadOptions configures LoadFileWith for sharded models.
 type LoadOptions struct {
-	// CodeStoreDir is the directory shard maps, and the external store
-	// references of version 6 to 8 files, are resolved against. Empty
-	// means such references fail with a descriptive error; LoadFile fills
-	// it with the model file's own directory.
-	CodeStoreDir string
 	// AllowMissingShards loads a sharded model whose shard files are partly
 	// absent as a partial source (every present shard still validates
 	// against the map). The selection path then requires an installed
@@ -224,25 +209,23 @@ type LoadOptions struct {
 }
 
 // Load reads a model previously written by Save. It reads r whole: a
-// Paged model then serves its codes and cells from those bytes. Models
-// that reference files beside them need their directory: use LoadFile.
+// Paged model then serves its codes and cells from those bytes. A sharded
+// model needs the directory of its shard files: use LoadFile.
 func Load(r io.Reader) (*core.Model, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
-	return load(blockfile.BytesRegion(data), LoadOptions{})
+	return load(blockfile.BytesRegion(data), "", LoadOptions{})
 }
 
-// LoadFile reads a model from path, mapping the file. Shard maps and
-// external store references are resolved against the model file's
-// directory.
+// LoadFile reads a model from path, mapping the file. A shard map resolves
+// against the model file's directory.
 func LoadFile(path string) (*core.Model, error) {
 	return LoadFileWith(path, LoadOptions{})
 }
 
-// LoadFileWith reads a model from path with explicit load options; an
-// empty CodeStoreDir is filled with the model file's own directory.
+// LoadFileWith reads a model from path with explicit load options.
 func LoadFileWith(path string, lopt LoadOptions) (*core.Model, error) {
 	reg, err := blockfile.OpenRegion(path)
 	if err != nil {
@@ -251,10 +234,7 @@ func LoadFileWith(path string, lopt LoadOptions) (*core.Model, error) {
 	// A Paged model's stores hold their own references to the mapping; a
 	// Resident or failed load leaves none, and this Close unmaps the file.
 	defer reg.Close()
-	if lopt.CodeStoreDir == "" {
-		lopt.CodeStoreDir = filepath.Dir(path)
-	}
-	return load(reg, lopt)
+	return load(reg, filepath.Dir(path), lopt)
 }
 
 // header is a model file's decoded header sections, before the model is
@@ -264,7 +244,6 @@ type header struct {
 	opt       core.Options
 	t         *table.Table
 	cols      []binning.ColumnBins
-	codes     [][]uint16 // inline codes (versions 6 and 7)
 	codeSec   section
 	cellSec   section
 	emb       *word2vec.Model
@@ -291,34 +270,28 @@ func readHeader(reg *blockfile.Region) (*header, error) {
 	if d.err != nil {
 		return nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
 	}
-	if v < MinVersion || v > Version {
-		return nil, fmt.Errorf("%w: file version %d, this build reads versions %d-%d", ErrVersion, v, MinVersion, Version)
+	if v != Version {
+		return nil, fmt.Errorf("%w: file version %d, this build reads version %d", ErrVersion, v, Version)
 	}
-	hd.opt = readOptions(d, v)
-	hd.t = readTable(d, v)
-	hd.cols, hd.codes, hd.codeSec = readBinnedParts(d, hd.t, v)
+	hd.opt = readOptions(d)
+	hd.t = readTable(d)
+	hd.cols = readBinnings(d, hd.t)
 	hd.emb = readEmbedding(d)
 	hd.aff = readAffinity(d, hd.t)
 	hd.counts = readBinCounts(d, hd.t, hd.cols)
 	hd.appended = int(d.u64())
-	switch {
-	case v >= 9:
-		if hd.residency = Residency(d.u8()); d.err == nil && hd.residency != Resident && hd.residency != Paged {
-			d.fail("unknown residency %d", hd.residency)
-		}
-		hd.codeSec = readSection(d, d.u8(), codeFlags, "code", hd.t, v)
-		hd.cellSec = readSection(d, d.u8(), cellFlags, "cell", hd.t, v)
-	case v >= 7:
-		hd.cellSec = readCells(d, hd.t, v)
+	if hd.residency = Residency(d.u8()); d.err == nil && hd.residency != Resident && hd.residency != Paged {
+		d.fail("unknown residency %d", hd.residency)
 	}
+	hd.codeSec = readSection(d, codeFlags, "code", hd.t)
+	hd.cellSec = readSection(d, cellFlags, "cell", hd.t)
 	if d.err != nil {
 		return nil, d.err
 	}
-	// Version 9 images follow the header, each at the next 8-byte boundary;
-	// version 8 images sat inside the stream, where the decoder placed them.
+	// The images follow the header, each at the next 8-byte boundary.
 	end := d.off
 	for _, img := range []*span{hd.codeSec.image, hd.cellSec.image} {
-		if img == nil || v < 9 {
+		if img == nil {
 			continue
 		}
 		pad := make([]byte, padding(end))
@@ -336,8 +309,9 @@ func readHeader(reg *blockfile.Region) (*header, error) {
 	return hd, nil
 }
 
-// load reads the model file reg holds.
-func load(reg *blockfile.Region, lopt LoadOptions) (_ *core.Model, err error) {
+// load reads the model file reg holds; a shard map resolves against dir
+// ("" when the file has no directory).
+func load(reg *blockfile.Region, dir string, lopt LoadOptions) (_ *core.Model, err error) {
 	hd, err := readHeader(reg)
 	if err != nil {
 		return nil, err
@@ -367,12 +341,13 @@ func load(reg *blockfile.Region, lopt LoadOptions) (_ *core.Model, err error) {
 	// The images open in place. A Paged model serves them; a Resident one
 	// checks every page, copies them — the cells turning the schema husk
 	// into the resident table — and closes them.
-	t, codes := hd.t, hd.codes
+	t := hd.t
+	var codes [][]uint16
 	var codeStore *codestore.Store
 	var cellStore *colstore.Store
 	if img := hd.codeSec.image; img != nil {
 		if codeStore, err = codestore.OpenIn(reg, img.off, img.n); err != nil {
-			return nil, fmt.Errorf("%w: codes image: %v", ErrCorrupt, err)
+			return nil, imageError("codes", err)
 		}
 		opened = append(opened, codeStore)
 		if codeStore.NumRows() != t.NumRows() || codeStore.NumCols() != len(hd.cols) {
@@ -381,7 +356,7 @@ func load(reg *blockfile.Region, lopt LoadOptions) (_ *core.Model, err error) {
 	}
 	if img := hd.cellSec.image; img != nil {
 		if cellStore, err = colstore.OpenIn(reg, img.off, img.n); err != nil {
-			return nil, fmt.Errorf("%w: cells image: %v", ErrCorrupt, err)
+			return nil, imageError("cells", err)
 		}
 		opened = append(opened, cellStore)
 		if cellStore.NumRows() != t.NumRows() || cellStore.NumCols() != t.NumCols() {
@@ -414,17 +389,17 @@ func load(reg *blockfile.Region, lopt LoadOptions) (_ *core.Model, err error) {
 		}
 	}
 	// Assemble the binned representation only after the model file itself
-	// verified: inline codes restore directly; a mapped image, an external
-	// reference (opened next to the model, its identity checksum checked)
-	// or a shard map (every shard opened the same way, or with
-	// AllowMissingShards the shards that are here) attach as the store.
+	// verified: copied codes restore directly; a mapped image or a shard
+	// map (every shard opened beside the model and its identity checksum
+	// checked, or with AllowMissingShards the shards that are here) attach
+	// as the store.
 	var b *binning.Binned
 	switch {
 	case hd.codeSec.shards != nil:
-		if lopt.CodeStoreDir == "" {
+		if dir == "" {
 			return nil, fmt.Errorf("modelio: model references a %d-shard code store; load with LoadFile", len(hd.codeSec.shards))
 		}
-		src, err := shard.Open(lopt.CodeStoreDir, &shard.Map{Shards: hd.codeSec.shards}, t.NumCols(), lopt.AllowMissingShards)
+		src, err := shard.Open(dir, &shard.Map{Shards: hd.codeSec.shards}, t.NumCols(), lopt.AllowMissingShards)
 		if err != nil {
 			return nil, fmt.Errorf("modelio: opening sharded code store: %w", err)
 		}
@@ -432,13 +407,7 @@ func load(reg *blockfile.Region, lopt LoadOptions) (_ *core.Model, err error) {
 		if b, err = binning.RestoreWithStore(t, hd.cols, src); err != nil {
 			return nil, fmt.Errorf("%w: attaching sharded code store: %v", ErrCorrupt, err)
 		}
-	case hd.codeSec.ref != nil || codeStore != nil:
-		if codeStore == nil {
-			if codeStore, err = openRef(lopt, hd.codeSec.ref, "code", codestore.Open); err != nil {
-				return nil, err
-			}
-			opened = append(opened, codeStore)
-		}
+	case codeStore != nil:
 		if b, err = binning.RestoreWithStore(t, hd.cols, codeStore); err != nil {
 			return nil, fmt.Errorf("%w: attaching code store: %v", ErrCorrupt, err)
 		}
@@ -463,10 +432,10 @@ func load(reg *blockfile.Region, lopt LoadOptions) (_ *core.Model, err error) {
 	// geometry validation runs against the verified schema.
 	switch {
 	case hd.cellSec.shards != nil:
-		if lopt.CodeStoreDir == "" {
+		if dir == "" {
 			return nil, fmt.Errorf("modelio: model references a %d-shard column store; load with LoadFile", len(hd.cellSec.shards))
 		}
-		cells, err := shard.OpenCells(lopt.CodeStoreDir, hd.cellSec.shards, t.ColumnNames(), lopt.AllowMissingShards)
+		cells, err := shard.OpenCells(dir, hd.cellSec.shards, t.ColumnNames(), lopt.AllowMissingShards)
 		if err != nil {
 			return nil, fmt.Errorf("modelio: opening sharded column store: %w", err)
 		}
@@ -474,13 +443,7 @@ func load(reg *blockfile.Region, lopt LoadOptions) (_ *core.Model, err error) {
 		if err := m.AttachColumnStore(cells); err != nil {
 			return nil, fmt.Errorf("%w: attaching sharded column store: %v", ErrCorrupt, err)
 		}
-	case hd.cellSec.ref != nil || cellStore != nil:
-		if cellStore == nil {
-			if cellStore, err = openRef(lopt, hd.cellSec.ref, "column", colstore.Open); err != nil {
-				return nil, err
-			}
-			opened = append(opened, cellStore)
-		}
+	case cellStore != nil:
 		if err := m.AttachColumnStore(cellStore); err != nil {
 			return nil, fmt.Errorf("%w: attaching column store: %v", ErrCorrupt, err)
 		}
@@ -488,27 +451,16 @@ func load(reg *blockfile.Region, lopt LoadOptions) (_ *core.Model, err error) {
 	return m, nil
 }
 
-// openRef opens the external store ref names in lopt.CodeStoreDir and
-// checks its identity checksum against the one the model recorded; what
-// ("code" or "column") names the store in errors.
-func openRef[S interface {
-	Checksum() uint32
-	Close() error
-}](lopt LoadOptions, ref *storeRef, what string, open func(string) (S, error)) (S, error) {
-	var none S
-	if lopt.CodeStoreDir == "" {
-		return none, fmt.Errorf("modelio: model references external %s store %q; load with LoadFile", what, ref.file)
+// imageError is the error of a store image that failed to open: what
+// ("codes" or "cells") names it, and an image in a store version the
+// stores no longer read is refused with ErrVersion, any other failure with
+// ErrCorrupt.
+func imageError(what string, err error) error {
+	sentinel := ErrCorrupt
+	if errors.Is(err, blockfile.ErrVersion) {
+		sentinel = ErrVersion
 	}
-	s, err := open(filepath.Join(lopt.CodeStoreDir, ref.file))
-	if err != nil {
-		return none, fmt.Errorf("modelio: opening external %s store %q: %w", what, ref.file, err)
-	}
-	if s.Checksum() != ref.checksum {
-		s.Close()
-		return none, fmt.Errorf("%w: external %s store %q has checksum %08x, model expects %08x",
-			ErrCorrupt, what, ref.file, s.Checksum(), ref.checksum)
-	}
-	return s, nil
+	return fmt.Errorf("%w: %s image: %v", sentinel, what, err)
 }
 
 // ---------------------------------------------------------------------------
@@ -539,7 +491,7 @@ func writeOptions(e *encoder, o core.Options) {
 	e.i64(int64(o.Scale.MaxIter))
 }
 
-func readOptions(d *decoder, v uint16) core.Options {
+func readOptions(d *decoder) core.Options {
 	var o core.Options
 	o.Bins.MaxBins = int(d.i64())
 	o.Bins.Strategy = binning.Strategy(d.i64())
@@ -563,11 +515,6 @@ func readOptions(d *decoder, v uint16) core.Options {
 	o.Scale.SampleBudget = int(d.i64())
 	o.Scale.BatchSize = int(d.i64())
 	o.Scale.MaxIter = int(d.i64())
-	// Versions 6 and 7 carry the retired slab spill budget's slot; the value
-	// is ignored (the memory governor alone bounds a select's slab).
-	if v <= 7 {
-		d.i64()
-	}
 	return o
 }
 
@@ -588,88 +535,22 @@ func writeSchema(e *encoder, t *table.Table) {
 // values in a file can only come from corruption.
 const maxColumns = 1 << 20
 
-func readTable(d *decoder, v uint16) *table.Table {
+// readTable reads the table section's schema husk and returns the table
+// it describes, marked paged at its row count: the cells live in the cells
+// section.
+func readTable(d *decoder) *table.Table {
 	name := d.str()
 	nRows := int(d.u32())
 	nCols := int(d.u32())
 	if d.err != nil {
 		return nil
 	}
-	// No version's Save writes a model without columns (it has no codes to
-	// store), so a zero count is damage.
+	// Save writes no model without columns (it has no codes to store), so a
+	// zero count is damage.
 	if nCols == 0 || nCols > maxColumns {
 		d.fail("column count %d out of range", nCols)
 		return nil
 	}
-	// v8 and v9 always write the schema husk; v7 writes it for a paged
-	// table, behind a cells-presence flag, and v6 never. The raw columns
-	// live in the cells section or the store it names.
-	if v >= 8 {
-		return readHusk(d, name, nRows, nCols)
-	}
-	if v == 7 {
-		switch flag := d.u8(); {
-		case d.err != nil:
-			return nil
-		case flag == 0:
-			return readHusk(d, name, nRows, nCols)
-		case flag != 1:
-			d.fail("unknown table cells flag %d", flag)
-			return nil
-		}
-	}
-	cols := make([]*table.Column, 0, min(nCols, 4096))
-	for i := 0; i < nCols; i++ {
-		colName := d.str()
-		kind := table.Kind(d.u8())
-		switch kind {
-		case table.Numeric:
-			if n := int(d.u32()); d.err == nil && n != nRows {
-				d.fail("numeric column %q has %d values, table has %d rows", colName, n, nRows)
-				return nil
-			}
-			nums := d.f64sN(nRows)
-			cols = append(cols, table.NewNumeric(colName, nums))
-		case table.Categorical:
-			dictSize := int(d.u32())
-			dict := table.NewDict()
-			for code := 0; code < dictSize; code++ {
-				s := d.str()
-				if d.err != nil {
-					return nil
-				}
-				if dict.Code(s) != int32(code) {
-					d.fail("duplicate dictionary string %q", s)
-					return nil
-				}
-			}
-			cats := d.i32s(nRows)
-			for _, code := range cats {
-				if int(code) >= dictSize {
-					d.fail("categorical code %d out of dictionary range %d", code, dictSize)
-					return nil
-				}
-			}
-			cols = append(cols, &table.Column{Name: colName, Kind: table.Categorical, Cats: cats, Dict: dict})
-		default:
-			d.fail("unknown column kind %d", kind)
-			return nil
-		}
-		if d.err != nil {
-			return nil
-		}
-	}
-	t, err := table.FromColumns(name, cols)
-	if err != nil {
-		d.fail("rebuilding table: %v", err)
-		return nil
-	}
-	return t
-}
-
-// readHusk reads a schema husk's columns (name and kind) and returns the
-// table they describe, marked paged at nRows rows.
-func readHusk(d *decoder, name string, nRows, nCols int) *table.Table {
 	cols := make([]*table.Column, 0, min(nCols, 4096))
 	for i := 0; i < nCols; i++ {
 		colName := d.str()
@@ -692,37 +573,25 @@ func readHusk(d *decoder, name string, nRows, nCols int) *table.Table {
 	return t
 }
 
-// The codes section (v6+) and the cells section (v7+) each hold one of
-// three variants behind a flag byte: a store image (v8 inside the checksum
-// stream, v9 after the header), a reference to one external store file
-// (v6-v8), or a row-range shard map. The two sections number their flags
-// differently: in v6 and v7 the codes flag 1 meant inline u16 codes and the
-// cells flag 0 meant cells inline in the table section, and v8 put each
-// section's image under that flag.
-type sectionFlags struct{ image, ref, shards uint8 }
+// The codes and the cells section each hold one of two variants behind a
+// flag byte: the length of a store image after the header, or a row-range
+// shard map. The two sections number their image flags differently, a
+// numbering older versions set.
+type sectionFlags struct{ image, shards uint8 }
 
 var (
-	codeFlags = sectionFlags{image: 1, ref: 0, shards: 2}
-	cellFlags = sectionFlags{image: 0, ref: 1, shards: 2}
+	codeFlags = sectionFlags{image: 1, shards: 2}
+	cellFlags = sectionFlags{image: 0, shards: 2}
 )
 
-// section is one decoded codes or cells section: at most one field is set
-// (none for v6-v7 inline codes and cells).
+// section is one decoded codes or cells section: exactly one field is set.
 type section struct {
 	image  *span        // a store image inside the model file
-	ref    *storeRef    // an external store file next to the model (v6-v8)
 	shards []shard.Desc // row-range shard files next to the model
 }
 
 // span is where a store image lies in the model file.
 type span struct{ off, n int64 }
-
-// storeRef is a deserialized external store reference.
-type storeRef struct {
-	file      string
-	blockRows int
-	checksum  uint32
-}
 
 // maxImageBytes bounds an image's length field: the stores' geometry caps
 // keep any real image far below it.
@@ -779,78 +648,33 @@ func pagedSection(dst io.Writer, src any, what string) (outSection, error) {
 	}}, nil
 }
 
-// outdated reports whether a paged store is re-encoded when its model is
-// saved: it is in an older version of its format than current and every
-// page checks out. A damaged store is copied as it stands, as a current
-// one is, for its reader to reject.
-func outdated(s interface {
-	Version() uint16
-	Verify() error
-}, current uint16) bool {
-	return s.Version() < current && s.Verify() == nil
-}
-
 // codesSection is the codes section of m: its inline codes encoded as a
-// code store image streamed into dst, or its paged source's. A code store
-// in an older store version is re-encoded block by block, so a re-saved
-// model takes the current widths.
+// code store image streamed into dst, or its paged source's.
 func codesSection(dst io.Writer, m *core.Model) (outSection, error) {
-	if m.B.HasInlineCodes() {
-		return codesImage(dst, m, 0, func(w *codestore.Writer) error { return w.AppendColumns(m.B.Codes) })
-	}
-	old, ok := m.B.Source().(*codestore.Store)
-	if !ok || !outdated(old, codestore.Version) {
+	if !m.B.HasInlineCodes() {
 		return pagedSection(dst, m.B.Source(), "code")
 	}
-	return codesImage(dst, m, old.BlockRows(), func(w *codestore.Writer) error {
-		chunk := make([][]uint16, old.NumCols())
-		for blk := 0; blk < old.NumBlocks(); blk++ {
-			for c := range chunk {
-				chunk[c] = old.ColumnBlock(c, blk, chunk[c])
-			}
-			if err := w.AppendColumns(chunk); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// codesImage is the section of a code store image of m's codes that fill
-// appends, blockRows rows to a block (<= 0: the default).
-func codesImage(dst io.Writer, m *core.Model, blockRows int, fill func(*codestore.Writer) error) (outSection, error) {
-	w, err := codestore.CreateIn(dst, m.B.NumBins(), m.T.NumRows(), blockRows)
+	w, err := codestore.CreateIn(dst, m.B.NumBins(), m.T.NumRows(), 0)
 	if err != nil {
 		return outSection{}, fmt.Errorf("modelio: encoding bin codes: %w", err)
 	}
-	return imageSection(w.Writer, func() error { return fill(w) }), nil
+	return imageSection(w.Writer, func() error { return w.AppendColumns(m.B.Codes) }), nil
 }
 
 // cellsSection is the cells section of m: its resident table's cells
 // encoded as a column store image streamed into dst, or its cell source's.
-// A column store in an older store version is re-encoded from a
-// materialized copy of its table — held in memory while the image
-// streams — so a re-saved model takes the current widths.
 func cellsSection(dst io.Writer, m *core.Model) (outSection, error) {
-	t, blockRows := m.T, 0
 	if src := m.CellSource(); src != nil {
-		old, ok := src.(*colstore.Store)
-		if !ok || !outdated(old, colstore.Version) {
-			return pagedSection(dst, src, "cell")
-		}
-		mat, err := old.MaterializeTable(t.Name)
-		if err != nil {
-			return outSection{}, fmt.Errorf("modelio: re-encoding table cells: %w", err)
-		}
-		t, blockRows = mat, old.BlockRows()
-	} else if !t.CellsResident() {
+		return pagedSection(dst, src, "cell")
+	}
+	if !m.T.CellsResident() {
 		return outSection{}, errors.New("modelio: table cells are paged but the model has no cell source")
 	}
-	w, err := colstore.CreateIn(dst, t, blockRows)
+	w, err := colstore.CreateIn(dst, m.T, 0)
 	if err != nil {
 		return outSection{}, fmt.Errorf("modelio: encoding table cells: %w", err)
 	}
-	return imageSection(w.Writer, func() error { return w.AppendRows(0, t.NumRows()) }), nil
+	return imageSection(w.Writer, func() error { return w.AppendRows(0, m.T.NumRows()) }), nil
 }
 
 // imageSection is the section of the image w streams once fill has
@@ -864,15 +688,16 @@ func imageSection(w *blockfile.Writer, fill func() error) outSection {
 	}}
 }
 
-// readSection reads the section of a version v file over t's rows whose
-// variant flag (already read) is flag. Flags outside the variants v writes
-// fail.
-func readSection(d *decoder, flag uint8, flags sectionFlags, what string, t *table.Table, v uint16) section {
+// readSection reads a codes or cells section over t's rows: its variant
+// flag, then the image length or the shard map. Other flags fail.
+func readSection(d *decoder, flags sectionFlags, what string, t *table.Table) section {
 	if d.err != nil || t == nil {
 		return section{}
 	}
-	switch {
-	case flag == flags.image && v >= 8:
+	switch flag := d.u8(); {
+	case d.err != nil:
+		return section{}
+	case flag == flags.image:
 		n := d.u64()
 		if d.err != nil {
 			return section{}
@@ -881,22 +706,7 @@ func readSection(d *decoder, flag uint8, flags sectionFlags, what string, t *tab
 			d.fail("%s image of %d bytes", what, n)
 			return section{}
 		}
-		img := &span{off: d.off, n: int64(n)}
-		if v == 8 {
-			// A v8 image sits inside the checksummed stream.
-			d.skip(img.n)
-		}
-		return section{image: img}
-	case flag == flags.ref && v <= 8:
-		ref := &storeRef{file: d.str(), blockRows: int(d.u32()), checksum: d.u32()}
-		if d.err != nil {
-			return section{}
-		}
-		if ref.file == "" || ref.file != filepath.Base(ref.file) {
-			d.fail("invalid external %s store reference %q", what, ref.file)
-			return section{}
-		}
-		return section{ref: ref}
+		return section{image: &span{n: int64(n)}}
 	case flag == flags.shards:
 		n := int(d.u32())
 		if d.err != nil {
@@ -930,9 +740,10 @@ func readSection(d *decoder, flag uint8, flags sectionFlags, what string, t *tab
 			return section{}
 		}
 		return section{shards: descs}
+	default:
+		d.fail("unknown %s-section flag %d", what, flag)
+		return section{}
 	}
-	d.fail("unknown %s-section flag %d", what, flag)
-	return section{}
 }
 
 // writeBinnings serializes the per-column binnings; the codes travel in
@@ -958,38 +769,20 @@ func writeBinnings(e *encoder, b *binning.Binned) {
 	}
 }
 
-// readCells reads the cells section of a v7 or v8 file. A v7 file's flag 0
-// means the cells travelled inline in the table section.
-func readCells(d *decoder, t *table.Table, v uint16) section {
-	if d.err != nil || t == nil {
-		return section{}
-	}
-	flag := d.u8()
-	if v == 7 && flag == 0 {
-		if !t.CellsResident() {
-			d.fail("table cells are paged but no column store is referenced")
-		}
-		return section{}
-	}
-	return readSection(d, flag, cellFlags, "cell", t, v)
-}
-
-// readBinnedParts reads the binned section: the per-column binnings, then
-// in v6-v8 the codes — inline u16 codes (v6 and v7), or the section holding
-// them. Version 9 keeps the codes section after the lineage counter.
-func readBinnedParts(d *decoder, t *table.Table, v uint16) ([]binning.ColumnBins, [][]uint16, section) {
+// readBinnings reads the per-column binnings; the codes travel in the
+// codes section.
+func readBinnings(d *decoder, t *table.Table) []binning.ColumnBins {
 	if d.err != nil {
-		return nil, nil, section{}
+		return nil
 	}
 	nCols := int(d.u32())
 	if d.err != nil {
-		return nil, nil, section{}
+		return nil
 	}
 	if nCols != t.NumCols() {
 		d.fail("binned representation has %d columns, table has %d", nCols, t.NumCols())
-		return nil, nil, section{}
+		return nil
 	}
-	nRows := t.NumRows()
 	cols := make([]binning.ColumnBins, nCols)
 	for i := 0; i < nCols; i++ {
 		cb := &cols[i]
@@ -997,12 +790,12 @@ func readBinnedParts(d *decoder, t *table.Table, v uint16) ([]binning.ColumnBins
 		cb.Kind = table.Kind(d.u8())
 		nLabels := int(d.u32())
 		if d.err != nil {
-			return nil, nil, section{}
+			return nil
 		}
 		if nLabels > binning.MaxBinsLimit+1 {
 			// Bin codes are uint16, so no column can have more bins.
 			d.fail("column %d has %d bin labels", i, nLabels)
-			return nil, nil, section{}
+			return nil
 		}
 		cb.Labels = make([]string, nLabels)
 		for j := range cb.Labels {
@@ -1018,25 +811,10 @@ func readBinnedParts(d *decoder, t *table.Table, v uint16) ([]binning.ColumnBins
 		}
 		cb.MissingBin = int(d.i64())
 		if d.err != nil {
-			return nil, nil, section{}
+			return nil
 		}
 	}
-	if v >= 9 {
-		return cols, nil, section{}
-	}
-	flag := d.u8()
-	if flag == 1 && v <= 7 {
-		codes := make([][]uint16, nCols)
-		for i := range codes {
-			codes[i] = d.u16s(nRows)
-		}
-		return cols, codes, section{}
-	}
-	sec := readSection(d, flag, codeFlags, "code", t, v)
-	if d.err != nil {
-		return nil, nil, section{}
-	}
-	return cols, nil, sec
+	return cols
 }
 
 // f64s with an explicit leading count (cuts have no implied length).
@@ -1250,16 +1028,6 @@ func (d *decoder) bytes(p []byte) {
 	d.off += int64(len(p))
 }
 
-// skip reads and hashes n bytes without keeping them.
-func (d *decoder) skip(n int64) {
-	buf := make([]byte, min(n, maxChunk))
-	for n > 0 && d.err == nil {
-		c := min(n, int64(len(buf)))
-		d.bytes(buf[:c])
-		n -= c
-	}
-}
-
 func (d *decoder) u8() uint8 {
 	d.bytes(d.buf[:1])
 	return d.buf[0]
@@ -1348,18 +1116,6 @@ func (d *decoder) i32s(n int) []int32 {
 	out := make([]int32, n)
 	for i := range out {
 		out[i] = int32(binary.LittleEndian.Uint32(p[i*4:]))
-	}
-	return out
-}
-
-func (d *decoder) u16s(n int) []uint16 {
-	p := d.raw(n * 2)
-	if d.err != nil {
-		return nil
-	}
-	out := make([]uint16, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint16(p[i*2:])
 	}
 	return out
 }

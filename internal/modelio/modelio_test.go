@@ -11,7 +11,6 @@ import (
 	"reflect"
 	"testing"
 
-	"subtab/internal/colstore"
 	"subtab/internal/core"
 	"subtab/internal/query"
 	"subtab/internal/table"
@@ -195,22 +194,41 @@ func TestLoadVersionMismatch(t *testing.T) {
 	}
 }
 
-// TestLoadRetiredVersions pins that versions before MinVersion are refused
-// as versions, not misread: a hand-built version 5 header, and the first
-// bytes of a current file relabelled with every retired version.
+// TestLoadRetiredVersions pins that every format version but the current
+// one is refused as a version, not misread and not reported as damage: a
+// hand-built version 5 header; the first bytes of a current file relabelled
+// with every older version; and the retired fixtures earlier builds wrote —
+// versions 7 and 8, and version 9 files whose images are in store version
+// 2 — through Load and through LoadFile.
 func TestLoadRetiredVersions(t *testing.T) {
 	v5 := binary.LittleEndian.AppendUint16([]byte("SUBTABMD"), 5)
 	v5 = append(v5, make([]byte, 64)...)
-	if _, err := Load(bytes.NewReader(v5)); !errors.Is(err, ErrVersion) {
-		t.Fatalf("version 5 header: err = %v, want ErrVersion", err)
-	}
+	_, err := Load(bytes.NewReader(v5))
+	wantRefused(t, "version 5 header", err)
 	data := saveBytes(t, testModel(t))
-	for v := uint16(0); v < MinVersion; v++ {
+	for v := uint16(0); v < Version; v++ {
 		old := bytes.Clone(data)
 		binary.LittleEndian.PutUint16(old[8:], v)
-		if _, err := Load(bytes.NewReader(old)); !errors.Is(err, ErrVersion) {
-			t.Fatalf("version %d: err = %v, want ErrVersion", v, err)
+		_, err := Load(bytes.NewReader(old))
+		wantRefused(t, fmt.Sprintf("version %d", v), err)
+	}
+	for _, c := range retiredFixtures {
+		raw, err := os.ReadFile(c.path)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if v := binary.LittleEndian.Uint16(raw[8:]); v != c.version {
+			t.Fatalf("%s is format version %d, want %d", c.path, v, c.version)
+		}
+		if c.image != 0 {
+			if cv, lv := imageVersions(t, raw); cv != c.image || lv != c.image {
+				t.Fatalf("%s holds store images of versions %d and %d, want %d", c.path, cv, lv, c.image)
+			}
+		}
+		_, err = Load(bytes.NewReader(raw))
+		wantRefused(t, c.path, err)
+		_, err = LoadFile(c.path)
+		wantRefused(t, c.path, err)
 	}
 }
 
@@ -251,40 +269,25 @@ func TestLoadTrailingGarbageChecksum(t *testing.T) {
 // TestLoadFailureClosesStores is the regression test for a leak on late
 // load failures: a store opened before a later step fails must be closed —
 // its mapping gone — when LoadFile returns, not whenever a GC cleanup runs.
-// Two files fail so: a v8 paged model whose column store beside it was
-// regenerated (its checksum no longer matches the model's reference)
-// after its code store opened, and a v9 paged model whose codes image is
-// damaged after its cells image opened in the same mapping.
+// The file is a paged model whose codes image is damaged after its cells
+// image opened in the same mapping.
 func TestLoadFailureClosesStores(t *testing.T) {
 	if _, err := os.ReadFile("/proc/self/maps"); err != nil {
 		t.Skip("needs /proc/self/maps to see the process's mappings")
 	}
-	dir := t.TempDir()
-	for _, f := range []string{v8PagedFixture, v8PagedFixture + ".codes"} {
-		copyFile(t, f, filepath.Join(dir, filepath.Base(f)))
-	}
-	if err := colstore.WriteTable(filepath.Join(dir, filepath.Base(v8PagedFixture)+".cols"), testTable(t, 300), 64); err != nil {
-		t.Fatal(err)
-	}
-	v8 := filepath.Join(dir, filepath.Base(v8PagedFixture))
-	if _, err := LoadFile(v8); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("loading against a regenerated column store: err = %v, want ErrCorrupt", err)
-	}
-	assertUnmapped(t, v8+".codes")
-
-	v9 := filepath.Join(dir, "paged.subtab")
+	path := filepath.Join(t.TempDir(), "paged.subtab")
 	raw := pagedBytes(t, testModel(t))
 	// The codes image's end magic is the last 8 bytes before its cells
 	// image: damage it, and the codes fail to open after the cells did.
 	at := bytes.Index(raw, []byte("SUBTABCE"))
 	raw[at] ^= 0x40
-	if err := os.WriteFile(v9, raw, 0o644); err != nil {
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadFile(v9); !errors.Is(err, ErrCorrupt) {
+	if _, err := LoadFile(path); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("loading a damaged codes image: err = %v, want ErrCorrupt", err)
 	}
-	assertUnmapped(t, v9)
+	assertUnmapped(t, path)
 }
 
 // assertUnmapped fails if path is mapped into this process.
@@ -296,17 +299,5 @@ func assertUnmapped(t *testing.T, path string) {
 	}
 	if bytes.Contains(maps, []byte(path)) {
 		t.Fatalf("%s is still mapped", path)
-	}
-}
-
-// copyFile copies the file at src to dst.
-func copyFile(t *testing.T, src, dst string) {
-	t.Helper()
-	raw, err := os.ReadFile(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(dst, raw, 0o644); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -126,12 +126,12 @@ func TestPagedFileLayout(t *testing.T) {
 	assertSameSelections(t, m, loaded)
 }
 
-// TestLoadFileAccessPaths runs LoadFile over every file shape this build
-// reads — v9 resident and paged, the v8 fixtures, the v7 fixture — on both
-// of blockfile's access paths: the mapping, and ReadAt through a section
+// TestLoadFileAccessPaths runs LoadFile over both file shapes, resident
+// and paged, freshly saved and as the checked-in fixtures, on both of
+// blockfile's access paths: the mapping, and ReadAt through a section
 // reader at each image's offset, which every non-unix build takes. Each
 // loads, selects as its reference, and serves paged stores by the access
-// path in force; bit flips in a v9 file are rejected on both paths.
+// path in force; bit flips in a fresh file are rejected on both paths.
 func TestLoadFileAccessPaths(t *testing.T) {
 	m := testModel(t)
 	dir := t.TempDir()
@@ -141,7 +141,7 @@ func TestLoadFileAccessPaths(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	v8, v7 := v8Model(t), compatModel(t)
+	fixture := fixtureModel(t)
 	cases := []struct {
 		path  string
 		want  *core.Model
@@ -149,9 +149,8 @@ func TestLoadFileAccessPaths(t *testing.T) {
 	}{
 		{filepath.Join(dir, "resident.subtab"), m, false},
 		{filepath.Join(dir, "paged.subtab"), m, true},
-		{v8ResidentFixture, v8, false},
-		{v8PagedFixture, v8, true},
-		{v7Fixture, v7, false},
+		{v9ResidentFixture, fixture, false},
+		{v9PagedFixture, fixture, true},
 	}
 	for _, mapped := range []bool{true, false} {
 		t.Run(map[bool]string{true: "mmap", false: "readat"}[mapped], func(t *testing.T) {

@@ -18,8 +18,7 @@ import (
 )
 
 // shardedModel builds a model, splits its codes into three shard files
-// under dir and returns it shard-backed with its cells resident: the
-// layout a version 6 file loads into.
+// under dir and returns it shard-backed with its cells resident.
 func shardedModel(t *testing.T, dir string) *core.Model {
 	t.Helper()
 	opt := core.Default()

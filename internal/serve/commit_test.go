@@ -224,42 +224,70 @@ func TestAddTableWithoutColumns(t *testing.T) {
 	}
 }
 
-// TestV8CacheUpgrades serves a cache directory the format 8 server wrote
-// for a paged table (testdata/v8cache: a model husk plus its .codes and
-// .cols files). It restarts into it and selects as a fresh build does, and
-// its first append rewrites the table as one file and deletes the two
-// store files the old model named.
-func TestV8CacheUpgrades(t *testing.T) {
-	dir := t.TempDir()
-	entries, err := os.ReadDir("testdata/v8cache")
-	if err != nil {
-		t.Fatal(err)
+// TestUnloadableModelFileIsReplaced restarts into a cache directory whose
+// table "t" is a model file this build cannot load, with store files of
+// the name beside it: the format 8 files a paged table was left as
+// (testdata/v8cache: a model husk plus its .codes and .cols files), or a
+// truncated model file of a 2-shard table. The name is free: select
+// answers 404, an upload without replace answers 201, and the directory
+// then holds the new table's one file, which serves. DELETE of such a
+// name still removes all its files.
+func TestUnloadableModelFileIsReplaced(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		fill func(t *testing.T, dir string)
+	}{
+		{"v8", func(t *testing.T, dir string) {
+			entries, err := os.ReadDir("testdata/v8cache")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range entries {
+				raw, err := os.ReadFile(filepath.Join("testdata/v8cache", e.Name()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, e.Name()), raw, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+		{"truncated", func(t *testing.T, dir string) {
+			s := NewStore(StoreOptions{Dir: dir})
+			if _, err := NewService(s, testOptions()).AddTable("t", testTable("t", 300, 7), nil, Shards(2), false); err != nil {
+				t.Fatal(err)
+			}
+			if err := truncateFile(s.path("t"), 64); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			c.fill(t, dir)
+			if files := dirFiles(t, dir); len(files) < 3 {
+				t.Fatalf("the cache dir holds %v, want a model file and its store files", files)
+			}
+			svc := NewService(NewStore(StoreOptions{Dir: dir}), testOptions())
+			srv := httptest.NewServer(NewHandler(svc, nil))
+			defer srv.Close()
+			wantEnvelope(t, "POST", srv.URL+"/v1/tables/t/select", map[string]any{"k": 3, "l": 2}, http.StatusNotFound, "not_found")
+			resp, err := http.Post(srv.URL+"/tables?name=t&workers=1", "text/csv", strings.NewReader(testCSV(120)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			decodeBodyMap(t, resp, http.StatusCreated)
+			assertLayoutFiles(t, svc, dir, Resident, "upload")
+			doJSON(t, "POST", srv.URL+"/v1/tables/t/select", map[string]any{"k": 3, "l": 2}, http.StatusOK, nil)
+
+			gone := t.TempDir()
+			c.fill(t, gone)
+			del := httptest.NewServer(NewHandler(NewService(NewStore(StoreOptions{Dir: gone}), testOptions()), nil))
+			defer del.Close()
+			doJSON(t, "DELETE", del.URL+"/tables/t", nil, http.StatusOK, nil)
+			if files := dirFiles(t, gone); len(files) != 0 {
+				t.Fatalf("DELETE left %v", files)
+			}
+		})
 	}
-	for _, e := range entries {
-		raw, err := os.ReadFile(filepath.Join("testdata/v8cache", e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, e.Name()), raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	twin := NewService(NewStore(StoreOptions{}), testOptions())
-	if _, err := twin.AddTable("t", testTable("t", 300, 7), nil, Resident, false); err != nil {
-		t.Fatal(err)
-	}
-	svc := NewService(NewStore(StoreOptions{Dir: dir}), testOptions())
-	if got, want := fingerprints(t, svc), fingerprints(t, twin); strings.Join(got, "|") != strings.Join(want, "|") {
-		t.Fatalf("the v8 cache serves another table than a fresh build:\n got %v\nwant %v", got, want)
-	}
-	if m := mustModel(t, svc); layoutOf(m) != Paged {
-		t.Fatalf("the v8 paged table loaded in layout %d", layoutOf(m))
-	}
-	for _, s := range []*Service{svc, twin} {
-		if _, _, err := s.AppendRows("t", testTable("t", 12, 8), core.AppendOptions{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	assertLayoutFiles(t, svc, dir, Paged, "append")
-	assertServes(t, svc, dir, fingerprints(t, twin), "append")
 }

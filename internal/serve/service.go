@@ -132,10 +132,12 @@ const maxShards = 256
 // AddTable pre-processes t and registers it under name, its codes and cells
 // in layout l. Selections are bit-identical in every layout, and disk
 // reloads come back in the layout the table was added with. With replace
-// false, a name that is already served returns ErrExists; with replace
-// true, the new model overwrites the old one (and its caches, mined rules
-// included, leave with it), and once the new model file is in place every
-// file of the name that the new model does not use is deleted. An
+// false, a name that is already served returns ErrExists — a model file
+// that does not load (damaged, or in a retired format) serves nothing, so
+// the add writes over it and its store files; with replace true, the new
+// model overwrites the old one (and its caches, mined rules included,
+// leave with it), and once the new model file is in place every file of
+// the name that the new model does not use is deleted. An
 // unsharded table commits by one rename of its model file, so a failed
 // replace leaves the old table whole.
 //
@@ -157,7 +159,7 @@ func (s *Service) AddTable(name string, t *table.Table, opt *core.Options, l Lay
 	nl := s.store.lockName(name)
 	nl.Lock()
 	defer nl.Unlock()
-	if !replace && s.store.Contains(name) {
+	if !replace && s.store.serves(name) {
 		return nil, fmt.Errorf("%w: %q", ErrExists, name)
 	}
 	m, err := core.Preprocess(t, o)
@@ -213,9 +215,7 @@ func (s *Service) pageOut(name string, m *core.Model, l Layout, blockRows int) (
 	return files, m.PageOut(codes, cells, true, blockRows)
 }
 
-// layoutOf is the layout a served model is in. A model whose codes or
-// cells alone are paged (loaded from a version 6 or 7 file, whose flags
-// allow either mix) counts as Paged.
+// layoutOf is the layout a served model is in.
 func layoutOf(m *core.Model) Layout {
 	if src := m.ShardSource(); src != nil {
 		return Shards(src.NumShards())
@@ -239,9 +239,8 @@ func layoutOf(m *core.Model) Layout {
 // an unsharded successor into a new model file, renamed over the old one
 // and served from its mapping, a sharded one paged out again over the
 // table's shard files in their block size first — so the memory bound the
-// table was added under survives its appends. A table whose codes alone
-// were paged comes out with its cells paged too. In-flight selections on
-// the old model keep reading the replaced files through their mappings.
+// table was added under survives its appends. In-flight selections on the
+// old model keep reading the replaced files through their mappings.
 func (s *Service) AppendRows(name string, rows *table.Table, opt core.AppendOptions) (*core.Model, core.AppendStats, error) {
 	var stats core.AppendStats
 	m, err := s.store.Update(name, func(cur *core.Model) (*core.Model, error) {

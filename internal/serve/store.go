@@ -222,8 +222,8 @@ func (s *Store) Get(name string) (*core.Model, error) {
 // load reads name's model from disk and installs it, unless the table
 // changed generation (an add, Update or Remove) while the load ran: then
 // the flight's model is stale and whatever the store holds now wins. A
-// missing file is the normal miss; a corrupt one reads as missing too, and
-// a replacing add writes over it.
+// missing file is the normal miss; one that does not load (damaged, or in
+// a retired format) reads as missing too, and the next add writes over it.
 func (s *Store) load(name string, startGen uint64) (*core.Model, error) {
 	if s.opt.Dir == "" {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
@@ -363,6 +363,22 @@ func (s *Store) Contains(name string) bool {
 		return false
 	}
 	_, err := os.Stat(s.path(name))
+	return err == nil
+}
+
+// serves reports whether name has a model to serve: one in memory, or a
+// model file that loads. A file that does not load (damaged, or in a
+// retired format) serves nothing. It joins no lookup flight, so an add
+// never waits on a Get, and installs nothing: a model loaded to check is
+// dropped.
+func (s *Store) serves(name string) bool {
+	s.mu.Lock()
+	_, ok := s.entries[name]
+	s.mu.Unlock()
+	if ok || s.opt.Dir == "" {
+		return ok
+	}
+	_, err := s.loadDisk(name)
 	return err == nil
 }
 
@@ -527,11 +543,11 @@ func (s *Store) layoutPaths(name string, l Layout) (codes, cells []string) {
 }
 
 // sweepStores deletes every file of name beside its model file that keep
-// does not list: the shard files a replaced layout leaves behind, the
-// .codes and .cols files of a table last saved in model format 8, the
-// .shards map file earlier releases wrote beside a sharded table, and the
-// temp files of an interrupted write — or all of them (keep empty) when
-// the table is removed.
+// does not list: the shard files a replaced layout leaves behind, the store
+// files an unloadable model file (damaged, or in a retired format that kept
+// .codes and .cols files or a .shards map beside it) leaves when an add
+// writes over it, and the temp files of an interrupted write — or all of
+// them (keep empty) when the table is removed.
 func (s *Store) sweepStores(name string, keep []string) {
 	if s.opt.Dir == "" {
 		return

@@ -141,8 +141,8 @@ func (s *Source) ShardRows(i int) int { return s.descs[i].Rows }
 // Desc returns shard i's descriptor.
 func (s *Source) Desc(i int) Desc { return s.descs[i] }
 
-// ShardDescs returns the full descriptor list (modelio persists it as the
-// v6 shard map).
+// ShardDescs returns the full descriptor list (modelio persists it as a
+// model file's shard map).
 func (s *Source) ShardDescs() []Desc { return s.descs }
 
 // Map returns the shard map describing this source.
