@@ -46,19 +46,6 @@ const (
 	v2CellsFixture      = "testdata/store_v2.cols"
 )
 
-// retiredFixtures are the retired model files with the format version each
-// records, and for version 9 the store version of its images.
-var retiredFixtures = []struct {
-	path           string
-	version, image uint16
-}{
-	{v7Fixture, 7, 0},
-	{v8ResidentFixture, 8, 0},
-	{v8PagedFixture, 8, 0},
-	{v9V2ResidentFixture, 9, 2},
-	{v9V2PagedFixture, 9, 2},
-}
-
 // fixtureModel builds the model the fixtures hold: the mixed test table
 // (missing values in both kinds, an "other" bin) pre-processed over 280
 // rows, then 20 more rows appended incrementally, so the bin counts and the
@@ -166,6 +153,43 @@ func wantRefused(t *testing.T, what string, err error) {
 	if !errors.Is(err, ErrVersion) || errors.Is(err, ErrCorrupt) {
 		t.Fatalf("%s: err = %v, want ErrVersion and not ErrCorrupt", what, err)
 	}
+}
+
+// wantRetiredFixture fails unless the model file at path records format
+// version — and, when image is not 0, holds codes and cells images of store
+// version image — and Load and LoadFile both refuse it as a version.
+func wantRetiredFixture(t *testing.T, path string, version, image uint16) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint16(raw[8:]); v != version {
+		t.Fatalf("%s is format version %d, want %d", path, v, version)
+	}
+	if image != 0 {
+		if cv, lv := imageVersions(t, raw); cv != image || lv != image {
+			t.Fatalf("%s holds store images of versions %d and %d, want %d", path, cv, lv, image)
+		}
+	}
+	_, err = Load(bytes.NewReader(raw))
+	wantRefused(t, path, err)
+	_, err = LoadFile(path)
+	wantRefused(t, path, err)
+}
+
+// TestLoadV7Fixture pins that the checked-in version 7 model file, which
+// earlier builds loaded, is now refused as a version by Load and LoadFile.
+func TestLoadV7Fixture(t *testing.T) {
+	wantRetiredFixture(t, v7Fixture, 7, 0)
+}
+
+// TestLoadV8Fixtures pins that both checked-in version 8 model files, the
+// resident one and the paged husk, are now refused as versions by Load and
+// LoadFile.
+func TestLoadV8Fixtures(t *testing.T) {
+	wantRetiredFixture(t, v8ResidentFixture, 8, 0)
+	wantRetiredFixture(t, v8PagedFixture, 8, 0)
 }
 
 // TestLoadV2StoreFixtures pins that the standalone version 2 stores are

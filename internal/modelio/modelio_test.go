@@ -197,9 +197,9 @@ func TestLoadVersionMismatch(t *testing.T) {
 // TestLoadRetiredVersions pins that every format version but the current
 // one is refused as a version, not misread and not reported as damage: a
 // hand-built version 5 header; the first bytes of a current file relabelled
-// with every older version; and the retired fixtures earlier builds wrote —
-// versions 7 and 8, and version 9 files whose images are in store version
-// 2 — through Load and through LoadFile.
+// with every older version; and the version 9 fixtures whose images are in
+// store version 2, through Load and through LoadFile. TestLoadV7Fixture and
+// TestLoadV8Fixtures refuse the older fixtures the same way.
 func TestLoadRetiredVersions(t *testing.T) {
 	v5 := binary.LittleEndian.AppendUint16([]byte("SUBTABMD"), 5)
 	v5 = append(v5, make([]byte, 64)...)
@@ -212,24 +212,8 @@ func TestLoadRetiredVersions(t *testing.T) {
 		_, err := Load(bytes.NewReader(old))
 		wantRefused(t, fmt.Sprintf("version %d", v), err)
 	}
-	for _, c := range retiredFixtures {
-		raw, err := os.ReadFile(c.path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v := binary.LittleEndian.Uint16(raw[8:]); v != c.version {
-			t.Fatalf("%s is format version %d, want %d", c.path, v, c.version)
-		}
-		if c.image != 0 {
-			if cv, lv := imageVersions(t, raw); cv != c.image || lv != c.image {
-				t.Fatalf("%s holds store images of versions %d and %d, want %d", c.path, cv, lv, c.image)
-			}
-		}
-		_, err = Load(bytes.NewReader(raw))
-		wantRefused(t, c.path, err)
-		_, err = LoadFile(c.path)
-		wantRefused(t, c.path, err)
-	}
+	wantRetiredFixture(t, v9V2ResidentFixture, 9, 2)
+	wantRetiredFixture(t, v9V2PagedFixture, 9, 2)
 }
 
 func TestLoadTruncated(t *testing.T) {
