@@ -154,6 +154,35 @@ func parseByteSize(s string) (int64, error) {
 	return n * mult, nil
 }
 
+// preloadTables adds each name=path.csv table to svc so the server starts
+// warm. A name whose model file loads is served from there, so Preprocess
+// runs only for new data; a model file that does not load (damaged, or in
+// a retired format) is written over, as a non-replacing upload would.
+func preloadTables(svc *serve.Service, preload []string) error {
+	for _, arg := range preload {
+		name, path, ok := strings.Cut(arg, "=")
+		if !ok {
+			return fmt.Errorf("bad preload argument %q, want name=path.csv", arg)
+		}
+		start := time.Now()
+		if _, err := svc.Model(name); err == nil {
+			log.Printf("preload %s: already cached", name)
+			continue
+		}
+		t, err := subtab.ReadCSVFile(path)
+		if err != nil {
+			return fmt.Errorf("preload %s: %w", name, err)
+		}
+		m, err := svc.AddTable(name, t, nil, serve.Resident, false)
+		if err != nil {
+			return fmt.Errorf("preload %s: %w", name, err)
+		}
+		log.Printf("preload %s: %d rows x %d cols in %s",
+			name, m.T.NumRows(), m.T.NumCols(), time.Since(start).Round(time.Millisecond))
+	}
+	return nil
+}
+
 func run(addr, cacheDir string, maxModels int, seed int64, lim limitsConfig, timeout time.Duration, withPprof bool, shardOpt shardConfig, preload []string) error {
 	opt := subtab.DefaultOptions()
 	opt.Bins.Seed = seed
@@ -209,29 +238,8 @@ func run(addr, cacheDir string, maxModels int, seed int64, lim limitsConfig, tim
 		log.Printf("shard role: %s (peers: %s)", shardOpt.role, strings.Join(shardOpt.peers, ", "))
 	}
 
-	// Pre-load name=path.csv tables so the server starts warm. A table that
-	// is already in the disk cache is served from there; Preprocess runs
-	// only for genuinely new data.
-	for _, arg := range preload {
-		name, path, ok := strings.Cut(arg, "=")
-		if !ok {
-			return fmt.Errorf("bad preload argument %q, want name=path.csv", arg)
-		}
-		start := time.Now()
-		if store.Contains(name) {
-			log.Printf("preload %s: already cached", name)
-			continue
-		}
-		t, err := subtab.ReadCSVFile(path)
-		if err != nil {
-			return fmt.Errorf("preload %s: %w", name, err)
-		}
-		m, err := svc.AddTable(name, t, nil, serve.Resident, false)
-		if err != nil {
-			return fmt.Errorf("preload %s: %w", name, err)
-		}
-		log.Printf("preload %s: %d rows x %d cols in %s",
-			name, m.T.NumRows(), m.T.NumCols(), time.Since(start).Round(time.Millisecond))
+	if err := preloadTables(svc, preload); err != nil {
+		return err
 	}
 
 	var handler http.Handler = serve.NewHandler(svc, log.Default())

@@ -30,7 +30,7 @@ func TestGoldenFingerprintsPagedColumns(t *testing.T) {
 			if err := model.PageOut([]string{filepath.Join(dir, name+".codes")}, []string{filepath.Join(dir, name+".cols")}, false, 96); err != nil {
 				t.Fatal(err)
 			}
-			if !model.CellsPaged() {
+			if model.CellSource() == nil {
 				t.Fatal("inline cells were not dropped")
 			}
 			want, err := os.ReadFile(filepath.Join("testdata", "golden", name+".fingerprint"))
@@ -77,7 +77,7 @@ func TestGoldenLargeModeFingerprintsShardedColumns(t *testing.T) {
 			if err := model.PageOut(paths, colPaths, true, 96); err != nil {
 				t.Fatal(err)
 			}
-			if !model.CellsPaged() {
+			if model.CellSource() == nil {
 				t.Fatal("inline cells were not dropped")
 			}
 			want, err := os.ReadFile(filepath.Join("testdata", "golden", name+".large.fingerprint"))
@@ -109,7 +109,7 @@ func TestGoldenPagedModelRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !loaded.CellsPaged() {
+	if loaded.CellSource() == nil {
 		t.Fatal("reloaded model should keep its cells paged")
 	}
 	want, err := os.ReadFile(filepath.Join("testdata", "golden", "FL.large.fingerprint"))

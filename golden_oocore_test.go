@@ -6,65 +6,25 @@ import (
 	"testing"
 
 	"subtab"
-	"subtab/internal/binning"
-	"subtab/internal/codestore"
-	"subtab/internal/shard"
 )
 
-// pageOutCodes switches model's bin codes onto code stores at paths — one
-// path: a plain code store; more: row-range shards — at 96 rows per block,
-// and drops the inline codes while the cells stay resident: the layouts
-// modelio version 5 and 6 files load into. Model.PageOut pages the cells
-// too.
+// pageOutCodes pages model out at 96 rows per block: its codes to paths —
+// one path: a plain code store; more: row-range shards — and its cells to
+// a column store (or shards) beside each, named path + ".cols".
 func pageOutCodes(t *testing.T, model *subtab.Model, paths ...string) {
 	t.Helper()
-	var src binning.CodeSource
-	if len(paths) == 1 {
-		if err := model.ExportCodeStore(paths[0], 96); err != nil {
-			t.Fatal(err)
-		}
-		cs, err := codestore.Open(paths[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { cs.Close() })
-		src = cs
-	} else {
-		rows := model.T.NumRows()
-		cuts := make([]int, len(paths)+1)
-		for i := range cuts {
-			cuts[i] = i * rows / len(paths)
-		}
-		sink, err := shard.NewSplitSink(paths, cuts, model.B.NumBins(), 96)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := model.B.ExportCodes(sink, 0); err != nil {
-			t.Fatal(err)
-		}
-		sm, err := sink.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ss, err := shard.Open(filepath.Dir(paths[0]), sm, model.T.NumCols(), false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ss.Close() })
-		src = ss
+	cells := make([]string, len(paths))
+	for i, p := range paths {
+		cells[i] = p + ".cols"
 	}
-	if err := model.B.AttachStore(src); err != nil {
-		t.Fatal(err)
-	}
-	if err := model.B.DropInlineCodes(); err != nil {
+	if err := model.PageOut(paths, cells, len(paths) > 1, 96); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestGoldenLargeModeFingerprintsOutOfCore pins the out-of-core selection
-// path against the *existing* large-mode golden files: a model whose bin
-// codes were exported to an mmap'd code store (inline codes dropped) must
-// reproduce `<name>.large.fingerprint` byte for byte. This test
+// path against the *existing* large-mode golden files: a model paged out
+// to an mmap'd code store and column store must reproduce `<name>.large.fingerprint` byte for byte. This test
 // never records — it reuses the files TestGoldenLargeModeFingerprints
 // owns, so a divergence in the store-backed path cannot hide behind a
 // re-recording.
@@ -89,8 +49,7 @@ func TestGoldenLargeModeFingerprintsOutOfCore(t *testing.T) {
 
 // TestOutOfCoreEvaluationStack pins that the paper's evaluation stack —
 // metrics, rule mining, baselines — keeps working on a store-backed model
-// (it reads codes through the shared accessor / a materialized copy; a
-// regression here used to panic on the nil inline-code matrix).
+// (it reads codes through the shared accessor or a materialized copy).
 func TestOutOfCoreEvaluationStack(t *testing.T) {
 	model := goldenModel(t, "FL", goldenConfig())
 	pageOutCodes(t, model, filepath.Join(t.TempDir(), "eval.codes"))
@@ -113,8 +72,8 @@ func TestOutOfCoreEvaluationStack(t *testing.T) {
 }
 
 // TestGoldenOutOfCoreModelRoundTrip extends the golden guarantee across
-// persistence: saving the store-backed model (modelio v5 external
-// reference) and loading it back must still reproduce the recorded
+// persistence: saving the paged model (its store images copied into the
+// model file) and loading it back must still reproduce the recorded
 // large-mode fingerprints.
 func TestGoldenOutOfCoreModelRoundTrip(t *testing.T) {
 	scale := &subtab.ScaleOptions{Threshold: 1, SampleBudget: 256, BatchSize: 128, MaxIter: 50}

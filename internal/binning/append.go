@@ -78,7 +78,7 @@ func AppendRows(old *Binned, t *table.Table, firstNew int, oldCounts [][]int64) 
 	}
 
 	// Store-backed binnings (out-of-core selection) materialize their codes
-	// once here: the append result owns fresh inline code slices either way.
+	// once here: the append result owns fresh MemCodes either way.
 	oldCodes, err := old.MaterializedCodes()
 	if err != nil {
 		return nil, stats, fmt.Errorf("binning: append: %w", err)
@@ -89,6 +89,7 @@ func AppendRows(old *Binned, t *table.Table, firstNew int, oldCounts [][]int64) 
 	stats.ChunkDrift = make([]float64, nc)
 	stats.AppendedCounts = make([][]int64, nc)
 	b := &Binned{T: t}
+	newCodes := make(MemCodes, 0, nc)
 	for c := 0; c < nc; c++ {
 		cb := old.Cols[c] // value copy: Labels/Cuts shared, both immutable
 		col := t.ColumnAt(c)
@@ -171,8 +172,9 @@ func AppendRows(old *Binned, t *table.Table, firstNew int, oldCounts [][]int64) 
 		b.colBase = append(b.colBase, int32(b.numItems))
 		b.numItems += cb.NumBins()
 		b.Cols = append(b.Cols, cb)
-		b.Codes = append(b.Codes, codes)
+		newCodes = append(newCodes, codes)
 	}
+	b.src = newCodes
 	return b, stats, nil
 }
 

@@ -59,21 +59,21 @@ func TestAppendRowsSameDistributionCodesMatchFullBin(t *testing.T) {
 	// direct Bin of the concatenated table computes (same cuts since the
 	// distribution is unchanged enough for quantiles to land identically is
 	// NOT guaranteed — so compare against per-value BinOfNum/BinOfCat).
-	for c := range nb.Codes {
+	for c := range nb.src.(MemCodes) {
 		for r := 0; r < old.NumRows(); r++ {
-			if nb.Codes[c][r] != b.Codes[c][r] {
+			if nb.Code(c, r) != b.Code(c, r) {
 				t.Fatalf("old code changed at col %d row %d", c, r)
 			}
 		}
 	}
 	for r := old.NumRows(); r < cat.NumRows(); r++ {
 		wantNum := b.Cols[0].BinOfNum(cat.ColumnAt(0).Nums[r])
-		if int(nb.Codes[0][r]) != wantNum {
-			t.Fatalf("row %d num bin = %d, want %d", r, nb.Codes[0][r], wantNum)
+		if int(nb.Code(0, r)) != wantNum {
+			t.Fatalf("row %d num bin = %d, want %d", r, nb.Code(0, r), wantNum)
 		}
 		wantCat := b.Cols[1].BinOfCat(cat.ColumnAt(1).Cats[r])
-		if int(nb.Codes[1][r]) != wantCat {
-			t.Fatalf("row %d cat bin = %d, want %d", r, nb.Codes[1][r], wantCat)
+		if int(nb.Code(1, r)) != wantCat {
+			t.Fatalf("row %d cat bin = %d, want %d", r, nb.Code(1, r), wantCat)
 		}
 	}
 	if stats.MaxDrift > 0.3 {
@@ -169,7 +169,7 @@ func TestAppendRowsNewCategoryFoldsIntoLastBin(t *testing.T) {
 	if b.Cols[catCol].MissingBin == lastBin {
 		lastBin--
 	}
-	if got := int(nb.Codes[catCol][old.NumRows()]); got != lastBin {
+	if got := int(nb.Code(catCol, old.NumRows())); got != lastBin {
 		t.Fatalf("new category bin = %d, want %d", got, lastBin)
 	}
 	// The original binning's CatToBin must not have been extended in place.
@@ -231,7 +231,7 @@ func TestAppendRowsCountsMatchScan(t *testing.T) {
 	oldCounts := make([][]int64, len(b.Cols))
 	for c := range b.Cols {
 		oldCounts[c] = make([]int64, b.Cols[c].NumBins())
-		for _, code := range b.Codes[c] {
+		for _, code := range b.src.(MemCodes)[c] {
 			oldCounts[c][code]++
 		}
 	}

@@ -166,15 +166,10 @@ type Binned struct {
 	T    *table.Table
 	Cols []ColumnBins
 
-	// Codes[c][r] is the bin code of row r in column c. It is nil for
-	// store-backed tables (AttachStore + DropInlineCodes), whose codes are
-	// read through the attached CodeSource instead; use Code, Source or
-	// MaterializedCodes to stay representation-agnostic.
-	Codes [][]uint16
-
-	// store is the external code source of a store-backed table (see
-	// source.go). Either Codes or store is always set.
-	store CodeSource
+	// src holds the bin codes: MemCodes when they are resident, else the
+	// attached store (see source.go). Read them through Code, Source or
+	// MaterializedCodes.
+	src CodeSource
 
 	// colBase[c] is the first global item id of column c; column c uses item
 	// ids [colBase[c], colBase[c]+Cols[c].NumBins()).
@@ -191,6 +186,7 @@ func Bin(t *table.Table, opt Options) (*Binned, error) {
 	opt = opt.withDefaults()
 	n := t.NumRows()
 	b := &Binned{T: t}
+	codes := make(MemCodes, 0, t.NumCols())
 	rng := rand.New(rand.NewSource(opt.Seed))
 	for _, col := range t.Columns() {
 		var cb ColumnBins
@@ -203,7 +199,7 @@ func Bin(t *table.Table, opt Options) (*Binned, error) {
 		if err != nil {
 			return nil, err
 		}
-		codes := make([]uint16, n)
+		colCodes := make([]uint16, n)
 		for r := 0; r < n; r++ {
 			var bin int
 			switch {
@@ -214,43 +210,37 @@ func Bin(t *table.Table, opt Options) (*Binned, error) {
 			default:
 				bin = cb.BinOfCat(col.Cats[r])
 			}
-			codes[r] = uint16(bin)
+			colCodes[r] = uint16(bin)
 		}
 		b.colBase = append(b.colBase, int32(b.numItems))
 		b.numItems += cb.NumBins()
 		b.Cols = append(b.Cols, cb)
-		b.Codes = append(b.Codes, codes)
+		codes = append(codes, colCodes)
 	}
+	b.src = codes
 	return b, nil
 }
 
-// Restore rebuilds a Binned from its serialized parts (package modelio),
-// recomputing the derived item-id layout instead of re-running Bin. The
-// slices are retained, not copied.
-func Restore(t *table.Table, cols []ColumnBins, codes [][]uint16) (*Binned, error) {
+// Restore rebuilds a Binned from its serialized parts (package modelio):
+// the per-column binnings and the code source — MemCodes for resident
+// codes, or an opened store. It recomputes the derived item-id layout
+// instead of re-running Bin and validates the codes as AttachStore does.
+// Nothing is copied.
+func Restore(t *table.Table, cols []ColumnBins, codes CodeSource) (*Binned, error) {
 	if len(cols) != t.NumCols() {
 		return nil, fmt.Errorf("binning: restore: %d column binnings for a %d-column table", len(cols), t.NumCols())
 	}
-	if len(codes) != len(cols) {
-		return nil, fmt.Errorf("binning: restore: %d code columns for %d binnings", len(codes), len(cols))
-	}
-	b := &Binned{T: t, Cols: cols, Codes: codes}
-	n := t.NumRows()
+	b := &Binned{T: t, Cols: cols}
 	for c := range cols {
-		if len(codes[c]) != n {
-			return nil, fmt.Errorf("binning: restore: column %d has %d codes, table has %d rows", c, len(codes[c]), n)
-		}
 		nb := cols[c].NumBins()
 		if nb == 0 {
 			return nil, fmt.Errorf("binning: restore: column %d has no bins", c)
 		}
-		for _, code := range codes[c] {
-			if int(code) >= nb {
-				return nil, fmt.Errorf("binning: restore: column %d code %d out of range (%d bins)", c, code, nb)
-			}
-		}
 		b.colBase = append(b.colBase, int32(b.numItems))
 		b.numItems += nb
+	}
+	if err := b.AttachStore(codes); err != nil {
+		return nil, err
 	}
 	return b, nil
 }
@@ -276,10 +266,7 @@ func (b *Binned) NumBins() []int {
 
 // Item returns the global item id of the cell (row r, column c).
 func (b *Binned) Item(c, r int) int32 {
-	if b.Codes != nil {
-		return b.colBase[c] + int32(b.Codes[c][r])
-	}
-	return b.colBase[c] + int32(b.store.Code(c, r))
+	return b.colBase[c] + int32(b.Code(c, r))
 }
 
 // ItemOf returns the global item id of bin `bin` in column c.

@@ -40,7 +40,7 @@ func TestQuantileBinning(t *testing.T) {
 	// Roughly equal-frequency bins.
 	counts := make([]int, 4)
 	for r := 0; r < 100; r++ {
-		counts[b.Codes[0][r]]++
+		counts[b.Code(0, r)]++
 	}
 	for i, c := range counts {
 		if c < 20 || c > 30 {
@@ -115,7 +115,7 @@ func TestMissingNumericGetsOwnBin(t *testing.T) {
 	if cb.Labels[cb.MissingBin] != MissingLabel {
 		t.Fatalf("missing label = %q", cb.Labels[cb.MissingBin])
 	}
-	if int(b.Codes[0][2]) != cb.MissingBin {
+	if int(b.Code(0, 2)) != cb.MissingBin {
 		t.Fatal("NaN row should map to missing bin")
 	}
 }
@@ -182,8 +182,8 @@ func TestCategoricalOtherGrouping(t *testing.T) {
 	// "c".."g" all map to the other bin.
 	col := tab.Column("x")
 	for r := 5; r < 10; r++ {
-		if int(b.Codes[0][r]) != 2 {
-			t.Fatalf("row %d (%s) bin = %d", r, col.CellString(r), b.Codes[0][r])
+		if int(b.Code(0, r)) != 2 {
+			t.Fatalf("row %d (%s) bin = %d", r, col.CellString(r), b.Code(0, r))
 		}
 	}
 }
@@ -201,7 +201,7 @@ func TestCategoricalMissing(t *testing.T) {
 	if cb.MissingBin < 0 {
 		t.Fatal("missing bin expected")
 	}
-	if int(b.Codes[0][1]) != cb.MissingBin {
+	if int(b.Code(0, 1)) != cb.MissingBin {
 		t.Fatal("missing cell should map to missing bin")
 	}
 }
@@ -228,7 +228,7 @@ func TestItemIDs(t *testing.T) {
 			if b.ColOfItem(item) != c {
 				t.Fatalf("ColOfItem(%d) = %d, want %d", item, b.ColOfItem(item), c)
 			}
-			if b.BinOfItem(item) != int(b.Codes[c][r]) {
+			if b.BinOfItem(item) != int(b.Code(c, r)) {
 				t.Fatal("BinOfItem mismatch")
 			}
 		}
@@ -322,7 +322,7 @@ func TestPropPartition(t *testing.T) {
 				return false
 			}
 			for r, v := range vals {
-				bin := int(b.Codes[0][r])
+				bin := int(b.Code(0, r))
 				if bin < 0 || bin >= cb.NumBins() {
 					return false
 				}
@@ -449,7 +449,7 @@ func TestMaxBinsLimit(t *testing.T) {
 		if !col.Missing(r) {
 			want = cb.BinOfCat(col.Cats[r])
 		}
-		if got := int(b.Codes[0][r]); got != want {
+		if got := int(b.Code(0, r)); got != want {
 			t.Fatalf("row %d: code %d, bin %d", r, got, want)
 		}
 	}

@@ -46,7 +46,7 @@ func TestBinningDeterministic(t *testing.T) {
 			}
 		}
 		for r := 0; r < n; r++ {
-			if a.Codes[c][r] != b.Codes[c][r] {
+			if a.Code(c, r) != b.Code(c, r) {
 				t.Fatalf("col %d row %d code differs", c, r)
 			}
 		}

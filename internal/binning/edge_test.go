@@ -41,8 +41,8 @@ func TestBinZeroRowColumns(t *testing.T) {
 		if cb.NumBins() != 1 || cb.MissingBin != 0 {
 			t.Fatalf("col %d: %d bins, missing at %d; want the single missing bin", c, cb.NumBins(), cb.MissingBin)
 		}
-		if len(b.Codes[c]) != 0 {
-			t.Fatalf("col %d has %d codes for 0 rows", c, len(b.Codes[c]))
+		if len(b.src.(MemCodes)[c]) != 0 {
+			t.Fatalf("col %d has %d codes for 0 rows", c, len(b.src.(MemCodes)[c]))
 		}
 	}
 }
@@ -66,8 +66,8 @@ func TestBinSingleRow(t *testing.T) {
 		if len(b.Cols[0].Cuts) != 0 {
 			t.Fatalf("%v: single value produced cuts %v", strat, b.Cols[0].Cuts)
 		}
-		if b.Codes[0][0] != 0 || b.Codes[1][0] != 0 {
-			t.Fatalf("%v: single row coded %d/%d", strat, b.Codes[0][0], b.Codes[1][0])
+		if b.Code(0, 0) != 0 || b.Code(1, 0) != 0 {
+			t.Fatalf("%v: single row coded %d/%d", strat, b.Code(0, 0), b.Code(1, 0))
 		}
 		if b.Cols[1].Labels[0] != "x" {
 			t.Fatalf("%v: category label %q", strat, b.Cols[1].Labels[0])
@@ -104,8 +104,8 @@ func TestBinAllNaNNumeric(t *testing.T) {
 		t.Fatalf("all-NaN column: bins %v, missing at %d", cb.Labels, cb.MissingBin)
 	}
 	for r := 0; r < 3; r++ {
-		if b.Codes[0][r] != 0 {
-			t.Fatalf("row %d coded %d", r, b.Codes[0][r])
+		if b.Code(0, r) != 0 {
+			t.Fatalf("row %d coded %d", r, b.Code(0, r))
 		}
 	}
 }
@@ -127,8 +127,8 @@ func TestBinSingleCategoryColumn(t *testing.T) {
 		t.Fatalf("label %q, want x", cb.Labels[0])
 	}
 	for r := 0; r < 4; r++ {
-		if b.Codes[0][r] != 0 {
-			t.Fatalf("row %d coded %d", r, b.Codes[0][r])
+		if b.Code(0, r) != 0 {
+			t.Fatalf("row %d coded %d", r, b.Code(0, r))
 		}
 	}
 }
@@ -154,7 +154,7 @@ func TestBinTwoDistinctKDE(t *testing.T) {
 	if nb := b.Cols[0].NumBins(); nb != 2 {
 		t.Fatalf("two distinct values in %d bins, want 2", nb)
 	}
-	if b.Codes[0][0] == b.Codes[0][3] {
+	if b.Code(0, 0) == b.Code(0, 3) {
 		t.Fatal("1 and 9 share a bin")
 	}
 }

@@ -1,17 +1,13 @@
 package binning
 
-import (
-	"fmt"
-
-	"subtab/internal/table"
-)
+import "fmt"
 
 // CodeSource provides chunked, read-only access to a table's per-column
 // bin codes. It is the one interface behind which the selection data path
 // (package core) reads codes, so every stage — the stratified sampler, the
 // tuple-vector gather, the diversity re-rank, the bin-count scan — runs
-// identically whether the codes live in memory (a Binned's inline Codes)
-// or in an on-disk store (package codestore, which implements this
+// identically whether the codes live in memory (MemCodes) or in an
+// on-disk store (package codestore, which implements this
 // interface structurally). Implementations must be safe for concurrent
 // use given distinct scratch and dst slices.
 type CodeSource interface {
@@ -50,63 +46,58 @@ type CodeSink interface {
 	AppendColumns(chunk [][]uint16) error
 }
 
-// inlineSource adapts a Binned's in-memory codes to CodeSource: one block
-// spanning every row, returned as a view (no copy).
-type inlineSource struct{ b *Binned }
+// MemCodes is the resident CodeSource: a table's bin codes in memory, one
+// slice per column (MemCodes[c][r] is row r's code in column c), read as
+// one block spanning every row and returned as a view (no copy).
+type MemCodes [][]uint16
 
-func (s inlineSource) NumRows() int { return s.b.NumRows() }
-func (s inlineSource) NumCols() int { return len(s.b.Cols) }
-func (s inlineSource) BlockRows() int {
-	if n := s.b.NumRows(); n > 0 {
-		return n
+func (m MemCodes) NumRows() int {
+	if len(m) == 0 {
+		return 0
 	}
-	return 1
+	return len(m[0])
 }
-func (s inlineSource) NumBlocks() int {
-	if s.b.NumRows() > 0 {
+func (m MemCodes) NumCols() int   { return len(m) }
+func (m MemCodes) BlockRows() int { return max(m.NumRows(), 1) }
+func (m MemCodes) NumBlocks() int {
+	if m.NumRows() > 0 {
 		return 1
 	}
 	return 0
 }
-func (s inlineSource) ColumnBlock(c, blk int, scratch []uint16) []uint16 { return s.b.Codes[c] }
-func (s inlineSource) Code(c, r int) uint16                              { return s.b.Codes[c][r] }
-func (s inlineSource) GatherCodes(c int, rows []int, dst []uint16) {
-	codes := s.b.Codes[c]
+func (m MemCodes) ColumnBlock(c, blk int, scratch []uint16) []uint16 { return m[c] }
+func (m MemCodes) Code(c, r int) uint16                              { return m[c][r] }
+func (m MemCodes) GatherCodes(c int, rows []int, dst []uint16) {
+	codes := m[c]
 	for i, r := range rows {
 		dst[i] = codes[r]
 	}
 }
 
-// Source returns the CodeSource for this binned table: the inline codes
-// when they are resident, otherwise the attached store.
-func (b *Binned) Source() CodeSource {
-	if b.Codes != nil {
-		return inlineSource{b}
-	}
-	return b.store
+// Source returns the table's code source: MemCodes when the codes are
+// resident, else the attached store.
+func (b *Binned) Source() CodeSource { return b.src }
+
+// Paged reports whether the codes are served from a store (a code store,
+// its shards) rather than held as MemCodes.
+func (b *Binned) Paged() bool {
+	_, mem := b.src.(MemCodes)
+	return !mem
 }
 
-// HasInlineCodes reports whether the bin codes are resident in memory.
-// Store-backed tables (codes dropped after AttachStore) answer false; the
-// selection path works either way, but operations that need random access
-// to every cell at full speed (rule mining, incremental append) first
-// materialize via MaterializedCodes.
-func (b *Binned) HasInlineCodes() bool { return b.Codes != nil }
-
-// Code returns the bin code of the cell (column c, row r), from the inline
-// codes or the attached store.
+// Code returns the bin code of the cell (column c, row r).
 func (b *Binned) Code(c, r int) uint16 {
-	if b.Codes != nil {
-		return b.Codes[c][r]
+	if mem, ok := b.src.(MemCodes); ok {
+		return mem[c][r]
 	}
-	return b.store.Code(c, r)
+	return b.src.Code(c, r)
 }
 
-// AttachStore attaches an external code source (an opened codestore) to
-// the binned table after validating its geometry and — with one chunked
-// scan — that every stored code addresses an existing bin. Once attached,
-// DropInlineCodes may release the in-memory codes; the selection path then
-// reads blocks out of the store.
+// AttachStore makes cs the binned table's code source, after validating
+// its geometry and — with one chunked scan — that every code addresses an
+// existing bin. Codes held before, in memory or in another store, are no
+// longer read. It must not race concurrent readers of this Binned: attach
+// during setup, before the model starts serving.
 func (b *Binned) AttachStore(cs CodeSource) error {
 	if cs == nil {
 		return fmt.Errorf("binning: attach: nil code source")
@@ -115,10 +106,17 @@ func (b *Binned) AttachStore(cs CodeSource) error {
 		return fmt.Errorf("binning: attach: store is %dx%d, binned table is %dx%d",
 			cs.NumRows(), cs.NumCols(), b.NumRows(), len(b.Cols))
 	}
+	if mem, ok := cs.(MemCodes); ok {
+		for c := range mem {
+			if len(mem[c]) != b.NumRows() {
+				return fmt.Errorf("binning: attach: column %d has %d codes, table has %d rows", c, len(mem[c]), b.NumRows())
+			}
+		}
+	}
 	if err := b.validateSource(cs); err != nil {
 		return err
 	}
-	b.store = cs
+	b.src = cs
 	return nil
 }
 
@@ -147,31 +145,16 @@ func (b *Binned) validateSource(cs CodeSource) error {
 	return nil
 }
 
-// DropInlineCodes releases the in-memory codes of a store-backed table,
-// leaving the attached store as the only code source. It must not race
-// concurrent readers of this Binned (attach and drop during setup, before
-// the model starts serving).
-func (b *Binned) DropInlineCodes() error {
-	if b.store == nil {
-		return fmt.Errorf("binning: cannot drop inline codes without an attached store")
-	}
-	b.Codes = nil
-	return nil
-}
-
 // MaterializedCodes returns all per-column codes as in-memory slices: the
-// inline codes when resident (no copy), otherwise one chunked read of the
-// whole store. It never mutates the Binned, so concurrent selections can
-// keep streaming from the store while a caller (rule mining, append)
+// MemCodes themselves when resident (no copy), otherwise one chunked read
+// of the whole store. It never mutates the Binned, so concurrent selections
+// can keep streaming from the store while a caller (rule mining, append)
 // materializes its own copy.
 func (b *Binned) MaterializedCodes() ([][]uint16, error) {
-	if b.Codes != nil {
-		return b.Codes, nil
+	if mem, ok := b.src.(MemCodes); ok {
+		return mem, nil
 	}
-	if b.store == nil {
-		return nil, fmt.Errorf("binning: no inline codes and no attached store")
-	}
-	cs := b.store
+	cs := b.src
 	n := b.NumRows()
 	out := make([][]uint16, len(b.Cols))
 	for c := range out {
@@ -185,14 +168,11 @@ func (b *Binned) MaterializedCodes() ([][]uint16, error) {
 }
 
 // ExportCodes streams the table's codes into sink in chunks of chunkRows
-// rows (<= 0 picks a block-sized chunk). It works from the inline codes or
-// from an attached store, so a store can be re-exported (compaction, a
-// different block size) without materializing the table.
+// rows (<= 0 picks a block-sized chunk). It works from any code source,
+// so a store can be re-exported (compaction, a different block size)
+// without materializing the table.
 func (b *Binned) ExportCodes(sink CodeSink, chunkRows int) error {
-	src := b.Source()
-	if src == nil {
-		return fmt.Errorf("binning: no codes to export")
-	}
+	src := b.src
 	n := b.NumRows()
 	if chunkRows <= 0 {
 		chunkRows = min(src.BlockRows(), 1<<16)
@@ -241,27 +221,4 @@ func readRange(src CodeSource, c, start, end int, buf *[]uint16) []uint16 {
 	}
 	*buf = out
 	return out
-}
-
-// RestoreWithStore rebuilds a Binned whose codes live in an external store
-// (package modelio's v5 external-reference load path): the per-column
-// binnings are given inline, the codes stay in cs. Geometry and code
-// ranges are validated exactly as in AttachStore.
-func RestoreWithStore(t *table.Table, cols []ColumnBins, cs CodeSource) (*Binned, error) {
-	if len(cols) != t.NumCols() {
-		return nil, fmt.Errorf("binning: restore: %d column binnings for a %d-column table", len(cols), t.NumCols())
-	}
-	b := &Binned{T: t, Cols: cols}
-	for c := range cols {
-		nb := cols[c].NumBins()
-		if nb == 0 {
-			return nil, fmt.Errorf("binning: restore: column %d has no bins", c)
-		}
-		b.colBase = append(b.colBase, int32(b.numItems))
-		b.numItems += nb
-	}
-	if err := b.AttachStore(cs); err != nil {
-		return nil, err
-	}
-	return b, nil
 }

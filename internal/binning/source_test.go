@@ -1,5 +1,5 @@
-// Tests for the CodeSource abstraction: the inline view, store attachment
-// validation, export/import round trips and materialization.
+// Tests for the CodeSource abstraction: the resident MemCodes view, store
+// attachment validation, export/import round trips and materialization.
 package binning_test
 
 import (
@@ -48,6 +48,10 @@ func storeFor(t testing.TB, b *binning.Binned, blockRows int) *codestore.Store {
 func TestInlineSourceMatchesCodes(t *testing.T) {
 	b := testBinned(t)
 	src := b.Source()
+	codes, ok := src.(binning.MemCodes)
+	if !ok || b.Paged() {
+		t.Fatalf("a fresh binning's source is %T, want MemCodes", src)
+	}
 	if src.NumRows() != b.NumRows() || src.NumCols() != b.NumCols() {
 		t.Fatalf("inline source is %dx%d, binned is %dx%d", src.NumRows(), src.NumCols(), b.NumRows(), b.NumCols())
 	}
@@ -56,8 +60,8 @@ func TestInlineSourceMatchesCodes(t *testing.T) {
 		for blk := 0; blk < src.NumBlocks(); blk++ {
 			for i, code := range src.ColumnBlock(c, blk, nil) {
 				r := blk*src.BlockRows() + i
-				if code != b.Codes[c][r] {
-					t.Fatalf("col %d row %d: source %d, codes %d", c, r, code, b.Codes[c][r])
+				if code != codes[c][r] {
+					t.Fatalf("col %d row %d: source %d, codes %d", c, r, code, codes[c][r])
 				}
 				if src.Code(c, r) != code {
 					t.Fatalf("col %d row %d: Code disagrees with ColumnBlock", c, r)
@@ -71,24 +75,21 @@ func TestInlineSourceMatchesCodes(t *testing.T) {
 	}
 }
 
-// TestStoreRoundTrip pins export → open → attach → drop: every cell must
-// read back identically through the store, and materialization must
-// reproduce the original codes.
+// TestStoreRoundTrip pins export → open → attach: every cell must read
+// back identically through the store, and materialization must reproduce
+// the original codes.
 func TestStoreRoundTrip(t *testing.T) {
 	b := testBinned(t)
-	want := make([][]uint16, b.NumCols())
-	for c := range want {
-		want[c] = append([]uint16(nil), b.Codes[c]...)
+	want, err := b.MaterializedCodes()
+	if err != nil {
+		t.Fatal(err)
 	}
 	s := storeFor(t, b, 64)
 	if err := b.AttachStore(s); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.DropInlineCodes(); err != nil {
-		t.Fatal(err)
-	}
-	if b.HasInlineCodes() {
-		t.Fatal("codes still inline after drop")
+	if !b.Paged() || b.Source() != binning.CodeSource(s) {
+		t.Fatalf("after attaching, the source is %T", b.Source())
 	}
 	for c := range want {
 		for r := range want[c] {
@@ -114,12 +115,22 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAttachValidation pins the attach-time checks: wrong geometry and
-// out-of-range codes are rejected, and dropping without a store fails.
+// TestAttachValidation pins the attach-time checks: wrong geometry —
+// ragged MemCodes included — and out-of-range codes are rejected, and a
+// rejected source leaves the binning on its codes.
 func TestAttachValidation(t *testing.T) {
 	b := testBinned(t)
-	if err := b.DropInlineCodes(); err == nil {
-		t.Fatal("DropInlineCodes without a store should fail")
+	if err := b.AttachStore(nil); err == nil {
+		t.Fatal("attach accepted a nil source")
+	}
+	codes, err := b.MaterializedCodes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ragged := append(binning.MemCodes(nil), codes...)
+	ragged[1] = ragged[1][:b.NumRows()-1]
+	if err := b.AttachStore(ragged); err == nil {
+		t.Fatal("attach accepted ragged MemCodes")
 	}
 	other := func() *binning.Binned {
 		ds := datagen.Generic(100, 5, 4, 3) // fewer rows
@@ -135,7 +146,7 @@ func TestAttachValidation(t *testing.T) {
 	// A store whose codes exceed the column's bin count must be rejected:
 	// synthesize one by writing inflated codes directly.
 	path := filepath.Join(t.TempDir(), "bad.codes")
-	codes := make([][]uint16, b.NumCols())
+	codes = make([][]uint16, b.NumCols())
 	for c := range codes {
 		codes[c] = make([]uint16, b.NumRows())
 		for r := range codes[c] {
@@ -153,22 +164,26 @@ func TestAttachValidation(t *testing.T) {
 	if err := b.AttachStore(s); err == nil {
 		t.Fatal("attach accepted out-of-range codes")
 	}
+	if b.Paged() {
+		t.Fatal("a rejected attach replaced the codes")
+	}
 }
 
-// TestRestoreWithStore pins the modelio load path's constructor.
+// TestRestoreWithStore pins the modelio load path's constructor over a
+// store: the restored binning reads its codes there.
 func TestRestoreWithStore(t *testing.T) {
 	b := testBinned(t)
-	want := make([][]uint16, b.NumCols())
-	for c := range want {
-		want[c] = append([]uint16(nil), b.Codes[c]...)
-	}
-	s := storeFor(t, b, 128)
-	nb, err := binning.RestoreWithStore(b.T, b.Cols, s)
+	want, err := b.MaterializedCodes()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nb.HasInlineCodes() {
-		t.Fatal("RestoreWithStore produced inline codes")
+	s := storeFor(t, b, 128)
+	nb, err := binning.Restore(b.T, b.Cols, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !nb.Paged() {
+		t.Fatal("Restore over a store produced resident codes")
 	}
 	if nb.NumItems() != b.NumItems() {
 		t.Fatalf("restored item space %d, want %d", nb.NumItems(), b.NumItems())

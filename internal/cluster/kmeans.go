@@ -131,6 +131,12 @@ func KMeansMatrix(pts f32.Matrix, k int, opt Options) *Result {
 	half, delta := make([]float64, k), make([]float64, k)
 	maxDelta := 0.0
 	var nearest f32.Centers
+	// One assignment scratch per worker, taken on the first pass: the
+	// centre count, which sizes it, is fixed for the run. ParallelRange
+	// gives worker w the rows from w·chunk, so start/chunk names it.
+	workers = min(workers, n)
+	chunk := (n + workers - 1) / workers
+	var scratches [][]float64
 
 	iter := 0
 	for ; iter < opt.MaxIter; iter++ {
@@ -148,9 +154,14 @@ func KMeansMatrix(pts f32.Matrix, k int, opt Options) *Result {
 		nearest.Load(centers)
 		if iter > 0 {
 			halfGaps(centers, half)
+		} else {
+			scratches = make([][]float64, workers)
+			for w := range scratches {
+				scratches[w] = nearest.Scratch()
+			}
 		}
 		f32.ParallelRange(n, workers, func(start, end int) {
-			scratch := nearest.Scratch()
+			scratch := scratches[start/chunk]
 			for i := start; i < end; i++ {
 				p, a := pts.Row(i), assign[i]
 				if iter > 0 {

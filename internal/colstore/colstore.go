@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"subtab/internal/blockfile"
 	"subtab/internal/table"
@@ -325,43 +326,66 @@ func (s *Store) GatherCells(c int, rows []int) ([]string, error) {
 
 // MaterializeTable rebuilds the full typed table — a private copy for
 // whole-table scans (query evaluation, append re-binning), the raw-cell
-// analogue of binning.MaterializedCodes. It decodes a page at a time: the
-// page's cells unpack at their width, then one loop per encoding fills the
-// column's preallocated Nums or Cats. The result shares nothing with the
+// analogue of binning.MaterializedCodes. The result shares nothing with the
 // store and may be mutated freely.
 func (s *Store) MaterializeTable(name string) (*table.Table, error) {
+	return Concat(name, []*Store{s})
+}
+
+// Concat materializes the rows of stores, in order, as one typed table:
+// the row-range shards of one table, which share its schema and carry each
+// categorical column's whole dictionary. Every column is allocated once,
+// at the total row count, and each store decodes a page at a time straight
+// into its rows: the page's cells unpack at their width, then one loop per
+// encoding fills the column's Nums or Cats.
+func Concat(name string, stores []*Store) (*table.Table, error) {
+	first := stores[0]
+	n := 0
+	for _, s := range stores {
+		if s.NumCols() != first.NumCols() {
+			return nil, fmt.Errorf("colstore: concatenating a %d-column store to a %d-column one", s.NumCols(), first.NumCols())
+		}
+		n += s.NumRows()
+	}
 	out := table.New(name)
 	var scratch []byte
 	var cells []uint64
-	for c := 0; c < s.NumCols(); c++ {
-		col := &table.Column{Name: s.names[c], Kind: s.kinds[c]}
-		if s.kinds[c] == table.Numeric {
-			col.Nums = make([]float64, s.NumRows())
+	for c := 0; c < first.NumCols(); c++ {
+		col := &table.Column{Name: first.names[c], Kind: first.kinds[c]}
+		if col.Kind == table.Numeric {
+			col.Nums = make([]float64, n)
 		} else {
-			col.Cats = make([]int32, s.NumRows())
-			col.Dict = table.DictFromStrings(s.dicts[c])
-			if col.Dict.Size() != len(s.dicts[c]) {
-				return nil, fmt.Errorf("%w: column %q's dictionary repeats a string", ErrCorrupt, s.names[c])
+			col.Cats = make([]int32, n)
+			col.Dict = table.DictFromStrings(first.dicts[c])
+			if col.Dict.Size() != len(first.dicts[c]) {
+				return nil, fmt.Errorf("%w: column %q's dictionary repeats a string", ErrCorrupt, col.Name)
 			}
 		}
-		e := s.encs[c]
-		for blk := 0; blk < s.NumBlocks(); blk++ {
-			page, err := s.Page(c, blk, scratch)
-			if err != nil {
-				return nil, err
+		base := 0
+		for _, s := range stores {
+			if s.names[c] != col.Name || s.kinds[c] != col.Kind || !slices.Equal(s.dicts[c], first.dicts[c]) {
+				return nil, fmt.Errorf("%w: column %d's schema or dictionary differs between the stores", ErrCorrupt, c)
 			}
-			scratch = page
-			lo, n := blk*s.BlockRows(), s.BlockLen(blk)
-			if cap(cells) < n {
-				cells = make([]uint64, n)
+			e := s.encs[c]
+			for blk := 0; blk < s.NumBlocks(); blk++ {
+				page, err := s.Page(c, blk, scratch)
+				if err != nil {
+					return nil, err
+				}
+				scratch = page
+				lo, bn := base+blk*s.BlockRows(), s.BlockLen(blk)
+				if cap(cells) < bn {
+					cells = make([]uint64, bn)
+				}
+				cells = cells[:bn]
+				blockfile.Unpack(cells, page, e.bits)
+				if col.Kind == table.Numeric {
+					e.nums(col.Nums[lo:lo+bn], cells)
+				} else if err := e.codes(col.Cats[lo:lo+bn], cells, len(s.dicts[c])); err != nil {
+					return nil, fmt.Errorf("colstore: column %q: %w", col.Name, err)
+				}
 			}
-			cells = cells[:n]
-			blockfile.Unpack(cells, page, e.bits)
-			if s.kinds[c] == table.Numeric {
-				e.nums(col.Nums[lo:lo+n], cells)
-			} else if err := e.codes(col.Cats[lo:lo+n], cells, len(s.dicts[c])); err != nil {
-				return nil, fmt.Errorf("colstore: column %q: %w", s.names[c], err)
-			}
+			base += s.NumRows()
 		}
 		if err := out.AddColumn(col); err != nil {
 			return nil, err

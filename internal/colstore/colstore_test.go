@@ -156,13 +156,15 @@ func TestChunkBoundaries(t *testing.T) {
 // TestShardRowRanges pins WriteTableRows: shards cut at arbitrary rows
 // (including off-block-boundary cuts and an empty shard) must each render
 // their slice of the table exactly, with the full dictionary so global codes
-// resolve in every shard.
+// resolve in every shard. Concat of the shards materializes the whole table,
+// and refuses shards of another table as corrupt.
 func TestShardRowRanges(t *testing.T) {
 	const blockRows, n = 32, 145
 	rng := rand.New(rand.NewSource(2))
 	src := randTable(rng, "t", n)
 	dir := t.TempDir()
 	cuts := []int{0, 50, 50, 130, n} // second shard empty: [50, 50)
+	var shards []*Store
 	for i := 0; i+1 < len(cuts); i++ {
 		start, end := cuts[i], cuts[i+1]
 		path := filepath.Join(dir, fmt.Sprintf("s.cols.%03d", i))
@@ -192,7 +194,34 @@ func TestShardRowRanges(t *testing.T) {
 				}
 			}
 		}
-		s.Close()
+		defer s.Close()
+		shards = append(shards, s)
+	}
+	mat, err := Concat("t", shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mat.NumRows() != n || mat.NumCols() != src.NumCols() {
+		t.Fatalf("concatenated table is %dx%d, want %dx%d", mat.NumRows(), mat.NumCols(), n, src.NumCols())
+	}
+	for c := 0; c < src.NumCols(); c++ {
+		for r := 0; r < n; r++ {
+			if got, want := mat.ColumnAt(c).CellString(r), src.ColumnAt(c).CellString(r); got != want {
+				t.Fatalf("concatenated cell (%d,%d): got %q want %q", c, r, got, want)
+			}
+		}
+	}
+	other := filepath.Join(dir, "other.cols")
+	if err := WriteTable(other, randTable(rand.New(rand.NewSource(3)), "u", 40), blockRows); err != nil {
+		t.Fatal(err)
+	}
+	o, err := Open(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Close()
+	if _, err := Concat("t", []*Store{shards[0], o}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Concat of another table's store: %v, want ErrCorrupt", err)
 	}
 }
 

@@ -139,13 +139,9 @@ func (m *Model) Append(rows *table.Table, opt AppendOptions) (*Model, AppendStat
 	// materialize a private resident copy first (the serving layer re-pages
 	// the result). The binning below also needs newT's appended cells, which
 	// the concatenated copy holds either way.
-	baseT := m.T
-	if !baseT.CellsResident() {
-		var err error
-		baseT, err = m.residentTable()
-		if err != nil {
-			return nil, stats, fmt.Errorf("core: append: %w", err)
-		}
+	baseT, err := m.residentTable()
+	if err != nil {
+		return nil, stats, fmt.Errorf("core: append: %w", err)
 	}
 	newT, err := baseT.AppendRows(rows)
 	if err != nil {
@@ -211,7 +207,7 @@ func (m *Model) Append(rows *table.Table, opt AppendOptions) (*Model, AppendStat
 		}
 		counts[c] = cc
 	}
-	nm.seedBinCounts(counts)
+	nm.SeedBinCounts(counts)
 	nm.colAffinity = nm.affinityFromCounts(counts, newT.NumRows())
 	return nm, stats, nil
 }

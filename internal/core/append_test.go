@@ -100,7 +100,7 @@ func TestAppendIncrementalBasics(t *testing.T) {
 	counts := nm.BinCountsData()
 	for c := range counts {
 		scan := make([]int64, len(counts[c]))
-		for _, code := range nm.B.Codes[c] {
+		for _, code := range nm.B.Source().(binning.MemCodes)[c] {
 			scan[code]++
 		}
 		for bin := range scan {

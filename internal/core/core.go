@@ -97,9 +97,9 @@ type Model struct {
 
 	// binCounts[c][bin] is the cumulative number of rows of column c in each
 	// bin — the integer form of the frequencies the affinity computation
-	// weights by. Preprocess fills it; models restored from older persisted
-	// formats rebuild it lazily (one scan of the bin codes). Append updates
-	// it incrementally from the delta alone.
+	// weights by. Preprocess fills it, a loaded model has it from its file,
+	// and Append updates it incrementally from the delta alone; a model
+	// built another way (core.Restore alone) counts once on first use.
 	binCountsOnce sync.Once
 	binCounts     [][]int64
 
@@ -224,8 +224,8 @@ func (m *Model) computeColumnAffinities() {
 }
 
 // cachedBinCounts returns the per-column per-bin row counts, computing them
-// with one scan of the bin codes the first time they are needed (models
-// restored from format versions that predate serialized counts).
+// with one scan of the bin codes the first time they are needed when
+// nothing seeded them.
 func (m *Model) cachedBinCounts() [][]int64 {
 	m.binCountsOnce.Do(func() {
 		if m.binCounts != nil {
@@ -251,12 +251,6 @@ func (m *Model) cachedBinCounts() [][]int64 {
 	return m.binCounts
 }
 
-// seedBinCounts installs externally known counts (modelio, Append) so the
-// lazy scan never runs. It is a no-op once counts exist.
-func (m *Model) seedBinCounts(counts [][]int64) {
-	m.binCountsOnce.Do(func() { m.binCounts = counts })
-}
-
 // BinCountsData returns the cumulative per-column per-bin row counts (the
 // integer form of the affinity frequencies). It aliases model memory and
 // must not be mutated; it exists so the counts can be serialized (package
@@ -278,20 +272,12 @@ func (m *Model) SetAppendedSinceRebin(n int) error {
 	return nil
 }
 
-// SeedBinCounts installs deserialized bin counts on a freshly restored
-// model (package modelio). Counts must match the binning's shape; models
-// with counts already computed ignore the call.
-func (m *Model) SeedBinCounts(counts [][]int64) error {
-	if len(counts) != len(m.B.Cols) {
-		return fmt.Errorf("core: %d count columns for %d binned columns", len(counts), len(m.B.Cols))
-	}
-	for c := range counts {
-		if len(counts[c]) != m.B.Cols[c].NumBins() {
-			return fmt.Errorf("core: column %d has %d counts, %d bins", c, len(counts[c]), m.B.Cols[c].NumBins())
-		}
-	}
-	m.seedBinCounts(counts)
-	return nil
+// SeedBinCounts installs known bin counts — a loaded model's (package
+// modelio checks their shape against the binning as it reads them), an
+// appended model's — so the counting scan never runs. It is a no-op once
+// counts exist.
+func (m *Model) SeedBinCounts(counts [][]int64) {
+	m.binCountsOnce.Do(func() { m.binCounts = counts })
 }
 
 // affinityFromCounts computes the flat affinity matrix for the given

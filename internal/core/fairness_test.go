@@ -187,11 +187,11 @@ func TestGroupCountsErrors(t *testing.T) {
 // with k >= bins × min. Wherever the spec plans, the display is exactly
 // k×l; every group holds at least min(MinPerGroup, its clustered rows) of
 // the displayed rows; a display whose unconstrained twin already met the
-// quota is that twin byte for byte; and the four local layouts agree byte
+// quota is that twin byte for byte; and the three local layouts agree byte
 // for byte.
 func TestGroupQuotaProperties(t *testing.T) {
 	layouts, shapes, scales := executionSweep(t)
-	local := map[string]bool{"resident": true, "codes-out-of-core": true, "cells-paged": true, "sharded-local": true}
+	local := map[string]bool{"resident": true, "paged": true, "sharded-local": true}
 	const l = 3
 	for _, fair := range []struct {
 		k   int

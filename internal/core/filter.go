@@ -20,8 +20,9 @@ import (
 // local. Filters return ascending matches; a scope keeps the matches it
 // holds (limits and scopes never combine — queries carry limits,
 // drill-downs carry scopes). The materialize source is full relational
-// evaluation (group-by, aggregates, sorting) via query.Apply over resident
-// cells, and doubles as the reference the streaming path is tested against.
+// evaluation (group-by, aggregates, sorting) via query.Apply over the
+// resident table — a paged table's private copy (residentTable) — and
+// doubles as the reference the streaming path is tested against.
 func (m *Model) candidateRows(p *plan, spec ExploreSpec) (rowSet, error) {
 	switch p.rows {
 	case rowsAll:
@@ -29,7 +30,11 @@ func (m *Model) candidateRows(p *plan, spec ExploreSpec) (rowSet, error) {
 	case rowsScope:
 		return listRows(spec.Scope), nil
 	case rowsMaterialize:
-		_, rows, err := spec.Query.Apply(m.T)
+		t, err := m.residentTable()
+		if err != nil {
+			return rowSet{}, err
+		}
+		_, rows, err := spec.Query.Apply(t)
 		if err != nil {
 			return rowSet{}, badQuery(err)
 		}

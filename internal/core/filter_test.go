@@ -10,12 +10,10 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"subtab/internal/binning"
 	"subtab/internal/bitset"
-	"subtab/internal/codestore"
 	"subtab/internal/corpus"
 	"subtab/internal/datagen"
 	"subtab/internal/query"
@@ -51,7 +49,7 @@ func pageOut(t *testing.T, m *Model) {
 	if err := m.PageOut([]string{filepath.Join(dir, "codes")}, []string{filepath.Join(dir, "cols")}, false, 64); err != nil {
 		t.Fatal(err)
 	}
-	if !m.OutOfCore() || !m.CellsPaged() {
+	if !m.OutOfCore() {
 		t.Fatal("model still resident after paging out")
 	}
 }
@@ -73,27 +71,6 @@ func shardPaths(dir string, n int) (codes, cells []string) {
 		cells = append(cells, filepath.Join(dir, fmt.Sprintf("cols.%d", i)))
 	}
 	return codes, cells
-}
-
-// codesOut switches m's codes onto a code store at path and drops them,
-// keeping the cells resident.
-func codesOut(t testing.TB, m *Model, path string, blockRows int) *codestore.Store {
-	t.Helper()
-	if err := m.ExportCodeStore(path, blockRows); err != nil {
-		t.Fatal(err)
-	}
-	cs, err := codestore.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cs.Close() })
-	if err := m.B.AttachStore(cs); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.B.DropInlineCodes(); err != nil {
-		t.Fatal(err)
-	}
-	return cs
 }
 
 func fpr(st *SubTable) string {
@@ -266,27 +243,26 @@ func mustSelect(t *testing.T, m *Model, spec ExploreSpec) *SubTable {
 	return st
 }
 
-// TestPagedNonStreamableRefused pins satellite behaviour: a query needing
-// Apply's resident-cell evaluation on a paged table is refused with the
-// typed paged-cells error and a message pointing at the streaming subset —
-// never answered by materializing the table.
-func TestPagedNonStreamableRefused(t *testing.T) {
+// TestPagedNonStreamableMatchesResident pins that a query needing Apply's
+// evaluation over typed cells — a group-by, an order-by on a projected
+// column — runs on a paged table over a private resident copy and selects
+// exactly what the resident model selects, and that the copy is never
+// installed: the model stays paged.
+func TestPagedNonStreamableMatchesResident(t *testing.T) {
+	resident := filterTestModel(t)
 	m := filterTestModel(t)
 	pageOut(t, m)
 	for _, q := range []*query.Query{
 		{GroupBy: []string{"AIRLINE"}, Aggs: []query.Aggregate{{Func: query.Count}}},
 		{Select: []string{"AIRLINE", "DISTANCE"}, OrderBy: "DISTANCE", Limit: 20},
 	} {
-		_, err := m.SelectExplore(ExploreSpec{Query: q, K: 5, L: 5})
-		if err == nil {
-			t.Fatalf("query %s on paged table did not error", q)
+		spec := ExploreSpec{Query: q, K: 5, L: 2}
+		if got, want := fpr(mustSelect(t, m, spec)), fpr(mustSelect(t, resident, spec)); got != want {
+			t.Fatalf("query %s on the paged table:\n got %s\nwant %s", q, got, want)
 		}
-		if !errors.Is(err, query.ErrCellsPaged) {
-			t.Fatalf("query %s: error %v does not wrap query.ErrCellsPaged", q, err)
-		}
-		if !strings.Contains(err.Error(), "enable streaming predicates") {
-			t.Fatalf("query %s: error %q does not point at the streaming subset", q, err)
-		}
+	}
+	if m.T.CellsResident() || !m.OutOfCore() {
+		t.Fatal("a materializing select installed its copy on the model")
 	}
 }
 

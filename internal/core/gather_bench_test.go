@@ -66,7 +66,9 @@ func BenchmarkGatherTupleVectors(b *testing.B) {
 	// a second build of the same table.
 	run("inline")
 	dir := b.TempDir()
-	codesOut(b, m, filepath.Join(dir, "codes"), 0)
+	if err := m.PageOut([]string{filepath.Join(dir, "codes")}, []string{filepath.Join(dir, "cols")}, false, 0); err != nil {
+		b.Fatal(err)
+	}
 	run("codestore")
 	codes, cells := shardPaths(dir, 4)
 	if m, err = Preprocess(ds.T, opt); err != nil {

@@ -3,25 +3,33 @@ package core
 import (
 	"math"
 	"math/rand"
+	"path/filepath"
 	"sort"
 	"testing"
 
 	"subtab/internal/binning"
+	"subtab/internal/codestore"
 	"subtab/internal/f32"
 	"subtab/internal/shard"
 )
 
 // TestGatherMatchesRowVector pins the one tuple-vector gather against
-// Model.RowVector bit for bit on every TestPlanMatrix layout: inline
-// codes, a code store, local shards, and the two partial (remote) twins,
-// which gather their locally held rows through the partial shard source
-// and every row through a coordinator-style sparse overlay. Row sets cover
+// Model.RowVector bit for bit on inline codes, on the two ways codes leave
+// memory — a paged-out model ("cells-paged": codes and cells in store
+// images) and a code store attached to a binned table whose cells stay in
+// memory ("codes-out-of-core"; the gather reads codes only) — on local
+// shards, and on the two partial (remote) twins, which gather their locally
+// held rows through the partial shard source and every row through a
+// coordinator-style sparse overlay. Row sets cover
 // a range, sorted and unsorted lists, repeats spanning several gather
 // chunks, and the empty set; column sets cover the full table and an
 // unsorted projection.
 func TestGatherMatchesRowVector(t *testing.T) {
 	layouts, _, _ := executionSweep(t)
+	layouts["cells-paged"] = layouts["paged"]
+	delete(layouts, "paged")
 	ref := layouts["resident"]
+	layouts["codes-out-of-core"] = codeStoreTwin(t)
 	n, nc := ref.T.NumRows(), ref.T.NumCols()
 	all := make([]int, nc)
 	for c := range all {
@@ -140,4 +148,27 @@ func TestGatherMatchesRowVector(t *testing.T) {
 			}
 		}
 	}
+}
+
+// codeStoreTwin is filterTestModel with its codes read from a code store
+// of 64-row blocks, its cells resident.
+func codeStoreTwin(t *testing.T) *Model {
+	t.Helper()
+	m := filterTestModel(t)
+	path := filepath.Join(t.TempDir(), "codes")
+	if err := m.ExportCodeStore(path, 64); err != nil {
+		t.Fatal(err)
+	}
+	cs, err := codestore.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cs.Close() })
+	if err := m.B.AttachStore(cs); err != nil {
+		t.Fatal(err)
+	}
+	if !m.OutOfCore() {
+		t.Fatal("codes still resident after attaching the code store")
+	}
+	return m
 }

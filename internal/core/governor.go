@@ -1,6 +1,7 @@
 package core
 
 import (
+	"subtab/internal/binning"
 	"subtab/internal/memgov"
 )
 
@@ -23,7 +24,7 @@ func (m *Model) CacheBytes() int64 {
 }
 
 // ResidentBytes estimates the model's always-resident footprint: table
-// cells (when not paged out), bin codes (when inline), embedding matrices,
+// cells and bin codes (when not paged out), embedding matrices,
 // the item index, bin counts, and the affinity diagonal. It deliberately
 // EXCLUDES the governed caches (see CacheBytes) — those are accounted live
 // under their own classes — and anything mmap'd (code/column stores),
@@ -32,12 +33,12 @@ func (m *Model) CacheBytes() int64 {
 // (the serving store calls it under its mutex to weight the LRU).
 func (m *Model) ResidentBytes() int64 {
 	var b int64
-	if m.T != nil && m.T.CellsResident() {
-		b += m.T.ApproxBytes()
+	if m.T != nil {
+		b += m.T.ApproxBytes() // 0 for a paged table's husk
 	}
 	if m.B != nil {
-		for _, codes := range m.B.Codes {
-			b += int64(len(codes)) * 2
+		if mem, ok := m.B.Source().(binning.MemCodes); ok {
+			b += int64(mem.NumRows()*mem.NumCols()) * 2
 		}
 		for i := range m.B.Cols {
 			// Covers the schema itself plus the (possibly not yet lazily

@@ -50,7 +50,8 @@ func (m *Model) ExportCodeStore(path string, blockRows int) error {
 	return nil
 }
 
-// PageOut moves the model's bin codes and displayed cells out of memory:
+// PageOut moves the model's bin codes and displayed cells out of memory,
+// together:
 // codes[i] and cells[i] receive rows [i*n/N, (i+1)*n/N) of the table's n
 // rows, N = len(codes) = len(cells). Unsharded, N must be 1 and the two
 // files are a plain code store and column store; sharded, the files are N
@@ -59,7 +60,7 @@ func (m *Model) ExportCodeStore(path string, blockRows int) error {
 // (modelio and the shard map name the files relative to it). blockRows <= 0
 // uses the stores' default. Each file is written to a temp name and
 // renamed into place. Bin counts are computed first, so no later stage
-// needs the inline codes back for counting. PageOut must not race
+// needs the resident codes back for counting. PageOut must not race
 // in-flight selections: page a model out before it starts serving.
 func (m *Model) PageOut(codes, cells []string, sharded bool, blockRows int) error {
 	n := len(codes)
@@ -68,7 +69,7 @@ func (m *Model) PageOut(codes, cells []string, sharded bool, blockRows int) erro
 		return fmt.Errorf("core: paging out needs one cell path per code path, got %d and %d", n, len(cells))
 	case !sharded && n != 1:
 		return fmt.Errorf("core: an unsharded page-out writes one file pair, got %d", n)
-	case !m.B.HasInlineCodes() || !m.T.CellsResident():
+	case m.OutOfCore():
 		return fmt.Errorf("core: paging out: the model is already paged")
 	}
 	dir := filepath.Dir(codes[0])
@@ -107,12 +108,15 @@ func (m *Model) PageOut(codes, cells []string, sharded bool, blockRows int) erro
 		cellDescs[i] = shard.Desc{File: filepath.Base(p), Rows: st.NumRows(), BlockRows: st.BlockRows(), Checksum: st.Checksum()}
 		st.Close()
 	}
+	// If the codes fail to attach, the cells detach again: still resident.
 	codeSrc, cellSrc, err := openPaged(dir, codeMap, cellDescs, m.T.ColumnNames(), sharded)
 	if err == nil {
-		err = m.B.AttachStore(codeSrc)
+		err = m.AttachColumnStore(cellSrc)
 	}
 	if err == nil {
-		err = m.AttachColumnStore(cellSrc)
+		if err = m.B.AttachStore(codeSrc); err != nil {
+			m.cellSrc = nil
+		}
 	}
 	if err != nil {
 		if codeSrc != nil {
@@ -121,7 +125,6 @@ func (m *Model) PageOut(codes, cells []string, sharded bool, blockRows int) erro
 		}
 		return err
 	}
-	m.B.DropInlineCodes()
 	m.T.DropCells()
 	return nil
 }
@@ -154,6 +157,7 @@ func openPaged(dir string, codes *shard.Map, cells []shard.Desc, names []string,
 	return src, cs, nil
 }
 
-// OutOfCore reports whether the model's codes are store-backed (inline
-// codes dropped).
-func (m *Model) OutOfCore() bool { return !m.B.HasInlineCodes() }
+// OutOfCore reports whether the model is paged: its codes, and with them
+// its cells, are served from stores (PageOut, or a paged or sharded model
+// file) rather than memory.
+func (m *Model) OutOfCore() bool { return m.B.Paged() }

@@ -45,9 +45,6 @@ func TestStratifiedReservoirStreamsFromStore(t *testing.T) {
 	if err := ooc.AttachStore(s); err != nil {
 		t.Fatal(err)
 	}
-	if err := ooc.DropInlineCodes(); err != nil {
-		t.Fatal(err)
-	}
 
 	cols := make([]int, mem.NumCols())
 	for i := range cols {

@@ -1,12 +1,11 @@
 // Out-of-core CI smoke: prove the memory bound instead of trusting it.
 // The CI workflow generates a 1M-row table with subtab-datagen, points
 // SUBTAB_OOC_SMOKE_CSV at it and runs this test under GOMEMLIMIT=256MiB:
-// the table is pre-processed, its bin codes are moved to an mmap'd code
-// store (inline codes dropped), and a scaled Select must finish inside
-// the wall-clock bound with the process
-// peak RSS under the asserted ceiling. It also pins the exported code
-// store at one byte per cell plus framing, and logs the bytes per CSV byte
-// of the table's column store. Without the env var the test skips,
+// the table is pre-processed, paged out to an mmap'd code store and column
+// store (its codes and cells released), and a scaled Select must finish
+// inside the wall-clock bound with the process peak RSS under the asserted
+// ceiling. It also pins the code store at one byte per cell plus framing,
+// and logs the bytes per CSV byte of the column store. Without the env var the test skips,
 // so routine `go test ./...` runs never pay for the 1M-row setup.
 package core_test
 
@@ -22,7 +21,7 @@ import (
 	"time"
 
 	"subtab/internal/binning"
-	"subtab/internal/colstore"
+	"subtab/internal/codestore"
 	"subtab/internal/core"
 	"subtab/internal/corpus"
 	"subtab/internal/table"
@@ -37,7 +36,7 @@ const smokeSelectBound = 60 * time.Second
 
 // smokeSteadyRSSBound caps the serving steady state: resident memory after
 // the selects, with the heap flushed back to the OS. This is what the
-// out-of-core path controls — the table and the embedding stay resident,
+// out-of-core path controls — the embedding stays resident, the cells,
 // the code matrix and the sampled vectors do not. 1M x 31 FL measures
 // ~290MiB here; the bound leaves headroom for runner variance while still
 // failing if bin codes or a rows-sized vector slab creep back into the
@@ -75,24 +74,22 @@ func TestOutOfCoreSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	codesPath := filepath.Join(dir, "smoke.codes")
-	cs := core.CodesOut(t, m, codesPath, 0)
+	codesPath, cellsPath := filepath.Join(dir, "smoke.codes"), filepath.Join(dir, "smoke.cols")
+	rows, cols := tbl.NumRows(), tbl.NumCols()
+	if err := m.PageOut([]string{codesPath}, []string{cellsPath}, false, 0); err != nil {
+		t.Fatal(err)
+	}
+	cs := m.B.Source().(*codestore.Store)
 	t.Logf("code store: %d blocks of %d rows, mmap=%v", cs.NumBlocks(), cs.BlockRows(), cs.Mapped())
 
 	// Every column has at most 5 bins, so the code store holds one byte per
 	// cell; the rest is framing: the 26-byte header, the u32 meta length and
 	// one width byte per column, a u32 CRC per page and the 12-byte footer.
-	rows, cols := tbl.NumRows(), tbl.NumCols()
 	framing := 26 + 4 + cols + 4*cs.NumBlocks()*cols + 12
 	if size := fileSize(t, codesPath); size != int64(rows*cols+framing) {
 		t.Fatalf("code store holds %d bytes for %dx%d cells, want %d (1 byte per cell + %d of framing)", size, rows, cols, rows*cols+framing, framing)
 	}
-	cellsPath := filepath.Join(dir, "smoke.cols")
-	if err := colstore.WriteTable(cellsPath, tbl, 0); err != nil {
-		t.Fatal(err)
-	}
 	t.Logf("column store: %.3f bytes per CSV byte", float64(fileSize(t, cellsPath))/float64(fileSize(t, csvPath)))
-	os.Remove(cellsPath)
 
 	scale := &core.ScaleOptions{Threshold: 50_000}
 	start := time.Now()

@@ -1,5 +1,5 @@
-// Tests for the out-of-core selection path: a store-backed model (bin
-// codes in an mmap'd code store, inline codes dropped) must reproduce the
+// Tests for the out-of-core selection path: a paged model (bin codes in an
+// mmap'd code store, cells in a column store) must reproduce the
 // in-memory model's selections byte for byte — scaled, exact, query-
 // restricted — and the operations that
 // need materialized codes (rule mining, appends, persistence) must keep
@@ -18,17 +18,25 @@ import (
 	"subtab/internal/rules"
 )
 
-// outOfCoreTwin builds a second, independent deterministic model and
-// switches it onto a code store (small blocks, so chunked scans really
-// chunk), leaving the original fully in-memory for comparison.
+// outOfCoreTwin builds a second, independent deterministic model and pages
+// it out (small blocks, so chunked scans really chunk), leaving the
+// original fully in-memory for comparison.
 func outOfCoreTwin(t *testing.T) *core.Model {
 	t.Helper()
 	m := deterministicModel(t)
-	core.CodesOut(t, m, filepath.Join(t.TempDir(), "twin.codes"), 64)
-	if !m.OutOfCore() {
-		t.Fatal("model still in-core after paging its codes out")
-	}
+	pageOutTo(t, m, t.TempDir(), 64)
 	return m
+}
+
+// pageOutTo pages m out to a code store and a column store in dir.
+func pageOutTo(t *testing.T, m *core.Model, dir string, blockRows int) {
+	t.Helper()
+	if err := m.PageOut([]string{filepath.Join(dir, "model.codes")}, []string{filepath.Join(dir, "model.cols")}, false, blockRows); err != nil {
+		t.Fatal(err)
+	}
+	if !m.OutOfCore() {
+		t.Fatal("model still in-core after paging out")
+	}
 }
 
 // TestOutOfCoreScaledSelectMatchesInMemory pins the headline guarantee:
@@ -122,7 +130,7 @@ func TestOutOfCoreRulesAndAppend(t *testing.T) {
 		t.Fatalf("5-row append rebinned: %s", stats.RebinReason)
 	}
 	if next.OutOfCore() {
-		t.Fatal("append result should own inline codes")
+		t.Fatal("append result should own resident codes")
 	}
 	if _, err := next.SelectExplore(core.ExploreSpec{K: 6, L: 5, Scale: forceScale()}); err != nil {
 		t.Fatal(err)
@@ -136,7 +144,7 @@ func TestOutOfCoreRulesAndAppend(t *testing.T) {
 func TestOutOfCoreModelRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	m := deterministicModel(t)
-	core.CodesOut(t, m, filepath.Join(dir, "model.codes"), 64)
+	pageOutTo(t, m, dir, 64)
 	want, err := m.SelectExplore(core.ExploreSpec{K: 8, L: 7, Scale: forceScale()})
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +172,7 @@ func TestOutOfCoreModelRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, loaded := range []*core.Model{fromPath, fromReader} {
-		if !loaded.OutOfCore() || !loaded.CellsPaged() {
+		if !loaded.OutOfCore() {
 			t.Fatal("loaded model is not store-backed")
 		}
 		got, err := loaded.SelectExplore(core.ExploreSpec{K: 8, L: 7, Scale: forceScale()})

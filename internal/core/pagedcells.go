@@ -12,13 +12,6 @@ import (
 // attached table.CellSource. The table keeps its schema as a husk (names,
 // kinds and row count).
 
-// cellMaterializer is the optional CellSource extension a local column store
-// provides; over-the-wire coordinator sources cannot (and the operations
-// that need it are rejected on coordinators before reaching here).
-type cellMaterializer interface {
-	MaterializeTable(name string) (*table.Table, error)
-}
-
 // AttachColumnStore attaches an external cell source (an opened column
 // store or column shards, as PageOut and modelio's load path attach them,
 // or a coordinator's over-the-wire shard gatherer) after validating its
@@ -40,10 +33,6 @@ func (m *Model) AttachColumnStore(src table.CellSource) error {
 	return nil
 }
 
-// CellsPaged reports whether the model's raw columns are store-backed
-// (inline cells dropped).
-func (m *Model) CellsPaged() bool { return !m.T.CellsResident() }
-
 // CellSource returns the attached cell source (nil when the cells are
 // resident).
 func (m *Model) CellSource() table.CellSource { return m.cellSrc }
@@ -58,15 +47,19 @@ func (m *Model) cells() table.CellSource {
 	return m.T
 }
 
-// residentTable returns m.T when its cells are resident, else a private
-// typed copy materialized from the attached cell source — the whole-table
-// escape hatch for query evaluation and append. The copy is never installed
-// on the model; callers own it and its footprint.
+// residentTable returns m.T when no cell source is attached, else a private
+// typed copy materialized from the cell source (a local column store or its
+// shards; an over-the-wire coordinator source cannot) — the whole-table
+// escape hatch for query evaluation and append. The copy is never
+// installed on the model; callers own it and its footprint (a select's
+// reservation covers it: see copyBytes).
 func (m *Model) residentTable() (*table.Table, error) {
-	if m.T.CellsResident() {
+	if m.cellSrc == nil {
 		return m.T, nil
 	}
-	mat, ok := m.cellSrc.(cellMaterializer)
+	mat, ok := m.cellSrc.(interface {
+		MaterializeTable(string) (*table.Table, error)
+	})
 	if !ok {
 		return nil, fmt.Errorf("core: table cells are paged and the cell source cannot materialize them (a coordinator's over-the-wire source?)")
 	}

@@ -7,6 +7,7 @@ import (
 	"subtab/internal/binning"
 	"subtab/internal/cluster"
 	"subtab/internal/query"
+	"subtab/internal/table"
 )
 
 // The selection planner. Alg. 2's selection phase is one procedure — bound
@@ -51,7 +52,7 @@ const (
 	rowsFilter        rowSource = "filter"         // streaming predicate scan
 	rowsFilterScope   rowSource = "filter∩scope"   // streaming scan, kept inside the scope
 	rowsFilterLimit   rowSource = "filter+limit"   // streaming scan, first Limit matches
-	rowsMaterialize   rowSource = "materialize"    // query.Apply over resident cells (group-by, effective order-by)
+	rowsMaterialize   rowSource = "materialize"    // query.Apply over the resident cells, or a paged table's resident copy (group-by, effective order-by)
 	rowsShardPushdown rowSource = "shard-pushdown" // peers filter inside their shard scans; the rows never exist here
 
 	sampleCached  sampleKind = "cached"         // whole table, all columns, unbiased: memoized per budget
@@ -59,7 +60,7 @@ const (
 	sampleCovered sampleKind = "covered-biased" // per-call, covered strata deprioritized
 	sampleScatter sampleKind = "scatter"        // the installed shard sampler (local scans + peers)
 
-	vectorsFullCache vectorKind = "full-cache" // the model's full-table matrix (all columns, inline codes)
+	vectorsFullCache vectorKind = "full-cache" // the model's full-table matrix (all columns, resident codes)
 	vectorsGather    vectorKind = "gather"     // computed per request for exactly the candidates
 
 	columnsPatternGroup columnKind = "pattern-group"
@@ -76,7 +77,6 @@ const (
 	ReasonUnknownTarget  Reason = "unknown-target"         // a target column the table does not have
 	ReasonTooManyTargets Reason = "too-many-targets"       // more targets than l
 	ReasonBadSpec        Reason = "bad-spec"               // malformed spec or query
-	ReasonCellsPaged     Reason = "cells-paged"            // group-by / order-by needs resident cells
 	ReasonNoSampler      Reason = "remote-no-sampler"      // remote shards, no coordinator sampler
 	ReasonRemoteUnscaled Reason = "remote-unscaled"        // remote shards serve the scaled path only
 	ReasonUnderThreshold Reason = "remote-under-threshold" // pushdown matched fewer rows than the threshold
@@ -101,31 +101,21 @@ type Refusal struct {
 
 func (r *Refusal) Error() string { return "core: " + r.Msg }
 
-// Unwrap keeps errors.Is(err, query.ErrCellsPaged) true for the paged-table
-// refusal, which callers test to steer a query back to the streaming subset.
-func (r *Refusal) Unwrap() error {
-	if r.Reason == ReasonCellsPaged {
-		return query.ErrCellsPaged
-	}
-	return nil
-}
-
 func refuse(reason Reason, format string, args ...any) *Refusal {
 	return &Refusal{Reason: reason, Msg: fmt.Sprintf(format, args...)}
 }
 
 // caps is everything planSelect may know about a model: sizes, the binning
-// schema (column names, kinds and bin boundaries — no codes), and which of
-// its parts are resident, paged or remote.
+// schema (column names, kinds and bin boundaries — no codes), and whether
+// its codes and cells are paged or remote.
 type caps struct {
-	rows          int
-	dim           int
-	bins          []binning.ColumnBins
-	cellsResident bool // raw cells in memory: query.Apply can run
-	inlineCodes   bool // bin codes in memory: the full-table vector cache is allowed
-	remote        bool // sharded, and some shards are held by peers
-	sampler       bool // a ShardSampler is installed
-	columns       ColumnStrategy
+	rows    int
+	dim     int
+	bins    []binning.ColumnBins
+	paged   bool // codes and cells in stores: no full-table vector cache, and query.Apply runs over a copy
+	remote  bool // sharded, and some shards are held by peers
+	sampler bool // a ShardSampler is installed
+	columns ColumnStrategy
 }
 
 func (c caps) col(name string) int {
@@ -219,9 +209,9 @@ func (p *plan) stages(n int) ([]Stage, error) {
 // streamable reports whether q runs on the streaming path: pure conjunction
 // + projection + limit. Group-by synthesizes aggregate rows, and an
 // effective order-by (naming a projected column) permutes the row order
-// feeding clustering; both need query.Apply's resident-cell evaluation. An
-// order-by naming a column outside the projection is a no-op in Apply, so
-// it does not block streaming.
+// feeding clustering; both need query.Apply's evaluation over typed cells.
+// An order-by naming a column outside the projection is a no-op in Apply,
+// so it does not block streaming.
 func streamable(q *query.Query, c caps) bool {
 	switch {
 	case len(q.GroupBy) > 0:
@@ -253,8 +243,8 @@ func workingCols(names []string, c caps) ([]int, error) {
 	return cols, nil
 }
 
-// badQuery wraps a query.Apply failure: over resident cells Apply is a pure
-// function of (table, query), so its errors are the query's.
+// badQuery wraps a query.Apply failure: Apply is a pure function of
+// (table, query), so its errors are the query's.
 func badQuery(err error) error {
 	return refuse(ReasonBadSpec, "applying query: %v", err)
 }
@@ -301,8 +291,6 @@ func planSelect(spec ExploreSpec, c caps) (*plan, error) {
 			return nil, refuse(ReasonBadSpec, "a spec carries either a query or where/scope, not both")
 		case streamable(q, c):
 			p.preds, names, p.limit = q.Where, q.Select, max(q.Limit, 0)
-		case !c.cellsResident:
-			return nil, refuse(ReasonCellsPaged, "query %q needs group-by/aggregate/order-by evaluation over raw cells, which this paged table does not hold; enable streaming predicates by restricting the query to where/select/limit", q.String())
 		default:
 			// Aggregate columns do not exist in the table and have no
 			// embedding: a group-by works over its key columns.
@@ -379,7 +367,7 @@ func planSelect(spec ExploreSpec, c caps) (*plan, error) {
 	// would resurrect the very footprint the code store exists to shed, so
 	// they gather per request instead (bit-identical vectors either way).
 	p.vectors, p.columns = vectorsGather, columnsPatternGroup
-	if p.allCols && c.inlineCodes {
+	if p.allCols && !c.paged {
 		p.vectors = vectorsFullCache
 	}
 	if spec.ColBias != nil {
@@ -398,7 +386,8 @@ func planSelect(spec ExploreSpec, c caps) (*plan, error) {
 	// run either leg, so it reserves the larger: exact k-means over up to
 	// Threshold-1 candidates, or the sample. The estimate is deliberately
 	// on the reserve side of truth: pooled buffers ride inside it, and it is
-	// the only bound on the slab.
+	// the only bound on the slab. A materialize on a paged table adds the
+	// resident copy of the cells query.Apply runs over.
 	rows, dim := int64(c.rows), int64(c.dim)
 	if spec.Scope != nil {
 		rows = int64(len(spec.Scope))
@@ -412,5 +401,25 @@ func planSelect(spec ExploreSpec, c caps) (*plan, error) {
 			p.reserve = max(p.reserve, min(rows, int64(p.scale.Threshold)-1)*exactPerRow)
 		}
 	}
+	if p.rows == rowsMaterialize && c.paged {
+		p.reserve += copyBytes(c)
+	}
 	return p, nil
+}
+
+// copyBytes bounds what materializing a paged table's cells allocates: 8
+// bytes a numeric cell, 4 a categorical one and 16 a row for the page being
+// decoded; 256 a column, and 128 a dictionary string (one per CatToBin
+// entry) for its index slots — the strings stay shared with the store.
+func copyBytes(c caps) int64 {
+	perRow, dict := int64(16), int64(0)
+	for i := range c.bins {
+		if c.bins[i].Kind == table.Numeric {
+			perRow += 8
+		} else {
+			perRow += 4
+			dict += int64(len(c.bins[i].CatToBin))
+		}
+	}
+	return int64(c.rows)*perRow + int64(len(c.bins))*256 + dict*128
 }

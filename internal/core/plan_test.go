@@ -10,6 +10,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -36,12 +38,10 @@ var matrixLayouts = []struct {
 	name string
 	caps caps
 }{
-	{"resident", caps{cellsResident: true, inlineCodes: true}},
-	{"codes-out-of-core", caps{cellsResident: true}},
-	{"cells-paged", caps{}},
-	{"sharded-local", caps{}},
-	{"remote+sampler", caps{remote: true, sampler: true}},
-	{"remote-no-sampler", caps{remote: true}},
+	{"resident", caps{}},
+	{"paged", caps{paged: true}},
+	{"remote+sampler", caps{paged: true, remote: true, sampler: true}},
+	{"remote-no-sampler", caps{paged: true, remote: true}},
 }
 
 // matrixShapes pairs each request shape with the candidate count its row
@@ -157,7 +157,7 @@ func TestPlanMatrix(t *testing.T) {
 	}
 
 	// Shape refusals do not depend on the layout.
-	c := caps{rows: matrixRows, dim: 16, bins: matrixBins, cellsResident: true, inlineCodes: true}
+	c := caps{rows: matrixRows, dim: 16, bins: matrixBins}
 	for _, tc := range []struct {
 		spec ExploreSpec
 		want Reason
@@ -181,22 +181,13 @@ func TestPlanMatrix(t *testing.T) {
 		}
 	}
 
-	// The paged-table refusal keeps its typed cause and its pointer at the
-	// streaming subset.
-	spec := matrixShapes[8].spec
-	spec.K, spec.L, spec.Scale = 5, 2, &ScaleOptions{}
-	_, err := planSelect(spec, caps{rows: matrixRows, dim: 16, bins: matrixBins})
-	if !errors.Is(err, query.ErrCellsPaged) || !strings.Contains(err.Error(), "enable streaming predicates") {
-		t.Errorf("group-by on a paged table: %v", err)
-	}
-
 	// Whole-table operations outside selection: one reason each.
 	for _, reason := range []Reason{ReasonRemoteSession, ReasonRemoteDrill, ReasonRemoteAppend, ReasonRemoteRules} {
 		var r *Refusal
-		if err := requireLocal(caps{remote: true}, reason); !errors.As(err, &r) || r.Reason != reason {
+		if err := requireLocal(caps{paged: true, remote: true}, reason); !errors.As(err, &r) || r.Reason != reason {
 			t.Errorf("requireLocal(%s) on a remote layout = %v", reason, err)
 		}
-		if err := requireLocal(caps{}, reason); err != nil {
+		if err := requireLocal(caps{paged: true}, reason); err != nil {
 			t.Errorf("requireLocal(%s) on a local layout = %v", reason, err)
 		}
 	}
@@ -208,10 +199,11 @@ func TestPlanMatrix(t *testing.T) {
 // slab plus the candidate index, and a scaled plan whose filter or scope
 // can leave fewer candidates than the threshold the larger of that and the
 // exact reservation of Threshold-1 rows — and the sample budget default
-// comes from ScaleOptions, nowhere else.
+// comes from ScaleOptions, nowhere else. A materialize on a paged table
+// adds the resident copy of its cells, and only there.
 func TestPlanReserveBytes(t *testing.T) {
 	const exact = 16*4 + cluster.BytesPerPoint // per candidate, dim 16
-	c := caps{rows: 50_000, dim: 16, bins: matrixBins, cellsResident: true, inlineCodes: true}
+	c := caps{rows: 50_000, dim: 16, bins: matrixBins}
 	where := []query.Predicate{{Col: "x", Op: query.Leq, Num: 20}}
 	wide := make([]int, 45_000)
 	for i := range wide {
@@ -245,6 +237,33 @@ func TestPlanReserveBytes(t *testing.T) {
 			t.Errorf("rows %s, scale %+v reserves %d bytes, want %d", p.rows, tc.scale, p.reserve, tc.want)
 		}
 	}
+
+	// matrixBins: x and y numeric, g categorical over a 2-string dictionary.
+	const copied = 50_000*(8+8+4+16) + 3*256 + 2*128
+	groupBy := &query.Query{GroupBy: []string{"g"}, Aggs: []query.Aggregate{{Func: query.Count}}}
+	for _, tc := range []struct {
+		spec  ExploreSpec
+		paged bool
+		want  int64
+	}{
+		{ExploreSpec{Query: groupBy}, false, 50_000 * exact},
+		{ExploreSpec{Query: groupBy}, true, 50_000*exact + copied},
+		{ExploreSpec{Query: &query.Query{Select: []string{"x", "g"}, OrderBy: "x"}}, true, 50_000*exact + copied},
+		{ExploreSpec{Query: &query.Query{Select: []string{"x", "g"}}}, true, 50_000 * exact},
+		{ExploreSpec{Where: where}, true, 50_000 * exact},
+	} {
+		spec := tc.spec
+		spec.K, spec.L, spec.Scale = 5, 2, &ScaleOptions{}
+		pc := c
+		pc.paged = tc.paged
+		p, err := planSelect(spec, pc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.reserve != tc.want {
+			t.Errorf("rows %s, paged %v reserves %d bytes, want %d", p.rows, tc.paged, p.reserve, tc.want)
+		}
+	}
 }
 
 // remoteTwin returns a model over the same table as filterTestModel whose
@@ -270,9 +289,6 @@ func remoteTwin(t *testing.T, withSampler bool) *Model {
 	t.Cleanup(func() { partial.Close() })
 	m := filterTestModel(t)
 	if err := m.B.AttachStore(partial); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.B.DropInlineCodes(); err != nil {
 		t.Fatal(err)
 	}
 	if m.ShardSource().Complete() {
@@ -315,19 +331,17 @@ func (s peerSampler) Sample(cols []int, budget int, preds []query.Predicate) ([]
 	return rows, overlay, matched, err
 }
 
-// executionSweep builds one small real model per matrix layout, and the
+// executionSweep builds one small real model per matrix layout, plus a
+// sharded one whose shards are all local (it plans as paged), and the
 // request shapes and scale settings to run on them.
 func executionSweep(t *testing.T) (map[string]*Model, map[string]ExploreSpec, map[string]ScaleOptions) {
-	codesPaged := filterTestModel(t)
-	codesOut(t, codesPaged, filepath.Join(t.TempDir(), "codes"), 64)
 	paged := filterTestModel(t)
 	pageOut(t, paged)
 	sharded := filterTestModel(t)
 	shardOut(t, sharded)
 	layouts := map[string]*Model{
 		"resident":          filterTestModel(t),
-		"codes-out-of-core": codesPaged,
-		"cells-paged":       paged,
+		"paged":             paged,
 		"sharded-local":     sharded,
 		"remote+sampler":    remoteTwin(t, true),
 		"remote-no-sampler": remoteTwin(t, false),
@@ -385,6 +399,68 @@ func TestPlanMatchesExecution(t *testing.T) {
 				case len(st.SourceRows) != k || len(st.ColIdx) != l || st.View.NumRows() != k || st.View.NumCols() != l:
 					t.Errorf("%s: got %dx%d (view %dx%d), want %dx%d", name, len(st.SourceRows), len(st.ColIdx), st.View.NumRows(), st.View.NumCols(), k, l)
 				}
+			}
+		}
+	}
+}
+
+// TestMaterializeMatchesResident runs the shapes that need query.Apply — a
+// group-by, an order-by on a projected column — on the execution sweep's
+// paged and sharded-local models at every scale setting: each select
+// equals the resident model's byte for byte (source rows, columns and
+// rendered cells).
+func TestMaterializeMatchesResident(t *testing.T) {
+	layouts, shapes, scales := executionSweep(t)
+	for _, shape := range []string{"group-by", "order-by-in-projection"} {
+		for scName, sc := range scales {
+			spec := shapes[shape]
+			spec.K, spec.L, spec.Scale = 4, 3, &sc
+			want := fpr(mustSelect(t, layouts["resident"], spec))
+			for _, layout := range []string{"paged", "sharded-local"} {
+				if got := fpr(mustSelect(t, layouts[layout], spec)); got != want {
+					t.Errorf("%s / %s / %s:\n got %s\nwant %s", layout, shape, scName, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestPagedCopyWithinReserve pins the reservation of a materialize on a
+// paged table: with the collector off, so TotalAlloc counts every byte,
+// building the resident copy query.Apply runs over allocates no more than
+// the copy's share of ReserveBytes — what the paged model reserves beyond
+// its resident twin for the same spec — single-store and sharded alike.
+func TestPagedCopyWithinReserve(t *testing.T) {
+	resident, paged, sharded := filterTestModel(t), filterTestModel(t), filterTestModel(t)
+	pageOut(t, paged)
+	shardOut(t, sharded)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, q := range []*query.Query{
+		{GroupBy: []string{"AIRLINE", "CANCELLED"}, Aggs: []query.Aggregate{{Func: query.Count}}},
+		{Select: []string{"AIRLINE", "DISTANCE", "TAXI_OUT"}, OrderBy: "DISTANCE"},
+	} {
+		spec := ExploreSpec{Query: q, K: 4, L: 3, Scale: &ScaleOptions{Threshold: 1, SampleBudget: 64}}
+		base, err := resident.ReserveBytes(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, m := range map[string]*Model{"paged": paged, "sharded": sharded} {
+			reserve, err := m.ReserveBytes(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			copied, err := m.residentTable()
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if copied == m.T || copied.NumRows() != m.T.NumRows() {
+				t.Fatalf("%s: residentTable returned %d rows, the model's own table %v", name, copied.NumRows(), copied == m.T)
+			}
+			if got, share := after.TotalAlloc-before.TotalAlloc, reserve-base; share <= 0 || got > uint64(share) {
+				t.Errorf("%s %s: the copy allocated %d bytes, the reservation holds %d for it", name, q, got, share)
 			}
 		}
 	}

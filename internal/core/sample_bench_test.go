@@ -54,9 +54,6 @@ func BenchmarkStratifiedReservoir(b *testing.B) {
 	if err := stored.AttachStore(cs); err != nil {
 		b.Fatal(err)
 	}
-	if err := stored.DropInlineCodes(); err != nil {
-		b.Fatal(err)
-	}
 
 	cols := allCols(inline)
 	rng := rand.New(rand.NewSource(1))

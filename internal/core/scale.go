@@ -83,7 +83,7 @@ func (m *Model) sample(p *plan, rows rowSet, covered *bitset.Set) rowSet {
 // rowVectors is the vector-build stage: the candidates' tuple-vectors as one
 // matrix, plus its release. Full-column plans can read the model's
 // full-table matrix (a tuple-vector depends only on the column set): the
-// exact path builds it on first use — inline codes only, the plan's
+// exact path builds it on first use — resident codes only, the plan's
 // full-cache variant — while the scaled path borrows it only when already
 // warm, because it never materializes vectors for rows the sample dropped
 // (the point of sampling before embedding lookup on million-row tables).
@@ -132,7 +132,7 @@ var codeBufPool = sync.Pool{New: func() any { return new([]uint16) }}
 // f32.MeanPoolInto. Row i writes only dst row i, so the result is the same
 // at any worker count and bit-identical to Model.RowVector. A non-nil src
 // overrides where the codes are read (the coordinator overlay); otherwise
-// the model's own inline codes or attached store.
+// the model's own code source.
 func (m *Model) gatherTupleVectors(dst f32.Matrix, rows rowSet, cols []int, src binning.CodeSource) {
 	if src == nil {
 		src = m.B.Source()

@@ -66,10 +66,10 @@ type ExploreSpec struct {
 	// it cannot be combined). Where/Select/Limit queries stream: the
 	// conjunction is compiled against the binning and evaluated over code
 	// blocks, so paged and sharded tables filter without a resident copy.
-	// Group-by and an order-by on a projected column need query.Apply over
-	// resident cells and are refused on paged tables; each group is
-	// represented by its first source row (aggregate cells have no
-	// embedding).
+	// Group-by and an order-by on a projected column run query.Apply over
+	// the typed cells — on a paged table, over a private resident copy;
+	// each group is represented by its first source row (aggregate cells
+	// have no embedding).
 	Query *query.Query
 	// Fairness, when set, makes every group of a protected column appear
 	// in the display; FairnessOptions states the quota rule.
@@ -90,14 +90,13 @@ func (m *Model) SelectQuery(q *query.Query, k, l int, targets []string) (*SubTab
 func (m *Model) caps() caps {
 	src := m.ShardSource()
 	return caps{
-		rows:          m.T.NumRows(),
-		dim:           m.Emb.Dim(),
-		bins:          m.B.Cols,
-		cellsResident: m.T.CellsResident(),
-		inlineCodes:   m.B.HasInlineCodes(),
-		remote:        src != nil && !src.Complete(),
-		sampler:       m.shardSampler != nil,
-		columns:       m.Opt.Columns,
+		rows:    m.T.NumRows(),
+		dim:     m.Emb.Dim(),
+		bins:    m.B.Cols,
+		paged:   m.OutOfCore(),
+		remote:  src != nil && !src.Complete(),
+		sampler: m.shardSampler != nil,
+		columns: m.Opt.Columns,
 	}
 }
 

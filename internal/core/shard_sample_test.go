@@ -78,7 +78,7 @@ func shardSplit(b *binning.Binned, cuts []int, rng *rand.Rand) ([]binning.CodeSo
 		lo, hi := cuts[i], cuts[i+1]
 		sub := make([][]uint16, b.NumCols())
 		for c := range sub {
-			sub[c] = b.Codes[c][lo:hi]
+			sub[c] = b.Source().(binning.MemCodes)[c][lo:hi]
 		}
 		srcs = append(srcs, &shardMemSource{codes: sub, blockRows: 1 + rng.Intn(50)})
 		counts = append(counts, hi-lo)
@@ -289,10 +289,7 @@ func FuzzStratifiedReservoir(f *testing.F) {
 func shardTwin(tb testing.TB, n int, seed int64) *binning.Binned {
 	tb.Helper()
 	b := sampleTestBinned(tb, n, seed)
-	if err := b.AttachStore(&shardMemSource{codes: b.Codes, blockRows: n}); err != nil {
-		tb.Fatal(err)
-	}
-	if err := b.DropInlineCodes(); err != nil {
+	if err := b.AttachStore(&shardMemSource{codes: b.Source().(binning.MemCodes), blockRows: n}); err != nil {
 		tb.Fatal(err)
 	}
 	return b
@@ -367,7 +364,7 @@ func TestShardMergeSingleShard(t *testing.T) {
 	const n = 700
 	b := sampleTestBinned(t, n, 8)
 	cols := allCols(b)
-	cs := &shardMemSource{codes: slices.Clone(b.Codes), blockRows: 61}
+	cs := &shardMemSource{codes: slices.Clone(b.Source().(binning.MemCodes)), blockRows: 61}
 	for _, budget := range []int{25, 333} {
 		sum := shard.Scan(b, cs, 0, cols, budget, 23)
 		strata, cands := shard.MergeSummaries([]shard.Summary{sum}, b.NumItems())

@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"testing"
 
+	"subtab/internal/binning"
 	"subtab/internal/blockfile"
 	"subtab/internal/codestore"
 	"subtab/internal/colstore"
@@ -123,8 +124,8 @@ func TestLoadV9Fixtures(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.OutOfCore() != c.paged || m.CellsPaged() != c.paged {
-			t.Fatalf("%s: loaded with codes paged %v, cells paged %v", c.path, m.OutOfCore(), m.CellsPaged())
+		if m.OutOfCore() != c.paged || (m.CellSource() != nil) != c.paged {
+			t.Fatalf("%s: loaded with codes paged %v, cell source %T", c.path, m.OutOfCore(), m.CellSource())
 		}
 		assertSameSelections(t, fresh, m)
 		if !reflect.DeepEqual(fresh.BinCountsData(), m.BinCountsData()) || m.AppendedSinceRebin() != 20 {
@@ -132,7 +133,7 @@ func TestLoadV9Fixtures(t *testing.T) {
 		}
 		if !c.paged {
 			assertSameTable(t, fresh.T, m.T)
-			if !reflect.DeepEqual(fresh.B.Codes, m.B.Codes) {
+			if !reflect.DeepEqual(fresh.B.Source().(binning.MemCodes), m.B.Source().(binning.MemCodes)) {
 				t.Fatalf("%s: bin codes differ from a fresh build's", c.path)
 			}
 		}

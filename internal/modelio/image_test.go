@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"subtab/internal/binning"
 	"subtab/internal/codestore"
 	"subtab/internal/colstore"
 	"subtab/internal/core"
@@ -57,7 +58,7 @@ func TestResidentModelEmbedsStoreImages(t *testing.T) {
 	dir := t.TempDir()
 	for _, write := range []func(path string) error{
 		func(path string) error { return m.ExportCodeStore(path, 0) },
-		func(path string) error { return codestore.WriteFile(path, m.B.Codes, 0) },
+		func(path string) error { return codestore.WriteFile(path, m.B.Source().(binning.MemCodes), 0) },
 		func(path string) error { return colstore.WriteTable(path, m.T, 0) },
 	} {
 		path := filepath.Join(dir, "store")
@@ -81,7 +82,7 @@ func TestResidentModelEmbedsStoreImages(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameTable(t, m.T, loaded.T)
-	if !reflect.DeepEqual(m.B.Codes, loaded.B.Codes) {
+	if !reflect.DeepEqual(m.B.Source().(binning.MemCodes), loaded.B.Source().(binning.MemCodes)) {
 		t.Fatal("bin codes diverged after reload")
 	}
 }
@@ -130,7 +131,7 @@ func TestCellsRoundTripExactly(t *testing.T) {
 	if got := loaded.T.ColumnAt(0).Nums[0]; !math.Signbit(got) || got != 0 {
 		t.Fatalf("negative zero came back as %v", got)
 	}
-	if !reflect.DeepEqual(m.B.Codes, loaded.B.Codes) {
+	if !reflect.DeepEqual(m.B.Source().(binning.MemCodes), loaded.B.Source().(binning.MemCodes)) {
 		t.Fatal("bin codes diverged after reload")
 	}
 }

@@ -17,7 +17,8 @@
 // The codes and cells sections each hold, behind a flag byte, either the
 // length of a store image that follows the header or a shard map of
 // row-range shard files beside the model (base name, row count, block size
-// and identity checksum per shard). An image is byte for byte the file the
+// and identity checksum per shard) — both the same kind, since a table's
+// codes and cells page together. An image is byte for byte the file the
 // paged stores write — package codestore's for the bin codes (1, 2, 4, 8
 // or 16 bits per code, the fewest that hold the column's bins) and package
 // colstore's for the displayed cells (each column in its narrowest exact
@@ -31,7 +32,7 @@
 // opens both images in place at their offsets. The residency byte, which
 // Save takes as an argument, says what happens next: a Paged model serves
 // its codes and cells from that mapping, and a Resident model copies them
-// into an in-memory table and inline codes, after which the mapping goes.
+// into an in-memory table and MemCodes, after which the mapping goes.
 //
 // Everything Select/SelectQuery needs is round-tripped — including the item
 // vectors and the precomputed column-affinity matrix — so a loaded model
@@ -109,10 +110,10 @@ const (
 	Paged Residency = 1
 )
 
-// ResidencyOf is the residency m is in: Paged when it is unsharded and its
-// codes or its cells are served from a store, else Resident.
+// ResidencyOf is the residency m is in: Paged when it is unsharded and
+// served from stores, else Resident.
 func ResidencyOf(m *core.Model) Residency {
-	if m.ShardSource() == nil && (m.OutOfCore() || m.CellsPaged()) {
+	if m.ShardSource() == nil && m.OutOfCore() {
 		return Paged
 	}
 	return Resident
@@ -285,6 +286,11 @@ func readHeader(reg *blockfile.Region) (*header, error) {
 	}
 	hd.codeSec = readSection(d, codeFlags, "code", hd.t)
 	hd.cellSec = readSection(d, cellFlags, "cell", hd.t)
+	if d.err == nil && (hd.codeSec.image == nil) != (hd.cellSec.image == nil) {
+		// A table's codes and cells page together: Save writes both as
+		// images or both as shard maps.
+		d.fail("the codes and cells sections use different variants")
+	}
 	if d.err != nil {
 		return nil, d.err
 	}
@@ -342,7 +348,7 @@ func load(reg *blockfile.Region, dir string, lopt LoadOptions) (_ *core.Model, e
 	// checks every page, copies them — the cells turning the schema husk
 	// into the resident table — and closes them.
 	t := hd.t
-	var codes [][]uint16
+	var codes binning.CodeSource
 	var codeStore *codestore.Store
 	var cellStore *colstore.Store
 	if img := hd.codeSec.image; img != nil {
@@ -350,6 +356,7 @@ func load(reg *blockfile.Region, dir string, lopt LoadOptions) (_ *core.Model, e
 			return nil, imageError("codes", err)
 		}
 		opened = append(opened, codeStore)
+		codes = codeStore
 		if codeStore.NumRows() != t.NumRows() || codeStore.NumCols() != len(hd.cols) {
 			return nil, fmt.Errorf("%w: codes image is %dx%d, table is %dx%d", ErrCorrupt, codeStore.NumRows(), codeStore.NumCols(), t.NumRows(), len(hd.cols))
 		}
@@ -373,9 +380,8 @@ func load(reg *blockfile.Region, dir string, lopt LoadOptions) (_ *core.Model, e
 			if err := codeStore.Verify(); err != nil {
 				return nil, fmt.Errorf("%w: codes image: %v", ErrCorrupt, err)
 			}
-			codes = codeStore.Columns()
+			codes = binning.MemCodes(codeStore.Columns())
 			codeStore.Close()
-			codeStore = nil
 		}
 		if cellStore != nil {
 			if err := cellStore.Verify(); err != nil {
@@ -389,13 +395,10 @@ func load(reg *blockfile.Region, dir string, lopt LoadOptions) (_ *core.Model, e
 		}
 	}
 	// Assemble the binned representation only after the model file itself
-	// verified: copied codes restore directly; a mapped image or a shard
-	// map (every shard opened beside the model and its identity checksum
-	// checked, or with AllowMissingShards the shards that are here) attach
-	// as the store.
-	var b *binning.Binned
-	switch {
-	case hd.codeSec.shards != nil:
+	// verified, over its code source: the copied codes, the mapped image, or
+	// a shard map (every shard opened beside the model and its identity
+	// checksum checked, or with AllowMissingShards the shards that are here).
+	if hd.codeSec.shards != nil {
 		if dir == "" {
 			return nil, fmt.Errorf("modelio: model references a %d-shard code store; load with LoadFile", len(hd.codeSec.shards))
 		}
@@ -404,27 +407,17 @@ func load(reg *blockfile.Region, dir string, lopt LoadOptions) (_ *core.Model, e
 			return nil, fmt.Errorf("modelio: opening sharded code store: %w", err)
 		}
 		opened = append(opened, src)
-		if b, err = binning.RestoreWithStore(t, hd.cols, src); err != nil {
-			return nil, fmt.Errorf("%w: attaching sharded code store: %v", ErrCorrupt, err)
-		}
-	case codeStore != nil:
-		if b, err = binning.RestoreWithStore(t, hd.cols, codeStore); err != nil {
-			return nil, fmt.Errorf("%w: attaching code store: %v", ErrCorrupt, err)
-		}
-	default:
-		if b, err = binning.Restore(t, hd.cols, codes); err != nil {
-			return nil, fmt.Errorf("%w: rebuilding binned representation: %v", ErrCorrupt, err)
-		}
+		codes = src
+	}
+	b, err := binning.Restore(t, hd.cols, codes)
+	if err != nil {
+		return nil, fmt.Errorf("%w: rebuilding binned representation: %v", ErrCorrupt, err)
 	}
 	m, err := core.Restore(t, b, hd.emb, hd.opt, hd.aff)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	if hd.counts != nil {
-		if err := m.SeedBinCounts(hd.counts); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-	}
+	m.SeedBinCounts(hd.counts)
 	if err := m.SetAppendedSinceRebin(hd.appended); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
@@ -648,17 +641,18 @@ func pagedSection(dst io.Writer, src any, what string) (outSection, error) {
 	}}, nil
 }
 
-// codesSection is the codes section of m: its inline codes encoded as a
+// codesSection is the codes section of m: its resident codes encoded as a
 // code store image streamed into dst, or its paged source's.
 func codesSection(dst io.Writer, m *core.Model) (outSection, error) {
-	if !m.B.HasInlineCodes() {
+	mem, ok := m.B.Source().(binning.MemCodes)
+	if !ok {
 		return pagedSection(dst, m.B.Source(), "code")
 	}
 	w, err := codestore.CreateIn(dst, m.B.NumBins(), m.T.NumRows(), 0)
 	if err != nil {
 		return outSection{}, fmt.Errorf("modelio: encoding bin codes: %w", err)
 	}
-	return imageSection(w.Writer, func() error { return w.AppendColumns(m.B.Codes) }), nil
+	return imageSection(w.Writer, func() error { return w.AppendColumns(mem) }), nil
 }
 
 // cellsSection is the cells section of m: its resident table's cells
@@ -666,9 +660,6 @@ func codesSection(dst io.Writer, m *core.Model) (outSection, error) {
 func cellsSection(dst io.Writer, m *core.Model) (outSection, error) {
 	if src := m.CellSource(); src != nil {
 		return pagedSection(dst, src, "cell")
-	}
-	if !m.T.CellsResident() {
-		return outSection{}, errors.New("modelio: table cells are paged but the model has no cell source")
 	}
 	w, err := colstore.CreateIn(dst, m.T, 0)
 	if err != nil {

@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"testing"
 
+	"subtab/internal/binning"
 	"subtab/internal/core"
 	"subtab/internal/query"
 	"subtab/internal/table"
@@ -144,7 +145,7 @@ func TestRoundTripInternals(t *testing.T) {
 		t.Fatal("column-affinity matrix diverged after reload")
 	}
 	for c := 0; c < m.T.NumCols(); c++ {
-		if !reflect.DeepEqual(m.B.Codes[c], loaded.B.Codes[c]) {
+		if !reflect.DeepEqual(m.B.Source().(binning.MemCodes)[c], loaded.B.Source().(binning.MemCodes)[c]) {
 			t.Fatalf("bin codes of column %d diverged", c)
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"subtab/internal/binning"
 	"subtab/internal/blockfile"
 	"subtab/internal/codestore"
 	"subtab/internal/colstore"
@@ -74,7 +75,7 @@ func TestPagedFileLayout(t *testing.T) {
 	}
 	raw := pagedBytes(t, m)
 	for _, write := range []func(string) error{
-		func(path string) error { return codestore.WriteFile(path, m.B.Codes, 0) },
+		func(path string) error { return codestore.WriteFile(path, m.B.Source().(binning.MemCodes), 0) },
 		func(path string) error { return colstore.WriteTable(path, m.T, 0) },
 	} {
 		path := filepath.Join(dir, "store")
@@ -100,7 +101,7 @@ func TestPagedFileLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !loaded.OutOfCore() || !loaded.CellsPaged() || ResidencyOf(loaded) != Paged {
+	if !loaded.OutOfCore() || loaded.CellSource() == nil || ResidencyOf(loaded) != Paged {
 		t.Fatal("a Paged file loaded with resident codes or cells")
 	}
 	if maps, err := os.ReadFile("/proc/self/maps"); err == nil {

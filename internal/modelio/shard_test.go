@@ -11,14 +11,16 @@ import (
 	"strings"
 	"testing"
 
+	"subtab/internal/binning"
 	"subtab/internal/blockfile"
+	"subtab/internal/colstore"
 	"subtab/internal/core"
 	"subtab/internal/shard"
 	"subtab/internal/word2vec"
 )
 
-// shardedModel builds a model, splits its codes into three shard files
-// under dir and returns it shard-backed with its cells resident.
+// shardedModel builds a model and pages it out to three code and three
+// column shard files under dir.
 func shardedModel(t *testing.T, dir string) *core.Model {
 	t.Helper()
 	opt := core.Default()
@@ -29,30 +31,13 @@ func shardedModel(t *testing.T, dir string) *core.Model {
 	if err != nil {
 		t.Fatal(err)
 	}
-	paths := make([]string, 3)
-	for i := range paths {
-		paths[i] = filepath.Join(dir, fmt.Sprintf("mixed.codes.%03d", i))
+	var codes, cells []string
+	for i := 0; i < 3; i++ {
+		codes = append(codes, filepath.Join(dir, fmt.Sprintf("mixed.codes.%03d", i)))
+		cells = append(cells, filepath.Join(dir, fmt.Sprintf("mixed.cols.%03d", i)))
 	}
 	// 61 rows/block: 400 rows split three ways is block-unaligned everywhere.
-	sink, err := shard.NewSplitSink(paths, []int{0, 133, 266, 400}, m.B.NumBins(), 61)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.B.ExportCodes(sink, 0); err != nil {
-		t.Fatal(err)
-	}
-	sm, err := sink.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := shard.Open(dir, sm, m.T.NumCols(), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.B.AttachStore(src); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.B.DropInlineCodes(); err != nil {
+	if err := m.PageOut(codes, cells, true, 61); err != nil {
 		t.Fatal(err)
 	}
 	return m
@@ -224,6 +209,62 @@ func TestShardMapRejectsBadEntries(t *testing.T) {
 		err := load(resealModel(crafted))
 		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "shard entry 1") {
 			t.Errorf("descriptor %+v: err = %v, want ErrCorrupt for shard entry 1", bad, err)
+		}
+	}
+}
+
+// TestMixedSectionVariantsRefused pins that a table's codes and cells page
+// together on disk too: a model file whose codes section is a store image
+// and whose cells section is a shard map, or the reverse, fails to load
+// with ErrCorrupt in either residency. The files are what a splice of a
+// paged and a sharded file would hold, built here by saving a sharded
+// model after pointing one of its two sources elsewhere.
+func TestMixedSectionVariantsRefused(t *testing.T) {
+	var dir string
+	for _, c := range []struct {
+		name  string
+		remix func(m *core.Model) error
+	}{
+		{"codes image, cells shards", func(m *core.Model) error {
+			codes, err := m.B.MaterializedCodes()
+			if err != nil {
+				return err
+			}
+			return m.B.AttachStore(binning.MemCodes(codes))
+		}},
+		{"codes shards, cells image", func(m *core.Model) error {
+			t, err := m.CellSource().(*shard.Cells).MaterializeTable(m.T.Name)
+			if err != nil {
+				return err
+			}
+			path := filepath.Join(dir, "whole.cols")
+			if err := colstore.WriteTable(path, t, 0); err != nil {
+				return err
+			}
+			st, err := colstore.Open(path)
+			if err != nil {
+				return err
+			}
+			return m.AttachColumnStore(st)
+		}},
+	} {
+		dir = t.TempDir()
+		m := shardedModel(t, dir)
+		if err := c.remix(m); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []Residency{Resident, Paged} {
+			var buf bytes.Buffer
+			if err := Save(&buf, m, r); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, "mixed.subtab")
+			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := LoadFile(path); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "different variants") {
+				t.Errorf("%s, residency %d: load = %v, want ErrCorrupt", c.name, r, err)
+			}
 		}
 	}
 }

@@ -19,8 +19,8 @@ import (
 // ErrCellsPaged is returned when predicate evaluation is asked to run over a
 // schema husk — a table whose cell payloads were dropped in favour of an
 // external column store. Evaluating predicates there would index nil column
-// slices; callers on paged tables must use the code-level streaming
-// evaluator (binning.CompileFilter) instead of the resident-cell path.
+// slices; callers on paged tables use the code-level streaming evaluator
+// (binning.CompileFilter), or evaluate over a materialized resident copy.
 var ErrCellsPaged = errors.New("query: table cells are paged (schema husk); use the streaming code-level evaluator")
 
 // Op is a comparison operator for selection predicates.

@@ -223,7 +223,7 @@ func bruteForceItemsets(b *binning.Binned, minCount, maxSize int) map[string]int
 				for r := 0; r < n; r++ {
 					ok := true
 					for i, c := range cols {
-						if int(b.Codes[c][r]) != choices[i] {
+						if int(b.Code(c, r)) != choices[i] {
 							ok = false
 							break
 						}
@@ -353,7 +353,7 @@ func TestTargetColumns(t *testing.T) {
 		var bin = -1
 		ok := true
 		r.Tuples.ForEach(func(row int) bool {
-			bcode := int(b.Codes[cancIdx][row])
+			bcode := int(b.Code(cancIdx, row))
 			if bin == -1 {
 				bin = bcode
 			} else if bin != bcode {

@@ -13,8 +13,8 @@ import (
 	"subtab/internal/table"
 )
 
-// failingCells is a cell source whose every gather fails — a column store
-// whose page checksum no longer verifies.
+// failingCells is a cell source whose every gather and materialization
+// fails — a column store whose page checksum no longer verifies.
 type failingCells struct{ t *table.Table }
 
 var errBadPage = errors.New("colstore: page 3 checksum mismatch")
@@ -23,6 +23,9 @@ func (f failingCells) NumRows() int                             { return f.t.Num
 func (f failingCells) NumCols() int                             { return f.t.NumCols() }
 func (f failingCells) ColumnName(c int) string                  { return f.t.ColumnAt(c).Name }
 func (f failingCells) GatherCells(int, []int) ([]string, error) { return nil, errBadPage }
+func (f failingCells) MaterializeTable(string) (*table.Table, error) {
+	return nil, errBadPage
+}
 
 // TestSelectErrorClasses pins whose fault a failed select is. A refusal, a
 // malformed spec and an empty match are the request's: 400 bad_request, as
@@ -54,17 +57,20 @@ func TestSelectErrorClasses(t *testing.T) {
 	var info SessionInfo
 	doJSON(t, "POST", srv.URL+"/v1/sessions", map[string]any{"table": "cells"}, http.StatusCreated, &info)
 	wantEnvelope(t, "POST", srv.URL+"/v1/sessions/"+info.Session+"/select", map[string]any{"k": 4, "l": 2}, http.StatusInternalServerError, "internal")
-	// A residual predicate reads cells through the same source mid-scan.
+	// A residual predicate reads cells through the same source mid-scan,
+	// and a group-by materializes them.
 	_, err = svc.Select("cells", core.ExploreSpec{K: 4, L: 2, Where: []query.Predicate{{Col: "num", Op: query.Lt, Num: 11.5}}})
 	if err == nil || errors.Is(err, ErrBadRequest) || !errors.Is(err, errBadPage) {
 		t.Fatalf("residual gather failure: %v; want the gather failure, not a bad request", err)
 	}
+	groupBy := map[string]any{"group_by": []string{"cat"}, "aggs": []map[string]any{{"func": "count"}}}
+	wantEnvelope(t, "POST", srv.URL+"/v1/tables/cells/select", map[string]any{"k": 4, "l": 2, "query": groupBy}, http.StatusInternalServerError, "internal")
 
 	// The request's own faults on the same table stay 400s.
 	for name, body := range map[string]map[string]any{
-		"unknown target": {"k": 4, "l": 2, "targets": []string{"nope"}},
-		"empty match":    {"k": 4, "l": 2, "query": map[string]any{"where": []map[string]any{{"col": "num", "op": "missing"}}}},
-		"group-by paged": {"k": 4, "l": 2, "query": map[string]any{"group_by": []string{"cat"}, "aggs": []map[string]any{{"func": "count"}}}},
+		"unknown target":   {"k": 4, "l": 2, "targets": []string{"nope"}},
+		"empty match":      {"k": 4, "l": 2, "query": map[string]any{"where": []map[string]any{{"col": "num", "op": "missing"}}}},
+		"unknown group-by": {"k": 4, "l": 2, "query": map[string]any{"group_by": []string{"nope"}, "aggs": []map[string]any{{"func": "count"}}}},
 	} {
 		if env, _ := wantEnvelope(t, "POST", srv.URL+"/v1/tables/cells/select", body, http.StatusBadRequest, "bad_request"); env.Message == "" {
 			t.Fatalf("%s: empty 400 message", name)

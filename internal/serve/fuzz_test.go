@@ -3,8 +3,10 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -16,7 +18,11 @@ import (
 // handler on a small resident table, without a listener. Whatever the
 // bytes, the handler must not panic or answer 5xx, and every non-2xx
 // answer must be the typed error envelope. A body carrying a negative
-// session weight must answer the bad_request envelope.
+// session weight must answer the bad_request envelope. Every table-select
+// body also goes to a paged copy of the table in a disk-backed store: a
+// select is a function of (table, spec) on every layout, so both answer
+// the same status and, on 200, the same rows, columns, cells and rule
+// labels.
 //
 //	go test -run '^$' -fuzz=FuzzV1Body -fuzztime=10s ./internal/serve/
 func FuzzV1Body(f *testing.F) {
@@ -43,23 +49,31 @@ func FuzzV1Body(f *testing.F) {
 		{1, `{"k":`},
 		{0, `{"k":65536,"l":1,"scale":{"threshold":1,"sample_budget":1000000000,"batch_size":1000000000,"max_iter":1000000000}}`},
 		{2, `{"row":3,"k":256,"l":256,"scale":{"threshold":1,"batch_size":1000000000}}`},
+		{0, `{"k":4,"l":2,"query":{"group_by":["status","region"],"aggs":[{"func":"count"},{"func":"avg","col":"amount"}]}}`},
+		{0, `{"k":4,"l":3,"query":{"select":["amount","status","region"],"order_by":"amount","asc":true,"limit":60}}`},
+		{0, `{"k":3,"l":2,"query":{"select":["region","amount"],"order_by":"amount"},"scale":{"threshold":1,"sample_budget":32}}`},
 	} {
 		f.Add(seed.endpoint, []byte(seed.body))
 	}
-	tbl, err := table.ReadCSV("pay", strings.NewReader(testCSV(120)))
-	if err != nil {
-		f.Fatal(err)
+	handler := func(store *Store, l Layout) http.Handler {
+		tbl, err := table.ReadCSV("pay", strings.NewReader(testCSV(120)))
+		if err != nil {
+			f.Fatal(err)
+		}
+		svc := NewService(store, testOptions())
+		if _, err := svc.AddTable("pay", tbl, nil, l, false); err != nil {
+			f.Fatal(err)
+		}
+		return NewHandler(svc, nil)
 	}
-	svc := NewService(NewStore(StoreOptions{}), testOptions())
-	if _, err := svc.AddTable("pay", tbl, nil, Resident, false); err != nil {
-		f.Fatal(err)
-	}
-	h := NewHandler(svc, nil)
-	post := func(path string, body []byte) *httptest.ResponseRecorder {
+	h := handler(NewStore(StoreOptions{}), Resident)
+	paged := handler(NewStore(StoreOptions{Dir: f.TempDir()}), Paged)
+	postTo := func(h http.Handler, path string, body []byte) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
 		return rec
 	}
+	post := func(path string, body []byte) *httptest.ResponseRecorder { return postTo(h, path, body) }
 	rec := post("/v1/sessions", []byte(`{"table":"pay"}`))
 	var info SessionInfo
 	if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil || rec.Code != http.StatusCreated {
@@ -81,6 +95,11 @@ func FuzzV1Body(f *testing.F) {
 		if rec.Code >= 500 {
 			t.Fatalf("POST %s %q = %d: %s", path, body, rec.Code, rec.Body)
 		}
+		if path == paths[0] {
+			if err := sameSelect(rec, postTo(paged, path, body)); err != nil {
+				t.Fatalf("POST %s %q: resident and paged tables differ: %v", path, body, err)
+			}
+		}
 		var env errorEnvelope
 		var shape struct {
 			Weights *SessionWeights `json:"weights"`
@@ -99,4 +118,28 @@ func FuzzV1Body(f *testing.F) {
 			t.Fatalf("POST %s %q = %d without the error envelope: %s", path, body, rec.Code, rec.Body)
 		}
 	})
+}
+
+// sameSelect compares a table select's answers from the resident and the
+// paged table: the same status, and on 200 the same source rows, columns,
+// cells and rule labels.
+func sameSelect(resident, paged *httptest.ResponseRecorder) error {
+	if resident.Code != paged.Code {
+		return fmt.Errorf("status %d vs %d: %s / %s", resident.Code, paged.Code, resident.Body, paged.Body)
+	}
+	if resident.Code != http.StatusOK {
+		return nil
+	}
+	var a, b subTableResponse
+	if err := json.Unmarshal(resident.Body.Bytes(), &a); err != nil {
+		return err
+	}
+	if err := json.Unmarshal(paged.Body.Bytes(), &b); err != nil {
+		return err
+	}
+	if !reflect.DeepEqual(a.SourceRows, b.SourceRows) || !reflect.DeepEqual(a.Cols, b.Cols) ||
+		!reflect.DeepEqual(a.Cells, b.Cells) || !reflect.DeepEqual(a.RuleLabels, b.RuleLabels) {
+		return fmt.Errorf("%s\nvs\n%s", resident.Body, paged.Body)
+	}
+	return nil
 }

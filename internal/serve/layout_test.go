@@ -67,7 +67,7 @@ func TestLayoutLifecycle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if info.OutOfCore != (l != Resident) || info.PagedColumns != (l != Resident) || info.Shards != max(int(l), 0) || info.LocalShards != info.Shards {
+			if info.OutOfCore != (l != Resident) || info.Shards != max(int(l), 0) || info.LocalShards != info.Shards {
 				t.Fatalf("info = %+v for layout %d", info, l)
 			}
 			same(svc, "upload")

@@ -7,11 +7,13 @@ package serve
 
 import (
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 
 	"subtab/internal/core"
 	"subtab/internal/memgov"
+	"subtab/internal/query"
 )
 
 // governedModelBytes sums the store's accounted entry weights under its
@@ -205,6 +207,60 @@ func TestServiceAdmission(t *testing.T) {
 	}
 	if _, err := svc.Select("t", core.ExploreSpec{K: 5, L: 3}); err != nil {
 		t.Fatalf("select after the slot freed: %v", err)
+	}
+}
+
+// TestPagedGroupByAdmission drives a group-by on a paged table through
+// HTTP admission. Its reservation carries the resident copy of the cells
+// query.Apply runs over, so under a budget that admits the same table's
+// streaming select but not that copy it answers the 429 envelope with a
+// Retry-After header; under a larger budget it runs. Either way the
+// requests class settles back to zero.
+func TestPagedGroupByAdmission(t *testing.T) {
+	svc := NewService(NewStore(StoreOptions{Dir: t.TempDir()}), testOptions())
+	if _, err := svc.AddTable("t", testTable("t", 2000, 5), nil, Paged, false); err != nil {
+		t.Fatal(err)
+	}
+	m, err := svc.Model("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	groupBy := &query.Query{GroupBy: []string{"cat", "grp"}, Aggs: []query.Aggregate{{Func: query.Count}}}
+	streaming := &query.Query{Select: []string{"cat", "grp"}}
+	need, err := m.ReserveBytes(core.ExploreSpec{Query: groupBy, K: 4, L: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	light, err := m.ReserveBytes(core.ExploreSpec{Query: streaming, K: 4, L: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if light >= need {
+		t.Fatalf("the group-by reserves %d bytes, no more than the streaming select's %d", need, light)
+	}
+	g := memgov.New(need - 1)
+	svc.SetAdmission(g, 0)
+	srv := httptest.NewServer(NewHandler(svc, nil))
+	t.Cleanup(srv.Close)
+	url := srv.URL + "/v1/tables/t/select"
+	body := func(q map[string]any) map[string]any { return map[string]any{"k": 4, "l": 2, "query": q} }
+	groupByBody := body(map[string]any{"group_by": []string{"cat", "grp"}, "aggs": []map[string]any{{"func": "count"}}})
+	doJSON(t, "POST", url, body(map[string]any{"select": []string{"cat", "grp"}}), http.StatusOK, nil)
+	if _, hdr := wantEnvelope(t, "POST", url, groupByBody, http.StatusTooManyRequests, "overloaded"); hdr.Get("Retry-After") == "" {
+		t.Fatal("the 429 carries no Retry-After header")
+	}
+	if got := g.ClassBytes(memgov.ClassRequests); got != 0 {
+		t.Fatalf("ClassRequests = %d after the refusal, want 0", got)
+	}
+	g2 := memgov.New(need)
+	svc.SetAdmission(g2, 0)
+	var resp subTableResponse
+	doJSON(t, "POST", url, groupByBody, http.StatusOK, &resp)
+	if len(resp.SourceRows) != 4 || len(resp.Cols) != 2 {
+		t.Fatalf("admitted group-by answered %d rows x %v", len(resp.SourceRows), resp.Cols)
+	}
+	if got := g2.ClassBytes(memgov.ClassRequests); got != 0 {
+		t.Fatalf("ClassRequests = %d after the group-by, want 0", got)
 	}
 }
 

@@ -35,7 +35,7 @@ func TestAppendKeepsTableOutOfCore(t *testing.T) {
 		t.Fatalf("appended %d rows, want 12", stats.AppendedRows)
 	}
 	if !next.OutOfCore() {
-		t.Fatal("append regressed the table to inline codes")
+		t.Fatal("append regressed the table to resident codes")
 	}
 	if _, err := next.SelectExplore(core.ExploreSpec{K: 6, L: 3, Scale: scaleForce()}); err != nil {
 		t.Fatal(err)

@@ -49,9 +49,6 @@ func TestWorkerPanicFailsOnlyItsRequest(t *testing.T) {
 	if err := broken.B.AttachStore(failingPages{cs, armed}); err != nil {
 		t.Fatal(err)
 	}
-	if err := broken.B.DropInlineCodes(); err != nil {
-		t.Fatal(err)
-	}
 	armed.Store(true)
 	store := NewStore(StoreOptions{})
 	for name, m := range map[string]*core.Model{"broken": broken, "fine": buildModel(t, "fine", 300)} {

@@ -91,13 +91,10 @@ type TableInfo struct {
 	Rows    int      `json:"rows,omitempty"`
 	Cols    int      `json:"cols,omitempty"`
 	Columns []string `json:"columns,omitempty"`
-	// OutOfCore reports that the model's bin codes are served from an
-	// external code store rather than memory.
+	// OutOfCore reports that the model's bin codes and displayed cells are
+	// served from on-disk stores rather than memory: selections read code
+	// blocks and render by gathering only the selected rows' cell blocks.
 	OutOfCore bool `json:"out_of_core,omitempty"`
-	// PagedColumns reports that the model's raw displayed columns are served
-	// from an on-disk paged column store: selections render by gathering
-	// only the selected rows' blocks instead of holding every cell resident.
-	PagedColumns bool `json:"paged_columns,omitempty"`
 	// Shards is the shard count of a sharded table (0 otherwise);
 	// LocalShards counts how many of them this instance holds — fewer
 	// than Shards on a coordinator that samples the rest from peers.
@@ -234,7 +231,7 @@ func layoutOf(m *core.Model) Layout {
 // concurrent appends compose instead of losing rows. Rules mined over the
 // old rows stay cached on the old model only.
 //
-// Paged tables stay paged: Append materializes inline codes and cells to
+// Paged tables stay paged: Append materializes resident codes and cells to
 // build the successor, and the store persists it in the table's layout —
 // an unsharded successor into a new model file, renamed over the old one
 // and served from its mapping, a sharded one paged out again over the
@@ -317,7 +314,6 @@ func (s *Service) info(name string) TableInfo {
 	info.Cols = m.T.NumCols()
 	info.Columns = m.T.ColumnNames()
 	info.OutOfCore = m.OutOfCore()
-	info.PagedColumns = m.CellsPaged()
 	if src := m.ShardSource(); src != nil {
 		info.Shards = src.NumShards()
 		for i := 0; i < src.NumShards(); i++ {

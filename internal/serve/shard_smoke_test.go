@@ -171,7 +171,7 @@ func TestShardedSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fm.CellsPaged() {
+	if fm.CellSource() == nil {
 		t.Fatal("worker reload lost its paged cells")
 	}
 	if sc := fm.ShardCells(); sc == nil || sc.Complete() || !sc.ShardAvailable(2) || !sc.ShardAvailable(3) {

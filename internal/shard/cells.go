@@ -195,29 +195,21 @@ func (c *Cells) GatherViewCells(cols []int, rows []int) ([][]string, error) {
 	return out, nil
 }
 
-// MaterializeTable rebuilds the full typed table by concatenating every
-// shard store's rows — the whole-table escape hatch behind query evaluation
-// and incremental append. Every shard must be held locally (a coordinator
-// cannot materialize remote rows; the operations that need this are
-// rejected on coordinators before reaching here). Each shard store carries
-// the source column's complete dictionary, so categorical codes in the
-// concatenated table match the original table's exactly.
+// MaterializeTable rebuilds the full typed table from every shard store's
+// rows — the whole-table escape hatch behind query evaluation and
+// incremental append — decoding each shard straight into one allocation
+// (colstore.Concat). Every shard must be held locally (a coordinator cannot
+// materialize remote rows; the operations that need this are rejected on
+// coordinators before reaching here). Each shard store carries the source
+// column's complete dictionary, so categorical codes in the concatenated
+// table match the original table's exactly.
 func (c *Cells) MaterializeTable(name string) (*table.Table, error) {
 	if !c.Complete() {
 		return nil, fmt.Errorf("shard: materializing %q needs every column shard locally", name)
 	}
-	out, err := c.stores[0].MaterializeTable(name)
+	out, err := colstore.Concat(name, c.stores)
 	if err != nil {
 		return nil, fmt.Errorf("shard: materializing %q: %w", name, err)
-	}
-	for i := 1; i < len(c.stores); i++ {
-		part, err := c.stores[i].MaterializeTable(name)
-		if err != nil {
-			return nil, fmt.Errorf("shard: materializing %q: %w", name, err)
-		}
-		if out, err = out.AppendRows(part); err != nil {
-			return nil, fmt.Errorf("shard: materializing %q: %w", name, err)
-		}
 	}
 	return out, nil
 }

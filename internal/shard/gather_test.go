@@ -85,7 +85,7 @@ func TestGatherCodesContract(t *testing.T) {
 	}
 	blockEdges := []int{blockRows, 5 * blockRows, rows - 1}
 
-	inline := (&binning.Binned{Codes: codes}).Source()
+	inline := binning.MemCodes(codes)
 	checkGather(t, "inline", inline, codes, gatherRowLists(rng, all, blockEdges))
 
 	dir := t.TempDir()

@@ -81,9 +81,10 @@ func (d *Dict) Strings() []string {
 }
 
 // DictFromStrings rebuilds a dictionary from a dictionary page's strings:
-// string i gets code i, exactly reversing Strings.
+// string i gets code i, exactly reversing Strings. Both halves are sized
+// once, for every string.
 func DictFromStrings(strs []string) *Dict {
-	d := NewDict()
+	d := &Dict{strs: make([]string, 0, len(strs)), idx: make(map[string]int32, len(strs))}
 	for _, s := range strs {
 		d.Code(s)
 	}
