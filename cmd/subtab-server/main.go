@@ -14,9 +14,11 @@
 //
 //	subtab-server flights=testdata/flights.csv
 //
-// Out-of-core serving: upload with store=1 to serve a table's bin codes
-// and cells mmap'd from its cached model file (requires -cache-dir);
-// selections are byte-identical either way.
+// Out-of-core serving: with -cache-dir, every unsharded table is its one
+// cached model file, and its bin codes and cells are served mmap'd from it;
+// without it, tables stay in memory. The store=1 upload parameter of
+// earlier versions is accepted and changes nothing. Selections are
+// byte-identical either way.
 //
 // Memory governance: -memory-budget caps the process's governed resident
 // bytes — cached models, per-model vector and sample caches, coordinator
@@ -173,7 +175,7 @@ func preloadTables(svc *serve.Service, preload []string) error {
 		if err != nil {
 			return fmt.Errorf("preload %s: %w", name, err)
 		}
-		m, err := svc.AddTable(name, t, nil, serve.Resident, false)
+		m, err := svc.AddTable(name, t, nil, serve.Unsharded, false)
 		if err != nil {
 			return fmt.Errorf("preload %s: %w", name, err)
 		}

@@ -460,9 +460,10 @@ func (r resources) release() {
 // mapFile is mmapFile unless DisableMapping swapped in a failing stub.
 var mapFile = mmapFile
 
-// DisableMapping makes every later OpenRegion take the ReadAt access path
-// of non-unix builds until the returned func restores mapping: a test seam
-// for this package and those above it, not to be raced with opens.
+// DisableMapping makes every later OpenRegion and Map take the ReadAt
+// access path of non-unix builds until the returned func restores mapping:
+// a test seam for this package and those above it, not to be raced with
+// opens.
 func DisableMapping() (restore func()) {
 	old := mapFile
 	mapFile = func(*os.File, int64) ([]byte, error) { return nil, errors.ErrUnsupported }
@@ -473,6 +474,19 @@ func DisableMapping() (restore func()) {
 // supports it and falling back to file reads otherwise. The caller holds
 // one reference and drops it with Close.
 func OpenRegion(path string) (*Region, error) {
+	r, err := OpenUnmapped(path)
+	if err != nil {
+		return nil, err
+	}
+	defer r.Close()
+	return r.Map(), nil
+}
+
+// OpenUnmapped opens the file at path without mapping it: every read goes
+// through the file's handle (pread), so bytes read once do not stay
+// resident in the process. The caller holds one reference and drops it
+// with Close.
+func OpenUnmapped(path string) (*Region, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -483,13 +497,26 @@ func OpenRegion(path string) (*Region, error) {
 		return nil, err
 	}
 	r := &Region{ReaderAt: f, src: f, path: path, size: fi.Size()}
-	if data, err := mapFile(f, r.size); err == nil {
-		r.ReaderAt, r.data, r.src = bytes.NewReader(data), data, nil
-		f.Close()
-	}
 	r.refs.Store(1)
-	r.cleanup = runtime.AddCleanup(r, resources.release, resources{r.data, r.src})
+	r.cleanup = runtime.AddCleanup(r, resources.release, resources{f: f})
 	return r, nil
+}
+
+// Map returns a Region over the same bytes that stores read in place: r's
+// file memory-mapped where the platform supports it — the same file r
+// reads, even if its path was renamed over since — else r itself. The
+// caller holds one reference to the result and drops it with Close.
+func (r *Region) Map() *Region {
+	if r.src != nil {
+		if data, err := mapFile(r.src, r.size); err == nil {
+			m := &Region{ReaderAt: bytes.NewReader(data), data: data, path: r.path, size: r.size}
+			m.refs.Store(1)
+			m.cleanup = runtime.AddCleanup(m, resources.release, resources{data: data})
+			return m
+		}
+	}
+	r.refs.Add(1)
+	return r
 }
 
 // BytesRegion returns a Region over data, which stores opened in it read in

@@ -229,18 +229,6 @@ func OpenIn(r *blockfile.Region, off, size int64) (*Store, error) {
 	return &Store{f}, nil
 }
 
-// Columns decodes every column whole into fresh slices, one per column.
-func (s *Store) Columns() [][]uint16 {
-	out := make([][]uint16, s.NumCols())
-	for c := range out {
-		out[c] = make([]uint16, s.NumRows())
-		for blk := 0; blk < s.NumBlocks(); blk++ {
-			s.ColumnBlock(c, blk, out[c][blk*s.BlockRows():])
-		}
-	}
-	return out
-}
-
 // ColumnBlock decodes column c's codes for block blk into scratch
 // (grown as needed) and returns the decoded slice: packed codes unpack
 // there. Concurrent callers must pass distinct scratch.

@@ -158,6 +158,6 @@ func openPaged(dir string, codes *shard.Map, cells []shard.Desc, names []string,
 }
 
 // OutOfCore reports whether the model is paged: its codes, and with them
-// its cells, are served from stores (PageOut, or a paged or sharded model
+// its cells, are served from stores (PageOut, or any model loaded from its
 // file) rather than memory.
 func (m *Model) OutOfCore() bool { return m.B.Paged() }

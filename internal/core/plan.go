@@ -60,7 +60,7 @@ const (
 	sampleCovered sampleKind = "covered-biased" // per-call, covered strata deprioritized
 	sampleScatter sampleKind = "scatter"        // the installed shard sampler (local scans + peers)
 
-	vectorsFullCache vectorKind = "full-cache" // the model's full-table matrix (all columns, resident codes)
+	vectorsFullCache vectorKind = "full-cache" // the model's full-table matrix (all columns)
 	vectorsGather    vectorKind = "gather"     // computed per request for exactly the candidates
 
 	columnsPatternGroup columnKind = "pattern-group"
@@ -112,7 +112,7 @@ type caps struct {
 	rows    int
 	dim     int
 	bins    []binning.ColumnBins
-	paged   bool // codes and cells in stores: no full-table vector cache, and query.Apply runs over a copy
+	paged   bool // codes and cells in stores: query.Apply runs over a copy
 	remote  bool // sharded, and some shards are held by peers
 	sampler bool // a ShardSampler is installed
 	columns ColumnStrategy
@@ -363,11 +363,11 @@ func planSelect(spec ExploreSpec, c caps) (*plan, error) {
 		}
 	}
 
-	// Store-backed models never warm the n×dim full-table vector cache: it
-	// would resurrect the very footprint the code store exists to shed, so
-	// they gather per request instead (bit-identical vectors either way).
+	// A full-column plan reads the model's full-table vector matrix on every
+	// local layout; the cache holding it is governed by its bytes. Others
+	// gather per request (bit-identical vectors either way).
 	p.vectors, p.columns = vectorsGather, columnsPatternGroup
-	if p.allCols && !c.paged {
+	if p.allCols && !p.remote {
 		p.vectors = vectorsFullCache
 	}
 	if spec.ColBias != nil {
@@ -386,8 +386,9 @@ func planSelect(spec ExploreSpec, c caps) (*plan, error) {
 	// run either leg, so it reserves the larger: exact k-means over up to
 	// Threshold-1 candidates, or the sample. The estimate is deliberately
 	// on the reserve side of truth: pooled buffers ride inside it, and it is
-	// the only bound on the slab. A materialize on a paged table adds the
-	// resident copy of the cells query.Apply runs over.
+	// the only bound on the slab. A materialize adds query.Apply's working
+	// set (per row an id and 8 bytes a projected or key column, plus 8 KiB
+	// of allocator rounding an array) and a paged table's copy of its cells.
 	rows, dim := int64(c.rows), int64(c.dim)
 	if spec.Scope != nil {
 		rows = int64(len(spec.Scope))
@@ -401,8 +402,12 @@ func planSelect(spec ExploreSpec, c caps) (*plan, error) {
 			p.reserve = max(p.reserve, min(rows, int64(p.scale.Threshold)-1)*exactPerRow)
 		}
 	}
-	if p.rows == rowsMaterialize && c.paged {
-		p.reserve += copyBytes(c)
+	if p.rows == rowsMaterialize {
+		cols := int64(len(p.cols))
+		p.reserve += rows*(cols*8+8) + (cols+1)*8<<10
+		if c.paged {
+			p.reserve += copyBytes(c)
+		}
 	}
 	return p, nil
 }

@@ -38,8 +38,7 @@ var matrixLayouts = []struct {
 	name string
 	caps caps
 }{
-	{"resident", caps{}},
-	{"paged", caps{paged: true}},
+	{"local", caps{}},
 	{"remote+sampler", caps{paged: true, remote: true, sampler: true}},
 	{"remote-no-sampler", caps{paged: true, remote: true}},
 }
@@ -199,8 +198,9 @@ func TestPlanMatrix(t *testing.T) {
 // slab plus the candidate index, and a scaled plan whose filter or scope
 // can leave fewer candidates than the threshold the larger of that and the
 // exact reservation of Threshold-1 rows — and the sample budget default
-// comes from ScaleOptions, nowhere else. A materialize on a paged table
-// adds the resident copy of its cells, and only there.
+// comes from ScaleOptions, nowhere else. A materialize adds query.Apply's
+// working set on every layout, and on a paged table the resident copy of
+// its cells too.
 func TestPlanReserveBytes(t *testing.T) {
 	const exact = 16*4 + cluster.BytesPerPoint // per candidate, dim 16
 	c := caps{rows: 50_000, dim: 16, bins: matrixBins}
@@ -240,15 +240,18 @@ func TestPlanReserveBytes(t *testing.T) {
 
 	// matrixBins: x and y numeric, g categorical over a 2-string dictionary.
 	const copied = 50_000*(8+8+4+16) + 3*256 + 2*128
+	// Apply's working set: a row id and 8 bytes per projected or key column
+	// for every row, and each of those arrays' rounding.
+	const applyKey, applyProjected = 50_000*(8+8) + 2*8<<10, 50_000*(2*8+8) + 3*8<<10
 	groupBy := &query.Query{GroupBy: []string{"g"}, Aggs: []query.Aggregate{{Func: query.Count}}}
 	for _, tc := range []struct {
 		spec  ExploreSpec
 		paged bool
 		want  int64
 	}{
-		{ExploreSpec{Query: groupBy}, false, 50_000 * exact},
-		{ExploreSpec{Query: groupBy}, true, 50_000*exact + copied},
-		{ExploreSpec{Query: &query.Query{Select: []string{"x", "g"}, OrderBy: "x"}}, true, 50_000*exact + copied},
+		{ExploreSpec{Query: groupBy}, false, 50_000*exact + applyKey},
+		{ExploreSpec{Query: groupBy}, true, 50_000*exact + applyKey + copied},
+		{ExploreSpec{Query: &query.Query{Select: []string{"x", "g"}, OrderBy: "x"}}, true, 50_000*exact + applyProjected + copied},
 		{ExploreSpec{Query: &query.Query{Select: []string{"x", "g"}}}, true, 50_000 * exact},
 		{ExploreSpec{Where: where}, true, 50_000 * exact},
 	} {
@@ -332,7 +335,7 @@ func (s peerSampler) Sample(cols []int, budget int, preds []query.Predicate) ([]
 }
 
 // executionSweep builds one small real model per matrix layout, plus a
-// sharded one whose shards are all local (it plans as paged), and the
+// sharded one whose shards are all local (it plans as local), and the
 // request shapes and scale settings to run on them.
 func executionSweep(t *testing.T) (map[string]*Model, map[string]ExploreSpec, map[string]ScaleOptions) {
 	paged := filterTestModel(t)
@@ -425,11 +428,13 @@ func TestMaterializeMatchesResident(t *testing.T) {
 	}
 }
 
-// TestPagedCopyWithinReserve pins the reservation of a materialize on a
-// paged table: with the collector off, so TotalAlloc counts every byte,
-// building the resident copy query.Apply runs over allocates no more than
-// the copy's share of ReserveBytes — what the paged model reserves beyond
-// its resident twin for the same spec — single-store and sharded alike.
+// TestPagedCopyWithinReserve pins the reservation of a materialize: with
+// the collector off, so TotalAlloc counts every byte, what the row stage
+// allocates — query.Apply, and on a paged table first the resident copy
+// Apply runs over — stays within what the plan reserves for it, the
+// spec's ReserveBytes beyond that of the same spec without its query. It
+// holds on a resident model, on one mapped from its stores, and on a
+// sharded one.
 func TestPagedCopyWithinReserve(t *testing.T) {
 	resident, paged, sharded := filterTestModel(t), filterTestModel(t), filterTestModel(t)
 	pageOut(t, paged)
@@ -440,27 +445,33 @@ func TestPagedCopyWithinReserve(t *testing.T) {
 		{Select: []string{"AIRLINE", "DISTANCE", "TAXI_OUT"}, OrderBy: "DISTANCE"},
 	} {
 		spec := ExploreSpec{Query: q, K: 4, L: 3, Scale: &ScaleOptions{Threshold: 1, SampleBudget: 64}}
-		base, err := resident.ReserveBytes(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, m := range map[string]*Model{"paged": paged, "sharded": sharded} {
+		plain := spec
+		plain.Query = nil
+		for name, m := range map[string]*Model{"resident": resident, "paged": paged, "sharded": sharded} {
 			reserve, err := m.ReserveBytes(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
+			base, err := m.ReserveBytes(plain)
+			if err != nil {
+				t.Fatal(err)
+			}
 			var before, after runtime.MemStats
+			var rows []int
 			runtime.ReadMemStats(&before)
 			copied, err := m.residentTable()
+			if err == nil {
+				_, rows, err = q.Apply(copied)
+			}
 			runtime.ReadMemStats(&after)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if copied == m.T || copied.NumRows() != m.T.NumRows() {
-				t.Fatalf("%s: residentTable returned %d rows, the model's own table %v", name, copied.NumRows(), copied == m.T)
+			if (copied == m.T) != (name == "resident") || copied.NumRows() != m.T.NumRows() || len(rows) == 0 {
+				t.Fatalf("%s: Apply matched %d of %d rows, over the model's own table %v", name, len(rows), copied.NumRows(), copied == m.T)
 			}
 			if got, share := after.TotalAlloc-before.TotalAlloc, reserve-base; share <= 0 || got > uint64(share) {
-				t.Errorf("%s %s: the copy allocated %d bytes, the reservation holds %d for it", name, q, got, share)
+				t.Errorf("%s %s: the row stage allocated %d bytes, the reservation holds %d for it", name, q, got, share)
 			}
 		}
 	}

@@ -83,8 +83,8 @@ func (m *Model) sample(p *plan, rows rowSet, covered *bitset.Set) rowSet {
 // rowVectors is the vector-build stage: the candidates' tuple-vectors as one
 // matrix, plus its release. Full-column plans can read the model's
 // full-table matrix (a tuple-vector depends only on the column set): the
-// exact path builds it on first use — resident codes only, the plan's
-// full-cache variant — while the scaled path borrows it only when already
+// exact path builds it on first use — the plan's full-cache variant, on
+// every local layout — while the scaled path borrows it only when already
 // warm, because it never materializes vectors for rows the sample dropped
 // (the point of sampling before embedding lookup on million-row tables).
 // Everything else is computed per request by gatherTupleVectors — the same

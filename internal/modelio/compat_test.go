@@ -11,7 +11,6 @@ import (
 	"reflect"
 	"testing"
 
-	"subtab/internal/binning"
 	"subtab/internal/blockfile"
 	"subtab/internal/codestore"
 	"subtab/internal/colstore"
@@ -101,9 +100,9 @@ func imageVersions(t *testing.T, raw []byte) (codes, cells uint16) {
 }
 
 // TestLoadV9Fixtures pins the current format: the resident and paged
-// fixtures hold version 3 images, each loads in the residency it was saved
-// in and selects byte-identically to a fresh build, and re-saved it is the
-// fixture's bytes again.
+// fixtures hold version 3 images, each loads served from those images and
+// selects byte-identically to a fresh build, and re-saved in the residency
+// it records it is the fixture's bytes again.
 func TestLoadV9Fixtures(t *testing.T) {
 	fresh := fixtureModel(t)
 	for _, c := range []struct {
@@ -124,21 +123,17 @@ func TestLoadV9Fixtures(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.OutOfCore() != c.paged || (m.CellSource() != nil) != c.paged {
-			t.Fatalf("%s: loaded with codes paged %v, cell source %T", c.path, m.OutOfCore(), m.CellSource())
-		}
+		assertServes(t, fresh, m)
 		assertSameSelections(t, fresh, m)
 		if !reflect.DeepEqual(fresh.BinCountsData(), m.BinCountsData()) || m.AppendedSinceRebin() != 20 {
 			t.Fatalf("%s: bin counts or append lineage differ from a fresh build's", c.path)
 		}
-		if !c.paged {
-			assertSameTable(t, fresh.T, m.T)
-			if !reflect.DeepEqual(fresh.B.Source().(binning.MemCodes), m.B.Source().(binning.MemCodes)) {
-				t.Fatalf("%s: bin codes differ from a fresh build's", c.path)
-			}
+		residency := Resident
+		if c.paged {
+			residency = Paged
 		}
 		var buf bytes.Buffer
-		if err := Save(&buf, m, ResidencyOf(m)); err != nil {
+		if err := Save(&buf, m, residency); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(buf.Bytes(), raw) {

@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"subtab/internal/blockfile"
+	"subtab/internal/codestore"
+	"subtab/internal/colstore"
 	"subtab/internal/core"
 	"subtab/internal/table"
 	"subtab/internal/word2vec"
@@ -59,9 +61,13 @@ func fuzzModelBytes(tb testing.TB, r Residency) []byte {
 // cells included), the checked-in current fixtures, and the retired
 // version 7, 8 and 9 fixtures (the version 9 ones holding version 2
 // images), which must be refused; each truncated at section boundaries,
-// bit-flipped, version-skewed and poisoned, plus an empty/garbage stream.
-// The checked-in corpus under testdata/fuzz/FuzzLoad replays
-// known-interesting inputs on every plain `go test` run.
+// bit-flipped, version-skewed and poisoned, plus an empty/garbage stream,
+// and the paged fixture with one byte flipped inside its first code page
+// and, separately, inside its first cell page, which must fail with
+// ErrCorrupt. Whenever Load returns a model, every page of both its images
+// must pass Verify: a load checks them all before it serves any. The
+// checked-in corpus under testdata/fuzz/FuzzLoad replays known-interesting
+// inputs on every plain `go test` run.
 func FuzzLoad(f *testing.F) {
 	valids := [][]byte{fuzzModelBytes(f, Resident), fuzzModelBytes(f, Paged)}
 	for _, fixture := range []string{v7Fixture, v8ResidentFixture, v9V2ResidentFixture, v9V2PagedFixture, v9ResidentFixture, v9PagedFixture} {
@@ -70,6 +76,19 @@ func FuzzLoad(f *testing.F) {
 			f.Fatal(err)
 		}
 		valids = append(valids, raw)
+	}
+	paged, err := os.ReadFile(v9PagedFixture)
+	if err != nil {
+		f.Fatal(err)
+	}
+	codePages, cellPages := pageOffsets(f, paged)
+	for _, at := range []int64{codePages[0], cellPages[0]} {
+		flipped := bytes.Clone(paged)
+		flipped[at] ^= 0x01
+		if _, err := Load(bytes.NewReader(flipped)); !errors.Is(err, ErrCorrupt) {
+			f.Fatalf("the paged fixture with a page flipped at byte %d: err = %v, want ErrCorrupt", at, err)
+		}
+		f.Add(flipped)
 	}
 	f.Add([]byte{})
 	f.Add([]byte("SUBTABMD"))
@@ -124,6 +143,12 @@ func FuzzLoad(f *testing.F) {
 			// serving layer makes.
 			if m.T == nil || m.B == nil || m.Emb == nil {
 				t.Fatal("Load accepted an incomplete model")
+			}
+			if err := m.B.Source().(*codestore.Store).Verify(); err != nil {
+				t.Fatalf("Load accepted a damaged codes image: %v", err)
+			}
+			if err := m.CellSource().(*colstore.Store).Verify(); err != nil {
+				t.Fatalf("Load accepted a damaged cells image: %v", err)
 			}
 			var buf bytes.Buffer
 			if err := Save(&buf, m, ResidencyOf(m)); err != nil {

@@ -81,8 +81,27 @@ func TestResidentModelEmbedsStoreImages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameTable(t, m.T, loaded.T)
-	if !reflect.DeepEqual(m.B.Source().(binning.MemCodes), loaded.B.Source().(binning.MemCodes)) {
+	assertServes(t, m, loaded)
+}
+
+// assertServes fails unless loaded, a model served from its file's images,
+// holds exactly the cells and bin codes of the resident model m.
+func assertServes(t *testing.T, m, loaded *core.Model) {
+	t.Helper()
+	cells, ok := loaded.CellSource().(*colstore.Store)
+	if !ok || !loaded.OutOfCore() {
+		t.Fatalf("loaded model serves its cells from %T, paged %v; want its column store image", loaded.CellSource(), loaded.OutOfCore())
+	}
+	tab, err := cells.MaterializeTable(loaded.T.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameTable(t, m.T, tab)
+	codes, err := loaded.B.MaterializedCodes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual([][]uint16(m.B.Source().(binning.MemCodes)), codes) {
 		t.Fatal("bin codes diverged after reload")
 	}
 }
@@ -127,11 +146,9 @@ func TestCellsRoundTripExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameTable(t, m.T, loaded.T)
-	if got := loaded.T.ColumnAt(0).Nums[0]; !math.Signbit(got) || got != 0 {
-		t.Fatalf("negative zero came back as %v", got)
-	}
-	if !reflect.DeepEqual(m.B.Source().(binning.MemCodes), loaded.B.Source().(binning.MemCodes)) {
-		t.Fatal("bin codes diverged after reload")
+	assertServes(t, m, loaded)
+	got, err := loaded.CellSource().GatherCells(0, []int{0})
+	if err != nil || got[0] != "-0" {
+		t.Fatalf("negative zero came back as %q (%v)", got, err)
 	}
 }

@@ -28,11 +28,19 @@
 // refused as a version. Save streams the images: their lengths are known
 // before their first page, and a paged model's are copied verbatim.
 //
-// Load maps the file once (package blockfile's mmap-or-ReadAt Region) and
-// opens both images in place at their offsets. The residency byte, which
-// Save takes as an argument, says what happens next: a Paged model serves
-// its codes and cells from that mapping, and a Resident model copies them
-// into an in-memory table and MemCodes, after which the mapping goes.
+// A load copies neither image. It checks the trailing CRC-32C, which
+// covers the header sections and the zero alignment padding, then each
+// image's block-file framing (header, meta, per-page CRC index, footer
+// checksum, end magic) and every page against that index, so it rejects
+// damage anywhere in the file. LoadFile reads all of this through the
+// file's handle (pread), so checking leaves no page resident, then maps the
+// file once (package blockfile's mmap-or-ReadAt Region) and serves the
+// codes and cells from the images in place; Load serves them from the bytes
+// it read. The residency byte Save records (how the saved model held its
+// codes and cells) is validated and changes nothing: every loaded model is
+// paged. Load rejects damage with an error wrapping ErrCorrupt, unknown
+// magics with ErrBadMagic, and every file version but Version, or store
+// images of a store version but the current one, with ErrVersion.
 //
 // Everything Select/SelectQuery needs is round-tripped — including the item
 // vectors and the precomputed column-affinity matrix — so a loaded model
@@ -40,19 +48,6 @@
 // byte-identical selections (same seeds) to the model that was saved.
 // Cells come back exactly (negative zero included, dictionaries in code
 // order); a missing cell comes back missing, without a NaN's payload bits.
-//
-// Checksums split between the two layers. The trailing CRC-32C covers the
-// header sections and the alignment padding, which must be zero; each image
-// keeps its own block-file framing — header, meta, per-page CRC index,
-// footer checksum and end magic — which opening it checks without reading
-// its pages. A Resident load reads every page anyway and checks each
-// against the index (Verify), so it rejects damage anywhere in the file. A
-// Paged load keeps the integrity of a store file opened alone: framing at
-// load, per-page checksums on an explicit Verify; a whole-file checksum
-// would make every load read every byte, and a large table would no longer
-// page. Load rejects damage it sees with an error wrapping ErrCorrupt,
-// unknown magics with ErrBadMagic, and every file version but Version, or
-// store images of a store version but the current one, with ErrVersion.
 package modelio
 
 import (
@@ -82,9 +77,9 @@ import (
 // Load reads; every other version fails with ErrVersion. It must be bumped
 // whenever the layout of any serialized structure (including the Options
 // structs) changes, and a bump retires the files of the version before.
-// Version 9 keeps every unsharded model, paged or resident, as one file:
-// the header sections, a residency byte, then both store images at
-// 8-byte-aligned offsets outside the header's CRC.
+// Version 9 keeps every unsharded model as one file: the header sections,
+// a residency byte, then both store images at 8-byte-aligned offsets
+// outside the header's CRC.
 const Version uint16 = 9
 
 var magic = [8]byte{'S', 'U', 'B', 'T', 'A', 'B', 'M', 'D'}
@@ -98,15 +93,16 @@ var (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// Residency is how a loaded model holds an unsharded table's codes and
+// Residency is how a saved model held an unsharded table's codes and
 // cells. Save records it; a sharded model's stay in its shard files either
-// way, and is saved Resident.
+// way, and is saved Resident. A load serves every unsharded model from its
+// file's images whatever the byte says.
 type Residency uint8
 
 const (
-	// Resident models copy their codes and cells into memory on load.
+	// Resident models held their codes and cells in memory.
 	Resident Residency = 0
-	// Paged models serve them from the model file's mapping.
+	// Paged models served them from stores.
 	Paged Residency = 1
 )
 
@@ -209,9 +205,9 @@ type LoadOptions struct {
 	AllowMissingShards bool
 }
 
-// Load reads a model previously written by Save. It reads r whole: a
-// Paged model then serves its codes and cells from those bytes. A sharded
-// model needs the directory of its shard files: use LoadFile.
+// Load reads a model previously written by Save. It reads r whole and
+// serves the codes and cells from those bytes. A sharded model needs the
+// directory of its shard files: use LoadFile.
 func Load(r io.Reader) (*core.Model, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -220,20 +216,20 @@ func Load(r io.Reader) (*core.Model, error) {
 	return load(blockfile.BytesRegion(data), "", LoadOptions{})
 }
 
-// LoadFile reads a model from path, mapping the file. A shard map resolves
-// against the model file's directory.
+// LoadFile reads a model from path and serves its codes and cells from the
+// file's mapping. A shard map resolves against the model file's directory.
 func LoadFile(path string) (*core.Model, error) {
 	return LoadFileWith(path, LoadOptions{})
 }
 
 // LoadFileWith reads a model from path with explicit load options.
 func LoadFileWith(path string, lopt LoadOptions) (*core.Model, error) {
-	reg, err := blockfile.OpenRegion(path)
+	reg, err := blockfile.OpenUnmapped(path)
 	if err != nil {
 		return nil, err
 	}
-	// A Paged model's stores hold their own references to the mapping; a
-	// Resident or failed load leaves none, and this Close unmaps the file.
+	// The stores hold their own references to the mapping; this Close
+	// closes the handle the load read through.
 	defer reg.Close()
 	return load(reg, filepath.Dir(path), lopt)
 }
@@ -334,80 +330,47 @@ func load(reg *blockfile.Region, dir string, lopt LoadOptions) (_ *core.Model, e
 	if binary.LittleEndian.Uint32(crc[:]) != hd.crc {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
-	// Every store opened from here on is closed again when a later step
-	// fails, so a rejected model leaves no mapping behind.
-	var opened []io.Closer
+	// The sources open before the model assembles over them: the images,
+	// checked through reg — the file's handle, or the bytes Load read — and
+	// then served from the file's mapping; or a shard map's files beside the
+	// model, each checked against its identity checksum (with
+	// AllowMissingShards, the shards that are here). A rejected model closes
+	// them again, so it leaves no mapping behind.
+	t := hd.t
+	var codes binning.CodeSource
+	var cells table.CellSource
 	defer func() {
-		if err != nil {
-			for _, c := range opened {
+		for _, src := range []any{codes, cells} {
+			if c, ok := src.(io.Closer); ok && err != nil {
 				c.Close()
 			}
 		}
 	}()
-	// The images open in place. A Paged model serves them; a Resident one
-	// checks every page, copies them — the cells turning the schema husk
-	// into the resident table — and closes them.
-	t := hd.t
-	var codes binning.CodeSource
-	var codeStore *codestore.Store
-	var cellStore *colstore.Store
-	if img := hd.codeSec.image; img != nil {
-		if codeStore, err = codestore.OpenIn(reg, img.off, img.n); err != nil {
-			return nil, imageError("codes", err)
+	switch {
+	case hd.codeSec.image != nil:
+		if err := verifyImages(reg, hd); err != nil {
+			return nil, err
 		}
-		opened = append(opened, codeStore)
-		codes = codeStore
-		if codeStore.NumRows() != t.NumRows() || codeStore.NumCols() != len(hd.cols) {
-			return nil, fmt.Errorf("%w: codes image is %dx%d, table is %dx%d", ErrCorrupt, codeStore.NumRows(), codeStore.NumCols(), t.NumRows(), len(hd.cols))
+		served := reg.Map()
+		codeStore, cellStore, err := openImages(served, hd)
+		served.Close()
+		if err != nil {
+			return nil, err
 		}
-	}
-	if img := hd.cellSec.image; img != nil {
-		if cellStore, err = colstore.OpenIn(reg, img.off, img.n); err != nil {
-			return nil, imageError("cells", err)
-		}
-		opened = append(opened, cellStore)
-		if cellStore.NumRows() != t.NumRows() || cellStore.NumCols() != t.NumCols() {
-			return nil, fmt.Errorf("%w: cells image is %dx%d, table is %dx%d", ErrCorrupt, cellStore.NumRows(), cellStore.NumCols(), t.NumRows(), t.NumCols())
-		}
-		for c, col := range t.Columns() {
-			if cellStore.ColumnName(c) != col.Name || cellStore.ColumnKind(c) != col.Kind {
-				return nil, fmt.Errorf("%w: cells image column %d is %q, table has %q", ErrCorrupt, c, cellStore.ColumnName(c), col.Name)
-			}
-		}
-	}
-	if hd.residency == Resident {
-		if codeStore != nil {
-			if err := codeStore.Verify(); err != nil {
-				return nil, fmt.Errorf("%w: codes image: %v", ErrCorrupt, err)
-			}
-			codes = binning.MemCodes(codeStore.Columns())
-			codeStore.Close()
-		}
-		if cellStore != nil {
-			if err := cellStore.Verify(); err != nil {
-				return nil, fmt.Errorf("%w: cells image: %v", ErrCorrupt, err)
-			}
-			if t, err = cellStore.MaterializeTable(t.Name); err != nil {
-				return nil, fmt.Errorf("%w: cells image: %v", ErrCorrupt, err)
-			}
-			cellStore.Close()
-			cellStore = nil
-		}
-	}
-	// Assemble the binned representation only after the model file itself
-	// verified, over its code source: the copied codes, the mapped image, or
-	// a shard map (every shard opened beside the model and its identity
-	// checksum checked, or with AllowMissingShards the shards that are here).
-	if hd.codeSec.shards != nil {
-		if dir == "" {
-			return nil, fmt.Errorf("modelio: model references a %d-shard code store; load with LoadFile", len(hd.codeSec.shards))
-		}
+		codes, cells = codeStore, cellStore
+	case dir == "":
+		return nil, fmt.Errorf("modelio: model references a %d-shard store; load with LoadFile", len(hd.codeSec.shards))
+	default:
 		src, err := shard.Open(dir, &shard.Map{Shards: hd.codeSec.shards}, t.NumCols(), lopt.AllowMissingShards)
 		if err != nil {
 			return nil, fmt.Errorf("modelio: opening sharded code store: %w", err)
 		}
-		opened = append(opened, src)
 		codes = src
+		cellShards, err := shard.OpenCells(dir, hd.cellSec.shards, t.ColumnNames(), lopt.AllowMissingShards)
+		if err != nil {
+			return nil, fmt.Errorf("modelio: opening sharded column store: %w", err)
+		}
+		cells = cellShards
 	}
 	b, err := binning.Restore(t, hd.cols, codes)
 	if err != nil {
@@ -421,27 +384,63 @@ func load(reg *blockfile.Region, dir string, lopt LoadOptions) (_ *core.Model, e
 	if err := m.SetAppendedSinceRebin(hd.appended); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	// Paged raw columns attach last: the model is structurally whole, so
-	// geometry validation runs against the verified schema.
-	switch {
-	case hd.cellSec.shards != nil:
-		if dir == "" {
-			return nil, fmt.Errorf("modelio: model references a %d-shard column store; load with LoadFile", len(hd.cellSec.shards))
-		}
-		cells, err := shard.OpenCells(dir, hd.cellSec.shards, t.ColumnNames(), lopt.AllowMissingShards)
-		if err != nil {
-			return nil, fmt.Errorf("modelio: opening sharded column store: %w", err)
-		}
-		opened = append(opened, cells)
-		if err := m.AttachColumnStore(cells); err != nil {
-			return nil, fmt.Errorf("%w: attaching sharded column store: %v", ErrCorrupt, err)
-		}
-	case cellStore != nil:
-		if err := m.AttachColumnStore(cellStore); err != nil {
-			return nil, fmt.Errorf("%w: attaching column store: %v", ErrCorrupt, err)
-		}
+	// The cells attach last: the model is structurally whole, so geometry
+	// validation runs against the verified schema.
+	if err := m.AttachColumnStore(cells); err != nil {
+		return nil, fmt.Errorf("%w: attaching column store: %v", ErrCorrupt, err)
 	}
 	return m, nil
+}
+
+// openImages opens the codes and cells images hd places in reg and checks
+// their geometry against the schema hd decoded. Both are open, or on error
+// neither.
+func openImages(reg *blockfile.Region, hd *header) (*codestore.Store, *colstore.Store, error) {
+	codes, err := codestore.OpenIn(reg, hd.codeSec.image.off, hd.codeSec.image.n)
+	if err != nil {
+		return nil, nil, imageError("codes", err)
+	}
+	cells, err := colstore.OpenIn(reg, hd.cellSec.image.off, hd.cellSec.image.n)
+	if err != nil {
+		codes.Close()
+		return nil, nil, imageError("cells", err)
+	}
+	t := hd.t
+	switch {
+	case codes.NumRows() != t.NumRows() || codes.NumCols() != len(hd.cols):
+		err = fmt.Errorf("%w: codes image is %dx%d, table is %dx%d", ErrCorrupt, codes.NumRows(), codes.NumCols(), t.NumRows(), len(hd.cols))
+	case cells.NumRows() != t.NumRows() || cells.NumCols() != t.NumCols():
+		err = fmt.Errorf("%w: cells image is %dx%d, table is %dx%d", ErrCorrupt, cells.NumRows(), cells.NumCols(), t.NumRows(), t.NumCols())
+	}
+	for c, col := range t.Columns() {
+		if err == nil && (cells.ColumnName(c) != col.Name || cells.ColumnKind(c) != col.Kind) {
+			err = fmt.Errorf("%w: cells image column %d is %q, table has %q", ErrCorrupt, c, cells.ColumnName(c), col.Name)
+		}
+	}
+	if err != nil {
+		codes.Close()
+		cells.Close()
+		return nil, nil, err
+	}
+	return codes, cells, nil
+}
+
+// verifyImages checks every page of both images hd places in reg against
+// its recorded checksum, reading through reg.
+func verifyImages(reg *blockfile.Region, hd *header) error {
+	codes, cells, err := openImages(reg, hd)
+	if err != nil {
+		return err
+	}
+	defer codes.Close()
+	defer cells.Close()
+	if err := codes.Verify(); err != nil {
+		return fmt.Errorf("%w: codes image: %v", ErrCorrupt, err)
+	}
+	if err := cells.Verify(); err != nil {
+		return fmt.Errorf("%w: cells image: %v", ErrCorrupt, err)
+	}
+	return nil
 }
 
 // imageError is the error of a store image that failed to open: what

@@ -11,7 +11,6 @@ import (
 	"reflect"
 	"testing"
 
-	"subtab/internal/binning"
 	"subtab/internal/core"
 	"subtab/internal/query"
 	"subtab/internal/table"
@@ -144,18 +143,19 @@ func TestRoundTripInternals(t *testing.T) {
 	if !reflect.DeepEqual(m.AffinityMatrix(), loaded.AffinityMatrix()) {
 		t.Fatal("column-affinity matrix diverged after reload")
 	}
-	for c := 0; c < m.T.NumCols(); c++ {
-		if !reflect.DeepEqual(m.B.Source().(binning.MemCodes)[c], loaded.B.Source().(binning.MemCodes)[c]) {
-			t.Fatalf("bin codes of column %d diverged", c)
-		}
-	}
+	assertServes(t, m, loaded)
 	for item := 0; item < m.B.NumItems(); item++ {
 		if !reflect.DeepEqual(m.ItemVector(int32(item)), loaded.ItemVector(int32(item))) {
 			t.Fatalf("item vector %d diverged", item)
 		}
 	}
-	// A second save must be byte-identical (the codec is deterministic).
-	if !bytes.Equal(saveBytes(t, m), saveBytes(t, loaded)) {
+	// A second save in the same residency must be byte-identical (the codec
+	// is deterministic, and the images are copied verbatim).
+	var again bytes.Buffer
+	if err := Save(&again, loaded, ResidencyOf(m)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(saveBytes(t, m), again.Bytes()) {
 		t.Fatal("save → load → save is not byte-identical")
 	}
 }

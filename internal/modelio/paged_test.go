@@ -2,10 +2,12 @@ package modelio
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -127,11 +129,11 @@ func TestPagedFileLayout(t *testing.T) {
 	assertSameSelections(t, m, loaded)
 }
 
-// TestLoadFileAccessPaths runs LoadFile over both file shapes, resident
-// and paged, freshly saved and as the checked-in fixtures, on both of
+// TestLoadFileAccessPaths runs LoadFile over files saved in both
+// residencies, freshly saved and as the checked-in fixtures, on both of
 // blockfile's access paths: the mapping, and ReadAt through a section
 // reader at each image's offset, which every non-unix build takes. Each
-// loads, selects as its reference, and serves paged stores by the access
+// loads, selects as its reference, and serves its stores by the access
 // path in force; bit flips in a fresh file are rejected on both paths.
 func TestLoadFileAccessPaths(t *testing.T) {
 	m := testModel(t)
@@ -144,14 +146,13 @@ func TestLoadFileAccessPaths(t *testing.T) {
 	}
 	fixture := fixtureModel(t)
 	cases := []struct {
-		path  string
-		want  *core.Model
-		paged bool
+		path string
+		want *core.Model
 	}{
-		{filepath.Join(dir, "resident.subtab"), m, false},
-		{filepath.Join(dir, "paged.subtab"), m, true},
-		{v9ResidentFixture, fixture, false},
-		{v9PagedFixture, fixture, true},
+		{filepath.Join(dir, "resident.subtab"), m},
+		{filepath.Join(dir, "paged.subtab"), m},
+		{v9ResidentFixture, fixture},
+		{v9PagedFixture, fixture},
 	}
 	for _, mapped := range []bool{true, false} {
 		t.Run(map[bool]string{true: "mmap", false: "readat"}[mapped], func(t *testing.T) {
@@ -163,14 +164,9 @@ func TestLoadFileAccessPaths(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", c.path, err)
 				}
-				if ResidencyOf(loaded) != map[bool]Residency{false: Resident, true: Paged}[c.paged] {
-					t.Fatalf("%s: loaded in residency %d", c.path, ResidencyOf(loaded))
-				}
-				if c.paged {
-					cs := loaded.CellSource().(*colstore.Store)
-					if cs.Mapped() != mapped || loaded.B.Source().(*codestore.Store).Mapped() != mapped {
-						t.Fatalf("%s: stores mapped=%v, want %v", c.path, cs.Mapped(), mapped)
-					}
+				cs := loaded.CellSource().(*colstore.Store)
+				if cs.Mapped() != mapped || loaded.B.Source().(*codestore.Store).Mapped() != mapped {
+					t.Fatalf("%s: stores mapped=%v, want %v", c.path, cs.Mapped(), mapped)
 				}
 				assertSameSelections(t, c.want, loaded)
 			}
@@ -186,27 +182,13 @@ func TestLoadFileAccessPaths(t *testing.T) {
 					if err := os.WriteFile(path, corrupt, 0o644); err != nil {
 						t.Fatal(err)
 					}
-					loaded, err := LoadFile(path)
-					if err == nil && name == "paged.subtab" {
-						// A paged load checks the framing, not every page:
-						// a flip inside a page is for Verify to find.
-						err = verifyStores(loaded)
-					}
-					if err == nil {
+					if _, err := LoadFile(path); err == nil {
 						t.Fatalf("%s: flip at byte %d of %d loaded without error", name, pos, len(raw))
 					}
 				}
 			}
 		})
 	}
-}
-
-// verifyStores checks every page of a paged model's stores.
-func verifyStores(m *core.Model) error {
-	if err := m.B.Source().(*codestore.Store).Verify(); err != nil {
-		return err
-	}
-	return m.CellSource().(*colstore.Store).Verify()
 }
 
 // TestPagedModelReleasesItsMapping: once nothing references a paged model,
@@ -247,4 +229,71 @@ func awaitUnmapped(t *testing.T, path string) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("%s is still mapped after its model became unreachable", path)
+}
+
+// TestLoadRejectsDamagedPages flips one byte inside every page of both
+// images of a model file saved in each residency: LoadFile and Load refuse
+// every such file with ErrCorrupt before serving it, on both access paths.
+func TestLoadRejectsDamagedPages(t *testing.T) {
+	m := testModel(t)
+	dir := t.TempDir()
+	for _, r := range []Residency{Resident, Paged} {
+		var buf bytes.Buffer
+		if err := Save(&buf, m, r); err != nil {
+			t.Fatal(err)
+		}
+		raw := buf.Bytes()
+		codePages, cellPages := pageOffsets(t, raw)
+		if len(codePages) == 0 || len(cellPages) == 0 {
+			t.Fatal("the model file holds no code or no cell pages")
+		}
+		path := filepath.Join(dir, "flipped.subtab")
+		for _, mapped := range []bool{true, false} {
+			restore := func() {}
+			if !mapped {
+				restore = blockfile.DisableMapping()
+			}
+			for _, at := range slices.Concat(codePages, cellPages) {
+				corrupt := bytes.Clone(raw)
+				corrupt[at] ^= 0x01
+				if err := os.WriteFile(path, corrupt, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := LoadFile(path); !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("residency %d, mapped %v: a flip at byte %d loaded: err = %v, want ErrCorrupt", r, mapped, at, err)
+				}
+				if _, err := Load(bytes.NewReader(corrupt)); !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("residency %d: a flip at byte %d loaded from bytes: err = %v, want ErrCorrupt", r, at, err)
+				}
+			}
+			restore()
+		}
+	}
+}
+
+// pageOffsets returns the file offsets of the first byte of every data
+// page of the codes image and of the cells image inside the model file raw.
+func pageOffsets(tb testing.TB, raw []byte) (codes, cells []int64) {
+	tb.Helper()
+	reg := blockfile.BytesRegion(raw)
+	hd, err := readHeader(reg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	codeStore, cellStore, err := openImages(reg, hd)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pages := func(f *blockfile.File, base int64) []int64 {
+		var out []int64
+		for blk := 0; blk < f.NumBlocks(); blk++ {
+			for c := 0; c < f.NumCols(); c++ {
+				if f.Off(c+1, blk) > f.Off(c, blk) {
+					out = append(out, base+f.Off(c, blk))
+				}
+			}
+		}
+		return out
+	}
+	return pages(codeStore.File, hd.codeSec.image.off), pages(cellStore.File, hd.cellSec.image.off)
 }

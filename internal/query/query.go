@@ -301,54 +301,55 @@ func (q *Query) MatchingRows(t *table.Table) ([]int, error) {
 // source indices are the first member row of each group (the result rows are
 // synthesized aggregates, so rowIdx is a representative, not an identity).
 // Like MatchingRows, Apply refuses husk tables with ErrCellsPaged.
+//
+// Apply copies cells once: the projection shares t's columns, the sort and
+// the limit work on row ids, and the result gathers the kept rows in their
+// final order.
 func (q *Query) Apply(t *table.Table) (*table.Table, []int, error) {
 	rows, err := q.MatchingRows(t)
 	if err != nil {
 		return nil, nil, err
 	}
-
-	var res *table.Table
-	if len(q.GroupBy) > 0 {
-		res, rows, err = q.applyGroupBy(t, rows)
-		if err != nil {
+	// res holds the result's cells and keep its rows in result order; a
+	// group-by's res row g stands for source row first[g].
+	res, keep := t, rows
+	var first []int
+	switch {
+	case len(q.GroupBy) > 0:
+		if res, first, err = q.applyGroupBy(t, rows); err != nil {
 			return nil, nil, err
 		}
-	} else {
-		res = t.SelectRows(rows)
-		if len(q.Select) > 0 {
-			res, err = res.Project(q.Select)
-			if err != nil {
-				return nil, nil, err
-			}
+		keep = make([]int, len(first))
+		for g := range keep {
+			keep[g] = g
+		}
+	case len(q.Select) > 0:
+		if res, err = t.Project(q.Select); err != nil {
+			return nil, nil, err
 		}
 	}
-
 	if q.OrderBy != "" && res.Column(q.OrderBy) != nil {
-		perm, err := res.SortIndices(q.OrderBy, q.Asc)
-		if err != nil {
+		if err := res.SortRows(q.OrderBy, keep, q.Asc); err != nil {
 			return nil, nil, err
 		}
-		res = res.SelectRows(perm)
-		srcRows := make([]int, len(perm))
-		for i, p := range perm {
-			srcRows[i] = rows[p]
-		}
-		rows = srcRows
 	}
-
-	if q.Limit > 0 && q.Limit < res.NumRows() {
-		keep := make([]int, q.Limit)
-		for i := range keep {
-			keep[i] = i
-		}
-		res = res.SelectRows(keep)
-		rows = rows[:q.Limit]
+	if q.Limit > 0 && q.Limit < len(keep) {
+		keep = keep[:q.Limit]
 	}
-	return res, rows, nil
+	src := keep
+	if len(q.GroupBy) > 0 {
+		src = make([]int, len(keep))
+		for i, g := range keep {
+			src[i] = first[g]
+		}
+	}
+	return res.SelectRows(keep), src, nil
 }
 
 // applyGroupBy groups the selected rows by the GroupBy columns and computes
-// the aggregates per group.
+// the aggregates per group, returning one row per group in key order and
+// each group's first member row. It holds one group id per row, not the
+// groups' row lists: every aggregate is one pass over the rows.
 func (q *Query) applyGroupBy(t *table.Table, rows []int) (*table.Table, []int, error) {
 	keyCols := make([]*table.Column, len(q.GroupBy))
 	for i, name := range q.GroupBy {
@@ -358,49 +359,59 @@ func (q *Query) applyGroupBy(t *table.Table, rows []int) (*table.Table, []int, e
 		}
 		keyCols[i] = c
 	}
-	type group struct {
-		first int
-		rows  []int
-	}
-	groups := make(map[string]*group)
-	var order []string
-	for _, r := range rows {
-		var key strings.Builder
+	index := make(map[string]int)
+	var keys []string
+	var first []int
+	gid := make([]int32, len(rows))
+	var key []byte
+	for i, r := range rows {
+		key = key[:0]
 		for _, c := range keyCols {
-			key.WriteString(c.CellString(r))
-			key.WriteByte('\x00')
+			key = append(key, c.CellString(r)...)
+			key = append(key, 0)
 		}
-		k := key.String()
-		g, ok := groups[k]
+		g, ok := index[string(key)]
 		if !ok {
-			g = &group{first: r}
-			groups[k] = g
-			order = append(order, k)
+			g = len(keys)
+			index[string(key)] = g
+			keys = append(keys, string(key))
+			first = append(first, r)
 		}
-		g.rows = append(g.rows, r)
+		gid[i] = int32(g)
 	}
-	sort.Strings(order) // deterministic group order
+	// order lists the groups in key order (keys are distinct); rank is
+	// each group's place in it.
+	order := make([]int, len(keys))
+	for g := range order {
+		order[g] = g
+	}
+	sort.Slice(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
+	rank := make([]int32, len(keys))
+	firstRows := make([]int, len(keys))
+	for gi, g := range order {
+		rank[g] = int32(gi)
+		firstRows[gi] = first[g]
+	}
+	for i := range gid {
+		gid[i] = rank[gid[i]]
+	}
 
 	out := table.New(t.Name)
-	firstRows := make([]int, len(order))
 	// Key columns.
 	for i, name := range q.GroupBy {
 		src := keyCols[i]
 		if src.Kind == table.Numeric {
-			vals := make([]float64, len(order))
-			for gi, k := range order {
-				vals[gi] = src.Nums[groups[k].first]
+			vals := make([]float64, len(firstRows))
+			for gi, r := range firstRows {
+				vals[gi] = src.Nums[r]
 			}
 			if err := out.AddColumn(table.NewNumeric(name, vals)); err != nil {
 				return nil, nil, err
 			}
 		} else {
-			vals := make([]string, len(order))
-			for gi, k := range order {
-				r := groups[k].first
-				if src.Missing(r) {
-					vals[gi] = ""
-				} else {
+			vals := make([]string, len(firstRows))
+			for gi, r := range firstRows {
+				if !src.Missing(r) {
 					vals[gi] = src.Dict.String(src.Cats[r])
 				}
 			}
@@ -415,70 +426,76 @@ func (q *Query) applyGroupBy(t *table.Table, rows []int) (*table.Table, []int, e
 		if agg.Col != "" {
 			name += "_" + agg.Col
 		}
-		vals := make([]float64, len(order))
-		for gi, k := range order {
-			v, err := computeAgg(t, agg, groups[k].rows)
-			if err != nil {
-				return nil, nil, err
-			}
-			vals[gi] = v
+		vals, err := aggregate(t, agg, rows, gid, len(firstRows))
+		if err != nil {
+			return nil, nil, err
 		}
 		if err := out.AddColumn(table.NewNumeric(name, vals)); err != nil {
 			return nil, nil, err
 		}
 	}
-	for gi, k := range order {
-		firstRows[gi] = groups[k].first
-	}
 	return out, firstRows, nil
 }
 
-func computeAgg(t *table.Table, agg Aggregate, rows []int) (float64, error) {
+// aggregate computes agg for each of n groups, rows[i] belonging to group
+// gid[i]. Each group's cells are summed in row order; missing (NaN) cells
+// are skipped, and a group without a value reads NaN for mean, min and max.
+// A query with no groups computes nothing and fails nothing.
+func aggregate(t *table.Table, agg Aggregate, rows []int, gid []int32, n int) ([]float64, error) {
+	out := make([]float64, n)
+	if n == 0 {
+		return out, nil
+	}
 	if agg.Func == Count {
-		return float64(len(rows)), nil
+		for _, g := range gid {
+			out[g]++
+		}
+		return out, nil
 	}
 	c := t.Column(agg.Col)
-	if c == nil {
-		return 0, fmt.Errorf("query: unknown aggregate column %q", agg.Col)
+	switch {
+	case c == nil:
+		return nil, fmt.Errorf("query: unknown aggregate column %q", agg.Col)
+	case c.Kind != table.Numeric:
+		return nil, fmt.Errorf("query: aggregate %s over categorical column %q", agg.Func, agg.Col)
+	case agg.Func != Sum && agg.Func != Mean && agg.Func != Min && agg.Func != Max:
+		return nil, fmt.Errorf("query: unsupported aggregate %v", agg.Func)
 	}
-	if c.Kind != table.Numeric {
-		return 0, fmt.Errorf("query: aggregate %s over categorical column %q", agg.Func, agg.Col)
+	count := make([]int, n)
+	for g := range out {
+		switch agg.Func {
+		case Min:
+			out[g] = math.Inf(1)
+		case Max:
+			out[g] = math.Inf(-1)
+		}
 	}
-	sum, n := 0.0, 0
-	mn, mx := math.Inf(1), math.Inf(-1)
-	for _, r := range rows {
-		v := c.Nums[r]
+	for i, r := range rows {
+		v, g := c.Nums[r], gid[i]
 		if math.IsNaN(v) {
 			continue
 		}
-		sum += v
-		n++
-		if v < mn {
-			mn = v
-		}
-		if v > mx {
-			mx = v
+		count[g]++
+		switch agg.Func {
+		case Sum, Mean:
+			out[g] += v
+		case Min:
+			if v < out[g] {
+				out[g] = v
+			}
+		case Max:
+			if v > out[g] {
+				out[g] = v
+			}
 		}
 	}
-	switch agg.Func {
-	case Sum:
-		return sum, nil
-	case Mean:
-		if n == 0 {
-			return math.NaN(), nil
+	for g := range out {
+		switch {
+		case agg.Func == Mean && count[g] > 0:
+			out[g] /= float64(count[g])
+		case agg.Func != Sum && count[g] == 0:
+			out[g] = math.NaN()
 		}
-		return sum / float64(n), nil
-	case Min:
-		if n == 0 {
-			return math.NaN(), nil
-		}
-		return mn, nil
-	case Max:
-		if n == 0 {
-			return math.NaN(), nil
-		}
-		return mx, nil
-	default:
-		return 0, fmt.Errorf("query: unsupported aggregate %v", agg.Func)
 	}
+	return out, nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"strings"
 	"sync"
@@ -184,31 +185,59 @@ func TestHTTPOversizedBody(t *testing.T) {
 // TestHTTPAppendRacingSelect hammers the select endpoint while rows stream
 // in. Every response must succeed against a consistent model: selected
 // source rows always within the bounds of some generation's table, never a
-// torn state. Run under -race in CI.
+// torn state. It runs on a memory-only store and on a disk-backed one that
+// holds one model: there every select holds a model mapped from its file
+// while the append re-pages the table into a new file, a second table is
+// replaced under its own selects, and each switch between the two evicts
+// the other, whose mapping goes when its last select lets go. Run under
+// -race in CI.
 func TestHTTPAppendRacingSelect(t *testing.T) {
-	srv := newTestServer(t)
+	for name, opt := range map[string]StoreOptions{
+		"memory": {},
+		"disk":   {Dir: t.TempDir(), MaxModels: 1},
+	} {
+		t.Run(name, func(t *testing.T) {
+			svc := NewService(NewStore(opt), testOptions())
+			srv := httptest.NewServer(NewHandler(svc, nil))
+			t.Cleanup(srv.Close)
+			raceAppendsAndSelects(t, srv)
+		})
+	}
+}
+
+// raceAppendsAndSelects appends rows to table "pay" while selectors read
+// it and a second table, "other", which is replaced under them.
+func raceAppendsAndSelects(t *testing.T, srv *httptest.Server) {
 	uploadCSV(t, srv, "pay", testCSV(200), http.StatusCreated)
+	uploadCSV(t, srv, "other", testCSV(200), http.StatusCreated)
 
 	const appends = 5
 	const selectors = 4
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
+	post := func(path, csv string) {
+		resp, err := http.Post(srv.URL+path, "text/csv", strings.NewReader(csv))
+		if err != nil {
+			errs <- err
+			return
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusCreated {
+			errs <- fmt.Errorf("POST %s = %d", path, resp.StatusCode)
+		}
+	}
 
-	wg.Add(1)
+	wg.Add(2)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < appends; i++ {
-			url := srv.URL + "/tables/pay/append"
-			resp, err := http.Post(url, "text/csv", strings.NewReader(testCSV(10)))
-			if err != nil {
-				errs <- err
-				return
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				errs <- fmt.Errorf("append %d = %d", i, resp.StatusCode)
-				return
-			}
+			post("/tables/pay/append", testCSV(10))
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 2; i++ {
+			post("/tables?name=other&seed=4&workers=1&replace=1", testCSV(200))
 		}
 	}()
 	for g := 0; g < selectors; g++ {
@@ -216,11 +245,15 @@ func TestHTTPAppendRacingSelect(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
+				table, bound := "pay", 200+appends*10
+				if (g+i)%2 == 1 {
+					table, bound = "other", 200
+				}
 				var sel subTableResponse
-				doJSON(t, "POST", srv.URL+"/v1/tables/pay/select", map[string]any{"k": 4, "l": 2}, http.StatusOK, &sel)
+				doJSON(t, "POST", srv.URL+"/v1/tables/"+table+"/select", map[string]any{"k": 4, "l": 2}, http.StatusOK, &sel)
 				for _, r := range sel.SourceRows {
-					if r < 0 || r >= 200+appends*10 {
-						errs <- fmt.Errorf("selected row %d out of any generation's bounds", r)
+					if r < 0 || r >= bound {
+						errs <- fmt.Errorf("selected row %d of %s out of any generation's bounds", r, table)
 						return
 					}
 				}
@@ -233,6 +266,9 @@ func TestHTTPAppendRacingSelect(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// A select loads "pay" back if the last switch evicted it; the info
+	// reports rows of a table in memory.
+	doJSON(t, "POST", srv.URL+"/v1/tables/pay/select", map[string]any{"k": 4, "l": 2}, http.StatusOK, nil)
 	var info TableInfo
 	doJSON(t, "GET", srv.URL+"/tables/pay", nil, http.StatusOK, &info)
 	if info.Rows != 200+appends*10 {
@@ -245,7 +281,7 @@ func TestHTTPAppendRacingSelect(t *testing.T) {
 func TestServiceConcurrentAppendsCompose(t *testing.T) {
 	svc := NewService(NewStore(StoreOptions{}), testOptions())
 	base := testTable("pay", 150, 3)
-	if _, err := svc.AddTable("pay", base, nil, Resident, false); err != nil {
+	if _, err := svc.AddTable("pay", base, nil, Unsharded, false); err != nil {
 		t.Fatal(err)
 	}
 	const writers = 4
@@ -282,7 +318,7 @@ func TestZeroRowAppendIsFreeOfSideEffects(t *testing.T) {
 	dir := t.TempDir()
 	store := NewStore(StoreOptions{Dir: dir})
 	svc := NewService(store, testOptions())
-	if _, err := svc.AddTable("pay", testTable("pay", 100, 3), nil, Resident, false); err != nil {
+	if _, err := svc.AddTable("pay", testTable("pay", 100, 3), nil, Unsharded, false); err != nil {
 		t.Fatal(err)
 	}
 	// Remove the persisted file: a no-op Update must not resurrect it.
@@ -319,7 +355,7 @@ func TestZeroRowAppendIsFreeOfSideEffects(t *testing.T) {
 func TestAppendPersistsThroughStore(t *testing.T) {
 	dir := t.TempDir()
 	svc := NewService(NewStore(StoreOptions{Dir: dir}), testOptions())
-	if _, err := svc.AddTable("pay", testTable("pay", 120, 3), nil, Resident, false); err != nil {
+	if _, err := svc.AddTable("pay", testTable("pay", 120, 3), nil, Unsharded, false); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := svc.AppendRows("pay", testTable("pay", 15, 7), core.AppendOptions{DriftThreshold: 1}); err != nil {

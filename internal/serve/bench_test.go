@@ -63,7 +63,7 @@ func BenchmarkDiskLoadSelect(b *testing.B) {
 
 func BenchmarkWarmSelect(b *testing.B) {
 	svc := NewService(NewStore(StoreOptions{}), testOptions())
-	if _, err := svc.AddTable("bench", testTable("bench", 2000, 17), nil, Resident, false); err != nil {
+	if _, err := svc.AddTable("bench", testTable("bench", 2000, 17), nil, Unsharded, false); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -76,7 +76,7 @@ func BenchmarkWarmSelect(b *testing.B) {
 
 func BenchmarkWarmSelectParallel(b *testing.B) {
 	svc := NewService(NewStore(StoreOptions{}), testOptions())
-	if _, err := svc.AddTable("bench", testTable("bench", 2000, 17), nil, Resident, false); err != nil {
+	if _, err := svc.AddTable("bench", testTable("bench", 2000, 17), nil, Unsharded, false); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()

@@ -34,7 +34,7 @@ func TestColdUploadSmoke(t *testing.T) {
 	svc := NewService(NewStore(StoreOptions{}), opt)
 
 	start := time.Now()
-	if _, err := svc.AddTable("fl", ds.T, nil, Resident, false); err != nil {
+	if _, err := svc.AddTable("fl", ds.T, nil, Unsharded, false); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := svc.Select("fl", core.ExploreSpec{K: 10, L: 5}); err != nil {

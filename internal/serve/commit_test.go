@@ -50,13 +50,13 @@ func assertServes(t *testing.T, svc *Service, dir string, want []string, when st
 func TestFailedCommitsKeepPagedTable(t *testing.T) {
 	dir := t.TempDir()
 	svc := NewService(NewStore(StoreOptions{Dir: dir}), testOptions())
-	if _, err := svc.AddTable("t", testTable("t", 900, 7), nil, Paged, false); err != nil {
+	if _, err := svc.AddTable("t", testTable("t", 900, 7), nil, Unsharded, false); err != nil {
 		t.Fatal(err)
 	}
 	want := fingerprints(t, svc)
 	failCommits(t)
 
-	if _, err := svc.AddTable("t", testTable("t", 900, 9), nil, Paged, true); !isInjected(err) {
+	if _, err := svc.AddTable("t", testTable("t", 900, 9), nil, Unsharded, true); !isInjected(err) {
 		t.Fatalf("replace: err = %v, want the injected commit failure", err)
 	}
 	assertServes(t, svc, dir, want, "failed replace")
@@ -77,15 +77,15 @@ func TestFailedCommitsKeepPagedTable(t *testing.T) {
 func TestUnsyncedCommitStands(t *testing.T) {
 	dir := t.TempDir()
 	svc := NewService(NewStore(StoreOptions{Dir: dir}), testOptions())
-	if _, err := svc.AddTable("t", testTable("t", 300, 7), nil, Paged, false); err != nil {
+	if _, err := svc.AddTable("t", testTable("t", 300, 7), nil, Unsharded, false); err != nil {
 		t.Fatal(err)
 	}
 	twin := NewService(NewStore(StoreOptions{}), testOptions())
-	if _, err := twin.AddTable("t", testTable("t", 300, 9), nil, Resident, false); err != nil {
+	if _, err := twin.AddTable("t", testTable("t", 300, 9), nil, Unsharded, false); err != nil {
 		t.Fatal(err)
 	}
 	unsyncedCommits(t)
-	if _, err := svc.AddTable("t", testTable("t", 300, 9), nil, Paged, true); err != nil {
+	if _, err := svc.AddTable("t", testTable("t", 300, 9), nil, Unsharded, true); err != nil {
 		t.Fatalf("replace: %v", err)
 	}
 	assertServes(t, svc, dir, fingerprints(t, twin), "unsynced replace")
@@ -95,7 +95,7 @@ func TestUnsyncedCommitStands(t *testing.T) {
 		}
 	}
 	assertServes(t, svc, dir, fingerprints(t, twin), "unsynced append")
-	assertLayoutFiles(t, svc, dir, Paged, "unsynced append")
+	assertLayoutFiles(t, svc, dir, Unsharded, "unsynced append")
 	src, ok := mustModel(t, svc).B.Source().(interface{ Path() string })
 	if !ok || src.Path() != svc.Store().path("t") {
 		t.Fatalf("the served paged model reads codes from %v, want the model file %s", src, svc.Store().path("t"))
@@ -112,11 +112,11 @@ func isInjected(err error) bool {
 func TestCommitTempFilesAreSwept(t *testing.T) {
 	dir := t.TempDir()
 	svc := NewService(NewStore(StoreOptions{Dir: dir}), testOptions())
-	if _, err := svc.AddTable("t", testTable("t", 300, 7), nil, Paged, false); err != nil {
+	if _, err := svc.AddTable("t", testTable("t", 300, 7), nil, Unsharded, false); err != nil {
 		t.Fatal(err)
 	}
 	seen, restore := failCommits(t)
-	if _, err := svc.AddTable("t", testTable("t", 300, 9), nil, Resident, true); err == nil {
+	if _, err := svc.AddTable("t", testTable("t", 300, 9), nil, Unsharded, true); err == nil {
 		t.Fatal("a replace whose commit failed reported success")
 	}
 	restore()
@@ -126,7 +126,7 @@ func TestCommitTempFilesAreSwept(t *testing.T) {
 	crashed := (*seen)[0]
 	for _, step := range []func(){
 		func() {
-			if _, err := svc.AddTable("t", testTable("t", 300, 9), nil, Resident, true); err != nil {
+			if _, err := svc.AddTable("t", testTable("t", 300, 9), nil, Unsharded, true); err != nil {
 				t.Fatal(err)
 			}
 		},
@@ -157,7 +157,7 @@ func TestPagedModelMappingLifetime(t *testing.T) {
 	store := NewStore(StoreOptions{Dir: dir, MaxModels: 1})
 	svc := NewService(store, testOptions())
 	for _, name := range []string{"a", "b"} {
-		if _, err := svc.AddTable(name, testTable(name, 300, 7), nil, Paged, false); err != nil {
+		if _, err := svc.AddTable(name, testTable(name, 300, 7), nil, Unsharded, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -213,7 +213,7 @@ func awaitUnmapped(t *testing.T, path string) {
 // that HTTP answers with 400, not a model no file format can hold.
 func TestAddTableWithoutColumns(t *testing.T) {
 	svc := NewService(NewStore(StoreOptions{Dir: t.TempDir()}), testOptions())
-	_, err := svc.AddTable("e", table.New("e"), nil, Resident, false)
+	_, err := svc.AddTable("e", table.New("e"), nil, Unsharded, false)
 	if !errors.Is(err, core.ErrNoColumns) {
 		t.Fatalf("err = %v, want core.ErrNoColumns", err)
 	}
@@ -277,7 +277,7 @@ func TestUnloadableModelFileIsReplaced(t *testing.T) {
 				t.Fatal(err)
 			}
 			decodeBodyMap(t, resp, http.StatusCreated)
-			assertLayoutFiles(t, svc, dir, Resident, "upload")
+			assertLayoutFiles(t, svc, dir, Unsharded, "upload")
 			doJSON(t, "POST", srv.URL+"/v1/tables/t/select", map[string]any{"k": 3, "l": 2}, http.StatusOK, nil)
 
 			gone := t.TempDir()

@@ -66,8 +66,8 @@ func FuzzV1Body(f *testing.F) {
 		}
 		return NewHandler(svc, nil)
 	}
-	h := handler(NewStore(StoreOptions{}), Resident)
-	paged := handler(NewStore(StoreOptions{Dir: f.TempDir()}), Paged)
+	h := handler(NewStore(StoreOptions{}), Unsharded)
+	paged := handler(NewStore(StoreOptions{Dir: f.TempDir()}), Unsharded)
 	postTo := func(h http.Handler, path string, body []byte) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))

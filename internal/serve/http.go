@@ -240,10 +240,10 @@ func (h *api) deleteTable(w http.ResponseWriter, r *http.Request) {
 
 // createTable ingests a CSV body: POST /tables?name=flights with optional
 // pipeline knobs (bins, dim, window, epochs, seed, strategy, columns,
-// workers), replace=1 to overwrite an existing table, and the table's
-// layout: store=1 serves its codes and cells paged from its model file,
-// shards=N from N row-range shards (at most maxShards, and no more than the
-// rows).
+// workers), replace=1 to overwrite an existing table, and shards=N to
+// split it into N row-range shards (at most maxShards, and no more than the
+// rows). store=0/1 is accepted and changes nothing: a disk-backed server
+// maps every unsharded table from its model file, a memory-only one keeps it.
 func (h *api) createTable(w http.ResponseWriter, r *http.Request) {
 	qp := r.URL.Query()
 	name := qp.Get("name")
@@ -256,11 +256,9 @@ func (h *api) createTable(w http.ResponseWriter, r *http.Request) {
 		writeBadRequest(w, "%v", err)
 		return
 	}
-	layout := Resident
+	layout := Unsharded
 	switch v := qp.Get("store"); v {
-	case "", "0", "false":
-	case "1", "true":
-		layout = Paged
+	case "", "0", "false", "1", "true":
 	default:
 		writeBadRequest(w, "parameter store: want 1/true or 0/false, got %q", v)
 		return

@@ -19,10 +19,12 @@ import (
 // cache directory, replace by the next layout, remove. Every select must
 // render exactly what a resident twin renders, the directory must hold
 // exactly the files of the current layout after each step — the model
-// file alone for a resident or paged table — and removal must leave it
-// empty.
+// file alone for an unsharded table — and removal must leave it empty.
+// Every table on the disk-backed store is out of core. The "resident" case
+// is the unsharded layout, which holds the whole table in its one model
+// file; the "pair" case is one shard, a code and a cell file beside it.
 func TestLayoutLifecycle(t *testing.T) {
-	layouts := []Layout{Resident, Paged, Shards(3)}
+	layouts := []Layout{Unsharded, Shards(1), Shards(3)}
 	for i, l := range layouts {
 		next := layouts[(i+1)%len(layouts)]
 		t.Run([]string{"resident", "pair", "3-shards"}[i], func(t *testing.T) {
@@ -61,13 +63,13 @@ func TestLayoutLifecycle(t *testing.T) {
 			}
 
 			add(svc, l, 7, false)
-			add(twin, Resident, 7, false)
+			add(twin, Unsharded, 7, false)
 			files(svc, l, "upload")
 			info, err := svc.Info("t")
 			if err != nil {
 				t.Fatal(err)
 			}
-			if info.OutOfCore != (l != Resident) || info.Shards != max(int(l), 0) || info.LocalShards != info.Shards {
+			if !info.OutOfCore || info.Shards != max(int(l), 0) || info.LocalShards != info.Shards {
 				t.Fatalf("info = %+v for layout %d", info, l)
 			}
 			same(svc, "upload")
@@ -98,7 +100,7 @@ func TestLayoutLifecycle(t *testing.T) {
 			files(restarted, l, "restart")
 
 			add(restarted, next, 9, true)
-			add(twin, Resident, 9, true)
+			add(twin, Unsharded, 9, true)
 			files(restarted, next, "replace")
 			same(restarted, "replace")
 
@@ -118,7 +120,7 @@ func TestConcurrentReplacesKeepOneLayout(t *testing.T) {
 	dir := t.TempDir()
 	svc := NewService(NewStore(StoreOptions{Dir: dir}), testOptions())
 	var wg sync.WaitGroup
-	for i, l := range []Layout{Resident, Paged, Shards(2), Shards(3)} {
+	for i, l := range []Layout{Unsharded, Shards(1), Shards(2), Shards(3)} {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

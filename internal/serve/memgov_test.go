@@ -125,7 +125,15 @@ func TestGovernedStoreEvictionAccounting(t *testing.T) {
 // (registered under its own label so model-insert Grows reach it), and the
 // ledger never strands bytes for the shed entries.
 func TestGovernedStoreBudgetEviction(t *testing.T) {
-	probe := buildModel(t, "probe", 150)
+	// Weigh a model as the store holds it: mapped from its file.
+	probes := NewStore(StoreOptions{Dir: t.TempDir()})
+	if err := probes.put("probe", buildModel(t, "probe", 150)); err != nil {
+		t.Fatal(err)
+	}
+	probe, err := probes.Get("probe")
+	if err != nil {
+		t.Fatal(err)
+	}
 	perModel := probe.ResidentBytes()
 	// Room for ~2 models: the third insert must shed the coldest.
 	g := memgov.New(perModel*2 + perModel/2)
@@ -163,7 +171,7 @@ func TestServiceAdmission(t *testing.T) {
 	g := memgov.New(1) // any select's estimate exceeds one byte
 	svc := NewService(NewStore(StoreOptions{Governor: g}), testOptions())
 	svc.SetAdmission(g, 0)
-	if _, err := svc.AddTable("t", testTable("t", 300, 5), nil, Resident, false); err != nil {
+	if _, err := svc.AddTable("t", testTable("t", 300, 5), nil, Unsharded, false); err != nil {
 		t.Fatal(err)
 	}
 	_, err := svc.Select("t", core.ExploreSpec{K: 5, L: 3})
@@ -218,7 +226,7 @@ func TestServiceAdmission(t *testing.T) {
 // requests class settles back to zero.
 func TestPagedGroupByAdmission(t *testing.T) {
 	svc := NewService(NewStore(StoreOptions{Dir: t.TempDir()}), testOptions())
-	if _, err := svc.AddTable("t", testTable("t", 2000, 5), nil, Paged, false); err != nil {
+	if _, err := svc.AddTable("t", testTable("t", 2000, 5), nil, Unsharded, false); err != nil {
 		t.Fatal(err)
 	}
 	m, err := svc.Model("t")

@@ -1,18 +1,24 @@
 // Serving-layer tests for out-of-core tables (their whole life in one
 // layout is TestLayoutLifecycle's): appends and reloads stay out-of-core,
-// paged layouts need a disk-backed store, and the store=1 upload knob and
-// the per-request slab budget work over HTTP.
+// sharded layouts need a disk-backed store, every unsharded table on one is
+// its mapped model file, and the store=1 upload knob (a no-op) and the
+// per-request slab budget work over HTTP.
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 
+	"subtab/internal/colstore"
 	"subtab/internal/core"
+	"subtab/internal/memgov"
+	"subtab/internal/modelio"
 )
 
 // TestAppendKeepsTableOutOfCore pins that appending to a store-backed
@@ -23,7 +29,7 @@ import (
 func TestAppendKeepsTableOutOfCore(t *testing.T) {
 	dir := t.TempDir()
 	svc := NewService(NewStore(StoreOptions{Dir: dir}), testOptions())
-	if _, err := svc.AddTable("t", testTable("t", 1200, 7), nil, Paged, false); err != nil {
+	if _, err := svc.AddTable("t", testTable("t", 1200, 7), nil, Unsharded, false); err != nil {
 		t.Fatal(err)
 	}
 	delta := testTable("t", 12, 8)
@@ -53,18 +59,20 @@ func TestAppendKeepsTableOutOfCore(t *testing.T) {
 }
 
 // TestAddTableOutOfCoreNeedsDisk pins the memory-only rejection of every
-// paged layout.
+// sharded layout.
 func TestAddTableOutOfCoreNeedsDisk(t *testing.T) {
 	svc := NewService(NewStore(StoreOptions{}), testOptions())
-	for _, l := range []Layout{Paged, Shards(1), Shards(2)} {
+	for _, l := range []Layout{Shards(1), Shards(2)} {
 		if _, err := svc.AddTable("t", testTable("t", 200, 1), nil, l, false); !errors.Is(err, ErrBadRequest) {
 			t.Fatalf("layout %d without a disk-backed store: %v, want a bad request", l, err)
 		}
 	}
 }
 
-// TestHTTPOutOfCoreUpload drives the store=1 knob and a scaled select over
-// the paged table end to end.
+// TestHTTPOutOfCoreUpload drives uploads with and without the store=1 knob
+// and a scaled select over the mapped table end to end. The knob changes
+// nothing: a disk-backed server maps every unsharded table, and a
+// memory-only one keeps it in memory.
 func TestHTTPOutOfCoreUpload(t *testing.T) {
 	dir := t.TempDir()
 	svc := NewService(NewStore(StoreOptions{Dir: dir}), testOptions())
@@ -72,13 +80,14 @@ func TestHTTPOutOfCoreUpload(t *testing.T) {
 	t.Cleanup(srv.Close)
 	csv := testCSV(600)
 
-	resp, err := http.Post(srv.URL+"/tables?name=ooc&store=1&seed=4&workers=1", "text/csv", strings.NewReader(csv))
-	if err != nil {
-		t.Fatal(err)
-	}
-	created := decodeBodyMap(t, resp, http.StatusCreated)
-	if created["out_of_core"] != true {
-		t.Fatalf("upload response = %v, want out_of_core=true", created)
+	for _, q := range []string{"name=ooc&store=1&seed=4&workers=1", "name=plain&seed=4&workers=1"} {
+		resp, err := http.Post(srv.URL+"/tables?"+q, "text/csv", strings.NewReader(csv))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if created := decodeBodyMap(t, resp, http.StatusCreated); created["out_of_core"] != true {
+			t.Fatalf("upload %s: response = %v, want out_of_core=true", q, created)
+		}
 	}
 
 	var info TableInfo
@@ -104,14 +113,16 @@ func TestHTTPOutOfCoreUpload(t *testing.T) {
 	bad := map[string]any{"k": 5, "l": 3, "scale": map[string]any{"sample_budget": -1}}
 	doJSON(t, "POST", srv.URL+"/v1/tables/ooc/select", bad, http.StatusBadRequest, nil)
 
-	// store=1 without a cache dir is a 400, not a crash.
+	// store=1 without a cache dir serves the table from memory.
 	memSrv := httptest.NewServer(NewHandler(NewService(NewStore(StoreOptions{}), testOptions()), nil))
 	t.Cleanup(memSrv.Close)
-	resp, err = http.Post(memSrv.URL+"/tables?name=x&store=1&workers=1", "text/csv", strings.NewReader(csv))
+	resp, err := http.Post(memSrv.URL+"/tables?name=x&store=1&workers=1", "text/csv", strings.NewReader(csv))
 	if err != nil {
 		t.Fatal(err)
 	}
-	decodeBodyMap(t, resp, http.StatusBadRequest)
+	if created := decodeBodyMap(t, resp, http.StatusCreated); created["out_of_core"] == true {
+		t.Fatalf("memory-only upload with store=1: response = %v, want the table in memory", created)
+	}
 
 	// Bad store values are rejected.
 	resp, err = http.Post(srv.URL+"/tables?name=y&store=maybe", "text/csv", strings.NewReader(csv))
@@ -132,4 +143,78 @@ func decodeBodyMap(t *testing.T, resp *http.Response, wantStatus int) map[string
 		t.Fatalf("status %d, want %d; body %v", resp.StatusCode, wantStatus, out)
 	}
 	return out
+}
+
+// TestGetRefusesDamagedPage: a byte flipped inside a data page of a table's
+// model file, which the store maps, is found when the file loads: Store.Get
+// refuses it with modelio.ErrCorrupt (and the table reads as not found)
+// instead of serving the damaged page.
+func TestGetRefusesDamagedPage(t *testing.T) {
+	dir := t.TempDir()
+	svc := NewService(NewStore(StoreOptions{Dir: dir}), testOptions())
+	m, err := svc.AddTable("t", testTable("t", 300, 7), nil, Unsharded, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The cells image is byte for byte the column store the model serves.
+	cells := m.CellSource().(*colstore.Store)
+	var img bytes.Buffer
+	if _, err := cells.WriteTo(&img); err != nil {
+		t.Fatal(err)
+	}
+	path := svc.Store().path("t")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(raw, img.Bytes())
+	if at < 0 {
+		t.Fatal("the model file does not hold the served cells image")
+	}
+	raw[int64(at)+cells.Off(0, 0)] ^= 0x01
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = NewStore(StoreOptions{Dir: dir}).Get("t")
+	if !errors.Is(err, modelio.ErrCorrupt) || !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get of a damaged table: err = %v, want ErrCorrupt and ErrNotFound", err)
+	}
+}
+
+// TestUnshardedTableIsItsMappedFile pins what a table costs on a
+// disk-backed store: added without any layout request it is out of core,
+// the store directory holds its one model file, and the model served from
+// that file's mapping holds under a tenth of the heap the same table's
+// resident model does. Its exact selects still fill the full-table vector
+// cache, which the governor counts.
+func TestUnshardedTableIsItsMappedFile(t *testing.T) {
+	dir := t.TempDir()
+	g := memgov.New(1 << 30)
+	svc := NewService(NewStore(StoreOptions{Dir: dir, Governor: g}), testOptions())
+	tab := testTable("t", 5000, 7)
+	mapped, err := svc.AddTable("t", tab, nil, Unsharded, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resident, err := NewService(NewStore(StoreOptions{}), testOptions()).AddTable("t", tab, nil, Unsharded, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !mapped.OutOfCore() || resident.OutOfCore() {
+		t.Fatalf("out of core: %v on disk, %v in memory; want true and false", mapped.OutOfCore(), resident.OutOfCore())
+	}
+	if files := dirFiles(t, dir); len(files) != 1 || files[0] != svc.Store().path("t") {
+		t.Fatalf("the store holds %v, want the table's one model file", files)
+	}
+	if m, r := mapped.ResidentBytes(), resident.ResidentBytes(); m*10 >= r {
+		t.Fatalf("the mapped model holds %d heap bytes, the resident one %d: want under a tenth", m, r)
+	}
+	for i := range 2 {
+		if _, err := svc.Select("t", core.ExploreSpec{K: 5, L: 3}); err != nil {
+			t.Fatal(err)
+		}
+		if got := g.ClassBytes(memgov.ClassVectorCache); got <= 0 {
+			t.Fatalf("after exact select %d the vector cache holds %d bytes, want the full-table matrix", i+1, got)
+		}
+	}
 }

@@ -25,7 +25,7 @@ func TestEvictionReleasesVectorCache(t *testing.T) {
 	const rows = 40000
 	store := NewStore(StoreOptions{Dir: t.TempDir(), MaxModels: 1})
 	svc := NewService(store, testOptions())
-	m, err := svc.AddTable("a", testTable("a", rows, 7), nil, Resident, false)
+	m, err := svc.AddTable("a", testTable("a", rows, 7), nil, Unsharded, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestEvictionReleasesVectorCache(t *testing.T) {
 	runtime.ReadMemStats(&before)
 
 	// Inserting a second model into the MaxModels=1 store evicts "a".
-	if _, err := svc.AddTable("b", testTable("b", 64, 9), nil, Resident, false); err != nil {
+	if _, err := svc.AddTable("b", testTable("b", 64, 9), nil, Unsharded, false); err != nil {
 		t.Fatal(err)
 	}
 	runtime.GC()

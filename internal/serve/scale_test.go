@@ -28,7 +28,7 @@ func subTableFingerprint(st *core.SubTable) string {
 
 func TestServeScaledSelectRepeatDeterminism(t *testing.T) {
 	svc := NewService(NewStore(StoreOptions{}), testOptions())
-	if _, err := svc.AddTable("scaled", testTable("scaled", 2500, 7), nil, Resident, false); err != nil {
+	if _, err := svc.AddTable("scaled", testTable("scaled", 2500, 7), nil, Unsharded, false); err != nil {
 		t.Fatal(err)
 	}
 	first, err := svc.Select("scaled", core.ExploreSpec{K: 6, L: 3, Scale: scaleForce()})
@@ -70,7 +70,7 @@ func TestServeScaledSelectRepeatDeterminism(t *testing.T) {
 // extended to the scaled path.
 func TestServeScaledSelectConcurrent(t *testing.T) {
 	svc := NewService(NewStore(StoreOptions{}), testOptions())
-	if _, err := svc.AddTable("conc-scaled", testTable("conc-scaled", 3000, 13), nil, Resident, false); err != nil {
+	if _, err := svc.AddTable("conc-scaled", testTable("conc-scaled", 3000, 13), nil, Unsharded, false); err != nil {
 		t.Fatal(err)
 	}
 	q := &query.Query{Where: []query.Predicate{{Col: "cat", Op: query.Neq, Str: "c2"}}}

@@ -9,7 +9,6 @@ import (
 
 	"subtab/internal/core"
 	"subtab/internal/memgov"
-	"subtab/internal/modelio"
 	"subtab/internal/rules"
 	"subtab/internal/session"
 	"subtab/internal/table"
@@ -103,23 +102,20 @@ type TableInfo struct {
 }
 
 // Layout says where an added table's bin codes and displayed cells live.
-// Resident keeps both in memory. Paged serves them mmap'd from the table's
-// model file in the store's directory, which holds them as store images
-// after its header: the resident model is schema, binnings and embedding,
-// and a select streams the code blocks it samples and gathers only the
-// displayed rows' cells. In both layouts a table is that one file. Shards(n)
-// writes them to n row-range shard file pairs beside the model file, whose
-// codes and cells sections hold the shard map; worker instances can split
-// the pairs between them.
+// Unsharded, a disk-backed store keeps the table as its one model file,
+// with them as store images after its header, and serves them mmap'd from
+// that file (a select streams the code blocks it samples and gathers only
+// the displayed rows' cells); a memory-only store serves the model
+// Preprocess built. Shards(n) writes them to n row-range shard file pairs
+// beside the model file, whose codes and cells sections hold the shard map;
+// worker instances can split the pairs between them.
 type Layout int
 
-const (
-	Resident Layout = 0
-	Paged    Layout = -1
-)
+// Unsharded is the layout of a table kept whole.
+const Unsharded Layout = 0
 
 // Shards is the layout of n row-range shards (n >= 1; n = 1 is a one-shard
-// table, not the Paged pair).
+// table).
 func Shards(n int) Layout { return Layout(n) }
 
 // maxShards bounds an added table's shard count. Each shard is two files,
@@ -182,12 +178,12 @@ func (s *Service) AddTable(name string, t *table.Table, opt *core.Options, l Lay
 // the table cannot hold.
 func (s *Service) checkLayout(l Layout, rows int) error {
 	switch {
-	case l == Resident:
+	case l == Unsharded:
 		return nil
-	case l < Paged:
+	case l < 0:
 		return fmt.Errorf("%w: shard count must be positive, got %d", ErrBadRequest, l)
 	case s.store.opt.Dir == "":
-		return fmt.Errorf("%w: paged tables need a disk-backed store (set StoreOptions.Dir)", ErrBadRequest)
+		return fmt.Errorf("%w: sharded tables need a disk-backed store (set StoreOptions.Dir)", ErrBadRequest)
 	case l > maxShards:
 		return fmt.Errorf("%w: %d shards exceed the limit of %d", ErrBadRequest, l, maxShards)
 	case l > 1 && int(l) > rows:
@@ -217,10 +213,7 @@ func layoutOf(m *core.Model) Layout {
 	if src := m.ShardSource(); src != nil {
 		return Shards(src.NumShards())
 	}
-	if modelio.ResidencyOf(m) == modelio.Paged {
-		return Paged
-	}
-	return Resident
+	return Unsharded
 }
 
 // AppendRows ingests rows into the named table via core.Model.Append: the
@@ -235,9 +228,9 @@ func layoutOf(m *core.Model) Layout {
 // build the successor, and the store persists it in the table's layout —
 // an unsharded successor into a new model file, renamed over the old one
 // and served from its mapping, a sharded one paged out again over the
-// table's shard files in their block size first — so the memory bound the
-// table was added under survives its appends. In-flight selections on the
-// old model keep reading the replaced files through their mappings.
+// table's shard files in their block size first — so the memory bound of a
+// disk-backed table survives its appends. In-flight selections on the old
+// model keep reading the replaced files through their mappings.
 func (s *Service) AppendRows(name string, rows *table.Table, opt core.AppendOptions) (*core.Model, core.AppendStats, error) {
 	var stats core.AppendStats
 	m, err := s.store.Update(name, func(cur *core.Model) (*core.Model, error) {

@@ -84,7 +84,7 @@ func TestShardedCoordinatorHTTP(t *testing.T) {
 	}), testOptions())
 
 	svcMem := NewService(NewStore(StoreOptions{}), testOptions())
-	if _, err := svcMem.AddTable(name, testTable(name, 2500, 7), nil, Resident, false); err != nil {
+	if _, err := svcMem.AddTable(name, testTable(name, 2500, 7), nil, Unsharded, false); err != nil {
 		t.Fatal(err)
 	}
 	want, err := svcMem.Select(name, core.ExploreSpec{K: 6, L: 3, Scale: scaleForce()})
@@ -131,7 +131,7 @@ func TestShardSampleEndpointValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.AddTable("plain", testTable("plain", 200, 3), nil, Resident, false); err != nil {
+	if _, err := svc.AddTable("plain", testTable("plain", 200, 3), nil, Unsharded, false); err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(NewHandler(svc, nil))

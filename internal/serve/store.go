@@ -223,14 +223,18 @@ func (s *Store) Get(name string) (*core.Model, error) {
 // changed generation (an add, Update or Remove) while the load ran: then
 // the flight's model is stale and whatever the store holds now wins. A
 // missing file is the normal miss; one that does not load (damaged, or in
-// a retired format) reads as missing too, and the next add writes over it.
+// a retired format) reads as missing too, its error wrapping the cause
+// (modelio.ErrCorrupt, ErrVersion), and the next add writes over it.
 func (s *Store) load(name string, startGen uint64) (*core.Model, error) {
 	if s.opt.Dir == "" {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
 	m, err := s.loadDisk(name)
-	if err != nil {
+	switch {
+	case errors.Is(err, os.ErrNotExist):
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
+	case err != nil:
+		return nil, fmt.Errorf("%w: %q: %w", ErrNotFound, name, err)
 	}
 	s.diskLoads.Add(1)
 	if s.opt.Governor != nil {
@@ -269,7 +273,8 @@ func (s *Store) loadDisk(name string) (*core.Model, error) {
 // every file of the name that layout does not use, installs m replacing
 // any previous model of the name — in-flight loads of the name that
 // finish after it discard their result — and returns the model it
-// installed: m, or for a Paged layout the model mapped from its file.
+// installed: m, or for an unsharded table on a disk-backed store the model
+// mapped from its file.
 // Callers hold the per-name lock (AddTable and Update), so the store files
 // and the model insert stay one critical section.
 func (s *Store) putLocked(name string, m *core.Model, l Layout) (*core.Model, error) {
@@ -301,9 +306,9 @@ func (s *Store) putLocked(name string, m *core.Model, l Layout) (*core.Model, er
 // resolved, new requests see the replacement as soon as it is installed.
 // fn must not mutate the model it is given; it builds and returns a new one
 // (core.Model.Append's contract), which is persisted in the current
-// model's layout. The returned model is the one installed: for a Paged
-// table, the successor mapped from its new file. Unknown names return
-// ErrNotFound.
+// model's layout. The returned model is the one installed: for an
+// unsharded table, the successor mapped from its new file. Unknown names
+// return ErrNotFound.
 func (s *Store) Update(name string, fn func(*core.Model) (*core.Model, error)) (*core.Model, error) {
 	nl := s.lockName(name)
 	nl.Lock()
@@ -509,7 +514,9 @@ func (s *Store) insertLocked(name string, m *core.Model) (grow int64) {
 }
 
 // modelBytes is the entry weight of a model in a governed store (0 when
-// ungoverned, keeping that path allocation- and scan-free).
+// ungoverned): its ResidentBytes. A model mapped from its file is charged
+// its heap (schema, binnings, embedding); its codes and cells are page
+// cache, which the kernel sheds on its own.
 func (s *Store) modelBytes(m *core.Model) int64 {
 	if s.opt.Governor == nil {
 		return 0
@@ -590,7 +597,8 @@ var (
 )
 
 // persist commits m as name's model file in layout l and returns the model
-// to serve: m, or for a Paged layout the model mapped from the new file.
+// to serve: for an unsharded layout the model mapped from the new file, for
+// a sharded one m, already paged out over its shard files.
 // blockfile.WriteAtomic writes it under the model file's name plus ".tmp"
 // (so sweepStores finds what a crashed write left), renames it over the
 // model file and syncs the directory: the model file holds the old model
@@ -603,17 +611,13 @@ func (s *Store) persist(name string, m *core.Model, l Layout) (*core.Model, erro
 	if err := os.MkdirAll(s.opt.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	residency := modelio.Resident
-	if l == Paged {
-		residency = modelio.Paged
-	}
 	path := s.path(name)
 	err := writeAtomic(path, func(tmp string) error {
 		f, err := os.Create(tmp)
 		if err != nil {
 			return err
 		}
-		err = saveModel(f, m, residency)
+		err = saveModel(f, m, modelio.ResidencyOf(m))
 		if err == nil {
 			err = f.Sync()
 		}
@@ -624,10 +628,10 @@ func (s *Store) persist(name string, m *core.Model, l Layout) (*core.Model, erro
 	} else if err != nil {
 		return nil, err
 	}
-	if l == Paged {
-		paged, err := modelio.LoadFile(path)
+	if l == Unsharded {
+		mapped, err := modelio.LoadFile(path)
 		if err == nil {
-			return paged, nil
+			return mapped, nil
 		}
 		log.Printf("serve: model %q committed, serving it from memory: %v", name, err)
 	}

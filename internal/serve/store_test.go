@@ -100,7 +100,7 @@ func TestSingleflight(t *testing.T) {
 	svc := NewService(NewStore(StoreOptions{Dir: t.TempDir()}), testOptions())
 	models := make([]*core.Model, n)
 	errs := herd(func(i int) (err error) {
-		models[i], err = svc.AddTable("flock", testTable("flock", 200, 11), nil, Resident, false)
+		models[i], err = svc.AddTable("flock", testTable("flock", 200, 11), nil, Unsharded, false)
 		return err
 	})
 	wins := winners(errs)
@@ -150,7 +150,7 @@ func TestSingleflight(t *testing.T) {
 // layout or replace.
 func TestSingleflightError(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := NewService(NewStore(StoreOptions{Dir: dir}), testOptions()).AddTable("disk", testTable("disk", 200, 3), nil, Resident, false); err != nil {
+	if _, err := NewService(NewStore(StoreOptions{Dir: dir}), testOptions()).AddTable("disk", testTable("disk", 200, 3), nil, Unsharded, false); err != nil {
 		t.Fatal(err)
 	}
 	var prepared atomic.Int32
@@ -187,7 +187,7 @@ func TestSingleflightError(t *testing.T) {
 	}
 
 	svc := NewService(s, testOptions())
-	if _, err := svc.AddTable("bad", table.New("bad"), nil, Resident, false); !errors.Is(err, core.ErrNoColumns) {
+	if _, err := svc.AddTable("bad", table.New("bad"), nil, Unsharded, false); !errors.Is(err, core.ErrNoColumns) {
 		t.Fatalf("err = %v, want core.ErrNoColumns", err)
 	}
 	if got, want := dirFiles(t, dir), []string{s.path("disk")}; !slices.Equal(got, want) {
@@ -202,7 +202,7 @@ func TestSingleflightError(t *testing.T) {
 	for i, add := range []struct {
 		l       Layout
 		replace bool
-	}{{Resident, false}, {Resident, true}, {Paged, true}, {Shards(2), true}} {
+	}{{Unsharded, false}, {Unsharded, true}, {Shards(1), true}, {Shards(2), true}} {
 		if _, err := svc.AddTable("bad", testTable("bad", 150, 4), nil, add.l, add.replace); err != nil {
 			t.Fatal(err)
 		}
@@ -275,7 +275,7 @@ func TestCorruptDiskSelfHeals(t *testing.T) {
 	dir := t.TempDir()
 	s := NewStore(StoreOptions{Dir: dir})
 	svc := NewService(s, testOptions())
-	if _, err := svc.AddTable("h", testTable("h", 120, 11), nil, Resident, false); err != nil {
+	if _, err := svc.AddTable("h", testTable("h", 120, 11), nil, Unsharded, false); err != nil {
 		t.Fatal(err)
 	}
 	// Drop from memory, then corrupt the file on disk.
@@ -290,7 +290,7 @@ func TestCorruptDiskSelfHeals(t *testing.T) {
 	if _, err := s.Get("h"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v, want ErrNotFound for a corrupt cache file", err)
 	}
-	if _, err := svc.AddTable("h", testTable("h", 120, 11), nil, Resident, true); err != nil {
+	if _, err := svc.AddTable("h", testTable("h", 120, 11), nil, Unsharded, true); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Stats().Builds; got != 2 {
@@ -308,7 +308,7 @@ func TestCorruptDiskSelfHeals(t *testing.T) {
 // is the race detector (go test -race ./internal/serve).
 func TestServiceConcurrentAccess(t *testing.T) {
 	svc := NewService(NewStore(StoreOptions{}), testOptions())
-	if _, err := svc.AddTable("conc", testTable("conc", 300, 5), nil, Resident, false); err != nil {
+	if _, err := svc.AddTable("conc", testTable("conc", 300, 5), nil, Unsharded, false); err != nil {
 		t.Fatal(err)
 	}
 	q := &query.Query{Where: []query.Predicate{{Col: "num", Op: query.Geq, Num: 20}}}
@@ -387,7 +387,7 @@ func TestBuilderNotPoisonedByLookupFlight(t *testing.T) {
 
 	added := make(chan error, 1)
 	go func() {
-		_, err := NewService(s, testOptions()).AddTable("x", testTable("x", 80, 11), nil, Resident, false)
+		_, err := NewService(s, testOptions()).AddTable("x", testTable("x", 80, 11), nil, Unsharded, false)
 		added <- err
 	}()
 	select {
@@ -437,11 +437,14 @@ func TestPutWinsOverInflightBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	close(proceed)
-	if got := <-done; got != replacement {
-		t.Fatal("the in-flight load's caller received the stale model, not the replacement")
+	got := <-done
+	// The store installs the replacement as mapped from its new file.
+	m, err := s.Get("x")
+	if err != nil || m.T.Name != "new" {
+		t.Fatalf("store serves %v (%v), want the replacement", err, m)
 	}
-	if m, err := s.Get("x"); err != nil || m != replacement {
-		t.Fatalf("store serves %v (%p), want the replacement", err, m)
+	if got != m {
+		t.Fatal("the in-flight load's caller received the stale model, not the replacement")
 	}
 	// Disk must hold the replacement too: a fresh store loads a model whose
 	// table is the replacement's ("new"), not the stale load's ("old").
@@ -458,7 +461,7 @@ func TestPutWinsOverInflightBuild(t *testing.T) {
 // they were mined from, even when the table is replaced concurrently.
 func TestRulesModelConsistency(t *testing.T) {
 	svc := NewService(NewStore(StoreOptions{}), testOptions())
-	if _, err := svc.AddTable("r", testTable("v1", 200, 3), nil, Resident, false); err != nil {
+	if _, err := svc.AddTable("r", testTable("v1", 200, 3), nil, Unsharded, false); err != nil {
 		t.Fatal(err)
 	}
 	rs, m, err := svc.Rules("r", rulesOptionsForTest())
@@ -468,7 +471,7 @@ func TestRulesModelConsistency(t *testing.T) {
 	if m.T.Name != "v1" {
 		t.Fatalf("rules mined against %q", m.T.Name)
 	}
-	if _, err := svc.AddTable("r", testTable("v2", 150, 4), nil, Resident, true); err != nil {
+	if _, err := svc.AddTable("r", testTable("v2", 150, 4), nil, Unsharded, true); err != nil {
 		t.Fatal(err)
 	}
 	// The replace invalidated the cache: a fresh call mines against v2.
@@ -492,7 +495,7 @@ func TestRulesDoNotPinEvictedModels(t *testing.T) {
 	models := make([]weak.Pointer[core.Model], 10)
 	for i := range models {
 		name := fmt.Sprintf("t%d", i)
-		if _, err := svc.AddTable(name, testTable(name, 120, int64(i)), nil, Resident, false); err != nil {
+		if _, err := svc.AddTable(name, testTable(name, 120, int64(i)), nil, Unsharded, false); err != nil {
 			t.Fatal(err)
 		}
 		rs, m, err := svc.Rules(name, rulesOptionsForTest())
@@ -519,16 +522,16 @@ func TestRulesDoNotPinEvictedModels(t *testing.T) {
 
 func TestServiceAddExistsAndReplace(t *testing.T) {
 	svc := NewService(NewStore(StoreOptions{}), testOptions())
-	if _, err := svc.AddTable("dup", testTable("dup", 100, 1), nil, Resident, false); err != nil {
+	if _, err := svc.AddTable("dup", testTable("dup", 100, 1), nil, Unsharded, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.AddTable("dup", testTable("dup", 100, 2), nil, Resident, false); !errors.Is(err, ErrExists) {
+	if _, err := svc.AddTable("dup", testTable("dup", 100, 2), nil, Unsharded, false); !errors.Is(err, ErrExists) {
 		t.Fatalf("err = %v, want ErrExists", err)
 	}
-	if _, err := svc.AddTable("dup", testTable("dup", 100, 2), nil, Resident, true); err != nil {
+	if _, err := svc.AddTable("dup", testTable("dup", 100, 2), nil, Unsharded, true); err != nil {
 		t.Fatalf("replace: %v", err)
 	}
-	if _, err := svc.AddTable("  ", testTable("blank", 50, 1), nil, Resident, false); err == nil {
+	if _, err := svc.AddTable("  ", testTable("blank", 50, 1), nil, Unsharded, false); err == nil {
 		t.Fatal("blank names must be rejected")
 	}
 }

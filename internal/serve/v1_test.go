@@ -195,7 +195,7 @@ func TestSessionWeightsMustBeNonNegative(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc := NewService(NewStore(StoreOptions{}), testOptions())
-	if _, err := svc.AddTable("pay", tbl, nil, Resident, false); err != nil {
+	if _, err := svc.AddTable("pay", tbl, nil, Unsharded, false); err != nil {
 		t.Fatal(err)
 	}
 	info, err := svc.CreateSession("pay")

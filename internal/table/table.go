@@ -545,18 +545,15 @@ func (t *Table) Clone() *Table {
 	return t.SelectRows(rows)
 }
 
-// SortIndices returns row indices ordered by the named column (missing last).
-func (t *Table) SortIndices(name string, ascending bool) ([]int, error) {
+// SortRows stably reorders the row indices rows in place by the named
+// column (missing last).
+func (t *Table) SortRows(name string, rows []int, ascending bool) error {
 	c := t.Column(name)
 	if c == nil {
-		return nil, fmt.Errorf("table %s: unknown column %q", t.Name, name)
-	}
-	idx := make([]int, t.NumRows())
-	for i := range idx {
-		idx[i] = i
+		return fmt.Errorf("table %s: unknown column %q", t.Name, name)
 	}
 	less := func(i, j int) bool {
-		a, b := idx[i], idx[j]
+		a, b := rows[i], rows[j]
 		ma, mb := c.Missing(a), c.Missing(b)
 		if ma || mb {
 			return !ma && mb // missing sorts last regardless of direction
@@ -573,8 +570,8 @@ func (t *Table) SortIndices(name string, ascending bool) ([]int, error) {
 		}
 		return sa > sb
 	}
-	sort.SliceStable(idx, less)
-	return idx, nil
+	sort.SliceStable(rows, less)
+	return nil
 }
 
 // String renders the table as an aligned plain-text grid.

@@ -180,9 +180,18 @@ func TestCloneIndependent(t *testing.T) {
 	}
 }
 
+// sortAll returns every row index of tab ordered by SortRows.
+func sortAll(tab *Table, name string, ascending bool) ([]int, error) {
+	rows := make([]int, tab.NumRows())
+	for i := range rows {
+		rows[i] = i
+	}
+	return rows, tab.SortRows(name, rows, ascending)
+}
+
 func TestSortIndices(t *testing.T) {
 	tab := sample(t)
-	asc, err := tab.SortIndices("DISTANCE", true)
+	asc, err := sortAll(tab, "DISTANCE", true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,21 +202,21 @@ func TestSortIndices(t *testing.T) {
 			t.Fatalf("asc = %v, want %v", asc, want)
 		}
 	}
-	desc, _ := tab.SortIndices("DISTANCE", false)
+	desc, _ := sortAll(tab, "DISTANCE", false)
 	want = []int{1, 3, 0, 2} // NaN still last
 	for i := range want {
 		if desc[i] != want[i] {
 			t.Fatalf("desc = %v, want %v", desc, want)
 		}
 	}
-	if _, err := tab.SortIndices("nope", true); err == nil {
+	if _, err := sortAll(tab, "nope", true); err == nil {
 		t.Fatal("unknown column should error")
 	}
 }
 
 func TestSortCategorical(t *testing.T) {
 	tab := sample(t)
-	asc, err := tab.SortIndices("AIRLINE", true)
+	asc, err := sortAll(tab, "AIRLINE", true)
 	if err != nil {
 		t.Fatal(err)
 	}
