@@ -1,10 +1,10 @@
 // Command subtab-server serves interactive sub-table selection over HTTP.
 // Tables are uploaded as CSV, pre-processed once (bin → corpus → Word2Vec),
-// cached in an LRU-bounded in-memory store, optionally persisted to disk,
-// and then served to any number of concurrent sessions: select, query,
-// rule-mining and highlighting all reuse the cached model, which is what
-// turns the paper's one-off pre-processing cost into interactive request
-// latencies.
+// written to a model file in the cache directory, served mapped from it
+// with an LRU bound on the models held in memory, and then served to any
+// number of concurrent sessions: select, query, rule-mining and
+// highlighting all reuse the cached model, which is what turns the paper's
+// one-off pre-processing cost into interactive request latencies.
 //
 // Usage:
 //
@@ -14,11 +14,12 @@
 //
 //	subtab-server flights=testdata/flights.csv
 //
-// Out-of-core serving: with -cache-dir, every unsharded table is its one
-// cached model file, and its bin codes and cells are served mmap'd from it;
-// without it, tables stay in memory. The store=1 upload parameter of
-// earlier versions is accepted and changes nothing. Selections are
-// byte-identical either way.
+// Out-of-core serving: every unsharded table is its one cached model file,
+// and its bin codes and cells are served mmap'd from it. Without
+// -cache-dir the server makes a private cache directory under $TMPDIR and
+// removes it when it shuts down gracefully; a killed server leaves it
+// behind. The store=1 upload parameter of earlier versions is accepted and
+// changes nothing.
 //
 // Memory governance: -memory-budget caps the process's governed resident
 // bytes — cached models, per-model vector and sample caches, coordinator
@@ -67,8 +68,8 @@ func main() {
 
 	var (
 		addr      = flag.String("addr", ":8080", "listen address")
-		cacheDir  = flag.String("cache-dir", "", "persist pre-processed models to this directory (empty = memory only)")
-		maxModels = flag.Int("max-models", serve.DefaultMaxModels, "models kept in memory (LRU; effective only with -cache-dir, memory-only stores never evict)")
+		cacheDir  = flag.String("cache-dir", "", "directory of the pre-processed model files, served mapped from it. Empty = a private directory made under $TMPDIR and removed on graceful shutdown. WARNING: on a tmpfs $TMPDIR the mapped files stay in RAM, outside -memory-budget; a killed (not drained) server leaves the private directory behind")
+		maxModels = flag.Int("max-models", serve.DefaultMaxModels, "models kept in memory (LRU; evicted models reload from their files)")
 		seed      = flag.Int64("seed", 1, "default pipeline seed for uploaded tables")
 		timeout   = flag.Duration("shutdown-timeout", 15*time.Second, "graceful shutdown grace period")
 		withPprof = flag.Bool("pprof", false, "expose net/http/pprof endpoints under /debug/pprof/ (profile serving hot spots in place)")
@@ -185,13 +186,23 @@ func preloadTables(svc *serve.Service, preload []string) error {
 	return nil
 }
 
-func run(addr, cacheDir string, maxModels int, seed int64, lim limitsConfig, timeout time.Duration, withPprof bool, shardOpt shardConfig, preload []string) error {
+// newService builds the store and service the server runs, over cacheDir,
+// or with cacheDir empty over a private directory it makes under $TMPDIR.
+// It returns the directory; a private one is the caller's to remove.
+func newService(cacheDir string, maxModels int, seed int64, lim limitsConfig, shardOpt shardConfig) (*serve.Service, string, error) {
 	opt := subtab.DefaultOptions()
 	opt.Bins.Seed = seed
 	opt.Corpus.Seed = seed
 	opt.Embedding.Seed = seed
 	opt.ClusterSeed = seed
 
+	if cacheDir == "" {
+		dir, err := os.MkdirTemp("", "subtab-server-")
+		if err != nil {
+			return nil, "", fmt.Errorf("making a private cache directory: %w", err)
+		}
+		cacheDir = dir
+	}
 	var gov *memgov.Governor
 	if lim.memoryBudget > 0 {
 		gov = memgov.New(lim.memoryBudget)
@@ -239,7 +250,17 @@ func run(addr, cacheDir string, maxModels int, seed int64, lim limitsConfig, tim
 	if shardOpt.role != "" {
 		log.Printf("shard role: %s (peers: %s)", shardOpt.role, strings.Join(shardOpt.peers, ", "))
 	}
+	return svc, cacheDir, nil
+}
 
+func run(addr, cacheDir string, maxModels int, seed int64, lim limitsConfig, timeout time.Duration, withPprof bool, shardOpt shardConfig, preload []string) error {
+	svc, dir, err := newService(cacheDir, maxModels, seed, lim, shardOpt)
+	if err != nil {
+		return err
+	}
+	if cacheDir == "" {
+		defer os.RemoveAll(dir)
+	}
 	if err := preloadTables(svc, preload); err != nil {
 		return err
 	}
@@ -265,16 +286,19 @@ func run(addr, cacheDir string, maxModels int, seed int64, lim limitsConfig, tim
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 
+	// Catch signals before the listener answers, so every drain removes a
+	// private cache directory on the way out.
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(stop)
 	errc := make(chan error, 1)
 	go func() {
-		log.Printf("listening on %s (cache-dir=%q, max-models=%d)", addr, cacheDir, maxModels)
+		log.Printf("listening on %s (cache-dir=%q, max-models=%d)", addr, dir, maxModels)
 		if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 			errc <- err
 		}
 	}()
 
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-errc:
 		return err

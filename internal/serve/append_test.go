@@ -185,24 +185,18 @@ func TestHTTPOversizedBody(t *testing.T) {
 // TestHTTPAppendRacingSelect hammers the select endpoint while rows stream
 // in. Every response must succeed against a consistent model: selected
 // source rows always within the bounds of some generation's table, never a
-// torn state. It runs on a memory-only store and on a disk-backed one that
-// holds one model: there every select holds a model mapped from its file
-// while the append re-pages the table into a new file, a second table is
-// replaced under its own selects, and each switch between the two evicts
-// the other, whose mapping goes when its last select lets go. Run under
-// -race in CI.
+// torn state. The store holds one model: every select holds a model mapped
+// from its file while the append re-pages the table into a new file, a
+// second table is replaced under its own selects, and each switch between
+// the two evicts the other, whose mapping goes when its last select lets
+// go. Run under -race in CI.
 func TestHTTPAppendRacingSelect(t *testing.T) {
-	for name, opt := range map[string]StoreOptions{
-		"memory": {},
-		"disk":   {Dir: t.TempDir(), MaxModels: 1},
-	} {
-		t.Run(name, func(t *testing.T) {
-			svc := NewService(NewStore(opt), testOptions())
-			srv := httptest.NewServer(NewHandler(svc, nil))
-			t.Cleanup(srv.Close)
-			raceAppendsAndSelects(t, srv)
-		})
-	}
+	t.Run("disk", func(t *testing.T) {
+		svc := NewService(NewStore(StoreOptions{Dir: t.TempDir(), MaxModels: 1}), testOptions())
+		srv := httptest.NewServer(NewHandler(svc, nil))
+		t.Cleanup(srv.Close)
+		raceAppendsAndSelects(t, srv)
+	})
 }
 
 // raceAppendsAndSelects appends rows to table "pay" while selectors read
@@ -279,7 +273,7 @@ func raceAppendsAndSelects(t *testing.T, srv *httptest.Server) {
 // TestServiceConcurrentAppendsCompose drives Service.AppendRows directly:
 // concurrent appends to one table must serialize and both land.
 func TestServiceConcurrentAppendsCompose(t *testing.T) {
-	svc := NewService(NewStore(StoreOptions{}), testOptions())
+	svc := NewService(NewStore(StoreOptions{Dir: t.TempDir()}), testOptions())
 	base := testTable("pay", 150, 3)
 	if _, err := svc.AddTable("pay", base, nil, Unsharded, false); err != nil {
 		t.Fatal(err)

@@ -62,7 +62,7 @@ func BenchmarkDiskLoadSelect(b *testing.B) {
 }
 
 func BenchmarkWarmSelect(b *testing.B) {
-	svc := NewService(NewStore(StoreOptions{}), testOptions())
+	svc := NewService(NewStore(StoreOptions{Dir: b.TempDir()}), testOptions())
 	if _, err := svc.AddTable("bench", testTable("bench", 2000, 17), nil, Unsharded, false); err != nil {
 		b.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func BenchmarkWarmSelect(b *testing.B) {
 }
 
 func BenchmarkWarmSelectParallel(b *testing.B) {
-	svc := NewService(NewStore(StoreOptions{}), testOptions())
+	svc := NewService(NewStore(StoreOptions{Dir: b.TempDir()}), testOptions())
 	if _, err := svc.AddTable("bench", testTable("bench", 2000, 17), nil, Unsharded, false); err != nil {
 		b.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func TestColdUploadSmoke(t *testing.T) {
 	opt.Corpus.Seed = 1
 	opt.Embedding = word2vec.Options{Dim: 24, Epochs: 3, Seed: 1}
 	opt.ClusterSeed = 1
-	svc := NewService(NewStore(StoreOptions{}), opt)
+	svc := NewService(NewStore(StoreOptions{Dir: t.TempDir()}), opt)
 
 	start := time.Now()
 	if _, err := svc.AddTable("fl", ds.T, nil, Unsharded, false); err != nil {

@@ -20,9 +20,17 @@ import (
 // fingerprints renders table "t"'s exact and scaled displays on svc.
 func fingerprints(t *testing.T, svc *Service) []string {
 	t.Helper()
+	return displays(t, func(spec core.ExploreSpec) (*core.SubTable, error) { return svc.Select("t", spec) })
+}
+
+// displays renders the exact and scaled displays that sel selects; with a
+// resident model's SelectExplore they are the reference a served table's
+// fingerprints are compared with.
+func displays(t *testing.T, sel func(core.ExploreSpec) (*core.SubTable, error)) []string {
+	t.Helper()
 	var out []string
 	for _, scale := range []*core.ScaleOptions{nil, scaleForce()} {
-		st, err := svc.Select("t", core.ExploreSpec{K: 6, L: 3, Scale: scale})
+		st, err := sel(core.ExploreSpec{K: 6, L: 3, Scale: scale})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,21 +88,20 @@ func TestUnsyncedCommitStands(t *testing.T) {
 	if _, err := svc.AddTable("t", testTable("t", 300, 7), nil, Unsharded, false); err != nil {
 		t.Fatal(err)
 	}
-	twin := NewService(NewStore(StoreOptions{}), testOptions())
-	if _, err := twin.AddTable("t", testTable("t", 300, 9), nil, Unsharded, false); err != nil {
-		t.Fatal(err)
-	}
+	ref := residentModel(t, testTable("t", 300, 9))
 	unsyncedCommits(t)
 	if _, err := svc.AddTable("t", testTable("t", 300, 9), nil, Unsharded, true); err != nil {
 		t.Fatalf("replace: %v", err)
 	}
-	assertServes(t, svc, dir, fingerprints(t, twin), "unsynced replace")
-	for _, s := range []*Service{svc, twin} {
-		if _, _, err := s.AppendRows("t", testTable("t", 40, 8), core.AppendOptions{}); err != nil {
-			t.Fatalf("append: %v", err)
-		}
+	assertServes(t, svc, dir, displays(t, ref.SelectExplore), "unsynced replace")
+	if _, _, err := svc.AppendRows("t", testTable("t", 40, 8), core.AppendOptions{}); err != nil {
+		t.Fatalf("append: %v", err)
 	}
-	assertServes(t, svc, dir, fingerprints(t, twin), "unsynced append")
+	ref, _, err := ref.Append(testTable("t", 40, 8), core.AppendOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertServes(t, svc, dir, displays(t, ref.SelectExplore), "unsynced append")
 	assertLayoutFiles(t, svc, dir, Unsharded, "unsynced append")
 	src, ok := mustModel(t, svc).B.Source().(interface{ Path() string })
 	if !ok || src.Path() != svc.Store().path("t") {

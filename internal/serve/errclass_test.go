@@ -39,10 +39,8 @@ func TestSelectErrorClasses(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.T.DropCells()
-	store := NewStore(StoreOptions{})
-	if err := store.put("cells", m); err != nil {
-		t.Fatal(err)
-	}
+	store := NewStore(StoreOptions{Dir: t.TempDir()})
+	store.putResident("cells", m)
 	svc := NewService(store, testOptions())
 	_, err := svc.Select("cells", core.ExploreSpec{K: 4, L: 2})
 	if err == nil || errors.Is(err, ErrBadRequest) || !errors.Is(err, errBadPage) {

@@ -49,3 +49,11 @@ func (s *Store) put(name string, m *core.Model) error {
 	_, err := s.putLocked(name, m, layoutOf(m))
 	return err
 }
+
+// putResident installs m under name as it is, through the store's insert,
+// without writing a model file: a resident model beside the mapped ones the
+// store serves, for a reference behind the HTTP and session routes or a
+// model whose sources no file can hold.
+func (s *Store) putResident(name string, m *core.Model) {
+	s.insert(name, m)
+}

@@ -15,14 +15,15 @@ import (
 
 // FuzzV1Body drives the JSON bodies of the three select-shaped endpoints —
 // the table select, the session select and the drill-down — through the
-// handler on a small resident table, without a listener. Whatever the
-// bytes, the handler must not panic or answer 5xx, and every non-2xx
-// answer must be the typed error envelope. A body carrying a negative
-// session weight must answer the bad_request envelope. Every table-select
-// body also goes to a paged copy of the table in a disk-backed store: a
-// select is a function of (table, spec) on every layout, so both answer
-// the same status and, on 200, the same rows, columns, cells and rule
-// labels.
+// handler on a small resident table (installed in its store without a
+// model file), without a listener. Whatever the bytes, the handler must
+// not panic or answer 5xx, and every non-2xx answer must be the typed
+// error envelope. A body carrying a negative session weight must answer
+// the bad_request envelope. Every table-select body also goes to a paged
+// copy of the table that another store added and serves mapped from its
+// model file: a select is a function of (table, spec) on every layout, so
+// both answer the same status and, on 200, the same rows, columns, cells
+// and rule labels.
 //
 //	go test -run '^$' -fuzz=FuzzV1Body -fuzztime=10s ./internal/serve/
 func FuzzV1Body(f *testing.F) {
@@ -55,19 +56,21 @@ func FuzzV1Body(f *testing.F) {
 	} {
 		f.Add(seed.endpoint, []byte(seed.body))
 	}
-	handler := func(store *Store, l Layout) http.Handler {
+	payTable := func() *table.Table {
 		tbl, err := table.ReadCSV("pay", strings.NewReader(testCSV(120)))
 		if err != nil {
 			f.Fatal(err)
 		}
-		svc := NewService(store, testOptions())
-		if _, err := svc.AddTable("pay", tbl, nil, l, false); err != nil {
-			f.Fatal(err)
-		}
-		return NewHandler(svc, nil)
+		return tbl
 	}
-	h := handler(NewStore(StoreOptions{}), Unsharded)
-	paged := handler(NewStore(StoreOptions{Dir: f.TempDir()}), Unsharded)
+	resident := NewStore(StoreOptions{Dir: f.TempDir()})
+	resident.putResident("pay", residentModel(f, payTable()))
+	h := NewHandler(NewService(resident, testOptions()), nil)
+	pagedSvc := NewService(NewStore(StoreOptions{Dir: f.TempDir()}), testOptions())
+	if _, err := pagedSvc.AddTable("pay", payTable(), nil, Unsharded, false); err != nil {
+		f.Fatal(err)
+	}
+	paged := NewHandler(pagedSvc, nil)
 	postTo := func(h http.Handler, path string, body []byte) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))

@@ -242,8 +242,8 @@ func (h *api) deleteTable(w http.ResponseWriter, r *http.Request) {
 // pipeline knobs (bins, dim, window, epochs, seed, strategy, columns,
 // workers), replace=1 to overwrite an existing table, and shards=N to
 // split it into N row-range shards (at most maxShards, and no more than the
-// rows). store=0/1 is accepted and changes nothing: a disk-backed server
-// maps every unsharded table from its model file, a memory-only one keeps it.
+// rows). store=0/1 is accepted and changes nothing: the server maps every
+// unsharded table from its model file.
 func (h *api) createTable(w http.ResponseWriter, r *http.Request) {
 	qp := r.URL.Query()
 	name := qp.Get("name")

@@ -27,7 +27,7 @@ func testCSV(rows int) string {
 
 func newTestServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	svc := NewService(NewStore(StoreOptions{}), testOptions())
+	svc := NewService(NewStore(StoreOptions{Dir: t.TempDir()}), testOptions())
 	srv := httptest.NewServer(NewHandler(svc, nil))
 	t.Cleanup(srv.Close)
 	return srv

@@ -17,10 +17,11 @@ import (
 // TestLayoutLifecycle takes one table through its whole life in each
 // layout: upload, exact and scaled selects, append, restart on the same
 // cache directory, replace by the next layout, remove. Every select must
-// render exactly what a resident twin renders, the directory must hold
+// render exactly what the resident model of the same rows renders (built
+// by core.Preprocess and core.Model.Append), the directory must hold
 // exactly the files of the current layout after each step — the model
 // file alone for an unsharded table — and removal must leave it empty.
-// Every table on the disk-backed store is out of core. The "resident" case
+// Every table on the store is out of core. The "resident" case
 // is the unsharded layout, which holds the whole table in its one model
 // file; the "pair" case is one shard, a code and a cell file beside it.
 func TestLayoutLifecycle(t *testing.T) {
@@ -30,7 +31,7 @@ func TestLayoutLifecycle(t *testing.T) {
 		t.Run([]string{"resident", "pair", "3-shards"}[i], func(t *testing.T) {
 			dir := t.TempDir()
 			svc := NewService(NewStore(StoreOptions{Dir: dir}), testOptions())
-			twin := NewService(NewStore(StoreOptions{}), testOptions())
+			var ref *core.Model
 			add := func(svc *Service, l Layout, seed int64, replace bool) {
 				t.Helper()
 				m, err := svc.AddTable("t", testTable("t", 2500, seed), nil, l, replace)
@@ -40,21 +41,13 @@ func TestLayoutLifecycle(t *testing.T) {
 				if got := layoutOf(m); got != l {
 					t.Fatalf("added in layout %d, serving in %d", l, got)
 				}
+				ref = residentModel(t, testTable("t", 2500, seed))
 			}
 			same := func(svc *Service, when string) {
 				t.Helper()
-				for _, scale := range []*core.ScaleOptions{nil, scaleForce()} {
-					want, err := twin.Select("t", core.ExploreSpec{K: 6, L: 3, Scale: scale})
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := svc.Select("t", core.ExploreSpec{K: 6, L: 3, Scale: scale})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if g, w := subTableFingerprint(got), subTableFingerprint(want); g != w {
-						t.Fatalf("%s (scale=%v): layout %d diverged from the resident twin:\n got %s\nwant %s", when, scale, l, g, w)
-					}
+				got, want := fingerprints(t, svc), displays(t, ref.SelectExplore)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s: layout %d diverged from the resident model:\n got %v\nwant %v", when, l, got, want)
 				}
 			}
 			files := func(svc *Service, l Layout, when string) {
@@ -63,7 +56,6 @@ func TestLayoutLifecycle(t *testing.T) {
 			}
 
 			add(svc, l, 7, false)
-			add(twin, Unsharded, 7, false)
 			files(svc, l, "upload")
 			info, err := svc.Info("t")
 			if err != nil {
@@ -77,14 +69,15 @@ func TestLayoutLifecycle(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			for _, s := range []*Service{svc, twin} {
-				m, stats, err := s.AppendRows("t", testTable("t", 12, 8), core.AppendOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if stats.AppendedRows != 12 || m.T.NumRows() != 2512 {
-					t.Fatalf("append: %d rows appended, %d total", stats.AppendedRows, m.T.NumRows())
-				}
+			m, stats, err := svc.AppendRows("t", testTable("t", 12, 8), core.AppendOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.AppendedRows != 12 || m.T.NumRows() != 2512 {
+				t.Fatalf("append: %d rows appended, %d total", stats.AppendedRows, m.T.NumRows())
+			}
+			if ref, _, err = ref.Append(testTable("t", 12, 8), core.AppendOptions{}); err != nil {
+				t.Fatal(err)
 			}
 			if m := mustModel(t, svc); layoutOf(m) != l {
 				t.Fatalf("append moved the table from layout %d to %d", l, layoutOf(m))
@@ -100,7 +93,6 @@ func TestLayoutLifecycle(t *testing.T) {
 			files(restarted, l, "restart")
 
 			add(restarted, next, 9, true)
-			add(twin, Unsharded, 9, true)
 			files(restarted, next, "replace")
 			same(restarted, "replace")
 

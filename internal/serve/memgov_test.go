@@ -169,7 +169,7 @@ func TestGovernedStoreBudgetEviction(t *testing.T) {
 // and the per-table concurrency limit sheds with ErrOverloaded alone.
 func TestServiceAdmission(t *testing.T) {
 	g := memgov.New(1) // any select's estimate exceeds one byte
-	svc := NewService(NewStore(StoreOptions{Governor: g}), testOptions())
+	svc := NewService(NewStore(StoreOptions{Dir: t.TempDir(), Governor: g}), testOptions())
 	svc.SetAdmission(g, 0)
 	if _, err := svc.AddTable("t", testTable("t", 300, 5), nil, Unsharded, false); err != nil {
 		t.Fatal(err)

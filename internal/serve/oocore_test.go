@@ -1,8 +1,7 @@
 // Serving-layer tests for out-of-core tables (their whole life in one
 // layout is TestLayoutLifecycle's): appends and reloads stay out-of-core,
-// sharded layouts need a disk-backed store, every unsharded table on one is
-// its mapped model file, and the store=1 upload knob (a no-op) and the
-// per-request slab budget work over HTTP.
+// every unsharded table is its mapped model file, and the store=1 upload
+// knob (a no-op) and a scaled select work over HTTP.
 package serve
 
 import (
@@ -58,21 +57,9 @@ func TestAppendKeepsTableOutOfCore(t *testing.T) {
 	}
 }
 
-// TestAddTableOutOfCoreNeedsDisk pins the memory-only rejection of every
-// sharded layout.
-func TestAddTableOutOfCoreNeedsDisk(t *testing.T) {
-	svc := NewService(NewStore(StoreOptions{}), testOptions())
-	for _, l := range []Layout{Shards(1), Shards(2)} {
-		if _, err := svc.AddTable("t", testTable("t", 200, 1), nil, l, false); !errors.Is(err, ErrBadRequest) {
-			t.Fatalf("layout %d without a disk-backed store: %v, want a bad request", l, err)
-		}
-	}
-}
-
 // TestHTTPOutOfCoreUpload drives uploads with and without the store=1 knob
 // and a scaled select over the mapped table end to end. The knob changes
-// nothing: a disk-backed server maps every unsharded table, and a
-// memory-only one keeps it in memory.
+// nothing: the server maps every unsharded table.
 func TestHTTPOutOfCoreUpload(t *testing.T) {
 	dir := t.TempDir()
 	svc := NewService(NewStore(StoreOptions{Dir: dir}), testOptions())
@@ -113,19 +100,8 @@ func TestHTTPOutOfCoreUpload(t *testing.T) {
 	bad := map[string]any{"k": 5, "l": 3, "scale": map[string]any{"sample_budget": -1}}
 	doJSON(t, "POST", srv.URL+"/v1/tables/ooc/select", bad, http.StatusBadRequest, nil)
 
-	// store=1 without a cache dir serves the table from memory.
-	memSrv := httptest.NewServer(NewHandler(NewService(NewStore(StoreOptions{}), testOptions()), nil))
-	t.Cleanup(memSrv.Close)
-	resp, err := http.Post(memSrv.URL+"/tables?name=x&store=1&workers=1", "text/csv", strings.NewReader(csv))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if created := decodeBodyMap(t, resp, http.StatusCreated); created["out_of_core"] == true {
-		t.Fatalf("memory-only upload with store=1: response = %v, want the table in memory", created)
-	}
-
 	// Bad store values are rejected.
-	resp, err = http.Post(srv.URL+"/tables?name=y&store=maybe", "text/csv", strings.NewReader(csv))
+	resp, err := http.Post(srv.URL+"/tables?name=y&store=maybe", "text/csv", strings.NewReader(csv))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,8 +157,7 @@ func TestGetRefusesDamagedPage(t *testing.T) {
 	}
 }
 
-// TestUnshardedTableIsItsMappedFile pins what a table costs on a
-// disk-backed store: added without any layout request it is out of core,
+// TestUnshardedTableIsItsMappedFile pins what a table costs on a store: added without any layout request it is out of core,
 // the store directory holds its one model file, and the model served from
 // that file's mapping holds under a tenth of the heap the same table's
 // resident model does. Its exact selects still fill the full-table vector
@@ -196,12 +171,9 @@ func TestUnshardedTableIsItsMappedFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resident, err := NewService(NewStore(StoreOptions{}), testOptions()).AddTable("t", tab, nil, Unsharded, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resident := residentModel(t, testTable("t", 5000, 7))
 	if !mapped.OutOfCore() || resident.OutOfCore() {
-		t.Fatalf("out of core: %v on disk, %v in memory; want true and false", mapped.OutOfCore(), resident.OutOfCore())
+		t.Fatalf("out of core: %v mapped, %v resident; want true and false", mapped.OutOfCore(), resident.OutOfCore())
 	}
 	if files := dirFiles(t, dir); len(files) != 1 || files[0] != svc.Store().path("t") {
 		t.Fatalf("the store holds %v, want the table's one model file", files)

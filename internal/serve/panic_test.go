@@ -50,11 +50,10 @@ func TestWorkerPanicFailsOnlyItsRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	armed.Store(true)
-	store := NewStore(StoreOptions{})
-	for name, m := range map[string]*core.Model{"broken": broken, "fine": buildModel(t, "fine", 300)} {
-		if err := store.put(name, m); err != nil {
-			t.Fatal(err)
-		}
+	store := NewStore(StoreOptions{Dir: t.TempDir()})
+	store.putResident("broken", broken)
+	if err := store.put("fine", buildModel(t, "fine", 300)); err != nil {
+		t.Fatal(err)
 	}
 	svc := NewService(store, testOptions())
 	gov := memgov.New(1 << 30)

@@ -27,7 +27,7 @@ func subTableFingerprint(st *core.SubTable) string {
 }
 
 func TestServeScaledSelectRepeatDeterminism(t *testing.T) {
-	svc := NewService(NewStore(StoreOptions{}), testOptions())
+	svc := NewService(NewStore(StoreOptions{Dir: t.TempDir()}), testOptions())
 	if _, err := svc.AddTable("scaled", testTable("scaled", 2500, 7), nil, Unsharded, false); err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestServeScaledSelectRepeatDeterminism(t *testing.T) {
 // in CI, this is the "any number of selections against one model" contract
 // extended to the scaled path.
 func TestServeScaledSelectConcurrent(t *testing.T) {
-	svc := NewService(NewStore(StoreOptions{}), testOptions())
+	svc := NewService(NewStore(StoreOptions{Dir: t.TempDir()}), testOptions())
 	if _, err := svc.AddTable("conc-scaled", testTable("conc-scaled", 3000, 13), nil, Unsharded, false); err != nil {
 		t.Fatal(err)
 	}

@@ -102,11 +102,10 @@ type TableInfo struct {
 }
 
 // Layout says where an added table's bin codes and displayed cells live.
-// Unsharded, a disk-backed store keeps the table as its one model file,
-// with them as store images after its header, and serves them mmap'd from
-// that file (a select streams the code blocks it samples and gathers only
-// the displayed rows' cells); a memory-only store serves the model
-// Preprocess built. Shards(n) writes them to n row-range shard file pairs
+// Unsharded, the store keeps the table as its one model file, with them as
+// store images after its header, and serves them mmap'd from that file (a
+// select streams the code blocks it samples and gathers only the displayed
+// rows' cells). Shards(n) writes them to n row-range shard file pairs
 // beside the model file, whose codes and cells sections hold the shard map;
 // worker instances can split the pairs between them.
 type Layout int
@@ -182,8 +181,6 @@ func (s *Service) checkLayout(l Layout, rows int) error {
 		return nil
 	case l < 0:
 		return fmt.Errorf("%w: shard count must be positive, got %d", ErrBadRequest, l)
-	case s.store.opt.Dir == "":
-		return fmt.Errorf("%w: sharded tables need a disk-backed store (set StoreOptions.Dir)", ErrBadRequest)
 	case l > maxShards:
 		return fmt.Errorf("%w: %d shards exceed the limit of %d", ErrBadRequest, l, maxShards)
 	case l > 1 && int(l) > rows:
@@ -224,13 +221,13 @@ func layoutOf(m *core.Model) Layout {
 // concurrent appends compose instead of losing rows. Rules mined over the
 // old rows stay cached on the old model only.
 //
-// Paged tables stay paged: Append materializes resident codes and cells to
-// build the successor, and the store persists it in the table's layout —
-// an unsharded successor into a new model file, renamed over the old one
-// and served from its mapping, a sharded one paged out again over the
-// table's shard files in their block size first — so the memory bound of a
-// disk-backed table survives its appends. In-flight selections on the old
-// model keep reading the replaced files through their mappings.
+// Tables stay paged: Append materializes resident codes and cells to build
+// the successor, and the store persists it in the table's layout — an
+// unsharded successor into a new model file, renamed over the old one and
+// served from its mapping, a sharded one paged out again over the table's
+// shard files in their block size first — so a table's memory bound
+// survives its appends. In-flight selections on the old model keep reading
+// the replaced files through their mappings.
 func (s *Service) AppendRows(name string, rows *table.Table, opt core.AppendOptions) (*core.Model, core.AppendStats, error) {
 	var stats core.AppendStats
 	m, err := s.store.Update(name, func(cur *core.Model) (*core.Model, error) {

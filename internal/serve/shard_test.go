@@ -6,6 +6,7 @@ package serve
 
 import (
 	"bytes"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -13,6 +14,9 @@ import (
 	"strings"
 	"testing"
 
+	"subtab/internal/blockfile"
+	"subtab/internal/codestore"
+	"subtab/internal/colstore"
 	"subtab/internal/core"
 	"subtab/internal/shard"
 )
@@ -51,7 +55,7 @@ func splitCacheDir(t *testing.T, name string, rows int, shards int, remote []int
 // TestShardedCoordinatorHTTP is the protocol end to end over a real HTTP
 // round trip: a coordinator holding shard 0 and a worker holding shards 1
 // and 2 of one logical table must together serve exactly the selection an
-// in-memory model of the whole table serves.
+// resident model of the whole table serves.
 func TestShardedCoordinatorHTTP(t *testing.T) {
 	const name = "t"
 	coordDir, workerDir := splitCacheDir(t, name, 2500, 3, []int{1, 2})
@@ -83,11 +87,7 @@ func TestShardedCoordinatorHTTP(t *testing.T) {
 		},
 	}), testOptions())
 
-	svcMem := NewService(NewStore(StoreOptions{}), testOptions())
-	if _, err := svcMem.AddTable(name, testTable(name, 2500, 7), nil, Unsharded, false); err != nil {
-		t.Fatal(err)
-	}
-	want, err := svcMem.Select(name, core.ExploreSpec{K: 6, L: 3, Scale: scaleForce()})
+	want, err := residentModel(t, testTable(name, 2500, 7)).SelectExplore(core.ExploreSpec{K: 6, L: 3, Scale: scaleForce()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,17 +218,81 @@ func TestHTTPShardedUpload(t *testing.T) {
 		t.Fatalf("info = %+v, want 4/4 shards", info)
 	}
 
-	// shards=0 is rejected; memory-only stores cannot shard.
+	// shards=0 is rejected.
 	resp, err = http.Post(srv.URL+"/tables?name=z&shards=0", "text/csv", strings.NewReader(testCSV(60)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	decodeBodyMap(t, resp, http.StatusBadRequest)
-	memSrv := httptest.NewServer(NewHandler(NewService(NewStore(StoreOptions{}), testOptions()), nil))
-	t.Cleanup(memSrv.Close)
-	resp, err = http.Post(memSrv.URL+"/tables?name=z&shards=2&workers=1", "text/csv", strings.NewReader(testCSV(60)))
+}
+
+// TestGetRefusesDamagedShardPage: a byte flipped inside a middle data page
+// of a sharded table's shard file — a column shard or a code shard — is
+// found when the table loads: a restarted store's Get fails with
+// blockfile.ErrCorrupt in its chain instead of serving the damaged page,
+// as an unsharded table's model file does (TestGetRefusesDamagedPage). A
+// store that allows missing shards checks the shards it holds.
+func TestGetRefusesDamagedShardPage(t *testing.T) {
+	for _, tc := range []struct {
+		what  string
+		shard int
+		cells bool
+	}{{"cols.000", 0, true}, {"codes.001", 1, false}} {
+		t.Run(tc.what, func(t *testing.T) {
+			dir := t.TempDir()
+			svc := NewService(NewStore(StoreOptions{Dir: dir}), testOptions())
+			if _, err := svc.AddTable("t", testTable("t", 900, 7), nil, Shards(2), false); err != nil {
+				t.Fatal(err)
+			}
+			codes, cells := svc.Store().layoutPaths("t", Shards(2))
+			damaged := codes[tc.shard]
+			if tc.cells {
+				damaged = cells[tc.shard]
+			}
+			flipMiddlePage(t, damaged, tc.cells)
+			if _, err := NewStore(StoreOptions{Dir: dir}).Get("t"); !errors.Is(err, blockfile.ErrCorrupt) {
+				t.Fatalf("Get of a table with a damaged %s page: err = %v, want ErrCorrupt", tc.what, err)
+			}
+			other := 1 - tc.shard
+			for _, p := range []string{codes[other], cells[other]} {
+				if err := os.Remove(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := NewStore(StoreOptions{Dir: dir, AllowMissingShards: true}).Get("t"); !errors.Is(err, blockfile.ErrCorrupt) {
+				t.Fatalf("Get of the damaged shard alone, missing shards allowed: err = %v, want ErrCorrupt", err)
+			}
+		})
+	}
+}
+
+// flipMiddlePage flips one byte of the middle page of the store file at
+// path, a column store or a code store: the middle column's page in the
+// middle block.
+func flipMiddlePage(t *testing.T, path string, cells bool) {
+	t.Helper()
+	var f *blockfile.File
+	if cells {
+		st, err := colstore.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f = st.File
+	} else {
+		st, err := codestore.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f = st.File
+	}
+	at := f.Off(f.NumCols()/2, f.NumBlocks()/2)
+	f.Close()
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	decodeBodyMap(t, resp, http.StatusBadRequest)
+	raw[at] ^= 0x01
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
 }

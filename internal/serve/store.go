@@ -3,11 +3,12 @@
 // pre-processing; this package amortizes that pre-processing across
 // requests, sessions and process restarts:
 //
-//   - Store is a concurrency-safe model cache: LRU-bounded in memory,
-//     singleflight-deduplicated (N concurrent requests for a table on disk
-//     run exactly one load) and optionally disk-backed through package
-//     modelio, so evicted or restarted models reload in milliseconds
-//     instead of re-training.
+//   - Store is a concurrency-safe model cache over one directory: every
+//     table is persisted there through package modelio and served mapped
+//     from its file, the models in memory are LRU-bounded and governed,
+//     and a load is singleflight-deduplicated (N concurrent requests for a
+//     table on disk run exactly one load), so evicted or restarted models
+//     reload in milliseconds instead of re-training.
 //   - Service exposes the user-facing operations — select, select-query,
 //     mine-rules, highlight — over named tables.
 //   - NewHandler adapts a Service to an HTTP/JSON API (cmd/subtab-server).
@@ -41,13 +42,11 @@ const DefaultMaxModels = 8
 // StoreOptions configures a Store.
 type StoreOptions struct {
 	// MaxModels bounds the number of models held in memory (<= 0 uses
-	// DefaultMaxModels). The bound only takes effect when Dir is set:
-	// evicted models survive on disk and reload on demand. A memory-only
-	// store never evicts — the source data is gone after pre-processing, so
-	// eviction would silently unregister tables clients already created.
+	// DefaultMaxModels); evicted models survive on disk and reload on
+	// demand.
 	MaxModels int
-	// Dir, when non-empty, persists every cached model to disk via modelio
-	// and serves cache misses from disk before rebuilding. The directory is
+	// Dir is the directory every table's model file (and a sharded table's
+	// shard files) is written to and loaded from; it is required. It is
 	// created on first use.
 	Dir string
 	// AllowMissingShards loads sharded models whose shard files are partly
@@ -80,7 +79,7 @@ type StoreStats struct {
 	Evictions int64 // models dropped from memory by the LRU bound
 }
 
-// Store is a concurrency-safe, LRU-bounded, disk-backed model cache.
+// Store is a concurrency-safe, LRU-bounded model cache over one directory.
 type Store struct {
 	opt StoreOptions
 
@@ -113,8 +112,11 @@ type flightCall struct {
 	err   error
 }
 
-// NewStore returns an empty store.
+// NewStore returns an empty store. It panics if opt.Dir is empty.
 func NewStore(opt StoreOptions) *Store {
+	if opt.Dir == "" {
+		panic("serve: NewStore needs a directory (StoreOptions.Dir)")
+	}
 	if opt.MaxModels <= 0 {
 		opt.MaxModels = DefaultMaxModels
 	}
@@ -139,10 +141,9 @@ func NewStore(opt StoreOptions) *Store {
 }
 
 // reclaimModels is the governor's eviction callback: drop cold-end LRU
-// entries (disk-backed stores) or at least their per-model caches
-// (memory-only stores, which must not unregister tables) until need bytes
-// were freed or only the hottest entry remains. Runs without the governor
-// lock held, per the memgov contract.
+// entries, which reload from their files on demand, until need bytes were
+// freed or only the hottest entry remains. Runs without the governor lock
+// held, per the memgov contract.
 func (s *Store) reclaimModels(need int64) int64 {
 	var freed int64
 	for freed < need {
@@ -151,18 +152,6 @@ func (s *Store) reclaimModels(need int64) int64 {
 		if back == nil || back == s.lru.Front() {
 			s.mu.Unlock()
 			break
-		}
-		if s.opt.Dir == "" {
-			// Nowhere to reload from: keep every entry, but release the cold
-			// half's rebuildable caches, coldest first.
-			var released int64
-			for el := back; el != nil && el != s.lru.Front() && freed+released < need; el = el.Prev() {
-				ent := el.Value.(*storeEntry)
-				released += ent.model.CacheBytes()
-				ent.model.ReleaseVectorCache()
-			}
-			s.mu.Unlock()
-			return freed + released
 		}
 		ent := s.lru.Remove(back).(*storeEntry)
 		delete(s.entries, ent.name)
@@ -187,10 +176,9 @@ func (s *Store) Stats() StoreStats {
 }
 
 // Get returns the model for name: from memory, else loaded from the disk
-// cache (when Dir is set) at most once across concurrent callers —
-// requests arriving while a load is in flight wait for it instead of
-// starting their own (the singleflight pattern). It returns ErrNotFound
-// when the table is unknown.
+// cache at most once across concurrent callers — requests arriving while a
+// load is in flight wait for it instead of starting their own (the
+// singleflight pattern). It returns ErrNotFound when the table is unknown.
 func (s *Store) Get(name string) (*core.Model, error) {
 	s.mu.Lock()
 	if el, ok := s.entries[name]; ok {
@@ -226,9 +214,6 @@ func (s *Store) Get(name string) (*core.Model, error) {
 // a retired format) reads as missing too, its error wrapping the cause
 // (modelio.ErrCorrupt, ErrVersion), and the next add writes over it.
 func (s *Store) load(name string, startGen uint64) (*core.Model, error) {
-	if s.opt.Dir == "" {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
 	m, err := s.loadDisk(name)
 	switch {
 	case errors.Is(err, os.ErrNotExist):
@@ -273,19 +258,17 @@ func (s *Store) loadDisk(name string) (*core.Model, error) {
 // every file of the name that layout does not use, installs m replacing
 // any previous model of the name — in-flight loads of the name that
 // finish after it discard their result — and returns the model it
-// installed: m, or for an unsharded table on a disk-backed store the model
-// mapped from its file.
+// installed: for an unsharded table the model mapped from its file, for a
+// sharded one m.
 // Callers hold the per-name lock (AddTable and Update), so the store files
 // and the model insert stay one critical section.
 func (s *Store) putLocked(name string, m *core.Model, l Layout) (*core.Model, error) {
-	if s.opt.Dir != "" {
-		var err error
-		if m, err = s.persist(name, m, l); err != nil {
-			return nil, fmt.Errorf("serve: persisting model %q: %w", name, err)
-		}
-		codes, cells := s.layoutPaths(name, l)
-		s.sweepStores(name, slices.Concat(codes, cells))
+	m, err := s.persist(name, m, l)
+	if err != nil {
+		return nil, fmt.Errorf("serve: persisting model %q: %w", name, err)
 	}
+	codes, cells := s.layoutPaths(name, l)
+	s.sweepStores(name, slices.Concat(codes, cells))
 	if s.opt.Governor != nil {
 		m.SetGovernor(s.opt.Governor)
 	}
@@ -320,7 +303,7 @@ func (s *Store) Update(name string, fn func(*core.Model) (*core.Model, error)) (
 		s.lru.MoveToFront(el)
 	}
 	s.mu.Unlock()
-	if cur == nil && s.opt.Dir != "" {
+	if cur == nil {
 		if m, err := s.loadDisk(name); err == nil {
 			s.diskLoads.Add(1)
 			cur = m
@@ -364,9 +347,6 @@ func (s *Store) Contains(name string) bool {
 	if ok {
 		return true
 	}
-	if s.opt.Dir == "" {
-		return false
-	}
 	_, err := os.Stat(s.path(name))
 	return err == nil
 }
@@ -380,8 +360,8 @@ func (s *Store) serves(name string) bool {
 	s.mu.Lock()
 	_, ok := s.entries[name]
 	s.mu.Unlock()
-	if ok || s.opt.Dir == "" {
-		return ok
+	if ok {
+		return true
 	}
 	_, err := s.loadDisk(name)
 	return err == nil
@@ -406,10 +386,8 @@ func (s *Store) Remove(name string) {
 		ent.model.ReleaseVectorCache()
 	}
 	s.mu.Unlock()
-	if s.opt.Dir != "" {
-		os.Remove(s.path(name))
-		s.sweepStores(name, nil)
-	}
+	os.Remove(s.path(name))
+	s.sweepStores(name, nil)
 }
 
 // Names lists every known table: in-memory models in MRU order followed by
@@ -424,9 +402,6 @@ func (s *Store) Names() []string {
 		seen[n] = true
 	}
 	s.mu.Unlock()
-	if s.opt.Dir == "" {
-		return names
-	}
 	files, err := os.ReadDir(s.opt.Dir)
 	if err != nil {
 		return names
@@ -490,9 +465,6 @@ func (s *Store) insertLocked(name string, m *core.Model) (grow int64) {
 	ent := &storeEntry{name: name, model: m, bytes: s.modelBytes(m)}
 	s.entries[name] = s.lru.PushFront(ent)
 	grow = ent.bytes
-	if s.opt.Dir == "" {
-		return grow // nowhere to reload from: never evict (see StoreOptions)
-	}
 	for len(s.entries) > s.opt.MaxModels {
 		back := s.lru.Back()
 		if back == nil {
@@ -556,9 +528,6 @@ func (s *Store) layoutPaths(name string, l Layout) (codes, cells []string) {
 // writes over it, and the temp files of an interrupted write — or all of
 // them (keep empty) when the table is removed.
 func (s *Store) sweepStores(name string, keep []string) {
-	if s.opt.Dir == "" {
-		return
-	}
 	files, err := os.ReadDir(s.opt.Dir)
 	if err != nil {
 		return

@@ -55,7 +55,14 @@ func testOptions() core.Options {
 
 func buildModel(tb testing.TB, name string, rows int) *core.Model {
 	tb.Helper()
-	m, err := core.Preprocess(testTable(name, rows, 11), testOptions())
+	return residentModel(tb, testTable(name, rows, 11))
+}
+
+// residentModel pre-processes t with testOptions into a resident model:
+// the reference a served table's selections are compared with.
+func residentModel(tb testing.TB, t *table.Table) *core.Model {
+	tb.Helper()
+	m, err := core.Preprocess(t, testOptions())
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -114,7 +121,7 @@ func TestSingleflight(t *testing.T) {
 		t.Fatalf("store serves %p (%v), want the winning add's model", m, err)
 	}
 
-	hsvc := NewService(NewStore(StoreOptions{}), testOptions())
+	hsvc := NewService(NewStore(StoreOptions{Dir: t.TempDir()}), testOptions())
 	srv := httptest.NewServer(NewHandler(hsvc, nil))
 	t.Cleanup(srv.Close)
 	errs = herd(func(int) error {
@@ -212,8 +219,20 @@ func TestSingleflightError(t *testing.T) {
 	}
 }
 
+// TestNewStoreNeedsDir: every store serves its tables from files in its
+// directory, so a store without one is refused at construction instead of
+// writing model files into the working directory.
+func TestNewStoreNeedsDir(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewStore with an empty Dir did not panic")
+		}
+	}()
+	NewStore(StoreOptions{})
+}
+
 func TestGetUnknown(t *testing.T) {
-	s := NewStore(StoreOptions{})
+	s := NewStore(StoreOptions{Dir: t.TempDir()})
 	if _, err := s.Get("nope"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v, want ErrNotFound", err)
 	}
@@ -307,7 +326,7 @@ func TestCorruptDiskSelfHeals(t *testing.T) {
 // selects, query-selects, rule mining and table listing. Its real assertion
 // is the race detector (go test -race ./internal/serve).
 func TestServiceConcurrentAccess(t *testing.T) {
-	svc := NewService(NewStore(StoreOptions{}), testOptions())
+	svc := NewService(NewStore(StoreOptions{Dir: t.TempDir()}), testOptions())
 	if _, err := svc.AddTable("conc", testTable("conc", 300, 5), nil, Unsharded, false); err != nil {
 		t.Fatal(err)
 	}
@@ -354,31 +373,11 @@ func TestServiceConcurrentAccess(t *testing.T) {
 	}
 }
 
-// TestMemoryOnlyNeverEvicts: without a disk cache there is nothing to
-// rebuild an evicted model from, so the LRU bound must not apply — an
-// acknowledged table must never silently 404.
-func TestMemoryOnlyNeverEvicts(t *testing.T) {
-	s := NewStore(StoreOptions{MaxModels: 2})
-	for _, name := range []string{"a", "b", "c", "d"} {
-		if err := s.put(name, buildModel(t, name, 80)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := s.MemoryLen(); got != 4 {
-		t.Fatalf("memory holds %d models, want all 4", got)
-	}
-	for _, name := range []string{"a", "b", "c", "d"} {
-		if _, err := s.Get(name); err != nil {
-			t.Fatalf("Get(%q) after over-bound puts: %v", name, err)
-		}
-	}
-}
-
 // TestBuilderNotPoisonedByLookupFlight: an add that arrives while a
 // lookup flight of its name is in progress neither waits for the lookup
 // nor inherits its ErrNotFound.
 func TestBuilderNotPoisonedByLookupFlight(t *testing.T) {
-	s := NewStore(StoreOptions{})
+	s := NewStore(StoreOptions{Dir: t.TempDir()})
 	// Plant a lookup flight, as a concurrent Get would.
 	c := &flightCall{done: make(chan struct{})}
 	s.mu.Lock()
@@ -460,7 +459,7 @@ func TestPutWinsOverInflightBuild(t *testing.T) {
 // TestRulesModelConsistency: rules are always labeled against the model
 // they were mined from, even when the table is replaced concurrently.
 func TestRulesModelConsistency(t *testing.T) {
-	svc := NewService(NewStore(StoreOptions{}), testOptions())
+	svc := NewService(NewStore(StoreOptions{Dir: t.TempDir()}), testOptions())
 	if _, err := svc.AddTable("r", testTable("v1", 200, 3), nil, Unsharded, false); err != nil {
 		t.Fatal(err)
 	}
@@ -521,7 +520,7 @@ func TestRulesDoNotPinEvictedModels(t *testing.T) {
 }
 
 func TestServiceAddExistsAndReplace(t *testing.T) {
-	svc := NewService(NewStore(StoreOptions{}), testOptions())
+	svc := NewService(NewStore(StoreOptions{Dir: t.TempDir()}), testOptions())
 	if _, err := svc.AddTable("dup", testTable("dup", 100, 1), nil, Unsharded, false); err != nil {
 		t.Fatal(err)
 	}

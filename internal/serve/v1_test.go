@@ -194,7 +194,7 @@ func TestSessionWeightsMustBeNonNegative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := NewService(NewStore(StoreOptions{}), testOptions())
+	svc := NewService(NewStore(StoreOptions{Dir: t.TempDir()}), testOptions())
 	if _, err := svc.AddTable("pay", tbl, nil, Unsharded, false); err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestSessionWeightsMustBeNonNegative(t *testing.T) {
 }
 
 func TestV1OverloadedEnvelope(t *testing.T) {
-	svc := NewService(NewStore(StoreOptions{}), testOptions())
+	svc := NewService(NewStore(StoreOptions{Dir: t.TempDir()}), testOptions())
 	srv := httptest.NewServer(NewHandler(svc, nil))
 	t.Cleanup(srv.Close)
 	uploadCSV(t, srv, "pay", testCSV(150), http.StatusCreated)
@@ -314,7 +314,7 @@ func TestV1DrillDownDeterminism(t *testing.T) {
 // between the two: the unfiltered (sampled) select fits it, the filtered
 // one is shed.
 func TestHTTPAdmissionReservesExactLeg(t *testing.T) {
-	svc := NewService(NewStore(StoreOptions{}), testOptions())
+	svc := NewService(NewStore(StoreOptions{Dir: t.TempDir()}), testOptions())
 	srv := httptest.NewServer(NewHandler(svc, nil))
 	t.Cleanup(srv.Close)
 	uploadCSV(t, srv, "pay", testCSV(900), http.StatusCreated)

@@ -63,21 +63,25 @@ func (m *Map) Starts() []int {
 }
 
 // shardStore is what a shard's store file answers to be checked against its
-// descriptor (codestore.Store and colstore.Store both do).
+// descriptor and its own page checksums (codestore.Store and colstore.Store
+// both do).
 type shardStore interface {
 	comparable
 	NumRows() int
 	NumCols() int
 	BlockRows() int
 	Checksum() uint32
+	Verify() error
 	Close() error
 }
 
 // openShards opens one cols-wide store per descriptor (file names resolved
 // against dir), validating each one's geometry and identity checksum against
-// its descriptor. With allowMissing, shards whose files do not exist stay
-// the zero S (nil); any other failure closes what was opened. kind names the
-// store in errors.
+// its descriptor and then every page against its checksum, so a damaged
+// page fails the open (wrapping blockfile.ErrCorrupt) instead of being
+// served. With allowMissing, shards whose files do not exist stay the zero
+// S (nil) and are not checked; any other failure closes what was opened.
+// kind names the store in errors.
 func openShards[S shardStore](dir string, descs []Desc, cols int, allowMissing bool, kind string, open func(string) (S, error)) (_ []S, err error) {
 	var none S
 	stores := make([]S, len(descs))
@@ -106,6 +110,9 @@ func openShards[S shardStore](dir string, descs []Desc, cols int, allowMissing b
 		if st.NumRows() != d.Rows || st.NumCols() != cols || st.BlockRows() != d.BlockRows {
 			return nil, fmt.Errorf("shard: %s %d (%s) is %dx%d at %d rows/block, map expects %dx%d at %d",
 				kind, i, d.File, st.NumRows(), st.NumCols(), st.BlockRows(), d.Rows, cols, d.BlockRows)
+		}
+		if err := st.Verify(); err != nil {
+			return nil, fmt.Errorf("shard: %s %d (%s): %w", kind, i, d.File, err)
 		}
 	}
 	return stores, nil
