@@ -19,11 +19,13 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"subtab/internal/binning"
 	"subtab/internal/corpus"
 	"subtab/internal/f32"
 	"subtab/internal/memgov"
+	"subtab/internal/query"
 	"subtab/internal/rules"
 	"subtab/internal/table"
 	"subtab/internal/word2vec"
@@ -140,6 +142,14 @@ type Model struct {
 	samples *memgov.Cache[int, []int]
 	// mined memoizes association rules per mining option set (see Rules).
 	mined *memgov.Cache[string, []rules.Rule]
+	// overviews memoizes the choice (k source rows, l column indices) of
+	// the stateless whole-table selection per display shape: the complete
+	// sub-table every exploration starts from is a pure function of the
+	// model and its overviewKey, so only its first request per shape
+	// samples, embeds and clusters; later ones render k×l cells.
+	overviews *memgov.Cache[overviewKey, overview]
+	// overviewFills counts the choices the overview memo has computed.
+	overviewFills atomic.Int64
 }
 
 // newModel assembles a model from its pre-processed parts: it builds the
@@ -153,6 +163,7 @@ func newModel(t *table.Table, b *binning.Binned, emb *word2vec.Model, opt Option
 	m.vecs = memgov.NewCache[struct{}](nil, memgov.ClassVectorCache, func(v f32.Matrix) int64 { return int64(len(v.Data)) * 4 })
 	m.samples = memgov.NewCache[int](nil, memgov.ClassSampleCache, func(ids []int) int64 { return int64(len(ids)) * 8 })
 	m.mined = memgov.NewCache[string](nil, memgov.ClassRulesCache, rulesBytes)
+	m.overviews = memgov.NewCache[overviewKey](nil, memgov.ClassOverviewCache, overviewBytes)
 	return m
 }
 
@@ -160,6 +171,9 @@ func newModel(t *table.Table, b *binning.Binned, emb *word2vec.Model, opt Option
 func Preprocess(t *table.Table, opt Options) (*Model, error) {
 	if t.NumCols() == 0 {
 		return nil, fmt.Errorf("%w: table %q", ErrNoColumns, t.Name)
+	}
+	if !t.CellsResident() {
+		return nil, fmt.Errorf("core: preprocessing table %q: %w", t.Name, query.ErrCellsPaged)
 	}
 	if opt.Embedding.Dim > word2vec.MaxDim {
 		return nil, fmt.Errorf("core: embedding dimension %d exceeds %d", opt.Embedding.Dim, word2vec.MaxDim)

@@ -284,6 +284,18 @@ func TestHuskEvaluationRefused(t *testing.T) {
 	}
 }
 
+// TestPreprocessRefusesHusk: pre-processing a paged-out model's table — a
+// schema husk, its cells dropped — returns an error wrapping
+// query.ErrCellsPaged before binning reads a cell, instead of panicking.
+func TestPreprocessRefusesHusk(t *testing.T) {
+	m := filterTestModel(t)
+	pageOut(t, m)
+	got, err := Preprocess(m.T, m.Opt)
+	if !errors.Is(err, query.ErrCellsPaged) || got != nil {
+		t.Fatalf("Preprocess on a husk: model %v, err %v; want query.ErrCellsPaged", got, err)
+	}
+}
+
 // TestExploreDeterminism pins the session operators: an empty coverage
 // bitset reproduces the unbiased selection exactly, repeated biased
 // selections are identical, and coverage bias genuinely changes the

@@ -63,7 +63,8 @@ func BenchmarkGatherTupleVectors(b *testing.B) {
 		}
 	}
 	// The code store takes the inline model's codes; the shards page out
-	// a second build of the same table.
+	// a second build of the same table, generated again because PageOut
+	// dropped the first one's cells.
 	run("inline")
 	dir := b.TempDir()
 	if err := m.PageOut([]string{filepath.Join(dir, "codes")}, []string{filepath.Join(dir, "cols")}, false, 0); err != nil {
@@ -71,6 +72,9 @@ func BenchmarkGatherTupleVectors(b *testing.B) {
 	}
 	run("codestore")
 	codes, cells := shardPaths(dir, 4)
+	if ds, err = datagen.ByName("FL", rows, 1); err != nil {
+		b.Fatal(err)
+	}
 	if m, err = Preprocess(ds.T, opt); err != nil {
 		b.Fatal(err)
 	}

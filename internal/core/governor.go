@@ -6,21 +6,22 @@ import (
 )
 
 // SetGovernor settles the model's caches — full-table tuple-vectors,
-// memoized candidate samples, mined rules — with the process-wide ledger
-// (internal/memgov) under their own classes, including bytes already
-// resident, so one -memory-budget covers every tenant. Idempotent: only
-// the first governor takes. Passing nil is a no-op. Must not be called
-// while holding a lock g's evictors acquire.
+// memoized candidate samples, mined rules, memoized overviews — with the
+// process-wide ledger (internal/memgov) under their own classes, including
+// bytes already resident, so one -memory-budget covers every tenant.
+// Idempotent: only the first governor takes. Passing nil is a no-op. Must
+// not be called while holding a lock g's evictors acquire.
 func (m *Model) SetGovernor(g *memgov.Governor) {
 	m.vecs.Govern(g)
 	m.samples.Govern(g)
 	m.mined.Govern(g)
+	m.overviews.Govern(g)
 }
 
 // CacheBytes reports the bytes the model's governed caches currently hold
 // — observability for tests and stats, and what an eviction frees.
 func (m *Model) CacheBytes() int64 {
-	return m.vecs.Bytes() + m.samples.Bytes() + m.mined.Bytes()
+	return m.vecs.Bytes() + m.samples.Bytes() + m.mined.Bytes() + m.overviews.Bytes()
 }
 
 // ResidentBytes estimates the model's always-resident footprint: table

@@ -67,12 +67,13 @@ func (m *Model) residentTable() (*table.Table, error) {
 }
 
 // ReleaseVectorCache clears the model's caches — the full-table
-// tuple-vectors, the memoized candidate samples and the mined rules — and
-// settles them to zero bytes with the governor, along with a coordinator's
-// shard-sample cache (CacheReleaser). Serving layers call it when a model
-// leaves the warm set (store eviction), so an evicted tenant's O(rows×dim)
-// caches do not outlive its residency even while other references to the
-// model exist. Safe to race in-flight selections: a selection that already
+// tuple-vectors, the memoized candidate samples, the mined rules and the
+// memoized overviews — and settles them to zero bytes with the governor,
+// along with a coordinator's shard-sample cache (CacheReleaser). Serving
+// layers call it when a model leaves the warm set (store eviction), so an
+// evicted tenant's O(rows×dim) caches do not outlive its residency even
+// while other references to the model exist. A reloaded model starts with
+// an empty overview memo. Safe to race in-flight selections: a selection that already
 // holds a cached value keeps it, and a build this release overtakes is
 // returned to its caller but not cached. Safe to call under the serving
 // store's mutex — clearing only ever shrinks the ledger, and Shrink never
@@ -81,6 +82,7 @@ func (m *Model) ReleaseVectorCache() {
 	m.vecs.Clear()
 	m.samples.Clear()
 	m.mined.Clear()
+	m.overviews.Clear()
 	if r, ok := m.shardSampler.(CacheReleaser); ok {
 		r.ReleaseCache()
 	}

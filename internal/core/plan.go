@@ -165,6 +165,36 @@ type plan struct {
 	scale   ScaleOptions // defaults applied
 	remote  bool
 	reserve int64
+
+	// overview marks a stateless whole-table selection: local, every row,
+	// no coverage, column bias or query. Its choice is a pure function of
+	// the model and overviewKey, so it is memoized (Model.overviews).
+	overview bool
+}
+
+// overviewKey spells every plan field that can change an overview's
+// choice: the shape, the target columns, the resolved scale options, the
+// group quota and the column strategy.
+type overviewKey struct {
+	k, l               int
+	targets            string // the target column indices, ascending
+	scale              ScaleOptions
+	quotaCol, quotaMin int
+	columns            columnKind
+}
+
+// overviewKey returns p's memo key. Take it before execute runs: column
+// choice grows p.targets in place.
+func (p *plan) overviewKey() overviewKey {
+	targets := make([]int, 0, len(p.targets))
+	for c := range p.targets {
+		targets = append(targets, c)
+	}
+	slices.Sort(targets)
+	return overviewKey{
+		k: p.k, l: p.l, targets: fmt.Sprint(targets), scale: p.scale,
+		quotaCol: p.quotaCol, quotaMin: p.quotaMin, columns: p.columns,
+	}
 }
 
 // scaled is the one data-dependent decision of a selection: whether a
@@ -375,6 +405,7 @@ func planSelect(spec ExploreSpec, c caps) (*plan, error) {
 	} else if c.columns == Centroids {
 		p.columns = columnsCentroid
 	}
+	p.overview = !p.remote && p.rows == rowsAll && spec.Query == nil && spec.Covered == nil && spec.ColBias == nil
 
 	// The transient working set a serving layer reserves while this plan
 	// runs: the tuple-vector slab it materializes (the dominant allocation)

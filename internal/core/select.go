@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -53,7 +54,10 @@ var ErrNoColumns = errors.New("core: table has no columns")
 // predicate conjunction, a drill-down scope, or a full query), the
 // sub-table shape, and — for exploration sessions — the coverage and
 // weighting state. The zero spec plus K and L selects over the whole table
-// (Q = NULL in Alg. 2).
+// (Q = NULL in Alg. 2). Such a stateless whole-table spec — no Where,
+// Scope, Covered, ColBias or Query, on a model whose shards are all local
+// — is an overview: its choice of rows and columns is memoized on the
+// model per (K, L, Targets, Scale, Fairness), so repeating it renders only.
 type ExploreSpec struct {
 	Where   []query.Predicate
 	Scope   []int // sorted ascending source rows bounding the select; nil = whole table
@@ -151,7 +155,9 @@ func (s rowSet) list() []int {
 }
 
 // SelectExplore runs one selection. Deterministic: the result is a fixed
-// function of (model, spec) on every store layout.
+// function of (model, spec) on every store layout. An overview spec (see
+// ExploreSpec) chooses once per model and shape and then renders from the
+// model's overview memo; every call returns a SubTable of its own.
 func (m *Model) SelectExplore(spec ExploreSpec) (*SubTable, error) {
 	p, err := m.plan(spec)
 	if err != nil {
@@ -196,11 +202,41 @@ func (m *Model) clusterRows(p *plan, spec ExploreSpec) (rows rowSet, csrc binnin
 	return rows, csrc, scaled, nil
 }
 
-// execute runs p's stages in order.
+// overview is what a selection chooses, before it renders: the source rows
+// and the column indices of its k×l sub-table.
+type overview struct {
+	rows, cols []int
+}
+
+func overviewBytes(ov overview) int64 { return int64(len(ov.rows)+len(ov.cols)) * 8 }
+
+// execute runs p's stages in order: choose, then render. An overview plan
+// takes its choice from the model's memo, so a repeated overview costs
+// planning plus one k×l render; every caller still gets its own SubTable.
 func (m *Model) execute(p *plan, spec ExploreSpec) (*SubTable, error) {
-	rows, csrc, scaled, err := m.clusterRows(p, spec)
+	var ov overview
+	var err error
+	if p.overview {
+		ov, err = m.overviews.Fill(p.overviewKey(), func() (overview, error) {
+			m.overviewFills.Add(1)
+			return m.choose(p, spec)
+		})
+		ov = overview{rows: slices.Clone(ov.rows), cols: slices.Clone(ov.cols)}
+	} else {
+		ov, err = m.choose(p, spec)
+	}
 	if err != nil {
 		return nil, err
+	}
+	return m.render(ov)
+}
+
+// choose runs every stage of p but the render: rows, sample, vectors,
+// k-means, representatives and columns.
+func (m *Model) choose(p *plan, spec ExploreSpec) (overview, error) {
+	rows, csrc, scaled, err := m.clusterRows(p, spec)
+	if err != nil {
+		return overview{}, err
 	}
 
 	// Row selection (Alg. 2 lines 8-12): cluster the tuple-vectors, then
@@ -225,9 +261,9 @@ func (m *Model) execute(p *plan, spec ExploreSpec) (*SubTable, error) {
 	if p.quotaMin > 0 {
 		groupQuota(reps, res, rows, p.quotaCol, p.quotaMin, m.B.Cols[p.quotaCol].NumBins(), src)
 	}
-	st := &SubTable{}
+	var ov overview
 	for _, i := range reps {
-		st.SourceRows = append(st.SourceRows, rows.at(i))
+		ov.rows = append(ov.rows, rows.at(i))
 	}
 
 	// Column selection (lines 13-17): targets are forced; the rest of the
@@ -255,14 +291,22 @@ func (m *Model) execute(p *plan, spec ExploreSpec) (*SubTable, error) {
 			picked[c] = true
 		}
 	}
-
-	// Render the view with columns in original order.
+	// Columns in original order.
 	for c := 0; c < m.T.NumCols(); c++ {
 		if picked[c] {
-			st.ColIdx = append(st.ColIdx, c)
-			st.Cols = append(st.Cols, m.T.ColumnAt(c).Name)
+			ov.cols = append(ov.cols, c)
 		}
 	}
+	return ov, nil
+}
+
+// render gathers ov's k×l view. st takes ov's slices.
+func (m *Model) render(ov overview) (*SubTable, error) {
+	st := &SubTable{SourceRows: ov.rows, ColIdx: ov.cols}
+	for _, c := range ov.cols {
+		st.Cols = append(st.Cols, m.T.ColumnAt(c).Name)
+	}
+	var err error
 	if st.View, err = table.GatherView(m.cells(), m.T.Name, st.SourceRows, st.ColIdx); err != nil {
 		return nil, err
 	}

@@ -64,6 +64,9 @@ const (
 	// ClassRulesCache is the per-model memoized association rules, one
 	// entry per mining option set (each rule carries an n-bit tuple set).
 	ClassRulesCache = "rules-cache"
+	// ClassOverviewCache is the per-model memoized whole-table selections,
+	// one entry (k source rows and l column indices) per display shape.
+	ClassOverviewCache = "overview-cache"
 	// ClassRequests is in-flight requests' admitted working sets
 	// (sampled-vector slabs, response assembly).
 	ClassRequests = "requests"

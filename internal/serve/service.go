@@ -354,7 +354,9 @@ func (s *Service) explore(name string, sess *session.Session, wt *SessionWeights
 		spec.ColBias = sessionBias(m, sess, wt)
 		// The coverage bias engages only once the session has shown
 		// something: a fresh session's first select is byte-identical to
-		// the sessionless path (and keeps its sample-cache hits).
+		// the sessionless path (and keeps its sample-cache hits), and
+		// without predicates or weights it is the model's overview, served
+		// from its overview memo after the first.
 		if sess.Views() > 0 {
 			spec.Covered = sess.Covered()
 		}

@@ -39,7 +39,7 @@ func OpenCells(dir string, descs []Desc, names []string, allowMissing bool) (*Ce
 	if len(descs) == 0 {
 		return nil, fmt.Errorf("shard: cell source needs at least one shard")
 	}
-	stores, err := openShards(dir, descs, len(names), allowMissing, "column shard", colstore.Open)
+	stores, err := openShards(dir, descs, len(names), allowMissing, "column shard", colstore.OpenIn)
 	if err != nil {
 		return nil, err
 	}

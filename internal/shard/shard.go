@@ -25,6 +25,8 @@ import (
 	"fmt"
 	"io/fs"
 	"path/filepath"
+
+	"subtab/internal/blockfile"
 )
 
 // Desc describes one shard: the base name of its codestore file, the rows
@@ -79,10 +81,13 @@ type shardStore interface {
 // against dir), validating each one's geometry and identity checksum against
 // its descriptor and then every page against its checksum, so a damaged
 // page fails the open (wrapping blockfile.ErrCorrupt) instead of being
-// served. With allowMissing, shards whose files do not exist stay the zero
-// S (nil) and are not checked; any other failure closes what was opened.
-// kind names the store in errors.
-func openShards[S shardStore](dir string, descs []Desc, cols int, allowMissing bool, kind string, open func(string) (S, error)) (_ []S, err error) {
+// served. The check reads the file through its handle (pread), so the pages
+// it reads do not stay resident; the store that is kept serves the file's
+// mapping, as modelio serves an unsharded model's images. With
+// allowMissing, shards whose files do not exist stay the zero S (nil) and
+// are not checked; any other failure closes what was opened. kind names
+// the store in errors; openIn is the store's OpenIn.
+func openShards[S shardStore](dir string, descs []Desc, cols int, allowMissing bool, kind string, openIn func(*blockfile.Region, int64, int64) (S, error)) (_ []S, err error) {
 	var none S
 	stores := make([]S, len(descs))
 	defer func() {
@@ -96,24 +101,41 @@ func openShards[S shardStore](dir string, descs []Desc, cols int, allowMissing b
 		}
 	}()
 	for i, d := range descs {
-		st, err := open(filepath.Join(dir, d.File))
+		reg, err := blockfile.OpenUnmapped(filepath.Join(dir, d.File))
 		if err != nil {
 			if allowMissing && errors.Is(err, fs.ErrNotExist) {
 				continue
 			}
 			return nil, fmt.Errorf("shard: opening %s %d (%s): %w", kind, i, d.File, err)
 		}
-		stores[i] = st
-		if st.Checksum() != d.Checksum {
-			return nil, fmt.Errorf("shard: %s %d (%s) has checksum %08x, map expects %08x", kind, i, d.File, st.Checksum(), d.Checksum)
+		err = checkShard(reg, d, cols, openIn)
+		if err == nil {
+			served := reg.Map()
+			stores[i], err = openIn(served, 0, served.Size())
+			served.Close()
 		}
-		if st.NumRows() != d.Rows || st.NumCols() != cols || st.BlockRows() != d.BlockRows {
-			return nil, fmt.Errorf("shard: %s %d (%s) is %dx%d at %d rows/block, map expects %dx%d at %d",
-				kind, i, d.File, st.NumRows(), st.NumCols(), st.BlockRows(), d.Rows, cols, d.BlockRows)
-		}
-		if err := st.Verify(); err != nil {
+		reg.Close()
+		if err != nil {
 			return nil, fmt.Errorf("shard: %s %d (%s): %w", kind, i, d.File, err)
 		}
 	}
 	return stores, nil
+}
+
+// checkShard opens the store reg holds, checks it against its descriptor
+// d and verifies every page, then closes it again.
+func checkShard[S shardStore](reg *blockfile.Region, d Desc, cols int, openIn func(*blockfile.Region, int64, int64) (S, error)) error {
+	st, err := openIn(reg, 0, reg.Size())
+	if err != nil {
+		return err
+	}
+	defer st.Close()
+	if st.Checksum() != d.Checksum {
+		return fmt.Errorf("store has checksum %08x, map expects %08x", st.Checksum(), d.Checksum)
+	}
+	if st.NumRows() != d.Rows || st.NumCols() != cols || st.BlockRows() != d.BlockRows {
+		return fmt.Errorf("store is %dx%d at %d rows/block, map expects %dx%d at %d",
+			st.NumRows(), st.NumCols(), st.BlockRows(), d.Rows, cols, d.BlockRows)
+	}
+	return st.Verify()
 }

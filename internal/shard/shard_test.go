@@ -220,6 +220,11 @@ func TestOpenValidation(t *testing.T) {
 	if !src.ShardAvailable(0) || src.ShardAvailable(1) {
 		t.Error("shard availability wrong")
 	}
+	// The page check reads through the file's handle; the store kept
+	// serves the file's mapping.
+	if st := src.srcs[0].(*codestore.Store); runtime.GOOS == "linux" && !st.Mapped() {
+		t.Error("an opened shard is not served from its mapping")
+	}
 	// Blocks fully inside shard 0 are available; the boundary block is not.
 	if !src.BlockAvailable(0) {
 		t.Error("block 0 should be available (rows 0-3 are local)")

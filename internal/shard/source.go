@@ -45,7 +45,7 @@ func Open(dir string, m *Map, cols int, allowMissing bool) (*Source, error) {
 		cols:   cols,
 		srcs:   make([]binning.CodeSource, len(m.Shards)),
 	}
-	stores, err := openShards(dir, m.Shards, cols, allowMissing, "shard", codestore.Open)
+	stores, err := openShards(dir, m.Shards, cols, allowMissing, "shard", codestore.OpenIn)
 	if err != nil {
 		return nil, err
 	}

@@ -166,7 +166,9 @@ type ScaleOptions = core.ScaleOptions
 // conjunction, drill-down scope or query), the k×l shape and targets, a
 // per-call ScaleOptions override and an exploration session's coverage and
 // column weights. Model.SelectExplore is the one selection entry point;
-// Select and SelectQuery build the spec of Alg. 2's two signatures.
+// Select and SelectQuery build the spec of Alg. 2's two signatures. A
+// whole-table spec without session state or a query is an overview, whose
+// choice the model memoizes per shape.
 type ExploreSpec = core.ExploreSpec
 
 // BinningOptions configures how columns are split into bins.
