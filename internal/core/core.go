@@ -20,8 +20,10 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"subtab/internal/binning"
+	"subtab/internal/bitset"
 	"subtab/internal/corpus"
 	"subtab/internal/f32"
 	"subtab/internal/memgov"
@@ -146,8 +148,11 @@ type Model struct {
 	// the stateless whole-table selection per display shape: the complete
 	// sub-table every exploration starts from is a pure function of the
 	// model and its overviewKey, so only its first request per shape
-	// samples, embeds and clusters; later ones render k×l cells.
-	overviews *memgov.Cache[overviewKey, overview]
+	// samples, embeds and clusters; later ones render k×l cells. Models of
+	// one table generation may share one memo (see ShareOverviews); the
+	// pointer is atomic because a store may hand a memo to a model that
+	// selections already hold.
+	overviews atomic.Pointer[OverviewMemo]
 	// overviewFills counts the choices the overview memo has computed.
 	overviewFills atomic.Int64
 }
@@ -160,10 +165,10 @@ func newModel(t *table.Table, b *binning.Binned, emb *word2vec.Model, opt Option
 	for item := range m.itemRow {
 		m.itemRow[item] = emb.Index(int32(item))
 	}
-	m.vecs = memgov.NewCache[struct{}](nil, memgov.ClassVectorCache, func(v f32.Matrix) int64 { return int64(len(v.Data)) * 4 })
-	m.samples = memgov.NewCache[int](nil, memgov.ClassSampleCache, func(ids []int) int64 { return int64(len(ids)) * 8 })
+	m.vecs = memgov.NewCache[struct{}](nil, memgov.ClassVectorCache, func(_ struct{}, v f32.Matrix) int64 { return int64(len(v.Data)) * 4 })
+	m.samples = memgov.NewCache[int](nil, memgov.ClassSampleCache, func(_ int, ids []int) int64 { return int64(len(ids)) * 8 })
 	m.mined = memgov.NewCache[string](nil, memgov.ClassRulesCache, rulesBytes)
-	m.overviews = memgov.NewCache[overviewKey](nil, memgov.ClassOverviewCache, overviewBytes)
+	m.overviews.Store(memgov.NewCache[overviewKey](nil, memgov.ClassOverviewCache, overviewBytes))
 	return m
 }
 
@@ -414,13 +419,20 @@ func rulesKey(opt rules.Options) string {
 		opt.TargetCols, opt.AllSplits, opt.MaxRules, opt.IncludeMissing, opt.MaxItemShare)
 }
 
-// rulesBytes estimates mined rules' residency: each rule's tuple bitset
-// plus its item and column lists (slice headers ignored).
-func rulesBytes(rs []rules.Rule) int64 {
-	var b int64
+// rulesBytes is mined rules' residency: the entry's slot and key, the
+// rule array, and per rule its item and column lists and its tuple bitset
+// (header and words). Rules that share a bitset (AllSplits emits one per
+// split of an itemset) count it once.
+func rulesBytes(key string, rs []rules.Rule) int64 {
+	b := int64(unsafe.Sizeof(key)+unsafe.Sizeof(rs)) + int64(len(key)) + int64(cap(rs))*int64(unsafe.Sizeof(rules.Rule{}))
+	sets := make(map[*bitset.Set]bool, len(rs))
 	for i := range rs {
 		r := &rs[i]
-		b += int64(r.Tuples.Len()+63)/64*8 + int64(len(r.LHS)+len(r.RHS)+len(r.Items))*4 + int64(len(r.Cols))*8
+		b += int64(cap(r.LHS)+cap(r.RHS)+cap(r.Items))*4 + int64(cap(r.Cols))*8
+		if !sets[r.Tuples] {
+			sets[r.Tuples] = true
+			b += int64(unsafe.Sizeof(*r.Tuples)) + int64(r.Tuples.Len()+63)/64*8
+		}
 	}
 	return b
 }

@@ -15,13 +15,13 @@ func (m *Model) SetGovernor(g *memgov.Governor) {
 	m.vecs.Govern(g)
 	m.samples.Govern(g)
 	m.mined.Govern(g)
-	m.overviews.Govern(g)
+	m.overviews.Load().Govern(g)
 }
 
 // CacheBytes reports the bytes the model's governed caches currently hold
 // — observability for tests and stats, and what an eviction frees.
 func (m *Model) CacheBytes() int64 {
-	return m.vecs.Bytes() + m.samples.Bytes() + m.mined.Bytes() + m.overviews.Bytes()
+	return m.vecs.Bytes() + m.samples.Bytes() + m.mined.Bytes() + m.overviews.Load().Bytes()
 }
 
 // ResidentBytes estimates the model's always-resident footprint: table

@@ -105,7 +105,7 @@ func TestOverviewMemoBypassed(t *testing.T) {
 					t.Fatal(err)
 				}
 				m.ReleaseVectorCache()
-				m.overviews.Put(plain.overviewKey(), poison)
+				m.overviews.Load().Put(plain.overviewKey(), poison)
 				st, err := m.SelectExplore(spec)
 				var r *Refusal
 				if errors.As(err, &r) {
@@ -118,8 +118,8 @@ func TestOverviewMemoBypassed(t *testing.T) {
 				if want := local && shape == "plain"; poisoned != want {
 					t.Errorf("%s: returned the memo's entry %v, want %v", name, poisoned, want)
 				}
-				if got := m.overviews.Bytes(); got != overviewBytes(poison) {
-					t.Errorf("%s: memo holds %d bytes, want the poison's %d", name, got, overviewBytes(poison))
+				if got, want := m.overviews.Load().Bytes(), overviewBytes(plain.overviewKey(), poison); got != want {
+					t.Errorf("%s: memo holds %d bytes, want the poison's %d", name, got, want)
 				}
 			}
 		}
@@ -169,12 +169,67 @@ func TestOverviewConcurrentFirstSelects(t *testing.T) {
 			t.Errorf("callers 0 and %d share their source rows", i)
 		}
 	}
-	want := overviewBytes(overview{rows: got[0].SourceRows, cols: got[0].ColIdx})
+	p, err := m.plan(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := overviewBytes(p.overviewKey(), overview{rows: got[0].SourceRows, cols: got[0].ColIdx})
 	if b := g.ClassBytes(memgov.ClassOverviewCache); b != want {
 		t.Errorf("overview-cache ledger = %d, want %d", b, want)
 	}
 	m.ReleaseVectorCache()
 	if b, c := g.ClassBytes(memgov.ClassOverviewCache), m.CacheBytes(); b != 0 || c != 0 {
 		t.Errorf("after release: overview-cache ledger %d, CacheBytes %d, want 0 and 0", b, c)
+	}
+}
+
+// TestOverviewMemoHandoff: a model given another's memo (ShareOverviews) —
+// a twin over the same parts, as a reload from the same file is — renders
+// the memoized overviews without choosing, byte for byte what a cold
+// select of a third twin returns, on the exact and the scaled path.
+// ReleaseSparingOverviews empties every other cache and keeps the memo;
+// ReleaseVectorCache clears it for every model that shares it.
+func TestOverviewMemoHandoff(t *testing.T) {
+	a := filterTestModel(t)
+	twin := func() *Model {
+		m, err := Restore(a.T, a.B, a.Emb, a.Opt, a.AffinityData())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	g := memgov.New(0)
+	a.SetGovernor(g)
+	b := twin()
+	b.SetGovernor(g)
+	specs := []ExploreSpec{
+		{K: 5, L: 3, Targets: []string{"CANCELLED"}},
+		{K: 4, L: 3, Scale: &ScaleOptions{Threshold: 1, SampleBudget: 300, BatchSize: 64, MaxIter: 20}},
+	}
+	first := make([]string, len(specs))
+	for i, spec := range specs {
+		first[i] = fpr(mustSelect(t, a, spec))
+	}
+	memo := a.ShareOverviews(nil)
+	if got := b.ShareOverviews(memo); got != memo {
+		t.Fatal("ShareOverviews returned another memo than the one it was given")
+	}
+	for i, spec := range specs {
+		hit := fpr(mustSelect(t, b, spec))
+		if cold := fpr(mustSelect(t, twin(), spec)); hit != cold || hit != first[i] {
+			t.Fatalf("shape %d: the handed-off memo served\n %s\nwant %s (cold)\n     %s (first)", i, hit, cold, first[i])
+		}
+	}
+	if n := b.overviewFills.Load(); n != 0 {
+		t.Fatalf("the model given the memo chose %d times, want 0", n)
+	}
+	held := memo.Bytes()
+	b.ReleaseSparingOverviews()
+	if got := memo.Bytes(); got != held || b.CacheBytes() != held {
+		t.Fatalf("after ReleaseSparingOverviews: memo %d bytes, model caches %d, want both %d", got, b.CacheBytes(), held)
+	}
+	b.ReleaseVectorCache()
+	if got, cls := a.ShareOverviews(nil).Bytes(), g.ClassBytes(memgov.ClassOverviewCache); got != 0 || cls != 0 {
+		t.Fatalf("after ReleaseVectorCache: shared memo %d bytes, ledger %d, want 0 and 0", got, cls)
 	}
 }

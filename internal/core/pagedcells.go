@@ -68,21 +68,30 @@ func (m *Model) residentTable() (*table.Table, error) {
 
 // ReleaseVectorCache clears the model's caches — the full-table
 // tuple-vectors, the memoized candidate samples, the mined rules and the
-// memoized overviews — and settles them to zero bytes with the governor,
-// along with a coordinator's shard-sample cache (CacheReleaser). Serving
-// layers call it when a model leaves the warm set (store eviction), so an
-// evicted tenant's O(rows×dim) caches do not outlive its residency even
-// while other references to the model exist. A reloaded model starts with
-// an empty overview memo. Safe to race in-flight selections: a selection that already
-// holds a cached value keeps it, and a build this release overtakes is
-// returned to its caller but not cached. Safe to call under the serving
-// store's mutex — clearing only ever shrinks the ledger, and Shrink never
-// runs eviction callbacks.
+// overview memo — and settles them to zero bytes with the governor, along
+// with a coordinator's shard-sample cache (CacheReleaser). A model that
+// shares its generation's overview memo (ShareOverviews) clears it for
+// every model that shares it; a serving store evicting such a model calls
+// ReleaseSparingOverviews instead, so a reload of the same generation
+// keeps the memo. Safe to race in-flight selections: a selection that
+// already holds a cached value keeps it, and a build this release
+// overtakes is returned to its caller but not cached. Safe to call under
+// the serving store's mutex — clearing only ever shrinks the ledger, and
+// Shrink never runs eviction callbacks.
 func (m *Model) ReleaseVectorCache() {
+	m.ReleaseSparingOverviews()
+	m.overviews.Load().Clear()
+}
+
+// ReleaseSparingOverviews is ReleaseVectorCache but for the overview memo,
+// which it leaves as it is: what a store evicting a model of a generation
+// it still serves calls, so an evicted tenant's O(rows×dim) caches do not
+// outlive its residency while its (k + l)-index overviews do. Selections
+// that race it may still fill the memo.
+func (m *Model) ReleaseSparingOverviews() {
 	m.vecs.Clear()
 	m.samples.Clear()
 	m.mined.Clear()
-	m.overviews.Clear()
 	if r, ok := m.shardSampler.(CacheReleaser); ok {
 		r.ReleaseCache()
 	}

@@ -7,11 +7,13 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"unsafe"
 
 	"subtab/internal/binning"
 	"subtab/internal/bitset"
 	"subtab/internal/cluster"
 	"subtab/internal/f32"
+	"subtab/internal/memgov"
 	"subtab/internal/metrics"
 	"subtab/internal/query"
 	"subtab/internal/table"
@@ -56,8 +58,10 @@ var ErrNoColumns = errors.New("core: table has no columns")
 // weighting state. The zero spec plus K and L selects over the whole table
 // (Q = NULL in Alg. 2). Such a stateless whole-table spec — no Where,
 // Scope, Covered, ColBias or Query, on a model whose shards are all local
-// — is an overview: its choice of rows and columns is memoized on the
-// model per (K, L, Targets, Scale, Fairness), so repeating it renders only.
+// — is an overview: its choice of rows and columns is memoized in the
+// model's overview memo per (K, L, Targets, Scale, Fairness), so repeating
+// it renders only. Models of one table generation may share the memo
+// (ShareOverviews).
 type ExploreSpec struct {
 	Where   []query.Predicate
 	Scope   []int // sorted ascending source rows bounding the select; nil = whole table
@@ -156,8 +160,8 @@ func (s rowSet) list() []int {
 
 // SelectExplore runs one selection. Deterministic: the result is a fixed
 // function of (model, spec) on every store layout. An overview spec (see
-// ExploreSpec) chooses once per model and shape and then renders from the
-// model's overview memo; every call returns a SubTable of its own.
+// ExploreSpec) chooses once per overview memo and shape and then renders
+// from the memo; every call returns a SubTable of its own.
 func (m *Model) SelectExplore(spec ExploreSpec) (*SubTable, error) {
 	p, err := m.plan(spec)
 	if err != nil {
@@ -208,7 +212,37 @@ type overview struct {
 	rows, cols []int
 }
 
-func overviewBytes(ov overview) int64 { return int64(len(ov.rows)+len(ov.cols)) * 8 }
+func (ov overview) clone() overview {
+	return overview{rows: slices.Clone(ov.rows), cols: slices.Clone(ov.cols)}
+}
+
+// overviewBytes is a memo entry's residency: its slot (the key and the two
+// slice headers), the key's target string — a short string still pins a
+// 16-byte block — and the two index arrays.
+func overviewBytes(k overviewKey, ov overview) int64 {
+	return int64(unsafe.Sizeof(k)+unsafe.Sizeof(ov)) + int64(len(k.targets)+15)&^15 + int64(cap(ov.rows)+cap(ov.cols))*8
+}
+
+// OverviewMemo is a model's memo of overview choices (see ExploreSpec).
+// An overview is a pure function of the model's file, so every model
+// loaded from one file — one table generation — can share one memo: a
+// serving store keeps it while the generation's models are evicted and
+// reloaded, and hands it to each (ShareOverviews). Clear empties it and
+// settles it to zero bytes; Bytes reports what it holds.
+type OverviewMemo = memgov.Cache[overviewKey, overview]
+
+// ShareOverviews makes memo m's overview memo, in place of its own, and
+// returns the memo m uses from then on; a nil memo keeps m's own, so
+// ShareOverviews(nil) reads it. memo must come from a model of the same
+// table generation — loaded from the same file, or the model that file
+// was saved from — since a memo hit skips the choice. Selections already
+// running on m finish on the memo they started with.
+func (m *Model) ShareOverviews(memo *OverviewMemo) *OverviewMemo {
+	if memo != nil {
+		m.overviews.Store(memo)
+	}
+	return m.overviews.Load()
+}
 
 // execute runs p's stages in order: choose, then render. An overview plan
 // takes its choice from the model's memo, so a repeated overview costs
@@ -217,11 +251,12 @@ func (m *Model) execute(p *plan, spec ExploreSpec) (*SubTable, error) {
 	var ov overview
 	var err error
 	if p.overview {
-		ov, err = m.overviews.Fill(p.overviewKey(), func() (overview, error) {
+		ov, err = m.overviews.Load().Fill(p.overviewKey(), func() (overview, error) {
 			m.overviewFills.Add(1)
-			return m.choose(p, spec)
+			ov, err := m.choose(p, spec)
+			return ov.clone(), err // the memo keeps arrays of exactly k and l
 		})
-		ov = overview{rows: slices.Clone(ov.rows), cols: slices.Clone(ov.cols)}
+		ov = ov.clone()
 	} else {
 		ov, err = m.choose(p, spec)
 	}

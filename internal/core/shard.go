@@ -35,11 +35,11 @@ type ShardSampler interface {
 
 // CacheReleaser is the optional extension a ShardSampler implements when it
 // holds governed cross-request caches (a coordinator's per-(budget, cols)
-// sample results). ReleaseVectorCache forwards to it so evicting a model
-// from a serving store also drops — and settles to zero — the coordinator
-// bytes keyed to it. Implementations must only shrink governed balances
-// (never call back into eviction), because the release may run under the
-// serving store's mutex.
+// sample results). ReleaseSparingOverviews and ReleaseVectorCache forward
+// to it so evicting a model from a serving store also drops — and settles
+// to zero — the coordinator bytes keyed to it. Implementations must only
+// shrink governed balances (never call back into eviction), because the
+// release may run under the serving store's mutex.
 type CacheReleaser interface {
 	ReleaseCache()
 }

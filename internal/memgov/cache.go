@@ -2,6 +2,7 @@ package memgov
 
 import (
 	"errors"
+	"slices"
 	"sync"
 )
 
@@ -27,35 +28,42 @@ var errFillPanicked = errors.New("memgov: cache fill panicked")
 //   - Bytes are settled with the governor after the cache's own lock is
 //     released, because Grow may run evictors that Clear this very cache.
 //     Clear only ever shrinks, so it is safe under any caller lock.
+//   - Entries sit in an array of exactly their number, copied on each
+//     insert (there are at most cacheCap), so the cache holds no spare
+//     slot and a weight may count its entry's slot,
+//     unsafe.Sizeof(k)+unsafe.Sizeof(v), exactly. Clear frees the array.
 //
 // Values must be immutable once filled: Get and Fill hand out the cached
 // value itself, and callers may keep using it after a Clear.
 type Cache[K comparable, V any] struct {
 	class  string
-	weight func(V) int64
+	weight func(K, V) int64
 
-	mu     sync.Mutex
-	acct   *account
-	m      map[K]V
-	flight map[K]*fillCall[V]
-	gen    uint64 // bumped on every mutation; orders the settles
-	bytes  int64  // Σ weight(v) over m
+	mu      sync.Mutex
+	acct    *account
+	entries []entry[K, V]
+	flight  []*fillCall[K, V]
+	gen     uint64 // bumped on every mutation; orders the settles
+	bytes   int64  // Σ weight(k, v) over entries
 }
 
-type fillCall[V any] struct {
+type entry[K comparable, V any] struct {
+	k K
+	v V
+}
+
+type fillCall[K comparable, V any] struct {
+	k       K
 	done    chan struct{}
 	v       V
 	err     error
 	cleared bool // a Clear overtook the fill; guarded by the cache's mu
 }
 
-// NewCache returns an empty cache whose entries weigh weight(v) bytes,
+// NewCache returns an empty cache whose entries weigh weight(k, v) bytes,
 // settled with g under class. g may be nil (see Govern).
-func NewCache[K comparable, V any](g *Governor, class string, weight func(V) int64) *Cache[K, V] {
-	return &Cache[K, V]{
-		class: class, weight: weight, acct: g.account(class),
-		m: make(map[K]V), flight: make(map[K]*fillCall[V]),
-	}
+func NewCache[K comparable, V any](g *Governor, class string, weight func(K, V) int64) *Cache[K, V] {
+	return &Cache[K, V]{class: class, weight: weight, acct: g.account(class)}
 }
 
 // Govern settles the cache's bytes with g from now on, including those
@@ -78,42 +86,58 @@ func (c *Cache[K, V]) Govern(g *Governor) {
 // Get returns the cached value for k.
 func (c *Cache[K, V]) Get(k K) (V, bool) {
 	c.mu.Lock()
-	v, ok := c.m[k]
+	v, ok := c.lookup(k)
 	c.mu.Unlock()
 	return v, ok
+}
+
+// lookup returns the cached value for k. Callers hold c.mu.
+func (c *Cache[K, V]) lookup(k K) (V, bool) {
+	for _, e := range c.entries {
+		if e.k == k {
+			return e.v, true
+		}
+	}
+	var zero V
+	return zero, false
 }
 
 // Fill returns the cached value for k, or runs fill to build it, caches
 // it (unless fill failed or a Clear overtook it) and returns it.
 func (c *Cache[K, V]) Fill(k K, fill func() (V, error)) (V, error) {
 	c.mu.Lock()
-	if v, ok := c.m[k]; ok {
+	if v, ok := c.lookup(k); ok {
 		c.mu.Unlock()
 		return v, nil
 	}
-	if f, ok := c.flight[k]; ok {
-		c.mu.Unlock()
-		<-f.done
-		return f.v, f.err
+	for _, f := range c.flight {
+		if f.k == k {
+			c.mu.Unlock()
+			<-f.done
+			return f.v, f.err
+		}
 	}
-	f := &fillCall[V]{done: make(chan struct{}), err: errFillPanicked}
-	c.flight[k] = f
+	f := &fillCall[K, V]{k: k, done: make(chan struct{}), err: errFillPanicked}
+	c.flight = append(c.flight, f)
 	c.mu.Unlock()
-	defer c.land(k, f)
+	defer c.land(f)
 	f.v, f.err = fill()
 	return f.v, f.err
 }
 
-// land ends k's flight: it wakes the waiters and inserts the value.
-func (c *Cache[K, V]) land(k K, f *fillCall[V]) {
+// land ends f's flight: it wakes the waiters and inserts the value.
+func (c *Cache[K, V]) land(f *fillCall[K, V]) {
 	c.mu.Lock()
-	delete(c.flight, k)
+	c.flight = slices.DeleteFunc(c.flight, func(g *fillCall[K, V]) bool { return g == f })
+	if len(c.flight) == 0 {
+		c.flight = nil
+	}
 	close(f.done)
 	if f.err != nil || f.cleared {
 		c.mu.Unlock()
 		return
 	}
-	c.insert(k, f.v)
+	c.insert(f.k, f.v)
 }
 
 // Put caches v under k unless k is already cached.
@@ -124,16 +148,18 @@ func (c *Cache[K, V]) Put(k K, v V) {
 
 // insert caches v under k unless k is already cached, and releases c.mu.
 func (c *Cache[K, V]) insert(k K, v V) {
-	if _, ok := c.m[k]; ok {
+	if _, ok := c.lookup(k); ok {
 		c.mu.Unlock()
 		return
 	}
-	if len(c.m) >= cacheCap {
-		clear(c.m)
-		c.bytes = 0
+	if len(c.entries) >= cacheCap {
+		c.entries, c.bytes = nil, 0
 	}
-	c.m[k] = v
-	c.bytes += c.weight(v)
+	grown := make([]entry[K, V], len(c.entries)+1)
+	copy(grown, c.entries)
+	grown[len(c.entries)] = entry[K, V]{k, v}
+	c.entries = grown
+	c.bytes += c.weight(k, v)
 	c.gen++
 	c.settleUnlock()
 }
@@ -142,7 +168,7 @@ func (c *Cache[K, V]) insert(k K, v V) {
 // flight finish for their callers but are not inserted.
 func (c *Cache[K, V]) Clear() {
 	c.mu.Lock()
-	clear(c.m)
+	c.entries = nil
 	for _, f := range c.flight {
 		f.cleared = true
 	}

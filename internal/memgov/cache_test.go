@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-func byteLen(b []byte) int64 { return int64(len(b)) }
+func byteLen[K any](_ K, b []byte) int64 { return int64(len(b)) }
 
 func TestCacheFillSingleFlight(t *testing.T) {
 	g := New(0)

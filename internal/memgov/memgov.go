@@ -64,8 +64,10 @@ const (
 	// ClassRulesCache is the per-model memoized association rules, one
 	// entry per mining option set (each rule carries an n-bit tuple set).
 	ClassRulesCache = "rules-cache"
-	// ClassOverviewCache is the per-model memoized whole-table selections,
-	// one entry (k source rows and l column indices) per display shape.
+	// ClassOverviewCache is the memoized whole-table selections, one memo
+	// per table generation (a serving store keeps it across the
+	// generation's evictions and reloads), one entry (k source rows and l
+	// column indices) per display shape.
 	ClassOverviewCache = "overview-cache"
 	// ClassRequests is in-flight requests' admitted working sets
 	// (sampled-vector slabs, response assembly).

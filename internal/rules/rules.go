@@ -22,6 +22,7 @@ package rules
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -468,10 +469,12 @@ func mergeCols(a, b []int) []int {
 	return out
 }
 
+// capRules keeps the max rules of highest support, in a copy: a prefix of
+// rs would keep every dropped rule's tuple bitset reachable.
 func capRules(rs []Rule, max int) []Rule {
 	if max <= 0 || len(rs) <= max {
 		return rs
 	}
 	sort.SliceStable(rs, func(i, j int) bool { return rs[i].Support > rs[j].Support })
-	return rs[:max]
+	return slices.Clone(rs[:max])
 }

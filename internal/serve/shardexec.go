@@ -220,7 +220,7 @@ func NewShardSampler(name string, m *core.Model, opt ShardPeersOptions) (core.Sh
 		m:     m,
 		src:   src,
 		opt:   opt,
-		cache: memgov.NewCache[string](opt.Governor, memgov.ClassCoordCache, func(r sampleResult) int64 { return r.bytes }),
+		cache: memgov.NewCache[string](opt.Governor, memgov.ClassCoordCache, func(_ string, r sampleResult) int64 { return r.bytes }),
 	}
 	if sc := m.ShardCells(); sc != nil && !sc.Complete() {
 		if len(opt.Peers) == 0 {
@@ -367,8 +367,9 @@ func (s *shardSampler) scatter(cols []int, budget int, preds []query.Predicate) 
 }
 
 // ReleaseCache clears the coordinator's cross-request sample cache — the
-// core.CacheReleaser hook core.Model.ReleaseVectorCache forwards to, so a
-// store eviction reclaims the coordinator bytes keyed to the model.
+// core.CacheReleaser hook core.Model.ReleaseSparingOverviews (and so
+// ReleaseVectorCache) forwards to, so a store eviction reclaims the
+// coordinator bytes keyed to the model.
 func (s *shardSampler) ReleaseCache() { s.cache.Clear() }
 
 // fetch posts the sample request for shard idx, rotating through peers

@@ -8,7 +8,10 @@
 //     from its file, the models in memory are LRU-bounded and governed,
 //     and a load is singleflight-deduplicated (N concurrent requests for a
 //     table on disk run exactly one load), so evicted or restarted models
-//     reload in milliseconds instead of re-training.
+//     reload in milliseconds instead of re-training. A table's overview
+//     memo belongs to its generation, not to a model: a reload of the same
+//     generation renders its overviews without choosing them again, while
+//     a replace, append, remove or restart starts empty.
 //   - Service exposes the user-facing operations — select, select-query,
 //     mine-rules, highlight — over named tables.
 //   - NewHandler adapts a Service to an HTTP/JSON API (cmd/subtab-server).
@@ -66,8 +69,9 @@ type StoreOptions struct {
 	// entry-counted into byte-weighted: any consumer growing past the
 	// process budget sheds this store's cold models first. MaxModels stays
 	// as a count backstop. Models inserted into a governed store also get
-	// core.Model.SetGovernor, so their vector, sample and rules caches
-	// settle under their own classes.
+	// core.Model.SetGovernor, so their vector, sample, rules and overview
+	// caches settle under their own classes; an evicted table's overview
+	// memo stays charged until the evictor drops it (reclaimModels).
 	Governor *memgov.Governor
 }
 
@@ -80,6 +84,11 @@ type StoreStats struct {
 }
 
 // Store is a concurrency-safe, LRU-bounded model cache over one directory.
+// It keeps one overview memo (core.OverviewMemo) per table generation and
+// hands it to every model of the generation it installs, so a table that
+// was evicted and reloaded renders its overviews without choosing them
+// again; a replace, an append or a Remove clears it, and a new store
+// starts with none.
 type Store struct {
 	opt StoreOptions
 
@@ -89,8 +98,20 @@ type Store struct {
 	inflight map[string]*flightCall
 	gen      map[string]uint64      // bumped by putLocked/Remove; stale loads check it
 	nameMu   map[string]*sync.Mutex // serializes persist+insert per table name
+	memos    map[string]*genMemo    // the overview memo of each name's current generation
+	evictSeq uint64                 // numbers evictions, ordering retained memos
 
 	hits, diskLoads, builds, evictions atomic.Int64
+}
+
+// genMemo is the overview memo of a name's current generation. It
+// outlives the generation's models: an evicted table's memo is retained
+// (evicted > 0, the eviction's number) until a model of the generation is
+// installed again, the generation ends (putLocked, Remove), or the
+// governor reclaims it.
+type genMemo struct {
+	memo    *core.OverviewMemo
+	evicted uint64
 }
 
 type storeEntry struct {
@@ -127,6 +148,7 @@ func NewStore(opt StoreOptions) *Store {
 		inflight: make(map[string]*flightCall),
 		gen:      make(map[string]uint64),
 		nameMu:   make(map[string]*sync.Mutex),
+		memos:    make(map[string]*genMemo),
 	}
 	if opt.Governor != nil {
 		// Registered under its own label, not ClassModels: the skip rule
@@ -142,8 +164,9 @@ func NewStore(opt StoreOptions) *Store {
 
 // reclaimModels is the governor's eviction callback: drop cold-end LRU
 // entries, which reload from their files on demand, until need bytes were
-// freed or only the hottest entry remains. Runs without the governor lock
-// held, per the memgov contract.
+// freed or only the hottest entry remains; then drop the overview memos
+// evicted tables retain, least recently evicted first. Runs without the
+// governor lock held, per the memgov contract.
 func (s *Store) reclaimModels(need int64) int64 {
 	var freed int64
 	for freed < need {
@@ -156,13 +179,68 @@ func (s *Store) reclaimModels(need int64) int64 {
 		ent := s.lru.Remove(back).(*storeEntry)
 		delete(s.entries, ent.name)
 		s.opt.Governor.Shrink(memgov.ClassModels, ent.bytes)
-		cacheBytes := ent.model.CacheBytes()
-		ent.model.ReleaseVectorCache()
-		s.evictions.Add(1)
+		freed += ent.bytes + s.evictLocked(ent)
 		s.mu.Unlock()
-		freed += ent.bytes + cacheBytes
+	}
+	for freed < need {
+		s.mu.Lock()
+		var oldest string
+		var og *genMemo
+		for name, gm := range s.memos {
+			if gm.evicted > 0 && (og == nil || gm.evicted < og.evicted) {
+				oldest, og = name, gm
+			}
+		}
+		if og == nil {
+			s.mu.Unlock()
+			break
+		}
+		freed += og.memo.Bytes()
+		s.dropMemoLocked(oldest)
+		s.mu.Unlock()
 	}
 	return freed
+}
+
+// evictLocked releases the caches of ent, which just left the LRU, and
+// retains its generation's overview memo. It returns the bytes released.
+// Other references to the model — a disk reload that resurrects the
+// entry, an in-flight selection — would otherwise keep an O(rows×dim)
+// cache alive for a table that left the warm set; a selection racing the
+// eviction rebuilds the cache it needs (and keeps the backing array it
+// already resolved; see core), and may fill the memo.
+func (s *Store) evictLocked(ent *storeEntry) int64 {
+	before := ent.model.CacheBytes()
+	ent.model.ReleaseSparingOverviews()
+	if gm, ok := s.memos[ent.name]; ok {
+		s.evictSeq++
+		gm.evicted = s.evictSeq
+	}
+	s.evictions.Add(1)
+	return before - ent.model.CacheBytes()
+}
+
+// dropMemoLocked clears name's overview memo, settling it to zero bytes,
+// and forgets it.
+func (s *Store) dropMemoLocked(name string) {
+	if gm, ok := s.memos[name]; ok {
+		gm.memo.Clear()
+		delete(s.memos, name)
+	}
+}
+
+// shareMemoLocked gives m, about to be installed as name's model, the
+// overview memo of name's generation; the first model installed for a
+// generation (or after the governor reclaimed its memo) brings the memo
+// the generation keeps.
+func (s *Store) shareMemoLocked(name string, m *core.Model) {
+	gm, ok := s.memos[name]
+	if !ok {
+		gm = &genMemo{}
+		s.memos[name] = gm
+	}
+	gm.memo = m.ShareOverviews(gm.memo)
+	gm.evicted = 0
 }
 
 // Stats returns a snapshot of the cache counters.
@@ -274,6 +352,7 @@ func (s *Store) putLocked(name string, m *core.Model, l Layout) (*core.Model, er
 	}
 	s.mu.Lock()
 	s.gen[name]++
+	s.dropMemoLocked(name)
 	grow := s.insertLocked(name, m)
 	s.mu.Unlock()
 	s.opt.Governor.Grow(memgov.ClassModels, grow)
@@ -368,9 +447,9 @@ func (s *Store) serves(name string) bool {
 }
 
 // Remove drops name from memory and disk — the model file and every store
-// file of the name, whatever its layout — and invalidates any in-flight
-// build of the name so its result is not resurrected. Removing an unknown
-// name is a no-op.
+// file of the name, whatever its layout — and its overview memo, and
+// invalidates any in-flight build of the name so its result is not
+// resurrected. Removing an unknown name is a no-op.
 func (s *Store) Remove(name string) {
 	nl := s.lockName(name)
 	nl.Lock()
@@ -385,6 +464,7 @@ func (s *Store) Remove(name string) {
 		s.opt.Governor.Shrink(memgov.ClassModels, ent.bytes)
 		ent.model.ReleaseVectorCache()
 	}
+	s.dropMemoLocked(name)
 	s.mu.Unlock()
 	os.Remove(s.path(name))
 	s.sweepStores(name, nil)
@@ -442,9 +522,14 @@ func (s *Store) insert(name string, m *core.Model) {
 }
 
 // insertLocked adds a model to the LRU, evicting from the cold end past
-// MaxModels. Callers hold s.mu; the returned byte count must be Grown under
-// memgov.ClassModels once s.mu is released (use insert unless already
-// holding s.mu for other bookkeeping).
+// MaxModels, and gives it the overview memo of name's generation: every
+// model a store installs — the one putLocked persists, a reload, the model
+// Update's unchanged path keeps — goes through here, so all the models of
+// one generation share one memo. Evicted models release their caches but
+// leave the memo to the generation (see evictLocked). Callers hold s.mu;
+// the returned byte count must be Grown under memgov.ClassModels once s.mu
+// is released (use insert unless already holding s.mu for other
+// bookkeeping).
 func (s *Store) insertLocked(name string, m *core.Model) (grow int64) {
 	if el, ok := s.entries[name]; ok {
 		ent := el.Value.(*storeEntry)
@@ -453,15 +538,19 @@ func (s *Store) insertLocked(name string, m *core.Model) (grow int64) {
 			return 0 // refresh only (e.g. a zero-row append): nothing changes
 		}
 		// Replacement: unaccount and release the predecessor — it left the
-		// warm set for good (the generation bumped), and in-flight selections
-		// on it keep their own references to whatever they already resolved.
+		// warm set for good, and in-flight selections on it keep their own
+		// references to whatever they already resolved. A generation bump
+		// has already cleared the predecessor's memo (putLocked); a model of
+		// the same generation hands it on.
 		old := ent.model
 		s.opt.Governor.Shrink(memgov.ClassModels, ent.bytes)
-		old.ReleaseVectorCache()
+		old.ReleaseSparingOverviews()
+		s.shareMemoLocked(name, m)
 		ent.model = m
 		ent.bytes = s.modelBytes(m)
 		return ent.bytes
 	}
+	s.shareMemoLocked(name, m)
 	ent := &storeEntry{name: name, model: m, bytes: s.modelBytes(m)}
 	s.entries[name] = s.lru.PushFront(ent)
 	grow = ent.bytes
@@ -473,14 +562,7 @@ func (s *Store) insertLocked(name string, m *core.Model) (grow int64) {
 		ev := s.lru.Remove(back).(*storeEntry)
 		delete(s.entries, ev.name)
 		s.opt.Governor.Shrink(memgov.ClassModels, ev.bytes)
-		// Release the evicted model's per-tenant caches (full tuple-vector
-		// matrix, memoized samples) now: other references — a disk reload
-		// that resurrects the entry, an in-flight selection — would otherwise
-		// keep an O(rows×dim) cache alive for a table that left the warm set.
-		// A selection racing the eviction rebuilds the cache it needs (and
-		// keeps the backing array it already resolved; see core).
-		ev.model.ReleaseVectorCache()
-		s.evictions.Add(1)
+		s.evictLocked(ev)
 	}
 	return grow
 }

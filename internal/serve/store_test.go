@@ -1,12 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"runtime"
 	"slices"
 	"strings"
@@ -488,7 +490,9 @@ func TestRulesModelConsistency(t *testing.T) {
 // TestRulesDoNotPinEvictedModels: mined rules are cached on the model they
 // were mined from, so a model the store evicted becomes garbage once no
 // request holds it — a service-wide rules cache used to keep every such
-// model on the heap after the ledger had released its bytes.
+// model on the heap after the ledger had released its bytes. Every table
+// also memoizes an overview, whose memo the store retains past the
+// eviction: it must hold neither the model nor its mapping.
 func TestRulesDoNotPinEvictedModels(t *testing.T) {
 	svc := NewService(NewStore(StoreOptions{Dir: t.TempDir(), MaxModels: 2}), testOptions())
 	models := make([]weak.Pointer[core.Model], 10)
@@ -504,6 +508,12 @@ func TestRulesDoNotPinEvictedModels(t *testing.T) {
 		if len(rs) == 0 {
 			t.Fatalf("no rules mined on %s", name)
 		}
+		if _, err := m.SelectExplore(core.ExploreSpec{K: 4, L: 2}); err != nil {
+			t.Fatal(err)
+		}
+		if m.ShareOverviews(nil).Bytes() == 0 {
+			t.Fatalf("the overview of %s filled no memo", name)
+		}
 		models[i] = weak.Make(m)
 	}
 	if ev := svc.Store().Stats().Evictions; ev != 8 {
@@ -514,6 +524,31 @@ func TestRulesDoNotPinEvictedModels(t *testing.T) {
 	for i, p := range models[:8] {
 		if p.Value() != nil {
 			t.Errorf("evicted model t%d is still reachable after GC", i)
+		}
+	}
+	if n := len(svc.Store().memos); n != 10 {
+		t.Fatalf("the store keeps %d overview memos, want all 10", n)
+	}
+	if _, err := os.ReadFile("/proc/self/maps"); err != nil {
+		t.Log("no /proc/self/maps: the evicted models' mappings were not checked")
+		runtime.KeepAlive(svc)
+		return
+	}
+	for i := range 8 {
+		path := svc.Store().path(fmt.Sprintf("t%d", i))
+		for round := 0; ; round++ {
+			runtime.GC()
+			maps, err := os.ReadFile("/proc/self/maps")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Contains(maps, []byte(path)) {
+				break
+			}
+			if round == 100 {
+				t.Fatalf("evicted model t%d's file is still mapped after GC", i)
+			}
+			time.Sleep(10 * time.Millisecond)
 		}
 	}
 	runtime.KeepAlive(svc) // the service's own caches must not be what pins
